@@ -1,22 +1,20 @@
 //! Guest-execution backend benchmarks: the same suite workloads run
 //! end to end under the two-phase translator on the reference
 //! interpreter backend (`interp`, re-decoding every instruction on
-//! every execution), the pre-decoded translation cache (`cached`,
-//! micro-op buffers decoded once at translation time with direct
-//! block-to-successor chaining inside regions), and the fused cache
-//! (`cached-fused`, region bodies re-encoded as superinstructions and
-//! each region compiled to a straight-line guarded trace).
+//! every execution) and the fused translation cache (`cached-fused`,
+//! blocks decoded and re-encoded as superinstructions once, each
+//! region compiled to a straight-line guarded trace).
 //!
-//! All backends produce bitwise-identical outputs, stats, and
+//! Both backends produce bitwise-identical outputs, stats, and
 //! profiles (pinned by `crates/dbt/tests/backend_differential.rs`), so
-//! any gap here is pure host-side dispatch cost. A third group shows
+//! any gap here is pure host-side dispatch cost. A second group shows
 //! what a long-lived host (the sweep orchestrator, `tpdbt-serve`)
 //! gains by sharing one `PredecodedProgram` across runs: the decode
-//! cost itself amortizes to zero. A fourth group compares synchronous
-//! region formation against `OptMode::Async` (formation and chain
-//! pre-compilation on background optimizer threads): guest output is
-//! identical, so the gap is the execution thread's share of optimizer
-//! work.
+//! and fusion cost itself amortizes to zero. A third group compares
+//! synchronous region formation against `OptMode::Async` (formation
+//! and trace compilation on background optimizer threads): guest
+//! output is identical, so the gap is the execution thread's share of
+//! optimizer work.
 //!
 //! Set `TPDBT_BENCH_JSON=path` to also write the timings as JSON
 //! (`BENCH_GUEST.json` in CI).
@@ -66,9 +64,9 @@ fn bench_shared_predecode(c: &mut Criterion) {
     for name in GUESTS {
         let w = guest(name);
         let shared = Arc::new(PredecodedProgram::new(&w.binary.program));
-        g.bench_function(format!("{name}/cached-shared"), |b| {
+        g.bench_function(format!("{name}/cached-fused-shared"), |b| {
             b.iter(|| {
-                let out = Dbt::new(cfg.with_backend(Backend::Cached))
+                let out = Dbt::new(cfg.with_backend(Backend::CachedFused))
                     .with_predecoded(Arc::clone(&shared))
                     .run_built(&w.binary, &w.input)
                     .unwrap();
@@ -79,13 +77,13 @@ fn bench_shared_predecode(c: &mut Criterion) {
     g.finish();
 }
 
-/// Synchronous versus asynchronous region formation on the cached
-/// backend. Async moves formation and chain pre-compilation off the
-/// execution thread; both legs run the same guests to the same final
-/// state, so the delta is the dispatcher's share of optimizer work
-/// (plus install handshake overhead on these tiny workloads).
+/// Synchronous versus asynchronous region formation on the
+/// `cached-fused` backend. Async moves formation and trace compilation
+/// off the execution thread; both legs run the same guests to the same
+/// final state, so the delta is the dispatcher's share of optimizer
+/// work (plus install handshake overhead on these tiny workloads).
 fn bench_opt_modes(c: &mut Criterion) {
-    let cfg = DbtConfig::two_phase(100).with_backend(Backend::Cached);
+    let cfg = DbtConfig::two_phase(100).with_backend(Backend::CachedFused);
     let mut g = c.benchmark_group("guest_exec_opt");
     for name in GUESTS {
         let w = guest(name);

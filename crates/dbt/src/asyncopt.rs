@@ -3,10 +3,10 @@
 //! In [`crate::OptMode::Async`] the optimization phase is decoupled
 //! from execution: when a trigger fires, hot candidates are *snapshotted*
 //! and queued to `tpdbt-optimizer` worker threads instead of being
-//! formed inline. Workers run region formation and cached-backend
-//! compilation against the immutable snapshot while the execution
-//! thread keeps running — and keeps profiling, because nothing freezes
-//! until a region actually installs. Completions are applied between
+//! formed inline. Workers run region formation and (under
+//! `cached-fused`) trace compilation against the immutable snapshot
+//! while the execution thread keeps running — and keeps profiling,
+//! because nothing freezes until a region actually installs. Completions are applied between
 //! guest blocks under epoch validation: a candidate whose source blocks
 //! were retired, reformed, or otherwise invalidated while it was queued
 //! is discarded, never installed stale.
@@ -133,13 +133,33 @@ pub(crate) struct OptOutcome {
     pub probs: BTreeMap<Pc, f64>,
     /// The formed region, or `None` when formation failed.
     pub formed: Option<FormedRegion>,
-    /// Copies pre-compiled by the worker (parallel to `formed.copies`
-    /// when complete; the backend falls back to its own cache
-    /// otherwise). Fused when the run uses the cached-fused backend.
-    pub chain: Vec<Arc<DecodedBlock>>,
-    /// The region's straight-line trace, pre-compiled by the worker
-    /// (cached-fused backend only).
+    /// The region's trace, pre-compiled by the worker (cached-fused
+    /// backend only; the backend compiles on the execution thread
+    /// otherwise).
     pub trace: Option<Arc<CompiledTrace>>,
+}
+
+/// What workers need to compile a formed region's trace for the
+/// `cached-fused` backend: the program, the run's decode-once cache of
+/// fused blocks, and the trace form the backend installs.
+pub(crate) struct TraceCompiler {
+    pub program: Arc<Program>,
+    pub predecoded: Arc<PredecodedProgram>,
+    /// Guarded form (unset: observed form, for continuous profiling).
+    pub guarded: bool,
+}
+
+impl TraceCompiler {
+    /// Compiles the trace over `formed`'s copies, or `None` when a
+    /// copy cannot be resolved.
+    fn compile(&self, formed: &FormedRegion) -> Option<CompiledTrace> {
+        let chain: Vec<Arc<DecodedBlock>> = formed
+            .copies
+            .iter()
+            .map(|&pc| self.predecoded.block(&self.program, pc))
+            .collect::<Option<_>>()?;
+        compile_trace(&formed.copies, &formed.edges, &chain, self.guarded)
+    }
 }
 
 /// Per-run asynchronous-optimization state owned by the engine.
@@ -156,18 +176,14 @@ pub(crate) struct AsyncOpt {
 }
 
 impl AsyncOpt {
-    /// Spawns the worker pool. Workers share the program (and its
-    /// pre-decoded block cache) so they can compile region copies
-    /// off-thread; with `fuse` set (the cached-fused backend) they also
-    /// fuse each copy's body and compile the region's straight-line
-    /// trace, so installation does zero compile work on the execution
-    /// thread. The tracer, when attached, receives `opt_started` events
-    /// from worker threads directly.
+    /// Spawns the worker pool. With a `compiler` (the cached-fused
+    /// backend) workers also compile each formed region's trace, so
+    /// installation does zero compile work on the execution thread.
+    /// The tracer, when attached, receives `opt_started` events from
+    /// worker threads directly.
     pub(crate) fn new(
         workers: usize,
-        program: Arc<Program>,
-        predecoded: Arc<PredecodedProgram>,
-        fuse: bool,
+        compiler: Option<TraceCompiler>,
         tracer: Option<Arc<Tracer>>,
     ) -> AsyncOpt {
         #[cfg(not(feature = "trace"))]
@@ -180,27 +196,16 @@ impl AsyncOpt {
                 });
             }
             let formed = form_region(&job.snapshot, &job.policy, job.seed);
-            let mut chain: Vec<Arc<DecodedBlock>> = formed.as_ref().map_or_else(Vec::new, |f| {
-                f.copies
-                    .iter()
-                    .filter_map(|&pc| predecoded.block(&program, pc))
-                    .collect()
-            });
-            let mut trace = None;
-            if fuse {
-                if let Some(f) = &formed {
-                    if chain.len() == f.copies.len() {
-                        chain = chain.iter().map(|b| Arc::new(b.fused())).collect();
-                        trace = compile_trace(&f.copies, &f.edges, &chain).map(Arc::new);
-                    }
-                }
-            }
+            let trace = compiler
+                .as_ref()
+                .zip(formed.as_ref())
+                .and_then(|(c, f)| c.compile(f))
+                .map(Arc::new);
             OptOutcome {
                 seed: job.seed,
                 stamps: job.stamps,
                 probs: job.probs,
                 formed,
-                chain,
                 trace,
             }
         });

@@ -4,101 +4,58 @@
 //! The engine in [`crate::engine`] owns *when* things happen — block
 //! discovery, counter bumps, threshold registration, region formation,
 //! freezing — while an [`ExecBackend`] owns *how* a translated block's
-//! instructions execute. Three backends are provided:
+//! instructions execute and which [`CompiledTrace`] an installed
+//! region runs (see [`crate::trace`] for the segment forms):
 //!
-//! * [`InterpBackend`] — the reference backend: per-instruction
-//!   dispatch through [`tpdbt_vm::step`], exactly the execution model
-//!   the engine used before backends existed.
-//! * [`CachedBackend`] — a pre-decoded translation cache: each block
-//!   is decoded once at translation time into a
-//!   [`tpdbt_isa::DecodedBlock`] (a flat micro-op buffer plus a
-//!   pre-resolved terminator) and every later execution replays the
-//!   buffer through [`tpdbt_vm::exec_body`] / [`tpdbt_vm::exec_term`].
-//!   Optimized regions additionally get direct block-to-successor
-//!   chaining: at region-install time the copies are resolved to their
-//!   decoded bodies, so region execution never consults the per-pc
-//!   cache.
-//! * **`cached-fused`** (the cached backend with fusion enabled, see
-//!   [`CachedBackend::new_fused`]) — at region install the copies are
-//!   additionally re-encoded as [`tpdbt_isa::FusedOp`]
-//!   superinstructions and the whole region is compiled into a
-//!   straight-line [`CompiledTrace`] along its profiled edges, which
-//!   the engine executes through guard ops with side exits falling
-//!   back to per-block execution (see [`crate::trace`]).
+//! * [`InterpBackend`] (`interp`) — the reference backend and
+//!   differential oracle: per-instruction [`tpdbt_vm::step`] dispatch,
+//!   in profiling-phase blocks and (as stepped traces) in regions.
+//! * [`CachedBackend`] (`cached-fused`, the default) — a translation
+//!   cache of blocks decoded and re-encoded as
+//!   [`tpdbt_isa::FusedOp`] superinstructions once per guest, replayed
+//!   through [`tpdbt_vm::exec_body`] / [`tpdbt_vm::exec_term`].
 //!
-//! All backends drive the same execute-half semantics in `tpdbt-vm`,
-//! so architectural state, outputs, and every profile counter are
-//! bitwise identical by construction — the differential proptest in
-//! `tests/backend_differential.rs` pins this.
+//! Both drive the same execute-half semantics in `tpdbt-vm`, so
+//! architectural state, outputs, and every profile counter are bitwise
+//! identical by construction — `tests/backend_differential.rs` pins
+//! this.
 
 use std::sync::Arc;
 
 use tpdbt_isa::{Block, DecodedBlock, Pc, PredecodedProgram, Program};
-use tpdbt_optimizer::SwapCell;
 use tpdbt_profile::RegionDump;
 use tpdbt_vm::{exec_body, exec_term, step, Flow, Machine, VmError};
 
-use crate::trace::{compile_trace, CompiledTrace};
-
-/// One region's installed optimized code: the copies resolved to
-/// decoded bodies, plus — under the `cached-fused` backend — the
-/// compiled straight-line trace. Chain and trace live in the same slot
-/// so installs, re-formations, and retirements replace or clear both
-/// in a single atomic table publication: no reader can ever observe a
-/// fresh chain with a stale trace (or vice versa).
-#[derive(Clone, Debug, Default)]
-pub struct RegionCode {
-    /// Per-copy decoded bodies (fused under `cached-fused`), entry
-    /// first.
-    pub chain: Vec<Arc<DecodedBlock>>,
-    /// The region's straight-line trace (`cached-fused` only).
-    pub trace: Option<Arc<CompiledTrace>>,
-}
-
-impl RegionCode {
-    /// Whether the slot holds no optimized code (cleared / never
-    /// installed).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.chain.is_empty() && self.trace.is_none()
-    }
-}
-
-/// The region table: one [`RegionCode`] slot per region id. Published
-/// wholesale (see [`CachedBackend`]), never mutated in place.
-pub type ChainTable = Vec<RegionCode>;
+use crate::asyncopt::TraceCompiler;
+use crate::trace::{compile_trace, step_trace, CompiledTrace};
 
 /// Which execution backend runs translated code — the user-facing
-/// selection knob (`--backend {interp,cached,cached-fused}` on every
-/// binary).
+/// selection knob (`--backend {interp,cached-fused}` on every binary).
 ///
 /// The backend never changes a run's observable results (profiles,
 /// outputs, stats, simulated cycles) — only how fast the host executes
 /// the guest — so it is deliberately excluded from
-/// [`crate::DbtConfig::fingerprint`] and all backends share
+/// [`crate::DbtConfig::fingerprint`] and both backends share
 /// profile-store cache entries.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum Backend {
     /// Reference per-instruction interpreter dispatch.
     Interp,
-    /// Pre-decoded translation cache (the default).
+    /// Translation cache of fused blocks plus trace-compiled regions
+    /// (the default).
     #[default]
-    Cached,
-    /// The translation cache plus superinstruction fusion and
-    /// trace-compiled regions.
     CachedFused,
 }
 
 impl Backend {
     /// All backends, for test matrices.
-    pub const ALL: [Backend; 3] = [Backend::Interp, Backend::Cached, Backend::CachedFused];
+    pub const ALL: [Backend; 2] = [Backend::Interp, Backend::CachedFused];
 
-    /// The flag-value name (`"interp"` / `"cached"` / `"cached-fused"`).
+    /// The flag-value name (`"interp"` / `"cached-fused"`).
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
             Backend::Interp => "interp",
-            Backend::Cached => "cached",
             Backend::CachedFused => "cached-fused",
         }
     }
@@ -116,34 +73,22 @@ impl std::str::FromStr for Backend {
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s {
             "interp" => Ok(Backend::Interp),
-            "cached" => Ok(Backend::Cached),
             "cached-fused" => Ok(Backend::CachedFused),
+            "cached" => {
+                Err("backend 'cached' was removed; use 'cached-fused' (the default)".to_string())
+            }
             other => Err(format!(
-                "unknown backend '{other}' (expected 'interp', 'cached', or 'cached-fused')"
+                "unknown backend '{other}' (expected 'interp' or 'cached-fused')"
             )),
         }
     }
-}
-
-/// Where a block execution was dispatched from.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ExecSite {
-    /// Profiling-phase (unoptimized) dispatch.
-    Unopt,
-    /// Copy `copy` of optimized region `region`.
-    Region {
-        /// Region id (index into the engine's region table).
-        region: usize,
-        /// Copy index within the region.
-        copy: usize,
-    },
 }
 
 /// How translated code executes. Implementations must be semantically
 /// transparent: for any block, [`ExecBackend::exec_block`] must effect
 /// exactly the architectural-state transition and [`Flow`] that
 /// per-instruction [`tpdbt_vm::step`] dispatch would, including trap
-/// payloads.
+/// payloads — and so must every segment of the traces they install.
 ///
 /// The engine reports translation-cache lifecycle events through the
 /// remaining hooks: [`ExecBackend::on_translate`] at fast-translation
@@ -155,47 +100,36 @@ pub enum ExecSite {
 /// needs the region's shape, not just its members.
 pub trait ExecBackend {
     /// The block at `block.start` was fast-translated.
-    fn on_translate(&mut self, program: &Program, block: &Block) {
-        let _ = (program, block);
-    }
+    fn on_translate(&mut self, program: &Program, block: &Block);
 
     /// Region `region` was formed or re-formed; `dump` describes its
-    /// copies (entry first) and internal edges.
-    fn install_region(&mut self, region: usize, dump: &RegionDump) {
-        let _ = (region, dump);
-    }
+    /// copies (entry first) and internal edges. The backend compiles
+    /// and installs the region's trace, replacing any previous one.
+    fn install_region(&mut self, region: usize, dump: &RegionDump);
 
     /// Region `region` was formed on a background optimizer thread and
-    /// arrives with its copies already compiled (`chain`, parallel to
-    /// `dump.copies`) and, when the worker fuses, its trace. The
-    /// default delegates to [`ExecBackend::install_region`] — backends
-    /// without a translation cache ignore the compiled artifacts.
+    /// arrives with its trace already compiled, when the worker
+    /// compiles for this backend. The default delegates to
+    /// [`ExecBackend::install_region`].
     fn install_region_compiled(
         &mut self,
         region: usize,
         dump: &RegionDump,
-        chain: Vec<Arc<DecodedBlock>>,
         trace: Option<Arc<CompiledTrace>>,
     ) {
-        let _ = (chain, trace);
+        let _ = trace;
         self.install_region(region, dump);
     }
 
     /// Region `region` was retired: its optimized code must never run
     /// again.
-    fn retire_region(&mut self, region: usize) {
-        let _ = region;
-    }
+    fn retire_region(&mut self, region: usize);
 
-    /// The compiled trace installed for `region`, if this backend
-    /// compiles traces and one is currently installed. The engine
-    /// snapshots it (an [`Arc`] clone) per region entry, so a
-    /// mid-execution retire or reform can swap the table without
-    /// tearing the running trace.
-    fn region_trace(&self, region: usize) -> Option<Arc<CompiledTrace>> {
-        let _ = region;
-        None
-    }
+    /// The trace installed for `region`, if any. The engine snapshots
+    /// it (an [`Arc`] clone) per region entry, so a mid-execution
+    /// retire or reform can replace the slot without tearing the
+    /// running trace.
+    fn region_trace(&self, region: usize) -> Option<Arc<CompiledTrace>>;
 
     /// Executes the translated block spanning `[start, end)`, returning
     /// the terminator's control flow.
@@ -209,32 +143,77 @@ pub trait ExecBackend {
         program: &Program,
         start: Pc,
         end: Pc,
-        site: ExecSite,
         machine: &mut Machine,
     ) -> Result<Flow, VmError>;
 }
 
+/// One installed-trace slot per region id. A slot is replaced or
+/// cleared by a single assignment; readers hold their own [`Arc`].
+#[derive(Clone, Debug, Default)]
+struct RegionTable(Vec<Option<Arc<CompiledTrace>>>);
+
+impl RegionTable {
+    fn get(&self, region: usize) -> Option<Arc<CompiledTrace>> {
+        self.0.get(region).and_then(Clone::clone)
+    }
+
+    fn set(&mut self, region: usize, trace: Option<Arc<CompiledTrace>>) {
+        if self.0.len() <= region {
+            self.0.resize(region + 1, None);
+        }
+        self.0[region] = trace;
+    }
+}
+
 /// The reference backend: per-instruction dispatch through
 /// [`tpdbt_vm::step`], byte-for-byte the execution model the engine
-/// used before the translation cache existed.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct InterpBackend;
+/// used before the translation cache existed. Its regions install as
+/// stepped traces, so region code is interpreted too.
+#[derive(Clone, Debug, Default)]
+pub struct InterpBackend {
+    /// One past the terminator of each translated block, by start
+    /// address (0 = not translated): the extents stepped traces need.
+    ends: Vec<Pc>,
+    regions: RegionTable,
+}
 
 impl InterpBackend {
     /// Creates the reference backend.
     #[must_use]
     pub fn new() -> InterpBackend {
-        InterpBackend
+        InterpBackend::default()
     }
 }
 
 impl ExecBackend for InterpBackend {
+    fn on_translate(&mut self, _program: &Program, block: &Block) {
+        if self.ends.len() <= block.start {
+            self.ends.resize(block.start + 1, 0);
+        }
+        self.ends[block.start] = block.end;
+    }
+
+    fn install_region(&mut self, region: usize, dump: &RegionDump) {
+        let trace = step_trace(&dump.copies, |pc| {
+            self.ends.get(pc).copied().filter(|&end| end > pc)
+        })
+        .expect("region members are translated before formation");
+        self.regions.set(region, Some(Arc::new(trace)));
+    }
+
+    fn retire_region(&mut self, region: usize) {
+        self.regions.set(region, None);
+    }
+
+    fn region_trace(&self, region: usize) -> Option<Arc<CompiledTrace>> {
+        self.regions.get(region)
+    }
+
     fn exec_block(
         &mut self,
         program: &Program,
         start: Pc,
         end: Pc,
-        _site: ExecSite,
         machine: &mut Machine,
     ) -> Result<Flow, VmError> {
         let mut flow = Flow::Halted;
@@ -259,72 +238,45 @@ fn run_decoded(block: &DecodedBlock, machine: &mut Machine) -> Result<Flow, VmEr
     exec_term(block.term.view(), pc, machine)
 }
 
-/// The pre-decoded translation cache (with optional superinstruction
-/// fusion).
+/// The `cached-fused` backend: a translation cache of fused blocks
+/// plus trace-compiled regions.
 ///
-/// Blocks are decoded exactly once — at fast-translation time — into
-/// [`DecodedBlock`]s; optionally a shared [`PredecodedProgram`] makes
-/// that a once-per-*guest* cost across runs and threads (sweep ladder
-/// cells, serve queries) instead of once per run.
-///
-/// The region table lives behind a [`SwapCell`]: installs and
-/// retirements build a *new* table and publish it in one atomic swap,
-/// while the execution thread reads through a private [`Arc`] snapshot
-/// refreshed at each publication point. This is what makes the
-/// background optimizer's install genuinely atomic — no reader can
-/// observe a half-written chain, or a trace out of step with its chain
-/// — and keeps the backend `Send + Sync` clean behind the
-/// `ExecBackend` seam.
-///
-/// With fusion enabled ([`CachedBackend::new_fused`], the
-/// `cached-fused` backend), every translated block's body is re-encoded
-/// as [`tpdbt_isa::FusedOp`] superinstructions at translate time, and
-/// region installs additionally compile the region into a
-/// [`CompiledTrace`] published in the same slot.
+/// Blocks come from a [`PredecodedProgram`], which decodes and fuses
+/// each one once per *guest*, so runs sharing it (sweep cells, serve
+/// queries, async optimizer workers) skip that work. Fusion is
+/// architecturally invisible (pinned by
+/// `crates/vm/tests/fusion_props.rs`), so profiling-phase blocks run
+/// as superinstructions too. Region installs compile a guarded trace,
+/// or the observed form when the run must see every flow inside
+/// regions (continuous profiling).
 #[derive(Debug)]
 pub struct CachedBackend {
-    /// Cross-run shared decode cache, when the driver provided one.
-    shared: Option<Arc<PredecodedProgram>>,
-    /// The translation cache proper: decoded block per start address.
+    /// The decode-once block cache (shared by the driver, or private).
+    predecoded: Arc<PredecodedProgram>,
+    /// This run's translated blocks, by start address.
     blocks: Vec<Option<Arc<DecodedBlock>>>,
-    /// Publication handle for the region table. Cleared slots on
-    /// retirement, replaced wholesale on (re-)installation.
-    chains: SwapCell<ChainTable>,
-    /// The execution thread's snapshot of `chains` (plain `Arc` deref
-    /// on the hot path; refreshed after every publish).
-    view: Arc<ChainTable>,
-    /// Whether region installs fuse bodies and compile traces (the
-    /// `cached-fused` backend).
-    fuse: bool,
+    regions: RegionTable,
+    /// Whether installed traces use fast guards (unset: observed form).
+    guarded: bool,
 }
 
 impl CachedBackend {
     /// Creates a translation cache for a program of `program_len`
     /// instructions. When `shared` is given (and sized for the same
-    /// program), decoded blocks are pulled from — and published to —
-    /// it, so concurrent and successive runs of the same guest decode
-    /// each block only once globally.
+    /// program), fused blocks are pulled from — and published to — it,
+    /// so concurrent and successive runs of the same guest decode and
+    /// fuse each block only once globally.
     #[must_use]
     pub fn new(program_len: usize, shared: Option<Arc<PredecodedProgram>>) -> CachedBackend {
-        let shared = shared.filter(|p| p.len() == program_len);
-        let view: Arc<ChainTable> = Arc::new(Vec::new());
+        let predecoded = shared
+            .filter(|p| p.len() == program_len)
+            .unwrap_or_else(|| Arc::new(PredecodedProgram::with_len(program_len)));
         CachedBackend {
-            shared,
+            predecoded,
             blocks: vec![None; program_len],
-            chains: SwapCell::from_arc(Arc::clone(&view)),
-            view,
-            fuse: false,
+            regions: RegionTable::default(),
+            guarded: true,
         }
-    }
-
-    /// Creates the `cached-fused` variant: translated blocks run as
-    /// superinstructions from first execution, and region installs
-    /// additionally compile straight-line traces.
-    #[must_use]
-    pub fn new_fused(program_len: usize, shared: Option<Arc<PredecodedProgram>>) -> CachedBackend {
-        let mut b = CachedBackend::new(program_len, shared);
-        b.fuse = true;
-        b
     }
 
     /// Number of blocks currently in the translation cache.
@@ -332,68 +284,14 @@ impl CachedBackend {
     pub fn cached_blocks(&self) -> usize {
         self.blocks.iter().filter(|b| b.is_some()).count()
     }
-
-    /// The currently installed code for `region` (test observability;
-    /// the engine reads through [`ExecBackend::region_trace`] and
-    /// [`ExecBackend::exec_block`]).
-    #[must_use]
-    pub fn region_code(&self, region: usize) -> Option<&RegionCode> {
-        self.view.get(region)
-    }
-
-    /// Publishes an updated region table and refreshes the local view.
-    fn publish(&mut self, table: ChainTable) {
-        let table = Arc::new(table);
-        self.chains.store(Arc::clone(&table));
-        self.view = table;
-    }
-
-    /// Copy-on-write slot update: clone the current table, replace
-    /// `region`'s code, publish. Chain and trace change together —
-    /// this is the single point where optimized code becomes (or stops
-    /// being) visible.
-    fn install_code(&mut self, region: usize, code: RegionCode) {
-        let mut table = (*self.view).clone();
-        if table.len() <= region {
-            table.resize_with(region + 1, RegionCode::default);
-        }
-        table[region] = code;
-        self.publish(table);
-    }
-
-    /// Builds the install payload: the resolved (and, under fusion,
-    /// fused) chain plus the compiled trace.
-    fn compile_region(&self, dump: &RegionDump, chain: Vec<Arc<DecodedBlock>>) -> RegionCode {
-        if !self.fuse {
-            return RegionCode { chain, trace: None };
-        }
-        let chain: Vec<Arc<DecodedBlock>> = chain.iter().map(|b| Arc::new(b.fused())).collect();
-        let trace = compile_trace(&dump.copies, &dump.edges, &chain).map(Arc::new);
-        RegionCode { chain, trace }
-    }
 }
 
 impl ExecBackend for CachedBackend {
     fn on_translate(&mut self, program: &Program, block: &Block) {
         let pc = block.start;
-        if self.blocks[pc].is_some() {
-            return;
+        if self.blocks[pc].is_none() {
+            self.blocks[pc] = Some(self.predecoded.translate(program, block));
         }
-        let decoded = match &self.shared {
-            Some(cache) => cache.block(program, pc),
-            None => Some(Arc::new(DecodedBlock::from_block(program, block))),
-        };
-        // Under the fused backend every translated block runs as
-        // superinstructions, profiling phase included — fusion is
-        // architecturally invisible (pinned by
-        // `crates/vm/tests/fusion_props.rs`), so only dispatch cost
-        // changes. `fused()` is idempotent, so region installs that
-        // re-fuse these bodies are no-ops.
-        let decoded = match decoded {
-            Some(b) if self.fuse => Some(Arc::new(b.fused())),
-            other => other,
-        };
-        self.blocks[pc] = decoded;
     }
 
     fn install_region(&mut self, region: usize, dump: &RegionDump) {
@@ -408,49 +306,33 @@ impl ExecBackend for CachedBackend {
                 )
             })
             .collect();
-        let code = self.compile_region(dump, chain);
-        self.install_code(region, code);
+        let trace = compile_trace(&dump.copies, &dump.edges, &chain, self.guarded)
+            .expect("the chain covers the copy list");
+        self.regions.set(region, Some(Arc::new(trace)));
     }
 
     fn install_region_compiled(
         &mut self,
         region: usize,
         dump: &RegionDump,
-        chain: Vec<Arc<DecodedBlock>>,
         trace: Option<Arc<CompiledTrace>>,
     ) {
-        if chain.len() != dump.copies.len() {
-            // A worker that could not resolve every copy falls back to
-            // the engine-thread resolution path.
-            self.install_region(region, dump);
-            return;
-        }
-        let code = if self.fuse {
-            match trace {
-                // Worker pre-fused the chain and compiled the trace.
-                Some(trace) => RegionCode {
-                    chain,
-                    trace: Some(trace),
-                },
-                // Defensive: fuse and compile on the engine thread.
-                None => self.compile_region(dump, chain),
+        match trace {
+            Some(trace) if trace.len() == dump.copies.len() => {
+                self.regions.set(region, Some(trace));
             }
-        } else {
-            RegionCode { chain, trace: None }
-        };
-        self.install_code(region, code);
+            // A worker that could not resolve every copy: compile on
+            // the engine thread.
+            _ => self.install_region(region, dump),
+        }
     }
 
     fn retire_region(&mut self, region: usize) {
-        if self.view.get(region).is_some_and(|c| !c.is_empty()) {
-            let mut table = (*self.view).clone();
-            table[region] = RegionCode::default();
-            self.publish(table);
-        }
+        self.regions.set(region, None);
     }
 
     fn region_trace(&self, region: usize) -> Option<Arc<CompiledTrace>> {
-        self.view.get(region).and_then(|c| c.trace.clone())
+        self.regions.get(region)
     }
 
     fn exec_block(
@@ -458,21 +340,12 @@ impl ExecBackend for CachedBackend {
         program: &Program,
         start: Pc,
         end: Pc,
-        site: ExecSite,
         machine: &mut Machine,
     ) -> Result<Flow, VmError> {
-        if let ExecSite::Region { region, copy } = site {
-            if let Some(block) = self.view.get(region).and_then(|c| c.chain.get(copy)) {
-                return run_decoded(block, machine);
-            }
-        }
         if self.blocks[start].is_none() {
             // Defensive: the engine always translates before executing,
             // but a standalone user of the backend may not.
-            self.blocks[start] = match &self.shared {
-                Some(cache) => cache.block(program, start),
-                None => DecodedBlock::decode(program, start).map(Arc::new),
-            };
+            self.blocks[start] = self.predecoded.block(program, start);
         }
         let block = self.blocks[start]
             .as_ref()
@@ -484,8 +357,7 @@ impl ExecBackend for CachedBackend {
 }
 
 /// Static dispatch over the built-in backends (keeps the engine's
-/// hot loop free of virtual calls). `cached-fused` is the cached
-/// backend with its fusion flag set.
+/// hot loop free of virtual calls).
 #[derive(Debug)]
 pub(crate) enum BackendImpl {
     Interp(InterpBackend),
@@ -493,17 +365,36 @@ pub(crate) enum BackendImpl {
 }
 
 impl BackendImpl {
+    /// The backend a run executes on. `shared` is the caller's
+    /// decode-once cache (used by `cached-fused` when it fits the
+    /// program); `guarded` unset selects the observed trace form.
     pub(crate) fn new(
         backend: Backend,
         program: &Program,
         shared: Option<Arc<PredecodedProgram>>,
+        guarded: bool,
     ) -> BackendImpl {
         match backend {
             Backend::Interp => BackendImpl::Interp(InterpBackend::new()),
-            Backend::Cached => BackendImpl::Cached(CachedBackend::new(program.len(), shared)),
-            Backend::CachedFused => {
-                BackendImpl::Cached(CachedBackend::new_fused(program.len(), shared))
-            }
+            Backend::CachedFused => BackendImpl::Cached(CachedBackend {
+                guarded,
+                ..CachedBackend::new(program.len(), shared)
+            }),
+        }
+    }
+
+    /// What async workers need to compile this backend's traces off
+    /// the execution thread — against the same decode-once cache, so
+    /// no block is decoded or fused twice. `None` for `interp`, whose
+    /// stepped traces cost nothing to build.
+    pub(crate) fn trace_compiler(&self, program: &Program) -> Option<TraceCompiler> {
+        match self {
+            BackendImpl::Interp(_) => None,
+            BackendImpl::Cached(c) => Some(TraceCompiler {
+                program: Arc::new(program.clone()),
+                predecoded: Arc::clone(&c.predecoded),
+                guarded: c.guarded,
+            }),
         }
     }
 }
@@ -527,12 +418,11 @@ impl ExecBackend for BackendImpl {
         &mut self,
         region: usize,
         dump: &RegionDump,
-        chain: Vec<Arc<DecodedBlock>>,
         trace: Option<Arc<CompiledTrace>>,
     ) {
         match self {
-            BackendImpl::Interp(b) => b.install_region_compiled(region, dump, chain, trace),
-            BackendImpl::Cached(b) => b.install_region_compiled(region, dump, chain, trace),
+            BackendImpl::Interp(b) => b.install_region_compiled(region, dump, trace),
+            BackendImpl::Cached(b) => b.install_region_compiled(region, dump, trace),
         }
     }
 
@@ -555,12 +445,11 @@ impl ExecBackend for BackendImpl {
         program: &Program,
         start: Pc,
         end: Pc,
-        site: ExecSite,
         machine: &mut Machine,
     ) -> Result<Flow, VmError> {
         match self {
-            BackendImpl::Interp(b) => b.exec_block(program, start, end, site, machine),
-            BackendImpl::Cached(b) => b.exec_block(program, start, end, site, machine),
+            BackendImpl::Interp(b) => b.exec_block(program, start, end, machine),
+            BackendImpl::Cached(b) => b.exec_block(program, start, end, machine),
         }
     }
 }
@@ -568,7 +457,7 @@ impl ExecBackend for BackendImpl {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tpdbt_isa::{decode_block, Cond, ProgramBuilder, Reg};
+    use tpdbt_isa::{decode_block, BlockBody, Cond, ProgramBuilder, Reg};
     use tpdbt_profile::{RegionEdge, RegionKind, SuccSlot};
 
     fn sample() -> Program {
@@ -611,7 +500,11 @@ mod tests {
             assert_eq!(b.to_string(), b.name());
         }
         assert!("jit".parse::<Backend>().is_err());
-        assert_eq!(Backend::default(), Backend::Cached);
+        assert_eq!(Backend::default(), Backend::CachedFused);
+        // The removed plain cache is rejected with a pointer to its
+        // replacement.
+        let err = "cached".parse::<Backend>().unwrap_err();
+        assert!(err.contains("cached-fused"), "{err}");
     }
 
     #[test]
@@ -626,10 +519,10 @@ mod tests {
         let mut mi = Machine::new(&p, &[]);
         let mut mc = mi.clone();
         let fi = interp
-            .exec_block(&p, block.start, block.end, ExecSite::Unopt, &mut mi)
+            .exec_block(&p, block.start, block.end, &mut mi)
             .unwrap();
         let fc = cached
-            .exec_block(&p, block.start, block.end, ExecSite::Unopt, &mut mc)
+            .exec_block(&p, block.start, block.end, &mut mc)
             .unwrap();
         assert_eq!(fi, fc);
         assert_eq!(mi, mc, "architectural state must be bitwise identical");
@@ -659,12 +552,13 @@ mod tests {
         other.halt();
         let tiny = other.build().unwrap();
         let shared = Arc::new(PredecodedProgram::new(&tiny));
-        let backend = CachedBackend::new(p.len(), Some(shared));
-        assert!(backend.shared.is_none());
+        let backend = CachedBackend::new(p.len(), Some(Arc::clone(&shared)));
+        assert!(!Arc::ptr_eq(&backend.predecoded, &shared));
+        assert_eq!(backend.predecoded.len(), p.len());
     }
 
     #[test]
-    fn region_chains_install_and_retire() {
+    fn region_traces_install_and_retire() {
         let p = sample();
         let entry = decode_block(&p, 0).unwrap();
         let body = decode_block(&p, 1).unwrap();
@@ -672,141 +566,124 @@ mod tests {
         cached.on_translate(&p, &entry);
         cached.on_translate(&p, &body);
         cached.install_region(0, &loop_dump(vec![1, 1]));
-        assert_eq!(cached.view[0].chain.len(), 2);
-        assert!(cached.view[0].trace.is_none(), "plain cached never traces");
-        // Region execution uses the chain directly.
-        let mut m = Machine::new(&p, &[]);
-        let flow = cached
-            .exec_block(
-                &p,
-                body.start,
-                body.end,
-                ExecSite::Region { region: 0, copy: 1 },
-                &mut m,
-            )
-            .unwrap();
-        assert_eq!(
-            flow,
-            Flow::Jump {
-                target: 1,
-                taken: true
-            }
-        );
+        let trace = cached.region_trace(0).expect("installed");
+        assert_eq!(trace.starts(), vec![1, 1]);
+        assert_eq!(trace.fast_guards(), 2, "both latches compile to guards");
         cached.retire_region(0);
-        assert!(cached.view[0].is_empty());
+        assert!(cached.region_trace(0).is_none());
         // Re-formation reinstalls.
         cached.install_region(0, &loop_dump(vec![1]));
-        assert_eq!(cached.view[0].chain.len(), 1);
+        assert_eq!(cached.region_trace(0).unwrap().len(), 1);
     }
 
     #[test]
-    fn installs_publish_new_tables_old_snapshots_survive() {
+    fn installs_replace_slots_old_snapshots_survive() {
         let p = sample();
         let body = decode_block(&p, 1).unwrap();
         let mut cached = CachedBackend::new(p.len(), None);
         cached.on_translate(&p, &body);
         cached.install_region(0, &loop_dump(vec![1]));
         // A reader's snapshot taken before a retire keeps working.
-        let snapshot = cached.chains.load();
+        let snapshot = cached.region_trace(0).unwrap();
         cached.retire_region(0);
-        assert_eq!(snapshot[0].chain.len(), 1, "old table untouched");
-        assert!(cached.view[0].is_empty(), "new table published");
-        assert!(
-            !Arc::ptr_eq(&snapshot, &cached.view),
-            "retire replaced the table wholesale"
-        );
+        assert_eq!(snapshot.len(), 1, "old trace untouched");
+        assert!(cached.region_trace(0).is_none(), "slot cleared");
+        // Retiring a region that was never installed is a no-op.
+        cached.retire_region(9);
+        assert!(cached.region_trace(9).is_none());
     }
 
     #[test]
-    fn compiled_install_uses_the_provided_chain() {
+    fn compiled_install_uses_the_provided_trace() {
         let p = sample();
         let body = decode_block(&p, 1).unwrap();
         let mut cached = CachedBackend::new(p.len(), None);
-        // Worker-compiled chain: the backend's own cache never saw the
-        // block, yet region execution works.
-        let chain = vec![Arc::new(DecodedBlock::from_block(&p, &body))];
-        cached.install_region_compiled(0, &loop_dump(vec![1]), chain, None);
+        // Worker-compiled trace: the backend's own cache never saw the
+        // block, yet the region installs.
+        let chain = vec![Arc::new(DecodedBlock::from_block(&p, &body).fused())];
+        let dump = loop_dump(vec![1]);
+        let trace = Arc::new(compile_trace(&dump.copies, &dump.edges, &chain, true).unwrap());
+        cached.install_region_compiled(0, &dump, Some(Arc::clone(&trace)));
         assert_eq!(cached.cached_blocks(), 0);
-        let mut m = Machine::new(&p, &[]);
-        let flow = cached
-            .exec_block(
-                &p,
-                body.start,
-                body.end,
-                ExecSite::Region { region: 0, copy: 0 },
-                &mut m,
-            )
-            .unwrap();
-        assert!(matches!(flow, Flow::Jump { .. }));
-        // A length-mismatched chain falls back to cache resolution.
+        assert!(Arc::ptr_eq(&cached.region_trace(0).unwrap(), &trace));
+        // A missing or length-mismatched trace falls back to cache
+        // resolution.
         cached.on_translate(&p, &body);
-        cached.install_region_compiled(1, &loop_dump(vec![1]), Vec::new(), None);
-        assert_eq!(cached.view[1].chain.len(), 1);
+        cached.install_region_compiled(1, &dump, None);
+        assert_eq!(cached.region_trace(1).unwrap().len(), 1);
+        cached.install_region_compiled(2, &loop_dump(vec![1, 1]), Some(trace));
+        assert_eq!(cached.region_trace(2).unwrap().len(), 2);
     }
 
-    /// The fused backend installs a fused chain *and* a trace in one
-    /// slot, and retirement / re-formation replaces both atomically —
-    /// the stale-trace regression surface.
+    /// Installs compile a fused, guarded trace, and re-formation /
+    /// retirement replace or clear it in one slot — the stale-trace
+    /// regression surface.
     #[test]
-    fn fused_install_compiles_trace_and_retire_drops_it_atomically() {
+    fn fused_install_compiles_trace_and_retire_drops_it() {
         let p = sample();
         let entry = decode_block(&p, 0).unwrap();
         let body = decode_block(&p, 1).unwrap();
-        let mut fused = CachedBackend::new_fused(p.len(), None);
+        let mut fused = CachedBackend::new(p.len(), None);
         fused.on_translate(&p, &entry);
         fused.on_translate(&p, &body);
+        // Translated blocks are cached in fused form.
+        assert!(matches!(
+            fused.blocks[1].as_ref().unwrap().body,
+            BlockBody::Fused(_)
+        ));
         fused.install_region(0, &loop_dump(vec![1]));
         let trace = fused.region_trace(0).expect("fused install compiles");
         assert_eq!(trace.starts(), vec![1]);
-        // The chain bodies were re-encoded as superinstructions.
-        assert!(matches!(
-            fused.view[0].chain[0].body,
-            tpdbt_isa::BlockBody::Fused(_)
-        ));
 
         // A reader mid-execution holds its own snapshot...
-        let snapshot = fused.chains.load();
-        // ...while a re-formation swaps chain and trace together.
+        let snapshot = fused.region_trace(0).unwrap();
+        // ...while a re-formation replaces the slot.
         fused.install_region(0, &loop_dump(vec![1, 1]));
         let reformed = fused.region_trace(0).expect("reinstalled");
         assert_eq!(reformed.starts(), vec![1, 1], "trace tracks the new shape");
-        assert_eq!(snapshot[0].chain.len(), 1, "old snapshot untouched");
-        assert_eq!(
-            snapshot[0].trace.as_ref().unwrap().len(),
-            1,
-            "old snapshot keeps its matching trace"
-        );
+        assert_eq!(snapshot.len(), 1, "old snapshot untouched");
 
-        // Retirement clears both in one publication.
+        // Retirement clears the slot.
         fused.retire_region(0);
         assert!(fused.region_trace(0).is_none(), "no stale trace");
-        assert!(fused.view[0].is_empty(), "no stale chain");
     }
 
-    /// Fused and plain cached region execution compute the same
-    /// machine state (the backend-level slice of the differential
-    /// guarantee).
+    /// The three segment forms cover the same copies; only the guarded
+    /// form has fast guards.
     #[test]
-    fn fused_region_execution_matches_plain_cached() {
+    fn every_backend_installs_a_trace_of_the_region_shape() {
         let p = sample();
         let body = decode_block(&p, 1).unwrap();
-        let mut plain = CachedBackend::new(p.len(), None);
-        let mut fused = CachedBackend::new_fused(p.len(), None);
-        for b in [&mut plain, &mut fused] {
-            b.on_translate(&p, &body);
-            b.install_region(0, &loop_dump(vec![1]));
-        }
-        let mut mp = Machine::new(&p, &[]);
-        let mut mf = mp.clone();
-        let site = ExecSite::Region { region: 0, copy: 0 };
-        let fp = plain
-            .exec_block(&p, body.start, body.end, site, &mut mp)
-            .unwrap();
-        let ff = fused
-            .exec_block(&p, body.start, body.end, site, &mut mf)
-            .unwrap();
-        assert_eq!(fp, ff);
-        assert_eq!(mp, mf, "fusion must be architecturally invisible");
+        let dump = loop_dump(vec![1, 1]);
+        let mut interp = InterpBackend::new();
+        let mut guarded = CachedBackend::new(p.len(), None);
+        let mut observed = CachedBackend {
+            guarded: false,
+            ..CachedBackend::new(p.len(), None)
+        };
+        interp.on_translate(&p, &body);
+        guarded.on_translate(&p, &body);
+        observed.on_translate(&p, &body);
+        interp.install_region(0, &dump);
+        guarded.install_region(0, &dump);
+        observed.install_region(0, &dump);
+        let shapes: Vec<(Vec<Pc>, usize)> = [
+            interp.region_trace(0),
+            guarded.region_trace(0),
+            observed.region_trace(0),
+        ]
+        .into_iter()
+        .map(|t| {
+            let t = t.expect("installed");
+            (t.starts(), t.fast_guards())
+        })
+        .collect();
+        assert_eq!(
+            shapes,
+            vec![(vec![1, 1], 0), (vec![1, 1], 2), (vec![1, 1], 0)]
+        );
+        interp.retire_region(0);
+        assert!(interp.region_trace(0).is_none());
     }
 
     #[test]

@@ -382,8 +382,8 @@ impl DbtConfig {
         eat(&u64::from(self.adapt.max_retirements_per_entry).to_le_bytes());
         eat(&self.interval.map_or(0, |i| i.wrapping_add(1)).to_le_bytes());
         eat(&self.fuel.to_le_bytes());
-        // `backend` is deliberately NOT hashed: all three backends
-        // (interp, cached, cached-fused) are bitwise result-identical
+        // `backend` is deliberately NOT hashed: both backends
+        // (interp, cached-fused) are bitwise result-identical
         // by construction (pinned by the differential proptest), so
         // runs under any backend share store entries.
         //
@@ -461,7 +461,7 @@ mod tests {
     #[test]
     fn fingerprint_ignores_the_backend() {
         let base = DbtConfig::two_phase(100);
-        assert_eq!(base.backend, Backend::Cached);
+        assert_eq!(base.backend, Backend::CachedFused);
         for backend in Backend::ALL {
             assert_eq!(
                 base.fingerprint(),

@@ -9,14 +9,14 @@ use tpdbt_profile::{
     TermKind,
 };
 use tpdbt_trace::{EventKind, TraceRegionKind, Tracer};
-use tpdbt_vm::{exec_body, exec_term, Flow, Machine};
+use tpdbt_vm::{Flow, Machine};
 
 use crate::asyncopt::{snapshot_neighborhood, AsyncOpt, OptJob, OptOutcome};
-use crate::backend::{Backend, BackendImpl, ExecBackend, ExecSite};
+use crate::backend::{BackendImpl, ExecBackend};
 use crate::config::{DbtConfig, OptMode, ProfilingMode};
 use crate::error::DbtError;
 use crate::region::{form_region, BlockSource, FormedRegion};
-use crate::trace::{CompiledTrace, EXIT};
+use crate::trace::{SegmentCode, Segments, TraceSegment, EXIT};
 
 /// Aggregate statistics of a translated run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -221,13 +221,14 @@ impl Dbt {
         self.tracer.as_ref()
     }
 
-    /// Shares a pre-decoded block cache across runs of the same
-    /// program. Only consulted by the [`crate::Backend::Cached`]
-    /// backend; it must have been created (via
-    /// [`PredecodedProgram::new`]) for the exact program later passed
-    /// to [`Dbt::run`], otherwise it is silently ignored. Sweeps hand
-    /// one cache to every ladder cell of a guest so each block is
-    /// decoded once per guest instead of once per cell.
+    /// Shares a decode-once cache of fused blocks across runs of the
+    /// same program. Consulted by the [`crate::Backend::CachedFused`]
+    /// backend (and its async optimizer workers); it must have been
+    /// created (via [`PredecodedProgram::new`]) for the exact program
+    /// later passed to [`Dbt::run`], otherwise it is silently ignored
+    /// and the run uses a private cache. Sweeps hand one cache to every
+    /// cell of a guest so each block is decoded and fused once per
+    /// guest instead of once per run.
     #[must_use]
     pub fn with_predecoded(mut self, predecoded: Arc<PredecodedProgram>) -> Self {
         self.predecoded = Some(predecoded);
@@ -269,20 +270,20 @@ impl Dbt {
     ) -> Result<RunOutcome, DbtError> {
         let wants_async =
             self.config.opt_mode == OptMode::Async && self.config.mode != ProfilingMode::NoOpt;
-        // Async workers pre-compile region copies, so they need a
-        // thread-safe decode cache; share it with the backend so
-        // neither side decodes a block twice.
-        let predecoded = match (wants_async, self.predecoded.clone()) {
-            (_, Some(shared)) if shared.len() == program.len() => Some(shared),
-            (true, _) => Some(Arc::new(PredecodedProgram::new(program))),
-            (false, other) => other,
-        };
+        // Continuous profiling keeps counting inside regions, so its
+        // regions install the observed trace form: every flow reaches
+        // the engine's generic path.
+        let guarded = self.config.mode != ProfilingMode::Continuous;
+        let backend = BackendImpl::new(
+            self.config.backend,
+            program,
+            self.predecoded.clone(),
+            guarded,
+        );
         let asyncopt = wants_async.then(|| {
             AsyncOpt::new(
                 self.config.opt_workers,
-                Arc::new(program.clone()),
-                predecoded.clone().expect("built above for async"),
-                self.config.backend == Backend::CachedFused,
+                backend.trace_compiler(program),
                 self.tracer.clone(),
             )
         });
@@ -290,7 +291,7 @@ impl Dbt {
             config: &self.config,
             tracer: self.tracer.as_deref(),
             program,
-            backend: BackendImpl::new(self.config.backend, program, predecoded),
+            backend,
             cache: (0..program.len()).map(|_| None).collect(),
             regions: Vec::new(),
             pool: Vec::new(),
@@ -381,17 +382,7 @@ impl<'p> Engine<'p> {
             let next = match region_idx {
                 Some(ri) => {
                     self.maybe_reform(ri, pc);
-                    // Trace-compiled fast path (cached-fused backend):
-                    // snapshot the trace *after* any reform so it
-                    // matches the region's current shape. Continuous
-                    // mode stays on per-block execution — it must
-                    // observe every block's flow to keep counting.
-                    match self.backend.region_trace(ri) {
-                        Some(trace) if self.config.mode != ProfilingMode::Continuous => {
-                            self.execute_region_traced(ri, &trace, machine)?
-                        }
-                        _ => self.execute_region(ri, machine)?,
-                    }
+                    self.execute_region(ri, machine)?
                 }
                 None => self.execute_unopt(pc, machine)?,
             };
@@ -440,8 +431,8 @@ impl<'p> Engine<'p> {
 
     /// Ensures the block at `pc` is translated, charging the one-time
     /// fast-translation cost. This is the translation-cache insert: the
-    /// backend decodes (or chains) the block here, once, and every
-    /// later execution replays the cached form.
+    /// backend caches the block's fused form here (or, for `interp`,
+    /// its extent), and every later execution reuses it.
     fn translate(&mut self, pc: Pc) -> &mut BlockEntry {
         if self.cache[pc].is_none() {
             let block = decode_block(self.program, pc)
@@ -479,25 +470,17 @@ impl<'p> Engine<'p> {
         self.cache[pc].as_mut().expect("just inserted").as_mut()
     }
 
-    /// Executes the straight-line body and terminator of the block at
-    /// `pc` through the configured backend, returning the control-flow
-    /// outcome. Shared by the profiling path and region execution
-    /// (identical architectural semantics, different costs).
-    fn step_block(
-        &mut self,
-        pc: Pc,
-        site: ExecSite,
-        machine: &mut Machine,
-    ) -> Result<(Flow, u32), DbtError> {
+    /// Executes the straight-line body and terminator of the
+    /// profiling-phase block at `pc` through the configured backend,
+    /// returning the control-flow outcome.
+    fn step_block(&mut self, pc: Pc, machine: &mut Machine) -> Result<(Flow, u32), DbtError> {
         let (start, end) = {
             let e = self.cache[pc]
                 .as_ref()
                 .expect("block translated before execution");
             (e.block.start, e.block.end)
         };
-        let flow = self
-            .backend
-            .exec_block(self.program, start, end, site, machine)?;
+        let flow = self.backend.exec_block(self.program, start, end, machine)?;
         let len = (end - start) as u32;
         self.stats.instructions += u64::from(len);
         Ok((flow, len))
@@ -543,7 +526,7 @@ impl<'p> Engine<'p> {
 
     fn execute_unopt(&mut self, pc: Pc, machine: &mut Machine) -> Result<Next, DbtError> {
         self.translate(pc);
-        let (flow, len) = self.step_block(pc, ExecSite::Unopt, machine)?;
+        let (flow, len) = self.step_block(pc, machine)?;
         let cost = &self.config.cost;
         self.stats.cycles += cost.unopt_exec_per_instr * u64::from(len) + cost.dispatch_cost;
 
@@ -602,71 +585,37 @@ impl<'p> Engine<'p> {
         })
     }
 
+    /// Runs region `ri` through its installed trace. The segment form
+    /// was picked once, at install time; the match here selects the
+    /// loop instance for it, once per region entry.
     fn execute_region(&mut self, ri: usize, machine: &mut Machine) -> Result<Next, DbtError> {
-        self.stats.region_entries += 1;
-        self.regions[ri].entries += 1;
-        self.stats.cycles += self.config.cost.region_entry_cost;
-        let mut cur = 0usize;
-        loop {
-            if self.stats.instructions >= self.config.fuel {
-                let pc = self.regions[ri].dump.copies[cur];
-                return Err(DbtError::Guest(tpdbt_vm::VmError::OutOfFuel {
-                    pc,
-                    fuel: self.config.fuel,
-                }));
-            }
-            let pc = self.regions[ri].dump.copies[cur];
-            let site = ExecSite::Region {
-                region: ri,
-                copy: cur,
-            };
-            let (flow, len) = self.step_block(pc, site, machine)?;
-            self.stats.cycles += self.config.cost.opt_exec_per_instr * u64::from(len);
-            // Continuous mode keeps counting inside regions too.
-            if self.config.mode == ProfilingMode::Continuous {
-                self.bump_counters_continuous(pc, &flow);
-            }
-            let outcome = self.outcome(pc, &flow);
-            let Some((slot, target)) = outcome else {
-                return Ok(Next::Halted);
-            };
-            let region = &self.regions[ri];
-            match region.succ[cur].iter().find(|(s, _)| *s == slot) {
-                Some(&(_, next)) => {
-                    if next == 0 {
-                        self.stats.loop_backs += 1;
-                    }
-                    cur = next;
-                }
-                None => {
-                    if cur == region.dump.tail {
-                        self.stats.completions += 1;
-                    } else {
-                        self.stats.side_exits += 1;
-                        self.regions[ri].side_exits += 1;
-                        self.stats.cycles += self.config.cost.side_exit_penalty;
-                        self.maybe_retire(ri);
-                    }
-                    return Ok(Next::Goto(target));
-                }
-            }
+        // Snapshot the trace *after* any reform so it matches the
+        // region's current shape.
+        let trace = self
+            .backend
+            .region_trace(ri)
+            .expect("dispatched regions have installed code");
+        match &trace.segs {
+            Segments::Replay(segs) => self.run_trace(ri, segs, machine),
+            Segments::Step(segs) => self.run_trace(ri, segs, machine),
         }
     }
 
-    /// Region execution over a [`CompiledTrace`] (cached-fused
-    /// backend): segments run straight-line with their pre-resolved
-    /// guards; only [`crate::trace::Guard::Other`] terminators (call /
-    /// return / switch / halt) fall back to the generic
-    /// terminator-and-outcome path, which keeps engine bookkeeping
-    /// (shadow call stack, `ret_targets` numbering) exact.
+    /// The region-execution loop. Segments run straight-line with their
+    /// pre-resolved guards; [`crate::trace::Guard::Other`] terminators
+    /// (call / return / switch / halt, and every terminator of the
+    /// observed and stepped forms) take the generic terminator-and-
+    /// outcome path, which keeps engine bookkeeping (shadow call stack,
+    /// `ret_targets` numbering) exact and is where continuous mode
+    /// counts.
     ///
-    /// Statistic-for-statistic identical to [`Self::execute_region`]:
-    /// same fuel-check placement, same trap-before-bump ordering, same
-    /// completion / side-exit / loop-back accounting per copy.
-    fn execute_region_traced(
+    /// Fuel is checked before each segment, traps propagate before the
+    /// trapping segment is counted, and every copy gets the same
+    /// completion / side-exit / loop-back accounting in every form.
+    fn run_trace<C: SegmentCode>(
         &mut self,
         ri: usize,
-        trace: &CompiledTrace,
+        segs: &[TraceSegment<C>],
         machine: &mut Machine,
     ) -> Result<Next, DbtError> {
         self.stats.region_entries += 1;
@@ -674,6 +623,7 @@ impl<'p> Engine<'p> {
         self.stats.cycles += self.config.cost.region_entry_cost;
         let opt_exec = self.config.cost.opt_exec_per_instr;
         let fuel = self.config.fuel;
+        let counting = self.config.mode == ProfilingMode::Continuous;
         // Hot-loop stats accumulate in locals and flush at every exit;
         // the observable totals match per-segment bumps exactly (traps
         // still propagate before the trapping segment is counted).
@@ -689,7 +639,7 @@ impl<'p> Engine<'p> {
         }
         let mut cur = 0usize;
         loop {
-            let seg = &trace.segs[cur];
+            let seg = &segs[cur];
             if base + instr >= fuel {
                 flush!();
                 return Err(DbtError::Guest(tpdbt_vm::VmError::OutOfFuel {
@@ -697,7 +647,7 @@ impl<'p> Engine<'p> {
                     fuel,
                 }));
             }
-            if let Err(e) = exec_body(&seg.body, seg.start, machine) {
+            if let Err(e) = C::run_body(seg, self.program, machine) {
                 flush!();
                 return Err(DbtError::Guest(e));
             }
@@ -710,7 +660,7 @@ impl<'p> Engine<'p> {
                 None => {
                     // Generic path: traps must propagate before the
                     // instruction count bumps (matches step_block).
-                    let flow = match exec_term(seg.term.view(), seg.term_pc, machine) {
+                    let flow = match C::run_term(seg, self.program, machine) {
                         Ok(flow) => flow,
                         Err(e) => {
                             flush!();
@@ -718,7 +668,11 @@ impl<'p> Engine<'p> {
                         }
                     };
                     instr += u64::from(seg.len);
-                    let Some((slot, target)) = self.outcome(seg.start, &flow) else {
+                    let outcome = self.outcome(seg.start, &flow);
+                    if counting {
+                        self.count_in_region(seg.start, outcome);
+                    }
+                    let Some((slot, target)) = outcome else {
                         flush!();
                         return Ok(Next::Halted);
                     };
@@ -748,8 +702,10 @@ impl<'p> Engine<'p> {
         }
     }
 
-    fn bump_counters_continuous(&mut self, pc: Pc, flow: &Flow) {
-        let outcome = self.outcome(pc, flow);
+    /// Continuous mode's in-region counting: the block at `pc` ran
+    /// inside a region and left through `outcome`. Counters bump as in
+    /// the profiling phase, without the per-counter cycle charge.
+    fn count_in_region(&mut self, pc: Pc, outcome: Option<(SuccSlot, Pc)>) {
         let entry = self.cache[pc].as_mut().expect("translated");
         entry.record.use_count += 1;
         self.stats.profiling_ops += 1;
@@ -785,8 +741,8 @@ impl<'p> Engine<'p> {
             let id = replacement.dump.id;
             self.regions[ri] = replacement;
             // Re-formation replaces the region's optimized code: the
-            // backend re-chains (and, when fusing, re-traces) the new
-            // copy list in one atomic publication.
+            // backend compiles a trace of the new copy list and swaps
+            // it into the region's slot in one assignment.
             self.backend.install_region(ri, &self.regions[ri].dump);
             // Re-formation invalidates any queued candidate built over
             // the old shape of these blocks.
@@ -936,9 +892,8 @@ impl<'p> Engine<'p> {
             }
             self.cache[seed].as_mut().expect("translated").entry_of = Some(id);
             // Formation installs the region's optimized code: the
-            // backend resolves each copy to its decoded body once, so
-            // region execution chains block-to-successor directly
-            // (and, under cached-fused, compiles the region's trace).
+            // backend compiles the region's trace in the form this run
+            // executes (guarded, observed, or stepped).
             self.backend.install_region(id, &region.dump);
             self.regions.push(region);
         }
@@ -1107,12 +1062,11 @@ impl<'p> Engine<'p> {
             }
         }
         self.cache[seed].as_mut().expect("translated").entry_of = Some(id);
-        // The worker already compiled the copy chain (and, under
-        // cached-fused, the trace) against the shared decode cache;
-        // hand both to the backend so installation does no compile
-        // work on the execution thread.
+        // Under cached-fused the worker already compiled the trace
+        // against the shared decode cache, so installation does no
+        // compile work on the execution thread.
         self.backend
-            .install_region_compiled(id, &region.dump, out.chain, out.trace);
+            .install_region_compiled(id, &region.dump, out.trace);
         self.regions.push(region);
         self.stats.opt_installed += 1;
         self.trace_emit(|| EventKind::OptInstalled {

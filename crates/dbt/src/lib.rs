@@ -46,12 +46,13 @@
 //! `Sd.IP` metric). See DESIGN.md §12.
 //!
 //! How translated code executes on the *host* is a separate axis,
-//! selected by [`Backend`]: reference interpretation (`interp`), a
-//! pre-decoded translation cache (`cached`), or the cache plus
-//! superinstruction fusion and trace-compiled regions (`cached-fused`,
-//! DESIGN.md §16). Backends never change observable results — output,
-//! stats, profiles, and intervals are bitwise identical across all
-//! three.
+//! selected by [`Backend`]: reference interpretation (`interp`, the
+//! differential oracle) or a translation cache of fused
+//! superinstruction blocks with trace-compiled regions
+//! (`cached-fused`, the default; DESIGN.md §16). Every installed region
+//! runs through one trace loop in either backend. Backends never
+//! change observable results — output, stats, profiles, and intervals
+//! are bitwise identical across both.
 //!
 //! # Example
 //!
@@ -86,9 +87,7 @@ pub mod offline;
 mod region;
 mod trace;
 
-pub use backend::{
-    Backend, CachedBackend, ChainTable, ExecBackend, ExecSite, InterpBackend, RegionCode,
-};
+pub use backend::{Backend, CachedBackend, ExecBackend, InterpBackend};
 pub use config::{AdaptPolicy, CostModel, DbtConfig, OptMode, ProfilingMode, RegionPolicy};
 pub use engine::{Dbt, ExecStats, RunOutcome};
 pub use error::DbtError;

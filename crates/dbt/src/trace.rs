@@ -1,45 +1,37 @@
-//! Trace compilation: an optimized region lowered to a single
-//! straight-line superinstruction trace.
+//! Trace compilation: every installed region runs as a straight-line
+//! trace of [`TraceSegment`]s, one per region copy.
 //!
-//! The cached backend's region chains (PR 5) removed per-pc cache
-//! lookups from optimized execution, but each block still paid the
-//! full generic machinery per step: backend dispatch, chain-table
-//! indexing, 1:1 micro-op replay, `Flow` construction, and the
-//! engine's terminator-to-successor-slot mapping. A [`CompiledTrace`]
-//! removes all of it for the common case. At region-install time each
-//! copy is lowered to a [`TraceSegment`]: its body re-encoded as fused
-//! superinstructions ([`tpdbt_isa::FusedOp`]) and its terminator
-//! pre-resolved to a [`Guard`] — the compiled form of the region's
-//! internal edge table. Conditional branches (including the
-//! float-compare-plus-branch idiom) evaluate inline in the guard and
-//! map straight to the next segment index; leaving the region through
-//! any direction the edge table does not cover is a *side exit*
-//! ([`EXIT`]) that falls back to per-block execution in the engine.
+//! A segment's terminator is pre-resolved to a [`Guard`] — the compiled
+//! form of the region's internal edge table. Conditional branches
+//! (including the float-compare-plus-branch idiom) evaluate inline and
+//! map straight to the next segment; leaving through a direction the
+//! edge table does not cover is a *side exit* ([`EXIT`]). The segment
+//! form is picked once per region, at install:
 //!
-//! Invariants:
+//! * **Guarded** (`cached-fused`, all modes but continuous): fused
+//!   superinstruction bodies, fast guards for branches and jumps.
+//! * **Observed** (`cached-fused`, continuous): the same bodies, but
+//!   every guard is [`Guard::Other`], so the engine sees each block's
+//!   flow and keeps counting inside the region.
+//! * **Stepped** (`interp`): every guard is [`Guard::Other`] and every
+//!   instruction runs through [`tpdbt_vm::step`], so the interpreter
+//!   stays an independent oracle for the other forms.
 //!
-//! * A trace is **bitwise transparent**: executing segment `i` leaves
-//!   the machine exactly as the cached backend's per-block replay of
-//!   copy `i` would (fused bodies are sequential compositions; guards
-//!   evaluate precisely the terminator expression of
-//!   [`tpdbt_vm::exec_term`]).
-//! * Segment `i` corresponds 1:1 to region copy `i`, so the engine's
-//!   per-copy bookkeeping (fuel accounting, side-exit statistics,
-//!   adaptive retirement) is unchanged.
-//! * Traces are installed and retired **atomically** with their
-//!   region's chain — both live in one [`crate::backend::RegionCode`]
-//!   slot published by table swap, so a reform or retirement can never
-//!   leave a stale trace behind while the chain changes underneath it.
-//! * Terminators with engine-visible bookkeeping (returns feed the
-//!   first-occurrence `ret_targets` numbering; calls push the shadow
-//!   stack) compile to [`Guard::Other`], which defers to the engine's
-//!   generic path instead of guessing.
+//! Invariants: executing segment `i` leaves the machine exactly as
+//! stepping copy `i` would (fused bodies are sequential compositions;
+//! guards evaluate precisely [`tpdbt_vm::exec_term`]'s expression), so
+//! per-copy bookkeeping is identical in every form. Terminators with
+//! engine-visible bookkeeping (returns number `ret_targets`, calls
+//! push the shadow stack) compile to [`Guard::Other`], which defers to
+//! the engine's generic path instead of guessing.
 
 use std::sync::Arc;
 
-use tpdbt_isa::{fuse_ops, BlockBody, Cond, DecodedBlock, MicroOp, MicroOperand, MicroTerm, Pc};
+use tpdbt_isa::{
+    fuse_ops, BlockBody, Cond, DecodedBlock, MicroOp, MicroOperand, MicroTerm, Pc, Program,
+};
 use tpdbt_profile::{RegionEdge, SuccSlot};
-use tpdbt_vm::Machine;
+use tpdbt_vm::{exec_body, exec_term, step, Flow, Machine, VmError};
 
 /// Successor sentinel: control leaves the region (side exit or tail
 /// completion — the engine distinguishes by comparing against the
@@ -159,9 +151,66 @@ impl Guard {
     }
 }
 
+/// How a segment's code executes: the per-form half of a
+/// [`TraceSegment`]. The engine's region loop is generic over it, so
+/// each form runs its own monomorphized loop, with no per-segment
+/// branch on the form.
+pub(crate) trait SegmentCode: Sized {
+    /// Runs the straight-line body `[seg.start, seg.term_pc)`.
+    fn run_body(seg: &TraceSegment<Self>, program: &Program, m: &mut Machine) -> VmResult<()>;
+
+    /// Runs the terminator; the machine pc already rests on it.
+    fn run_term(seg: &TraceSegment<Self>, program: &Program, m: &mut Machine) -> VmResult<Flow>;
+}
+
+type VmResult<T> = Result<T, VmError>;
+
+/// Replayed code: the copy's decoded body (fused where fusion pays)
+/// and its pre-decoded terminator.
+#[derive(Clone, Debug)]
+pub(crate) struct Replay {
+    /// The straight-line body (terminator excluded; for
+    /// [`Guard::FCmpBranch`] the trailing compare is excluded too — the
+    /// guard performs it).
+    pub body: BlockBody,
+    /// The pre-decoded terminator, for [`Guard::Other`] segments.
+    pub term: MicroTerm,
+}
+
+impl SegmentCode for Replay {
+    #[inline]
+    fn run_body(seg: &TraceSegment<Self>, _: &Program, m: &mut Machine) -> VmResult<()> {
+        exec_body(&seg.code.body, seg.start, m)
+    }
+
+    #[inline]
+    fn run_term(seg: &TraceSegment<Self>, _: &Program, m: &mut Machine) -> VmResult<Flow> {
+        exec_term(seg.code.term.view(), seg.term_pc, m)
+    }
+}
+
+/// Stepped code: every instruction, terminator included, goes through
+/// per-instruction [`tpdbt_vm::step`] on the guest program.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Step;
+
+impl SegmentCode for Step {
+    fn run_body(seg: &TraceSegment<Self>, program: &Program, m: &mut Machine) -> VmResult<()> {
+        for at in seg.start..seg.term_pc {
+            m.set_pc(at);
+            step(program, m)?;
+        }
+        Ok(())
+    }
+
+    fn run_term(_: &TraceSegment<Self>, program: &Program, m: &mut Machine) -> VmResult<Flow> {
+        step(program, m)
+    }
+}
+
 /// One region copy lowered for trace execution.
 #[derive(Clone, Debug)]
-pub(crate) struct TraceSegment {
+pub(crate) struct TraceSegment<C> {
     /// Guest address of the copy's first instruction.
     pub start: Pc,
     /// Instruction count including the terminator (the engine's
@@ -169,59 +218,84 @@ pub(crate) struct TraceSegment {
     pub len: u32,
     /// Guest address of the terminator.
     pub term_pc: Pc,
-    /// The fused straight-line body (terminator excluded; for
-    /// [`Guard::FCmpBranch`] the trailing compare is excluded too — the
-    /// guard performs it).
-    pub body: BlockBody,
-    /// The pre-decoded terminator, for [`Guard::Other`] segments.
-    pub term: MicroTerm,
     /// The compiled successor decision.
     pub guard: Guard,
+    /// How the body and a [`Guard::Other`] terminator execute.
+    pub code: C,
 }
 
-/// An optimized region compiled into a straight-line superinstruction
-/// trace (one [`TraceSegment`] per region copy, entry first).
+/// A compiled trace's segments, in one of the two code forms.
+#[derive(Clone, Debug)]
+pub(crate) enum Segments {
+    /// Guarded or observed: decoded bodies replayed.
+    Replay(Box<[TraceSegment<Replay>]>),
+    /// The interpreter's form: every instruction stepped.
+    Step(Box<[TraceSegment<Step>]>),
+}
+
+/// An optimized region compiled into a straight-line trace (one
+/// `TraceSegment` per region copy, entry first).
 ///
-/// Produced at region-install time by the `cached-fused` backend (and
-/// by async optimizer workers); executed by the engine's traced region
-/// loop. Opaque outside the crate — tests can observe shape through
+/// Produced at region-install time by every backend (and by async
+/// optimizer workers); executed by the engine's one region loop.
+/// Opaque outside the crate — tests can observe shape through
 /// [`CompiledTrace::starts`].
 #[derive(Clone, Debug)]
 pub struct CompiledTrace {
-    pub(crate) segs: Box<[TraceSegment]>,
+    pub(crate) segs: Segments,
 }
 
 impl CompiledTrace {
     /// Number of segments (== region copies).
     #[must_use]
     pub fn len(&self) -> usize {
-        self.segs.len()
+        match &self.segs {
+            Segments::Replay(s) => s.len(),
+            Segments::Step(s) => s.len(),
+        }
     }
 
     /// Whether the trace has no segments (never true for a compiled
     /// region, which has at least its entry copy).
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.segs.is_empty()
+        self.len() == 0
     }
 
     /// The guest start address of each segment, in copy order — the
     /// trace's identity for staleness checks.
     #[must_use]
     pub fn starts(&self) -> Vec<Pc> {
-        self.segs.iter().map(|s| s.start).collect()
+        match &self.segs {
+            Segments::Replay(s) => s.iter().map(|s| s.start).collect(),
+            Segments::Step(s) => s.iter().map(|s| s.start).collect(),
+        }
+    }
+
+    /// How many segments carry a fast guard (anything but
+    /// [`Guard::Other`]). Zero for the observed and stepped forms.
+    #[cfg(test)]
+    pub(crate) fn fast_guards(&self) -> usize {
+        match &self.segs {
+            Segments::Replay(s) => s
+                .iter()
+                .filter(|s| !matches!(s.guard, Guard::Other))
+                .count(),
+            Segments::Step(_) => 0,
+        }
     }
 }
 
-/// Compiles a region into a straight-line trace. `chain` is the copy
-/// list resolved to decoded blocks (parallel to `copies`); `edges` is
-/// the region's internal edge table. Returns `None` when the chain
-/// does not cover the copy list (the caller falls back to per-block
-/// chains).
+/// Compiles a region into a replayed trace. `chain` is the copy list
+/// resolved to fused decoded blocks (parallel to `copies`); `edges` is
+/// the region's internal edge table. With `guarded` unset every
+/// segment is [`Guard::Other`] (the observed form). Returns `None` when
+/// the chain does not cover the copy list.
 pub(crate) fn compile_trace(
     copies: &[Pc],
     edges: &[RegionEdge],
     chain: &[Arc<DecodedBlock>],
+    guarded: bool,
 ) -> Option<CompiledTrace> {
     if chain.len() != copies.len() || copies.is_empty() {
         return None;
@@ -231,54 +305,65 @@ pub(crate) fn compile_trace(
         if block.start != copies[i] {
             return None;
         }
-        let succ = |slot: SuccSlot| -> u32 {
-            edges
-                .iter()
-                .find(|e| e.from == i && e.slot == slot)
-                .map_or(EXIT, |e| e.to as u32)
+        let (guard, body) = if guarded {
+            lower_guard(i, block, edges)
+        } else {
+            (Guard::Other, block.body.clone())
         };
-        let flat = block.body.flat_ops();
-        // cmp+branch fusion: a trailing float compare feeding the
-        // block's own conditional branch moves into the guard.
-        let (body_ops, fcmp) = match (flat.last(), &block.term) {
-            (Some(&MicroOp::FCmpLt { dst, a: fa, b: fb }), MicroTerm::Branch { a, .. })
-                if *a == dst =>
-            {
-                (&flat[..flat.len() - 1], Some((fa, fb, dst)))
-            }
-            _ => (&flat[..], None),
-        };
-        let guard = match (&block.term, fcmp) {
-            (
-                MicroTerm::Branch {
-                    cond,
-                    b,
-                    taken,
-                    fallthrough,
-                    ..
-                },
-                Some((fa, fb, dst)),
-            ) => Guard::FCmpBranch {
-                fa,
-                fb,
-                dst,
-                cond: *cond,
-                b: *b,
-                taken: *taken,
-                fall: *fallthrough,
-                on_taken: succ(SuccSlot::Taken),
-                on_fall: succ(SuccSlot::Fallthrough),
+        segs.push(TraceSegment {
+            start: block.start,
+            len: (block.end - block.start) as u32,
+            term_pc: block.term_pc(),
+            guard,
+            code: Replay {
+                body,
+                term: block.term.clone(),
             },
-            (
-                MicroTerm::Branch {
-                    cond,
-                    a,
-                    b,
-                    taken,
-                    fallthrough,
-                },
-                None,
-            ) => Guard::Branch {
+        });
+    }
+    Some(CompiledTrace {
+        segs: Segments::Replay(segs.into_boxed_slice()),
+    })
+}
+
+/// Pre-resolves copy `i`'s terminator into a guard over the region's
+/// edge table, returning it with the body the guard leaves to run.
+fn lower_guard(i: usize, block: &DecodedBlock, edges: &[RegionEdge]) -> (Guard, BlockBody) {
+    let succ = |slot: SuccSlot| -> u32 {
+        edges
+            .iter()
+            .find(|e| e.from == i && e.slot == slot)
+            .map_or(EXIT, |e| e.to as u32)
+    };
+    match &block.term {
+        MicroTerm::Branch {
+            cond,
+            a,
+            b,
+            taken,
+            fallthrough,
+        } => {
+            // cmp+branch fusion: a trailing float compare feeding the
+            // block's own conditional branch moves into the guard, and
+            // the rest of the body is re-fused without it.
+            let flat = block.body.flat_ops();
+            if let Some(&MicroOp::FCmpLt { dst, a: fa, b: fb }) = flat.last() {
+                if *a == dst {
+                    let guard = Guard::FCmpBranch {
+                        fa,
+                        fb,
+                        dst,
+                        cond: *cond,
+                        b: *b,
+                        taken: *taken,
+                        fall: *fallthrough,
+                        on_taken: succ(SuccSlot::Taken),
+                        on_fall: succ(SuccSlot::Fallthrough),
+                    };
+                    return (guard, fused_body(&flat[..flat.len() - 1]));
+                }
+            }
+            let guard = Guard::Branch {
                 cond: *cond,
                 a: *a,
                 b: *b,
@@ -286,33 +371,53 @@ pub(crate) fn compile_trace(
                 fall: *fallthrough,
                 on_taken: succ(SuccSlot::Taken),
                 on_fall: succ(SuccSlot::Fallthrough),
-            },
-            (MicroTerm::Jump { target }, _) => Guard::Direct {
+            };
+            (guard, block.body.clone())
+        }
+        MicroTerm::Jump { target } => (
+            Guard::Direct {
                 next: succ(SuccSlot::Other(0)),
                 target: *target,
             },
-            _ => Guard::Other,
-        };
-        // Same representation policy as `DecodedBlock::fused`: a body
-        // with no specialized window stays flat — the 1:1 loop is the
-        // faster form for it.
-        let fused = fuse_ops(body_ops);
-        let body = if fused.len() < body_ops.len() {
-            BlockBody::Fused(fused)
-        } else {
-            BlockBody::Flat(body_ops.to_vec().into())
-        };
-        segs.push(TraceSegment {
-            start: block.start,
-            len: (block.end - block.start) as u32,
-            term_pc: block.term_pc(),
-            body,
-            term: block.term.clone(),
-            guard,
-        });
+            block.body.clone(),
+        ),
+        _ => (Guard::Other, block.body.clone()),
     }
+}
+
+/// Same representation policy as `DecodedBlock::fused`: a body with no
+/// specialized window stays flat — the 1:1 loop is the faster form.
+fn fused_body(ops: &[MicroOp]) -> BlockBody {
+    let fused = fuse_ops(ops);
+    if fused.len() < ops.len() {
+        BlockBody::Fused(fused)
+    } else {
+        BlockBody::Flat(ops.to_vec().into())
+    }
+}
+
+/// Compiles a region into the interpreter's stepped trace: one
+/// [`Guard::Other`] segment per copy, `ends` giving each copy's block
+/// end. Returns `None` when a copy's extent is unknown.
+pub(crate) fn step_trace(copies: &[Pc], ends: impl Fn(Pc) -> Option<Pc>) -> Option<CompiledTrace> {
+    if copies.is_empty() {
+        return None;
+    }
+    let segs = copies
+        .iter()
+        .map(|&start| {
+            let end = ends(start)?;
+            Some(TraceSegment {
+                start,
+                len: (end - start) as u32,
+                term_pc: end - 1,
+                guard: Guard::Other,
+                code: Step,
+            })
+        })
+        .collect::<Option<Box<[_]>>>()?;
     Some(CompiledTrace {
-        segs: segs.into_boxed_slice(),
+        segs: Segments::Step(segs),
     })
 }
 
@@ -322,9 +427,19 @@ mod tests {
     use tpdbt_isa::{Cond, ProgramBuilder, Reg};
     use tpdbt_profile::RegionEdge;
 
-    /// A two-block loop: entry with a conditional latch back to itself.
-    #[test]
-    fn compiles_branch_guards_with_edge_table() {
+    /// The translation cache's unit: a decoded block in fused form.
+    fn fused(p: &Program, pc: Pc) -> Arc<DecodedBlock> {
+        Arc::new(DecodedBlock::decode(p, pc).unwrap().fused())
+    }
+
+    fn replay(trace: &CompiledTrace) -> &[TraceSegment<Replay>] {
+        match &trace.segs {
+            Segments::Replay(segs) => segs,
+            Segments::Step(_) => panic!("expected a replayed trace"),
+        }
+    }
+
+    fn loop_program() -> Program {
         let mut b = ProgramBuilder::new();
         let top = b.fresh_label("top");
         b.bind(top).unwrap();
@@ -332,21 +447,31 @@ mod tests {
         b.addi(Reg::new(1), Reg::new(1), 2); // 1 (fuses with 0)
         b.br_imm(Cond::Lt, Reg::new(0), 10, top); // 2
         b.halt(); // 3
-        let p = b.build().unwrap();
-        let block = Arc::new(DecodedBlock::decode(&p, 0).unwrap());
-        let edges = vec![RegionEdge {
+        b.build().unwrap()
+    }
+
+    fn latch_edges() -> Vec<RegionEdge> {
+        vec![RegionEdge {
             from: 0,
             slot: SuccSlot::Taken,
             to: 0,
-        }];
-        let trace = compile_trace(&[0], &edges, &[Arc::clone(&block)]).unwrap();
+        }]
+    }
+
+    /// A two-block loop: entry with a conditional latch back to itself.
+    #[test]
+    fn compiles_branch_guards_with_edge_table() {
+        let p = loop_program();
+        let block = fused(&p, 0);
+        let trace = compile_trace(&[0], &latch_edges(), &[Arc::clone(&block)], true).unwrap();
         assert_eq!(trace.len(), 1);
         assert_eq!(trace.starts(), vec![0]);
-        let seg = &trace.segs[0];
+        assert_eq!(trace.fast_guards(), 1);
+        let seg = &replay(&trace)[0];
         assert_eq!((seg.start, seg.len, seg.term_pc), (0, 3, 2));
         // The two add-immediates fused into one superinstruction.
-        assert_eq!(seg.body.instr_count(), 2);
-        if let BlockBody::Fused(ops) = &seg.body {
+        assert_eq!(seg.code.body.instr_count(), 2);
+        if let BlockBody::Fused(ops) = &seg.code.body {
             assert_eq!(ops.len(), 1);
         } else {
             panic!("trace bodies are fused");
@@ -362,6 +487,35 @@ mod tests {
         }
     }
 
+    /// The observed form keeps the fused bodies whole and defers every
+    /// terminator to the engine's generic path.
+    #[test]
+    fn observed_form_has_no_fast_guards() {
+        let p = loop_program();
+        let block = fused(&p, 0);
+        let trace = compile_trace(&[0], &latch_edges(), &[Arc::clone(&block)], false).unwrap();
+        assert_eq!(trace.fast_guards(), 0);
+        let seg = &replay(&trace)[0];
+        assert!(matches!(seg.guard, Guard::Other));
+        assert_eq!(seg.code.body, block.body);
+        assert_eq!(seg.code.term, block.term);
+    }
+
+    #[test]
+    fn stepped_form_covers_each_copy_extent() {
+        let trace = step_trace(&[0, 0], |pc| (pc == 0).then_some(3)).unwrap();
+        assert_eq!(trace.starts(), vec![0, 0]);
+        assert_eq!(trace.fast_guards(), 0);
+        let Segments::Step(segs) = &trace.segs else {
+            panic!("expected a stepped trace");
+        };
+        assert_eq!((segs[1].start, segs[1].len, segs[1].term_pc), (0, 3, 2));
+        assert!(matches!(segs[1].guard, Guard::Other));
+        // Unknown extents and empty regions refuse to compile.
+        assert!(step_trace(&[0, 1], |pc| (pc == 0).then_some(3)).is_none());
+        assert!(step_trace(&[], |_| Some(1)).is_none());
+    }
+
     #[test]
     fn fcmp_feeding_the_branch_moves_into_the_guard() {
         use tpdbt_isa::FReg;
@@ -373,11 +527,10 @@ mod tests {
         b.br_imm(Cond::Ne, Reg::new(2), 0, top); // 2
         b.halt();
         let p = b.build().unwrap();
-        let block = Arc::new(DecodedBlock::decode(&p, 0).unwrap());
-        let trace = compile_trace(&[0], &[], &[block]).unwrap();
-        let seg = &trace.segs[0];
+        let trace = compile_trace(&[0], &[], &[fused(&p, 0)], true).unwrap();
+        let seg = &replay(&trace)[0];
         // The compare left the body for the guard.
-        assert_eq!(seg.body.instr_count(), 1);
+        assert_eq!(seg.code.body.instr_count(), 1);
         assert!(matches!(
             seg.guard,
             Guard::FCmpBranch {
@@ -397,11 +550,11 @@ mod tests {
         let mut b = ProgramBuilder::new();
         b.halt();
         let p = b.build().unwrap();
-        let block = Arc::new(DecodedBlock::decode(&p, 0).unwrap());
-        assert!(compile_trace(&[0, 1], &[], &[block]).is_none());
-        assert!(compile_trace(&[], &[], &[]).is_none());
-        let wrong = Arc::new(DecodedBlock::decode(&p, 0).unwrap());
-        assert!(compile_trace(&[3], &[], &[wrong]).is_none());
+        let block = fused(&p, 0);
+        assert!(compile_trace(&[0, 1], &[], &[block], true).is_none());
+        assert!(compile_trace(&[], &[], &[], true).is_none());
+        let wrong = fused(&p, 0);
+        assert!(compile_trace(&[3], &[], &[wrong], true).is_none());
     }
 
     #[test]
@@ -413,14 +566,8 @@ mod tests {
         b.br_imm(Cond::Lt, Reg::new(0), 2, top);
         b.halt();
         let p = b.build().unwrap();
-        let block = Arc::new(DecodedBlock::decode(&p, 0).unwrap());
-        let edges = vec![RegionEdge {
-            from: 0,
-            slot: SuccSlot::Taken,
-            to: 0,
-        }];
-        let trace = compile_trace(&[0], &edges, &[block]).unwrap();
-        let guard = trace.segs[0].guard;
+        let trace = compile_trace(&[0], &latch_edges(), &[fused(&p, 0)], true).unwrap();
+        let guard = replay(&trace)[0].guard;
         let mut m = Machine::new(&p, &[]);
         // r0 = 1 < 2: taken.
         m.set_reg(0, 1);

@@ -3,9 +3,9 @@
 //! The correctness contract of the translation cache — and of
 //! superinstruction fusion and trace compilation on top of it — is
 //! *bitwise transparency*: for any guest program, mode, and threshold,
-//! the `cached` and `cached-fused` backends must produce exactly the
-//! architectural state, outputs, run statistics, and profile counters
-//! of the reference interpreter backend. These tests pin that contract
+//! the `cached-fused` backend must produce exactly the architectural
+//! state, outputs, run statistics, and profile counters of the
+//! reference interpreter backend. These tests pin that contract
 //! with generated programs (proptest) and with exact-boundary
 //! regressions at the freeze/reform events that drive
 //! translation-cache inserts, installs, and invalidations.
@@ -13,8 +13,8 @@
 use proptest::prelude::*;
 
 use tpdbt_dbt::{
-    Backend, CachedBackend, Dbt, DbtConfig, ExecBackend, ExecSite, InterpBackend, OptMode,
-    RegionPolicy, RunOutcome,
+    Backend, CachedBackend, Dbt, DbtConfig, ExecBackend, InterpBackend, OptMode, RegionPolicy,
+    RunOutcome,
 };
 use tpdbt_isa::{decode_block, structured, Cond, FReg, Program, ProgramBuilder, Reg};
 use tpdbt_vm::{Flow, Machine};
@@ -135,36 +135,35 @@ fn run_with(config: DbtConfig, backend: Backend, p: &Program, input: &[i64]) -> 
         .expect("generated programs are trap-free")
 }
 
-/// Full observable-result equality of every backend against the
-/// reference interpreter backend.
+/// Full observable-result equality of the `cached-fused` backend
+/// against the reference interpreter backend.
 fn assert_identical(config: DbtConfig, p: &Program, input: &[i64]) {
     let interp = run_with(config, Backend::Interp, p, input);
-    for backend in [Backend::Cached, Backend::CachedFused] {
-        let cached = run_with(config, backend, p, input);
-        let ctx = format!(
-            "{backend} vs interp, mode {:?} T={}",
-            config.mode, config.threshold
-        );
-        assert_eq!(interp.output, cached.output, "output diverged: {ctx}");
-        assert_eq!(interp.stats, cached.stats, "stats diverged: {ctx}");
-        assert_eq!(
-            interp.inip.blocks, cached.inip.blocks,
-            "profile counters diverged: {ctx}"
-        );
-        assert_eq!(
-            interp.inip.regions, cached.inip.regions,
-            "regions diverged: {ctx}"
-        );
-        assert_eq!(interp.inip.cycles, cached.inip.cycles, "cycles: {ctx}");
-        assert_eq!(
-            interp.inip.profiling_ops, cached.inip.profiling_ops,
-            "profiling ops: {ctx}"
-        );
-        assert_eq!(
-            interp.intervals, cached.intervals,
-            "interval snapshots diverged: {ctx}"
-        );
-    }
+    let backend = Backend::CachedFused;
+    let cached = run_with(config, backend, p, input);
+    let ctx = format!(
+        "{backend} vs interp, mode {:?} T={}",
+        config.mode, config.threshold
+    );
+    assert_eq!(interp.output, cached.output, "output diverged: {ctx}");
+    assert_eq!(interp.stats, cached.stats, "stats diverged: {ctx}");
+    assert_eq!(
+        interp.inip.blocks, cached.inip.blocks,
+        "profile counters diverged: {ctx}"
+    );
+    assert_eq!(
+        interp.inip.regions, cached.inip.regions,
+        "regions diverged: {ctx}"
+    );
+    assert_eq!(interp.inip.cycles, cached.inip.cycles, "cycles: {ctx}");
+    assert_eq!(
+        interp.inip.profiling_ops, cached.inip.profiling_ops,
+        "profiling ops: {ctx}"
+    );
+    assert_eq!(
+        interp.intervals, cached.intervals,
+        "interval snapshots diverged: {ctx}"
+    );
     // And all are transparent against the raw interpreter.
     let reference = tpdbt_vm::run_collect(p, input).expect("trap-free");
     assert_eq!(interp.output, reference, "translation transparency");
@@ -274,10 +273,10 @@ proptest! {
             let block = decode_block(&p, pc).expect("pc in range");
             cached.on_translate(&p, &block);
             let fi = interp
-                .exec_block(&p, block.start, block.end, ExecSite::Unopt, &mut mi)
+                .exec_block(&p, block.start, block.end, &mut mi)
                 .expect("trap-free");
             let fc = cached
-                .exec_block(&p, block.start, block.end, ExecSite::Unopt, &mut mc)
+                .exec_block(&p, block.start, block.end, &mut mc)
                 .expect("trap-free");
             prop_assert_eq!(fi, fc, "flow diverged at pc {} (block #{})", pc, step_count);
             prop_assert_eq!(&mi, &mc, "machine diverged at pc {} (block #{})", pc, step_count);
@@ -349,32 +348,31 @@ fn registered_twice_freezes_at_exactly_2t_on_both_backends() {
 #[test]
 fn chained_regions_survive_reform_and_retirement_identically() {
     let p = phase_flip_program();
-    for backend in [Backend::Cached, Backend::CachedFused] {
-        // Continuous: regions re-form when the entry's use count
-        // doubles.
-        let cont_i = run_with(DbtConfig::continuous(1000), Backend::Interp, &p, &[]);
-        let cont_c = run_with(DbtConfig::continuous(1000), backend, &p, &[]);
-        assert!(
-            cont_c.stats.opt_invocations > cont_c.stats.regions_formed,
-            "{backend}: a reform must fire"
-        );
-        assert_eq!(cont_i.output, cont_c.output, "{backend}");
-        assert_eq!(cont_i.stats, cont_c.stats, "{backend}");
-        assert_eq!(cont_i.inip.blocks, cont_c.inip.blocks, "{backend}");
-        // Adaptive: the stale region is retired (its chain — and under
-        // cached-fused, its trace — evicted) and a fresh one forms;
-        // still bitwise-identical.
-        let ad_i = run_with(DbtConfig::adaptive(500), Backend::Interp, &p, &[]);
-        let ad_c = run_with(DbtConfig::adaptive(500), backend, &p, &[]);
-        assert!(
-            ad_c.stats.retirements > 0,
-            "{backend}: a retirement must fire"
-        );
-        assert_eq!(ad_i.output, ad_c.output, "{backend}");
-        assert_eq!(ad_i.stats, ad_c.stats, "{backend}");
-        assert_eq!(ad_i.inip.blocks, ad_c.inip.blocks, "{backend}");
-        assert_eq!(ad_i.inip.regions, ad_c.inip.regions, "{backend}");
-    }
+    let backend = Backend::CachedFused;
+    // Continuous: regions re-form when the entry's use count
+    // doubles.
+    let cont_i = run_with(DbtConfig::continuous(1000), Backend::Interp, &p, &[]);
+    let cont_c = run_with(DbtConfig::continuous(1000), backend, &p, &[]);
+    assert!(
+        cont_c.stats.opt_invocations > cont_c.stats.regions_formed,
+        "{backend}: a reform must fire"
+    );
+    assert_eq!(cont_i.output, cont_c.output, "{backend}");
+    assert_eq!(cont_i.stats, cont_c.stats, "{backend}");
+    assert_eq!(cont_i.inip.blocks, cont_c.inip.blocks, "{backend}");
+    // Adaptive: the stale region is retired (its chain — and under
+    // cached-fused, its trace — evicted) and a fresh one forms;
+    // still bitwise-identical.
+    let ad_i = run_with(DbtConfig::adaptive(500), Backend::Interp, &p, &[]);
+    let ad_c = run_with(DbtConfig::adaptive(500), backend, &p, &[]);
+    assert!(
+        ad_c.stats.retirements > 0,
+        "{backend}: a retirement must fire"
+    );
+    assert_eq!(ad_i.output, ad_c.output, "{backend}");
+    assert_eq!(ad_i.stats, ad_c.stats, "{backend}");
+    assert_eq!(ad_i.inip.blocks, ad_c.inip.blocks, "{backend}");
+    assert_eq!(ad_i.inip.regions, ad_c.inip.regions, "{backend}");
 }
 
 fn hot_loop(iters: i64) -> Program {

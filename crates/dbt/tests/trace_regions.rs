@@ -2,14 +2,15 @@
 //! cached-fused`): a reform or retirement mid-run must never leave a
 //! stale trace installed — in sync *and* async optimization modes.
 //!
-//! The hazard: a region's chain and its compiled trace are two views
-//! of the same copy list. If retirement cleared the chain but not the
-//! trace (or a re-formation swapped the chain under an old trace), the
-//! engine would keep executing retired code — observable as diverging
-//! outputs, stats, or profile counters against the interpreter
-//! backend. The tests pin both the mechanism (chain and trace live in
-//! one atomically-published slot) and the end-to-end behavior (bitwise
-//! parity through reform/retire storms under both opt modes).
+//! The hazard: a region's compiled trace is a view of its copy list.
+//! If retirement left the trace installed (or a re-formation kept the
+//! old trace under the new shape), the engine would keep executing
+//! retired code — observable as diverging outputs, stats, or profile
+//! counters against the interpreter backend. The tests pin both the
+//! mechanism (one slot per region, replaced or cleared in a single
+//! assignment) and the end-to-end behavior (bitwise parity through
+//! reform/retire storms under both opt modes, and continuous mode's
+//! in-region counting through the one region loop).
 
 use std::sync::Arc;
 
@@ -51,9 +52,9 @@ fn loop_dump(copies: Vec<usize>) -> RegionDump {
 /// trace, while an execution that entered the region *before* the
 /// retirement keeps its own (still-consistent) snapshot.
 #[test]
-fn retirement_clears_trace_and_chain_in_one_publication() {
+fn retirement_clears_the_trace_slot() {
     let p = loop_program();
-    let mut backend = CachedBackend::new_fused(p.len(), None);
+    let mut backend = CachedBackend::new(p.len(), None);
     for pc in [0, 1] {
         backend.on_translate(&p, &decode_block(&p, pc).unwrap());
     }
@@ -67,20 +68,20 @@ fn retirement_clears_trace_and_chain_in_one_publication() {
         "stale trace survived retire"
     );
     assert!(
-        backend.region_code(0).is_none_or(|c| c.is_empty()),
-        "stale chain survived retire"
+        backend.region_trace(0).is_none_or(|t| t.is_empty()),
+        "stale code survived retire"
     );
     // ...and the snapshot stays internally consistent (Arc-held).
     assert_eq!(in_flight.starts(), vec![1]);
 }
 
 /// Mechanism, re-formation: installing a new shape over a live region
-/// replaces chain and trace together; no interleaving can pair the new
-/// chain with the old trace.
+/// replaces its trace in one assignment; no interleaving can pair the
+/// new shape with the old trace.
 #[test]
-fn reform_swaps_chain_and_trace_atomically() {
+fn reform_swaps_the_trace_atomically() {
     let p = loop_program();
-    let mut backend = CachedBackend::new_fused(p.len(), None);
+    let mut backend = CachedBackend::new(p.len(), None);
     for pc in [0, 1] {
         backend.on_translate(&p, &decode_block(&p, pc).unwrap());
     }
@@ -91,9 +92,9 @@ fn reform_swaps_chain_and_trace_atomically() {
     let new = backend.region_trace(0).expect("v2 installed");
     assert_eq!(new.len(), 2, "trace tracks the reformed copy list");
     assert_eq!(
-        backend.region_code(0).unwrap().chain.len(),
-        2,
-        "chain reformed in the same publication"
+        backend.region_trace(0).unwrap().starts(),
+        vec![1, 1],
+        "code reformed in the same assignment"
     );
     assert_eq!(old.len(), 1, "in-flight snapshot of v1 unchanged");
 }
@@ -145,7 +146,7 @@ fn sync_retirement_mid_run_stays_bitwise_identical() {
 }
 
 /// End to end, sync: continuous-mode re-formations replace installed
-/// fused chains mid-run; still bitwise identical.
+/// fused traces mid-run; still bitwise identical.
 #[test]
 fn sync_reform_mid_run_stays_bitwise_identical() {
     let p = phase_flip_program();
@@ -163,6 +164,39 @@ fn sync_reform_mid_run_stays_bitwise_identical() {
     assert_eq!(interp.output, fused.output);
     assert_eq!(interp.stats, fused.stats);
     assert_eq!(interp.inip.blocks, fused.inip.blocks);
+}
+
+/// End to end, continuous: in-region counting is a property of the one
+/// region loop. The fused backend installs observed traces, so every
+/// block executed inside a region reaches the generic path and bumps
+/// its counters there — matching the interpreter's per-block counts
+/// bitwise. Since continuous counters never freeze, every dynamic
+/// block execution is counted exactly once, inside or outside a
+/// region: the profile equals the no-optimization whole-run profile.
+#[test]
+fn continuous_in_region_counting_matches_interp_bitwise() {
+    let p = phase_flip_program();
+    let cfg = DbtConfig::continuous(500);
+    let interp = Dbt::new(cfg.with_backend(Backend::Interp))
+        .run(&p, &[])
+        .unwrap();
+    let fused = Dbt::new(cfg.with_backend(Backend::CachedFused))
+        .run(&p, &[])
+        .unwrap();
+    assert!(
+        fused.stats.region_entries > 0 && fused.stats.loop_backs > 0,
+        "regions must run: {:?}",
+        fused.stats
+    );
+    assert_eq!(interp.output, fused.output);
+    assert_eq!(interp.stats, fused.stats);
+    assert_eq!(interp.inip.blocks, fused.inip.blocks);
+    assert_eq!(interp.inip.regions, fused.inip.regions);
+    let avep = Dbt::new(DbtConfig::no_opt()).run(&p, &[]).unwrap();
+    assert_eq!(
+        fused.inip.blocks, avep.inip.blocks,
+        "every in-region block execution must be counted"
+    );
 }
 
 /// End to end, async: worker-compiled traces install under epoch
@@ -223,7 +257,7 @@ fn async_installs_worker_compiled_traces() {
 #[test]
 fn retire_then_reinstall_produces_a_fresh_trace() {
     let p = loop_program();
-    let mut backend = CachedBackend::new_fused(p.len(), None);
+    let mut backend = CachedBackend::new(p.len(), None);
     backend.retire_region(7); // never installed: must not panic
     assert!(backend.region_trace(7).is_none());
     for pc in [0, 1] {

@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! tpdbt-run FILE [--mode interp|noopt|twophase|continuous|adaptive]
-//!                [--backend interp|cached|cached-fused] [--opt-mode sync|async]
+//!                [--backend interp|cached-fused] [--opt-mode sync|async]
 //!                [--threshold T]... [--input N,N,...] [--input-file PATH]
 //!                [--dump PATH] [--stats] [--suite BENCH --scale S]
 //!                [--jobs N] [--cache-dir DIR]
@@ -22,14 +22,13 @@
 //! With `--suite BENCH`, runs a built-in SPEC2000 analog instead of a
 //! file (use `--emit PATH` to write it out as a `.tpdb` binary first).
 //!
-//! `--backend` picks how translated guest code executes: `cached` (the
-//! default) runs pre-decoded micro-op buffers with direct
-//! block-to-successor chaining in regions; `interp` re-decodes each
-//! instruction on every execution; `cached-fused` re-encodes region
-//! bodies as superinstructions and compiles each region to a
-//! straight-line guarded trace. Results are bitwise identical — only
-//! host-side speed differs. (Distinct from `--mode interp`, which
-//! bypasses the translator entirely.)
+//! `--backend` picks how translated guest code executes:
+//! `cached-fused` (the default) runs blocks decoded and re-encoded as
+//! superinstructions once per guest, and compiles each region to a
+//! straight-line guarded trace; `interp` re-decodes each instruction
+//! on every execution. Results are bitwise identical — only host-side
+//! speed differs. (Distinct from `--mode interp`, which bypasses the
+//! translator entirely.)
 //!
 //! `--opt-mode async` moves the optimization phase onto background
 //! threads: profiling continues while regions form, completed regions
@@ -62,7 +61,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: tpdbt-run FILE|--suite BENCH [--scale tiny|small|paper]\n\
          \u{20}                [--mode interp|noopt|twophase|continuous|adaptive]\n\
-         \u{20}                [--backend interp|cached|cached-fused] [--opt-mode sync|async]\n\
+         \u{20}                [--backend interp|cached-fused] [--opt-mode sync|async]\n\
          \u{20}                [--threshold T]... [--input N,N,...] [--input-file PATH]\n\
          \u{20}                [--dump PATH] [--emit PATH] [--stats] [--list]\n\
          \u{20}                [--trace PATH [--trace-format jsonl|chrome]]\n\
@@ -119,10 +118,11 @@ fn main() -> tpdbt_experiments::Result<()> {
             }
             "--mode" => mode = args.next().unwrap_or_else(|| usage()),
             "--backend" => {
-                sweep_opts.backend = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage());
+                let value = args.next().unwrap_or_else(|| usage());
+                sweep_opts.backend = value.parse().unwrap_or_else(|e: String| {
+                    eprintln!("tpdbt-run: {e}");
+                    usage()
+                });
             }
             "--opt-mode" => {
                 sweep_opts.opt_mode = args

@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! reproduce [--scale tiny|small|paper] [--out DIR] [--jobs N]
-//!           [--backend interp|cached|cached-fused] [--opt-mode sync|async]
+//!           [--backend interp|cached-fused] [--opt-mode sync|async]
 //!           [--cache-dir DIR] [--fleet-seed DIR]
 //!           [--trace PATH [--trace-format jsonl|chrome]]
 //!           [--max-retries N] [--fail-fast] [--watchdog-fuel N]
@@ -14,10 +14,9 @@
 //! `FIGURE` is any of `fig8` … `fig18` or `all` (default). Tables print
 //! to stdout; with `--out DIR`, each table is also written as CSV.
 //! `--jobs N` fans the sweep out over a worker pool; `--backend`
-//! selects the guest execution backend (default `cached`, the
-//! pre-decoded translation cache; `interp` is the reference
-//! interpreter; `cached-fused` adds superinstruction fusion and
-//! trace-compiled regions — all three produce bitwise-identical
+//! selects the guest execution backend (default `cached-fused`, the
+//! fused translation cache with trace-compiled regions; `interp` is
+//! the reference interpreter — both produce bitwise-identical
 //! figures);
 //! `--opt-mode` selects optimization scheduling (default `sync`, which
 //! reproduces every figure byte-for-byte; `async` forms regions on
@@ -55,7 +54,7 @@ use tpdbt_trace::{TraceFormat, Tracer};
 fn usage() -> ! {
     eprintln!(
         "usage: reproduce [--scale tiny|small|paper] [--out DIR] [--jobs N]\n\
-         \u{20}                [--backend interp|cached|cached-fused] [--opt-mode sync|async]\n\
+         \u{20}                [--backend interp|cached-fused] [--opt-mode sync|async]\n\
          \u{20}                [--cache-dir DIR] [--bench NAME]...\n\
          \u{20}                [--trace PATH [--trace-format jsonl|chrome]]\n\
          \u{20}                [--max-retries N] [--fail-fast] [--watchdog-fuel N]\n\
@@ -148,10 +147,11 @@ fn main() {
                 sweep_opts.fleet_seed = Some(args.next().unwrap_or_else(|| usage()).into());
             }
             "--backend" => {
-                sweep_opts.backend = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage());
+                let value = args.next().unwrap_or_else(|| usage());
+                sweep_opts.backend = value.parse().unwrap_or_else(|e: String| {
+                    eprintln!("reproduce: {e}");
+                    usage()
+                });
             }
             "--opt-mode" => {
                 sweep_opts.opt_mode = args

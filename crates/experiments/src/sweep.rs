@@ -800,6 +800,8 @@ struct Baselines {
     /// reused by every stage-2 ladder cell (re-serializing the binary
     /// per cell was measurable at paper scale).
     ref_digest: u64,
+    /// Digest of `reference`'s input words, likewise hashed once.
+    ref_input_digest: u64,
     /// The reference guest's decode-once block cache, shared across
     /// every ladder cell of this benchmark.
     ref_predecoded: Arc<PredecodedProgram>,
@@ -821,7 +823,7 @@ impl Baselines {
             binary: &self.reference.binary,
             input: &self.reference.input,
             binary_digest: self.ref_digest,
-            input_digest: fnv64_words(&self.reference.input),
+            input_digest: self.ref_input_digest,
             input_code: input_code(InputKind::Ref),
             scale_code: scale_code(scale),
             predecoded: Arc::clone(&self.ref_predecoded),
@@ -919,12 +921,14 @@ fn baselines_for(
 
     let avep_ops = avep_art.profile.profiling_ops;
     let ref_digest = ref_id.binary_digest;
+    let ref_input_digest = ref_id.input_digest;
     let ref_predecoded = Arc::clone(&ref_id.predecoded);
     Ok(Baselines {
         name: reference.name,
         class: reference.class,
         reference,
         ref_digest,
+        ref_input_digest,
         ref_predecoded,
         avep: avep_art.profile,
         avep_output_digest,
@@ -1263,6 +1267,26 @@ mod tests {
         assert_eq!(parallel_map(16, &items, |_, &x| x + 1), vec![2]);
         let empty: [u64; 0] = [];
         assert!(parallel_map(4, &empty, |_, &x| x).is_empty());
+    }
+
+    /// Ladder cells rebuild the reference identity from stage-1
+    /// digests; the keys must equal a freshly hashed identity's.
+    #[test]
+    fn ref_id_reuses_stage_one_digests() {
+        let opts = SweepOptions::default();
+        let incidents = Incidents::default();
+        let ctx = Ctx::new(None, &opts, &incidents);
+        let bl = baselines_for("gzip", Scale::Tiny, &ctx).expect("tiny gzip baselines");
+        assert_eq!(bl.ref_input_digest, fnv64_words(&bl.reference.input));
+        let fresh = GuestId::new(
+            bl.name,
+            &bl.reference.binary,
+            &bl.reference.input,
+            input_code(InputKind::Ref),
+            scale_code(Scale::Tiny),
+        );
+        let cfg = DbtConfig::two_phase(50);
+        assert_eq!(bl.ref_id(Scale::Tiny).key(&cfg), fresh.key(&cfg));
     }
 
     #[test]

@@ -1155,13 +1155,14 @@ impl DecodedBlock {
     }
 }
 
-/// A lazily-populated, thread-safe cache of [`DecodedBlock`]s for one
-/// program, indexed by block start address.
+/// A lazily-populated, thread-safe cache of fused [`DecodedBlock`]s
+/// for one program, indexed by block start address.
 ///
-/// Decoding happens at most once per address across all threads and
-/// runs sharing the same `PredecodedProgram` (ladder cells in a sweep,
-/// concurrent serve queries), which is what makes the decode cost a
-/// per-*guest* cost instead of a per-*run* cost.
+/// Decoding and fusion ([`DecodedBlock::fused`]) happen at most once
+/// per address across all threads and runs sharing the same
+/// `PredecodedProgram` (ladder cells in a sweep, concurrent serve
+/// queries, asynchronous optimizer workers), which is what makes the
+/// translation cost a per-*guest* cost instead of a per-*run* cost.
 ///
 /// The cache stores no reference to the program; callers pass the same
 /// [`Program`] it was created for to [`PredecodedProgram::block`].
@@ -1174,8 +1175,14 @@ impl PredecodedProgram {
     /// Creates an empty cache sized for `program`.
     #[must_use]
     pub fn new(program: &Program) -> PredecodedProgram {
+        PredecodedProgram::with_len(program.len())
+    }
+
+    /// Creates an empty cache for a program of `len` instructions.
+    #[must_use]
+    pub fn with_len(len: usize) -> PredecodedProgram {
         PredecodedProgram {
-            slots: (0..program.len()).map(|_| OnceLock::new()).collect(),
+            slots: (0..len).map(|_| OnceLock::new()).collect(),
         }
     }
 
@@ -1192,18 +1199,31 @@ impl PredecodedProgram {
         self.slots.is_empty()
     }
 
-    /// The block starting at `pc`, decoding it on first access. `None`
-    /// when `pc` is out of range.
+    /// The fused block starting at `pc`, decoding and fusing it on
+    /// first access. `None` when `pc` is out of range.
     #[must_use]
     pub fn block(&self, program: &Program, pc: Pc) -> Option<Arc<DecodedBlock>> {
         let slot = self.slots.get(pc)?;
         if let Some(cached) = slot.get() {
             return Some(Arc::clone(cached));
         }
-        let decoded = Arc::new(DecodedBlock::decode(program, pc)?);
-        // Racing initialisers decode identical blocks; first write wins.
+        let decoded = Arc::new(DecodedBlock::decode(program, pc)?.fused());
+        // Racing initialisers build identical blocks; first write wins.
         let _ = slot.set(decoded);
         slot.get().map(Arc::clone)
+    }
+
+    /// The fused form of an already-discovered `block` (skips the
+    /// second block discovery [`PredecodedProgram::block`] would do).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `block.start` is outside the program this cache was
+    /// sized for.
+    #[must_use]
+    pub fn translate(&self, program: &Program, block: &Block) -> Arc<DecodedBlock> {
+        let slot = &self.slots[block.start];
+        Arc::clone(slot.get_or_init(|| Arc::new(DecodedBlock::from_block(program, block).fused())))
     }
 
     /// How many blocks have been decoded so far.
@@ -1294,6 +1314,12 @@ mod tests {
         let b = cache.block(&p, 0).unwrap();
         assert!(Arc::ptr_eq(&a, &b));
         assert_eq!(cache.decoded_count(), 1);
+        // The cache holds the fused form, whichever way it is filled.
+        assert_eq!(*a, DecodedBlock::decode(&p, 0).unwrap().fused());
+        assert!(Arc::ptr_eq(
+            &a,
+            &cache.translate(&p, &decode_block(&p, 0).unwrap())
+        ));
         // Overlapping interior block gets its own slot.
         let tail = cache.block(&p, 1).unwrap();
         assert_eq!(tail.start, 1);

@@ -18,9 +18,6 @@
 //!   if any stamped epoch moved while the job was queued or running
 //!   (the block was retired, reformed, or otherwise invalidated), the
 //!   result must be discarded, never installed.
-//! * [`SwapCell`] — the atomic-swap publication handle the cached
-//!   backend keeps its chain table behind, so installs replace the
-//!   table wholesale instead of mutating it in place.
 //!
 //! Everything here is plain `std` (threads, mutexes, condvars) — the
 //! workspace builds offline with no external dependencies.
@@ -30,8 +27,6 @@
 
 pub mod coordinator;
 pub mod service;
-pub mod swap;
 
 pub use coordinator::Coordinator;
 pub use service::{OptService, ServiceStats};
-pub use swap::SwapCell;

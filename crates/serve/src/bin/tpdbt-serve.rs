@@ -3,7 +3,7 @@
 //! ```text
 //! tpdbt-serve --listen SPEC [--cache-dir DIR] [--jobs N] [--queue N]
 //!             [--accept-shards N] [--hot N] [--hot-shards N]
-//!             [--deadline-ms MS] [--backend interp|cached|cached-fused]
+//!             [--deadline-ms MS] [--backend interp|cached-fused]
 //!             [--opt-mode sync|async]
 //!             [--trace PATH [--trace-format jsonl|chrome]]
 //!             [--inject SPEC]
@@ -13,13 +13,12 @@
 //! ephemeral port; the bound address is printed). `--cache-dir` shares
 //! the on-disk store with `tpdbt-sweep`, so a warm sweep serves
 //! queries with zero guest runs. `--backend` picks the execution
-//! backend for cold (computed) queries — `cached` (default, the
-//! pre-decoded translation cache), `interp` (the reference
-//! interpreter), or `cached-fused` (superinstruction fusion plus
-//! trace-compiled regions); results are bitwise identical every way. `--opt-mode
-//! async` runs region formation on background optimizer threads for
-//! computed queries (guest output is identical; the `stats` endpoint
-//! reports install/discard counters). The daemon prints exactly one
+//! backend for cold (computed) queries — `cached-fused` (default, the
+//! fused translation cache plus trace-compiled regions) or `interp`
+//! (the reference interpreter); results are bitwise identical either
+//! way. `--opt-mode async` runs region formation on background
+//! optimizer threads for computed queries (guest output is identical;
+//! the `stats` endpoint reports install/discard counters). The daemon prints exactly one
 //! `listening on ADDR` line to stdout once ready, then blocks until a
 //! `shutdown` request drains it.
 //!
@@ -43,7 +42,7 @@ use tpdbt_trace::{TraceFormat, Tracer};
 
 fn usage() -> ! {
     eprintln!(
-        "usage: tpdbt-serve --listen SPEC [--cache-dir DIR] [--jobs N] [--queue N] \\\n       [--accept-shards N] [--hot N] [--hot-shards N] [--deadline-ms MS] \\\n       [--backend interp|cached|cached-fused] [--opt-mode sync|async] \\\n       [--trace PATH [--trace-format jsonl|chrome]] [--inject SPEC]\n\nSPEC is unix:PATH or HOST:PORT (port 0 = ephemeral)."
+        "usage: tpdbt-serve --listen SPEC [--cache-dir DIR] [--jobs N] [--queue N] \\\n       [--accept-shards N] [--hot N] [--hot-shards N] [--deadline-ms MS] \\\n       [--backend interp|cached-fused] [--opt-mode sync|async] \\\n       [--trace PATH [--trace-format jsonl|chrome]] [--inject SPEC]\n\nSPEC is unix:PATH or HOST:PORT (port 0 = ephemeral)."
     );
     std::process::exit(2)
 }
@@ -79,7 +78,12 @@ fn main() {
             "--hot" => hot = value().parse().unwrap_or_else(|_| usage()),
             "--hot-shards" => hot_shards = value().parse().unwrap_or_else(|_| usage()),
             "--deadline-ms" => deadline_ms = value().parse().unwrap_or_else(|_| usage()),
-            "--backend" => backend = value().parse().unwrap_or_else(|_| usage()),
+            "--backend" => {
+                backend = value().parse().unwrap_or_else(|e: String| {
+                    eprintln!("tpdbt-serve: {e}");
+                    usage()
+                });
+            }
             "--opt-mode" => opt_mode = value().parse().unwrap_or_else(|_| usage()),
             "--trace" => trace_path = Some(value()),
             "--trace-format" => trace_format = value().parse().unwrap_or_else(|_| usage()),

@@ -49,12 +49,11 @@
 
 pub use tpdbt_dbt as dbt;
 /// Execution-backend selection, re-exported at the root: pick
-/// [`Backend::Interp`] (reference interpreter), [`Backend::Cached`]
-/// (pre-decoded translation cache, the default), or
-/// [`Backend::CachedFused`] (superinstruction fusion plus
-/// trace-compiled regions) via [`dbt::DbtConfig::with_backend`].
-/// Backends are bitwise result-identical; only host-side speed
-/// differs.
+/// [`Backend::Interp`] (reference interpreter) or
+/// [`Backend::CachedFused`] (fused translation cache plus
+/// trace-compiled regions, the default) via
+/// [`dbt::DbtConfig::with_backend`]. Backends are bitwise
+/// result-identical; only host-side speed differs.
 pub use tpdbt_dbt::Backend;
 pub use tpdbt_isa as isa;
 pub use tpdbt_linalg as linalg;

@@ -67,12 +67,12 @@ fn backends_agree_on_profiles_and_stats() {
         let interp = Dbt::new(cfg.with_backend(tpdbt::Backend::Interp))
             .run_built(&w.binary, &w.input)
             .unwrap();
-        let cached = Dbt::new(cfg.with_backend(tpdbt::Backend::Cached))
+        let fused = Dbt::new(cfg.with_backend(tpdbt::Backend::CachedFused))
             .run_built(&w.binary, &w.input)
             .unwrap();
-        assert_eq!(interp.stats, cached.stats, "{name}");
-        assert_eq!(interp.inip.blocks, cached.inip.blocks, "{name}");
-        assert_eq!(interp.inip.regions, cached.inip.regions, "{name}");
+        assert_eq!(interp.stats, fused.stats, "{name}");
+        assert_eq!(interp.inip.blocks, fused.inip.blocks, "{name}");
+        assert_eq!(interp.inip.regions, fused.inip.regions, "{name}");
     }
 }
 
