@@ -11,10 +11,10 @@
 //! what a long-lived host (the sweep orchestrator, `tpdbt-serve`)
 //! gains by sharing one `PredecodedProgram` across runs: the decode
 //! and fusion cost itself amortizes to zero. A third group compares
-//! synchronous region formation against `OptMode::Async` (formation
-//! and trace compilation on background optimizer threads): guest
-//! output is identical, so the gap is the execution thread's share of
-//! optimizer work.
+//! synchronous region formation against `OptMode::Async` (the same
+//! formation, installed a fixed number of guest instructions later):
+//! guest output is identical, so the gap is how much guest code runs
+//! unoptimized while installs wait, plus the install queue's upkeep.
 //!
 //! Set `TPDBT_BENCH_JSON=path` to also write the timings as JSON
 //! (`BENCH_GUEST.json` in CI).
@@ -77,11 +77,10 @@ fn bench_shared_predecode(c: &mut Criterion) {
     g.finish();
 }
 
-/// Synchronous versus asynchronous region formation on the
-/// `cached-fused` backend. Async moves formation and trace compilation
-/// off the execution thread; both legs run the same guests to the same
-/// final state, so the delta is the dispatcher's share of optimizer
-/// work (plus install handshake overhead on these tiny workloads).
+/// Synchronous versus deferred region install on the `cached-fused`
+/// backend. Both legs form the same regions on the execution thread
+/// and run the same guests to the same final state; async keeps
+/// profiling unoptimized blocks until each install comes due.
 fn bench_opt_modes(c: &mut Criterion) {
     let cfg = DbtConfig::two_phase(100).with_backend(Backend::CachedFused);
     let mut g = c.benchmark_group("guest_exec_opt");

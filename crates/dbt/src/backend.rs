@@ -26,7 +26,6 @@ use tpdbt_isa::{Block, DecodedBlock, Pc, PredecodedProgram, Program};
 use tpdbt_profile::RegionDump;
 use tpdbt_vm::{exec_body, exec_term, step, Flow, Machine, VmError};
 
-use crate::asyncopt::TraceCompiler;
 use crate::trace::{compile_trace, step_trace, CompiledTrace};
 
 /// Which execution backend runs translated code — the user-facing
@@ -106,20 +105,6 @@ pub trait ExecBackend {
     /// copies (entry first) and internal edges. The backend compiles
     /// and installs the region's trace, replacing any previous one.
     fn install_region(&mut self, region: usize, dump: &RegionDump);
-
-    /// Region `region` was formed on a background optimizer thread and
-    /// arrives with its trace already compiled, when the worker
-    /// compiles for this backend. The default delegates to
-    /// [`ExecBackend::install_region`].
-    fn install_region_compiled(
-        &mut self,
-        region: usize,
-        dump: &RegionDump,
-        trace: Option<Arc<CompiledTrace>>,
-    ) {
-        let _ = trace;
-        self.install_region(region, dump);
-    }
 
     /// Region `region` was retired: its optimized code must never run
     /// again.
@@ -311,22 +296,6 @@ impl ExecBackend for CachedBackend {
         self.regions.set(region, Some(Arc::new(trace)));
     }
 
-    fn install_region_compiled(
-        &mut self,
-        region: usize,
-        dump: &RegionDump,
-        trace: Option<Arc<CompiledTrace>>,
-    ) {
-        match trace {
-            Some(trace) if trace.len() == dump.copies.len() => {
-                self.regions.set(region, Some(trace));
-            }
-            // A worker that could not resolve every copy: compile on
-            // the engine thread.
-            _ => self.install_region(region, dump),
-        }
-    }
-
     fn retire_region(&mut self, region: usize) {
         self.regions.set(region, None);
     }
@@ -382,21 +351,6 @@ impl BackendImpl {
             }),
         }
     }
-
-    /// What async workers need to compile this backend's traces off
-    /// the execution thread — against the same decode-once cache, so
-    /// no block is decoded or fused twice. `None` for `interp`, whose
-    /// stepped traces cost nothing to build.
-    pub(crate) fn trace_compiler(&self, program: &Program) -> Option<TraceCompiler> {
-        match self {
-            BackendImpl::Interp(_) => None,
-            BackendImpl::Cached(c) => Some(TraceCompiler {
-                program: Arc::new(program.clone()),
-                predecoded: Arc::clone(&c.predecoded),
-                guarded: c.guarded,
-            }),
-        }
-    }
 }
 
 impl ExecBackend for BackendImpl {
@@ -411,18 +365,6 @@ impl ExecBackend for BackendImpl {
         match self {
             BackendImpl::Interp(b) => b.install_region(region, dump),
             BackendImpl::Cached(b) => b.install_region(region, dump),
-        }
-    }
-
-    fn install_region_compiled(
-        &mut self,
-        region: usize,
-        dump: &RegionDump,
-        trace: Option<Arc<CompiledTrace>>,
-    ) {
-        match self {
-            BackendImpl::Interp(b) => b.install_region_compiled(region, dump, trace),
-            BackendImpl::Cached(b) => b.install_region_compiled(region, dump, trace),
         }
     }
 
@@ -591,28 +533,6 @@ mod tests {
         // Retiring a region that was never installed is a no-op.
         cached.retire_region(9);
         assert!(cached.region_trace(9).is_none());
-    }
-
-    #[test]
-    fn compiled_install_uses_the_provided_trace() {
-        let p = sample();
-        let body = decode_block(&p, 1).unwrap();
-        let mut cached = CachedBackend::new(p.len(), None);
-        // Worker-compiled trace: the backend's own cache never saw the
-        // block, yet the region installs.
-        let chain = vec![Arc::new(DecodedBlock::from_block(&p, &body).fused())];
-        let dump = loop_dump(vec![1]);
-        let trace = Arc::new(compile_trace(&dump.copies, &dump.edges, &chain, true).unwrap());
-        cached.install_region_compiled(0, &dump, Some(Arc::clone(&trace)));
-        assert_eq!(cached.cached_blocks(), 0);
-        assert!(Arc::ptr_eq(&cached.region_trace(0).unwrap(), &trace));
-        // A missing or length-mismatched trace falls back to cache
-        // resolution.
-        cached.on_translate(&p, &body);
-        cached.install_region_compiled(1, &dump, None);
-        assert_eq!(cached.region_trace(1).unwrap().len(), 1);
-        cached.install_region_compiled(2, &loop_dump(vec![1, 1]), Some(trace));
-        assert_eq!(cached.region_trace(2).unwrap().len(), 2);
     }
 
     /// Installs compile a fused, guarded trace, and re-formation /

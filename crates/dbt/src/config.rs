@@ -1,6 +1,7 @@
 //! Translator configuration: profiling mode, region-formation policy,
 //! execution backend, and the simulated cost model.
 
+use crate::asyncopt::INSTALL_LATENCY;
 use crate::backend::Backend;
 
 /// How the translator profiles and optimizes.
@@ -34,13 +35,14 @@ pub enum OptMode {
     /// bitwise deterministic.
     #[default]
     Sync,
-    /// Production decoupling: hot candidates are queued to background
-    /// optimizer threads while execution (and profiling) continues, and
-    /// finished regions are installed between guest blocks under
-    /// epoch validation. Guest *output* is identical to sync; stats,
-    /// figures, and the frozen initial profile legitimately differ
-    /// because counters keep advancing until install — the drift the
-    /// `Sd.IP` metric measures.
+    /// Deferred install, modelling a production translator whose
+    /// optimizer runs beside execution: regions form at the trigger but
+    /// install a fixed number of guest instructions later, under epoch
+    /// validation, while profiling continues. Guest *output* is
+    /// identical to sync; stats, figures, and the frozen initial
+    /// profile differ because counters keep advancing until install —
+    /// the drift the `Sd.IP` metric measures. Like sync, it is
+    /// bitwise deterministic and runs on the execution thread.
     Async,
 }
 
@@ -210,14 +212,9 @@ pub struct DbtConfig {
     /// Which execution backend runs translated code. Never affects a
     /// run's observable results — see [`Backend`].
     pub backend: Backend,
-    /// Whether the optimization phase runs inline ([`OptMode::Sync`],
-    /// the paper's model) or on background threads ([`OptMode::Async`]).
+    /// Whether regions install at the trigger ([`OptMode::Sync`], the
+    /// paper's model) or after a modelled latency ([`OptMode::Async`]).
     pub opt_mode: OptMode,
-    /// Number of background optimizer threads (async mode only; sync
-    /// mode ignores it). Not part of the fingerprint — like wall-clock
-    /// scheduling, it cannot be told apart from run-to-run noise in an
-    /// async run's results.
-    pub opt_workers: usize,
 }
 
 impl DbtConfig {
@@ -241,7 +238,6 @@ impl DbtConfig {
             fuel: tpdbt_vm::DEFAULT_FUEL,
             backend: Backend::default(),
             opt_mode: OptMode::Sync,
-            opt_workers: 2,
         }
     }
 
@@ -312,18 +308,11 @@ impl DbtConfig {
         self
     }
 
-    /// Selects when the optimization phase runs (inline or background).
+    /// Selects when formed regions install (at the trigger or
+    /// deferred).
     #[must_use]
     pub fn with_opt_mode(mut self, opt_mode: OptMode) -> Self {
         self.opt_mode = opt_mode;
-        self
-    }
-
-    /// Sets the background optimizer thread count (minimum 1, async
-    /// mode only).
-    #[must_use]
-    pub fn with_opt_workers(mut self, opt_workers: usize) -> Self {
-        self.opt_workers = opt_workers.max(1);
         self
     }
 
@@ -391,11 +380,13 @@ impl DbtConfig {
         // frozen profile differs) — but it is hashed *asymmetrically*:
         // sync eats nothing, keeping every pre-existing sync fingerprint
         // byte-identical, while async folds in a marker byte so its
-        // artifacts never alias a sync run's. `opt_workers` is not
-        // hashed: an async run is a sample from a scheduling
-        // distribution either way.
+        // artifacts never alias a sync run's, then the install latency
+        // that fully determines its results. Slots keyed on the marker
+        // alone hold samples of an earlier threaded scheduler and are
+        // never served as deterministic results.
         if self.opt_mode == OptMode::Async {
             eat(&[0xA5]);
+            eat(&INSTALL_LATENCY.to_le_bytes());
         }
         h
     }
@@ -494,14 +485,13 @@ mod tests {
         );
         // Async results differ (later installs, drifted frozen profile)
         // and must not alias sync store entries.
-        assert_ne!(
-            base.fingerprint(),
-            base.with_opt_mode(OptMode::Async).fingerprint()
-        );
-        // Worker count is scheduling, not configuration, for caching.
-        let a = base.with_opt_mode(OptMode::Async);
-        assert_eq!(a.fingerprint(), a.with_opt_workers(7).fingerprint());
-        assert_eq!(a.with_opt_workers(0).opt_workers, 1, "clamped to 1");
+        let async_fp = base.with_opt_mode(OptMode::Async).fingerprint();
+        assert_ne!(base.fingerprint(), async_fp);
+        // Nor may they alias the marker-only key of the threaded model,
+        // whose slots hold scheduling samples: the latency follows the
+        // marker. FNV-1a is streaming, so that key is one more step.
+        let marker_only = (base.fingerprint() ^ 0xA5).wrapping_mul(0x0000_0100_0000_01b3);
+        assert_ne!(async_fp, marker_only);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! The translator's execution engine: profiling-phase execution,
 //! candidate pool, optimization trigger, and optimized region execution.
 
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use tpdbt_isa::{decode_block, Block, BuiltProgram, Pc, PredecodedProgram, Program, Terminator};
@@ -11,7 +12,7 @@ use tpdbt_profile::{
 use tpdbt_trace::{EventKind, TraceRegionKind, Tracer};
 use tpdbt_vm::{Flow, Machine};
 
-use crate::asyncopt::{snapshot_neighborhood, AsyncOpt, OptJob, OptOutcome};
+use crate::asyncopt::{PendingRegion, INSTALL_LATENCY};
 use crate::backend::{BackendImpl, ExecBackend};
 use crate::config::{DbtConfig, OptMode, ProfilingMode};
 use crate::error::DbtError;
@@ -45,20 +46,19 @@ pub struct ExecStats {
     /// Regions retired by adaptive side-exit monitoring
     /// ([`ProfilingMode::Adaptive`]).
     pub retirements: u64,
-    /// Candidates handed to the background optimizer
-    /// ([`OptMode::Async`]; always 0 in sync mode). Counts queue-full
-    /// rejections too, so `opt_enqueued == opt_installed +
-    /// opt_discarded` holds at end of run.
+    /// Regions formed and queued for deferred install
+    /// ([`OptMode::Async`]; always 0 in sync mode). Every candidate is
+    /// resolved by the end of the run, so `opt_enqueued ==
+    /// opt_installed + opt_discarded`.
     pub opt_enqueued: u64,
-    /// Background-formed regions that passed epoch validation and were
-    /// installed (async mode; 0 in sync).
-    pub opt_installed: u64,
-    /// Background candidates discarded instead of installed: stale
-    /// snapshot, entry already covered, formation failure, or a full
-    /// queue at submission (async mode; 0 in sync).
-    pub opt_discarded: u64,
-    /// Highest observed optimizer service depth, queued + in flight
+    /// Queued regions that passed epoch validation and were installed
     /// (async mode; 0 in sync).
+    pub opt_installed: u64,
+    /// Queued regions discarded instead of installed: a member block
+    /// was retired or reformed while queued, or the seed was meanwhile
+    /// covered or frozen (async mode; 0 in sync).
+    pub opt_discarded: u64,
+    /// Longest install queue observed (async mode; 0 in sync).
     pub opt_queue_peak: u64,
 }
 
@@ -75,7 +75,7 @@ pub struct RunOutcome {
     /// Interval profile snapshots, when [`DbtConfig::interval`] was
     /// set (input to offline phase detection).
     pub intervals: Vec<IntervalProfile>,
-    /// Profile-drift sample points from asynchronous installs — one
+    /// Profile-drift sample points from deferred installs — one
     /// `(p_enqueue, p_install, use_install)` triple per conditional
     /// member of each installed region, feeding the `Sd.IP` metric
     /// (`tpdbt_profile::metrics::sd_ip`). Empty in [`OptMode::Sync`].
@@ -115,6 +115,10 @@ struct BlockEntry {
     /// computed once at translation time (stable static slot numbering
     /// without a per-execution sort).
     switch_uniq: Box<[Pc]>,
+    /// Bumped whenever the block's profile history or region shape is
+    /// rewritten (adaptive retirement reset, continuous re-formation);
+    /// a queued async candidate stamped with an older epoch is stale.
+    epoch: u64,
 }
 
 /// A formed region prepared for execution.
@@ -223,7 +227,7 @@ impl Dbt {
 
     /// Shares a decode-once cache of fused blocks across runs of the
     /// same program. Consulted by the [`crate::Backend::CachedFused`]
-    /// backend (and its async optimizer workers); it must have been
+    /// backend; it must have been
     /// created (via [`PredecodedProgram::new`]) for the exact program
     /// later passed to [`Dbt::run`], otherwise it is silently ignored
     /// and the run uses a private cache. Sweeps hand one cache to every
@@ -268,8 +272,6 @@ impl Dbt {
         program: &Program,
         machine: &mut Machine,
     ) -> Result<RunOutcome, DbtError> {
-        let wants_async =
-            self.config.opt_mode == OptMode::Async && self.config.mode != ProfilingMode::NoOpt;
         // Continuous profiling keeps counting inside regions, so its
         // regions install the observed trace form: every flow reaches
         // the engine's generic path.
@@ -280,13 +282,6 @@ impl Dbt {
             self.predecoded.clone(),
             guarded,
         );
-        let asyncopt = wants_async.then(|| {
-            AsyncOpt::new(
-                self.config.opt_workers,
-                backend.trace_compiler(program),
-                self.tracer.clone(),
-            )
-        });
         let mut engine = Engine {
             config: &self.config,
             tracer: self.tracer.as_deref(),
@@ -295,7 +290,9 @@ impl Dbt {
             cache: (0..program.len()).map(|_| None).collect(),
             regions: Vec::new(),
             pool: Vec::new(),
-            asyncopt,
+            pending: VecDeque::new(),
+            next_install_at: u64::MAX,
+            drift: Vec::new(),
             stats: ExecStats::default(),
             intervals: Vec::new(),
             last_snapshot: std::collections::BTreeMap::new(),
@@ -315,9 +312,13 @@ struct Engine<'p> {
     cache: Vec<Option<Box<BlockEntry>>>,
     regions: Vec<RuntimeRegion>,
     pool: Vec<Pc>,
-    /// Background-optimization state; `Some` iff [`OptMode::Async`] and
-    /// the profiling mode can optimize.
-    asyncopt: Option<AsyncOpt>,
+    /// Async mode's install queue, in enqueue (and so install-time)
+    /// order; always empty in sync mode.
+    pending: VecDeque<PendingRegion>,
+    /// Install time of the queue's front; `u64::MAX` when empty.
+    next_install_at: u64,
+    /// Accumulated `(p_enqueue, p_install, use_install)` drift points.
+    drift: Vec<(f64, f64, f64)>,
     stats: ExecStats,
     intervals: Vec<IntervalProfile>,
     last_snapshot: std::collections::BTreeMap<Pc, (u64, u64)>,
@@ -370,9 +371,6 @@ impl<'p> Engine<'p> {
                     fuel: self.config.fuel,
                 }));
             }
-            // Async mode: apply finished background candidates between
-            // guest blocks — installation is atomic w.r.t. execution.
-            self.drain_async();
             // Optimized dispatch: region entry wins.
             let region_idx = self
                 .cache
@@ -386,15 +384,19 @@ impl<'p> Engine<'p> {
                 }
                 None => self.execute_unopt(pc, machine)?,
             };
+            // Async installs land between guest blocks.
+            if self.stats.instructions >= self.next_install_at {
+                self.install_due(self.stats.instructions);
+            }
             if self.stats.instructions >= self.next_interval_at {
                 self.snapshot_interval();
             }
             match next {
                 Next::Goto(target) => pc = target,
                 Next::Halted => {
-                    // Resolve every in-flight candidate so the run's
-                    // books balance: enqueued == installed + discarded.
-                    self.finish_async();
+                    // Resolve every queued candidate so the run's books
+                    // balance: enqueued == installed + discarded.
+                    self.install_due(u64::MAX);
                     if self.config.interval.is_some() {
                         self.snapshot_interval();
                     }
@@ -464,6 +466,7 @@ impl<'p> Engine<'p> {
                 entry_of: None,
                 ret_targets: Vec::new(),
                 switch_uniq,
+                epoch: 0,
             }));
             self.trace_emit(|| EventKind::BlockTranslated { pc: pc as u64, len });
         }
@@ -746,9 +749,9 @@ impl<'p> Engine<'p> {
             self.backend.install_region(ri, &self.regions[ri].dump);
             // Re-formation invalidates any queued candidate built over
             // the old shape of these blocks.
-            if let Some(a) = self.asyncopt.as_mut() {
-                for &pc in &self.regions[ri].dump.copies {
-                    a.coord.invalidate(pc);
+            for &pc in &self.regions[ri].dump.copies {
+                if let Some(e) = self.cache[pc].as_mut() {
+                    e.epoch += 1;
                 }
             }
             self.trace_emit(|| EventKind::RegionReformed {
@@ -818,219 +821,72 @@ impl<'p> Engine<'p> {
             if still_used.contains(&pc) {
                 continue;
             }
+            // The reset rewrites profile history: any queued candidate
+            // formed over this block is now stale.
             if let Some(e) = self.cache[pc].as_mut() {
                 e.frozen = false;
                 e.registered = 0;
                 e.record.use_count = 0;
                 e.record.edges.clear();
-            }
-            // The reset rewrites profile history: any queued candidate
-            // snapshotted over this block is now stale.
-            if let Some(a) = self.asyncopt.as_mut() {
-                a.coord.invalidate(pc);
+                e.epoch += 1;
             }
         }
+    }
+
+    /// Drains the candidate pool, hottest first.
+    fn take_pool_by_hotness(&mut self) -> Vec<Pc> {
+        let mut candidates: Vec<Pc> = std::mem::take(&mut self.pool);
+        candidates.sort_by_key(|&pc| {
+            std::cmp::Reverse(self.cache[pc].as_ref().map_or(0, |e| e.record.use_count))
+        });
+        candidates
+    }
+
+    /// Whether `seed` may still seed a region: it is no region's entry,
+    /// and it was not swallowed by another region (its counters froze);
+    /// continuous mode may re-seed.
+    fn seedable(&self, seed: Pc) -> bool {
+        let entry = self.cache[seed]
+            .as_ref()
+            .expect("pooled blocks are translated");
+        entry.entry_of.is_none() && !(entry.frozen && self.freezes())
     }
 
     /// The optimization phase: retranslate the candidate pool into
     /// regions.
     fn run_optimizer(&mut self) {
         self.stats.opt_invocations += 1;
-        let mut candidates: Vec<Pc> = std::mem::take(&mut self.pool);
-        candidates.sort_by_key(|&pc| {
-            std::cmp::Reverse(self.cache[pc].as_ref().map_or(0, |e| e.record.use_count))
-        });
-        for seed in candidates {
-            let entry = self.cache[seed]
-                .as_ref()
-                .expect("pooled blocks are translated");
-            if entry.entry_of.is_some() {
-                continue;
-            }
-            // A block already swallowed by another region does not seed
-            // its own (its counters are frozen); continuous mode may
-            // still re-seed.
-            if entry.frozen && self.freezes() {
+        for seed in self.take_pool_by_hotness() {
+            if !self.seedable(seed) {
                 continue;
             }
             let Some(formed) = form_region(self, &self.config.policy, seed) else {
                 continue;
             };
             self.stats.cycles += self.config.cost.opt_translate_per_instr * formed.total_instrs;
-            self.stats.regions_formed += 1;
-            let id = self.regions.len();
-            let formed_use = self.cache[seed]
-                .as_ref()
-                .expect("translated")
-                .record
-                .use_count;
-            let region = RuntimeRegion::new(formed, id, formed_use);
-            self.trace_emit(|| EventKind::RegionFormed {
-                region: id as u64,
-                entry_pc: seed as u64,
-                blocks: region.dump.copies.len() as u32,
-                kind: trace_region_kind(region.dump.kind),
-            });
-            // Freeze every member: optimized code is not instrumented
-            // (two-phase semantics; continuous mode keeps counting).
-            if self.freezes() {
-                for &pc in &region.dump.copies {
-                    let Some(e) = self.cache[pc].as_mut() else {
-                        continue;
-                    };
-                    if e.frozen {
-                        continue;
-                    }
-                    e.frozen = true;
-                    let (use_count, registered) = (e.record.use_count, e.registered);
-                    self.trace_emit(|| EventKind::CounterFrozen {
-                        pc: pc as u64,
-                        use_count,
-                        registered,
-                    });
-                }
-            }
-            self.cache[seed].as_mut().expect("translated").entry_of = Some(id);
-            // Formation installs the region's optimized code: the
-            // backend compiles the region's trace in the form this run
-            // executes (guarded, observed, or stepped).
-            self.backend.install_region(id, &region.dump);
-            self.regions.push(region);
+            self.install(seed, formed);
         }
     }
 
-    /// Runs the optimization phase per [`OptMode`]: inline in sync
-    /// mode, or by queueing snapshots to the background service.
-    fn trigger_optimizer(&mut self) {
-        if self.asyncopt.is_some() {
-            self.enqueue_candidates();
-        } else {
-            self.run_optimizer();
-        }
-    }
-
-    /// Async optimization phase, enqueue half: drains the candidate
-    /// pool into the background service. Each candidate carries an
-    /// immutable profile snapshot plus epoch stamps so the install half
-    /// can detect staleness. Counters do *not* freeze here — they keep
-    /// drifting until install, which is the phenomenon the drift metric
-    /// measures.
-    fn enqueue_candidates(&mut self) {
-        let mut a = self.asyncopt.take().expect("async mode");
-        self.stats.opt_invocations += 1;
-        let mut candidates: Vec<Pc> = std::mem::take(&mut self.pool);
-        candidates.sort_by_key(|&pc| {
-            std::cmp::Reverse(self.cache[pc].as_ref().map_or(0, |e| e.record.use_count))
-        });
-        for seed in candidates {
-            let entry = self.cache[seed]
-                .as_ref()
-                .expect("pooled blocks are translated");
-            if entry.entry_of.is_some()
-                || (entry.frozen && self.freezes())
-                || a.pending.contains(&seed)
-            {
-                continue;
-            }
-            let use_count = entry.record.use_count;
-            let snapshot = snapshot_neighborhood(self, seed, &self.config.policy);
-            let stamps = a.coord.stamp(snapshot.members());
-            let probs = snapshot.probabilities();
-            let job = OptJob {
-                seed,
-                snapshot,
-                stamps,
-                probs,
-                policy: self.config.policy,
-            };
-            // Every handed-off candidate is counted, including bounces,
-            // so opt_enqueued == opt_installed + opt_discarded at end.
-            self.stats.opt_enqueued += 1;
-            if a.service.submit(job) {
-                a.pending.insert(seed);
-                let depth = a.service.depth() as u64;
-                self.stats.opt_queue_peak = self.stats.opt_queue_peak.max(depth);
-                self.trace_emit(|| EventKind::OptEnqueued {
-                    pc: seed as u64,
-                    use_count,
-                    depth,
-                });
-            } else {
-                // Queue full: bounce. The seed goes back to the pool so
-                // a later trigger retries it.
-                self.stats.opt_discarded += 1;
-                self.trace_emit(|| EventKind::OptDiscarded {
-                    pc: seed as u64,
-                    use_count,
-                });
-                self.pool.push(seed);
-            }
-        }
-        self.asyncopt = Some(a);
-    }
-
-    /// Async install half, steady state: applies whatever the workers
-    /// have finished, without blocking.
-    fn drain_async(&mut self) {
-        let done = match self.asyncopt.as_ref() {
-            Some(a) => a.service.drain(),
-            None => return,
-        };
-        for out in done {
-            self.resolve_async(out);
-        }
-    }
-
-    /// Async install half, end of run: waits for in-flight candidates
-    /// and resolves each to an install or a discard.
-    fn finish_async(&mut self) {
-        let done = match self.asyncopt.as_ref() {
-            Some(a) => a.service.flush(),
-            None => return,
-        };
-        for out in done {
-            self.resolve_async(out);
-        }
-    }
-
-    /// Epoch-validated installation of one background-formed region.
-    /// The candidate is discarded when formation failed, any snapshotted
-    /// block's epoch moved (retired / reformed while queued), the seed
-    /// was meanwhile covered by another region, or it froze under a
-    /// freezing mode. Unlike [`Self::run_optimizer`], no optimization
-    /// cycles are charged: formation ran concurrently with execution.
-    fn resolve_async(&mut self, out: OptOutcome) {
-        let mut a = self.asyncopt.take().expect("async mode");
-        a.pending.remove(&out.seed);
-        let seed = out.seed;
-        let entry = self.cache[seed]
-            .as_ref()
-            .expect("snapshotted blocks are translated");
-        let use_now = entry.record.use_count;
-        let installable = out.formed.is_some()
-            && a.coord.still_current(&out.stamps)
-            && entry.entry_of.is_none()
-            && !(entry.frozen && self.freezes());
-        if !installable {
-            self.stats.opt_discarded += 1;
-            self.trace_emit(|| EventKind::OptDiscarded {
-                pc: seed as u64,
-                use_count: use_now,
-            });
-            self.asyncopt = Some(a);
-            return;
-        }
-        let formed = out.formed.expect("checked installable");
+    /// Installs `formed` as a new region dispatched from `seed`, in
+    /// either optimization mode, and returns its index.
+    fn install(&mut self, seed: Pc, formed: FormedRegion) -> usize {
         self.stats.regions_formed += 1;
         let id = self.regions.len();
-        let region = RuntimeRegion::new(formed, id, use_now);
-        let blocks_n = region.dump.copies.len() as u32;
+        let formed_use = self.cache[seed]
+            .as_ref()
+            .expect("translated")
+            .record
+            .use_count;
+        let region = RuntimeRegion::new(formed, id, formed_use);
         self.trace_emit(|| EventKind::RegionFormed {
             region: id as u64,
             entry_pc: seed as u64,
-            blocks: blocks_n,
+            blocks: region.dump.copies.len() as u32,
             kind: trace_region_kind(region.dump.kind),
         });
+        // Freeze every member: optimized code is not instrumented
+        // (two-phase semantics; continuous mode keeps counting).
         if self.freezes() {
             for &pc in &region.dump.copies {
                 let Some(e) = self.cache[pc].as_mut() else {
@@ -1048,34 +904,126 @@ impl<'p> Engine<'p> {
                 });
             }
         }
-        // Drift sample: enqueue-time vs install-time branch probability
-        // of each conditional member, weighted by install-time use.
-        for (&pc, &p_enq) in &out.probs {
-            if !region.dump.copies.contains(&pc) {
+        self.cache[seed].as_mut().expect("translated").entry_of = Some(id);
+        // Formation installs the region's optimized code: the
+        // backend compiles the region's trace in the form this run
+        // executes (guarded, observed, or stepped).
+        self.backend.install_region(id, &region.dump);
+        self.regions.push(region);
+        id
+    }
+
+    /// Runs the optimization phase per [`OptMode`]: inline in sync
+    /// mode, or by queueing formed regions for deferred install.
+    fn trigger_optimizer(&mut self) {
+        match self.config.opt_mode {
+            OptMode::Sync => self.run_optimizer(),
+            OptMode::Async => self.enqueue_candidates(),
+        }
+    }
+
+    /// Async optimization phase, enqueue half: forms each pooled seed's
+    /// region now, as [`Self::run_optimizer`] would, and queues it to
+    /// install [`INSTALL_LATENCY`] instructions later, stamped with its
+    /// members' epochs and branch probabilities. Counters do *not*
+    /// freeze here — they keep drifting until install, which is the
+    /// phenomenon the drift metric measures.
+    fn enqueue_candidates(&mut self) {
+        self.stats.opt_invocations += 1;
+        for seed in self.take_pool_by_hotness() {
+            if !self.seedable(seed) || self.pending.iter().any(|c| c.seed == seed) {
                 continue;
             }
-            let Some(e) = self.cache[pc].as_ref() else {
+            let Some(formed) = form_region(self, &self.config.policy, seed) else {
                 continue;
             };
-            if let Some(p_now) = e.record.branch_probability() {
-                a.drift.push((p_enq, p_now, e.record.use_count as f64));
+            let mut members = formed.copies.clone();
+            members.sort_unstable();
+            members.dedup();
+            let entry = |pc: Pc| self.cache[pc].as_ref().expect("members are translated");
+            let stamps = members.iter().map(|&pc| (pc, entry(pc).epoch)).collect();
+            let probs = members
+                .iter()
+                .filter_map(|&pc| Some((pc, entry(pc).record.branch_probability()?)))
+                .collect();
+            let use_count = entry(seed).record.use_count;
+            let install_at = self.stats.instructions + INSTALL_LATENCY;
+            self.pending.push_back(PendingRegion {
+                seed,
+                formed,
+                install_at,
+                stamps,
+                probs,
+            });
+            self.next_install_at = self.next_install_at.min(install_at);
+            self.stats.opt_enqueued += 1;
+            let depth = self.pending.len() as u64;
+            self.stats.opt_queue_peak = self.stats.opt_queue_peak.max(depth);
+            self.trace_emit(|| EventKind::OptEnqueued {
+                pc: seed as u64,
+                use_count,
+                depth,
+            });
+        }
+    }
+
+    /// Async install half: resolves every queued candidate due at
+    /// instruction `now` (`u64::MAX` at halt resolves them all).
+    fn install_due(&mut self, now: u64) {
+        while self.pending.front().is_some_and(|c| c.install_at <= now) {
+            let candidate = self.pending.pop_front().expect("checked non-empty");
+            self.resolve(candidate);
+        }
+        self.next_install_at = self.pending.front().map_or(u64::MAX, |c| c.install_at);
+    }
+
+    /// Epoch-validated installation of one queued region. The candidate
+    /// is discarded when any member's epoch moved (retired / reformed
+    /// while queued), or the seed was meanwhile covered by another
+    /// region or froze under a freezing mode. Unlike
+    /// [`Self::run_optimizer`], no optimization cycles are charged:
+    /// the modelled optimizer runs beside execution.
+    fn resolve(&mut self, candidate: PendingRegion) {
+        let PendingRegion {
+            seed,
+            formed,
+            stamps,
+            probs,
+            ..
+        } = candidate;
+        let use_now = self.cache[seed]
+            .as_ref()
+            .expect("queued blocks are translated")
+            .record
+            .use_count;
+        let current = stamps
+            .iter()
+            .all(|&(pc, epoch)| self.cache[pc].as_ref().is_some_and(|e| e.epoch == epoch));
+        if !current || !self.seedable(seed) {
+            self.stats.opt_discarded += 1;
+            self.trace_emit(|| EventKind::OptDiscarded {
+                pc: seed as u64,
+                use_count: use_now,
+            });
+            return;
+        }
+        let id = self.install(seed, formed);
+        // Drift sample: enqueue-time vs install-time branch probability
+        // of each conditional member, weighted by install-time use.
+        for (pc, p_enq) in probs {
+            let record = &self.cache[pc].as_ref().expect("translated").record;
+            if let Some(p_now) = record.branch_probability() {
+                self.drift.push((p_enq, p_now, record.use_count as f64));
             }
         }
-        self.cache[seed].as_mut().expect("translated").entry_of = Some(id);
-        // Under cached-fused the worker already compiled the trace
-        // against the shared decode cache, so installation does no
-        // compile work on the execution thread.
-        self.backend
-            .install_region_compiled(id, &region.dump, out.trace);
-        self.regions.push(region);
         self.stats.opt_installed += 1;
+        let blocks = self.regions[id].dump.copies.len() as u32;
         self.trace_emit(|| EventKind::OptInstalled {
             region: id as u64,
             entry_pc: seed as u64,
-            blocks: blocks_n,
+            blocks,
             use_count: use_now,
         });
-        self.asyncopt = Some(a);
     }
 
     fn into_outcome(self, output: Vec<i64>) -> RunOutcome {
@@ -1113,7 +1061,7 @@ impl<'p> Engine<'p> {
             output,
             stats: self.stats,
             intervals: self.intervals,
-            drift: self.asyncopt.map_or_else(Vec::new, |a| a.drift),
+            drift: self.drift,
         }
     }
 }
@@ -1481,7 +1429,7 @@ mod tests {
         }
 
         #[test]
-        fn async_no_opt_never_spins_up_the_service() {
+        fn async_no_opt_matches_sync_bitwise() {
             let p = hot_loop(10_000);
             let sync = Dbt::new(DbtConfig::no_opt()).run(&p, &[]).unwrap();
             let async_out = Dbt::new(DbtConfig::no_opt().with_opt_mode(OptMode::Async))
@@ -1494,10 +1442,9 @@ mod tests {
 
         /// Satellite regression: a candidate whose seed gets covered
         /// (here: frozen into an earlier install) while it sits in the
-        /// optimizer queue must be discarded at install time. One
-        /// worker makes completion order FIFO: the hottest seed's
-        /// region installs first and freezes the hot path, so the
-        /// trailing candidate resolves against a frozen seed.
+        /// install queue must be discarded at install time. The hottest
+        /// seed's region installs first and freezes the hot path, so
+        /// the trailing candidate resolves against a frozen seed.
         #[test]
         fn stale_candidate_is_discarded_not_installed() {
             let p = phase_flip_program();
@@ -1507,8 +1454,7 @@ mod tests {
             };
             let cfg = DbtConfig::two_phase(100)
                 .with_policy(policy)
-                .with_opt_mode(OptMode::Async)
-                .with_opt_workers(1);
+                .with_opt_mode(OptMode::Async);
             let out = Dbt::new(cfg).run(&p, &[]).unwrap();
             assert!(out.stats.opt_enqueued >= 2, "{:?}", out.stats);
             assert!(out.stats.opt_installed >= 1, "{:?}", out.stats);
@@ -1523,6 +1469,120 @@ mod tests {
             );
             // Installed regions still execute optimized code.
             assert!(out.stats.region_entries > 0);
+        }
+
+        /// A loop whose hot arm flips at iteration 2,000 of 30,000, plus
+        /// a side arm taken every fourth iteration: a region formed in
+        /// the first phase installs into the second and retires while a
+        /// candidate over its blocks still waits.
+        fn flip_with_side_arm() -> Program {
+            let mut b = ProgramBuilder::new();
+            let (i, x, half, t) = (Reg::new(0), Reg::new(1), Reg::new(2), Reg::new(3));
+            b.movi(half, 2_000);
+            b.movi(i, 0);
+            let head = b.fresh_label("head");
+            let then = b.fresh_label("then");
+            let join = b.fresh_label("join");
+            let skip = b.fresh_label("skip");
+            b.bind(head).unwrap();
+            b.br_reg(Cond::Lt, i, half, then);
+            b.addi(x, x, 2);
+            b.jmp(join);
+            b.bind(then).unwrap();
+            b.addi(x, x, 1);
+            b.bind(join).unwrap();
+            b.and(t, i, 3);
+            b.br_imm(Cond::Ne, t, 0, skip);
+            b.addi(x, x, 5);
+            b.bind(skip).unwrap();
+            b.addi(i, i, 1);
+            b.br_imm(Cond::Lt, i, 30_000, head);
+            b.out(x);
+            b.halt();
+            b.build().unwrap()
+        }
+
+        /// An outer loop around a 50-trip inner loop: in continuous mode
+        /// the inner region re-forms while candidates over its blocks
+        /// still wait.
+        fn nested_loops() -> Program {
+            let mut b = ProgramBuilder::new();
+            let (i, j, x) = (Reg::new(0), Reg::new(1), Reg::new(2));
+            structured::counted_loop(&mut b, i, 0, 1, Cond::Lt, 2_000, |b| {
+                b.addi(x, x, 3);
+                structured::counted_loop(b, j, 0, 1, Cond::Lt, 50, |b| {
+                    b.addi(x, x, 1);
+                })
+                .unwrap();
+                b.out(x);
+            })
+            .unwrap();
+            b.halt();
+            b.build().unwrap()
+        }
+
+        /// A candidate waiting while a member block is retired
+        /// (adaptive) or reformed (continuous) is discarded at install.
+        /// The install clock is the guest's instruction count, so the
+        /// books are exact.
+        #[test]
+        fn candidates_over_invalidated_blocks_are_discarded() {
+            let cases = [
+                (DbtConfig::adaptive(100), flip_with_side_arm(), (13, 6, 7)),
+                (DbtConfig::continuous(300), nested_loops(), (3, 1, 2)),
+            ];
+            for (cfg, p, books) in cases {
+                // Roomy enough that the ring never wraps on these runs.
+                let tracer = Arc::new(Tracer::with_capacity(1 << 18));
+                let out = Dbt::new(cfg.with_opt_mode(OptMode::Async))
+                    .with_tracer(Arc::clone(&tracer))
+                    .run(&p, &[])
+                    .unwrap();
+                let s = out.stats;
+                assert_eq!(
+                    (s.opt_enqueued, s.opt_installed, s.opt_discarded),
+                    books,
+                    "{:?}: {s:?}",
+                    cfg.mode
+                );
+                if !cfg!(feature = "trace") {
+                    continue;
+                }
+                assert_eq!(tracer.dropped(), 0);
+                // Discards whose seed is no live region's entry and whose
+                // wait spans a retirement or re-formation: in continuous
+                // mode nothing freezes, so these are every discard.
+                let mut entries = std::collections::BTreeSet::new();
+                let mut waiting = std::collections::BTreeMap::new();
+                let mut invalidations = 0u32;
+                let mut epoch_discards = 0;
+                for e in tracer.events() {
+                    match e.kind {
+                        EventKind::OptEnqueued { pc, .. } => {
+                            waiting.insert(pc, invalidations);
+                        }
+                        EventKind::RegionFormed { entry_pc, .. } => {
+                            entries.insert(entry_pc);
+                        }
+                        EventKind::RegionRetired { entry_pc, .. } => {
+                            entries.remove(&entry_pc);
+                            invalidations += 1;
+                        }
+                        EventKind::RegionReformed { .. } => invalidations += 1,
+                        EventKind::OptDiscarded { pc, .. } => {
+                            let since = waiting.remove(&pc).expect("enqueued first");
+                            if since < invalidations && !entries.contains(&pc) {
+                                epoch_discards += 1;
+                            }
+                        }
+                        _ => {}
+                    }
+                }
+                match cfg.mode {
+                    ProfilingMode::Continuous => assert_eq!(epoch_discards, s.opt_discarded),
+                    _ => assert!(epoch_discards >= 1, "{s:?}"),
+                }
+            }
         }
 
         #[test]
@@ -1548,9 +1608,9 @@ mod tests {
 
         #[test]
         fn async_mode_skips_opt_translate_charges() {
-            // Background formation runs concurrently, so the async
-            // timeline omits sync's opt_translate stall cycles on an
-            // otherwise identical instruction stream.
+            // The modelled optimizer runs beside execution, so the
+            // async timeline omits sync's opt_translate stall cycles on
+            // an otherwise identical instruction stream.
             let p = hot_loop(100_000);
             let sync = Dbt::new(DbtConfig::two_phase(500)).run(&p, &[]).unwrap();
             let async_out = Dbt::new(DbtConfig::two_phase(500).with_opt_mode(OptMode::Async))
@@ -1671,17 +1731,12 @@ mod tests {
                 .with_tracer(Arc::clone(&tracer))
                 .run(&p, &[])
                 .unwrap();
-            // Successful submissions each produce exactly one enqueue
-            // and one worker-start event; every install and discard is
-            // mirrored in the stats.
+            // Every enqueue, install and discard is mirrored in the
+            // stats, one event each.
             assert!(tracer.count("opt_enqueued") > 0);
-            assert_eq!(tracer.count("opt_started"), tracer.count("opt_enqueued"));
+            assert_eq!(tracer.count("opt_enqueued"), out.stats.opt_enqueued);
             assert_eq!(tracer.count("opt_installed"), out.stats.opt_installed);
             assert_eq!(tracer.count("opt_discarded"), out.stats.opt_discarded);
-            // Bounced submissions (queue full) are the only gap between
-            // the enqueue counter and the enqueue events.
-            let bounced = out.stats.opt_enqueued - tracer.count("opt_enqueued");
-            assert!(bounced <= out.stats.opt_discarded);
             // Each install also announced its region.
             assert_eq!(tracer.count("region_formed"), out.stats.regions_formed);
             assert_eq!(out.stats.opt_installed, out.stats.regions_formed);

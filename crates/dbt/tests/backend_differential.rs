@@ -223,7 +223,10 @@ proptest! {
     /// profiling mode on both backends. Stats and profile counters may
     /// legitimately differ from sync — counters freeze at install, not
     /// at trigger — but the guest's architectural results may not, and
-    /// the enqueue/install/discard books must balance.
+    /// the enqueue/install/discard books must balance. Deferred install
+    /// runs on the guest's instruction clock, so a rerun of the same
+    /// config reproduces every result bitwise, drift included, and the
+    /// backends agree bitwise as they do in sync mode.
     #[test]
     fn opt_mode_async_preserves_guest_output(
         stmts in prop::collection::vec(arb_stmt(), 1..6),
@@ -238,8 +241,10 @@ proptest! {
             DbtConfig::continuous(t),
             DbtConfig::adaptive(t),
         ] {
+            let cfg = cfg.with_opt_mode(OptMode::Async);
+            let interp = run_with(cfg, Backend::Interp, &p, &input);
             for backend in Backend::ALL {
-                let out = run_with(cfg.with_opt_mode(OptMode::Async), backend, &p, &input);
+                let out = run_with(cfg, backend, &p, &input);
                 prop_assert_eq!(
                     &out.output, &reference,
                     "async diverged from raw interpreter: mode {:?} backend {} T={}",
@@ -250,6 +255,15 @@ proptest! {
                     out.stats.opt_installed + out.stats.opt_discarded,
                     "unbalanced optimizer books: {:?}", out.stats
                 );
+                let again = run_with(cfg, backend, &p, &input);
+                prop_assert_eq!(&out.output, &again.output);
+                prop_assert_eq!(&out.stats, &again.stats);
+                prop_assert_eq!(&out.inip, &again.inip);
+                prop_assert_eq!(&out.drift, &again.drift);
+                prop_assert_eq!(&out.stats, &interp.stats, "backend {}", backend);
+                prop_assert_eq!(&out.inip, &interp.inip, "backend {}", backend);
+                prop_assert_eq!(&out.intervals, &interp.intervals);
+                prop_assert_eq!(&out.drift, &interp.drift, "backend {}", backend);
             }
         }
     }

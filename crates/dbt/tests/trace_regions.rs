@@ -199,9 +199,9 @@ fn continuous_in_region_counting_matches_interp_bitwise() {
     );
 }
 
-/// End to end, async: worker-compiled traces install under epoch
-/// validation while adaptive retirement invalidates mid-run; guest
-/// output stays transparent and the optimizer books balance.
+/// End to end, async: deferred installs pass epoch validation while
+/// adaptive retirement invalidates mid-run; guest output stays
+/// transparent and the optimizer books balance.
 #[test]
 fn async_retirement_mid_run_stays_output_transparent() {
     let p = phase_flip_program();
@@ -219,11 +219,11 @@ fn async_retirement_mid_run_stays_output_transparent() {
     );
 }
 
-/// End to end, async: background-formed regions (with worker-compiled
-/// traces) actually install on a long-running hot loop, and output
-/// stays transparent.
+/// End to end, async: deferred regions (and their compiled traces)
+/// actually install on a long-running hot loop, and output stays
+/// transparent.
 #[test]
-fn async_installs_worker_compiled_traces() {
+fn async_installs_deferred_traces() {
     let mut b = ProgramBuilder::new();
     let r = Reg::new(0);
     tpdbt_isa::structured::counted_loop(&mut b, r, 0, 1, Cond::Lt, 200_000, |b| {
@@ -246,7 +246,7 @@ fn async_installs_worker_compiled_traces() {
     assert_eq!(out.output, reference);
     assert!(
         out.stats.opt_installed > 0,
-        "a 200k-iteration loop must install its background region: {:?}",
+        "a 200k-iteration loop must install its deferred region: {:?}",
         out.stats
     );
 }

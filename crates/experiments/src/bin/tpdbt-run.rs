@@ -30,12 +30,13 @@
 //! speed differs. (Distinct from `--mode interp`, which bypasses the
 //! translator entirely.)
 //!
-//! `--opt-mode async` moves the optimization phase onto background
-//! threads: profiling continues while regions form, completed regions
-//! install between guest blocks under epoch validation, and the run
-//! reports how far the profile drifted between enqueue and install
-//! (`--stats` adds the optimizer counters and the drift sample count).
-//! Guest output is identical to the default `sync` scheduling.
+//! `--opt-mode async` defers each region's install: regions form at
+//! the trigger but install a fixed number of guest instructions later,
+//! between guest blocks and under epoch validation, while profiling
+//! continues; the run reports how far the profile drifted between
+//! enqueue and install (`--stats` adds the optimizer counters and the
+//! drift sample count). Guest output is identical to the default
+//! `sync` scheduling, and both modes are deterministic.
 //!
 //! Repeating `--threshold` switches to sweep mode (two-phase only): the
 //! guest is swept over every requested threshold on a `--jobs N` worker

@@ -361,7 +361,7 @@ pub fn threshold_selection(names: &[&str], scale: Scale) -> Result<Table> {
 }
 
 /// Asynchronous-optimization study (DESIGN.md §12): run each benchmark
-/// with background region formation and measure how far the branch
+/// with deferred region install and measure how far the branch
 /// profile drifted between a candidate's enqueue and its install —
 /// `Sd.IP` over `(p_enqueue, p_install)` pairs weighted by install-time
 /// use counts — plus the install/discard books and output parity
@@ -719,6 +719,18 @@ mod tests {
         );
         // Determinism across worker-pool widths.
         assert_eq!(csv, transfer_study(Scale::Tiny, 4).unwrap().to_csv());
+    }
+
+    #[test]
+    fn async_drift_table_is_deterministic() {
+        // `reproduce ext-async --scale tiny`: deferred install runs on
+        // the guest's instruction clock, so two calls agree exactly.
+        let names = tpdbt_suite::all_names();
+        let first = async_drift(&names, Scale::Tiny, 2_000).unwrap().to_csv();
+        assert_eq!(
+            first,
+            async_drift(&names, Scale::Tiny, 2_000).unwrap().to_csv()
+        );
     }
 
     #[test]

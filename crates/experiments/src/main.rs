@@ -19,9 +19,10 @@
 //! the reference interpreter — both produce bitwise-identical
 //! figures);
 //! `--opt-mode` selects optimization scheduling (default `sync`, which
-//! reproduces every figure byte-for-byte; `async` forms regions on
-//! background threads — guest outputs are identical but profiles
-//! legitimately freeze later, so async cells use their own cache slots);
+//! reproduces every figure byte-for-byte; `async` installs each region
+//! a fixed number of guest instructions after its trigger — guest
+//! outputs are identical but profiles freeze later, so async cells use
+//! their own cache slots);
 //! `--cache-dir DIR` persists profiles so identical reruns skip guest
 //! execution.
 //! `--trace PATH` attaches a structured-event tracer to the sweep, the

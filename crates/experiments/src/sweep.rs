@@ -83,10 +83,10 @@ pub struct SweepOptions {
     pub backend: Backend,
     /// Optimization scheduling for every optimizing cell.
     /// [`OptMode::Sync`] (the default) reproduces every figure
-    /// byte-for-byte; [`OptMode::Async`] forms regions on background
-    /// threads, which legitimately changes profile freeze points — so
-    /// unlike the backend it *is* folded into each cell's config before
-    /// its cache key is computed. `NoOpt` cells never optimize and are
+    /// byte-for-byte; [`OptMode::Async`] defers each region's install,
+    /// which changes profile freeze points — so unlike the backend it
+    /// *is* folded into each cell's config before its cache key is
+    /// computed. `NoOpt` cells never optimize and are
     /// excluded from the fold: both modes share those artifacts.
     pub opt_mode: OptMode,
     /// Directory of a profile store holding fleet consensus artifacts
@@ -351,8 +351,8 @@ impl Ctx<'_> {
     /// Applies the sweep's opt mode to a cell's config. Like the
     /// watchdog — and unlike the backend — this must run before the
     /// cache key is computed: async freezes profiles at install time,
-    /// so its cells legitimately produce different results and must
-    /// address their own store slots. `NoOpt` never optimizes, so those
+    /// so its cells produce different (equally deterministic) results
+    /// and must address their own store slots. `NoOpt` never optimizes, so those
     /// cells stay on the shared (mode-independent) slots.
     fn apply_opt_mode(&self, cfg: DbtConfig) -> DbtConfig {
         if cfg.mode == ProfilingMode::NoOpt {

@@ -16,9 +16,9 @@
 //! backend for cold (computed) queries — `cached-fused` (default, the
 //! fused translation cache plus trace-compiled regions) or `interp`
 //! (the reference interpreter); results are bitwise identical either
-//! way. `--opt-mode async` runs region formation on background
-//! optimizer threads for computed queries (guest output is identical;
-//! the `stats` endpoint reports install/discard counters). The daemon prints exactly one
+//! way. `--opt-mode async` defers each region's install for computed
+//! queries (guest output is identical; the `stats` endpoint reports
+//! install/discard counters). The daemon prints exactly one
 //! `listening on ADDR` line to stdout once ready, then blocks until a
 //! `shutdown` request drains it.
 //!

@@ -63,8 +63,8 @@ pub struct ServiceConfig {
     /// bitwise result-identical; this only changes cold-query latency.
     pub backend: Backend,
     /// Optimization scheduling for computed queries.
-    /// [`OptMode::Async`] forms regions on background threads, which
-    /// legitimately changes where profiles freeze — so unlike the
+    /// [`OptMode::Async`] defers each region's install, which changes
+    /// where profiles freeze — so unlike the
     /// backend it is folded into each query's cache key (`NoOpt`
     /// queries excepted: they never optimize and share slots across
     /// modes, exactly as sweeps do).
@@ -139,7 +139,7 @@ pub struct ProfileService {
     default_deadline: Duration,
     backend: Backend,
     opt_mode: OptMode,
-    /// Background-optimizer totals accumulated over every computed
+    /// Deferred-install totals accumulated over every computed
     /// guest run (all zero under [`OptMode::Sync`]).
     opt_enqueued: AtomicU64,
     opt_installed: AtomicU64,
@@ -421,8 +421,9 @@ impl ProfileService {
     }
 
     /// Folds the service's opt mode into a query config — before the
-    /// cache key is computed, because async queries legitimately
-    /// produce different profiles and must address their own slots.
+    /// cache key is computed, because async queries produce different
+    /// (equally deterministic) profiles and must address their own
+    /// slots.
     /// `NoOpt` configs are left untouched (they never optimize) so both
     /// modes share plain-profile artifacts, exactly as sweeps do.
     fn apply_opt_mode(&self, cfg: DbtConfig) -> DbtConfig {
@@ -706,7 +707,7 @@ impl ProfileService {
     }
 
     /// The `stats` payload: tier counters, single-flight counters,
-    /// guest runs, background-optimizer totals, and per-endpoint
+    /// guest runs, deferred-install totals, and per-endpoint
     /// latency summaries.
     #[must_use]
     pub fn stats_json(&self) -> Json {

@@ -106,24 +106,19 @@ pub enum EventKind {
         side_exits: u64,
     },
 
-    // ---- background optimizer (tpdbt-dbt, `--opt-mode async`) ----
-    /// A hot candidate was handed to the background optimization
-    /// service (async mode).
+    // ---- deferred install (tpdbt-dbt, `--opt-mode async`) ----
+    /// A hot candidate's region was formed and queued for deferred
+    /// install (async mode).
     OptEnqueued {
         /// Candidate entry address.
         pc: u64,
         /// The candidate's `use` count at enqueue time.
         use_count: u64,
-        /// Service depth (queued + in flight) after the enqueue.
+        /// Install-queue length after the enqueue.
         depth: u64,
     },
-    /// An optimizer worker began forming the candidate's region.
-    OptStarted {
-        /// Candidate entry address.
-        pc: u64,
-    },
-    /// A background-formed region passed epoch validation and was
-    /// installed into the translation cache.
+    /// A queued region passed epoch validation and was installed into
+    /// the translation cache.
     OptInstalled {
         /// Region id.
         region: u64,
@@ -135,10 +130,9 @@ pub enum EventKind {
         /// profiling continued while the candidate was queued).
         use_count: u64,
     },
-    /// A background candidate was discarded instead of installed — its
-    /// snapshot went stale (a stamped block was retired / reformed /
-    /// invalidated), its entry got covered by another region, region
-    /// formation failed, or the queue was full at submission.
+    /// A queued region was discarded instead of installed — a stamped
+    /// member block was retired or reformed while it waited, or its
+    /// entry got covered by another region or froze.
     OptDiscarded {
         /// Candidate entry address.
         pc: u64,
@@ -356,7 +350,6 @@ impl EventKind {
             EventKind::RegionReformed { .. } => "region_reformed",
             EventKind::RegionRetired { .. } => "region_retired",
             EventKind::OptEnqueued { .. } => "opt_enqueued",
-            EventKind::OptStarted { .. } => "opt_started",
             EventKind::OptInstalled { .. } => "opt_installed",
             EventKind::OptDiscarded { .. } => "opt_discarded",
             EventKind::StoreHit { .. } => "store_hit",
@@ -447,7 +440,6 @@ mod tests {
                 use_count: 1,
                 depth: 1,
             },
-            EventKind::OptStarted { pc: 0 },
             EventKind::OptInstalled {
                 region: 0,
                 entry_pc: 0,

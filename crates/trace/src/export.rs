@@ -117,7 +117,6 @@ fn fields(kind: &EventKind) -> Vec<Field<'_>> {
             Field::U64("use", *use_count),
             Field::U64("depth", *depth),
         ],
-        E::OptStarted { pc } => vec![Field::U64("pc", *pc)],
         E::OptInstalled {
             region,
             entry_pc,
