@@ -228,7 +228,7 @@ fn run_decoded(block: &DecodedBlock, machine: &mut Machine) -> Result<Flow, VmEr
 ///
 /// Blocks come from a [`PredecodedProgram`], which decodes and fuses
 /// each one once per *guest*, so runs sharing it (sweep cells, serve
-/// queries, async optimizer workers) skip that work. Fusion is
+/// queries, repeated runs of one guest) skip that work. Fusion is
 /// architecturally invisible (pinned by
 /// `crates/vm/tests/fusion_props.rs`), so profiling-phase blocks run
 /// as superinstructions too. Region installs compile a guarded trace,
@@ -409,10 +409,11 @@ mod tests {
         b.movi(Reg::new(1), 3); // 0
         b.bind(top).unwrap();
         b.addi(Reg::new(0), Reg::new(0), 5); // 1
-        b.store(Reg::new(0), Reg::new(1), 0); // 2
-        b.out(Reg::new(0)); // 3
-        b.br_imm(Cond::Lt, Reg::new(0), 20, top); // 4
-        b.halt(); // 5
+        b.xor(Reg::new(2), Reg::new(0), Reg::new(1)); // 2 (fuses with 1)
+        b.store(Reg::new(2), Reg::new(1), 0); // 3
+        b.out(Reg::new(0)); // 4
+        b.br_imm(Cond::Lt, Reg::new(0), 20, top); // 5
+        b.halt(); // 6
         b.build().unwrap()
     }
 

@@ -3,8 +3,8 @@
 //!
 //! A segment's terminator is pre-resolved to a [`Guard`] — the compiled
 //! form of the region's internal edge table. Conditional branches
-//! (including the float-compare-plus-branch idiom) evaluate inline and
-//! map straight to the next segment; leaving through a direction the
+//! evaluate inline and map straight to the next segment, and direct
+//! jumps follow their one compiled edge; leaving through a direction the
 //! edge table does not cover is a *side exit* ([`EXIT`]). The segment
 //! form is picked once per region, at install:
 //!
@@ -27,9 +27,7 @@
 
 use std::sync::Arc;
 
-use tpdbt_isa::{
-    fuse_ops, BlockBody, Cond, DecodedBlock, MicroOp, MicroOperand, MicroTerm, Pc, Program,
-};
+use tpdbt_isa::{BlockBody, Cond, DecodedBlock, MicroOperand, MicroTerm, Pc, Program};
 use tpdbt_profile::{RegionEdge, SuccSlot};
 use tpdbt_vm::{exec_body, exec_term, step, Flow, Machine, VmError};
 
@@ -39,9 +37,8 @@ use tpdbt_vm::{exec_body, exec_term, step, Flow, Machine, VmError};
 pub(crate) const EXIT: u32 = u32::MAX;
 
 /// A segment's pre-resolved terminator decision. The fast variants are
-/// trap-free and mutate at most the registers their constituent ops
-/// would; everything with traps or engine-visible side effects is
-/// [`Guard::Other`].
+/// trap-free and read-only; everything with traps or engine-visible
+/// side effects is [`Guard::Other`].
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum Guard {
     /// Conditional branch: evaluate inline, follow the compiled edge.
@@ -61,29 +58,6 @@ pub(crate) enum Guard {
         /// Next segment when not taken.
         on_fall: u32,
     },
-    /// The cmp+branch superinstruction: a trailing `FCmpLt` fused into
-    /// its conditional branch. Writes the compare result register, then
-    /// branches on it — exactly the two constituent steps.
-    FCmpBranch {
-        /// Float compare: left register.
-        fa: u8,
-        /// Float compare: right register.
-        fb: u8,
-        /// Integer destination of the compare result.
-        dst: u8,
-        /// Branch condition over `dst`.
-        cond: Cond,
-        /// Branch right operand.
-        b: MicroOperand,
-        /// Guest target when taken.
-        taken: Pc,
-        /// Guest target when not taken.
-        fall: Pc,
-        /// Next segment when taken.
-        on_taken: u32,
-        /// Next segment when not taken.
-        on_fall: u32,
-    },
     /// Unconditional jump with a statically known target.
     Direct {
         /// Next segment.
@@ -99,15 +73,10 @@ pub(crate) enum Guard {
 impl Guard {
     /// Evaluates a fast guard against the machine, returning the next
     /// segment index and guest target. `None` means [`Guard::Other`]:
-    /// the caller must run the generic terminator path. Trap-free; the
-    /// only architectural write is [`Guard::FCmpBranch`]'s compare
-    /// result, identical to its constituent `FCmpLt`.
+    /// the caller must run the generic terminator path. Trap-free and
+    /// read-only: exactly [`tpdbt_vm::exec_term`]'s branch expression.
     #[inline]
-    pub(crate) fn quick_eval(self, m: &mut Machine) -> Option<(u32, Pc)> {
-        let rhs = |m: &Machine, b: MicroOperand| match b {
-            MicroOperand::Reg(r) => m.reg(r as usize),
-            MicroOperand::Imm(v) => v,
-        };
+    pub(crate) fn quick_eval(self, m: &Machine) -> Option<(u32, Pc)> {
         match self {
             Guard::Branch {
                 cond,
@@ -118,28 +87,11 @@ impl Guard {
                 on_taken,
                 on_fall,
             } => {
-                let y = rhs(m, b);
+                let y = match b {
+                    MicroOperand::Reg(r) => m.reg(r as usize),
+                    MicroOperand::Imm(v) => v,
+                };
                 Some(if cond.eval(m.reg(a as usize), y) {
-                    (on_taken, taken)
-                } else {
-                    (on_fall, fall)
-                })
-            }
-            Guard::FCmpBranch {
-                fa,
-                fb,
-                dst,
-                cond,
-                b,
-                taken,
-                fall,
-                on_taken,
-                on_fall,
-            } => {
-                let v = i64::from(m.freg(fa as usize) < m.freg(fb as usize));
-                m.set_reg(dst as usize, v);
-                let y = rhs(m, b);
-                Some(if cond.eval(m.reg(dst as usize), y) {
                     (on_taken, taken)
                 } else {
                     (on_fall, fall)
@@ -169,9 +121,7 @@ type VmResult<T> = Result<T, VmError>;
 /// and its pre-decoded terminator.
 #[derive(Clone, Debug)]
 pub(crate) struct Replay {
-    /// The straight-line body (terminator excluded; for
-    /// [`Guard::FCmpBranch`] the trailing compare is excluded too — the
-    /// guard performs it).
+    /// The straight-line body (terminator excluded).
     pub body: BlockBody,
     /// The pre-decoded terminator, for [`Guard::Other`] segments.
     pub term: MicroTerm,
@@ -236,8 +186,8 @@ pub(crate) enum Segments {
 /// An optimized region compiled into a straight-line trace (one
 /// `TraceSegment` per region copy, entry first).
 ///
-/// Produced at region-install time by every backend (and by async
-/// optimizer workers); executed by the engine's one region loop.
+/// Produced at region-install time by every backend (sync and deferred
+/// installs alike); executed by the engine's one region loop.
 /// Opaque outside the crate — tests can observe shape through
 /// [`CompiledTrace::starts`].
 #[derive(Clone, Debug)]
@@ -305,10 +255,10 @@ pub(crate) fn compile_trace(
         if block.start != copies[i] {
             return None;
         }
-        let (guard, body) = if guarded {
+        let guard = if guarded {
             lower_guard(i, block, edges)
         } else {
-            (Guard::Other, block.body.clone())
+            Guard::Other
         };
         segs.push(TraceSegment {
             start: block.start,
@@ -316,7 +266,7 @@ pub(crate) fn compile_trace(
             term_pc: block.term_pc(),
             guard,
             code: Replay {
-                body,
+                body: block.body.clone(),
                 term: block.term.clone(),
             },
         });
@@ -327,72 +277,35 @@ pub(crate) fn compile_trace(
 }
 
 /// Pre-resolves copy `i`'s terminator into a guard over the region's
-/// edge table, returning it with the body the guard leaves to run.
-fn lower_guard(i: usize, block: &DecodedBlock, edges: &[RegionEdge]) -> (Guard, BlockBody) {
+/// edge table.
+fn lower_guard(i: usize, block: &DecodedBlock, edges: &[RegionEdge]) -> Guard {
     let succ = |slot: SuccSlot| -> u32 {
         edges
             .iter()
             .find(|e| e.from == i && e.slot == slot)
             .map_or(EXIT, |e| e.to as u32)
     };
-    match &block.term {
+    match block.term {
         MicroTerm::Branch {
             cond,
             a,
             b,
             taken,
             fallthrough,
-        } => {
-            // cmp+branch fusion: a trailing float compare feeding the
-            // block's own conditional branch moves into the guard, and
-            // the rest of the body is re-fused without it.
-            let flat = block.body.flat_ops();
-            if let Some(&MicroOp::FCmpLt { dst, a: fa, b: fb }) = flat.last() {
-                if *a == dst {
-                    let guard = Guard::FCmpBranch {
-                        fa,
-                        fb,
-                        dst,
-                        cond: *cond,
-                        b: *b,
-                        taken: *taken,
-                        fall: *fallthrough,
-                        on_taken: succ(SuccSlot::Taken),
-                        on_fall: succ(SuccSlot::Fallthrough),
-                    };
-                    return (guard, fused_body(&flat[..flat.len() - 1]));
-                }
-            }
-            let guard = Guard::Branch {
-                cond: *cond,
-                a: *a,
-                b: *b,
-                taken: *taken,
-                fall: *fallthrough,
-                on_taken: succ(SuccSlot::Taken),
-                on_fall: succ(SuccSlot::Fallthrough),
-            };
-            (guard, block.body.clone())
-        }
-        MicroTerm::Jump { target } => (
-            Guard::Direct {
-                next: succ(SuccSlot::Other(0)),
-                target: *target,
-            },
-            block.body.clone(),
-        ),
-        _ => (Guard::Other, block.body.clone()),
-    }
-}
-
-/// Same representation policy as `DecodedBlock::fused`: a body with no
-/// specialized window stays flat — the 1:1 loop is the faster form.
-fn fused_body(ops: &[MicroOp]) -> BlockBody {
-    let fused = fuse_ops(ops);
-    if fused.len() < ops.len() {
-        BlockBody::Fused(fused)
-    } else {
-        BlockBody::Flat(ops.to_vec().into())
+        } => Guard::Branch {
+            cond,
+            a,
+            b,
+            taken,
+            fall: fallthrough,
+            on_taken: succ(SuccSlot::Taken),
+            on_fall: succ(SuccSlot::Fallthrough),
+        },
+        MicroTerm::Jump { target } => Guard::Direct {
+            next: succ(SuccSlot::Other(0)),
+            target,
+        },
+        _ => Guard::Other,
     }
 }
 
@@ -517,35 +430,6 @@ mod tests {
     }
 
     #[test]
-    fn fcmp_feeding_the_branch_moves_into_the_guard() {
-        use tpdbt_isa::FReg;
-        let mut b = ProgramBuilder::new();
-        let top = b.fresh_label("top");
-        b.bind(top).unwrap();
-        b.fadd(FReg::new(0), FReg::new(0), FReg::new(1)); // 0
-        b.fcmp_lt(Reg::new(2), FReg::new(0), FReg::new(2)); // 1
-        b.br_imm(Cond::Ne, Reg::new(2), 0, top); // 2
-        b.halt();
-        let p = b.build().unwrap();
-        let trace = compile_trace(&[0], &[], &[fused(&p, 0)], true).unwrap();
-        let seg = &replay(&trace)[0];
-        // The compare left the body for the guard.
-        assert_eq!(seg.code.body.instr_count(), 1);
-        assert!(matches!(
-            seg.guard,
-            Guard::FCmpBranch {
-                fa: 0,
-                fb: 2,
-                dst: 2,
-                cond: Cond::Ne,
-                on_taken: EXIT,
-                on_fall: EXIT,
-                ..
-            }
-        ));
-    }
-
-    #[test]
     fn mismatched_chain_refuses_to_compile() {
         let mut b = ProgramBuilder::new();
         b.halt();
@@ -571,9 +455,9 @@ mod tests {
         let mut m = Machine::new(&p, &[]);
         // r0 = 1 < 2: taken.
         m.set_reg(0, 1);
-        assert_eq!(guard.quick_eval(&mut m), Some((0, 0)));
+        assert_eq!(guard.quick_eval(&m), Some((0, 0)));
         // r0 = 5: not taken, exits to the fall-through pc.
         m.set_reg(0, 5);
-        assert_eq!(guard.quick_eval(&mut m), Some((EXIT, 2)));
+        assert_eq!(guard.quick_eval(&m), Some((EXIT, 2)));
     }
 }

@@ -262,84 +262,13 @@ impl MicroOp {
 /// with guest pc `base + k` — which makes fusion legal for any window
 /// of straight-line ops regardless of register aliasing, and makes
 /// [`unfuse_ops`] an exact inverse of [`fuse_ops`].
+///
+/// The idiom set is exactly the windows the suite executes: every
+/// variant must occur in some suite block (the root `fusion_coverage`
+/// test), so an idiom without traffic fails the build's tests instead
+/// of lingering as dead handler code.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum FusedOp {
-    /// const + binop: `r[imm_dst] = imm; r[dst] = r[a] OP r[imm_dst]`.
-    ConstAlu {
-        /// Destination of the immediate load.
-        imm_dst: u8,
-        /// The immediate.
-        imm: i64,
-        /// ALU operation selector.
-        op: AluOp,
-        /// ALU destination register.
-        dst: u8,
-        /// ALU left operand register.
-        a: u8,
-    },
-    /// load + op: `r[ld_dst] = mem[base+offset]; r[dst] = r[a] OP r[ld_dst]`.
-    LoadAlu {
-        /// Destination of the load.
-        ld_dst: u8,
-        /// Base address register.
-        base: u8,
-        /// Signed word offset.
-        offset: i64,
-        /// ALU operation selector.
-        op: AluOp,
-        /// ALU destination register.
-        dst: u8,
-        /// ALU left operand register.
-        a: u8,
-    },
-    /// op + store: `r[dst] = r[a] OP b; mem[base+offset] = r[dst]`.
-    AluStore {
-        /// ALU operation selector.
-        op: AluOp,
-        /// ALU destination register (also the stored value).
-        dst: u8,
-        /// ALU left operand register.
-        a: u8,
-        /// ALU right operand.
-        b: MicroOperand,
-        /// Store base address register.
-        base: u8,
-        /// Signed word offset.
-        offset: i64,
-    },
-    /// load + op + store, the read-modify-write triple:
-    /// `r[ld_dst] = mem[b1+o1]; r[dst] = r[a] OP r[ld_dst];
-    /// mem[b2+o2] = r[dst]`.
-    LoadAluStore {
-        /// Destination of the load.
-        ld_dst: u8,
-        /// Load base address register.
-        ld_base: u8,
-        /// Load offset.
-        ld_offset: i64,
-        /// ALU operation selector.
-        op: AluOp,
-        /// ALU destination register (also the stored value).
-        dst: u8,
-        /// ALU left operand register.
-        a: u8,
-        /// Store base address register.
-        st_base: u8,
-        /// Store offset.
-        st_offset: i64,
-    },
-    /// counter-bump chain: two add-immediates to (possibly different)
-    /// accumulators — `r[d1] += i1; r[d2] += i2`.
-    AddChain {
-        /// First accumulator.
-        d1: u8,
-        /// First increment.
-        i1: i64,
-        /// Second accumulator.
-        d2: u8,
-        /// Second increment.
-        i2: i64,
-    },
     /// Two trap-free ALU ops back to back (neither is `Div`/`Rem`):
     /// `r[s1.dst] = r[s1.a] OP1 s1.b; r[s2.dst] = r[s2.a] OP2 s2.b`.
     /// The trap-free guarantee lets the handler skip `Result` plumbing
@@ -392,28 +321,6 @@ pub enum FusedOp {
         /// Signed word offset.
         offset: i64,
     },
-    /// float load + FPU op: `f[ld_dst] = fmem[base+offset];
-    /// f[dst] = f[a] OP f[b]`.
-    FLoadFpu {
-        /// Destination float register of the load.
-        ld_dst: u8,
-        /// Base address register.
-        base: u8,
-        /// Signed word offset.
-        offset: i64,
-        /// FPU operation selector.
-        op: FpuOp,
-        /// Destination float register.
-        dst: u8,
-        /// Left operand float register.
-        a: u8,
-        /// Right operand float register.
-        b: u8,
-    },
-    /// Generic fused pair of arbitrary straight-line ops.
-    Pair(MicroOp, MicroOp),
-    /// Generic fused triple of arbitrary straight-line ops.
-    Triple(MicroOp, MicroOp, MicroOp),
     /// Unfused single op (pass-through).
     One(MicroOp),
 }
@@ -467,16 +374,8 @@ impl FusedOp {
     pub fn width(&self) -> usize {
         match self {
             FusedOp::One(_) => 1,
-            FusedOp::ConstAlu { .. }
-            | FusedOp::LoadAlu { .. }
-            | FusedOp::AluStore { .. }
-            | FusedOp::AddChain { .. }
-            | FusedOp::AluAlu { .. }
-            | FusedOp::FpuFpu { .. }
-            | FusedOp::AluFLoad { .. }
-            | FusedOp::FLoadFpu { .. }
-            | FusedOp::Pair(..) => 2,
-            FusedOp::LoadAluStore { .. } | FusedOp::AluAlu3 { .. } | FusedOp::Triple(..) => 3,
+            FusedOp::AluAlu { .. } | FusedOp::FpuFpu { .. } | FusedOp::AluFLoad { .. } => 2,
+            FusedOp::AluAlu3 { .. } => 3,
         }
     }
 
@@ -484,97 +383,6 @@ impl FusedOp {
     #[must_use]
     pub fn constituents(self) -> Vec<MicroOp> {
         match self {
-            FusedOp::ConstAlu {
-                imm_dst,
-                imm,
-                op,
-                dst,
-                a,
-            } => vec![
-                MicroOp::MovI { dst: imm_dst, imm },
-                MicroOp::Alu {
-                    op,
-                    dst,
-                    a,
-                    b: MicroOperand::Reg(imm_dst),
-                },
-            ],
-            FusedOp::LoadAlu {
-                ld_dst,
-                base,
-                offset,
-                op,
-                dst,
-                a,
-            } => vec![
-                MicroOp::Load {
-                    dst: ld_dst,
-                    base,
-                    offset,
-                },
-                MicroOp::Alu {
-                    op,
-                    dst,
-                    a,
-                    b: MicroOperand::Reg(ld_dst),
-                },
-            ],
-            FusedOp::AluStore {
-                op,
-                dst,
-                a,
-                b,
-                base,
-                offset,
-            } => vec![
-                MicroOp::Alu { op, dst, a, b },
-                MicroOp::Store {
-                    src: dst,
-                    base,
-                    offset,
-                },
-            ],
-            FusedOp::LoadAluStore {
-                ld_dst,
-                ld_base,
-                ld_offset,
-                op,
-                dst,
-                a,
-                st_base,
-                st_offset,
-            } => vec![
-                MicroOp::Load {
-                    dst: ld_dst,
-                    base: ld_base,
-                    offset: ld_offset,
-                },
-                MicroOp::Alu {
-                    op,
-                    dst,
-                    a,
-                    b: MicroOperand::Reg(ld_dst),
-                },
-                MicroOp::Store {
-                    src: dst,
-                    base: st_base,
-                    offset: st_offset,
-                },
-            ],
-            FusedOp::AddChain { d1, i1, d2, i2 } => vec![
-                MicroOp::Alu {
-                    op: AluOp::Add,
-                    dst: d1,
-                    a: d1,
-                    b: MicroOperand::Imm(i1),
-                },
-                MicroOp::Alu {
-                    op: AluOp::Add,
-                    dst: d2,
-                    a: d2,
-                    b: MicroOperand::Imm(i2),
-                },
-            ],
             FusedOp::AluAlu { s1, s2 } => vec![s1.to_op(), s2.to_op()],
             FusedOp::AluAlu3 { s1, s2, s3 } => vec![s1.to_op(), s2.to_op(), s3.to_op()],
             FusedOp::FpuFpu {
@@ -613,93 +421,14 @@ impl FusedOp {
                     offset,
                 },
             ],
-            FusedOp::FLoadFpu {
-                ld_dst,
-                base,
-                offset,
-                op,
-                dst,
-                a,
-                b,
-            } => vec![
-                MicroOp::FLoad {
-                    dst: ld_dst,
-                    base,
-                    offset,
-                },
-                MicroOp::Fpu { op, dst, a, b },
-            ],
-            FusedOp::Pair(x, y) => vec![x, y],
-            FusedOp::Triple(x, y, z) => vec![x, y, z],
             FusedOp::One(x) => vec![x],
         }
-    }
-}
-
-/// Matches an add-immediate (`r[d] += i`), the counter-bump shape.
-fn as_add_imm(op: &MicroOp) -> Option<(u8, i64)> {
-    match *op {
-        MicroOp::Alu {
-            op: AluOp::Add,
-            dst,
-            a,
-            b: MicroOperand::Imm(i),
-        } if dst == a => Some((dst, i)),
-        _ => None,
     }
 }
 
 /// Tries the specialized pair patterns on two adjacent ops.
 fn fuse_pair(x: &MicroOp, y: &MicroOp) -> Option<FusedOp> {
     match (*x, *y) {
-        // const + binop, feeding the ALU's right operand.
-        (
-            MicroOp::MovI { dst: imm_dst, imm },
-            MicroOp::Alu {
-                op,
-                dst,
-                a,
-                b: MicroOperand::Reg(r),
-            },
-        ) if r == imm_dst => Some(FusedOp::ConstAlu {
-            imm_dst,
-            imm,
-            op,
-            dst,
-            a,
-        }),
-        // load + op, feeding the ALU's right operand.
-        (
-            MicroOp::Load {
-                dst: ld_dst,
-                base,
-                offset,
-            },
-            MicroOp::Alu {
-                op,
-                dst,
-                a,
-                b: MicroOperand::Reg(r),
-            },
-        ) if r == ld_dst => Some(FusedOp::LoadAlu {
-            ld_dst,
-            base,
-            offset,
-            op,
-            dst,
-            a,
-        }),
-        // op + store of the result.
-        (MicroOp::Alu { op, dst, a, b }, MicroOp::Store { src, base, offset }) if src == dst => {
-            Some(FusedOp::AluStore {
-                op,
-                dst,
-                a,
-                b,
-                base,
-                offset,
-            })
-        }
         // FPU pair — FPU ops never trap, so the handler is branch-free.
         (
             MicroOp::Fpu {
@@ -738,29 +467,8 @@ fn fuse_pair(x: &MicroOp, y: &MicroOp) -> Option<FusedOp> {
             base,
             offset,
         }),
-        // float load + FPU op.
-        (
-            MicroOp::FLoad {
-                dst: ld_dst,
-                base,
-                offset,
-            },
-            MicroOp::Fpu { op, dst, a, b },
-        ) => Some(FusedOp::FLoadFpu {
-            ld_dst,
-            base,
-            offset,
-            op,
-            dst,
-            a,
-            b,
-        }),
+        // Any two trap-free ALU ops.
         _ => {
-            // counter-bump chain: two independent add-immediates.
-            if let (Some((d1, i1)), Some((d2, i2))) = (as_add_imm(x), as_add_imm(y)) {
-                return Some(FusedOp::AddChain { d1, i1, d2, i2 });
-            }
-            // Any two trap-free ALU ops.
             let (s1, s2) = (AluSpec::from_op(x)?, AluSpec::from_op(y)?);
             Some(FusedOp::AluAlu { s1, s2 })
         }
@@ -768,49 +476,16 @@ fn fuse_pair(x: &MicroOp, y: &MicroOp) -> Option<FusedOp> {
 }
 
 /// Peephole-fuses a straight-line micro-op window into
-/// superinstructions: specialized triples first (read-modify-write,
-/// three-wide ALU runs), then the specialized hot pairs (const+binop,
-/// load+op, op+store, FPU pairs, float-load pairs, counter-bump
-/// chains, two-wide ALU runs); ops that start no specialized window
-/// pass through 1:1 as [`FusedOp::One`]. Total: [`unfuse_ops`] of the
-/// result is exactly `ops`.
+/// superinstructions: three-wide trap-free ALU runs first, then the
+/// pairs (FPU pairs, ALU + float load, two-wide ALU runs); ops that
+/// start no window pass through 1:1 as [`FusedOp::One`]. Total:
+/// [`unfuse_ops`] of the result is exactly `ops`.
 #[must_use]
 pub fn fuse_ops(ops: &[MicroOp]) -> Box<[FusedOp]> {
     let mut out = Vec::with_capacity(ops.len().div_ceil(2));
     let mut i = 0;
     while i < ops.len() {
         let rest = &ops[i..];
-        // Read-modify-write triple: Load; Alu(b = loaded); Store(result).
-        if let [MicroOp::Load {
-            dst: ld_dst,
-            base: ld_base,
-            offset: ld_offset,
-        }, MicroOp::Alu {
-            op,
-            dst,
-            a,
-            b: MicroOperand::Reg(r),
-        }, MicroOp::Store {
-            src,
-            base: st_base,
-            offset: st_offset,
-        }, ..] = *rest
-        {
-            if r == ld_dst && src == dst {
-                out.push(FusedOp::LoadAluStore {
-                    ld_dst,
-                    ld_base,
-                    ld_offset,
-                    op,
-                    dst,
-                    a,
-                    st_base,
-                    st_offset,
-                });
-                i += 3;
-                continue;
-            }
-        }
         // Three trap-free ALU ops — the integer loop-body workhorse.
         if let [x, y, z, ..] = rest {
             if let (Some(s1), Some(s2), Some(s3)) = (
@@ -830,10 +505,10 @@ pub fn fuse_ops(ops: &[MicroOp]) -> Box<[FusedOp]> {
                 continue;
             }
         }
-        // No specialized window starts here: pass the op through 1:1.
-        // Generic grouping (the old `Pair`/`Triple` wrappers) is a
-        // pessimization — it re-dispatches per constituent and can
-        // swallow the head of a specialized window one op further on.
+        // No window starts here: pass the op through 1:1. Generic
+        // grouping would be a pessimization — it re-dispatches per
+        // constituent and can swallow the head of a window one op
+        // further on.
         out.push(FusedOp::One(rest[0]));
         i += 1;
     }
@@ -1161,7 +836,7 @@ impl DecodedBlock {
 /// Decoding and fusion ([`DecodedBlock::fused`]) happen at most once
 /// per address across all threads and runs sharing the same
 /// `PredecodedProgram` (ladder cells in a sweep, concurrent serve
-/// queries, asynchronous optimizer workers), which is what makes the
+/// queries, repeated runs of one guest), which is what makes the
 /// translation cost a per-*guest* cost instead of a per-*run* cost.
 ///
 /// The cache stores no reference to the program; callers pass the same
@@ -1341,84 +1016,62 @@ mod tests {
     }
 
     #[test]
-    fn fuse_recognizes_the_specialized_patterns() {
-        // const + binop
-        let const_alu = [
-            movi(7, 3),
-            MicroOp::Alu {
-                op: AluOp::Mul,
-                dst: 1,
-                a: 2,
-                b: MicroOperand::Reg(7),
-            },
-        ];
+    fn fuse_recognizes_the_idioms() {
+        // ALU runs: greedy three-wide windows, a pair for the remainder.
+        let alus: Vec<MicroOp> = (0..6).map(|r| addi(r, 1)).collect();
         assert!(matches!(
-            fuse_ops(&const_alu)[..],
-            [FusedOp::ConstAlu {
-                imm_dst: 7,
-                imm: 3,
-                ..
-            }]
+            fuse_ops(&alus)[..],
+            [FusedOp::AluAlu3 { .. }, FusedOp::AluAlu3 { .. }]
         ));
-        // load + op
-        let load_alu = [
-            MicroOp::Load {
-                dst: 4,
-                base: 5,
-                offset: 2,
-            },
-            MicroOp::Alu {
-                op: AluOp::Add,
-                dst: 1,
-                a: 1,
-                b: MicroOperand::Reg(4),
-            },
-        ];
-        assert!(matches!(fuse_ops(&load_alu)[..], [FusedOp::LoadAlu { .. }]));
-        // op + store
-        let alu_store = [
-            addi(3, 1),
-            MicroOp::Store {
-                src: 3,
-                base: 6,
-                offset: 0,
-            },
-        ];
         assert!(matches!(
-            fuse_ops(&alu_store)[..],
-            [FusedOp::AluStore { .. }]
+            fuse_ops(&alus[..5])[..],
+            [FusedOp::AluAlu3 { .. }, FusedOp::AluAlu { .. }]
         ));
-        // counter-bump chain
-        let chain = [addi(0, 1), addi(1, 8)];
+        // FPU pair
+        let fpu = |dst| MicroOp::Fpu {
+            op: FpuOp::Mul,
+            dst,
+            a: 1,
+            b: 2,
+        };
         assert!(matches!(
-            fuse_ops(&chain)[..],
-            [FusedOp::AddChain {
-                d1: 0,
-                i1: 1,
-                d2: 1,
-                i2: 8
-            }]
+            fuse_ops(&[fpu(0), fpu(3)])[..],
+            [FusedOp::FpuFpu { d1: 0, d2: 3, .. }]
         ));
-        // read-modify-write triple
-        let rmw = [
-            MicroOp::Load {
-                dst: 4,
-                base: 5,
-                offset: 2,
-            },
-            MicroOp::Alu {
-                op: AluOp::Add,
-                dst: 4,
-                a: 4,
-                b: MicroOperand::Reg(4),
-            },
-            MicroOp::Store {
-                src: 4,
-                base: 5,
-                offset: 2,
-            },
-        ];
-        assert!(matches!(fuse_ops(&rmw)[..], [FusedOp::LoadAluStore { .. }]));
+        // index computation + float load
+        let fload = MicroOp::FLoad {
+            dst: 1,
+            base: 2,
+            offset: 4,
+        };
+        assert!(matches!(
+            fuse_ops(&[addi(2, 1), fload])[..],
+            [FusedOp::AluFLoad { ld_dst: 1, .. }]
+        ));
+        // A trapping ALU op refuses every window it would join.
+        let div = MicroOp::Alu {
+            op: AluOp::Div,
+            dst: 0,
+            a: 1,
+            b: MicroOperand::Reg(2),
+        };
+        assert!(fuse_ops(&[addi(0, 1), div, addi(1, 1)])
+            .iter()
+            .all(|f| matches!(f, FusedOp::One(_))));
+        assert!(matches!(
+            fuse_ops(&[div, fload])[..],
+            [FusedOp::One(_), FusedOp::One(_)]
+        ));
+        // Shapes outside the idiom set pass through 1:1.
+        let store = MicroOp::Store {
+            src: 3,
+            base: 6,
+            offset: 0,
+        };
+        assert!(matches!(
+            fuse_ops(&[movi(7, 3), addi(3, 1), store])[..],
+            [FusedOp::One(_), FusedOp::One(_), FusedOp::One(_)]
+        ));
     }
 
     #[test]

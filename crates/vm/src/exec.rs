@@ -39,8 +39,9 @@ fn operand(m: &Machine, op: MicroOperand) -> i64 {
     }
 }
 
-/// One shared ALU evaluator used by the 1:1 handler and every fused
-/// handler, so a fused op cannot drift from its constituents.
+/// The 1:1 ALU evaluator, including the `Div`/`Rem` traps. Fused
+/// handlers use [`alu_nt`], which agrees with it on every op the fuser
+/// admits.
 #[inline(always)]
 fn alu_eval(op: AluOp, x: i64, y: i64, pc: Pc) -> Result<i64, VmError> {
     Ok(match op {
@@ -185,11 +186,11 @@ fn exec_float_op(op: &MicroOp, pc: Pc, m: &mut Machine) -> Result<(), VmError> {
 /// Executes one fused superinstruction whose first constituent sits at
 /// guest address `pc`.
 ///
-/// Each specialized variant performs the same architectural writes in
-/// the same order as its constituent micro-ops; a constituent at
-/// offset `k` within the window traps with guest pc `pc + k`. Generic
-/// [`FusedOp::Pair`] / [`FusedOp::Triple`] / [`FusedOp::One`] windows
-/// simply replay their constituents through [`exec_op`].
+/// Each variant performs the same architectural writes in the same
+/// order as its constituent micro-ops; a constituent at offset `k`
+/// within the window traps with guest pc `pc + k`. The ALU and FPU
+/// idioms cannot trap; [`FusedOp::AluFLoad`]'s load traps at `pc + 1`,
+/// and [`FusedOp::One`] replays its op through [`exec_op`].
 ///
 /// # Errors
 ///
@@ -198,68 +199,6 @@ fn exec_float_op(op: &MicroOp, pc: Pc, m: &mut Machine) -> Result<(), VmError> {
 #[inline(always)]
 pub fn exec_fused(f: &FusedOp, pc: Pc, m: &mut Machine) -> Result<(), VmError> {
     match *f {
-        FusedOp::ConstAlu {
-            imm_dst,
-            imm,
-            op,
-            dst,
-            a,
-        } => {
-            // MovI writes first: the ALU may read `a == imm_dst`.
-            m.set_reg(imm_dst as usize, imm);
-            let v = alu_eval(op, m.reg(a as usize), imm, pc + 1)?;
-            m.set_reg(dst as usize, v);
-        }
-        FusedOp::LoadAlu {
-            ld_dst,
-            base,
-            offset,
-            op,
-            dst,
-            a,
-        } => {
-            let idx = m.mem_index(m.reg(base as usize), offset, pc)?;
-            let loaded = m.mem(idx);
-            m.set_reg(ld_dst as usize, loaded);
-            let v = alu_eval(op, m.reg(a as usize), loaded, pc + 1)?;
-            m.set_reg(dst as usize, v);
-        }
-        FusedOp::AluStore {
-            op,
-            dst,
-            a,
-            b,
-            base,
-            offset,
-        } => {
-            let v = alu_eval(op, m.reg(a as usize), operand(m, b), pc)?;
-            m.set_reg(dst as usize, v);
-            // Base is read after the ALU write: `base` may equal `dst`.
-            let idx = m.mem_index(m.reg(base as usize), offset, pc + 1)?;
-            m.set_mem(idx, v);
-        }
-        FusedOp::LoadAluStore {
-            ld_dst,
-            ld_base,
-            ld_offset,
-            op,
-            dst,
-            a,
-            st_base,
-            st_offset,
-        } => {
-            let idx = m.mem_index(m.reg(ld_base as usize), ld_offset, pc)?;
-            let loaded = m.mem(idx);
-            m.set_reg(ld_dst as usize, loaded);
-            let v = alu_eval(op, m.reg(a as usize), loaded, pc + 1)?;
-            m.set_reg(dst as usize, v);
-            let idx = m.mem_index(m.reg(st_base as usize), st_offset, pc + 2)?;
-            m.set_mem(idx, v);
-        }
-        FusedOp::AddChain { d1, i1, d2, i2 } => {
-            m.set_reg(d1 as usize, m.reg(d1 as usize).wrapping_add(i1));
-            m.set_reg(d2 as usize, m.reg(d2 as usize).wrapping_add(i2));
-        }
         FusedOp::AluAlu { s1, s2 } => {
             let v = alu_nt(s1.op, m.reg(s1.a as usize), operand(m, s1.b));
             m.set_reg(s1.dst as usize, v);
@@ -299,29 +238,6 @@ pub fn exec_fused(f: &FusedOp, pc: Pc, m: &mut Machine) -> Result<(), VmError> {
             m.set_reg(s.dst as usize, v);
             let idx = m.fmem_index(m.reg(base as usize), offset, pc + 1)?;
             m.set_freg(ld_dst as usize, m.fmem(idx));
-        }
-        FusedOp::FLoadFpu {
-            ld_dst,
-            base,
-            offset,
-            op,
-            dst,
-            a,
-            b,
-        } => {
-            let idx = m.fmem_index(m.reg(base as usize), offset, pc)?;
-            m.set_freg(ld_dst as usize, m.fmem(idx));
-            let v = fpu_eval(op, m.freg(a as usize), m.freg(b as usize));
-            m.set_freg(dst as usize, v);
-        }
-        FusedOp::Pair(ref x, ref y) => {
-            exec_op(x, pc, m)?;
-            exec_op(y, pc + 1, m)?;
-        }
-        FusedOp::Triple(ref x, ref y, ref z) => {
-            exec_op(x, pc, m)?;
-            exec_op(y, pc + 1, m)?;
-            exec_op(z, pc + 2, m)?;
         }
         FusedOp::One(ref x) => exec_op(x, pc, m)?,
     }
@@ -493,33 +409,14 @@ mod tests {
     #[test]
     fn fused_traps_carry_the_constituent_pc() {
         let mut b = ProgramBuilder::new();
-        b.reserve_mem(4);
+        b.reserve_fmem(4);
         b.halt();
         let p = b.build().unwrap();
         let mut m = Machine::new(&p, &[]);
 
-        // ConstAlu whose ALU half divides by the (zero) immediate:
-        // MovI at pc 10 succeeds, Alu at pc 11 traps.
-        let window = [
-            MicroOp::MovI { dst: 3, imm: 0 },
-            MicroOp::Alu {
-                op: AluOp::Div,
-                dst: 0,
-                a: 0,
-                b: MicroOperand::Reg(3),
-            },
-        ];
-        let fused = tpdbt_isa::fuse_ops(&window);
-        assert_eq!(fused.len(), 1);
-        assert_eq!(
-            exec_fused(&fused[0], 10, &mut m),
-            Err(VmError::DivideByZero { pc: 11 })
-        );
-        // The MovI half still committed before the trap.
-        assert_eq!(m.reg(3), 0);
-
-        // AluStore whose store half is out of bounds: trap pc is the
-        // store's address (base + 1), and the ALU write committed.
+        // AluFLoad whose float load reads past the 4-word fmem through
+        // the base the ALU half just wrote: trap pc is the load's
+        // address (base + 1), and the ALU write committed.
         let window = [
             MicroOp::Alu {
                 op: AluOp::Add,
@@ -527,14 +424,14 @@ mod tests {
                 a: 1,
                 b: MicroOperand::Imm(41),
             },
-            MicroOp::Store {
-                src: 1,
-                base: 0,
-                offset: 99,
+            MicroOp::FLoad {
+                dst: 0,
+                base: 1,
+                offset: 0,
             },
         ];
         let fused = tpdbt_isa::fuse_ops(&window);
-        assert_eq!(fused.len(), 1);
+        assert!(matches!(fused[..], [FusedOp::AluFLoad { .. }]));
         assert!(matches!(
             exec_fused(&fused[0], 20, &mut m),
             Err(VmError::MemOutOfBounds { pc: 21, .. })

@@ -13,15 +13,20 @@
 //!    constituent guest pc) at the same point, with the same partial
 //!    architectural effects committed before the trap.
 //!
-//! The window generator deliberately over-samples the fusable idioms
-//! (const+binop, load+op, op+store, load+op+store, counter-bump
-//! chains) and aliased registers, and includes trapping ops (division,
-//! out-of-bounds memory traffic) so trap-pc attribution is exercised,
-//! not just the happy path.
+//! The window generator deliberately over-samples the fuser's idioms:
+//! three-ALU runs (with a `div` mixed in, so the trap-free `AluSpec`
+//! refusal splits the run), FPU pairs, and ALU + float load (the load
+//! may read out of bounds, so `AluFLoad`'s `pc + 1` trap attribution is
+//! exercised). Registers alias freely, and single-op tokens include the
+//! other trapping ops (division, out-of-bounds memory traffic,
+//! exhausted input), so trap-pc attribution is covered, not just the
+//! happy path.
 
 use proptest::prelude::*;
 
-use tpdbt_isa::{fuse_ops, unfuse_ops, BlockBody, DecodedBlock, FReg, ProgramBuilder, Reg};
+use tpdbt_isa::{
+    fuse_ops, unfuse_ops, BlockBody, DecodedBlock, FReg, FusedOp, ProgramBuilder, Reg,
+};
 use tpdbt_vm::{exec_body, exec_fused, exec_op, Machine, VmError};
 
 /// One generator token: either a single random instruction or a
@@ -52,26 +57,31 @@ fn emit(b: &mut ProgramBuilder, tok: Tok) {
         15 => b.out(a),
         16 => b.input(d), // traps when input is exhausted
         // Fusable idioms, over-sampled (aliasing included: `d` may
-        // equal `a`).
+        // equal `a`, and the float load's base may be the ALU result).
         17 => {
-            // const + binop (ConstAlu)
-            b.movi(x, imm);
-            b.add(d, a, x);
+            // three-ALU run (AluAlu3)
+            b.addi(d, a, imm);
+            b.xor(a, d, x);
+            b.shl(x, a, imm);
         }
         18 => {
-            // load + op (LoadAlu)
-            b.load(x, a, imm.rem_euclid(16));
-            b.add(d, d, x);
+            // ALU run with a `div` in the middle: the trapping op
+            // refuses both the run and the pairs around it.
+            b.add(d, a, x);
+            b.div(a, d, x); // traps when x == 0
+            b.muli(x, a, imm);
         }
         19 => {
-            // op + store (AluStore)
-            b.addi(d, a, imm);
-            b.store(d, x, imm.rem_euclid(16));
+            // FPU pair (FpuFpu)
+            b.fmul(f(d8), f(a8), f(x8));
+            b.fadd(f(a8), f(d8), f(x8));
         }
         _ => {
-            // counter-bump chain (AddChain)
-            b.addi(d, d, 1);
-            b.addi(a, a, imm);
+            // ALU + float load (AluFLoad): the masked base lands in
+            // 0..8 but the offset reaches past the 8-word fmem, so the
+            // load half traps at pc + 1 about half the time.
+            b.and(d, a, 7);
+            b.fload(f(x8), d, imm.rem_euclid(12));
         }
     }
 }
@@ -113,16 +123,20 @@ fn arb_toks() -> impl Strategy<Value = Vec<Tok>> {
     )
 }
 
-fn arb_state() -> impl Strategy<Value = (Vec<i64>, Vec<f64>, Vec<i64>, Vec<i64>)> {
+/// Registers, float registers, memory, float memory, input stream.
+type State = (Vec<i64>, Vec<f64>, Vec<i64>, Vec<f64>, Vec<i64>);
+
+fn arb_state() -> impl Strategy<Value = State> {
     (
         prop::collection::vec(-100i64..100, 8),
         prop::collection::vec(-100.0f64..100.0, 4),
         prop::collection::vec(-100i64..100, 16),
+        prop::collection::vec(-100.0f64..100.0, 8),
         prop::collection::vec(-100i64..100, 0..4),
     )
 }
 
-fn load_state(m: &mut Machine, state: &(Vec<i64>, Vec<f64>, Vec<i64>, Vec<i64>)) {
+fn load_state(m: &mut Machine, state: &State) {
     for (i, &v) in state.0.iter().enumerate() {
         m.set_reg(i, v);
     }
@@ -132,6 +146,20 @@ fn load_state(m: &mut Machine, state: &(Vec<i64>, Vec<f64>, Vec<i64>, Vec<i64>))
     for (i, &v) in state.2.iter().enumerate() {
         m.set_mem(i, v);
     }
+    for (i, &v) in state.3.iter().enumerate() {
+        m.set_fmem(i, v);
+    }
+}
+
+/// Each idiom token fuses to the superinstruction it is meant to
+/// sample, so the generator cannot silently drift off the fuser.
+#[test]
+fn idiom_tokens_hit_their_superinstructions() {
+    let fused = |code: u8| fuse_ops(&window(&[(code, 1, 2, 3, 5)]).1);
+    assert!(matches!(fused(17)[..], [FusedOp::AluAlu3 { .. }]));
+    assert!(fused(18).iter().all(|f| matches!(f, FusedOp::One(_))));
+    assert!(matches!(fused(19)[..], [FusedOp::FpuFpu { .. }]));
+    assert!(matches!(fused(20)[..], [FusedOp::AluFLoad { .. }]));
 }
 
 proptest! {
@@ -157,7 +185,7 @@ proptest! {
         state in arb_state(),
     ) {
         let (p, ops) = window(&toks);
-        let mut flat_m = Machine::new(&p, &state.3);
+        let mut flat_m = Machine::new(&p, &state.4);
         load_state(&mut flat_m, &state);
         let fused_m0 = flat_m.clone();
 
