@@ -10,21 +10,33 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use tpdbt_experiments::figures;
-use tpdbt_experiments::runner::{run_benchmark, run_suite, BenchResult};
+use tpdbt_experiments::runner::BenchResult;
+use tpdbt_experiments::sweep::{run_sweep, SweepOptions};
 use tpdbt_suite::Scale;
 
-fn mini_sweep() -> Vec<BenchResult> {
-    run_suite(&["gzip", "mcf", "swim", "wupwise"], Scale::Tiny, |_| {}).unwrap()
+/// A serial, uncached sweep that must complete every cell.
+fn sweep(names: &[&str]) -> Vec<BenchResult> {
+    let opts = SweepOptions {
+        jobs: 1,
+        ..SweepOptions::default()
+    };
+    let report = run_sweep(names, Scale::Tiny, &opts, |_| {}).unwrap();
+    assert!(
+        !report.degraded.is_degraded(),
+        "{}",
+        report.degraded.render()
+    );
+    report.results
 }
 
 fn bench_sweep(c: &mut Criterion) {
     c.bench_function("figures/sweep_one_bench_tiny", |b| {
-        b.iter(|| black_box(run_benchmark("bzip2", Scale::Tiny).unwrap()))
+        b.iter(|| black_box(sweep(&["bzip2"])))
     });
 }
 
 fn bench_figures(c: &mut Criterion) {
-    let results = mini_sweep();
+    let results = sweep(&["gzip", "mcf", "swim", "wupwise"]);
     let mut g = c.benchmark_group("figures");
     macro_rules! fig {
         ($name:literal, $f:path) => {

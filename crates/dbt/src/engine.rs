@@ -4,7 +4,9 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use tpdbt_isa::{decode_block, Block, BuiltProgram, Pc, PredecodedProgram, Program, Terminator};
+use tpdbt_isa::{
+    decode_block, Block, BuiltProgram, DecodedBlock, Pc, PredecodedProgram, Program, Terminator,
+};
 use tpdbt_profile::{
     BlockRecord, InipDump, IntervalProfile, PlainProfile, RegionDump, RegionKind, SuccSlot,
     TermKind,
@@ -13,11 +15,13 @@ use tpdbt_trace::{EventKind, TraceRegionKind, Tracer};
 use tpdbt_vm::{Flow, Machine};
 
 use crate::asyncopt::{PendingRegion, INSTALL_LATENCY};
-use crate::backend::{BackendImpl, ExecBackend};
+use crate::backend::{run_decoded, step_block, Backend};
 use crate::config::{DbtConfig, OptMode, ProfilingMode};
 use crate::error::DbtError;
 use crate::region::{form_region, BlockSource, FormedRegion};
-use crate::trace::{SegmentCode, Segments, TraceSegment, EXIT};
+use crate::trace::{
+    compile_trace, step_trace, CompiledTrace, SegmentCode, Segments, TraceSegment, EXIT,
+};
 
 /// Aggregate statistics of a translated run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -97,10 +101,15 @@ impl RunOutcome {
     }
 }
 
-/// One translated block plus its live profile state.
+/// One translated block: its executable form plus its live profile
+/// state.
 #[derive(Debug)]
 struct BlockEntry {
     block: Block,
+    /// The block's fused form under `cached-fused`, shared through the
+    /// run's [`PredecodedProgram`]; `None` under `interp`, which steps
+    /// the extent in `block`.
+    code: Option<Arc<DecodedBlock>>,
     record: BlockRecord,
     frozen: bool,
     /// 0 = unregistered, 1 = registered at `use == T`,
@@ -125,6 +134,10 @@ struct BlockEntry {
 #[derive(Debug)]
 struct RuntimeRegion {
     dump: RegionDump,
+    /// The region's optimized code, compiled from the translation cache
+    /// at install and recompiled at re-formation. Each region entry
+    /// runs its own [`Arc`] snapshot.
+    trace: Arc<CompiledTrace>,
     /// Per-copy successor table: `(slot, next copy)`.
     succ: Vec<Vec<(SuccSlot, usize)>>,
     /// Entry-block use count at formation time (continuous-mode
@@ -140,14 +153,14 @@ struct RuntimeRegion {
 }
 
 impl RuntimeRegion {
-    fn new(formed: FormedRegion, id: usize, formed_use: u64) -> Self {
-        let dump = formed.into_dump(id);
+    fn new(dump: RegionDump, trace: Arc<CompiledTrace>, formed_use: u64) -> Self {
         let mut succ = vec![Vec::new(); dump.copies.len()];
         for e in &dump.edges {
             succ[e.from].push((e.slot, e.to));
         }
         RuntimeRegion {
             dump,
+            trace,
             succ,
             formed_use,
             entries: 0,
@@ -272,33 +285,12 @@ impl Dbt {
         program: &Program,
         machine: &mut Machine,
     ) -> Result<RunOutcome, DbtError> {
-        // Continuous profiling keeps counting inside regions, so its
-        // regions install the observed trace form: every flow reaches
-        // the engine's generic path.
-        let guarded = self.config.mode != ProfilingMode::Continuous;
-        let backend = BackendImpl::new(
-            self.config.backend,
+        let mut engine = Engine::new(
+            &self.config,
+            self.tracer.as_deref(),
             program,
-            self.predecoded.clone(),
-            guarded,
+            self.predecoded.as_ref(),
         );
-        let mut engine = Engine {
-            config: &self.config,
-            tracer: self.tracer.as_deref(),
-            program,
-            backend,
-            cache: (0..program.len()).map(|_| None).collect(),
-            regions: Vec::new(),
-            pool: Vec::new(),
-            pending: VecDeque::new(),
-            next_install_at: u64::MAX,
-            drift: Vec::new(),
-            stats: ExecStats::default(),
-            intervals: Vec::new(),
-            last_snapshot: std::collections::BTreeMap::new(),
-            next_interval_at: self.config.interval.unwrap_or(u64::MAX),
-            retire_counts: std::collections::BTreeMap::new(),
-        };
         let output = engine.execute(machine)?;
         Ok(engine.into_outcome(output))
     }
@@ -308,7 +300,14 @@ struct Engine<'p> {
     config: &'p DbtConfig,
     tracer: Option<&'p Tracer>,
     program: &'p Program,
-    backend: BackendImpl,
+    /// The decode-once source of fused blocks under `cached-fused`;
+    /// `None` under `interp`.
+    predecoded: Option<Arc<PredecodedProgram>>,
+    /// Whether region traces use fast guards. Continuous profiling
+    /// keeps counting inside regions, so it compiles the observed form
+    /// instead: every flow reaches the engine's generic path.
+    guarded: bool,
+    /// The translation cache, by block start address.
     cache: Vec<Option<Box<BlockEntry>>>,
     regions: Vec<RuntimeRegion>,
     pool: Vec<Pc>,
@@ -345,6 +344,43 @@ impl<'p> BlockSource for Engine<'p> {
 }
 
 impl<'p> Engine<'p> {
+    /// An engine with an empty translation cache. `shared` is the
+    /// caller's decode-once cache; `cached-fused` uses it when it was
+    /// sized for this program and a private one otherwise.
+    fn new(
+        config: &'p DbtConfig,
+        tracer: Option<&'p Tracer>,
+        program: &'p Program,
+        shared: Option<&Arc<PredecodedProgram>>,
+    ) -> Self {
+        let predecoded = match config.backend {
+            Backend::Interp => None,
+            Backend::CachedFused => Some(
+                shared
+                    .filter(|p| p.len() == program.len())
+                    .map_or_else(|| Arc::new(PredecodedProgram::new(program)), Arc::clone),
+            ),
+        };
+        Engine {
+            config,
+            tracer,
+            program,
+            predecoded,
+            guarded: config.mode != ProfilingMode::Continuous,
+            cache: (0..program.len()).map(|_| None).collect(),
+            regions: Vec::new(),
+            pool: Vec::new(),
+            pending: VecDeque::new(),
+            next_install_at: u64::MAX,
+            drift: Vec::new(),
+            stats: ExecStats::default(),
+            intervals: Vec::new(),
+            last_snapshot: std::collections::BTreeMap::new(),
+            next_interval_at: config.interval.unwrap_or(u64::MAX),
+            retire_counts: std::collections::BTreeMap::new(),
+        }
+    }
+
     /// Reports a structured event when a tracer is attached; the
     /// closure defers payload construction to the traced case. With the
     /// `trace` feature off this compiles to nothing.
@@ -433,8 +469,8 @@ impl<'p> Engine<'p> {
 
     /// Ensures the block at `pc` is translated, charging the one-time
     /// fast-translation cost. This is the translation-cache insert: the
-    /// backend caches the block's fused form here (or, for `interp`,
-    /// its extent), and every later execution reuses it.
+    /// entry keeps the block's fused form (or, for `interp`, just its
+    /// extent), and every later execution and trace compile reuses it.
     fn translate(&mut self, pc: Pc) -> &mut BlockEntry {
         if self.cache[pc].is_none() {
             let block = decode_block(self.program, pc)
@@ -442,7 +478,10 @@ impl<'p> Engine<'p> {
             let len = (block.end - block.start) as u32;
             self.stats.blocks_translated += 1;
             self.stats.cycles += self.config.cost.cold_translate_per_instr * u64::from(len);
-            self.backend.on_translate(self.program, &block);
+            let code = self
+                .predecoded
+                .as_ref()
+                .map(|p| p.translate(self.program, &block));
             let switch_uniq: Box<[Pc]> = match &block.terminator {
                 Terminator::Switch { targets } => {
                     let mut uniq = targets.clone();
@@ -460,6 +499,7 @@ impl<'p> Engine<'p> {
             };
             self.cache[pc] = Some(Box::new(BlockEntry {
                 block,
+                code,
                 record,
                 frozen: false,
                 registered: 0,
@@ -474,19 +514,37 @@ impl<'p> Engine<'p> {
     }
 
     /// Executes the straight-line body and terminator of the
-    /// profiling-phase block at `pc` through the configured backend,
-    /// returning the control-flow outcome.
-    fn step_block(&mut self, pc: Pc, machine: &mut Machine) -> Result<(Flow, u32), DbtError> {
-        let (start, end) = {
-            let e = self.cache[pc]
-                .as_ref()
-                .expect("block translated before execution");
-            (e.block.start, e.block.end)
-        };
-        let flow = self.backend.exec_block(self.program, start, end, machine)?;
-        let len = (end - start) as u32;
+    /// profiling-phase block at `pc` in its cached form, returning the
+    /// control-flow outcome and the block length.
+    fn run_block(&mut self, pc: Pc, machine: &mut Machine) -> Result<(Flow, u32), DbtError> {
+        let e = self.cache[pc]
+            .as_deref()
+            .expect("block translated before execution");
+        let flow = match &e.code {
+            Some(decoded) => run_decoded(decoded, machine),
+            None => step_block(self.program, e.block.start, e.block.end, machine),
+        }?;
+        let len = e.record.len;
         self.stats.instructions += u64::from(len);
         Ok((flow, len))
+    }
+
+    /// Compiles `dump` into the trace this run executes, from the
+    /// members' translation-cache entries: a replayed trace over their
+    /// fused blocks under `cached-fused`, or a stepped trace over their
+    /// extents under `interp`.
+    fn compile_region(&self, dump: &RegionDump) -> Arc<CompiledTrace> {
+        let member = |pc: Pc| self.cache[pc].as_deref();
+        let trace = if self.predecoded.is_some() {
+            dump.copies
+                .iter()
+                .map(|&pc| member(pc)?.code.clone())
+                .collect::<Option<Vec<_>>>()
+                .and_then(|chain| compile_trace(&dump.copies, &dump.edges, &chain, self.guarded))
+        } else {
+            step_trace(&dump.copies, |pc| member(pc).map(|e| e.block.end))
+        };
+        Arc::new(trace.expect("region members are translated before formation"))
     }
 
     /// Maps an executed terminator outcome to a successor slot and
@@ -529,7 +587,7 @@ impl<'p> Engine<'p> {
 
     fn execute_unopt(&mut self, pc: Pc, machine: &mut Machine) -> Result<Next, DbtError> {
         self.translate(pc);
-        let (flow, len) = self.step_block(pc, machine)?;
+        let (flow, len) = self.run_block(pc, machine)?;
         let cost = &self.config.cost;
         self.stats.cycles += cost.unopt_exec_per_instr * u64::from(len) + cost.dispatch_cost;
 
@@ -593,11 +651,9 @@ impl<'p> Engine<'p> {
     /// loop instance for it, once per region entry.
     fn execute_region(&mut self, ri: usize, machine: &mut Machine) -> Result<Next, DbtError> {
         // Snapshot the trace *after* any reform so it matches the
-        // region's current shape.
-        let trace = self
-            .backend
-            .region_trace(ri)
-            .expect("dispatched regions have installed code");
+        // region's current shape; the snapshot keeps the code alive
+        // while the loop updates the engine.
+        let trace = Arc::clone(&self.regions[ri].trace);
         match &trace.segs {
             Segments::Replay(segs) => self.run_trace(ri, segs, machine),
             Segments::Step(segs) => self.run_trace(ri, segs, machine),
@@ -740,13 +796,13 @@ impl<'p> Engine<'p> {
         if let Some(formed) = form_region(self, &self.config.policy, entry_pc) {
             self.stats.cycles += self.config.cost.opt_translate_per_instr * formed.total_instrs;
             self.stats.opt_invocations += 1;
-            let replacement = RuntimeRegion::new(formed, self.regions[ri].dump.id, current_use);
-            let id = replacement.dump.id;
-            self.regions[ri] = replacement;
-            // Re-formation replaces the region's optimized code: the
-            // backend compiles a trace of the new copy list and swaps
-            // it into the region's slot in one assignment.
-            self.backend.install_region(ri, &self.regions[ri].dump);
+            let id = self.regions[ri].dump.id;
+            let dump = formed.into_dump(id);
+            // Re-formation replaces the region's optimized code: a
+            // trace of the new copy list replaces the region, shape and
+            // code together, in one assignment.
+            let trace = self.compile_region(&dump);
+            self.regions[ri] = RuntimeRegion::new(dump, trace, current_use);
             // Re-formation invalidates any queued candidate built over
             // the old shape of these blocks.
             for &pc in &self.regions[ri].dump.copies {
@@ -794,9 +850,9 @@ impl<'p> Engine<'p> {
         *count += 1;
         self.stats.retirements += 1;
         let copies = self.regions[ri].dump.copies.clone();
+        // Retirement invalidates the region's optimized code: it is
+        // never dispatched again once its entry is unlinked below.
         self.regions[ri].retired = true;
-        // Retirement invalidates the region's optimized code.
-        self.backend.retire_region(ri);
         let (region_id, entries, side_exits) = {
             let r = &self.regions[ri];
             (r.dump.id, r.entries, r.side_exits)
@@ -878,7 +934,11 @@ impl<'p> Engine<'p> {
             .expect("translated")
             .record
             .use_count;
-        let region = RuntimeRegion::new(formed, id, formed_use);
+        let dump = formed.into_dump(id);
+        // Formation installs the region's optimized code, compiled in
+        // the form this run executes (guarded, observed, or stepped).
+        let trace = self.compile_region(&dump);
+        let region = RuntimeRegion::new(dump, trace, formed_use);
         self.trace_emit(|| EventKind::RegionFormed {
             region: id as u64,
             entry_pc: seed as u64,
@@ -905,10 +965,6 @@ impl<'p> Engine<'p> {
             }
         }
         self.cache[seed].as_mut().expect("translated").entry_of = Some(id);
-        // Formation installs the region's optimized code: the
-        // backend compiles the region's trace in the form this run
-        // executes (guarded, observed, or stepped).
-        self.backend.install_region(id, &region.dump);
         self.regions.push(region);
         id
     }
@@ -1618,6 +1674,189 @@ mod tests {
                 .unwrap();
             assert_eq!(sync.output, async_out.output);
             assert_eq!(sync.stats.instructions, async_out.stats.instructions);
+        }
+    }
+
+    /// The translation cache and region traces, inspected on the
+    /// engine a whole run leaves behind: each region owns its trace,
+    /// formation and re-formation compile it from the cache, and
+    /// retirement makes it unreachable.
+    mod trace_slots {
+        use super::*;
+
+        /// Runs `p` to completion and returns the engine as the run
+        /// left it.
+        fn run_engine<'p>(
+            config: &'p DbtConfig,
+            p: &'p Program,
+            shared: Option<&Arc<PredecodedProgram>>,
+        ) -> Engine<'p> {
+            let mut engine = Engine::new(config, None, p, shared);
+            engine.execute(&mut Machine::new(p, &[])).unwrap();
+            engine
+        }
+
+        /// Every live region runs a trace of exactly its copy list, and
+        /// every dispatch link points at a live region.
+        fn assert_traces_match_shapes(engine: &Engine<'_>) {
+            for r in engine.regions.iter().filter(|r| !r.retired) {
+                assert_eq!(r.trace.starts(), r.dump.copies, "region {}", r.dump.id);
+            }
+            for e in engine.cache.iter().flatten() {
+                if let Some(ri) = e.entry_of {
+                    assert!(
+                        !engine.regions[ri].retired,
+                        "pc {} dispatches a retired region",
+                        e.block.start
+                    );
+                    assert_eq!(engine.regions[ri].dump.entry_pc(), e.block.start);
+                }
+            }
+        }
+
+        /// The three trace forms cover each region's copies; only the
+        /// guarded form has fast guards.
+        #[test]
+        fn each_backend_and_mode_compiles_its_trace_form() {
+            let p = hot_loop(10_000);
+            let cases = [
+                (Backend::Interp, DbtConfig::two_phase(100), false),
+                (Backend::Interp, DbtConfig::continuous(100), false),
+                (Backend::CachedFused, DbtConfig::two_phase(100), true),
+                (Backend::CachedFused, DbtConfig::continuous(100), false),
+            ];
+            for (backend, config, guarded) in cases {
+                let config = config.with_backend(backend);
+                let engine = run_engine(&config, &p, None);
+                assert!(!engine.regions.is_empty(), "{backend} {:?}", config.mode);
+                assert_traces_match_shapes(&engine);
+                for r in &engine.regions {
+                    let fast = r.trace.fast_guards();
+                    assert_eq!(
+                        fast > 0,
+                        guarded,
+                        "{backend} {:?}: {fast} fast guards",
+                        config.mode
+                    );
+                }
+                // Only the fused form keeps decoded code per block.
+                let forms: Vec<bool> = engine
+                    .cache
+                    .iter()
+                    .flatten()
+                    .map(|e| e.code.is_some())
+                    .collect();
+                assert!(forms
+                    .iter()
+                    .all(|&f| f == (backend == Backend::CachedFused)));
+            }
+        }
+
+        /// Re-formation replaces a region's shape and trace together,
+        /// while a snapshot taken before it stays intact. The guest runs
+        /// twice on one engine: the second run finds the translation
+        /// cache warm and the entry counters doubling, so regions
+        /// re-form mid-run.
+        #[test]
+        fn reform_swaps_the_trace_and_old_snapshots_survive() {
+            let p = phase_flip_program();
+            for backend in Backend::ALL {
+                let config = DbtConfig::continuous(1000).with_backend(backend);
+                let mut engine = run_engine(&config, &p, None);
+                let before: Vec<(Arc<CompiledTrace>, Vec<Pc>, u64)> = engine
+                    .regions
+                    .iter()
+                    .map(|r| (Arc::clone(&r.trace), r.dump.copies.clone(), r.formed_use))
+                    .collect();
+                engine.execute(&mut Machine::new(&p, &[])).unwrap();
+                let mut reformed = 0;
+                for (r, (old, copies, formed_use)) in engine.regions.iter().zip(&before) {
+                    assert_eq!(old.starts(), *copies, "{backend}: snapshot changed");
+                    let fresh = !Arc::ptr_eq(old, &r.trace);
+                    assert_eq!(fresh, r.formed_use != *formed_use, "{backend}");
+                    reformed += usize::from(fresh);
+                }
+                assert!(reformed > 0, "{backend}: a reform must fire");
+                assert_traces_match_shapes(&engine);
+            }
+        }
+
+        /// Retirement makes a region unreachable: no cache entry
+        /// dispatches to it. A region re-formed at the same entry runs
+        /// a fresh trace of its own shape.
+        #[test]
+        fn retirement_unlinks_the_trace_and_reinstall_compiles_a_fresh_one() {
+            let p = phase_flip_program();
+            for backend in Backend::ALL {
+                let config = DbtConfig::adaptive(500).with_backend(backend);
+                let engine = run_engine(&config, &p, None);
+                assert!(
+                    engine.stats.retirements > 0,
+                    "{backend}: {:?}",
+                    engine.stats
+                );
+                assert_traces_match_shapes(&engine);
+                let retired = engine
+                    .regions
+                    .iter()
+                    .find(|r| r.retired)
+                    .expect("retired region");
+                let entry = retired.dump.entry_pc();
+                let fresh = engine.cache[entry]
+                    .as_ref()
+                    .and_then(|e| e.entry_of)
+                    .map(|ri| &engine.regions[ri])
+                    .expect("a fresh region forms at the retired entry");
+                assert!(!Arc::ptr_eq(&fresh.trace, &retired.trace), "{backend}");
+                assert_eq!(fresh.trace.starts(), fresh.dump.copies, "{backend}");
+            }
+        }
+
+        /// Runs sharing one decode-once cache reuse its fused blocks:
+        /// the second run decodes nothing and holds the same code.
+        #[test]
+        fn shared_predecode_is_reused_across_runs() {
+            let p = hot_loop(1_000);
+            let shared = Arc::new(PredecodedProgram::new(&p));
+            let config = DbtConfig::two_phase(10);
+            let first = run_engine(&config, &p, Some(&shared));
+            let decoded = shared.decoded_count();
+            assert_eq!(decoded as u64, first.stats.blocks_translated);
+            let second = run_engine(&config, &p, Some(&shared));
+            assert_eq!(shared.decoded_count(), decoded, "no block decodes twice");
+            for (a, b) in first
+                .cache
+                .iter()
+                .flatten()
+                .zip(second.cache.iter().flatten())
+            {
+                assert!(Arc::ptr_eq(
+                    a.code.as_ref().unwrap(),
+                    b.code.as_ref().unwrap()
+                ));
+            }
+            // The interpreter keeps extents only and leaves the cache alone.
+            let interp = DbtConfig::two_phase(10).with_backend(Backend::Interp);
+            let fresh = Arc::new(PredecodedProgram::new(&p));
+            let engine = run_engine(&interp, &p, Some(&fresh));
+            assert!(engine.predecoded.is_none());
+            assert_eq!(fresh.decoded_count(), 0);
+        }
+
+        /// A decode-once cache sized for another program is ignored: the
+        /// run uses a private one and leaves the foreign cache untouched.
+        #[test]
+        fn mismatched_shared_cache_is_ignored() {
+            let p = hot_loop(1_000);
+            let mut other = ProgramBuilder::new();
+            other.halt();
+            let foreign = Arc::new(PredecodedProgram::new(&other.build().unwrap()));
+            let config = DbtConfig::two_phase(10);
+            let engine = run_engine(&config, &p, Some(&foreign));
+            let private = engine.predecoded.as_ref().expect("cached-fused");
+            assert!(!Arc::ptr_eq(private, &foreign));
+            assert_eq!(private.len(), p.len());
+            assert_eq!(foreign.decoded_count(), 0);
         }
     }
 

@@ -88,7 +88,7 @@ pub mod offline;
 mod region;
 mod trace;
 
-pub use backend::{Backend, CachedBackend, ExecBackend, InterpBackend};
+pub use backend::Backend;
 pub use config::{AdaptPolicy, CostModel, DbtConfig, OptMode, ProfilingMode, RegionPolicy};
 pub use engine::{Dbt, ExecStats, RunOutcome};
 pub use error::DbtError;

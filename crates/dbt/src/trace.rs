@@ -31,6 +31,8 @@ use tpdbt_isa::{BlockBody, Cond, DecodedBlock, MicroOperand, MicroTerm, Pc, Prog
 use tpdbt_profile::{RegionEdge, SuccSlot};
 use tpdbt_vm::{exec_body, exec_term, step, Flow, Machine, VmError};
 
+use crate::backend::step_block;
+
 /// Successor sentinel: control leaves the region (side exit or tail
 /// completion — the engine distinguishes by comparing against the
 /// region's tail copy).
@@ -146,11 +148,7 @@ pub(crate) struct Step;
 
 impl SegmentCode for Step {
     fn run_body(seg: &TraceSegment<Self>, program: &Program, m: &mut Machine) -> VmResult<()> {
-        for at in seg.start..seg.term_pc {
-            m.set_pc(at);
-            step(program, m)?;
-        }
-        Ok(())
+        step_block(program, seg.start, seg.term_pc, m).map(drop)
     }
 
     fn run_term(_: &TraceSegment<Self>, program: &Program, m: &mut Machine) -> VmResult<Flow> {
@@ -186,8 +184,9 @@ pub(crate) enum Segments {
 /// An optimized region compiled into a straight-line trace (one
 /// `TraceSegment` per region copy, entry first).
 ///
-/// Produced at region-install time by every backend (sync and deferred
-/// installs alike); executed by the engine's one region loop.
+/// Compiled by the engine from its translation cache at region install
+/// and re-formation (sync and deferred installs alike); executed by
+/// the engine's one region loop.
 /// Opaque outside the crate — tests can observe shape through
 /// [`CompiledTrace::starts`].
 #[derive(Clone, Debug)]

@@ -1,103 +1,21 @@
 //! Regression suite for trace-compiled regions (`--backend
 //! cached-fused`): a reform or retirement mid-run must never leave a
-//! stale trace installed — in sync *and* async optimization modes.
+//! stale trace running — in sync *and* async optimization modes.
 //!
 //! The hazard: a region's compiled trace is a view of its copy list.
-//! If retirement left the trace installed (or a re-formation kept the
-//! old trace under the new shape), the engine would keep executing
+//! If retirement left the region dispatchable, or a re-formation kept
+//! the old trace under the new shape, the engine would keep executing
 //! retired code — observable as diverging outputs, stats, or profile
-//! counters against the interpreter backend. The tests pin both the
-//! mechanism (one slot per region, replaced or cleared in a single
-//! assignment) and the end-to-end behavior (bitwise parity through
-//! reform/retire storms under both opt modes, and continuous mode's
-//! in-region counting through the one region loop).
+//! counters against the interpreter backend. These tests pin the
+//! end-to-end behavior: bitwise parity through reform/retire storms
+//! under both opt modes, and continuous mode's in-region counting
+//! through the one region loop. The engine's own unit tests
+//! (`trace_slots` in `src/engine.rs`) pin the mechanism: each region
+//! owns its trace, a reform replaces shape and trace together, and a
+//! retired region is unreachable.
 
-use std::sync::Arc;
-
-use tpdbt_dbt::{Backend, CachedBackend, Dbt, DbtConfig, ExecBackend, OptMode, RegionPolicy};
-use tpdbt_isa::{decode_block, Cond, Program, ProgramBuilder, Reg};
-use tpdbt_profile::{RegionDump, RegionEdge, RegionKind, SuccSlot};
-
-fn loop_program() -> Program {
-    let mut b = ProgramBuilder::new();
-    let top = b.fresh_label("top");
-    b.movi(Reg::new(1), 3);
-    b.bind(top).unwrap();
-    b.addi(Reg::new(0), Reg::new(0), 5);
-    b.out(Reg::new(0));
-    b.br_imm(Cond::Lt, Reg::new(0), 20, top);
-    b.halt();
-    b.build().unwrap()
-}
-
-fn loop_dump(copies: Vec<usize>) -> RegionDump {
-    let edges = (0..copies.len())
-        .map(|i| RegionEdge {
-            from: i,
-            slot: SuccSlot::Taken,
-            to: if i + 1 < copies.len() { i + 1 } else { 0 },
-        })
-        .collect();
-    let tail = copies.len() - 1;
-    RegionDump {
-        id: 0,
-        kind: RegionKind::Loop,
-        copies,
-        edges,
-        tail,
-    }
-}
-
-/// Mechanism, retirement: after `retire_region` the backend reports no
-/// trace, while an execution that entered the region *before* the
-/// retirement keeps its own (still-consistent) snapshot.
-#[test]
-fn retirement_clears_the_trace_slot() {
-    let p = loop_program();
-    let mut backend = CachedBackend::new(p.len(), None);
-    for pc in [0, 1] {
-        backend.on_translate(&p, &decode_block(&p, pc).unwrap());
-    }
-    backend.install_region(0, &loop_dump(vec![1]));
-    // An in-flight traced execution holds an Arc snapshot...
-    let in_flight = backend.region_trace(0).expect("installed");
-    backend.retire_region(0);
-    // ...the table shows nothing stale...
-    assert!(
-        backend.region_trace(0).is_none(),
-        "stale trace survived retire"
-    );
-    assert!(
-        backend.region_trace(0).is_none_or(|t| t.is_empty()),
-        "stale code survived retire"
-    );
-    // ...and the snapshot stays internally consistent (Arc-held).
-    assert_eq!(in_flight.starts(), vec![1]);
-}
-
-/// Mechanism, re-formation: installing a new shape over a live region
-/// replaces its trace in one assignment; no interleaving can pair the
-/// new shape with the old trace.
-#[test]
-fn reform_swaps_the_trace_atomically() {
-    let p = loop_program();
-    let mut backend = CachedBackend::new(p.len(), None);
-    for pc in [0, 1] {
-        backend.on_translate(&p, &decode_block(&p, pc).unwrap());
-    }
-    backend.install_region(0, &loop_dump(vec![1]));
-    let old = backend.region_trace(0).expect("v1 installed");
-    // Reform to a two-copy unrolled shape.
-    backend.install_region(0, &loop_dump(vec![1, 1]));
-    let new = backend.region_trace(0).expect("v2 installed");
-    assert_eq!(new.len(), 2, "trace tracks the reformed copy list");
-    assert_eq!(
-        backend.region_trace(0).unwrap().starts(),
-        vec![1, 1],
-        "code reformed in the same assignment"
-    );
-    assert_eq!(old.len(), 1, "in-flight snapshot of v1 unchanged");
-}
+use tpdbt_dbt::{Backend, Dbt, DbtConfig, OptMode, RegionPolicy};
+use tpdbt_isa::{Cond, Program, ProgramBuilder, Reg};
 
 fn phase_flip_program() -> Program {
     let mut b = ProgramBuilder::new();
@@ -249,24 +167,4 @@ fn async_installs_deferred_traces() {
         "a 200k-iteration loop must install its deferred region: {:?}",
         out.stats
     );
-}
-
-/// The in-flight snapshot degenerate case: retiring a region that was
-/// never installed is a no-op, and re-installing after retirement
-/// produces a fresh, correct trace.
-#[test]
-fn retire_then_reinstall_produces_a_fresh_trace() {
-    let p = loop_program();
-    let mut backend = CachedBackend::new(p.len(), None);
-    backend.retire_region(7); // never installed: must not panic
-    assert!(backend.region_trace(7).is_none());
-    for pc in [0, 1] {
-        backend.on_translate(&p, &decode_block(&p, pc).unwrap());
-    }
-    backend.install_region(0, &loop_dump(vec![1]));
-    backend.retire_region(0);
-    backend.install_region(0, &loop_dump(vec![1, 1]));
-    let trace = backend.region_trace(0).expect("reinstall compiles");
-    assert_eq!(trace.starts(), vec![1, 1]);
-    let _ = Arc::strong_count(&trace);
 }

@@ -109,11 +109,7 @@ fn main() -> tpdbt_experiments::Result<()> {
     }
     std::fs::create_dir_all(&dir)?;
     let dir = Path::new(&dir);
-    let scale_key = match scale {
-        Scale::Tiny => 0,
-        Scale::Small => 1,
-        Scale::Paper => 2,
-    };
+    let scale_key = scale.code();
 
     let reference = workload(&bench, scale, InputKind::Ref)?;
     let training = workload(&bench, scale, InputKind::Train)?;

@@ -185,12 +185,7 @@ fn main() -> tpdbt_experiments::Result<()> {
         if input.is_empty() {
             input = w.input.clone();
         }
-        let sc = match scale {
-            Scale::Tiny => 0,
-            Scale::Small => 1,
-            Scale::Paper => 2,
-        };
-        (w.binary, w.name.to_string(), sc)
+        (w.binary, w.name.to_string(), scale.code())
     } else {
         let path = file.ok_or("expected a FILE or --suite BENCH")?;
         let name = std::path::Path::new(&path)

@@ -249,11 +249,10 @@ pub fn all(results: &[BenchResult]) -> Vec<Table> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::run_suite;
-    use tpdbt_suite::Scale;
+    use crate::sweep::tiny_serial_sweep;
 
     fn mini_results() -> Vec<BenchResult> {
-        run_suite(&["bzip2", "swim"], Scale::Tiny, |_| {}).unwrap()
+        tiny_serial_sweep(&["bzip2", "swim"])
     }
 
     #[test]

@@ -1,7 +1,6 @@
-//! Benchmark sweeping: the paper's methodology (§2) executed end to
-//! end.
-//!
-//! For each benchmark:
+//! The paper's methodology (§2) as data: the threshold ladder and the
+//! per-benchmark result shape, plus the class aggregates the figures
+//! use. [`crate::sweep::run_sweep`] executes it. For each benchmark:
 //!
 //! 1. run with the reference input and threshold `T` for every ladder
 //!    point, dumping `INIP(T)`;
@@ -17,12 +16,9 @@
 //! divided by the same factor as the input, preserving the
 //! visit-fraction geometry the paper's ladder probes.
 
-use tpdbt_dbt::{Dbt, DbtConfig};
-use tpdbt_profile::report::{analyze, analyze_train, ThresholdMetrics, TrainMetrics};
+use tpdbt_profile::report::{ThresholdMetrics, TrainMetrics};
 use tpdbt_profile::PlainProfile;
-use tpdbt_suite::{workload, BenchClass, InputKind, Scale, Workload};
-
-use crate::Result;
+use tpdbt_suite::{BenchClass, Scale};
 
 /// The paper's retranslation-threshold ladder (§4): nominal values and
 /// display labels.
@@ -102,75 +98,6 @@ pub struct BenchResult {
     pub avep_ops: u64,
 }
 
-fn run_dbt(config: DbtConfig, w: &Workload) -> Result<tpdbt_dbt::RunOutcome> {
-    Ok(Dbt::new(config).run_built(&w.binary, &w.input)?)
-}
-
-/// Sweeps one benchmark at `scale` over the scaled paper ladder.
-///
-/// # Errors
-///
-/// Propagates workload construction failures, guest traps, and
-/// analyzer errors.
-pub fn run_benchmark(name: &str, scale: Scale) -> Result<BenchResult> {
-    let reference = workload(name, scale, InputKind::Ref)?;
-    let training = workload(name, scale, InputKind::Train)?;
-
-    // AVEP: reference input, no optimization.
-    let avep_run = run_dbt(DbtConfig::no_opt(), &reference)?;
-    let avep = avep_run.as_plain_profile();
-
-    // INIP(train): training input, no optimization.
-    let train_run = run_dbt(DbtConfig::no_opt(), &training)?;
-    let train = analyze_train(&train_run.as_plain_profile(), &avep);
-
-    // Figure 17 base: T = 1.
-    let base = run_dbt(DbtConfig::two_phase(1), &reference)?;
-
-    // INIP(T) sweep.
-    let mut per_threshold = Vec::new();
-    for point in ladder(scale) {
-        let out = run_dbt(DbtConfig::two_phase(point.actual), &reference)?;
-        // The guest must compute the same answer under every threshold.
-        debug_assert_eq!(
-            out.output, avep_run.output,
-            "{name} diverged at T={}",
-            point.actual
-        );
-        let metrics = analyze(&out.inip, &avep)?;
-        per_threshold.push((point, metrics));
-    }
-
-    Ok(BenchResult {
-        name: reference.name,
-        class: reference.class,
-        per_threshold,
-        train,
-        avep,
-        base_cycles: base.stats.cycles,
-        avep_ops: avep_run.inip.profiling_ops,
-    })
-}
-
-/// Sweeps a set of benchmarks (default: the whole suite), reporting
-/// progress through `progress`.
-///
-/// # Errors
-///
-/// Propagates the first per-benchmark failure.
-pub fn run_suite(
-    names: &[&str],
-    scale: Scale,
-    mut progress: impl FnMut(&str),
-) -> Result<Vec<BenchResult>> {
-    let mut results = Vec::with_capacity(names.len());
-    for name in names {
-        progress(name);
-        results.push(run_benchmark(name, scale)?);
-    }
-    Ok(results)
-}
-
 /// Averages an optional-metric accessor over a class, skipping `None`.
 #[must_use]
 pub fn class_average(
@@ -235,6 +162,7 @@ pub fn class_relative_performance(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep::tiny_serial_sweep;
 
     #[test]
     fn ladder_scales_with_divisor() {
@@ -268,7 +196,7 @@ mod tests {
 
     #[test]
     fn sweep_one_benchmark_at_tiny_scale() {
-        let r = run_benchmark("bzip2", Scale::Tiny).unwrap();
+        let r = tiny_serial_sweep(&["bzip2"]).remove(0);
         assert_eq!(r.per_threshold.len(), ladder(Scale::Tiny).len());
         // Accuracy metrics exist for small thresholds.
         let (_, first) = &r.per_threshold[0];
@@ -284,8 +212,7 @@ mod tests {
 
     #[test]
     fn class_average_skips_missing() {
-        let r = run_benchmark("swim", Scale::Tiny).unwrap();
-        let results = vec![r];
+        let results = tiny_serial_sweep(&["swim"]);
         let avg = class_average(&results, BenchClass::Fp, 0, |m| m.sd_bp);
         assert!(avg.is_some());
         assert!(class_average(&results, BenchClass::Int, 0, |m| m.sd_bp).is_none());

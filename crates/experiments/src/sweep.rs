@@ -1,8 +1,6 @@
-//! Cached, parallel sweep orchestration.
-//!
-//! [`crate::runner::run_suite`] executes every `(benchmark,
-//! ladder-point)` cell serially and from scratch. This module runs the
-//! same sweep through two upgrades:
+//! Cached, parallel sweep orchestration: the one executor of the
+//! paper's methodology ([`crate::runner`]). Every `(benchmark,
+//! ladder-point)` cell runs through two layers:
 //!
 //! * **Persistent profile store** — with a cache directory
 //!   ([`SweepOptions::cache_dir`]), every guest execution's result is
@@ -132,8 +130,8 @@ pub struct CellStat {
 /// A completed sweep plus its execution statistics.
 #[derive(Debug)]
 pub struct SweepReport {
-    /// Per-benchmark results, in input-name order (identical to
-    /// [`crate::runner::run_suite`]).
+    /// Per-benchmark results, in input-name order (identical for any
+    /// [`SweepOptions::jobs`]).
     pub results: Vec<BenchResult>,
     /// Per-cell hit/miss + timing, baselines first, then ladder cells,
     /// both in deterministic (benchmark-major) order.
@@ -275,14 +273,6 @@ fn input_code(kind: InputKind) -> u8 {
     match kind {
         InputKind::Ref => 0,
         InputKind::Train => 1,
-    }
-}
-
-fn scale_code(scale: Scale) -> u8 {
-    match scale {
-        Scale::Tiny => 0,
-        Scale::Small => 1,
-        Scale::Paper => 2,
     }
 }
 
@@ -644,7 +634,7 @@ impl SuiteGuest {
             binary: w.binary,
             input: w.input,
             input_code: input_code(input),
-            scale_code: scale_code(scale),
+            scale_code: scale.code(),
         })
     }
 
@@ -825,7 +815,7 @@ impl Baselines {
             binary_digest: self.ref_digest,
             input_digest: self.ref_input_digest,
             input_code: input_code(InputKind::Ref),
-            scale_code: scale_code(scale),
+            scale_code: scale.code(),
             predecoded: Arc::clone(&self.ref_predecoded),
         }
     }
@@ -849,7 +839,7 @@ fn baselines_for(
             return Err(failure);
         }
     };
-    let sc = scale_code(scale);
+    let sc = scale.code();
     for label in ["avep", "train", "base"] {
         ctx.trace_emit(|| EventKind::CellQueued {
             bench: reference.name.to_string(),
@@ -941,8 +931,8 @@ fn baselines_for(
 
 /// Sweeps `names` at `scale` with caching and a worker pool.
 ///
-/// Results are ordered by `names` and are value-identical to the serial
-/// [`crate::runner::run_suite`] path for any `jobs`. `progress` is
+/// Results are ordered by `names` and are value-identical for any
+/// `jobs` (`jobs: 1` runs every cell serially). `progress` is
 /// called once per benchmark as its baseline phase starts (possibly
 /// from a worker thread).
 ///
@@ -1248,6 +1238,23 @@ pub fn threshold_sweep(
     })
 }
 
+/// A serial, uncached tiny-scale sweep of `names` that must complete
+/// every cell (the unit tests' figure input).
+#[cfg(test)]
+pub(crate) fn tiny_serial_sweep(names: &[&str]) -> Vec<BenchResult> {
+    let opts = SweepOptions {
+        jobs: 1,
+        ..SweepOptions::default()
+    };
+    let report = run_sweep(names, Scale::Tiny, &opts, |_| {}).expect("sweep runs");
+    assert!(
+        !report.degraded.is_degraded(),
+        "{}",
+        report.degraded.render()
+    );
+    report.results
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1283,7 +1290,7 @@ mod tests {
             &bl.reference.binary,
             &bl.reference.input,
             input_code(InputKind::Ref),
-            scale_code(Scale::Tiny),
+            Scale::Tiny.code(),
         );
         let cfg = DbtConfig::two_phase(50);
         assert_eq!(bl.ref_id(Scale::Tiny).key(&cfg), fresh.key(&cfg));
@@ -1298,8 +1305,5 @@ mod tests {
         assert_eq!(mode_code(ProfilingMode::Adaptive), 3);
         assert_eq!(input_code(InputKind::Ref), 0);
         assert_eq!(input_code(InputKind::Train), 1);
-        assert_eq!(scale_code(Scale::Tiny), 0);
-        assert_eq!(scale_code(Scale::Small), 1);
-        assert_eq!(scale_code(Scale::Paper), 2);
     }
 }

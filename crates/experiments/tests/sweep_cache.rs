@@ -7,7 +7,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
-use tpdbt_experiments::runner::{ladder, run_suite, BenchResult, PAPER_LADDER};
+use tpdbt_experiments::runner::{ladder, BenchResult, PAPER_LADDER};
 use tpdbt_experiments::sweep::{run_sweep, SweepOptions};
 use tpdbt_profile::report::ThresholdMetrics;
 use tpdbt_suite::Scale;
@@ -180,7 +180,21 @@ fn cache_accounting_sums_to_deduped_cell_count_with_trace_agreeing() {
 #[test]
 fn parallel_jobs_match_serial_ordering_and_values() {
     let names = ["bzip2", "swim"];
-    let serial = run_suite(&names, Scale::Tiny, |_| {}).unwrap();
+    let serial = run_sweep(
+        &names,
+        Scale::Tiny,
+        &SweepOptions {
+            jobs: 1,
+            ..Default::default()
+        },
+        |_| {},
+    )
+    .unwrap();
+    assert!(
+        !serial.degraded.is_degraded(),
+        "{}",
+        serial.degraded.render()
+    );
     let parallel = run_sweep(
         &names,
         Scale::Tiny,
@@ -193,7 +207,9 @@ fn parallel_jobs_match_serial_ordering_and_values() {
         |_| {},
     )
     .unwrap();
-    assert_results_identical(&serial, &parallel.results);
+    assert!(!parallel.degraded.is_degraded());
+    assert_results_identical(&serial.results, &parallel.results);
+    assert_eq!(serial.guest_runs, parallel.guest_runs);
     // Without a cache dir every cell is a miss-less plain run.
     assert_eq!(parallel.cache_hits, 0);
     assert_eq!(parallel.cache_misses, 0);

@@ -45,16 +45,6 @@ pub use transfer::{seed_for_threshold, transfer, TransferOutcome};
 /// neither).
 const CONSENSUS_MARKER: u8 = 0xFC;
 
-/// The stable scale code shared with the sweep cache-key convention.
-#[must_use]
-pub fn scale_code(scale: Scale) -> u8 {
-    match scale {
-        Scale::Tiny => 0,
-        Scale::Small => 1,
-        Scale::Paper => 2,
-    }
-}
-
 /// The cache key addressing the fleet consensus for one
 /// `(workload, scale, weighting mode)`. Both `tpdbt-merge` and the
 /// serve `contribute`/`consensus` endpoints derive the same key, so the
@@ -64,7 +54,7 @@ pub fn consensus_key(workload: &str, scale: Scale, mode: WeightMode) -> CacheKey
     CacheKey {
         workload: workload.to_string(),
         input: CONSENSUS_MARKER,
-        scale: scale_code(scale),
+        scale: scale.code(),
         mode: CONSENSUS_MARKER,
         threshold: u64::from(mode.code()),
         fingerprint: tpdbt_store::digest::fnv64(b"tpdbt-fleet-consensus-v1"),

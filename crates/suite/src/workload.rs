@@ -36,6 +36,18 @@ impl Scale {
     pub fn records(self, base: usize) -> usize {
         (base / self.divisor()).max(32)
     }
+
+    /// The scale's byte in profile-store cache keys. On-disk
+    /// compatibility: these values must never change. (Guests loaded
+    /// from files carry no scale and use 255.)
+    #[must_use]
+    pub fn code(self) -> u8 {
+        match self {
+            Scale::Tiny => 0,
+            Scale::Small => 1,
+            Scale::Paper => 2,
+        }
+    }
 }
 
 /// Which input to generate — the paper collects `INIP(T)` and `AVEP`
@@ -67,6 +79,13 @@ pub struct Workload {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn scale_codes_are_stable() {
+        assert_eq!(Scale::Tiny.code(), 0);
+        assert_eq!(Scale::Small.code(), 1);
+        assert_eq!(Scale::Paper.code(), 2);
+    }
 
     #[test]
     fn scale_divisors_are_ordered() {

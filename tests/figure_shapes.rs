@@ -7,12 +7,25 @@
 //! at reduced scales the ladder deduplicates points that collapse to
 //! the same actual threshold, so indices shift with scale.
 
-use tpdbt_experiments::runner::{run_benchmark, BenchResult};
+use tpdbt_experiments::runner::BenchResult;
+use tpdbt_experiments::sweep::{run_sweep, SweepOptions};
 use tpdbt_profile::report::ThresholdMetrics;
 use tpdbt_suite::Scale;
 
+/// One benchmark at tiny scale through the sweep `reproduce` runs:
+/// serial, uncached, and with no degraded cells.
 fn sweep(name: &str) -> BenchResult {
-    run_benchmark(name, Scale::Tiny).unwrap()
+    let opts = SweepOptions {
+        jobs: 1,
+        ..SweepOptions::default()
+    };
+    let report = run_sweep(&[name], Scale::Tiny, &opts, |_| {}).unwrap();
+    assert!(
+        !report.degraded.is_degraded(),
+        "{}",
+        report.degraded.render()
+    );
+    report.results.into_iter().next().expect("one benchmark")
 }
 
 /// The metrics at the ladder point with paper-nominal threshold
