@@ -10,11 +10,7 @@
 //! any gap here is pure host-side dispatch cost. A second group shows
 //! what a long-lived host (the sweep orchestrator, `tpdbt-serve`)
 //! gains by sharing one `PredecodedProgram` across runs: the decode
-//! and fusion cost itself amortizes to zero. A third group compares
-//! synchronous region formation against `OptMode::Async` (the same
-//! formation, installed a fixed number of guest instructions later):
-//! guest output is identical, so the gap is how much guest code runs
-//! unoptimized while installs wait, plus the install queue's upkeep.
+//! and fusion cost itself amortizes to zero.
 //!
 //! Set `TPDBT_BENCH_JSON=path` to also write the timings as JSON
 //! (`BENCH_GUEST.json` in CI).
@@ -23,7 +19,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use std::sync::Arc;
 
-use tpdbt_dbt::{Backend, Dbt, DbtConfig, OptMode};
+use tpdbt_dbt::{Backend, Dbt, DbtConfig};
 use tpdbt_isa::PredecodedProgram;
 use tpdbt_suite::{workload, InputKind, Scale, Workload};
 
@@ -77,33 +73,5 @@ fn bench_shared_predecode(c: &mut Criterion) {
     g.finish();
 }
 
-/// Synchronous versus deferred region install on the `cached-fused`
-/// backend. Both legs form the same regions on the execution thread
-/// and run the same guests to the same final state; async keeps
-/// profiling unoptimized blocks until each install comes due.
-fn bench_opt_modes(c: &mut Criterion) {
-    let cfg = DbtConfig::two_phase(100).with_backend(Backend::CachedFused);
-    let mut g = c.benchmark_group("guest_exec_opt");
-    for name in GUESTS {
-        let w = guest(name);
-        for mode in OptMode::ALL {
-            g.bench_function(format!("{name}/{mode}"), |b| {
-                b.iter(|| {
-                    let out = Dbt::new(cfg.with_opt_mode(mode))
-                        .run_built(&w.binary, &w.input)
-                        .unwrap();
-                    black_box(out.stats.instructions)
-                })
-            });
-        }
-    }
-    g.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_backends,
-    bench_shared_predecode,
-    bench_opt_modes
-);
+criterion_group!(benches, bench_backends, bench_shared_predecode);
 criterion_main!(benches);

@@ -1,7 +1,6 @@
 //! Translator configuration: profiling mode, region-formation policy,
 //! execution backend, and the simulated cost model.
 
-use crate::asyncopt::INSTALL_LATENCY;
 use crate::backend::Backend;
 
 /// How the translator profiles and optimizes.
@@ -26,57 +25,13 @@ pub enum ProfilingMode {
     Adaptive,
 }
 
-/// When the optimization phase runs relative to execution.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
+/// The single optimization mode: regions install at formation.
+///
+/// Exists only for the `perfbench` harness (its own workspace), which
+/// calls [`DbtConfig::with_opt_mode`]; delete both with that call.
 pub enum OptMode {
-    /// The paper's model: the optimizer runs inline at the trigger
-    /// point — execution stops, regions form, execution resumes. Every
-    /// figure in the reproduction is produced in this mode; it is
-    /// bitwise deterministic.
-    #[default]
+    /// The paper's model, and the only one.
     Sync,
-    /// Deferred install, modelling a production translator whose
-    /// optimizer runs beside execution: regions form at the trigger but
-    /// install a fixed number of guest instructions later, under epoch
-    /// validation, while profiling continues. Guest *output* is
-    /// identical to sync; stats, figures, and the frozen initial
-    /// profile differ because counters keep advancing until install —
-    /// the drift the `Sd.IP` metric measures. Like sync, it is
-    /// bitwise deterministic and runs on the execution thread.
-    Async,
-}
-
-impl OptMode {
-    /// Both modes, for matrix-style tests and sweeps.
-    pub const ALL: [OptMode; 2] = [OptMode::Sync, OptMode::Async];
-
-    /// Short lowercase name (`"sync"` / `"async"`), stable for CLI and
-    /// cache keys.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            OptMode::Sync => "sync",
-            OptMode::Async => "async",
-        }
-    }
-}
-
-impl std::fmt::Display for OptMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-impl std::str::FromStr for OptMode {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "sync" => Ok(OptMode::Sync),
-            "async" => Ok(OptMode::Async),
-            other => Err(format!("unknown opt mode `{other}` (sync|async)")),
-        }
-    }
 }
 
 /// Knobs for [`ProfilingMode::Adaptive`] side-exit monitoring.
@@ -212,9 +167,6 @@ pub struct DbtConfig {
     /// Which execution backend runs translated code. Never affects a
     /// run's observable results — see [`Backend`].
     pub backend: Backend,
-    /// Whether regions install at the trigger ([`OptMode::Sync`], the
-    /// paper's model) or after a modelled latency ([`OptMode::Async`]).
-    pub opt_mode: OptMode,
 }
 
 impl DbtConfig {
@@ -237,7 +189,6 @@ impl DbtConfig {
             interval: None,
             fuel: tpdbt_vm::DEFAULT_FUEL,
             backend: Backend::default(),
-            opt_mode: OptMode::Sync,
         }
     }
 
@@ -308,11 +259,10 @@ impl DbtConfig {
         self
     }
 
-    /// Selects when formed regions install (at the trigger or
-    /// deferred).
+    /// Returns `self` unchanged: [`OptMode`] has one variant. Exists
+    /// only for the `perfbench` harness.
     #[must_use]
-    pub fn with_opt_mode(mut self, opt_mode: OptMode) -> Self {
-        self.opt_mode = opt_mode;
+    pub fn with_opt_mode(self, _opt_mode: OptMode) -> Self {
         self
     }
 
@@ -375,19 +325,6 @@ impl DbtConfig {
         // (interp, cached-fused) are bitwise result-identical
         // by construction (pinned by the differential proptest), so
         // runs under any backend share store entries.
-        //
-        // `opt_mode` IS result-affecting (async installs later, so the
-        // frozen profile differs) — but it is hashed *asymmetrically*:
-        // sync eats nothing, keeping every pre-existing sync fingerprint
-        // byte-identical, while async folds in a marker byte so its
-        // artifacts never alias a sync run's, then the install latency
-        // that fully determines its results. Slots keyed on the marker
-        // alone hold samples of an earlier threaded scheduler and are
-        // never served as deterministic results.
-        if self.opt_mode == OptMode::Async {
-            eat(&[0xA5]);
-            eat(&INSTALL_LATENCY.to_le_bytes());
-        }
         h
     }
 }
@@ -463,35 +400,20 @@ mod tests {
         }
     }
 
+    /// Every profile store is keyed on these digests: a change to the
+    /// hashed byte stream orphans every stored artifact, so it must be
+    /// deliberate and update these literals.
     #[test]
-    fn opt_mode_parses_and_round_trips() {
-        for mode in OptMode::ALL {
-            assert_eq!(mode.name().parse::<OptMode>().unwrap(), mode);
-            assert_eq!(format!("{mode}"), mode.name());
+    fn fingerprints_are_pinned() {
+        let cases = [
+            (DbtConfig::no_opt(), 0xe890_6720_d89c_8006),
+            (DbtConfig::two_phase(2_000), 0xe4bb_b2a9_cb11_a374),
+            (DbtConfig::continuous(100), 0xc39c_92db_c802_9997),
+            (DbtConfig::adaptive(500), 0x39c6_ac57_224e_e1d7),
+        ];
+        for (config, fingerprint) in cases {
+            assert_eq!(config.fingerprint(), fingerprint, "{:?}", config.mode);
         }
-        assert!("background".parse::<OptMode>().is_err());
-        assert_eq!(OptMode::default(), OptMode::Sync);
-    }
-
-    #[test]
-    fn fingerprint_is_asymmetric_over_opt_mode() {
-        let base = DbtConfig::two_phase(100);
-        assert_eq!(base.opt_mode, OptMode::Sync);
-        // Sync must hash exactly as before the field existed, so every
-        // cached sync artifact stays valid.
-        assert_eq!(
-            base.fingerprint(),
-            base.with_opt_mode(OptMode::Sync).fingerprint()
-        );
-        // Async results differ (later installs, drifted frozen profile)
-        // and must not alias sync store entries.
-        let async_fp = base.with_opt_mode(OptMode::Async).fingerprint();
-        assert_ne!(base.fingerprint(), async_fp);
-        // Nor may they alias the marker-only key of the threaded model,
-        // whose slots hold scheduling samples: the latency follows the
-        // marker. FNV-1a is streaming, so that key is one more step.
-        let marker_only = (base.fingerprint() ^ 0xA5).wrapping_mul(0x0000_0100_0000_01b3);
-        assert_ne!(async_fp, marker_only);
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! The translator's execution engine: profiling-phase execution,
 //! candidate pool, optimization trigger, and optimized region execution.
 
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 use tpdbt_isa::{
@@ -14,9 +13,8 @@ use tpdbt_profile::{
 use tpdbt_trace::{EventKind, TraceRegionKind, Tracer};
 use tpdbt_vm::{Flow, Machine};
 
-use crate::asyncopt::{PendingRegion, INSTALL_LATENCY};
 use crate::backend::{run_decoded, step_block, Backend};
-use crate::config::{DbtConfig, OptMode, ProfilingMode};
+use crate::config::{DbtConfig, ProfilingMode};
 use crate::error::DbtError;
 use crate::region::{form_region, BlockSource, FormedRegion};
 use crate::trace::{
@@ -50,20 +48,6 @@ pub struct ExecStats {
     /// Regions retired by adaptive side-exit monitoring
     /// ([`ProfilingMode::Adaptive`]).
     pub retirements: u64,
-    /// Regions formed and queued for deferred install
-    /// ([`OptMode::Async`]; always 0 in sync mode). Every candidate is
-    /// resolved by the end of the run, so `opt_enqueued ==
-    /// opt_installed + opt_discarded`.
-    pub opt_enqueued: u64,
-    /// Queued regions that passed epoch validation and were installed
-    /// (async mode; 0 in sync).
-    pub opt_installed: u64,
-    /// Queued regions discarded instead of installed: a member block
-    /// was retired or reformed while queued, or the seed was meanwhile
-    /// covered or frozen (async mode; 0 in sync).
-    pub opt_discarded: u64,
-    /// Longest install queue observed (async mode; 0 in sync).
-    pub opt_queue_peak: u64,
 }
 
 /// The result of running a program under the translator.
@@ -79,11 +63,6 @@ pub struct RunOutcome {
     /// Interval profile snapshots, when [`DbtConfig::interval`] was
     /// set (input to offline phase detection).
     pub intervals: Vec<IntervalProfile>,
-    /// Profile-drift sample points from deferred installs — one
-    /// `(p_enqueue, p_install, use_install)` triple per conditional
-    /// member of each installed region, feeding the `Sd.IP` metric
-    /// (`tpdbt_profile::metrics::sd_ip`). Empty in [`OptMode::Sync`].
-    pub drift: Vec<(f64, f64, f64)>,
 }
 
 impl RunOutcome {
@@ -124,10 +103,6 @@ struct BlockEntry {
     /// computed once at translation time (stable static slot numbering
     /// without a per-execution sort).
     switch_uniq: Box<[Pc]>,
-    /// Bumped whenever the block's profile history or region shape is
-    /// rewritten (adaptive retirement reset, continuous re-formation);
-    /// a queued async candidate stamped with an older epoch is stale.
-    epoch: u64,
 }
 
 /// A formed region prepared for execution.
@@ -311,13 +286,6 @@ struct Engine<'p> {
     cache: Vec<Option<Box<BlockEntry>>>,
     regions: Vec<RuntimeRegion>,
     pool: Vec<Pc>,
-    /// Async mode's install queue, in enqueue (and so install-time)
-    /// order; always empty in sync mode.
-    pending: VecDeque<PendingRegion>,
-    /// Install time of the queue's front; `u64::MAX` when empty.
-    next_install_at: u64,
-    /// Accumulated `(p_enqueue, p_install, use_install)` drift points.
-    drift: Vec<(f64, f64, f64)>,
     stats: ExecStats,
     intervals: Vec<IntervalProfile>,
     last_snapshot: std::collections::BTreeMap<Pc, (u64, u64)>,
@@ -370,9 +338,6 @@ impl<'p> Engine<'p> {
             cache: (0..program.len()).map(|_| None).collect(),
             regions: Vec::new(),
             pool: Vec::new(),
-            pending: VecDeque::new(),
-            next_install_at: u64::MAX,
-            drift: Vec::new(),
             stats: ExecStats::default(),
             intervals: Vec::new(),
             last_snapshot: std::collections::BTreeMap::new(),
@@ -420,19 +385,12 @@ impl<'p> Engine<'p> {
                 }
                 None => self.execute_unopt(pc, machine)?,
             };
-            // Async installs land between guest blocks.
-            if self.stats.instructions >= self.next_install_at {
-                self.install_due(self.stats.instructions);
-            }
             if self.stats.instructions >= self.next_interval_at {
                 self.snapshot_interval();
             }
             match next {
                 Next::Goto(target) => pc = target,
                 Next::Halted => {
-                    // Resolve every queued candidate so the run's books
-                    // balance: enqueued == installed + discarded.
-                    self.install_due(u64::MAX);
                     if self.config.interval.is_some() {
                         self.snapshot_interval();
                     }
@@ -506,7 +464,6 @@ impl<'p> Engine<'p> {
                 entry_of: None,
                 ret_targets: Vec::new(),
                 switch_uniq,
-                epoch: 0,
             }));
             self.trace_emit(|| EventKind::BlockTranslated { pc: pc as u64, len });
         }
@@ -626,7 +583,7 @@ impl<'p> Engine<'p> {
                     use_count,
                 });
                 if self.pool.len() >= self.config.policy.pool_trigger {
-                    self.trigger_optimizer();
+                    self.run_optimizer();
                 }
             } else if registered == 1 && use_count == 2 * t {
                 // Registered twice: optimize immediately (paper §1).
@@ -635,7 +592,7 @@ impl<'p> Engine<'p> {
                     pc: pc as u64,
                     use_count,
                 });
-                self.trigger_optimizer();
+                self.run_optimizer();
             }
         }
 
@@ -803,13 +760,6 @@ impl<'p> Engine<'p> {
             // code together, in one assignment.
             let trace = self.compile_region(&dump);
             self.regions[ri] = RuntimeRegion::new(dump, trace, current_use);
-            // Re-formation invalidates any queued candidate built over
-            // the old shape of these blocks.
-            for &pc in &self.regions[ri].dump.copies {
-                if let Some(e) = self.cache[pc].as_mut() {
-                    e.epoch += 1;
-                }
-            }
             self.trace_emit(|| EventKind::RegionReformed {
                 region: id as u64,
                 entry_pc: entry_pc as u64,
@@ -877,43 +827,30 @@ impl<'p> Engine<'p> {
             if still_used.contains(&pc) {
                 continue;
             }
-            // The reset rewrites profile history: any queued candidate
-            // formed over this block is now stale.
             if let Some(e) = self.cache[pc].as_mut() {
                 e.frozen = false;
                 e.registered = 0;
                 e.record.use_count = 0;
                 e.record.edges.clear();
-                e.epoch += 1;
             }
         }
     }
 
-    /// Drains the candidate pool, hottest first.
-    fn take_pool_by_hotness(&mut self) -> Vec<Pc> {
+    /// The optimization phase: retranslate the candidate pool into
+    /// regions, hottest seed first. A seed that became a region's entry,
+    /// or was swallowed by another region (its counters froze), seeds
+    /// nothing; continuous mode may re-seed.
+    fn run_optimizer(&mut self) {
+        self.stats.opt_invocations += 1;
         let mut candidates: Vec<Pc> = std::mem::take(&mut self.pool);
         candidates.sort_by_key(|&pc| {
             std::cmp::Reverse(self.cache[pc].as_ref().map_or(0, |e| e.record.use_count))
         });
-        candidates
-    }
-
-    /// Whether `seed` may still seed a region: it is no region's entry,
-    /// and it was not swallowed by another region (its counters froze);
-    /// continuous mode may re-seed.
-    fn seedable(&self, seed: Pc) -> bool {
-        let entry = self.cache[seed]
-            .as_ref()
-            .expect("pooled blocks are translated");
-        entry.entry_of.is_none() && !(entry.frozen && self.freezes())
-    }
-
-    /// The optimization phase: retranslate the candidate pool into
-    /// regions.
-    fn run_optimizer(&mut self) {
-        self.stats.opt_invocations += 1;
-        for seed in self.take_pool_by_hotness() {
-            if !self.seedable(seed) {
+        for seed in candidates {
+            let entry = self.cache[seed]
+                .as_ref()
+                .expect("pooled blocks are translated");
+            if entry.entry_of.is_some() || (entry.frozen && self.freezes()) {
                 continue;
             }
             let Some(formed) = form_region(self, &self.config.policy, seed) else {
@@ -924,9 +861,8 @@ impl<'p> Engine<'p> {
         }
     }
 
-    /// Installs `formed` as a new region dispatched from `seed`, in
-    /// either optimization mode, and returns its index.
-    fn install(&mut self, seed: Pc, formed: FormedRegion) -> usize {
+    /// Installs `formed` as a new region dispatched from `seed`.
+    fn install(&mut self, seed: Pc, formed: FormedRegion) {
         self.stats.regions_formed += 1;
         let id = self.regions.len();
         let formed_use = self.cache[seed]
@@ -966,120 +902,6 @@ impl<'p> Engine<'p> {
         }
         self.cache[seed].as_mut().expect("translated").entry_of = Some(id);
         self.regions.push(region);
-        id
-    }
-
-    /// Runs the optimization phase per [`OptMode`]: inline in sync
-    /// mode, or by queueing formed regions for deferred install.
-    fn trigger_optimizer(&mut self) {
-        match self.config.opt_mode {
-            OptMode::Sync => self.run_optimizer(),
-            OptMode::Async => self.enqueue_candidates(),
-        }
-    }
-
-    /// Async optimization phase, enqueue half: forms each pooled seed's
-    /// region now, as [`Self::run_optimizer`] would, and queues it to
-    /// install [`INSTALL_LATENCY`] instructions later, stamped with its
-    /// members' epochs and branch probabilities. Counters do *not*
-    /// freeze here — they keep drifting until install, which is the
-    /// phenomenon the drift metric measures.
-    fn enqueue_candidates(&mut self) {
-        self.stats.opt_invocations += 1;
-        for seed in self.take_pool_by_hotness() {
-            if !self.seedable(seed) || self.pending.iter().any(|c| c.seed == seed) {
-                continue;
-            }
-            let Some(formed) = form_region(self, &self.config.policy, seed) else {
-                continue;
-            };
-            let mut members = formed.copies.clone();
-            members.sort_unstable();
-            members.dedup();
-            let entry = |pc: Pc| self.cache[pc].as_ref().expect("members are translated");
-            let stamps = members.iter().map(|&pc| (pc, entry(pc).epoch)).collect();
-            let probs = members
-                .iter()
-                .filter_map(|&pc| Some((pc, entry(pc).record.branch_probability()?)))
-                .collect();
-            let use_count = entry(seed).record.use_count;
-            let install_at = self.stats.instructions + INSTALL_LATENCY;
-            self.pending.push_back(PendingRegion {
-                seed,
-                formed,
-                install_at,
-                stamps,
-                probs,
-            });
-            self.next_install_at = self.next_install_at.min(install_at);
-            self.stats.opt_enqueued += 1;
-            let depth = self.pending.len() as u64;
-            self.stats.opt_queue_peak = self.stats.opt_queue_peak.max(depth);
-            self.trace_emit(|| EventKind::OptEnqueued {
-                pc: seed as u64,
-                use_count,
-                depth,
-            });
-        }
-    }
-
-    /// Async install half: resolves every queued candidate due at
-    /// instruction `now` (`u64::MAX` at halt resolves them all).
-    fn install_due(&mut self, now: u64) {
-        while self.pending.front().is_some_and(|c| c.install_at <= now) {
-            let candidate = self.pending.pop_front().expect("checked non-empty");
-            self.resolve(candidate);
-        }
-        self.next_install_at = self.pending.front().map_or(u64::MAX, |c| c.install_at);
-    }
-
-    /// Epoch-validated installation of one queued region. The candidate
-    /// is discarded when any member's epoch moved (retired / reformed
-    /// while queued), or the seed was meanwhile covered by another
-    /// region or froze under a freezing mode. Unlike
-    /// [`Self::run_optimizer`], no optimization cycles are charged:
-    /// the modelled optimizer runs beside execution.
-    fn resolve(&mut self, candidate: PendingRegion) {
-        let PendingRegion {
-            seed,
-            formed,
-            stamps,
-            probs,
-            ..
-        } = candidate;
-        let use_now = self.cache[seed]
-            .as_ref()
-            .expect("queued blocks are translated")
-            .record
-            .use_count;
-        let current = stamps
-            .iter()
-            .all(|&(pc, epoch)| self.cache[pc].as_ref().is_some_and(|e| e.epoch == epoch));
-        if !current || !self.seedable(seed) {
-            self.stats.opt_discarded += 1;
-            self.trace_emit(|| EventKind::OptDiscarded {
-                pc: seed as u64,
-                use_count: use_now,
-            });
-            return;
-        }
-        let id = self.install(seed, formed);
-        // Drift sample: enqueue-time vs install-time branch probability
-        // of each conditional member, weighted by install-time use.
-        for (pc, p_enq) in probs {
-            let record = &self.cache[pc].as_ref().expect("translated").record;
-            if let Some(p_now) = record.branch_probability() {
-                self.drift.push((p_enq, p_now, record.use_count as f64));
-            }
-        }
-        self.stats.opt_installed += 1;
-        let blocks = self.regions[id].dump.copies.len() as u32;
-        self.trace_emit(|| EventKind::OptInstalled {
-            region: id as u64,
-            entry_pc: seed as u64,
-            blocks,
-            use_count: use_now,
-        });
     }
 
     fn into_outcome(self, output: Vec<i64>) -> RunOutcome {
@@ -1117,7 +939,6 @@ impl<'p> Engine<'p> {
             output,
             stats: self.stats,
             intervals: self.intervals,
-            drift: self.drift,
         }
     }
 }
@@ -1443,240 +1264,6 @@ mod tests {
         assert_eq!(out.inip.threshold, 500);
     }
 
-    mod async_opt {
-        use super::*;
-
-        #[test]
-        fn sync_mode_keeps_async_counters_at_zero() {
-            let p = hot_loop(50_000);
-            let out = Dbt::new(DbtConfig::two_phase(500)).run(&p, &[]).unwrap();
-            assert_eq!(out.stats.opt_enqueued, 0);
-            assert_eq!(out.stats.opt_installed, 0);
-            assert_eq!(out.stats.opt_discarded, 0);
-            assert_eq!(out.stats.opt_queue_peak, 0);
-            assert!(out.drift.is_empty());
-        }
-
-        #[test]
-        fn async_mode_preserves_guest_output_across_profiling_modes() {
-            let p = phase_flip_program();
-            for make in [
-                DbtConfig::two_phase as fn(u64) -> DbtConfig,
-                DbtConfig::continuous,
-                DbtConfig::adaptive,
-            ] {
-                let sync = Dbt::new(make(500)).run(&p, &[]).unwrap();
-                let async_out = Dbt::new(make(500).with_opt_mode(OptMode::Async))
-                    .run(&p, &[])
-                    .unwrap();
-                assert_eq!(
-                    sync.output, async_out.output,
-                    "async optimization must be transparent to the guest"
-                );
-                // Every handed-off candidate resolved one way or the
-                // other once the final flush ran.
-                assert_eq!(
-                    async_out.stats.opt_enqueued,
-                    async_out.stats.opt_installed + async_out.stats.opt_discarded,
-                    "{:?}",
-                    async_out.stats
-                );
-            }
-        }
-
-        #[test]
-        fn async_no_opt_matches_sync_bitwise() {
-            let p = hot_loop(10_000);
-            let sync = Dbt::new(DbtConfig::no_opt()).run(&p, &[]).unwrap();
-            let async_out = Dbt::new(DbtConfig::no_opt().with_opt_mode(OptMode::Async))
-                .run(&p, &[])
-                .unwrap();
-            assert_eq!(sync.output, async_out.output);
-            assert_eq!(sync.stats, async_out.stats);
-            assert_eq!(async_out.stats.opt_enqueued, 0);
-        }
-
-        /// Satellite regression: a candidate whose seed gets covered
-        /// (here: frozen into an earlier install) while it sits in the
-        /// install queue must be discarded at install time. The hottest
-        /// seed's region installs first and freezes the hot path, so
-        /// the trailing candidate resolves against a frozen seed.
-        #[test]
-        fn stale_candidate_is_discarded_not_installed() {
-            let p = phase_flip_program();
-            let policy = RegionPolicy {
-                pool_trigger: 2,
-                ..RegionPolicy::default()
-            };
-            let cfg = DbtConfig::two_phase(100)
-                .with_policy(policy)
-                .with_opt_mode(OptMode::Async);
-            let out = Dbt::new(cfg).run(&p, &[]).unwrap();
-            assert!(out.stats.opt_enqueued >= 2, "{:?}", out.stats);
-            assert!(out.stats.opt_installed >= 1, "{:?}", out.stats);
-            assert!(
-                out.stats.opt_discarded >= 1,
-                "the swallowed trailing candidate must discard: {:?}",
-                out.stats
-            );
-            assert_eq!(
-                out.stats.opt_enqueued,
-                out.stats.opt_installed + out.stats.opt_discarded
-            );
-            // Installed regions still execute optimized code.
-            assert!(out.stats.region_entries > 0);
-        }
-
-        /// A loop whose hot arm flips at iteration 2,000 of 30,000, plus
-        /// a side arm taken every fourth iteration: a region formed in
-        /// the first phase installs into the second and retires while a
-        /// candidate over its blocks still waits.
-        fn flip_with_side_arm() -> Program {
-            let mut b = ProgramBuilder::new();
-            let (i, x, half, t) = (Reg::new(0), Reg::new(1), Reg::new(2), Reg::new(3));
-            b.movi(half, 2_000);
-            b.movi(i, 0);
-            let head = b.fresh_label("head");
-            let then = b.fresh_label("then");
-            let join = b.fresh_label("join");
-            let skip = b.fresh_label("skip");
-            b.bind(head).unwrap();
-            b.br_reg(Cond::Lt, i, half, then);
-            b.addi(x, x, 2);
-            b.jmp(join);
-            b.bind(then).unwrap();
-            b.addi(x, x, 1);
-            b.bind(join).unwrap();
-            b.and(t, i, 3);
-            b.br_imm(Cond::Ne, t, 0, skip);
-            b.addi(x, x, 5);
-            b.bind(skip).unwrap();
-            b.addi(i, i, 1);
-            b.br_imm(Cond::Lt, i, 30_000, head);
-            b.out(x);
-            b.halt();
-            b.build().unwrap()
-        }
-
-        /// An outer loop around a 50-trip inner loop: in continuous mode
-        /// the inner region re-forms while candidates over its blocks
-        /// still wait.
-        fn nested_loops() -> Program {
-            let mut b = ProgramBuilder::new();
-            let (i, j, x) = (Reg::new(0), Reg::new(1), Reg::new(2));
-            structured::counted_loop(&mut b, i, 0, 1, Cond::Lt, 2_000, |b| {
-                b.addi(x, x, 3);
-                structured::counted_loop(b, j, 0, 1, Cond::Lt, 50, |b| {
-                    b.addi(x, x, 1);
-                })
-                .unwrap();
-                b.out(x);
-            })
-            .unwrap();
-            b.halt();
-            b.build().unwrap()
-        }
-
-        /// A candidate waiting while a member block is retired
-        /// (adaptive) or reformed (continuous) is discarded at install.
-        /// The install clock is the guest's instruction count, so the
-        /// books are exact.
-        #[test]
-        fn candidates_over_invalidated_blocks_are_discarded() {
-            let cases = [
-                (DbtConfig::adaptive(100), flip_with_side_arm(), (13, 6, 7)),
-                (DbtConfig::continuous(300), nested_loops(), (3, 1, 2)),
-            ];
-            for (cfg, p, books) in cases {
-                // Roomy enough that the ring never wraps on these runs.
-                let tracer = Arc::new(Tracer::with_capacity(1 << 18));
-                let out = Dbt::new(cfg.with_opt_mode(OptMode::Async))
-                    .with_tracer(Arc::clone(&tracer))
-                    .run(&p, &[])
-                    .unwrap();
-                let s = out.stats;
-                assert_eq!(
-                    (s.opt_enqueued, s.opt_installed, s.opt_discarded),
-                    books,
-                    "{:?}: {s:?}",
-                    cfg.mode
-                );
-                if !cfg!(feature = "trace") {
-                    continue;
-                }
-                assert_eq!(tracer.dropped(), 0);
-                // Discards whose seed is no live region's entry and whose
-                // wait spans a retirement or re-formation: in continuous
-                // mode nothing freezes, so these are every discard.
-                let mut entries = std::collections::BTreeSet::new();
-                let mut waiting = std::collections::BTreeMap::new();
-                let mut invalidations = 0u32;
-                let mut epoch_discards = 0;
-                for e in tracer.events() {
-                    match e.kind {
-                        EventKind::OptEnqueued { pc, .. } => {
-                            waiting.insert(pc, invalidations);
-                        }
-                        EventKind::RegionFormed { entry_pc, .. } => {
-                            entries.insert(entry_pc);
-                        }
-                        EventKind::RegionRetired { entry_pc, .. } => {
-                            entries.remove(&entry_pc);
-                            invalidations += 1;
-                        }
-                        EventKind::RegionReformed { .. } => invalidations += 1,
-                        EventKind::OptDiscarded { pc, .. } => {
-                            let since = waiting.remove(&pc).expect("enqueued first");
-                            if since < invalidations && !entries.contains(&pc) {
-                                epoch_discards += 1;
-                            }
-                        }
-                        _ => {}
-                    }
-                }
-                match cfg.mode {
-                    ProfilingMode::Continuous => assert_eq!(epoch_discards, s.opt_discarded),
-                    _ => assert!(epoch_discards >= 1, "{s:?}"),
-                }
-            }
-        }
-
-        #[test]
-        fn async_installs_record_drift_points() {
-            let p = phase_flip_program();
-            let cfg = DbtConfig::two_phase(500).with_opt_mode(OptMode::Async);
-            let out = Dbt::new(cfg).run(&p, &[]).unwrap();
-            assert!(out.stats.opt_installed > 0, "{:?}", out.stats);
-            assert!(
-                !out.drift.is_empty(),
-                "installed conditional members must yield drift samples"
-            );
-            for &(p_enq, p_inst, weight) in &out.drift {
-                assert!((0.0..=1.0).contains(&p_enq));
-                assert!((0.0..=1.0).contains(&p_inst));
-                assert!(weight >= 0.0);
-            }
-            // The async freeze happens at install, after extra profile
-            // accumulation: frozen use counts may exceed sync's 2T
-            // bound, and install-time weights reflect that.
-            assert!(out.drift.iter().any(|&(_, _, w)| w >= 500.0));
-        }
-
-        #[test]
-        fn async_mode_skips_opt_translate_charges() {
-            // The modelled optimizer runs beside execution, so the
-            // async timeline omits sync's opt_translate stall cycles on
-            // an otherwise identical instruction stream.
-            let p = hot_loop(100_000);
-            let sync = Dbt::new(DbtConfig::two_phase(500)).run(&p, &[]).unwrap();
-            let async_out = Dbt::new(DbtConfig::two_phase(500).with_opt_mode(OptMode::Async))
-                .run(&p, &[])
-                .unwrap();
-            assert_eq!(sync.output, async_out.output);
-            assert_eq!(sync.stats.instructions, async_out.stats.instructions);
-        }
-    }
-
     /// The translation cache and region traces, inspected on the
     /// engine a whole run leaves behind: each region owns its trace,
     /// formation and re-formation compile it from the cache, and
@@ -1959,26 +1546,6 @@ mod tests {
                 .unwrap();
             assert!(out.stats.retirements > 0);
             assert_eq!(tracer.count("region_retired"), out.stats.retirements);
-        }
-
-        #[test]
-        fn async_mode_emits_optimizer_lifecycle_events() {
-            let p = phase_flip_program();
-            let tracer = Arc::new(Tracer::new());
-            let cfg = DbtConfig::two_phase(500).with_opt_mode(OptMode::Async);
-            let out = Dbt::new(cfg)
-                .with_tracer(Arc::clone(&tracer))
-                .run(&p, &[])
-                .unwrap();
-            // Every enqueue, install and discard is mirrored in the
-            // stats, one event each.
-            assert!(tracer.count("opt_enqueued") > 0);
-            assert_eq!(tracer.count("opt_enqueued"), out.stats.opt_enqueued);
-            assert_eq!(tracer.count("opt_installed"), out.stats.opt_installed);
-            assert_eq!(tracer.count("opt_discarded"), out.stats.opt_discarded);
-            // Each install also announced its region.
-            assert_eq!(tracer.count("region_formed"), out.stats.regions_formed);
-            assert_eq!(out.stats.opt_installed, out.stats.regions_formed);
         }
     }
 }

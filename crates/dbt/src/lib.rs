@@ -36,16 +36,6 @@
 //! future-work continuous profiling (counters never freeze, regions are
 //! re-formed when stale) and is used for ablation studies.
 //!
-//! With [`OptMode::Async`] installation is deferred: regions form at
-//! the trigger but install a fixed number of guest instructions later,
-//! modelling an optimizer that runs beside execution, while profiling
-//! continues. Installs happen between guest blocks under epoch
-//! validation — stale candidates (members retired / reformed while
-//! queued) are discarded. Guest output is identical to
-//! [`OptMode::Sync`]; the frozen profile drifts, which
-//! [`RunOutcome::drift`] quantifies (the `Sd.IP` metric). Both modes
-//! are deterministic and single-threaded. See DESIGN.md §12.
-//!
 //! How translated code executes on the *host* is a separate axis,
 //! selected by [`Backend`]: reference interpretation (`interp`, the
 //! differential oracle) or a translation cache of fused
@@ -79,7 +69,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod asyncopt;
 mod backend;
 mod config;
 mod engine;

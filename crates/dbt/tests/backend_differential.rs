@@ -12,7 +12,7 @@
 
 use proptest::prelude::*;
 
-use tpdbt_dbt::{Backend, Dbt, DbtConfig, OptMode, RegionPolicy, RunOutcome};
+use tpdbt_dbt::{Backend, Dbt, DbtConfig, RegionPolicy, RunOutcome};
 use tpdbt_isa::{structured, Cond, Program, ProgramBuilder, Reg};
 
 #[path = "support/programs.rs"]
@@ -76,86 +76,6 @@ proptest! {
         assert_identical(DbtConfig::two_phase(t), &p, &input);
         assert_identical(DbtConfig::continuous(t), &p, &input);
         assert_identical(DbtConfig::adaptive(t), &p, &input);
-    }
-
-    /// `--opt-mode sync` is the identity: explicitly selecting it
-    /// changes nothing, bitwise, anywhere — outputs, stats, profile
-    /// counters, regions, intervals — in any profiling mode, on either
-    /// backend. This is the guarantee that lets async ship without
-    /// perturbing a single existing figure.
-    #[test]
-    fn opt_mode_sync_is_bitwise_identical_to_default(
-        stmts in prop::collection::vec(arb_stmt(), 1..6),
-        input in prop::collection::vec(-50i64..50, 0..6),
-        t in 1u64..40,
-    ) {
-        let p = build(&stmts);
-        for cfg in [
-            DbtConfig::no_opt(),
-            DbtConfig::two_phase(t),
-            DbtConfig::continuous(t),
-            DbtConfig::adaptive(t),
-        ] {
-            for backend in Backend::ALL {
-                let base = run_with(cfg, backend, &p, &input);
-                let explicit = run_with(cfg.with_opt_mode(OptMode::Sync), backend, &p, &input);
-                prop_assert_eq!(&base.output, &explicit.output);
-                prop_assert_eq!(&base.stats, &explicit.stats);
-                prop_assert_eq!(&base.inip.blocks, &explicit.inip.blocks);
-                prop_assert_eq!(&base.inip.regions, &explicit.inip.regions);
-                prop_assert_eq!(&base.intervals, &explicit.intervals);
-                prop_assert!(explicit.drift.is_empty(), "sync never records drift");
-            }
-        }
-    }
-
-    /// Async optimization must be *output*-transparent in every
-    /// profiling mode on both backends. Stats and profile counters may
-    /// legitimately differ from sync — counters freeze at install, not
-    /// at trigger — but the guest's architectural results may not, and
-    /// the enqueue/install/discard books must balance. Deferred install
-    /// runs on the guest's instruction clock, so a rerun of the same
-    /// config reproduces every result bitwise, drift included, and the
-    /// backends agree bitwise as they do in sync mode.
-    #[test]
-    fn opt_mode_async_preserves_guest_output(
-        stmts in prop::collection::vec(arb_stmt(), 1..6),
-        input in prop::collection::vec(-50i64..50, 0..6),
-        t in 1u64..40,
-    ) {
-        let p = build(&stmts);
-        let reference = tpdbt_vm::run_collect(&p, &input).expect("trap-free");
-        for cfg in [
-            DbtConfig::no_opt(),
-            DbtConfig::two_phase(t),
-            DbtConfig::continuous(t),
-            DbtConfig::adaptive(t),
-        ] {
-            let cfg = cfg.with_opt_mode(OptMode::Async);
-            let interp = run_with(cfg, Backend::Interp, &p, &input);
-            for backend in Backend::ALL {
-                let out = run_with(cfg, backend, &p, &input);
-                prop_assert_eq!(
-                    &out.output, &reference,
-                    "async diverged from raw interpreter: mode {:?} backend {} T={}",
-                    cfg.mode, backend, t
-                );
-                prop_assert_eq!(
-                    out.stats.opt_enqueued,
-                    out.stats.opt_installed + out.stats.opt_discarded,
-                    "unbalanced optimizer books: {:?}", out.stats
-                );
-                let again = run_with(cfg, backend, &p, &input);
-                prop_assert_eq!(&out.output, &again.output);
-                prop_assert_eq!(&out.stats, &again.stats);
-                prop_assert_eq!(&out.inip, &again.inip);
-                prop_assert_eq!(&out.drift, &again.drift);
-                prop_assert_eq!(&out.stats, &interp.stats, "backend {}", backend);
-                prop_assert_eq!(&out.inip, &interp.inip, "backend {}", backend);
-                prop_assert_eq!(&out.intervals, &interp.intervals);
-                prop_assert_eq!(&out.drift, &interp.drift, "backend {}", backend);
-            }
-        }
     }
 }
 

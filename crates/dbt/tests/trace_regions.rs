@@ -1,20 +1,20 @@
 //! Regression suite for trace-compiled regions (`--backend
 //! cached-fused`): a reform or retirement mid-run must never leave a
-//! stale trace running — in sync *and* async optimization modes.
+//! stale trace running.
 //!
 //! The hazard: a region's compiled trace is a view of its copy list.
 //! If retirement left the region dispatchable, or a re-formation kept
 //! the old trace under the new shape, the engine would keep executing
 //! retired code — observable as diverging outputs, stats, or profile
 //! counters against the interpreter backend. These tests pin the
-//! end-to-end behavior: bitwise parity through reform/retire storms
-//! under both opt modes, and continuous mode's in-region counting
-//! through the one region loop. The engine's own unit tests
+//! end-to-end behavior: bitwise parity through reform/retire storms,
+//! and continuous mode's in-region counting through the one region
+//! loop. The engine's own unit tests
 //! (`trace_slots` in `src/engine.rs`) pin the mechanism: each region
 //! owns its trace, a reform replaces shape and trace together, and a
 //! retired region is unreachable.
 
-use tpdbt_dbt::{Backend, Dbt, DbtConfig, OptMode, RegionPolicy};
+use tpdbt_dbt::{Backend, Dbt, DbtConfig};
 use tpdbt_isa::{Cond, Program, ProgramBuilder, Reg};
 
 fn phase_flip_program() -> Program {
@@ -38,7 +38,7 @@ fn phase_flip_program() -> Program {
     b.build().unwrap()
 }
 
-/// End to end, sync: adaptive retirement fires mid-run under the
+/// End to end: adaptive retirement fires mid-run under the
 /// fused backend and every observable stays bitwise identical to the
 /// interpreter backend. A stale trace executing after its region
 /// retired would diverge here (wrong dispatch, wrong stats).
@@ -63,7 +63,7 @@ fn sync_retirement_mid_run_stays_bitwise_identical() {
     assert_eq!(interp.intervals, fused.intervals);
 }
 
-/// End to end, sync: continuous-mode re-formations replace installed
+/// End to end: continuous-mode re-formations replace installed
 /// fused traces mid-run; still bitwise identical.
 #[test]
 fn sync_reform_mid_run_stays_bitwise_identical() {
@@ -114,57 +114,5 @@ fn continuous_in_region_counting_matches_interp_bitwise() {
     assert_eq!(
         fused.inip.blocks, avep.inip.blocks,
         "every in-region block execution must be counted"
-    );
-}
-
-/// End to end, async: deferred installs pass epoch validation while
-/// adaptive retirement invalidates mid-run; guest output stays
-/// transparent and the optimizer books balance.
-#[test]
-fn async_retirement_mid_run_stays_output_transparent() {
-    let p = phase_flip_program();
-    let reference = tpdbt_vm::run_collect(&p, &[]).unwrap();
-    let cfg = DbtConfig::adaptive(500)
-        .with_opt_mode(OptMode::Async)
-        .with_backend(Backend::CachedFused);
-    let out = Dbt::new(cfg).run(&p, &[]).unwrap();
-    assert_eq!(out.output, reference, "stale trace diverged guest output");
-    assert_eq!(
-        out.stats.opt_enqueued,
-        out.stats.opt_installed + out.stats.opt_discarded,
-        "unbalanced optimizer books: {:?}",
-        out.stats
-    );
-}
-
-/// End to end, async: deferred regions (and their compiled traces)
-/// actually install on a long-running hot loop, and output stays
-/// transparent.
-#[test]
-fn async_installs_deferred_traces() {
-    let mut b = ProgramBuilder::new();
-    let r = Reg::new(0);
-    tpdbt_isa::structured::counted_loop(&mut b, r, 0, 1, Cond::Lt, 200_000, |b| {
-        b.addi(Reg::new(1), Reg::new(1), 1);
-    })
-    .unwrap();
-    b.out(Reg::new(1));
-    b.halt();
-    let p = b.build().unwrap();
-    let reference = tpdbt_vm::run_collect(&p, &[]).unwrap();
-    let policy = RegionPolicy {
-        pool_trigger: 1,
-        ..RegionPolicy::default()
-    };
-    let cfg = DbtConfig::two_phase(100)
-        .with_policy(policy)
-        .with_opt_mode(OptMode::Async)
-        .with_backend(Backend::CachedFused);
-    let out = Dbt::new(cfg).run(&p, &[]).unwrap();
-    assert_eq!(out.output, reference);
-    assert!(
-        out.stats.opt_installed > 0,
-        "a 200k-iteration loop must install its deferred region: {:?}",
-        out.stats
     );
 }

@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! tpdbt-run FILE [--mode interp|noopt|twophase|continuous|adaptive]
-//!                [--backend interp|cached-fused] [--opt-mode sync|async]
+//!                [--backend interp|cached-fused]
 //!                [--threshold T]... [--input N,N,...] [--input-file PATH]
 //!                [--dump PATH] [--stats] [--suite BENCH --scale S]
 //!                [--jobs N] [--cache-dir DIR]
@@ -30,14 +30,6 @@
 //! speed differs. (Distinct from `--mode interp`, which bypasses the
 //! translator entirely.)
 //!
-//! `--opt-mode async` defers each region's install: regions form at
-//! the trigger but install a fixed number of guest instructions later,
-//! between guest blocks and under epoch validation, while profiling
-//! continues; the run reports how far the profile drifted between
-//! enqueue and install (`--stats` adds the optimizer counters and the
-//! drift sample count). Guest output is identical to the default
-//! `sync` scheduling, and both modes are deterministic.
-//!
 //! Repeating `--threshold` switches to sweep mode (two-phase only): the
 //! guest is swept over every requested threshold on a `--jobs N` worker
 //! pool, each `INIP(T)` is analyzed against the guest's own `AVEP`, and
@@ -62,7 +54,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: tpdbt-run FILE|--suite BENCH [--scale tiny|small|paper]\n\
          \u{20}                [--mode interp|noopt|twophase|continuous|adaptive]\n\
-         \u{20}                [--backend interp|cached-fused] [--opt-mode sync|async]\n\
+         \u{20}                [--backend interp|cached-fused]\n\
          \u{20}                [--threshold T]... [--input N,N,...] [--input-file PATH]\n\
          \u{20}                [--dump PATH] [--emit PATH] [--stats] [--list]\n\
          \u{20}                [--trace PATH [--trace-format jsonl|chrome]]\n\
@@ -124,12 +116,6 @@ fn main() -> tpdbt_experiments::Result<()> {
                     eprintln!("tpdbt-run: {e}");
                     usage()
                 });
-            }
-            "--opt-mode" => {
-                sweep_opts.opt_mode = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage());
             }
             "--threshold" => thresholds.push(args.next().unwrap_or_else(|| usage()).parse()?),
             "--jobs" => {
@@ -293,11 +279,7 @@ fn main() -> tpdbt_experiments::Result<()> {
         "adaptive" => DbtConfig::adaptive(threshold),
         _ => usage(),
     };
-    let mut dbt = Dbt::new(
-        config
-            .with_backend(sweep_opts.backend)
-            .with_opt_mode(sweep_opts.opt_mode),
-    );
+    let mut dbt = Dbt::new(config.with_backend(sweep_opts.backend));
     if let Some(t) = &tracer {
         dbt = dbt.with_tracer(Arc::clone(t));
     }
@@ -314,20 +296,6 @@ fn main() -> tpdbt_experiments::Result<()> {
             out.stats.completions,
             out.stats.retirements,
         );
-        if sweep_opts.opt_mode == tpdbt_dbt::OptMode::Async {
-            let sd_ip = tpdbt_profile::metrics::sd_ip(out.drift.iter().copied())
-                .map_or_else(|_| "-".to_string(), |v| format!("{v:.4}"));
-            eprintln!(
-                "async optimizer: {} enqueued, {} installed, {} discarded, \
-                 peak queue {}, {} drift samples, Sd.IP {}",
-                out.stats.opt_enqueued,
-                out.stats.opt_installed,
-                out.stats.opt_discarded,
-                out.stats.opt_queue_peak,
-                out.drift.len(),
-                sd_ip,
-            );
-        }
     }
     if let Some(path) = dump {
         std::fs::write(&path, text::inip_to_string(&out.inip))?;

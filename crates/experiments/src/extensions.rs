@@ -14,10 +14,6 @@
 //! * [`threshold_selection`] — future-work bullet 2: pick the best
 //!   per-benchmark retranslation threshold by simulated cycles and
 //!   report the spread versus any fixed global threshold.
-//! * [`async_drift`] — the asynchronous-optimization subsystem
-//!   (DESIGN.md §12): quantify how far the branch profile drifts
-//!   between a candidate's enqueue and its epoch-validated install
-//!   (`Sd.IP`), per benchmark.
 //! * [`backend_study`] — the execution-backend axis (DESIGN.md §16):
 //!   relate initial-prediction accuracy (`Sd.BP`, region completion
 //!   rate) to the measured wall-clock speedup of superinstruction
@@ -26,8 +22,7 @@
 use std::time::Instant;
 
 use tpdbt_dbt::offline::{as_inip_with_regions, form_offline_regions};
-use tpdbt_dbt::{Backend, Dbt, DbtConfig, OptMode, RegionPolicy};
-use tpdbt_profile::metrics::sd_ip;
+use tpdbt_dbt::{Backend, Dbt, DbtConfig, RegionPolicy};
 use tpdbt_profile::report::{analyze, analyze_train};
 use tpdbt_profile::{diagnose, navep};
 use tpdbt_suite::{workload, workload_versioned, InputKind, Scale};
@@ -360,54 +355,6 @@ pub fn threshold_selection(names: &[&str], scale: Scale) -> Result<Table> {
     Ok(t)
 }
 
-/// Asynchronous-optimization study (DESIGN.md §12): run each benchmark
-/// with deferred region install and measure how far the branch
-/// profile drifted between a candidate's enqueue and its install —
-/// `Sd.IP` over `(p_enqueue, p_install)` pairs weighted by install-time
-/// use counts — plus the install/discard books and output parity
-/// against synchronous optimization.
-///
-/// # Errors
-///
-/// Propagates workload, guest, and metric failures.
-pub fn async_drift(names: &[&str], scale: Scale, nominal_threshold: u64) -> Result<Table> {
-    let threshold = (nominal_threshold / scale.divisor() as u64).max(2);
-    let mut t = Table::new(
-        format!(
-            "Extension (DESIGN.md §12): asynchronous optimization drift (T={nominal_threshold})"
-        ),
-        &[
-            "bench",
-            "enqueued",
-            "installed",
-            "discarded",
-            "queue_peak",
-            "drift_pts",
-            "Sd.IP",
-        ],
-    );
-    for name in names {
-        let w = workload(name, scale, InputKind::Ref)?;
-        let sync = Dbt::new(DbtConfig::two_phase(threshold)).run_built(&w.binary, &w.input)?;
-        let cfg = DbtConfig::two_phase(threshold).with_opt_mode(OptMode::Async);
-        let out = Dbt::new(cfg).run_built(&w.binary, &w.input)?;
-        if out.output != sync.output {
-            return Err(format!("{name}: async output diverged from sync").into());
-        }
-        let sd_ip = sd_ip(out.drift.iter().copied()).ok();
-        t.row(vec![
-            (*name).to_string(),
-            out.stats.opt_enqueued.to_string(),
-            out.stats.opt_installed.to_string(),
-            out.stats.opt_discarded.to_string(),
-            out.stats.opt_queue_peak.to_string(),
-            out.drift.len().to_string(),
-            Table::metric(sd_ip),
-        ]);
-    }
-    Ok(t)
-}
-
 /// The backend-vs-backend figure (DESIGN.md §16): how the accuracy of
 /// the initial prediction translates into host-side speedup once
 /// regions are compiled to straight-line guarded traces
@@ -719,42 +666,5 @@ mod tests {
         );
         // Determinism across worker-pool widths.
         assert_eq!(csv, transfer_study(Scale::Tiny, 4).unwrap().to_csv());
-    }
-
-    #[test]
-    fn async_drift_table_is_deterministic() {
-        // `reproduce ext-async --scale tiny`: deferred install runs on
-        // the guest's instruction clock, so two calls agree exactly.
-        let names = tpdbt_suite::all_names();
-        let first = async_drift(&names, Scale::Tiny, 2_000).unwrap().to_csv();
-        assert_eq!(
-            first,
-            async_drift(&names, Scale::Tiny, 2_000).unwrap().to_csv()
-        );
-    }
-
-    #[test]
-    fn async_drift_measures_nonzero_drift_somewhere() {
-        // A low threshold forms regions early, leaving plenty of run
-        // left for candidates to sit queued while the profile moves.
-        let t = async_drift(&["gzip", "mcf", "swim"], Scale::Tiny, 200).unwrap();
-        let csv = t.to_csv();
-        let mut installed_total = 0u64;
-        let mut any_drift = false;
-        for line in csv.lines().skip(2) {
-            let cells: Vec<&str> = line.split(',').collect();
-            installed_total += cells[2].parse::<u64>().unwrap();
-            // Sd.IP parses as a number (not "-") once samples exist,
-            // and a strictly positive value means the profile actually
-            // moved between enqueue and install.
-            if cells[6].parse::<f64>().is_ok_and(|v| v > 0.0) {
-                any_drift = true;
-            }
-        }
-        assert!(installed_total > 0, "no async installs at all:\n{csv}");
-        assert!(
-            any_drift,
-            "expected nonzero Sd.IP on at least one workload:\n{csv}"
-        );
     }
 }

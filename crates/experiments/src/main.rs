@@ -4,25 +4,22 @@
 //!
 //! ```text
 //! reproduce [--scale tiny|small|paper] [--out DIR] [--jobs N]
-//!           [--backend interp|cached-fused] [--opt-mode sync|async]
+//!           [--backend interp|cached-fused]
 //!           [--cache-dir DIR] [--fleet-seed DIR]
 //!           [--trace PATH [--trace-format jsonl|chrome]]
 //!           [--max-retries N] [--fail-fast] [--watchdog-fuel N]
 //!           [--inject SPEC] [FIGURE...]
 //! ```
 //!
-//! `FIGURE` is any of `fig8` … `fig18` or `all` (default). Tables print
-//! to stdout; with `--out DIR`, each table is also written as CSV.
+//! `FIGURE` is any of `fig8` … `fig18` or `all` (default), or one of
+//! the `ext-*` extension studies listed by `--help`; an unknown target
+//! exits 2 with usage. Tables print to stdout; with `--out DIR`, each
+//! table is also written as CSV.
 //! `--jobs N` fans the sweep out over a worker pool; `--backend`
 //! selects the guest execution backend (default `cached-fused`, the
 //! fused translation cache with trace-compiled regions; `interp` is
 //! the reference interpreter — both produce bitwise-identical
 //! figures);
-//! `--opt-mode` selects optimization scheduling (default `sync`, which
-//! reproduces every figure byte-for-byte; `async` installs each region
-//! a fixed number of guest instructions after its trigger — guest
-//! outputs are identical but profiles freeze later, so async cells use
-//! their own cache slots);
 //! `--cache-dir DIR` persists profiles so identical reruns skip guest
 //! execution.
 //! `--trace PATH` attaches a structured-event tracer to the sweep, the
@@ -38,16 +35,17 @@
 //! (builds with the `fault-injection` feature only), e.g.
 //! `--inject worker_panic:0,store_corrupt:1` or
 //! `--inject seed=7,rate=5`. Exit status: 0 for a clean (possibly
-//! retried) run, 3 when cells failed and were dropped.
+//! retried) run, 1 when an extension study or the sweep fails, 2 for a
+//! usage error, 3 when cells failed and were dropped.
 
 use std::io::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
 
-use tpdbt_experiments::figures;
 use tpdbt_experiments::runner::BenchResult;
 use tpdbt_experiments::sweep::{run_sweep, SweepOptions};
 use tpdbt_experiments::table::Table;
+use tpdbt_experiments::{extensions, figures};
 use tpdbt_faults::FaultPlan;
 use tpdbt_suite::{all_names, fp_names, int_names, Scale};
 use tpdbt_trace::{TraceFormat, Tracer};
@@ -55,7 +53,7 @@ use tpdbt_trace::{TraceFormat, Tracer};
 fn usage() -> ! {
     eprintln!(
         "usage: reproduce [--scale tiny|small|paper] [--out DIR] [--jobs N]\n\
-         \u{20}                [--backend interp|cached-fused] [--opt-mode sync|async]\n\
+         \u{20}                [--backend interp|cached-fused]\n\
          \u{20}                [--cache-dir DIR] [--bench NAME]...\n\
          \u{20}                [--trace PATH [--trace-format jsonl|chrome]]\n\
          \u{20}                [--max-retries N] [--fail-fast] [--watchdog-fuel N]\n\
@@ -68,7 +66,6 @@ fn usage() -> ! {
          \u{20}        ext-thresholds       — per-benchmark threshold selection (§5.2)\n\
          \u{20}        ext-phases           — phase census via interval profiling\n\
          \u{20}        ext-static           — Wu-Larus static prediction baseline\n\
-         \u{20}        ext-async            — asynchronous optimization drift (Sd.IP)\n\
          \u{20}        ext-backend          — trace-compiled backend speedup vs Sd.BP accuracy\n\
          \u{20}        ext-transfer         — INIP(transfer) vs INIP(train) over transfer pairs\n\
          \u{20}--fleet-seed DIR seeds INIP(train) from the fleet consensus store in DIR\n\
@@ -79,45 +76,75 @@ fn usage() -> ! {
     std::process::exit(2)
 }
 
-fn run_extensions(
-    wanted: &[String],
-    scale: Scale,
-    jobs: usize,
-    out_dir: Option<&str>,
-) -> Vec<(String, Table)> {
-    let names = all_names();
-    let mut out = Vec::new();
-    for w in wanted {
-        let result = match w.as_str() {
-            "ext-train-regions" => {
-                tpdbt_experiments::extensions::train_regions(&names, scale, 2_000)
-            }
-            "ext-continuous" => {
-                tpdbt_experiments::extensions::continuous_study(&names, scale, 2_000)
-            }
-            "ext-adaptive" => tpdbt_experiments::extensions::adaptive_study(&names, scale, 2_000),
-            "ext-diagnose" => tpdbt_experiments::extensions::diagnose_suite(&names, scale, 2_000),
-            "ext-thresholds" => tpdbt_experiments::extensions::threshold_selection(&names, scale),
-            "ext-phases" => tpdbt_experiments::extensions::phase_census(&names, scale),
-            "ext-static" => tpdbt_experiments::extensions::static_baseline(&names, scale, 2_000),
-            "ext-async" => tpdbt_experiments::extensions::async_drift(&names, scale, 2_000),
-            "ext-backend" => tpdbt_experiments::extensions::backend_study(&names, scale, 2_000),
-            "ext-transfer" => tpdbt_experiments::extensions::transfer_study(scale, jobs),
-            _ => continue,
-        };
-        match result {
-            Ok(table) => out.push((w.clone(), table)),
-            Err(e) => eprintln!("{w} failed: {e}"),
-        }
+/// One extension study: `(benchmarks, scale, jobs) -> table`.
+type Extension = fn(&[&str], Scale, usize) -> tpdbt_experiments::Result<Table>;
+
+/// The extension studies, by target name. Each drives its own sweeps.
+const EXTENSIONS: [(&str, Extension); 9] = [
+    ("ext-train-regions", |names, scale, _| {
+        extensions::train_regions(names, scale, 2_000)
+    }),
+    ("ext-continuous", |names, scale, _| {
+        extensions::continuous_study(names, scale, 2_000)
+    }),
+    ("ext-adaptive", |names, scale, _| {
+        extensions::adaptive_study(names, scale, 2_000)
+    }),
+    ("ext-diagnose", |names, scale, _| {
+        extensions::diagnose_suite(names, scale, 2_000)
+    }),
+    ("ext-thresholds", |names, scale, _| {
+        extensions::threshold_selection(names, scale)
+    }),
+    ("ext-phases", |names, scale, _| {
+        extensions::phase_census(names, scale)
+    }),
+    ("ext-static", |names, scale, _| {
+        extensions::static_baseline(names, scale, 2_000)
+    }),
+    ("ext-backend", |names, scale, _| {
+        extensions::backend_study(names, scale, 2_000)
+    }),
+    ("ext-transfer", |_, scale, jobs| {
+        extensions::transfer_study(scale, jobs)
+    }),
+];
+
+/// One paper figure, rendered from the sweep's results.
+type Figure = fn(&[BenchResult]) -> Table;
+
+/// The paper's figures, by CSV name.
+const FIGURES: [(&str, Figure); 11] = [
+    ("fig08", figures::fig08),
+    ("fig09", figures::fig09),
+    ("fig10", figures::fig10),
+    ("fig11", figures::fig11),
+    ("fig12", figures::fig12),
+    ("fig13", figures::fig13),
+    ("fig14", figures::fig14),
+    ("fig15", figures::fig15),
+    ("fig16", figures::fig16),
+    ("fig17", figures::fig17),
+    ("fig18", figures::fig18),
+];
+
+/// Resolves a command-line target to its canonical name (`fig8` and
+/// `fig08` alike name `fig08`), or `None` when no such target exists.
+fn canonical_target(target: &str) -> Option<&'static str> {
+    if target == "all" {
+        return Some("all");
     }
-    let _ = out_dir;
-    out
+    FIGURES
+        .iter()
+        .map(|&(name, _)| name)
+        .chain(EXTENSIONS.iter().map(|&(name, _)| name))
+        .find(|name| *name == target || name.replacen("fig0", "fig", 1) == target)
 }
 
 fn main() {
     let mut scale = Scale::Small;
     let mut out_dir: Option<String> = None;
-    let mut figures_wanted: Vec<String> = Vec::new();
+    let mut figures_wanted: Vec<&str> = Vec::new();
     let mut only: Vec<String> = Vec::new();
     let mut sweep_opts = SweepOptions::default();
     let mut trace_path: Option<String> = None;
@@ -154,12 +181,6 @@ fn main() {
                     usage()
                 });
             }
-            "--opt-mode" => {
-                sweep_opts.opt_mode = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage());
-            }
             "--trace" => trace_path = Some(args.next().unwrap_or_else(|| usage())),
             "--trace-format" => {
                 trace_format = args
@@ -192,43 +213,54 @@ fn main() {
                 }
             }
             "--help" | "-h" => usage(),
-            f if f.starts_with("fig") || f.starts_with("ext-") || f == "all" => {
-                figures_wanted.push(f.to_string());
-            }
+            f if !f.starts_with('-') => match canonical_target(f) {
+                Some(target) => figures_wanted.push(target),
+                None => {
+                    eprintln!("reproduce: unknown target `{f}`");
+                    usage()
+                }
+            },
             _ => usage(),
         }
     }
     if figures_wanted.is_empty() {
-        figures_wanted.push("all".to_string());
+        figures_wanted.push("all");
     }
     if trace_path.is_some() {
         sweep_opts.tracer = Some(Arc::new(Tracer::new()));
     }
 
     // Extensions run standalone (they drive their own sweeps).
-    let extension_targets: Vec<String> = figures_wanted
+    let studies: Vec<(&str, Extension)> = figures_wanted
         .iter()
-        .filter(|f| f.starts_with("ext-"))
-        .cloned()
+        .filter_map(|&f| EXTENSIONS.iter().find(|&&(name, _)| name == f).copied())
         .collect();
     figures_wanted.retain(|f| !f.starts_with("ext-"));
-    if !extension_targets.is_empty() {
+    if !studies.is_empty() {
         eprintln!(
             "running {} extension studies at {scale:?} scale...",
-            extension_targets.len()
+            studies.len()
         );
-        for (name, table) in run_extensions(
-            &extension_targets,
-            scale,
-            sweep_opts.jobs.max(1),
-            out_dir.as_deref(),
-        ) {
+        let names = all_names();
+        let mut failed = false;
+        for (name, study) in studies {
+            let table = match study(&names, scale, sweep_opts.jobs.max(1)) {
+                Ok(table) => table,
+                Err(e) => {
+                    eprintln!("{name} failed: {e}");
+                    failed = true;
+                    continue;
+                }
+            };
             println!("{}", table.to_text());
             if let Some(dir) = &out_dir {
-                if let Err(e) = write_csv(dir, &name, &table) {
+                if let Err(e) = write_csv(dir, name, &table) {
                     eprintln!("warning: could not write {name}.csv: {e}");
                 }
             }
+        }
+        if failed {
+            std::process::exit(1);
         }
         if figures_wanted.is_empty() {
             return;
@@ -236,10 +268,10 @@ fn main() {
     }
 
     // Figures 9/11/16 need only INT; 12 only FP; everything else both.
-    let need_int = figures_wanted.iter().any(|f| f != "fig12");
+    let need_int = figures_wanted.iter().any(|&f| f != "fig12");
     let need_fp = figures_wanted
         .iter()
-        .any(|f| !matches!(f.as_str(), "fig9" | "fig11" | "fig16"));
+        .any(|&f| !matches!(f, "fig09" | "fig11" | "fig16"));
     let mut names: Vec<&str> = Vec::new();
     if need_int {
         names.extend(int_names());
@@ -327,37 +359,13 @@ fn main() {
     }
 }
 
+/// The tables of figure target `which` (`all` or a canonical name).
 fn select(which: &str, results: &[BenchResult]) -> Vec<(String, Table)> {
-    match which {
-        "all" => vec![
-            ("fig08".into(), figures::fig08(results)),
-            ("fig09".into(), figures::fig09(results)),
-            ("fig10".into(), figures::fig10(results)),
-            ("fig11".into(), figures::fig11(results)),
-            ("fig12".into(), figures::fig12(results)),
-            ("fig13".into(), figures::fig13(results)),
-            ("fig14".into(), figures::fig14(results)),
-            ("fig15".into(), figures::fig15(results)),
-            ("fig16".into(), figures::fig16(results)),
-            ("fig17".into(), figures::fig17(results)),
-            ("fig18".into(), figures::fig18(results)),
-        ],
-        "fig8" | "fig08" => vec![("fig08".into(), figures::fig08(results))],
-        "fig9" | "fig09" => vec![("fig09".into(), figures::fig09(results))],
-        "fig10" => vec![("fig10".into(), figures::fig10(results))],
-        "fig11" => vec![("fig11".into(), figures::fig11(results))],
-        "fig12" => vec![("fig12".into(), figures::fig12(results))],
-        "fig13" => vec![("fig13".into(), figures::fig13(results))],
-        "fig14" => vec![("fig14".into(), figures::fig14(results))],
-        "fig15" => vec![("fig15".into(), figures::fig15(results))],
-        "fig16" => vec![("fig16".into(), figures::fig16(results))],
-        "fig17" => vec![("fig17".into(), figures::fig17(results))],
-        "fig18" => vec![("fig18".into(), figures::fig18(results))],
-        other => {
-            eprintln!("unknown figure `{other}`");
-            vec![]
-        }
-    }
+    FIGURES
+        .iter()
+        .filter(|&&(name, _)| which == "all" || which == name)
+        .map(|&(name, figure)| (name.to_string(), figure(results)))
+        .collect()
 }
 
 fn write_csv(dir: &str, name: &str, table: &Table) -> std::io::Result<()> {

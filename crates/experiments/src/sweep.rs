@@ -40,7 +40,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use tpdbt_dbt::{Backend, Dbt, DbtConfig, DbtError, OptMode, ProfilingMode, RunOutcome};
+use tpdbt_dbt::{Backend, Dbt, DbtConfig, DbtError, ProfilingMode, RunOutcome};
 use tpdbt_faults::FaultSite;
 use tpdbt_isa::{binfmt, BuiltProgram, PredecodedProgram};
 use tpdbt_profile::report::{analyze, analyze_train, ThresholdMetrics, TrainMetrics};
@@ -79,14 +79,6 @@ pub struct SweepOptions {
     /// only changes how fast cells execute — never what they produce
     /// or which store slots they address.
     pub backend: Backend,
-    /// Optimization scheduling for every optimizing cell.
-    /// [`OptMode::Sync`] (the default) reproduces every figure
-    /// byte-for-byte; [`OptMode::Async`] defers each region's install,
-    /// which changes profile freeze points — so unlike the backend it
-    /// *is* folded into each cell's config before its cache key is
-    /// computed. `NoOpt` cells never optimize and are
-    /// excluded from the fold: both modes share those artifacts.
-    pub opt_mode: OptMode,
     /// Directory of a profile store holding fleet consensus artifacts
     /// (written by `tpdbt-merge` or a serve daemon's `contribute`
     /// endpoint). When set, a benchmark whose consensus is present gets
@@ -284,7 +276,6 @@ struct Ctx<'a> {
     policy: &'a FaultPolicy,
     incidents: &'a Incidents,
     backend: Backend,
-    opt_mode: OptMode,
     fleet_seed: Option<&'a PathBuf>,
 }
 
@@ -301,7 +292,6 @@ impl<'a> Ctx<'a> {
             policy: &opts.policy,
             incidents,
             backend: opts.backend,
-            opt_mode: opts.opt_mode,
             fleet_seed: opts.fleet_seed.as_ref(),
         }
     }
@@ -335,20 +325,6 @@ impl Ctx<'_> {
                 cfg.with_fuel(capped)
             }
             None => cfg,
-        }
-    }
-
-    /// Applies the sweep's opt mode to a cell's config. Like the
-    /// watchdog — and unlike the backend — this must run before the
-    /// cache key is computed: async freezes profiles at install time,
-    /// so its cells produce different (equally deterministic) results
-    /// and must address their own store slots. `NoOpt` never optimizes, so those
-    /// cells stay on the shared (mode-independent) slots.
-    fn apply_opt_mode(&self, cfg: DbtConfig) -> DbtConfig {
-        if cfg.mode == ProfilingMode::NoOpt {
-            cfg
-        } else {
-            cfg.with_opt_mode(self.opt_mode)
         }
     }
 
@@ -681,7 +657,7 @@ impl SuiteGuest {
 
 /// Runs (or loads) a plain whole-run profile: `AVEP` or `INIP(train)`.
 fn plain_run(ctx: &Ctx<'_>, guest: &GuestId<'_>, cfg: DbtConfig) -> Result<(PlainArtifact, bool)> {
-    let cfg = ctx.apply_opt_mode(ctx.apply_watchdog(cfg));
+    let cfg = ctx.apply_watchdog(cfg);
     let key = guest.key(&cfg);
     if let Some(store) = ctx.store {
         if let Some(p) = store.load_plain(&key) {
@@ -710,7 +686,7 @@ fn base_run(
     guest: &GuestId<'_>,
     expected_output_digest: u64,
 ) -> Result<(BaseArtifact, bool)> {
-    let cfg = ctx.apply_opt_mode(ctx.apply_watchdog(DbtConfig::two_phase(1)));
+    let cfg = ctx.apply_watchdog(DbtConfig::two_phase(1));
     let key = guest.key(&cfg);
     if let Some(store) = ctx.store {
         if let Some(b) = store.load_base(&key) {
@@ -739,7 +715,7 @@ fn cell_run(
     avep: &PlainProfile,
     avep_output_digest: u64,
 ) -> Result<(ThresholdMetrics, bool)> {
-    let cfg = ctx.apply_opt_mode(ctx.apply_watchdog(DbtConfig::two_phase(threshold)));
+    let cfg = ctx.apply_watchdog(DbtConfig::two_phase(threshold));
     let key = guest.key(&cfg);
     if let Some(store) = ctx.store {
         if let Some(c) = store.load_cell(&key) {

@@ -88,25 +88,6 @@ pub fn sd_bp_plain(predicted: &PlainProfile, avep: &PlainProfile) -> Result<f64,
     })
 }
 
-/// `Sd.IP` — the install-time *profile drift* metric introduced by the
-/// asynchronous optimization subsystem (DESIGN.md §12). Each point is
-/// one conditional member of an installed region: `predicted` is its
-/// branch probability when the candidate was enqueued (the threshold-hit
-/// snapshot the region was formed from), `actual` its probability when
-/// the region was actually installed, and the weight its `use` count at
-/// install. The same weighted-SD shape as the paper's `Sd.BP`, but
-/// measuring how far the profile *drifted between the two phases* —
-/// exactly the error a synchronous two-phase translator never sees,
-/// because it freezes the profile at the instant the threshold fires.
-///
-/// # Errors
-///
-/// Returns [`ProfileError::EmptyPopulation`] when no region member
-/// contributes a point (sync mode, or no region installed).
-pub fn sd_ip(points: impl IntoIterator<Item = (f64, f64, f64)>) -> Result<f64, ProfileError> {
-    weighted_sd(points).ok_or(ProfileError::EmptyPopulation { metric: "Sd.IP" })
-}
-
 fn prob_source<'a>(
     profile: &'a PlainProfileView<'a>,
 ) -> impl Fn(BlockPc, SuccSlot) -> Option<f64> + 'a {
@@ -259,23 +240,6 @@ mod tests {
         assert!((sd - 0.2).abs() < 1e-12);
         // Weighting: deviations 0.1 (w=3) and 0.3 (w=1).
         let sd = weighted_sd(vec![(0.1, 0.0, 3.0), (0.3, 0.0, 1.0)]).unwrap();
-        let expect = ((0.01 * 3.0 + 0.09) / 4.0f64).sqrt();
-        assert!((sd - expect).abs() < 1e-12);
-    }
-
-    #[test]
-    fn sd_ip_is_weighted_drift_or_empty() {
-        assert!(matches!(
-            sd_ip(vec![]),
-            Err(ProfileError::EmptyPopulation { metric: "Sd.IP" })
-        ));
-        // No drift: probability identical at enqueue and install.
-        assert_eq!(sd_ip(vec![(0.7, 0.7, 500.0)]).unwrap(), 0.0);
-        // Pure drift: enqueue saw 0.9, install sees 0.6.
-        let sd = sd_ip(vec![(0.9, 0.6, 100.0)]).unwrap();
-        assert!((sd - 0.3).abs() < 1e-12);
-        // Weighted like every other paper metric.
-        let sd = sd_ip(vec![(0.5, 0.4, 3.0), (0.5, 0.2, 1.0)]).unwrap();
         let expect = ((0.01 * 3.0 + 0.09) / 4.0f64).sqrt();
         assert!((sd - expect).abs() < 1e-12);
     }

@@ -4,7 +4,6 @@
 //! tpdbt-serve --listen SPEC [--cache-dir DIR] [--jobs N] [--queue N]
 //!             [--accept-shards N] [--hot N] [--hot-shards N]
 //!             [--deadline-ms MS] [--backend interp|cached-fused]
-//!             [--opt-mode sync|async]
 //!             [--trace PATH [--trace-format jsonl|chrome]]
 //!             [--inject SPEC]
 //! ```
@@ -16,11 +15,9 @@
 //! backend for cold (computed) queries — `cached-fused` (default, the
 //! fused translation cache plus trace-compiled regions) or `interp`
 //! (the reference interpreter); results are bitwise identical either
-//! way. `--opt-mode async` defers each region's install for computed
-//! queries (guest output is identical; the `stats` endpoint reports
-//! install/discard counters). The daemon prints exactly one
-//! `listening on ADDR` line to stdout once ready, then blocks until a
-//! `shutdown` request drains it.
+//! way. The daemon prints exactly one `listening on ADDR` line to
+//! stdout once ready, then blocks until a `shutdown` request drains
+//! it.
 //!
 //! Startup is crash-safe (DESIGN.md §14): before the listener binds,
 //! the cache directory is fsck'd (damaged entries removed, orphaned
@@ -42,7 +39,7 @@ use tpdbt_trace::{TraceFormat, Tracer};
 
 fn usage() -> ! {
     eprintln!(
-        "usage: tpdbt-serve --listen SPEC [--cache-dir DIR] [--jobs N] [--queue N] \\\n       [--accept-shards N] [--hot N] [--hot-shards N] [--deadline-ms MS] \\\n       [--backend interp|cached-fused] [--opt-mode sync|async] \\\n       [--trace PATH [--trace-format jsonl|chrome]] [--inject SPEC]\n\nSPEC is unix:PATH or HOST:PORT (port 0 = ephemeral)."
+        "usage: tpdbt-serve --listen SPEC [--cache-dir DIR] [--jobs N] [--queue N] \\\n       [--accept-shards N] [--hot N] [--hot-shards N] [--deadline-ms MS] \\\n       [--backend interp|cached-fused] \\\n       [--trace PATH [--trace-format jsonl|chrome]] [--inject SPEC]\n\nSPEC is unix:PATH or HOST:PORT (port 0 = ephemeral)."
     );
     std::process::exit(2)
 }
@@ -66,7 +63,6 @@ fn main() {
     let mut trace_format = TraceFormat::default();
     let mut inject: Option<String> = None;
     let mut backend = tpdbt_dbt::Backend::default();
-    let mut opt_mode = tpdbt_dbt::OptMode::default();
     while let Some(arg) = args.next() {
         let mut value = || args.next().unwrap_or_else(|| usage());
         match arg.as_str() {
@@ -84,7 +80,6 @@ fn main() {
                     usage()
                 });
             }
-            "--opt-mode" => opt_mode = value().parse().unwrap_or_else(|_| usage()),
             "--trace" => trace_path = Some(value()),
             "--trace-format" => trace_format = value().parse().unwrap_or_else(|_| usage()),
             "--inject" => inject = Some(value()),
@@ -101,7 +96,6 @@ fn main() {
         hot_shards: hot_shards.max(1),
         default_deadline: Duration::from_millis(deadline_ms.max(1)),
         backend,
-        opt_mode,
     });
     let tracer = trace_path.as_ref().map(|_| Arc::new(Tracer::new()));
     if let Some(t) = &tracer {

@@ -20,7 +20,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use tpdbt_dbt::{Backend, DbtConfig, OptMode, ProfilingMode};
+use tpdbt_dbt::{Backend, DbtConfig};
 use tpdbt_experiments::sweep::SuiteGuest;
 use tpdbt_faults::{FaultPlan, FaultSite};
 use tpdbt_fleet::{consensus_key, contribute as fold_contribution, WeightMode};
@@ -62,13 +62,6 @@ pub struct ServiceConfig {
     /// Execution backend for computed (tier-3) queries. Backends are
     /// bitwise result-identical; this only changes cold-query latency.
     pub backend: Backend,
-    /// Optimization scheduling for computed queries.
-    /// [`OptMode::Async`] defers each region's install, which changes
-    /// where profiles freeze — so unlike the
-    /// backend it is folded into each query's cache key (`NoOpt`
-    /// queries excepted: they never optimize and share slots across
-    /// modes, exactly as sweeps do).
-    pub opt_mode: OptMode,
 }
 
 impl Default for ServiceConfig {
@@ -79,7 +72,6 @@ impl Default for ServiceConfig {
             hot_shards: DEFAULT_SHARDS,
             default_deadline: proto::DEFAULT_DEADLINE,
             backend: Backend::default(),
-            opt_mode: OptMode::default(),
         }
     }
 }
@@ -138,13 +130,6 @@ pub struct ProfileService {
     latency: Mutex<BTreeMap<&'static str, Histogram>>,
     default_deadline: Duration,
     backend: Backend,
-    opt_mode: OptMode,
-    /// Deferred-install totals accumulated over every computed
-    /// guest run (all zero under [`OptMode::Sync`]).
-    opt_enqueued: AtomicU64,
-    opt_installed: AtomicU64,
-    opt_discarded: AtomicU64,
-    opt_queue_peak: AtomicU64,
     /// Batch frames served and the queries they carried (the ratio is
     /// the realized batching factor).
     batches: AtomicU64,
@@ -180,11 +165,6 @@ impl ProfileService {
             latency: Mutex::new(BTreeMap::new()),
             default_deadline: config.default_deadline,
             backend: config.backend,
-            opt_mode: config.opt_mode,
-            opt_enqueued: AtomicU64::new(0),
-            opt_installed: AtomicU64::new(0),
-            opt_discarded: AtomicU64::new(0),
-            opt_queue_peak: AtomicU64::new(0),
             batches: AtomicU64::new(0),
             batched_queries: AtomicU64::new(0),
             fleet_lock: Mutex::new(()),
@@ -420,20 +400,6 @@ impl ProfileService {
         }
     }
 
-    /// Folds the service's opt mode into a query config — before the
-    /// cache key is computed, because async queries produce different
-    /// (equally deterministic) profiles and must address their own
-    /// slots.
-    /// `NoOpt` configs are left untouched (they never optimize) so both
-    /// modes share plain-profile artifacts, exactly as sweeps do.
-    fn apply_opt_mode(&self, cfg: DbtConfig) -> DbtConfig {
-        if cfg.mode == ProfilingMode::NoOpt {
-            cfg
-        } else {
-            cfg.with_opt_mode(self.opt_mode)
-        }
-    }
-
     fn run_guest(
         &self,
         guest: &SuiteGuest,
@@ -442,18 +408,9 @@ impl ProfileService {
         self.guest_runs.fetch_add(1, Ordering::Relaxed);
         // The backend is applied here, after the cache key was derived
         // from `cfg`: it never affects results, only compute latency.
-        let out = guest
+        guest
             .run(cfg.with_backend(self.backend), self.tracer.as_ref())
-            .map_err(|e| ServeFailure::Compute(e.to_string()))?;
-        self.opt_enqueued
-            .fetch_add(out.stats.opt_enqueued, Ordering::Relaxed);
-        self.opt_installed
-            .fetch_add(out.stats.opt_installed, Ordering::Relaxed);
-        self.opt_discarded
-            .fetch_add(out.stats.opt_discarded, Ordering::Relaxed);
-        self.opt_queue_peak
-            .fetch_max(out.stats.opt_queue_peak, Ordering::Relaxed);
-        Ok(out)
+            .map_err(|e| ServeFailure::Compute(e.to_string()))
     }
 
     fn store_artifact(&self, key: &tpdbt_store::CacheKey, artifact: &Artifact) {
@@ -518,7 +475,7 @@ impl ProfileService {
             ));
         }
         let guest = self.guest(workload, scale, InputKind::Ref)?;
-        let cfg = self.apply_opt_mode(DbtConfig::two_phase(threshold));
+        let cfg = DbtConfig::two_phase(threshold);
         let key = guest.key(&cfg);
         self.resolve(
             key.digest(),
@@ -559,7 +516,7 @@ impl ProfileService {
         deadline: Instant,
     ) -> Result<Resolved, ServeFailure> {
         let guest = self.guest(workload, scale, InputKind::Ref)?;
-        let cfg = self.apply_opt_mode(DbtConfig::two_phase(1));
+        let cfg = DbtConfig::two_phase(1);
         let key = guest.key(&cfg);
         self.resolve(
             key.digest(),
@@ -707,8 +664,7 @@ impl ProfileService {
     }
 
     /// The `stats` payload: tier counters, single-flight counters,
-    /// guest runs, deferred-install totals, and per-endpoint
-    /// latency summaries.
+    /// guest runs, and per-endpoint latency summaries.
     #[must_use]
     pub fn stats_json(&self) -> Json {
         let HotStats {
@@ -764,28 +720,6 @@ impl ProfileService {
                     (
                         "consensus_served",
                         Json::num(self.consensus_served.load(Ordering::Relaxed)),
-                    ),
-                ]),
-            ),
-            (
-                "optimizer",
-                Json::obj([
-                    ("mode", Json::str(self.opt_mode.name())),
-                    (
-                        "enqueued",
-                        Json::num(self.opt_enqueued.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "installed",
-                        Json::num(self.opt_installed.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "discarded",
-                        Json::num(self.opt_discarded.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "queue_peak",
-                        Json::num(self.opt_queue_peak.load(Ordering::Relaxed)),
                     ),
                 ]),
             ),
@@ -1055,60 +989,6 @@ mod tests {
     }
 
     #[test]
-    fn stats_expose_optimizer_counters_and_async_accumulates() {
-        // Sync service: the object is present, mode "sync", all zero.
-        let s = svc(None);
-        let _ = s.resolve_cell("gzip", Scale::Tiny, 50, far()).unwrap();
-        let stats = s.stats_json();
-        let opt = stats.get("optimizer").expect("optimizer stats object");
-        assert_eq!(opt.get("mode").and_then(Json::as_str), Some("sync"));
-        assert_eq!(opt.get("enqueued").and_then(Json::as_u64), Some(0));
-        assert_eq!(opt.get("installed").and_then(Json::as_u64), Some(0));
-        // Async service: computed cells feed the totals, and the books
-        // balance across every run the service performed.
-        let a = ProfileService::new(ServiceConfig {
-            hot_capacity: 16,
-            default_deadline: Duration::from_secs(60),
-            opt_mode: OptMode::Async,
-            ..ServiceConfig::default()
-        });
-        let _ = a.resolve_cell("gzip", Scale::Tiny, 5, far()).unwrap();
-        let stats = a.stats_json();
-        let opt = stats.get("optimizer").expect("optimizer stats object");
-        assert_eq!(opt.get("mode").and_then(Json::as_str), Some("async"));
-        let enq = opt.get("enqueued").and_then(Json::as_u64).unwrap();
-        let inst = opt.get("installed").and_then(Json::as_u64).unwrap();
-        let disc = opt.get("discarded").and_then(Json::as_u64).unwrap();
-        assert!(enq > 0, "async cell must enqueue candidates: {stats:?}");
-        assert_eq!(enq, inst + disc, "unbalanced books: {stats:?}");
-        assert!(opt.get("queue_peak").and_then(Json::as_u64).is_some());
-        // The latency histograms ride alongside, per endpoint.
-        assert!(stats.get("latency").is_some());
-    }
-
-    #[test]
-    fn sync_and_async_cells_address_distinct_cache_keys() {
-        let s = svc(None);
-        let a = ProfileService::new(ServiceConfig {
-            opt_mode: OptMode::Async,
-            ..ServiceConfig::default()
-        });
-        let g_sync = s.guest("gzip", Scale::Tiny, InputKind::Ref).unwrap();
-        let g_async = a.guest("gzip", Scale::Tiny, InputKind::Ref).unwrap();
-        let sync_key = g_sync.key(&s.apply_opt_mode(DbtConfig::two_phase(50)));
-        let async_key = g_async.key(&a.apply_opt_mode(DbtConfig::two_phase(50)));
-        assert_ne!(
-            sync_key.digest(),
-            async_key.digest(),
-            "async cells must not alias sync artifacts"
-        );
-        // Plain (NoOpt) profiles are mode-independent and shared.
-        let sync_plain = g_sync.key(&s.apply_opt_mode(DbtConfig::no_opt()));
-        let async_plain = g_async.key(&a.apply_opt_mode(DbtConfig::no_opt()));
-        assert_eq!(sync_plain.digest(), async_plain.digest());
-    }
-
-    #[test]
     fn expired_deadline_is_reported_not_computed() {
         let s = svc(None);
         let past = Instant::now() - Duration::from_millis(1);
@@ -1153,7 +1033,7 @@ mod tests {
         assert_eq!(first.source, Source::Computed);
         // Simulate a worker panicking while holding the hot-tier lock.
         let g = s.guest("gzip", Scale::Tiny, InputKind::Ref).unwrap();
-        let key = g.key(&s.apply_opt_mode(DbtConfig::two_phase(1))).digest();
+        let key = g.key(&DbtConfig::two_phase(1)).digest();
         s.poison_hot_for_tests(key);
         // The shard cleared and the service recomputes without panicking.
         let again = s.resolve_base("gzip", Scale::Tiny, far()).unwrap();

@@ -106,40 +106,6 @@ pub enum EventKind {
         side_exits: u64,
     },
 
-    // ---- deferred install (tpdbt-dbt, `--opt-mode async`) ----
-    /// A hot candidate's region was formed and queued for deferred
-    /// install (async mode).
-    OptEnqueued {
-        /// Candidate entry address.
-        pc: u64,
-        /// The candidate's `use` count at enqueue time.
-        use_count: u64,
-        /// Install-queue length after the enqueue.
-        depth: u64,
-    },
-    /// A queued region passed epoch validation and was installed into
-    /// the translation cache.
-    OptInstalled {
-        /// Region id.
-        region: u64,
-        /// Entry block address.
-        entry_pc: u64,
-        /// Number of block copies in the region.
-        blocks: u32,
-        /// The entry's `use` count at install time (may exceed `2T`:
-        /// profiling continued while the candidate was queued).
-        use_count: u64,
-    },
-    /// A queued region was discarded instead of installed — a stamped
-    /// member block was retired or reformed while it waited, or its
-    /// entry got covered by another region or froze.
-    OptDiscarded {
-        /// Candidate entry address.
-        pc: u64,
-        /// The candidate's `use` count at the discard decision.
-        use_count: u64,
-    },
-
     // ---- profile store (tpdbt-store) ----
     /// A store lookup was served from disk.
     StoreHit {
@@ -349,9 +315,6 @@ impl EventKind {
             EventKind::RegionFormed { .. } => "region_formed",
             EventKind::RegionReformed { .. } => "region_reformed",
             EventKind::RegionRetired { .. } => "region_retired",
-            EventKind::OptEnqueued { .. } => "opt_enqueued",
-            EventKind::OptInstalled { .. } => "opt_installed",
-            EventKind::OptDiscarded { .. } => "opt_discarded",
             EventKind::StoreHit { .. } => "store_hit",
             EventKind::StoreMiss { .. } => "store_miss",
             EventKind::StoreEvicted { .. } => "store_evicted",
@@ -434,21 +397,6 @@ mod tests {
                 entry_pc: 0,
                 entries: 1,
                 side_exits: 1,
-            },
-            EventKind::OptEnqueued {
-                pc: 0,
-                use_count: 1,
-                depth: 1,
-            },
-            EventKind::OptInstalled {
-                region: 0,
-                entry_pc: 0,
-                blocks: 1,
-                use_count: 1,
-            },
-            EventKind::OptDiscarded {
-                pc: 0,
-                use_count: 1,
             },
             EventKind::StoreHit {
                 file: String::new(),

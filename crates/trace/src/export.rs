@@ -108,29 +108,6 @@ fn fields(kind: &EventKind) -> Vec<Field<'_>> {
             Field::U64("entries", *entries),
             Field::U64("side_exits", *side_exits),
         ],
-        E::OptEnqueued {
-            pc,
-            use_count,
-            depth,
-        } => vec![
-            Field::U64("pc", *pc),
-            Field::U64("use", *use_count),
-            Field::U64("depth", *depth),
-        ],
-        E::OptInstalled {
-            region,
-            entry_pc,
-            blocks,
-            use_count,
-        } => vec![
-            Field::U64("region", *region),
-            Field::U64("entry_pc", *entry_pc),
-            Field::U64("blocks", u64::from(*blocks)),
-            Field::U64("use", *use_count),
-        ],
-        E::OptDiscarded { pc, use_count } => {
-            vec![Field::U64("pc", *pc), Field::U64("use", *use_count)]
-        }
         E::StoreHit { file }
         | E::StoreMiss { file }
         | E::StoreEvicted { file }
