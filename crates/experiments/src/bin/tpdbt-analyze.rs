@@ -72,7 +72,6 @@ fn inspect_store(dir: &str) -> tpdbt_experiments::Result<()> {
                     Artifact::Plain(_) => "plain",
                     Artifact::Cell(_) => "cell",
                     Artifact::Base(_) => "base",
-                    Artifact::Merged(_) => "merged",
                 };
                 println!(
                     "{name:<44} {kind:>6} {:>8}  ok (key {digest:016x})",

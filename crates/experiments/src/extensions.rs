@@ -23,12 +23,11 @@ use std::time::Instant;
 
 use tpdbt_dbt::offline::{as_inip_with_regions, form_offline_regions};
 use tpdbt_dbt::{Backend, Dbt, DbtConfig, RegionPolicy};
-use tpdbt_profile::report::{analyze, analyze_train};
+use tpdbt_profile::report::analyze;
 use tpdbt_profile::{diagnose, navep};
-use tpdbt_suite::{workload, workload_versioned, InputKind, Scale};
+use tpdbt_suite::{workload, InputKind, Scale};
 
 use crate::runner::ladder;
-use crate::sweep::parallel_map;
 use crate::table::Table;
 use crate::Result;
 
@@ -457,121 +456,6 @@ pub fn backend_study(names: &[&str], scale: Scale, nominal_threshold: u64) -> Re
     Ok(t)
 }
 
-/// One transfer pair of the fleet study: the target is always the
-/// benchmark's version-0 binary on its ref input; the donor profile is
-/// observed on `donor_kind`'s input of binary version `donor_version`
-/// and transferred structurally onto the target's AVEP shape.
-struct TransferPair {
-    bench: &'static str,
-    /// `"x-input"` (same binary, different input) or `"x-version"`
-    /// (rebuilt binary — every PC shifted — on a re-seeded input).
-    label: &'static str,
-    donor_kind: InputKind,
-    donor_version: u32,
-}
-
-/// The transfer-pair ladder: pair distance grows top to bottom, from
-/// same-binary cross-input (the matcher must be lossless) through
-/// rebuilt binaries at increasing version skew.
-const TRANSFER_PAIRS: &[TransferPair] = &[
-    // Calibration: pushing the training profile through the structural
-    // matcher on the *same* binary must reproduce INIP(train).
-    TransferPair {
-        bench: "fleetint",
-        label: "x-input",
-        donor_kind: InputKind::Train,
-        donor_version: 0,
-    },
-    // The input-skewed interpreter: the training input exercises the
-    // wrong handler cluster, but a rebuilt binary that ran a ref-shaped
-    // input transfers the right one — INIP(transfer) ≪ INIP(train).
-    TransferPair {
-        bench: "fleetint",
-        label: "x-version",
-        donor_kind: InputKind::Ref,
-        donor_version: 2,
-    },
-    // The phase-shifting workload: train sits in phase one; the donor
-    // saw all three phases.
-    TransferPair {
-        bench: "fleetphase",
-        label: "x-version",
-        donor_kind: InputKind::Ref,
-        donor_version: 1,
-    },
-    // Paper-suite contrast: gzip's training input is representative,
-    // so transfer and train should land close together.
-    TransferPair {
-        bench: "gzip",
-        label: "x-version",
-        donor_kind: InputKind::Ref,
-        donor_version: 1,
-    },
-];
-
-/// The fleet transfer study (DESIGN.md §15): `INIP(transfer)` vs
-/// `INIP(train)` over cross-input and cross-version pairs, with the
-/// structural-match coverage each transfer achieved. Pairs execute on
-/// a worker pool; rows are committed in pair order, so the table is
-/// bit-identical for any `jobs`.
-///
-/// # Errors
-///
-/// Propagates workload, guest, and metric failures from any pair.
-pub fn transfer_study(scale: Scale, jobs: usize) -> Result<Table> {
-    let mut t = Table::new(
-        "Extension (DESIGN.md §15): cross-input/cross-version transfer — INIP(transfer) vs INIP(train)",
-        &[
-            "bench", "pair", "donor", "matched", "wcov",
-            "Sd.BP(train)", "Sd.BP(xfer)", "mis(train)", "mis(xfer)", "gap",
-        ],
-    );
-    let rows = parallel_map(jobs.max(1), TRANSFER_PAIRS, |_, p| -> Result<Vec<String>> {
-        let target = workload(p.bench, scale, InputKind::Ref)?;
-        let training = workload(p.bench, scale, InputKind::Train)?;
-        let donor_w = workload_versioned(p.bench, scale, p.donor_kind, p.donor_version)?;
-        let avep = Dbt::new(DbtConfig::no_opt())
-            .run_built(&target.binary, &target.input)?
-            .as_plain_profile();
-        let train = Dbt::new(DbtConfig::no_opt())
-            .run_built(&training.binary, &training.input)?
-            .as_plain_profile();
-        let donor = Dbt::new(DbtConfig::no_opt())
-            .run_built(&donor_w.binary, &donor_w.input)?
-            .as_plain_profile();
-        let out = tpdbt_fleet::transfer(&donor, &avep);
-        let tm = analyze_train(&train, &avep);
-        let xm = analyze_train(&out.profile, &avep);
-        let gap = match (tm.sd_bp, xm.sd_bp) {
-            (Some(a), Some(b)) => format!("{:+.3}", a - b),
-            _ => "-".to_string(),
-        };
-        Ok(vec![
-            p.bench.to_string(),
-            p.label.to_string(),
-            format!(
-                "{}/v{}",
-                match p.donor_kind {
-                    InputKind::Ref => "ref",
-                    InputKind::Train => "train",
-                },
-                p.donor_version
-            ),
-            format!("{}/{}", out.matched, out.total),
-            format!("{:.3}", out.weighted_coverage),
-            Table::metric(tm.sd_bp),
-            Table::metric(xm.sd_bp),
-            Table::metric(tm.bp_mismatch),
-            Table::metric(xm.bp_mismatch),
-            gap,
-        ])
-    });
-    for row in rows {
-        t.row(row?);
-    }
-    Ok(t)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -637,34 +521,5 @@ mod tests {
     fn threshold_selection_finds_a_best_point() {
         let t = threshold_selection(&["bzip2"], Scale::Tiny).unwrap();
         assert!(t.to_csv().contains("bzip2"));
-    }
-
-    #[test]
-    fn transfer_study_shows_a_gap_and_is_deterministic_across_jobs() {
-        let t = transfer_study(Scale::Tiny, 2).unwrap();
-        let csv = t.to_csv();
-        let cells = |prefix: &str| -> Vec<String> {
-            csv.lines()
-                .find(|l| l.starts_with(prefix))
-                .unwrap_or_else(|| panic!("no row {prefix} in:\n{csv}"))
-                .split(',')
-                .map(str::to_string)
-                .collect()
-        };
-        // Same-binary cross-input calibration: the matcher transfers the
-        // training profile losslessly, so Sd.BP(xfer) == Sd.BP(train).
-        let cal = cells("fleetint,x-input");
-        assert_eq!(cal[5], cal[6], "lossless same-binary transfer:\n{csv}");
-        // The input-skewed family: a ref-shaped donor from a rebuilt
-        // binary must beat the unrepresentative training input.
-        let skew = cells("fleetint,x-version");
-        let sd_train: f64 = skew[5].parse().unwrap();
-        let sd_xfer: f64 = skew[6].parse().unwrap();
-        assert!(
-            sd_xfer < sd_train,
-            "transfer {sd_xfer} must beat train {sd_train}:\n{csv}"
-        );
-        // Determinism across worker-pool widths.
-        assert_eq!(csv, transfer_study(Scale::Tiny, 4).unwrap().to_csv());
     }
 }

@@ -5,7 +5,7 @@
 //! ```text
 //! reproduce [--scale tiny|small|paper] [--out DIR] [--jobs N]
 //!           [--backend interp|cached-fused]
-//!           [--cache-dir DIR] [--fleet-seed DIR]
+//!           [--cache-dir DIR] [--bench NAME]...
 //!           [--trace PATH [--trace-format jsonl|chrome]]
 //!           [--max-retries N] [--fail-fast] [--watchdog-fuel N]
 //!           [--inject SPEC] [FIGURE...]
@@ -67,8 +67,6 @@ fn usage() -> ! {
          \u{20}        ext-phases           — phase census via interval profiling\n\
          \u{20}        ext-static           — Wu-Larus static prediction baseline\n\
          \u{20}        ext-backend          — trace-compiled backend speedup vs Sd.BP accuracy\n\
-         \u{20}        ext-transfer         — INIP(transfer) vs INIP(train) over transfer pairs\n\
-         \u{20}--fleet-seed DIR seeds INIP(train) from the fleet consensus store in DIR\n\
          Regenerates the tables/figures of 'The Accuracy of Initial Prediction in\n\
          Two-Phase Dynamic Binary Translators' (CGO 2004). Default: all figures at\n\
          small scale."
@@ -76,37 +74,34 @@ fn usage() -> ! {
     std::process::exit(2)
 }
 
-/// One extension study: `(benchmarks, scale, jobs) -> table`.
-type Extension = fn(&[&str], Scale, usize) -> tpdbt_experiments::Result<Table>;
+/// One extension study: `(benchmarks, scale) -> table`.
+type Extension = fn(&[&str], Scale) -> tpdbt_experiments::Result<Table>;
 
 /// The extension studies, by target name. Each drives its own sweeps.
-const EXTENSIONS: [(&str, Extension); 9] = [
-    ("ext-train-regions", |names, scale, _| {
+const EXTENSIONS: [(&str, Extension); 8] = [
+    ("ext-train-regions", |names, scale| {
         extensions::train_regions(names, scale, 2_000)
     }),
-    ("ext-continuous", |names, scale, _| {
+    ("ext-continuous", |names, scale| {
         extensions::continuous_study(names, scale, 2_000)
     }),
-    ("ext-adaptive", |names, scale, _| {
+    ("ext-adaptive", |names, scale| {
         extensions::adaptive_study(names, scale, 2_000)
     }),
-    ("ext-diagnose", |names, scale, _| {
+    ("ext-diagnose", |names, scale| {
         extensions::diagnose_suite(names, scale, 2_000)
     }),
-    ("ext-thresholds", |names, scale, _| {
+    ("ext-thresholds", |names, scale| {
         extensions::threshold_selection(names, scale)
     }),
-    ("ext-phases", |names, scale, _| {
+    ("ext-phases", |names, scale| {
         extensions::phase_census(names, scale)
     }),
-    ("ext-static", |names, scale, _| {
+    ("ext-static", |names, scale| {
         extensions::static_baseline(names, scale, 2_000)
     }),
-    ("ext-backend", |names, scale, _| {
+    ("ext-backend", |names, scale| {
         extensions::backend_study(names, scale, 2_000)
-    }),
-    ("ext-transfer", |_, scale, jobs| {
-        extensions::transfer_study(scale, jobs)
     }),
 ];
 
@@ -161,7 +156,14 @@ fn main() {
                 }
             }
             "--out" => out_dir = Some(args.next().unwrap_or_else(|| usage())),
-            "--bench" => only.push(args.next().unwrap_or_else(|| usage())),
+            "--bench" => {
+                let name = args.next().unwrap_or_else(|| usage());
+                if !all_names().contains(&name.as_str()) {
+                    eprintln!("reproduce: unknown benchmark `{name}`");
+                    usage()
+                }
+                only.push(name);
+            }
             "--jobs" => {
                 sweep_opts.jobs = args
                     .next()
@@ -170,9 +172,6 @@ fn main() {
             }
             "--cache-dir" => {
                 sweep_opts.cache_dir = Some(args.next().unwrap_or_else(|| usage()).into());
-            }
-            "--fleet-seed" => {
-                sweep_opts.fleet_seed = Some(args.next().unwrap_or_else(|| usage()).into());
             }
             "--backend" => {
                 let value = args.next().unwrap_or_else(|| usage());
@@ -244,7 +243,7 @@ fn main() {
         let names = all_names();
         let mut failed = false;
         for (name, study) in studies {
-            let table = match study(&names, scale, sweep_opts.jobs.max(1)) {
+            let table = match study(&names, scale) {
                 Ok(table) => table,
                 Err(e) => {
                     eprintln!("{name} failed: {e}");
@@ -283,13 +282,6 @@ fn main() {
         names = all_names();
     }
     if !only.is_empty() {
-        // The fleet-study families sit outside the paper's 26 but are
-        // sweepable when named explicitly (CI's fleet smoke does).
-        for extra in tpdbt_suite::fleet_names() {
-            if only.iter().any(|o| o == extra) {
-                names.push(extra);
-            }
-        }
         names.retain(|n| only.iter().any(|o| o == n));
         if names.is_empty() {
             eprintln!("--bench filter matched nothing (see tpdbt_suite::all_names)");

@@ -79,14 +79,6 @@ pub struct SweepOptions {
     /// only changes how fast cells execute — never what they produce
     /// or which store slots they address.
     pub backend: Backend,
-    /// Directory of a profile store holding fleet consensus artifacts
-    /// (written by `tpdbt-merge` or a serve daemon's `contribute`
-    /// endpoint). When set, a benchmark whose consensus is present gets
-    /// its `INIP(train)` baseline by *transferring* the finalized
-    /// consensus onto the AVEP shape (DESIGN.md §15) instead of running
-    /// the training guest — the cross-input seeding path. Benchmarks
-    /// without a consensus fall back to the normal training run.
-    pub fleet_seed: Option<PathBuf>,
 }
 
 /// Opens the profile store (if configured), attaching the sweep's
@@ -276,7 +268,6 @@ struct Ctx<'a> {
     policy: &'a FaultPolicy,
     incidents: &'a Incidents,
     backend: Backend,
-    fleet_seed: Option<&'a PathBuf>,
 }
 
 impl<'a> Ctx<'a> {
@@ -292,7 +283,6 @@ impl<'a> Ctx<'a> {
             policy: &opts.policy,
             incidents,
             backend: opts.backend,
-            fleet_seed: opts.fleet_seed.as_ref(),
         }
     }
 }
@@ -469,36 +459,6 @@ impl Ctx<'_> {
             label: label.to_string(),
             micros,
         });
-    }
-
-    /// Derives the `INIP(train)` baseline from a fleet consensus, when
-    /// [`SweepOptions::fleet_seed`] names a store that holds one for
-    /// this benchmark (either weighting mode; visit-count preferred).
-    /// The merged artifact is finalized and *transferred* onto the AVEP
-    /// shape through the structural matcher, so it survives cross-input
-    /// and cross-version skew. The synthesized profile is deliberately
-    /// not written back to any cache: it is derived data, reproducible
-    /// from the consensus artifact at negligible cost.
-    fn fleet_train(&self, name: &str, scale: Scale, avep: &PlainProfile) -> Option<TrainMetrics> {
-        let store = ProfileStore::new(self.fleet_seed?);
-        let merged = [
-            tpdbt_fleet::WeightMode::VisitCount,
-            tpdbt_fleet::WeightMode::PhaseCoverage,
-        ]
-        .into_iter()
-        .find_map(|mode| {
-            match store.load(&tpdbt_fleet::consensus_key(name, scale, mode)) {
-                Some(Artifact::Merged(m)) => Some(m),
-                _ => None,
-            }
-        })?;
-        let donor = tpdbt_fleet::finalize(&merged);
-        let transferred = tpdbt_fleet::transfer(&donor, avep);
-        self.trace_emit(|| EventKind::FleetConsensusServed {
-            workload: name.to_string(),
-            contributors: merged.contributors,
-        });
-        Some(analyze_train(&transferred.profile, avep))
     }
 
     fn run_guest(&self, guest: &GuestId<'_>, config: DbtConfig) -> Result<RunOutcome> {
@@ -853,30 +813,18 @@ fn baselines_for(
     stat("avep", avep_hit, t);
 
     started("train");
-    let seed_timer = Instant::now();
-    let train = if let Some(tm) = ctx.fleet_train(reference.name, scale, &avep_art.profile) {
-        // Served from the fleet consensus without a guest run; counted
-        // as a hit so seeded sweeps report their saved work.
-        stat(
-            "train",
-            true,
-            u64::try_from(seed_timer.elapsed().as_micros()).unwrap_or(u64::MAX),
-        );
-        tm
-    } else {
-        let train_id = GuestId::new(
-            training.name,
-            &training.binary,
-            &training.input,
-            input_code(InputKind::Train),
-            sc,
-        );
-        let ((train_art, train_hit), t) = ctx.guarded(training.name, "train", || {
-            timed(|| plain_run(ctx, &train_id, DbtConfig::no_opt()))
-        })?;
-        stat("train", train_hit, t);
-        analyze_train(&train_art.profile, &avep_art.profile)
-    };
+    let train_id = GuestId::new(
+        training.name,
+        &training.binary,
+        &training.input,
+        input_code(InputKind::Train),
+        sc,
+    );
+    let ((train_art, train_hit), t) = ctx.guarded(training.name, "train", || {
+        timed(|| plain_run(ctx, &train_id, DbtConfig::no_opt()))
+    })?;
+    stat("train", train_hit, t);
+    let train = analyze_train(&train_art.profile, &avep_art.profile);
 
     let avep_output_digest = fnv64_words(&avep_art.output);
     started("base");

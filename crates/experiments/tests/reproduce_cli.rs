@@ -1,12 +1,15 @@
-//! `reproduce` rejects an unknown target during argument parsing: it
-//! exits 2 with usage before running any sweep, instead of silently
-//! skipping the target and reporting success.
+//! `reproduce` rejects an unknown target, benchmark or flag during
+//! argument parsing: it exits 2 with usage before running any sweep,
+//! instead of silently skipping the input and reporting success.
 
 use std::process::Command;
 
-/// The target of the deleted install-drift study, spelled in two parts
-/// so that a search for leftovers of that study finds none.
-const REMOVED_STUDY: &str = concat!("ext-", "async");
+/// Targets, benchmarks and flags of deleted studies, suite families
+/// and modes, each spelled in parts so that a search for leftovers of
+/// them finds none.
+const REMOVED_STUDIES: [&str; 2] = [concat!("ext-", "async"), concat!("ext-", "transfer")];
+const REMOVED_BENCH: &str = concat!("fleet", "int");
+const REMOVED_FLAG: &str = concat!("--fleet", "-seed");
 
 fn reproduce(args: &[&str]) -> std::process::Output {
     Command::new(env!("CARGO_BIN_EXE_reproduce"))
@@ -17,22 +20,39 @@ fn reproduce(args: &[&str]) -> std::process::Output {
 
 #[test]
 fn unknown_targets_exit_with_usage() {
-    for target in [REMOVED_STUDY, "fig19"] {
-        let out = reproduce(&["--scale", "tiny", target]);
-        assert_eq!(out.status.code(), Some(2), "{target}");
+    let unknown_bench = format!("unknown benchmark `{REMOVED_BENCH}`");
+    let mut cases: Vec<(Vec<&str>, String)> = REMOVED_STUDIES
+        .into_iter()
+        .chain(["fig19"])
+        .map(|t| (vec![t], format!("unknown target `{t}`")))
+        .collect();
+    cases.push((vec!["--bench", REMOVED_BENCH, "fig8"], unknown_bench));
+    cases.push((
+        vec!["--bench", "gzip", "--bench", "nosuch", "fig8"],
+        "unknown benchmark `nosuch`".to_string(),
+    ));
+    for (args, message) in cases {
+        let out = reproduce(&[&["--scale", "tiny"], &args[..]].concat());
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(
-            stderr.contains(&format!("unknown target `{target}`")),
-            "{stderr}"
-        );
+        assert!(stderr.contains(&message), "{stderr}");
         assert!(stderr.contains("usage: reproduce"), "{stderr}");
-        assert!(out.stdout.is_empty(), "{target} printed a table");
+        assert!(out.stdout.is_empty(), "{args:?} printed a table");
     }
 }
 
 #[test]
 fn an_unknown_target_fails_even_beside_known_ones() {
-    let out = reproduce(&["--scale", "tiny", "fig8", REMOVED_STUDY]);
-    assert_eq!(out.status.code(), Some(2));
-    assert!(out.stdout.is_empty());
+    let cases = [
+        vec!["fig8", REMOVED_STUDIES[0]],
+        vec!["fig8", REMOVED_STUDIES[1]],
+        vec!["--bench", "gzip", REMOVED_FLAG, "dir", "fig8"],
+    ];
+    for args in cases {
+        let out = reproduce(&[&["--scale", "tiny"], &args[..]].concat());
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("usage: reproduce"), "{stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} printed a table");
+    }
 }

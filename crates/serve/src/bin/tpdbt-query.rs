@@ -7,15 +7,8 @@
 //! tpdbt-query --connect SPEC plain WORKLOAD [--scale S] [--input ref|train]
 //! tpdbt-query --connect SPEC cell  WORKLOAD THRESHOLD [--scale S]
 //! tpdbt-query --connect SPEC base  WORKLOAD [--scale S]
-//! tpdbt-query --connect SPEC contribute WORKLOAD FILE [--scale S] [--weight W]
-//! tpdbt-query --connect SPEC consensus  WORKLOAD [--scale S] [--weight W] [--save FILE]
 //! tpdbt-query --connect SPEC malformed     (protocol test: sends garbage)
 //! ```
-//!
-//! `contribute` uploads a local `.tpst` plain-profile artifact into the
-//! workload's fleet consensus; `consensus` fetches the merged artifact,
-//! and `--save FILE` writes its exact bytes to disk (byte-comparable
-//! against an offline `tpdbt-merge` output).
 //!
 //! `--batch N` (artifact ops and ping) replicates the request N times
 //! inside one pipelined `batch` frame; the exit status is 0 only if
@@ -31,15 +24,14 @@
 //! status: 0 when the server answered `ok: true`, 1 on transport
 //! failures or an `ok: false` response, 2 on usage errors.
 
-use tpdbt_fleet::WeightMode;
 use tpdbt_serve::json::Json;
-use tpdbt_serve::proto::{self, Request};
+use tpdbt_serve::proto::Request;
 use tpdbt_serve::Client;
 use tpdbt_suite::{InputKind, Scale};
 
 fn usage() -> ! {
     eprintln!(
-        "usage: tpdbt-query --connect SPEC [--deadline-ms MS] [--batch N] [--retries N] OP [ARGS]\n  OP: ping | stats | shutdown | malformed\n      plain WORKLOAD [--scale tiny|small|paper] [--input ref|train]\n      cell  WORKLOAD THRESHOLD [--scale tiny|small|paper]\n      base  WORKLOAD [--scale tiny|small|paper]\n      contribute WORKLOAD FILE [--scale S] [--weight visit|phase]\n      consensus  WORKLOAD [--scale S] [--weight visit|phase] [--save FILE]\n  --batch N sends the request N times in one batch frame\n  --retries N reconnects and retries idempotent requests on transport failure\n  --save FILE writes the consensus artifact bytes to FILE"
+        "usage: tpdbt-query --connect SPEC [--deadline-ms MS] [--batch N] [--retries N] OP [ARGS]\n  OP: ping | stats | shutdown | malformed\n      plain WORKLOAD [--scale tiny|small|paper] [--input ref|train]\n      cell  WORKLOAD THRESHOLD [--scale tiny|small|paper]\n      base  WORKLOAD [--scale tiny|small|paper]\n  --batch N sends the request N times in one batch frame\n  --retries N reconnects and retries idempotent requests on transport failure"
     );
     std::process::exit(2)
 }
@@ -65,8 +57,6 @@ fn main() {
     let mut retries: u32 = 0;
     let mut scale = Scale::Tiny;
     let mut input = InputKind::Ref;
-    let mut weight = WeightMode::VisitCount;
-    let mut save: Option<String> = None;
     let mut positional: Vec<String> = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -77,8 +67,6 @@ fn main() {
             "--batch" => batch = Some(value().parse().unwrap_or_else(|_| usage())),
             "--retries" => retries = value().parse().unwrap_or_else(|_| usage()),
             "--scale" => scale = parse_scale(&value()),
-            "--weight" => weight = WeightMode::from_name(&value()).unwrap_or_else(|| usage()),
-            "--save" => save = Some(value()),
             "--input" => {
                 input = match value().as_str() {
                     "ref" => InputKind::Ref,
@@ -94,86 +82,61 @@ fn main() {
     let mut pos = positional.iter().map(String::as_str);
     let op = pos.next().unwrap_or_else(|| usage());
 
+    // Validate the whole command line before dialing, so a usage
+    // error never looks like a transport failure. `None` is the
+    // deliberately malformed frame.
+    let request = match op {
+        "malformed" => None,
+        "ping" => Some(Request::Ping),
+        "stats" => Some(Request::Stats),
+        "shutdown" => Some(Request::Shutdown),
+        "plain" => Some(Request::Plain {
+            workload: pos.next().unwrap_or_else(|| usage()).to_string(),
+            scale,
+            input,
+        }),
+        "cell" => Some(Request::Cell {
+            workload: pos.next().unwrap_or_else(|| usage()).to_string(),
+            scale,
+            threshold: pos
+                .next()
+                .and_then(|t| t.parse().ok())
+                .unwrap_or_else(|| usage()),
+        }),
+        "base" => Some(Request::Base {
+            workload: pos.next().unwrap_or_else(|| usage()).to_string(),
+            scale,
+        }),
+        other => {
+            eprintln!("tpdbt-query: unknown op `{other}`");
+            usage()
+        }
+    };
+    if pos.next().is_some() {
+        usage();
+    }
+    if let (Some(n), Some(request)) = (batch, &request) {
+        if n == 0 || *request == Request::Shutdown {
+            usage();
+        }
+    }
+
     let mut client = Client::connect(&connect)
         .unwrap_or_else(|e| fatal(format_args!("connect {connect}: {e}")))
         .with_retries(retries);
 
-    let reply = if op == "malformed" {
-        // Deliberately not JSON: exercises the server's structured
-        // malformed-frame error path.
-        client.send_raw(b"this is not json")
-    } else {
-        let request = match op {
-            "ping" => Request::Ping,
-            "stats" => Request::Stats,
-            "shutdown" => Request::Shutdown,
-            "plain" => Request::Plain {
-                workload: pos.next().unwrap_or_else(|| usage()).to_string(),
-                scale,
-                input,
-            },
-            "cell" => Request::Cell {
-                workload: pos.next().unwrap_or_else(|| usage()).to_string(),
-                scale,
-                threshold: pos
-                    .next()
-                    .and_then(|t| t.parse().ok())
-                    .unwrap_or_else(|| usage()),
-            },
-            "base" => Request::Base {
-                workload: pos.next().unwrap_or_else(|| usage()).to_string(),
-                scale,
-            },
-            "contribute" => {
-                let workload = pos.next().unwrap_or_else(|| usage()).to_string();
-                let file = pos.next().unwrap_or_else(|| usage());
-                let bytes = std::fs::read(file)
-                    .unwrap_or_else(|e| fatal(format_args!("reading {file}: {e}")));
-                Request::Contribute {
-                    workload,
-                    scale,
-                    mode: weight,
-                    profile_hex: proto::hex_encode(&bytes),
-                }
-            }
-            "consensus" => Request::Consensus {
-                workload: pos.next().unwrap_or_else(|| usage()).to_string(),
-                scale,
-                mode: weight,
-            },
-            _ => usage(),
-        };
-        if pos.next().is_some() {
-            usage();
+    let reply = match (request, batch) {
+        // Exercises the server's structured malformed-frame error path.
+        (None, _) => client.send_raw(b"this is not json"),
+        (Some(request), Some(n)) => {
+            client.request_batch((0..n).map(|_| (request.clone(), deadline_ms)).collect())
         }
-        match batch {
-            // Replicating a contribution N times would double-merge it;
-            // contribute frames stay single.
-            Some(n)
-                if n > 0
-                    && request != Request::Shutdown
-                    && !matches!(request, Request::Contribute { .. }) =>
-            {
-                client.request_batch((0..n).map(|_| (request.clone(), deadline_ms)).collect())
-            }
-            Some(_) => usage(),
-            None => client.request(request, deadline_ms),
-        }
+        (Some(request), None) => client.request(request, deadline_ms),
     };
 
     match reply {
         Ok(body) => {
             println!("{}", body.render());
-            if let Some(path) = &save {
-                let bytes = body
-                    .get("consensus")
-                    .and_then(|c| c.get("artifact_hex"))
-                    .and_then(Json::as_str)
-                    .and_then(proto::hex_decode)
-                    .unwrap_or_else(|| fatal("response carries no consensus artifact to save"));
-                std::fs::write(path, bytes)
-                    .unwrap_or_else(|e| fatal(format_args!("writing {path}: {e}")));
-            }
             // A batch succeeds only if the envelope *and every slot*
             // answered ok.
             let ok = body.get("ok").and_then(Json::as_bool).unwrap_or(false)

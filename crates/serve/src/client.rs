@@ -61,18 +61,13 @@ impl Client {
 
     /// Whether a lost instance of `request` is safe to resend: pure
     /// reads and the liveness probe are; `shutdown` is not (the caller
-    /// cannot know whether the first copy was applied), `contribute`
-    /// is not (a resend double-merges the profile into the consensus),
-    /// and `stats` is excluded so a retried probe never muddies
-    /// counters it is trying to observe.
+    /// cannot know whether the first copy was applied), and `stats` is
+    /// excluded so a retried probe never muddies counters it is trying
+    /// to observe.
     fn is_idempotent(request: &Request) -> bool {
         matches!(
             request,
-            Request::Ping
-                | Request::Plain { .. }
-                | Request::Cell { .. }
-                | Request::Base { .. }
-                | Request::Consensus { .. }
+            Request::Ping | Request::Plain { .. } | Request::Cell { .. } | Request::Base { .. }
         )
     }
 

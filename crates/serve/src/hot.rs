@@ -35,10 +35,6 @@ pub struct HotStats {
     pub inserts: u64,
     /// Artifacts evicted to make room.
     pub evictions: u64,
-    /// Entries removed explicitly because their backing artifact
-    /// changed (e.g. a fleet consensus update superseding the cached
-    /// copy) — distinct from capacity evictions.
-    pub invalidations: u64,
     /// Shard-poisoning recoveries (a panic under the shard lock forced
     /// a clear-and-continue).
     pub poisoned: u64,
@@ -156,16 +152,6 @@ impl HotTier {
         shard.stats.inserts += 1;
     }
 
-    /// Removes `key` if resident, counting an invalidation. Used when
-    /// the backing artifact is superseded (a new fleet consensus) so a
-    /// stale copy can never outlive the update.
-    pub fn remove(&self, key: u64) {
-        let mut shard = self.shard(key);
-        if shard.map.remove(&key).is_some() {
-            shard.stats.invalidations += 1;
-        }
-    }
-
     /// Current occupancy across all shards.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -221,7 +207,6 @@ impl HotTier {
             total.misses += shard.stats.misses;
             total.inserts += shard.stats.inserts;
             total.evictions += shard.stats.evictions;
-            total.invalidations += shard.stats.invalidations;
             total.poisoned += shard.stats.poisoned;
         }
         total
@@ -354,19 +339,6 @@ mod tests {
         for other in (0..6u64).filter(|&k| k != 1 && shard_of(k, tier.shard_count()) == home) {
             assert!(pos_of(1) > pos_of(other), "1 refreshed after {other}");
         }
-    }
-
-    #[test]
-    fn remove_invalidates_only_resident_keys() {
-        let tier = HotTier::new(4);
-        tier.insert(1, art(1));
-        tier.remove(1);
-        tier.remove(2); // absent: no invalidation counted
-        assert!(tier.get(1).is_none());
-        let s = tier.stats();
-        assert_eq!(s.invalidations, 1);
-        assert_eq!(s.evictions, 0);
-        assert!(tier.is_empty());
     }
 
     #[test]

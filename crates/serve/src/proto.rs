@@ -15,8 +15,7 @@
 use std::io::{self, Read, Write};
 use std::time::Duration;
 
-use tpdbt_fleet::WeightMode;
-use tpdbt_store::{BaseArtifact, CellArtifact, MergedArtifact, PlainArtifact};
+use tpdbt_store::{BaseArtifact, CellArtifact, PlainArtifact};
 use tpdbt_suite::{InputKind, Scale};
 
 use crate::json::{self, Json};
@@ -129,29 +128,6 @@ pub enum Request {
         /// Suite scale.
         scale: Scale,
     },
-    /// Uploads one observed plain profile (a hex-encoded `.tpst`
-    /// artifact) into the workload's fleet consensus accumulator
-    /// (DESIGN.md §15). Not idempotent: resending double-merges.
-    Contribute {
-        /// Workload the consensus belongs to.
-        workload: String,
-        /// Suite scale the consensus is keyed under.
-        scale: Scale,
-        /// Weighting mode of the consensus accumulator.
-        mode: WeightMode,
-        /// The full `.tpst` plain artifact, hex-encoded.
-        profile_hex: String,
-    },
-    /// Fetches the workload's merged fleet consensus artifact. A pure
-    /// read — safe to retry.
-    Consensus {
-        /// Workload the consensus belongs to.
-        workload: String,
-        /// Suite scale the consensus is keyed under.
-        scale: Scale,
-        /// Weighting mode of the consensus accumulator.
-        mode: WeightMode,
-    },
 }
 
 impl Request {
@@ -165,8 +141,6 @@ impl Request {
             Request::Plain { .. } => "plain",
             Request::Cell { .. } => "cell",
             Request::Base { .. } => "base",
-            Request::Contribute { .. } => "contribute",
-            Request::Consensus { .. } => "consensus",
         }
     }
 }
@@ -208,46 +182,6 @@ pub fn input_name(input: InputKind) -> &'static str {
         InputKind::Ref => "ref",
         InputKind::Train => "train",
     }
-}
-
-/// Parses the optional `weight` field of a fleet request; absent means
-/// the visit-count default.
-fn weight_mode(v: &Json) -> Result<WeightMode, (ErrorCode, String)> {
-    match v.get("weight").and_then(Json::as_str) {
-        None => Ok(WeightMode::VisitCount),
-        Some(name) => WeightMode::from_name(name).ok_or_else(|| {
-            (
-                ErrorCode::BadRequest,
-                format!("unknown weight mode `{name}` (visit|phase)"),
-            )
-        }),
-    }
-}
-
-/// Lowercase hex encoding of artifact bytes for the wire.
-#[must_use]
-pub fn hex_encode(bytes: &[u8]) -> String {
-    let mut out = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        out.push_str(&format!("{b:02x}"));
-    }
-    out
-}
-
-/// Inverse of [`hex_encode`]; `None` on odd length or non-hex digits.
-#[must_use]
-pub fn hex_decode(s: &str) -> Option<Vec<u8>> {
-    if !s.len().is_multiple_of(2) {
-        return None;
-    }
-    let digits = s.as_bytes();
-    let mut out = Vec::with_capacity(s.len() / 2);
-    for pair in digits.chunks_exact(2) {
-        let hi = (pair[0] as char).to_digit(16)?;
-        let lo = (pair[1] as char).to_digit(16)?;
-        out.push((hi * 16 + lo) as u8);
-    }
-    Some(out)
 }
 
 /// One decoded request frame: a single v1 query, or a v2 `batch`
@@ -400,21 +334,6 @@ impl Envelope {
                 workload: workload()?,
                 scale: scale()?,
             },
-            "contribute" => Request::Contribute {
-                workload: workload()?,
-                scale: scale()?,
-                mode: weight_mode(v)?,
-                profile_hex: v
-                    .get("profile_hex")
-                    .and_then(Json::as_str)
-                    .map(str::to_string)
-                    .ok_or_else(|| bad("missing `profile_hex`".to_string()))?,
-            },
-            "consensus" => Request::Consensus {
-                workload: workload()?,
-                scale: scale()?,
-                mode: weight_mode(v)?,
-            },
             other => return Err(bad(format!("unknown op `{other}`"))),
         };
         Ok(Envelope {
@@ -458,26 +377,6 @@ impl Envelope {
             Request::Base { workload, scale } => {
                 fields.push(("workload", Json::str(workload.clone())));
                 fields.push(("scale", Json::str(scale_name(*scale))));
-            }
-            Request::Contribute {
-                workload,
-                scale,
-                mode,
-                profile_hex,
-            } => {
-                fields.push(("workload", Json::str(workload.clone())));
-                fields.push(("scale", Json::str(scale_name(*scale))));
-                fields.push(("weight", Json::str(mode.name())));
-                fields.push(("profile_hex", Json::str(profile_hex.clone())));
-            }
-            Request::Consensus {
-                workload,
-                scale,
-                mode,
-            } => {
-                fields.push(("workload", Json::str(workload.clone())));
-                fields.push(("scale", Json::str(scale_name(*scale))));
-                fields.push(("weight", Json::str(mode.name())));
             }
         }
         Json::obj(fields).render()
@@ -573,27 +472,6 @@ pub fn plain_payload(plain: &PlainArtifact, output_digest: u64) -> Json {
         ("profiling_ops", Json::num(plain.profile.profiling_ops)),
         ("output_len", Json::num(plain.output.len() as u64)),
         ("output_digest", Json::hex(output_digest)),
-    ])
-}
-
-/// The `consensus` payload: accumulator summary plus the full encoded
-/// artifact (hex), so a client can persist it and byte-compare against
-/// an offline `tpdbt-merge` run. Weighted totals are `u128`; they
-/// travel as decimal strings.
-#[must_use]
-pub fn merged_payload(merged: &MergedArtifact, artifact_hex: String) -> Json {
-    Json::obj([
-        ("contributors", Json::num(merged.contributors)),
-        (
-            "weight",
-            Json::str(
-                WeightMode::from_code(merged.weight_mode).map_or("unknown", WeightMode::name),
-            ),
-        ),
-        ("total_weight", Json::str(merged.total_weight.to_string())),
-        ("blocks", Json::num(merged.blocks.len() as u64)),
-        ("entry", Json::num(merged.entry as u64)),
-        ("artifact_hex", Json::str(artifact_hex)),
     ])
 }
 
@@ -705,25 +583,6 @@ mod tests {
                 deadline_ms: None,
                 request: Request::Stats,
             },
-            Envelope {
-                id: 5,
-                deadline_ms: None,
-                request: Request::Contribute {
-                    workload: "gzip".into(),
-                    scale: Scale::Tiny,
-                    mode: WeightMode::PhaseCoverage,
-                    profile_hex: "deadbeef".into(),
-                },
-            },
-            Envelope {
-                id: 6,
-                deadline_ms: None,
-                request: Request::Consensus {
-                    workload: "gzip".into(),
-                    scale: Scale::Tiny,
-                    mode: WeightMode::VisitCount,
-                },
-            },
         ];
         for e in cases {
             assert_eq!(Envelope::parse(&e.render()).unwrap(), e);
@@ -746,43 +605,6 @@ mod tests {
             Envelope::parse(r#"{"op":"cell","workload":"gzip","scale":"tiny"}"#).unwrap_err();
         assert_eq!(no_threshold.0, ErrorCode::BadRequest);
     }
-
-    #[test]
-    fn fleet_requests_validate_their_fields() {
-        // Missing hex payload.
-        let err =
-            Envelope::parse(r#"{"op":"contribute","workload":"gzip","scale":"tiny"}"#).unwrap_err();
-        assert_eq!(err.0, ErrorCode::BadRequest);
-        assert!(err.1.contains("profile_hex"), "{}", err.1);
-        // Bad weight mode.
-        let err = Envelope::parse(
-            r#"{"op":"consensus","workload":"gzip","scale":"tiny","weight":"bogus"}"#,
-        )
-        .unwrap_err();
-        assert_eq!(err.0, ErrorCode::BadRequest);
-        // Absent weight defaults to visit-count.
-        let env =
-            Envelope::parse(r#"{"op":"consensus","workload":"gzip","scale":"tiny"}"#).unwrap();
-        assert_eq!(
-            env.request,
-            Request::Consensus {
-                workload: "gzip".into(),
-                scale: Scale::Tiny,
-                mode: WeightMode::VisitCount,
-            }
-        );
-    }
-
-    #[test]
-    fn hex_round_trips_and_rejects_garbage() {
-        let data: Vec<u8> = (0..=255).collect();
-        assert_eq!(hex_decode(&hex_encode(&data)).as_deref(), Some(&data[..]));
-        assert_eq!(hex_encode(&[0xde, 0xad]), "dead");
-        assert_eq!(hex_decode("abc"), None, "odd length");
-        assert_eq!(hex_decode("zz"), None, "non-hex digit");
-        assert_eq!(hex_decode("").as_deref(), Some(&[][..]));
-    }
-
     #[test]
     fn frames_round_trip_and_refuse_hostile_lengths() {
         let mut buf = Vec::new();

@@ -23,7 +23,6 @@ use std::time::{Duration, Instant};
 use tpdbt_dbt::{Backend, DbtConfig};
 use tpdbt_experiments::sweep::SuiteGuest;
 use tpdbt_faults::{FaultPlan, FaultSite};
-use tpdbt_fleet::{consensus_key, contribute as fold_contribution, WeightMode};
 use tpdbt_profile::report::analyze;
 use tpdbt_store::digest::fnv64_words;
 use tpdbt_store::{Artifact, BaseArtifact, CellArtifact, PlainArtifact, ProfileStore};
@@ -34,8 +33,8 @@ use tpdbt_trace::Tracer;
 use crate::hot::{HotStats, HotTier};
 use crate::json::Json;
 use crate::proto::{
-    self, base_payload, cell_payload, input_name, merged_payload, plain_payload, scale_name,
-    Envelope, ErrorCode, Request, Source,
+    self, base_payload, cell_payload, input_name, plain_payload, scale_name, Envelope, ErrorCode,
+    Request, Source,
 };
 use crate::shard::{lock_recover, DEFAULT_SHARDS};
 use crate::singleflight::{FlightOutcome, SingleFlight};
@@ -134,13 +133,6 @@ pub struct ProfileService {
     /// the realized batching factor).
     batches: AtomicU64,
     batched_queries: AtomicU64,
-    /// Serializes consensus read-modify-write updates: two concurrent
-    /// `contribute` requests for the same workload must not interleave
-    /// their load/merge/store, or one contribution would be lost.
-    fleet_lock: Mutex<()>,
-    /// Fleet traffic: profiles folded in, consensus artifacts served.
-    contributions: AtomicU64,
-    consensus_served: AtomicU64,
     /// Warm-restart bookkeeping, set by [`ProfileService::startup_recovery`]:
     /// hot-tier entries reinstalled from the drain snapshot, orphaned
     /// temp files swept at startup, and the startup fsck's wall time.
@@ -167,9 +159,6 @@ impl ProfileService {
             backend: config.backend,
             batches: AtomicU64::new(0),
             batched_queries: AtomicU64::new(0),
-            fleet_lock: Mutex::new(()),
-            contributions: AtomicU64::new(0),
-            consensus_served: AtomicU64::new(0),
             recovered: AtomicU64::new(0),
             orphans_swept: AtomicU64::new(0),
             fsck_ms: AtomicU64::new(0),
@@ -534,112 +523,6 @@ impl ProfileService {
         )
     }
 
-    /// Folds one uploaded plain-profile artifact into the workload's
-    /// fleet consensus (DESIGN.md §15): load the current accumulator
-    /// (hot tier, then disk), merge the contribution, persist through
-    /// the store's durable-write path, and reinstall in memory. The
-    /// whole read-modify-write runs under the fleet lock so concurrent
-    /// contributions serialize instead of losing updates; the sequence
-    /// of serialized merges is byte-identical to an offline
-    /// `tpdbt-merge` over the same profiles in any order.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeFailure::BadRequest`] when the bytes are not a valid
-    /// plain-profile artifact or the weighting mode conflicts.
-    pub fn resolve_contribute(
-        &self,
-        workload: &str,
-        scale: Scale,
-        mode: WeightMode,
-        profile_bytes: &[u8],
-    ) -> Result<Arc<Artifact>, ServeFailure> {
-        let (_, decoded) = tpdbt_store::profilefmt::decode(profile_bytes)
-            .map_err(|e| ServeFailure::BadRequest(format!("contributed artifact: {e}")))?;
-        let Artifact::Plain(plain) = decoded else {
-            return Err(ServeFailure::BadRequest(
-                "contributed artifact must be a plain profile".to_string(),
-            ));
-        };
-        let key = consensus_key(workload, scale, mode);
-        let digest = key.digest();
-        let _guard = lock_recover(&self.fleet_lock);
-        let existing = match self.hot.get(digest).as_deref() {
-            Some(Artifact::Merged(m)) => Some(m.clone()),
-            _ => self
-                .store
-                .as_ref()
-                .and_then(|s| s.load(&key))
-                .and_then(|a| match a {
-                    Artifact::Merged(m) => Some(m),
-                    _ => None,
-                }),
-        };
-        let merged = fold_contribution(existing, &plain.profile, mode)
-            .map_err(|e| ServeFailure::BadRequest(e.to_string()))?;
-        let contributors = merged.contributors;
-        let artifact = Arc::new(Artifact::Merged(merged));
-        self.store_artifact(&key, &artifact);
-        // Invalidate before reinstalling: no reader may see the
-        // superseded copy once the durable write has happened.
-        self.hot.remove(digest);
-        self.hot.insert(digest, Arc::clone(&artifact));
-        self.contributions.fetch_add(1, Ordering::Relaxed);
-        self.trace_emit(|| tpdbt_trace::EventKind::FleetContributed {
-            workload: workload.to_string(),
-            contributors,
-        });
-        Ok(artifact)
-    }
-
-    /// Fetches the workload's merged fleet consensus — a pure tiered
-    /// read (memory, then disk); consensus is never computed on demand.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeFailure::BadRequest`] when no consensus exists yet for
-    /// this (workload, scale, weight mode).
-    pub fn resolve_consensus(
-        &self,
-        workload: &str,
-        scale: Scale,
-        mode: WeightMode,
-    ) -> Result<Resolved, ServeFailure> {
-        let key = consensus_key(workload, scale, mode);
-        let digest = key.digest();
-        let resolved = match self.hot.get(digest) {
-            Some(artifact) if matches!(&*artifact, Artifact::Merged(_)) => Resolved {
-                artifact,
-                source: Source::Memory,
-            },
-            _ => match self.store.as_ref().and_then(|s| s.load(&key)) {
-                Some(found @ Artifact::Merged(_)) => {
-                    let artifact = Arc::new(found);
-                    self.hot.insert(digest, Arc::clone(&artifact));
-                    Resolved {
-                        artifact,
-                        source: Source::Disk,
-                    }
-                }
-                _ => {
-                    return Err(ServeFailure::BadRequest(format!(
-                        "no fleet consensus for `{workload}` at this scale/weight \
-                         (contribute profiles first)"
-                    )))
-                }
-            },
-        };
-        let Artifact::Merged(m) = &*resolved.artifact else {
-            unreachable!("consensus key resolved to non-merged artifact")
-        };
-        self.consensus_served.fetch_add(1, Ordering::Relaxed);
-        self.trace_emit(|| tpdbt_trace::EventKind::FleetConsensusServed {
-            workload: workload.to_string(),
-            contributors: m.contributors,
-        });
-        Ok(resolved)
-    }
-
     /// Records one request latency sample under its op name.
     pub fn record_latency(&self, op: &'static str, micros: u64) {
         lock_recover(&self.latency)
@@ -672,7 +555,6 @@ impl ProfileService {
             misses,
             inserts,
             evictions,
-            invalidations,
             poisoned,
         } = self.hot.stats();
         let mut fields: Vec<(&'static str, Json)> = vec![
@@ -684,7 +566,6 @@ impl ProfileService {
                     ("misses", Json::num(misses)),
                     ("inserts", Json::num(inserts)),
                     ("evictions", Json::num(evictions)),
-                    ("invalidations", Json::num(invalidations)),
                     ("poisoned", Json::num(poisoned)),
                     ("shards", Json::num(self.hot.shard_count() as u64)),
                     ("len", Json::num(self.hot.len() as u64)),
@@ -707,19 +588,6 @@ impl ProfileService {
                     (
                         "queries",
                         Json::num(self.batched_queries.load(Ordering::Relaxed)),
-                    ),
-                ]),
-            ),
-            (
-                "fleet",
-                Json::obj([
-                    (
-                        "contributions",
-                        Json::num(self.contributions.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "consensus_served",
-                        Json::num(self.consensus_served.load(Ordering::Relaxed)),
                     ),
                 ]),
             ),
@@ -828,37 +696,6 @@ impl ProfileService {
                     (vec![("base", base_payload(b))], Some(r.source))
                 })
             }
-            Request::Contribute {
-                workload,
-                scale,
-                mode,
-                profile_hex,
-            } => proto::hex_decode(profile_hex)
-                .ok_or_else(|| {
-                    ServeFailure::BadRequest("`profile_hex` is not valid hex".to_string())
-                })
-                .and_then(|bytes| self.resolve_contribute(workload, *scale, *mode, &bytes))
-                .map(|artifact| {
-                    let Artifact::Merged(m) = &*artifact else {
-                        unreachable!("contribute produced a non-merged artifact")
-                    };
-                    let digest = consensus_key(workload, *scale, *mode).digest();
-                    let hex =
-                        proto::hex_encode(&tpdbt_store::profilefmt::encode(digest, &artifact));
-                    (vec![("consensus", merged_payload(m, hex))], None)
-                }),
-            Request::Consensus {
-                workload,
-                scale,
-                mode,
-            } => self.resolve_consensus(workload, *scale, *mode).map(|r| {
-                let Artifact::Merged(m) = &*r.artifact else {
-                    unreachable!("consensus key resolved to non-merged artifact")
-                };
-                let digest = consensus_key(workload, *scale, *mode).digest();
-                let hex = proto::hex_encode(&tpdbt_store::profilefmt::encode(digest, &r.artifact));
-                (vec![("consensus", merged_payload(m, hex))], Some(r.source))
-            }),
         };
         let elapsed = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
         self.record_latency(env.request.op(), elapsed);
@@ -1111,162 +948,6 @@ mod tests {
         let report = tpdbt_store::fsck(&dir, tpdbt_store::FsckOptions::default()).unwrap();
         assert!(report.clean(), "startup recovery must repair the dir");
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    fn fleet_profile(seed: u64) -> tpdbt_profile::PlainProfile {
-        use tpdbt_profile::{BlockRecord, SuccSlot, TermKind};
-        let mut blocks = std::collections::BTreeMap::new();
-        blocks.insert(
-            0,
-            BlockRecord {
-                len: 3,
-                kind: Some(TermKind::Cond),
-                use_count: 100 * (seed + 1),
-                edges: vec![
-                    (SuccSlot::Taken, 8, 60 * (seed + 1)),
-                    (SuccSlot::Fallthrough, 4, 40 * (seed + 1)),
-                ],
-            },
-        );
-        tpdbt_profile::PlainProfile {
-            blocks,
-            entry: 0,
-            profiling_ops: 300 + seed,
-            instructions: 900 + seed,
-        }
-    }
-
-    fn contribute_env(id: u64, profile: &tpdbt_profile::PlainProfile) -> Envelope {
-        let artifact = Artifact::Plain(tpdbt_store::PlainArtifact {
-            profile: profile.clone(),
-            output: Vec::new(),
-        });
-        Envelope {
-            id,
-            deadline_ms: None,
-            request: Request::Contribute {
-                workload: "gzip".into(),
-                scale: Scale::Tiny,
-                mode: WeightMode::VisitCount,
-                profile_hex: proto::hex_encode(&tpdbt_store::profilefmt::encode(0, &artifact)),
-            },
-        }
-    }
-
-    #[test]
-    fn fleet_contribute_then_consensus_matches_the_offline_merge() {
-        let s = svc(None);
-        let (p1, p2) = (fleet_profile(0), fleet_profile(1));
-        for (i, p) in [&p1, &p2].iter().enumerate() {
-            let (reply, _) = s.respond(&contribute_env(i as u64 + 1, p));
-            assert_eq!(
-                reply.get("ok").and_then(Json::as_bool),
-                Some(true),
-                "{reply:?}"
-            );
-        }
-        let (reply, source) = s.respond(&Envelope {
-            id: 9,
-            deadline_ms: None,
-            request: Request::Consensus {
-                workload: "gzip".into(),
-                scale: Scale::Tiny,
-                mode: WeightMode::VisitCount,
-            },
-        });
-        assert_eq!(source, Some(Source::Memory), "consensus stays memory-hot");
-        let payload = reply.get("consensus").expect("consensus payload");
-        assert_eq!(payload.get("contributors").and_then(Json::as_u64), Some(2));
-        // The served bytes are exactly what an offline fold produces.
-        let offline = fold_contribution(
-            Some(fold_contribution(None, &p1, WeightMode::VisitCount).unwrap()),
-            &p2,
-            WeightMode::VisitCount,
-        )
-        .unwrap();
-        let key = consensus_key("gzip", Scale::Tiny, WeightMode::VisitCount);
-        let expected = proto::hex_encode(&tpdbt_store::profilefmt::encode(
-            key.digest(),
-            &Artifact::Merged(offline),
-        ));
-        assert_eq!(
-            payload.get("artifact_hex").and_then(Json::as_str),
-            Some(expected.as_str())
-        );
-        // Counters: two contributions, one consensus, one hot-tier
-        // invalidation (the second contribute superseding the first).
-        let stats = s.stats_json();
-        let fleet = stats.get("fleet").expect("fleet stats");
-        assert_eq!(fleet.get("contributions").and_then(Json::as_u64), Some(2));
-        assert_eq!(
-            fleet.get("consensus_served").and_then(Json::as_u64),
-            Some(1)
-        );
-        let inval = stats
-            .get("hot")
-            .and_then(|h| h.get("invalidations"))
-            .and_then(Json::as_u64);
-        assert_eq!(inval, Some(1));
-        // Latency histograms gained per-endpoint entries.
-        let latency = stats.get("latency").expect("latency map");
-        assert!(latency.get("contribute").is_some());
-        assert!(latency.get("consensus").is_some());
-    }
-
-    #[test]
-    fn fleet_consensus_survives_restart_and_passes_fsck() {
-        static UNIQ: AtomicU64 = AtomicU64::new(0);
-        let dir = std::env::temp_dir().join(format!(
-            "tpdbt-serve-fleet-{}-{}",
-            std::process::id(),
-            UNIQ.fetch_add(1, Ordering::Relaxed)
-        ));
-        let a = svc(Some(dir.clone()));
-        let (reply, _) = a.respond(&contribute_env(1, &fleet_profile(0)));
-        assert_eq!(reply.get("ok").and_then(Json::as_bool), Some(true));
-        let first = a
-            .resolve_consensus("gzip", Scale::Tiny, WeightMode::VisitCount)
-            .unwrap();
-        drop(a);
-        // The durable write alone (no hot snapshot) survives a restart.
-        let b = svc(Some(dir.clone()));
-        b.startup_recovery();
-        let warm = b
-            .resolve_consensus("gzip", Scale::Tiny, WeightMode::VisitCount)
-            .unwrap();
-        assert_eq!(warm.source, Source::Disk);
-        assert_eq!(first.artifact, warm.artifact);
-        // And the stored merged artifact is fsck-clean.
-        let report = tpdbt_store::fsck(&dir, tpdbt_store::FsckOptions::default()).unwrap();
-        assert!(report.clean(), "{report:?}");
-        assert!(report.valid >= 1);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn fleet_rejects_garbage_and_missing_consensus() {
-        let s = svc(None);
-        let err = s
-            .resolve_contribute("gzip", Scale::Tiny, WeightMode::VisitCount, b"garbage")
-            .unwrap_err();
-        assert!(matches!(err, ServeFailure::BadRequest(_)));
-        let err = s
-            .resolve_consensus("gzip", Scale::Tiny, WeightMode::VisitCount)
-            .unwrap_err();
-        assert!(matches!(err, ServeFailure::BadRequest(_)));
-        // A non-plain contribution is refused too.
-        let base = tpdbt_store::profilefmt::encode(
-            0,
-            &BaseArtifact {
-                cycles: 1,
-                output_digest: 1,
-            }
-            .into_artifact(),
-        );
-        let err = s
-            .resolve_contribute("gzip", Scale::Tiny, WeightMode::VisitCount, &base)
-            .unwrap_err();
-        assert!(matches!(err, ServeFailure::BadRequest(_)));
     }
 
     #[test]

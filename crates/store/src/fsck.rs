@@ -302,40 +302,6 @@ mod tests {
     }
 
     #[test]
-    fn merged_artifacts_scan_valid_and_repair_when_corrupted() {
-        // Regression: the merged fleet-consensus kind (kind 3) must be
-        // a first-class store citizen to fsck — scanned and counted
-        // valid, not skipped or misclassified as foreign/orphaned.
-        use crate::profilefmt::MergedArtifact;
-        let dir = scratch_dir();
-        let store = ProfileStore::new(&dir);
-        let merged = Artifact::Merged(MergedArtifact {
-            weight_mode: 0,
-            contributors: 2,
-            total_weight: 1000,
-            ..MergedArtifact::default()
-        });
-        let k = key(77);
-        store.store(&k, &merged).unwrap();
-        let scan = fsck(&dir, FsckOptions::default()).unwrap();
-        assert!(scan.clean(), "{}", scan.render(&dir));
-        assert_eq!(scan.valid, 1);
-        assert!(scan.orphans.is_empty(), "merged entry flagged as orphan");
-
-        // Corrupt it: fsck must detect and (with repair) remove it.
-        let path = dir.join(k.file_name());
-        let mut bytes = fs::read(&path).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0xFF;
-        fs::write(&path, &bytes).unwrap();
-        let repair = fsck(&dir, FsckOptions { repair: true }).unwrap();
-        assert_eq!(repair.corrupt, vec![k.file_name()]);
-        assert_eq!(repair.repaired, 1);
-        assert!(!path.exists());
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn quarantine_is_reported_but_does_not_dirty_the_scan() {
         let dir = scratch_dir();
         let store = ProfileStore::new(&dir);

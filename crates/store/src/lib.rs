@@ -39,6 +39,4 @@ pub mod profilefmt;
 pub use cache::{CacheKey, ProfileStore};
 pub use error::StoreError;
 pub use fsck::{fsck, FsckOptions, FsckReport};
-pub use profilefmt::{
-    Artifact, BaseArtifact, CellArtifact, MergedArtifact, MergedBlock, PlainArtifact, TypedArtifact,
-};
+pub use profilefmt::{Artifact, BaseArtifact, CellArtifact, PlainArtifact, TypedArtifact};

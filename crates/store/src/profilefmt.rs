@@ -8,7 +8,7 @@
 //! magic    "TPST"           4 bytes
 //! version  u16              currently 1
 //! key      u64              digest of the cache key that produced this
-//! kind     u8               0 = plain, 1 = cell, 2 = base, 3 = merged
+//! kind     u8               0 = plain, 1 = cell, 2 = base (3 retired)
 //! payload                   kind-specific (varints + raw f64 bits)
 //! checksum u64              FNV-1a 64 of all preceding bytes
 //! ```
@@ -21,7 +21,7 @@
 
 use std::collections::BTreeMap;
 
-use tpdbt_profile::{BlockPc, BlockRecord, PlainProfile, SuccSlot, TermKind, ThresholdMetrics};
+use tpdbt_profile::{BlockRecord, PlainProfile, SuccSlot, TermKind, ThresholdMetrics};
 
 use crate::codec::{Reader, Writer};
 use crate::digest::fnv64;
@@ -62,54 +62,6 @@ pub struct BaseArtifact {
     pub output_digest: u64,
 }
 
-/// One block's accumulator inside a [`MergedArtifact`]: weighted
-/// counter sums (not finalized counts) so that merging is pointwise
-/// integer addition — exactly commutative and associative, which is
-/// what makes an incrementally built fleet consensus byte-identical to
-/// an offline `tpdbt-merge` of the same contributions in any order.
-#[derive(Clone, Debug, PartialEq, Eq, Default)]
-pub struct MergedBlock {
-    /// Block length in instructions: the maximum seen across
-    /// contributors (max is commutative; lengths only disagree across
-    /// binary versions).
-    pub len: u32,
-    /// Terminator kind. Conflicts resolve commutatively: a known kind
-    /// beats `None`, and between two known kinds the smaller
-    /// [`TermKind::code`] wins.
-    pub kind: Option<TermKind>,
-    /// `Σᵢ wᵢ · useᵢ` over contributors, 128-bit so a large fleet of
-    /// heavily-weighted profiles cannot overflow.
-    pub use_weighted: u128,
-    /// Weighted edge-count sums, keyed `(slot, target)` — the `BTreeMap`
-    /// keeps encoding order deterministic.
-    pub edges: BTreeMap<(SuccSlot, BlockPc), u128>,
-}
-
-/// The fleet consensus accumulator: N contributed [`PlainArtifact`]
-/// profiles folded into weighted counter *sums* plus the total weight.
-/// Finalizing (dividing by the total weight) happens on demand in
-/// `tpdbt-fleet`; persisting the accumulator instead of the quotient is
-/// what makes the merge algebra exact.
-#[derive(Clone, Debug, PartialEq, Eq, Default)]
-pub struct MergedArtifact {
-    /// Weighting-mode code (append-only; named in `tpdbt-fleet`):
-    /// 0 = visit-count, 1 = phase-coverage.
-    pub weight_mode: u8,
-    /// Number of contributed profiles.
-    pub contributors: u64,
-    /// `Σᵢ wᵢ` over contributors.
-    pub total_weight: u128,
-    /// Program entry block: the minimum across contributors
-    /// (commutative; contributors of one consensus normally agree).
-    pub entry: BlockPc,
-    /// `Σᵢ wᵢ · profiling_opsᵢ`.
-    pub profiling_ops_weighted: u128,
-    /// `Σᵢ wᵢ · instructionsᵢ`.
-    pub instructions_weighted: u128,
-    /// Per-block accumulators, keyed by block address.
-    pub blocks: BTreeMap<BlockPc, MergedBlock>,
-}
-
 /// Any storable artifact.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Artifact {
@@ -119,8 +71,6 @@ pub enum Artifact {
     Cell(CellArtifact),
     /// A `T = 1` baseline.
     Base(BaseArtifact),
-    /// A merged fleet-consensus accumulator.
-    Merged(MergedArtifact),
 }
 
 /// A concrete artifact kind that can be extracted from (and wrapped
@@ -184,25 +134,13 @@ impl TypedArtifact for BaseArtifact {
     }
 }
 
-impl TypedArtifact for MergedArtifact {
-    const KIND: &'static str = "merged";
-
-    fn from_artifact(artifact: Artifact) -> Option<Self> {
-        match artifact {
-            Artifact::Merged(m) => Some(m),
-            _ => None,
-        }
-    }
-
-    fn into_artifact(self) -> Artifact {
-        Artifact::Merged(self)
-    }
-}
-
 const KIND_PLAIN: u8 = 0;
 const KIND_CELL: u8 = 1;
 const KIND_BASE: u8 = 2;
-const KIND_MERGED: u8 = 3;
+// Kind 3 held the retired merged fleet-consensus accumulator. Stores
+// and hot-tier snapshots from earlier builds may still contain it, and
+// they must keep decoding as `BadKind` (a recomputable miss): never
+// reuse the code.
 
 impl Artifact {
     fn kind(&self) -> u8 {
@@ -210,7 +148,6 @@ impl Artifact {
             Artifact::Plain(_) => KIND_PLAIN,
             Artifact::Cell(_) => KIND_CELL,
             Artifact::Base(_) => KIND_BASE,
-            Artifact::Merged(_) => KIND_MERGED,
         }
     }
 }
@@ -234,7 +171,6 @@ pub fn encode(key_digest: u64, artifact: &Artifact) -> Vec<u8> {
             w.varint(b.cycles);
             w.u64(b.output_digest);
         }
-        Artifact::Merged(m) => encode_merged(&mut w, m),
     }
     let checksum = fnv64(w.as_bytes());
     w.u64(checksum);
@@ -283,7 +219,6 @@ pub fn decode(bytes: &[u8]) -> Result<(u64, Artifact), StoreError> {
             cycles: r.varint()?,
             output_digest: r.u64()?,
         }),
-        KIND_MERGED => Artifact::Merged(decode_merged(&mut r)?),
         found => return Err(StoreError::BadKind { found }),
     };
     if r.remaining() != 0 {
@@ -409,99 +344,6 @@ fn decode_cell(r: &mut Reader<'_>) -> Result<CellArtifact, StoreError> {
     })
 }
 
-/// A `u128` as two varints, high half first (weighted sums routinely
-/// exceed `u64` on large fleets but the high half is usually zero, so
-/// the varint split stays compact).
-fn write_u128(w: &mut Writer, v: u128) {
-    w.varint((v >> 64) as u64);
-    w.varint(v as u64);
-}
-
-fn read_u128(r: &mut Reader<'_>) -> Result<u128, StoreError> {
-    let hi = r.varint()?;
-    let lo = r.varint()?;
-    Ok((u128::from(hi) << 64) | u128::from(lo))
-}
-
-fn encode_merged(w: &mut Writer, m: &MergedArtifact) {
-    w.u8(m.weight_mode);
-    w.varint(m.contributors);
-    write_u128(w, m.total_weight);
-    w.varint(m.entry as u64);
-    write_u128(w, m.profiling_ops_weighted);
-    write_u128(w, m.instructions_weighted);
-    w.varint(m.blocks.len() as u64);
-    for (&pc, block) in &m.blocks {
-        w.varint(pc as u64);
-        w.varint(u64::from(block.len));
-        w.u8(block.kind.map_or(0, |k| k.code() + 1));
-        write_u128(w, block.use_weighted);
-        w.varint(block.edges.len() as u64);
-        for (&(slot, target), &weight) in &block.edges {
-            w.varint(slot.code());
-            w.varint(target as u64);
-            write_u128(w, weight);
-        }
-    }
-}
-
-fn decode_merged(r: &mut Reader<'_>) -> Result<MergedArtifact, StoreError> {
-    let weight_mode = r.u8()?;
-    let contributors = r.varint()?;
-    let total_weight = read_u128(r)?;
-    let entry = usize_field(r.varint()?, "merged entry pc")?;
-    let profiling_ops_weighted = read_u128(r)?;
-    let instructions_weighted = read_u128(r)?;
-    let nblocks = r.len_capped(5)?;
-    let mut blocks = BTreeMap::new();
-    for _ in 0..nblocks {
-        let pc = usize_field(r.varint()?, "merged block pc")?;
-        let len = u32_field(r.varint()?, "merged block length")?;
-        let kind = match r.u8()? {
-            0 => None,
-            tagged => match TermKind::from_code(tagged - 1) {
-                Some(k) => Some(k),
-                None => {
-                    return Err(StoreError::BadCode {
-                        what: "merged terminator kind",
-                        code: u64::from(tagged),
-                    })
-                }
-            },
-        };
-        let use_weighted = read_u128(r)?;
-        let nedges = r.len_capped(4)?;
-        let mut edges = BTreeMap::new();
-        for _ in 0..nedges {
-            let slot_code = r.varint()?;
-            let slot = SuccSlot::from_code(slot_code).ok_or(StoreError::BadCode {
-                what: "merged successor slot",
-                code: slot_code,
-            })?;
-            let target = usize_field(r.varint()?, "merged edge target")?;
-            edges.insert((slot, target), read_u128(r)?);
-        }
-        blocks.insert(
-            pc,
-            MergedBlock {
-                len,
-                kind,
-                use_weighted,
-                edges,
-            },
-        );
-    }
-    Ok(MergedArtifact {
-        weight_mode,
-        contributors,
-        total_weight,
-        entry,
-        profiling_ops_weighted,
-        instructions_weighted,
-        blocks,
-    })
-}
-
 fn usize_field(v: u64, what: &'static str) -> Result<usize, StoreError> {
     usize::try_from(v).map_err(|_| StoreError::BadCode { what, code: v })
 }
@@ -583,64 +425,6 @@ mod tests {
         });
         let bytes = encode(9, &artifact);
         assert_eq!(decode(&bytes).unwrap(), (9, artifact));
-    }
-
-    fn sample_merged() -> MergedArtifact {
-        let mut blocks = BTreeMap::new();
-        blocks.insert(
-            0 as BlockPc,
-            MergedBlock {
-                len: 4,
-                kind: Some(TermKind::Cond),
-                use_weighted: u128::from(u64::MAX) * 3,
-                edges: [
-                    ((SuccSlot::Taken, 8 as BlockPc), 700u128),
-                    ((SuccSlot::Fallthrough, 4), u128::from(u64::MAX) + 1),
-                ]
-                .into_iter()
-                .collect(),
-            },
-        );
-        blocks.insert(
-            8,
-            MergedBlock {
-                len: 2,
-                kind: None,
-                use_weighted: 700,
-                edges: BTreeMap::new(),
-            },
-        );
-        MergedArtifact {
-            weight_mode: 1,
-            contributors: 3,
-            total_weight: (u128::from(u64::MAX) << 1) | 1,
-            entry: 0,
-            profiling_ops_weighted: 2700,
-            instructions_weighted: 5400,
-            blocks,
-        }
-    }
-
-    #[test]
-    fn merged_round_trip() {
-        let artifact = Artifact::Merged(sample_merged());
-        let bytes = encode(0xF1EE_7000, &artifact);
-        let (key, decoded) = decode(&bytes).unwrap();
-        assert_eq!(key, 0xF1EE_7000);
-        assert_eq!(decoded, artifact);
-    }
-
-    #[test]
-    fn merged_every_flip_and_truncation_is_detected() {
-        let good = encode(0xAB, &Artifact::Merged(sample_merged()));
-        for i in 0..good.len() {
-            let mut bad = good.clone();
-            bad[i] ^= 0x40;
-            assert!(decode(&bad).is_err(), "flip at byte {i} went undetected");
-        }
-        for cut in 0..good.len() {
-            assert!(decode(&good[..cut]).is_err(), "prefix {cut} decoded");
-        }
     }
 
     #[test]

@@ -11,13 +11,6 @@ pub struct InterpShape {
     pub opcodes: usize,
     /// Extra work per handler (arithmetic ops).
     pub handler_ops: usize,
-    /// Give every handler a structurally *unique* body (a k-dependent
-    /// steering-diamond chain) instead of the uniform two-branch shape.
-    /// The paper analogs keep this off — their handlers are deliberate
-    /// structural twins, like real threaded-interpreter handlers. The
-    /// fleet families turn it on so the digest-independent fingerprint
-    /// (`tpdbt-fleet`) can match handlers across inputs and versions.
-    pub distinct_handlers: bool,
 }
 
 const W: Reg = Reg::new(0);
@@ -62,9 +55,8 @@ pub fn build(name: &str, shape: InterpShape) -> Result<BuiltProgram, IsaError> {
     let arms: Vec<structured::Arm> = (0..shape.opcodes)
         .map(|k| {
             let handler_ops = shape.handler_ops;
-            let distinct = shape.distinct_handlers;
             Box::new(move |b: &mut ProgramBuilder| {
-                emit_handler(b, k, handler_ops, distinct);
+                emit_handler(b, k, handler_ops);
             }) as structured::Arm
         })
         .collect();
@@ -77,7 +69,7 @@ pub fn build(name: &str, shape: InterpShape) -> Result<BuiltProgram, IsaError> {
     b.build_with_data()
 }
 
-fn emit_handler(b: &mut ProgramBuilder, k: usize, handler_ops: usize, distinct: bool) {
+fn emit_handler(b: &mut ProgramBuilder, k: usize, handler_ops: usize) {
     b.addi(ACC, ACC, k as i64 + 1);
     for i in 0..handler_ops {
         if i % 2 == 0 {
@@ -97,55 +89,21 @@ fn emit_handler(b: &mut ProgramBuilder, k: usize, handler_ops: usize, distinct: 
         b.subi(TRIP, TRIP, 1);
         b.br_imm(Cond::Gt, TRIP, 0, head);
     }
-    if distinct {
-        // Structurally unique body: `1 + k % 4` steering diamonds, the
-        // first one's taken arm padded with `k / 4` jump-linked blocks.
-        // `(k % 4, k / 4)` is unique for k in 0..16, so no two handlers
-        // are graph-isomorphic and a shape-only fingerprint can tell
-        // every handler — and every block inside one — apart.
-        let diamonds = 1 + k % 4;
-        let pad = k / 4;
-        for i in 0..diamonds {
-            let bit = (k + i) % 6;
-            b.shr(STEER, W, bit as i64);
-            b.and(STEER, STEER, 1);
-            structured::if_else(
-                b,
-                Cond::Eq,
-                STEER,
-                1,
-                |b| {
-                    if i == 0 {
-                        for p in 0..pad {
-                            let l = b.fresh_label(format!("h{k}_pad{p}"));
-                            b.jmp(l);
-                            b.bind(l).expect("fresh label");
-                        }
-                    }
-                    b.addi(ACC, ACC, 5);
-                },
-                |b| {
-                    b.subi(ACC, ACC, 2);
-                },
-            )
-            .expect("fresh labels");
-        }
-    } else {
-        // Two steering branches per handler (the paper-analog shape:
-        // handlers are structural twins, only their bits differ).
-        for bit in [k % 6, (k + 3) % 6] {
-            b.shr(STEER, W, bit as i64);
-            b.and(STEER, STEER, 1);
-            structured::if_else(
-                b,
-                Cond::Eq,
-                STEER,
-                1,
-                |b| b.addi(ACC, ACC, 5),
-                |b| b.subi(ACC, ACC, 2),
-            )
-            .expect("fresh labels");
-        }
+    // Two steering branches per handler: handlers are structural
+    // twins, like real threaded-interpreter handlers; only their bits
+    // differ.
+    for bit in [k % 6, (k + 3) % 6] {
+        b.shr(STEER, W, bit as i64);
+        b.and(STEER, STEER, 1);
+        structured::if_else(
+            b,
+            Cond::Eq,
+            STEER,
+            1,
+            |b| b.addi(ACC, ACC, 5),
+            |b| b.subi(ACC, ACC, 2),
+        )
+        .expect("fresh labels");
     }
 }
 
@@ -162,7 +120,6 @@ mod tests {
             InterpShape {
                 opcodes: 12,
                 handler_ops: 2,
-                distinct_handlers: false,
             },
         )
         .unwrap();
@@ -180,7 +137,6 @@ mod tests {
             InterpShape {
                 opcodes: 8,
                 handler_ops: 1,
-                distinct_handlers: false,
             },
         )
         .unwrap();
@@ -204,7 +160,6 @@ mod tests {
             InterpShape {
                 opcodes: 17,
                 handler_ops: 0,
-                distinct_handlers: false,
             },
         );
     }

@@ -43,6 +43,6 @@ mod spec;
 mod workload;
 
 pub use error::SuiteError;
-pub use registry::{all_names, fleet_names, fp_names, int_names, workload, workload_versioned};
+pub use registry::{all_names, fp_names, int_names, workload};
 pub use spec::{fields, BenchClass, Segment};
 pub use workload::{InputKind, Scale, Workload};

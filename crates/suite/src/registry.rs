@@ -170,7 +170,7 @@ fn benches() -> Vec<Bench> {
         },
         Bench {
             name: "perlbmk", class: BenchClass::Int,
-            template: Template::Interp(interp::InterpShape { opcodes: 16, handler_ops: 2, distinct_handlers: false }),
+            template: Template::Interp(interp::InterpShape { opcodes: 16, handler_ops: 2 }),
             base_records: 380_000,
             // Ref opcode mix and branch biases are stable → superb
             // initial prediction; the train input exercises a wildly
@@ -188,7 +188,7 @@ fn benches() -> Vec<Bench> {
         },
         Bench {
             name: "gap", class: BenchClass::Int,
-            template: Template::Interp(interp::InterpShape { opcodes: 12, handler_ops: 1, distinct_handlers: false }),
+            template: Template::Interp(interp::InterpShape { opcodes: 12, handler_ops: 1 }),
             base_records: 340_000,
             // Slow mix/bias drift: accuracy improves with larger T
             // (Fig 11's gap line).
@@ -395,64 +395,6 @@ fn benches() -> Vec<Bench> {
     ]
 }
 
-/// The fleet-study families (DESIGN.md §15). Deliberately *not* part
-/// of the 26 paper analogs — the cardinality of the paper suite is
-/// pinned by tests — these exist because their train inputs are
-/// unrepresentative in ways a cross-input fleet consensus can fix, so
-/// INIP(transfer) genuinely diverges from INIP(train).
-#[rustfmt::skip]
-fn fleet_benches() -> Vec<Bench> {
-    vec![
-        Bench {
-            name: "fleetint", class: BenchClass::Int,
-            template: Template::Interp(interp::InterpShape { opcodes: 12, handler_ops: 2, distinct_handlers: true }),
-            base_records: 120_000,
-            // Input-skewed interpreter: each input concentrates on a
-            // different handler subset (with flipped steering biases),
-            // so INIP(train) is poor and a donor profile from a
-            // ref-shaped input recovers the hot handlers structurally.
-            // Every handler keeps weight ≥ 4 and biases stay within
-            // [0.25, 0.78] so that even at `Scale::Tiny` both inputs
-            // exercise every branch arm — the profiles stay
-            // edge-isomorphic, which same-binary transfer calibration
-            // relies on.
-            ref_segments: || vec![
-                Segment::new(1.0, &[0.78, 0.25, 0.70, 0.30, 0.60, 0.75], (2, 4), (1, 4))
-                    .with_mix(vec![24.0, 12.0, 8.0, 4.0, 4.0, 4.0, 6.0, 4.0, 4.0, 4.0, 4.0, 4.0]),
-            ],
-            train_segments: || vec![
-                Segment::new(1.0, &[0.25, 0.78, 0.30, 0.75, 0.40, 0.30], (2, 4), (1, 4))
-                    .with_mix(vec![4.0, 4.0, 4.0, 12.0, 20.0, 8.0, 4.0, 6.0, 4.0, 4.0, 4.0, 4.0]),
-            ],
-            notes: "fleet: input-skewed interpreter; cross-input transfer beats the train profile",
-        },
-        Bench {
-            name: "fleetphase", class: BenchClass::Fp,
-            template: ln(true, 4, 2, 0, false, 2, 1),
-            base_records: 30_000,
-            // Phase-shifting workload: ref walks three behaviour phases
-            // (biases flip, trip regimes change); the train input sits
-            // in the first phase only, so a profile spanning the whole
-            // ref run predicts far better than train does.
-            ref_segments: || vec![
-                Segment::new(0.25, &[0.90, 0.20, 0.80, 0.50, 0.85], (4, 10), (2, 6)),
-                Segment::new(0.40, &[0.30, 0.75, 0.40, 0.50, 0.20], (60, 160), (10, 30)),
-                Segment::new(0.35, &[0.70, 0.40, 0.60, 0.50, 0.75], (10, 30), (30, 60)),
-            ],
-            train_segments: || vec![
-                Segment::new(1.0, &[0.88, 0.22, 0.78, 0.50, 0.83], (4, 10), (2, 6)),
-            ],
-            notes: "fleet: phase-shifting workload; train sees only phase one",
-        },
-    ]
-}
-
-/// Names of the fleet-study families (separate from the paper's 26).
-#[must_use]
-pub fn fleet_names() -> Vec<&'static str> {
-    fleet_benches().iter().map(|b| b.name).collect()
-}
-
 /// Names of the 12 INT analogs, in SPEC order.
 #[must_use]
 pub fn int_names() -> Vec<&'static str> {
@@ -500,48 +442,12 @@ fn name_seed(name: &str, kind: InputKind) -> u64 {
 /// [`SuiteError::Build`] if a generator produces an invalid program
 /// (a suite bug, covered by tests).
 pub fn workload(name: &str, scale: Scale, kind: InputKind) -> Result<Workload, SuiteError> {
-    workload_versioned(name, scale, kind, 0)
-}
-
-/// Builds binary version `version` of the named workload: a model of
-/// the same program recompiled — every straight-line work knob grows by
-/// `version`, shifting all block addresses and lengths while keeping
-/// the control-flow *shape* identical (which is exactly what the fleet
-/// fingerprint matches on), and the input stream is re-seeded so the
-/// run genuinely differs. Version 0 is [`workload`] exactly.
-///
-/// # Errors
-///
-/// As [`workload`].
-pub fn workload_versioned(
-    name: &str,
-    scale: Scale,
-    kind: InputKind,
-    version: u32,
-) -> Result<Workload, SuiteError> {
-    let mut bench = benches()
+    let bench = benches()
         .into_iter()
-        .chain(fleet_benches())
         .find(|b| b.name == name)
         .ok_or_else(|| SuiteError::UnknownBenchmark {
             name: name.to_string(),
         })?;
-    if version > 0 {
-        bench.template = match bench.template {
-            Template::LoopNest(mut s) => {
-                s.body_ops += version as usize;
-                Template::LoopNest(s)
-            }
-            Template::Interp(mut s) => {
-                s.handler_ops += version as usize;
-                Template::Interp(s)
-            }
-            Template::Search(mut s) => {
-                s.eval_ops += version as usize;
-                Template::Search(s)
-            }
-        };
-    }
     let binary = match &bench.template {
         Template::LoopNest(shape) => loopnest::build(bench.name, *shape),
         Template::Interp(shape) => interp::build(bench.name, *shape),
@@ -559,10 +465,7 @@ pub fn workload_versioned(
         InputKind::Ref => (bench.ref_segments)(),
         InputKind::Train => (bench.train_segments)(),
     };
-    // Version 0 leaves the seed untouched (the multiplier zeroes out),
-    // so `workload` and `workload_versioned(.., 0)` are bit-identical.
-    let seed = name_seed(bench.name, kind) ^ u64::from(version).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    let input = generate_input(&segments, records, seed);
+    let input = generate_input(&segments, records, name_seed(bench.name, kind));
     Ok(Workload {
         name: bench.name,
         class: bench.class,
@@ -593,7 +496,7 @@ mod tests {
 
     #[test]
     fn segment_fractions_sum_to_one() {
-        for b in benches().into_iter().chain(fleet_benches()) {
+        for b in benches() {
             for (kind, segs) in [("ref", (b.ref_segments)()), ("train", (b.train_segments)())] {
                 let total: f64 = segs.iter().map(|s| s.frac).sum();
                 assert!(
@@ -648,69 +551,6 @@ mod tests {
     fn workloads_are_deterministic() {
         let a = workload("mcf", Scale::Tiny, InputKind::Ref).unwrap();
         let b = workload("mcf", Scale::Tiny, InputKind::Ref).unwrap();
-        assert_eq!(a.input, b.input);
-        assert_eq!(a.binary.program, b.binary.program);
-    }
-
-    #[test]
-    fn fleet_families_are_separate_from_the_paper_suite() {
-        let fleet = fleet_names();
-        assert_eq!(fleet.len(), 2);
-        for name in &fleet {
-            assert!(
-                !all_names().contains(name),
-                "{name} must not join the 26 paper analogs"
-            );
-        }
-    }
-
-    #[test]
-    fn fleet_workloads_build_and_run_at_tiny_scale() {
-        for name in fleet_names() {
-            for kind in [InputKind::Ref, InputKind::Train] {
-                let w = workload(name, Scale::Tiny, kind).unwrap();
-                let mut interp = tpdbt_vm::Interpreter::new(&w.binary.program, &w.input);
-                interp.preload(&w.binary.mem_image, &w.binary.fmem_image);
-                let stats = interp
-                    .run()
-                    .unwrap_or_else(|e| panic!("{name} {kind:?} trapped: {e}"));
-                assert!(stats.instructions > 1000, "{name} {kind:?} too short");
-                assert!(
-                    stats.cond_branches > 100,
-                    "{name} {kind:?} has too few branches"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn version_zero_is_the_plain_workload() {
-        let plain = workload("fleetint", Scale::Tiny, InputKind::Ref).unwrap();
-        let v0 = workload_versioned("fleetint", Scale::Tiny, InputKind::Ref, 0).unwrap();
-        assert_eq!(plain.input, v0.input);
-        assert_eq!(plain.binary.program, v0.binary.program);
-    }
-
-    #[test]
-    fn versioned_binaries_differ_but_still_run() {
-        for name in ["fleetint", "gzip"] {
-            let v0 = workload_versioned(name, Scale::Tiny, InputKind::Ref, 0).unwrap();
-            let v2 = workload_versioned(name, Scale::Tiny, InputKind::Ref, 2).unwrap();
-            assert_ne!(v0.binary.program, v2.binary.program, "{name} v2 unchanged");
-            assert_ne!(v0.input, v2.input, "{name} v2 input unchanged");
-            let mut interp = tpdbt_vm::Interpreter::new(&v2.binary.program, &v2.input);
-            interp.preload(&v2.binary.mem_image, &v2.binary.fmem_image);
-            let stats = interp
-                .run()
-                .unwrap_or_else(|e| panic!("{name} v2 trapped: {e}"));
-            assert!(stats.instructions > 1000, "{name} v2 too short");
-        }
-    }
-
-    #[test]
-    fn versioned_workloads_are_deterministic() {
-        let a = workload_versioned("fleetphase", Scale::Tiny, InputKind::Train, 3).unwrap();
-        let b = workload_versioned("fleetphase", Scale::Tiny, InputKind::Train, 3).unwrap();
         assert_eq!(a.input, b.input);
         assert_eq!(a.binary.program, b.binary.program);
     }

@@ -275,21 +275,6 @@ pub enum EventKind {
         /// Entries reinstalled into the hot tier.
         entries: u64,
     },
-    /// A fleet `contribute` request merged an observed profile into a
-    /// workload's consensus accumulator.
-    FleetContributed {
-        /// Workload the consensus belongs to.
-        workload: String,
-        /// Total contributors folded into the consensus so far.
-        contributors: u64,
-    },
-    /// A fleet `consensus` request served a merged artifact.
-    FleetConsensusServed {
-        /// Workload the consensus belongs to.
-        workload: String,
-        /// Contributors behind the served consensus.
-        contributors: u64,
-    },
 
     // ---- fault injection (tpdbt-faults consumers) ----
     /// A planned fault fired at an injection site.
@@ -337,8 +322,6 @@ impl EventKind {
             EventKind::ServeRejected { .. } => "serve_rejected",
             EventKind::HotSnapshotSaved { .. } => "hot_snapshot_saved",
             EventKind::HotSnapshotLoaded { .. } => "hot_snapshot_loaded",
-            EventKind::FleetContributed { .. } => "fleet_contributed",
-            EventKind::FleetConsensusServed { .. } => "fleet_consensus_served",
             EventKind::FaultInjected { .. } => "fault_injected",
         }
     }
@@ -449,14 +432,6 @@ mod tests {
             },
             EventKind::HotSnapshotSaved { entries: 0 },
             EventKind::HotSnapshotLoaded { entries: 0 },
-            EventKind::FleetContributed {
-                workload: String::new(),
-                contributors: 1,
-            },
-            EventKind::FleetConsensusServed {
-                workload: String::new(),
-                contributors: 1,
-            },
             EventKind::CellRetried {
                 bench: String::new(),
                 label: String::new(),

@@ -190,17 +190,6 @@ fn fields(kind: &EventKind) -> Vec<Field<'_>> {
         E::HotSnapshotSaved { entries } | E::HotSnapshotLoaded { entries } => {
             vec![Field::U64("entries", *entries)]
         }
-        E::FleetContributed {
-            workload,
-            contributors,
-        }
-        | E::FleetConsensusServed {
-            workload,
-            contributors,
-        } => vec![
-            Field::Str("workload", workload),
-            Field::U64("contributors", *contributors),
-        ],
         E::FaultInjected { site, occurrence } => vec![
             Field::Str("site", site),
             Field::U64("occurrence", *occurrence),

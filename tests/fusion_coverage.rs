@@ -7,7 +7,7 @@
 //! suite block actually produces it.
 
 use tpdbt::isa::{decode_block, BlockBody, DecodedBlock, FusedOp, Program};
-use tpdbt::suite::{all_names, fleet_names, workload, InputKind, Scale};
+use tpdbt::suite::{all_names, workload, InputKind, Scale};
 
 const VARIANTS: [&str; 5] = ["AluAlu", "AluAlu3", "FpuFpu", "AluFLoad", "One"];
 
@@ -41,7 +41,7 @@ fn block_starts(p: &Program) -> Vec<usize> {
 #[test]
 fn every_fused_op_variant_has_suite_traffic() {
     let mut counts = [0usize; VARIANTS.len()];
-    for name in all_names().into_iter().chain(fleet_names()) {
+    for name in all_names() {
         let w = workload(name, Scale::Tiny, InputKind::Ref).unwrap();
         let p = &w.binary.program;
         for pc in block_starts(p) {
