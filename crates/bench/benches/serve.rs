@@ -17,7 +17,7 @@ use tpdbt_serve::{start, Bind, Client, ProfileService, ServerConfig, ServiceConf
 use tpdbt_suite::Scale;
 
 fn scratch(tag: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("tpdbt-bench-serve-{}-{tag}", std::process::id()))
+    std::env::temp_dir().join(format!("tpdbt-serve-bench-{}-{tag}", std::process::id()))
 }
 
 fn far() -> Instant {
@@ -34,7 +34,6 @@ fn service_on(cache_dir: Option<PathBuf>, hot_capacity: usize, backend: Backend)
         hot_capacity,
         default_deadline: Duration::from_secs(600),
         backend,
-        ..ServiceConfig::default()
     })
 }
 

@@ -10,19 +10,16 @@
 //! tpdbt-query --connect SPEC malformed     (protocol test: sends garbage)
 //! ```
 //!
-//! `--batch N` (artifact ops and ping) replicates the request N times
-//! inside one pipelined `batch` frame; the exit status is 0 only if
-//! every slot answered `ok: true`.
-//!
 //! `--retries N` retries *idempotent* single requests (ping, plain,
 //! cell, base) up to N times after transport failures, reconnecting
 //! with capped exponential backoff — a daemon restarting under the
 //! client (crash recovery, warm restart) costs latency, not an error.
-//! Non-idempotent operations and batches never retry.
+//! Non-idempotent operations never retry.
 //!
 //! Prints the response body as one line of JSON on stdout. Exit
 //! status: 0 when the server answered `ok: true`, 1 on transport
-//! failures or an `ok: false` response, 2 on usage errors.
+//! failures or an `ok: false` response, 2 on usage errors (an unknown
+//! option or op is named on stderr before the usage text).
 
 use tpdbt_serve::json::Json;
 use tpdbt_serve::proto::Request;
@@ -31,7 +28,7 @@ use tpdbt_suite::{InputKind, Scale};
 
 fn usage() -> ! {
     eprintln!(
-        "usage: tpdbt-query --connect SPEC [--deadline-ms MS] [--batch N] [--retries N] OP [ARGS]\n  OP: ping | stats | shutdown | malformed\n      plain WORKLOAD [--scale tiny|small|paper] [--input ref|train]\n      cell  WORKLOAD THRESHOLD [--scale tiny|small|paper]\n      base  WORKLOAD [--scale tiny|small|paper]\n  --batch N sends the request N times in one batch frame\n  --retries N reconnects and retries idempotent requests on transport failure"
+        "usage: tpdbt-query --connect SPEC [--deadline-ms MS] [--retries N] OP [ARGS]\n  OP: ping | stats | shutdown | malformed\n      plain WORKLOAD [--scale tiny|small|paper] [--input ref|train]\n      cell  WORKLOAD THRESHOLD [--scale tiny|small|paper]\n      base  WORKLOAD [--scale tiny|small|paper]\n  --retries N reconnects and retries idempotent requests on transport failure"
     );
     std::process::exit(2)
 }
@@ -53,7 +50,6 @@ fn parse_scale(s: &str) -> Scale {
 fn main() {
     let mut connect: Option<String> = None;
     let mut deadline_ms: Option<u64> = None;
-    let mut batch: Option<usize> = None;
     let mut retries: u32 = 0;
     let mut scale = Scale::Tiny;
     let mut input = InputKind::Ref;
@@ -64,7 +60,6 @@ fn main() {
         match arg.as_str() {
             "--connect" => connect = Some(value()),
             "--deadline-ms" => deadline_ms = Some(value().parse().unwrap_or_else(|_| usage())),
-            "--batch" => batch = Some(value().parse().unwrap_or_else(|_| usage())),
             "--retries" => retries = value().parse().unwrap_or_else(|_| usage()),
             "--scale" => scale = parse_scale(&value()),
             "--input" => {
@@ -75,6 +70,10 @@ fn main() {
                 }
             }
             "--help" | "-h" => usage(),
+            _ if arg.starts_with('-') => {
+                eprintln!("tpdbt-query: unknown option `{arg}`");
+                usage()
+            }
             _ => positional.push(arg),
         }
     }
@@ -115,38 +114,21 @@ fn main() {
     if pos.next().is_some() {
         usage();
     }
-    if let (Some(n), Some(request)) = (batch, &request) {
-        if n == 0 || *request == Request::Shutdown {
-            usage();
-        }
-    }
 
     let mut client = Client::connect(&connect)
         .unwrap_or_else(|e| fatal(format_args!("connect {connect}: {e}")))
         .with_retries(retries);
 
-    let reply = match (request, batch) {
+    let reply = match request {
         // Exercises the server's structured malformed-frame error path.
-        (None, _) => client.send_raw(b"this is not json"),
-        (Some(request), Some(n)) => {
-            client.request_batch((0..n).map(|_| (request.clone(), deadline_ms)).collect())
-        }
-        (Some(request), None) => client.request(request, deadline_ms),
+        None => client.send_raw(b"this is not json"),
+        Some(request) => client.request(request, deadline_ms),
     };
 
     match reply {
         Ok(body) => {
             println!("{}", body.render());
-            // A batch succeeds only if the envelope *and every slot*
-            // answered ok.
-            let ok = body.get("ok").and_then(Json::as_bool).unwrap_or(false)
-                && match body.get("responses") {
-                    Some(Json::Arr(slots)) => slots
-                        .iter()
-                        .all(|s| s.get("ok").and_then(Json::as_bool) == Some(true)),
-                    Some(_) => false,
-                    None => true,
-                };
+            let ok = body.get("ok").and_then(Json::as_bool).unwrap_or(false);
             std::process::exit(i32::from(!ok));
         }
         Err(e) => fatal(e),

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! tpdbt-serve --listen SPEC [--cache-dir DIR] [--jobs N] [--queue N]
-//!             [--accept-shards N] [--hot N] [--hot-shards N]
+//!             [--accept-shards N] [--hot N]
 //!             [--deadline-ms MS] [--backend interp|cached-fused]
 //!             [--trace PATH [--trace-format jsonl|chrome]]
 //!             [--inject SPEC]
@@ -28,7 +28,8 @@
 //! `fsck_ms` under `recovery`.
 //!
 //! Exit status: 0 after a clean drain, 1 on bind/setup failure, 2 on
-//! usage errors (README, "Exit codes").
+//! usage errors (an unknown option is named on stderr before the usage
+//! text; README, "Exit codes").
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -39,7 +40,7 @@ use tpdbt_trace::{TraceFormat, Tracer};
 
 fn usage() -> ! {
     eprintln!(
-        "usage: tpdbt-serve --listen SPEC [--cache-dir DIR] [--jobs N] [--queue N] \\\n       [--accept-shards N] [--hot N] [--hot-shards N] [--deadline-ms MS] \\\n       [--backend interp|cached-fused] \\\n       [--trace PATH [--trace-format jsonl|chrome]] [--inject SPEC]\n\nSPEC is unix:PATH or HOST:PORT (port 0 = ephemeral)."
+        "usage: tpdbt-serve --listen SPEC [--cache-dir DIR] [--jobs N] [--queue N] \\\n       [--accept-shards N] [--hot N] [--deadline-ms MS] \\\n       [--backend interp|cached-fused] \\\n       [--trace PATH [--trace-format jsonl|chrome]] [--inject SPEC]\n\nSPEC is unix:PATH or HOST:PORT (port 0 = ephemeral)."
     );
     std::process::exit(2)
 }
@@ -57,7 +58,6 @@ fn main() {
     let mut queue: usize = 16;
     let mut accept_shards: usize = 2;
     let mut hot: usize = 256;
-    let mut hot_shards: usize = tpdbt_serve::shard::DEFAULT_SHARDS;
     let mut deadline_ms: u64 = 30_000;
     let mut trace_path: Option<String> = None;
     let mut trace_format = TraceFormat::default();
@@ -72,7 +72,6 @@ fn main() {
             "--queue" => queue = value().parse().unwrap_or_else(|_| usage()),
             "--accept-shards" => accept_shards = value().parse().unwrap_or_else(|_| usage()),
             "--hot" => hot = value().parse().unwrap_or_else(|_| usage()),
-            "--hot-shards" => hot_shards = value().parse().unwrap_or_else(|_| usage()),
             "--deadline-ms" => deadline_ms = value().parse().unwrap_or_else(|_| usage()),
             "--backend" => {
                 backend = value().parse().unwrap_or_else(|e: String| {
@@ -84,7 +83,10 @@ fn main() {
             "--trace-format" => trace_format = value().parse().unwrap_or_else(|_| usage()),
             "--inject" => inject = Some(value()),
             "--help" | "-h" => usage(),
-            _ => usage(),
+            _ => {
+                eprintln!("tpdbt-serve: unknown option `{arg}`");
+                usage()
+            }
         }
     }
     let Some(listen) = listen else { usage() };
@@ -93,7 +95,6 @@ fn main() {
     let mut service = ProfileService::new(ServiceConfig {
         cache_dir: cache_dir.map(Into::into),
         hot_capacity: hot,
-        hot_shards: hot_shards.max(1),
         default_deadline: Duration::from_millis(deadline_ms.max(1)),
         backend,
     });

@@ -1,9 +1,8 @@
-//! A blocking protocol client, used by `tpdbt-query`, the load
-//! harness, and the integration tests. One client is one connection.
+//! A blocking protocol client, used by `tpdbt-query`, the benchmarks,
+//! and the integration tests. One client is one connection.
 //! [`Client::request`] is strictly in-order (send, then read the
 //! matching response); [`Client::send_request`] + [`Client::read_reply`]
-//! pipeline many frames before reading, and [`Client::request_batch`]
-//! packs many queries into one `batch` frame.
+//! pipeline many frames before reading.
 //!
 //! With [`Client::with_retries`], a transport failure on an
 //! *idempotent* request (`ping` / `plain` / `cell` / `base`) triggers
@@ -149,40 +148,6 @@ impl Client {
         };
         proto::write_frame(&mut self.stream, env.render().as_bytes())?;
         Ok(id)
-    }
-
-    /// Packs `requests` into one `batch` frame, sends it, and returns
-    /// the batch reply (`responses` array tagged by the per-slot ids,
-    /// which are assigned from this client's id sequence in order).
-    ///
-    /// # Errors
-    ///
-    /// As [`Client::request`], checking the *batch* envelope id.
-    pub fn request_batch(&mut self, requests: Vec<(Request, Option<u64>)>) -> io::Result<Json> {
-        let batch_id = self.next_id;
-        self.next_id += 1;
-        let envelopes: Vec<Envelope> = requests
-            .into_iter()
-            .map(|(request, deadline_ms)| {
-                let id = self.next_id;
-                self.next_id += 1;
-                Envelope {
-                    id,
-                    deadline_ms,
-                    request,
-                }
-            })
-            .collect();
-        let body = Envelope::render_batch(batch_id, &envelopes);
-        let reply = self.send_raw(body.as_bytes())?;
-        let got = reply.get("id").and_then(Json::as_u64);
-        if got != Some(batch_id) && got != Some(0) {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("response id {got:?} does not match batch id {batch_id}"),
-            ));
-        }
-        Ok(reply)
     }
 
     /// Sends an arbitrary frame body and reads one response frame.

@@ -1,28 +1,22 @@
 //! The in-memory hot tier: a small exact-counter LRU keyed by cache
 //! key digest, sitting in front of the on-disk [`tpdbt_store::ProfileStore`].
 //!
-//! The tier is split into independent digest-prefix shards (see
-//! [`crate::shard`]), each with its own mutex, map, and slice of the
-//! LRU budget, so concurrent workers only contend when they touch the
-//! same shard. Within a shard, capacities are tens of artifacts, so
-//! eviction scans for the minimum logical tick instead of maintaining
-//! an intrusive list — O(shard capacity) on the insert path, no unsafe
-//! code. Counters are updated under the shard lock, so they are
-//! *exact*: the concurrency stress test asserts equalities, not
-//! inequalities.
+//! The tier is one global LRU behind one mutex. Capacities are tens to
+//! hundreds of artifacts, so eviction scans for the minimum logical
+//! tick instead of maintaining an intrusive list — O(capacity) on the
+//! insert path, no unsafe code. Counters are updated under the lock,
+//! so they are *exact*: the concurrency stress test asserts
+//! equalities, not inequalities.
 //!
-//! A panic under a shard lock poisons only that shard's mutex; the
-//! tier recovers by discarding the shard's (possibly half-updated)
-//! contents and continuing empty — a cache may always forget, it must
-//! never take the daemon down. Recoveries are counted in
-//! [`HotStats::poisoned`].
+//! A panic under the lock poisons the mutex; the tier recovers by
+//! discarding its (possibly half-updated) contents and continuing
+//! empty — a cache may always forget, it must never take the daemon
+//! down. Recoveries are counted in [`HotStats::poisoned`].
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use tpdbt_store::Artifact;
-
-use crate::shard::shard_of;
 
 /// Exact counters of hot-tier traffic.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -35,8 +29,8 @@ pub struct HotStats {
     pub inserts: u64,
     /// Artifacts evicted to make room.
     pub evictions: u64,
-    /// Shard-poisoning recoveries (a panic under the shard lock forced
-    /// a clear-and-continue).
+    /// Poisoning recoveries (a panic under the tier lock forced a
+    /// clear-and-continue).
     pub poisoned: u64,
 }
 
@@ -46,53 +40,34 @@ struct Entry {
 }
 
 #[derive(Default)]
-struct Shard {
+struct Lru {
     map: HashMap<u64, Entry>,
     tick: u64,
     stats: HotStats,
 }
 
-/// A bounded LRU of decoded artifacts, sharded by key digest.
+/// A bounded LRU of decoded artifacts.
 pub struct HotTier {
-    shard_capacity: usize,
-    shards: Vec<Mutex<Shard>>,
+    capacity: usize,
+    lru: Mutex<Lru>,
 }
 
 impl HotTier {
-    /// A single-shard tier holding at most `capacity` artifacts with
-    /// exact global-LRU semantics; capacity 0 disables the tier (every
-    /// lookup misses, inserts are dropped).
+    /// A tier holding at most `capacity` artifacts with exact LRU
+    /// eviction; capacity 0 disables the tier (every lookup misses,
+    /// inserts are dropped).
     #[must_use]
     pub fn new(capacity: usize) -> HotTier {
-        HotTier::with_shards(capacity, 1)
-    }
-
-    /// A tier of `shards` independent LRUs (clamped to at least 1)
-    /// splitting `capacity` between them. Each shard gets
-    /// `ceil(capacity / shards)` slots, so the tier may hold slightly
-    /// more than `capacity` when the split is uneven — budget
-    /// rounding, never starvation. Recency is per-shard: an entry is
-    /// evicted by traffic to *its* shard, not by global age.
-    #[must_use]
-    pub fn with_shards(capacity: usize, shards: usize) -> HotTier {
-        let shards = shards.max(1);
         HotTier {
-            shard_capacity: capacity.div_ceil(shards),
-            shards: (0..shards).map(|_| Mutex::new(Shard::default())).collect(),
+            capacity,
+            lru: Mutex::new(Lru::default()),
         }
     }
 
-    /// Number of independent shards.
-    #[must_use]
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Locks the shard owning `key`, clearing and restarting it if a
-    /// previous holder panicked mid-update.
-    fn shard(&self, key: u64) -> std::sync::MutexGuard<'_, Shard> {
-        let mutex = &self.shards[shard_of(key, self.shards.len())];
-        match mutex.lock() {
+    /// Locks the tier, clearing and restarting it if a previous holder
+    /// panicked mid-update.
+    fn lock(&self) -> MutexGuard<'_, Lru> {
+        match self.lru.lock() {
             Ok(guard) => guard,
             Err(poisoned) => {
                 let mut guard = poisoned.into_inner();
@@ -103,7 +78,7 @@ impl HotTier {
                 // operation.
                 guard.map.clear();
                 guard.stats.poisoned += 1;
-                mutex.clear_poison();
+                self.lru.clear_poison();
                 guard
             }
         }
@@ -111,59 +86,51 @@ impl HotTier {
 
     /// Looks up `key`, refreshing its recency on a hit.
     pub fn get(&self, key: u64) -> Option<Arc<Artifact>> {
-        let mut shard = self.shard(key);
-        shard.tick += 1;
-        let tick = shard.tick;
-        match shard.map.get_mut(&key) {
+        let mut lru = self.lock();
+        lru.tick += 1;
+        let tick = lru.tick;
+        match lru.map.get_mut(&key) {
             Some(entry) => {
                 entry.tick = tick;
                 let hit = Arc::clone(&entry.artifact);
-                shard.stats.hits += 1;
+                lru.stats.hits += 1;
                 Some(hit)
             }
             None => {
-                shard.stats.misses += 1;
+                lru.stats.misses += 1;
                 None
             }
         }
     }
 
-    /// Inserts (or refreshes) `key`, evicting the shard's
-    /// least-recently-used entry if the shard is full.
+    /// Inserts (or refreshes) `key`, evicting the least-recently-used
+    /// entry if the tier is full.
     pub fn insert(&self, key: u64, artifact: Arc<Artifact>) {
-        if self.shard_capacity == 0 {
+        if self.capacity == 0 {
             return;
         }
-        let mut shard = self.shard(key);
-        shard.tick += 1;
-        let tick = shard.tick;
-        if let Some(entry) = shard.map.get_mut(&key) {
+        let mut lru = self.lock();
+        lru.tick += 1;
+        let tick = lru.tick;
+        if let Some(entry) = lru.map.get_mut(&key) {
             entry.artifact = artifact;
             entry.tick = tick;
             return;
         }
-        if shard.map.len() >= self.shard_capacity {
-            if let Some(&victim) = shard.map.iter().min_by_key(|(_, e)| e.tick).map(|(k, _)| k) {
-                shard.map.remove(&victim);
-                shard.stats.evictions += 1;
+        if lru.map.len() >= self.capacity {
+            if let Some(&victim) = lru.map.iter().min_by_key(|(_, e)| e.tick).map(|(k, _)| k) {
+                lru.map.remove(&victim);
+                lru.stats.evictions += 1;
             }
         }
-        shard.map.insert(key, Entry { artifact, tick });
-        shard.stats.inserts += 1;
+        lru.map.insert(key, Entry { artifact, tick });
+        lru.stats.inserts += 1;
     }
 
-    /// Current occupancy across all shards.
+    /// Current occupancy.
     #[must_use]
     pub fn len(&self) -> usize {
-        (0..self.shards.len())
-            .map(|i| {
-                self.shards[i]
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .map
-                    .len()
-            })
-            .sum()
+        self.lock().map.len()
     }
 
     /// Whether the tier is empty.
@@ -172,57 +139,39 @@ impl HotTier {
         self.len() == 0
     }
 
-    /// A snapshot of every resident entry, ordered oldest-first within
-    /// each shard. Shard assignment is a pure function of the key, so
-    /// reinserting the pairs in this order (e.g. when reloading a
-    /// warm-restart snapshot) lands every entry back on its home shard
-    /// with its relative recency preserved.
+    /// A snapshot of every resident entry, oldest first. Reinserting
+    /// the pairs in this order (e.g. when reloading a warm-restart
+    /// snapshot) into a tier of the same capacity reproduces the
+    /// recency order, so the reloaded tier evicts the same victims.
     #[must_use]
     pub fn entries(&self) -> Vec<(u64, Arc<Artifact>)> {
-        let mut out = Vec::new();
-        for mutex in &self.shards {
-            let shard = mutex
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            let mut items: Vec<(u64, u64, Arc<Artifact>)> = shard
-                .map
-                .iter()
-                .map(|(k, e)| (e.tick, *k, Arc::clone(&e.artifact)))
-                .collect();
-            items.sort_by_key(|&(tick, key, _)| (tick, key));
-            out.extend(items.into_iter().map(|(_, k, a)| (k, a)));
-        }
-        out
+        let lru = self.lock();
+        let mut items: Vec<(u64, u64, Arc<Artifact>)> = lru
+            .map
+            .iter()
+            .map(|(k, e)| (e.tick, *k, Arc::clone(&e.artifact)))
+            .collect();
+        items.sort_by_key(|&(tick, _, _)| tick);
+        items.into_iter().map(|(_, k, a)| (k, a)).collect()
     }
 
-    /// A snapshot of the traffic counters, summed across shards.
+    /// A snapshot of the traffic counters.
     #[must_use]
     pub fn stats(&self) -> HotStats {
-        let mut total = HotStats::default();
-        for mutex in &self.shards {
-            let shard = mutex
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            total.hits += shard.stats.hits;
-            total.misses += shard.stats.misses;
-            total.inserts += shard.stats.inserts;
-            total.evictions += shard.stats.evictions;
-            total.poisoned += shard.stats.poisoned;
-        }
-        total
+        self.lock().stats
     }
 
-    /// Test hook: panics while holding the lock of the shard owning
-    /// `key`, poisoning its mutex the way a crashing worker would. The
-    /// panic is caught here; the next regular access recovers.
+    /// Test hook: panics while holding the tier lock, poisoning it the
+    /// way a crashing worker would. The panic is caught here; the next
+    /// access recovers.
     #[doc(hidden)]
-    pub fn poison_for_tests(&self, key: u64) {
-        let mutex = &self.shards[shard_of(key, self.shards.len())];
+    pub fn poison_for_tests(&self) {
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _guard = mutex
+            let _guard = self
+                .lru
                 .lock()
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
-            panic!("injected hot-tier panic under the shard lock");
+            panic!("injected hot-tier panic under the lock");
         }));
         assert!(result.is_err());
     }
@@ -284,82 +233,56 @@ mod tests {
     }
 
     #[test]
-    fn sharded_tier_keeps_exact_counters() {
-        let tier = HotTier::with_shards(64, 8);
-        assert_eq!(tier.shard_count(), 8);
-        for key in 0..48u64 {
-            tier.insert(key, art(key));
-        }
-        for key in 0..48u64 {
-            assert!(tier.get(key).is_some(), "key {key} missing");
-        }
-        let s = tier.stats();
-        assert_eq!(s.inserts, 48);
-        assert_eq!(s.hits, 48);
-        assert_eq!(s.evictions, 0);
-        assert_eq!(tier.len(), 48);
-    }
-
-    #[test]
-    fn shard_budget_bounds_occupancy() {
-        // 4 shards × 4 slots: inserting many keys can never grow the
-        // tier past shards × ceil(capacity/shards).
-        let tier = HotTier::with_shards(16, 4);
+    fn capacity_bounds_occupancy() {
+        let tier = HotTier::new(16);
         for key in 0..256u64 {
             tier.insert(key, art(key));
         }
-        assert!(tier.len() <= 16, "len {} exceeds budget", tier.len());
+        assert_eq!(tier.len(), 16, "a saturated tier holds its capacity");
         let s = tier.stats();
         assert_eq!(s.inserts, 256);
-        assert_eq!(s.inserts - s.evictions, tier.len() as u64);
+        assert_eq!(s.evictions, 240);
     }
 
     #[test]
-    fn entries_snapshot_preserves_per_shard_recency() {
-        // 8 slots per shard: even if hashing piles every key onto one
-        // shard, nothing is evicted and the snapshot is complete.
-        let tier = HotTier::with_shards(16, 2);
-        for key in 0..6u64 {
+    fn entries_snapshot_preserves_global_recency() {
+        let tier = HotTier::new(4);
+        for key in 0..4u64 {
             tier.insert(key, art(key));
         }
-        assert!(tier.get(1).is_some()); // refresh 1: now newest on its shard
-        let entries = tier.entries();
-        assert_eq!(entries.len(), 6);
-        // Reinserting in snapshot order into a fresh tier reproduces
-        // the same occupancy and shard-local recency.
-        let reload = HotTier::with_shards(16, 2);
-        for (k, a) in &entries {
-            reload.insert(*k, Arc::clone(a));
+        assert!(tier.get(1).is_some()); // refresh 1: now the newest
+        let keys = |t: &HotTier| t.entries().into_iter().map(|(k, _)| k).collect::<Vec<_>>();
+        assert_eq!(keys(&tier), vec![0, 2, 3, 1], "oldest first");
+        // Reinserting in snapshot order into a fresh tier of the same
+        // capacity reproduces the recency order: both evict the same
+        // victim next.
+        let reload = HotTier::new(4);
+        for (k, a) in tier.entries() {
+            reload.insert(k, a);
         }
-        assert_eq!(reload.len(), 6);
-        // The refreshed key must come after every unrefreshed key on
-        // its own shard (it is the newest there).
-        let home = shard_of(1, tier.shard_count());
-        let pos_of = |k: u64| entries.iter().position(|(key, _)| *key == k).unwrap();
-        for other in (0..6u64).filter(|&k| k != 1 && shard_of(k, tier.shard_count()) == home) {
-            assert!(pos_of(1) > pos_of(other), "1 refreshed after {other}");
-        }
+        assert_eq!(keys(&reload), keys(&tier));
+        tier.insert(99, art(99));
+        reload.insert(99, art(99));
+        assert_eq!(keys(&tier), vec![2, 3, 1, 99]);
+        assert_eq!(keys(&reload), keys(&tier));
     }
 
     #[test]
-    fn poisoned_shard_recovers_by_clearing() {
-        let tier = HotTier::with_shards(16, 4);
+    fn poisoned_tier_recovers_by_clearing() {
+        let tier = HotTier::new(16);
         for key in 0..8u64 {
             tier.insert(key, art(key));
         }
-        let victim = 3;
-        tier.poison_for_tests(victim);
-        // The poisoned shard comes back empty; the others are intact.
-        assert!(tier.get(victim).is_none());
-        tier.insert(victim, art(99));
-        assert!(tier.get(victim).is_some());
+        tier.poison_for_tests();
+        // The tier comes back empty and keeps serving.
+        assert!(tier.get(3).is_none());
+        assert!(tier.is_empty());
+        tier.insert(3, art(99));
+        assert!(tier.get(3).is_some());
         let s = tier.stats();
         assert_eq!(s.poisoned, 1);
-        // Keys on other shards survived.
-        let other_shard_hits = (0..8u64)
-            .filter(|&k| shard_of(k, tier.shard_count()) != shard_of(victim, tier.shard_count()))
-            .filter(|&k| tier.get(k).is_some())
-            .count();
-        assert!(other_shard_hits > 0);
+        // Traffic counters survive the clear.
+        assert_eq!(s.inserts, 9);
+        assert_eq!((s.hits, s.misses), (1, 1));
     }
 }

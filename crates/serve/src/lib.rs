@@ -13,8 +13,8 @@
 //!
 //! - [`json`] — hand-rolled JSON (the build is offline; no serde),
 //! - [`proto`] — frames, the request/response model, error codes,
-//! - [`shard`] — digest-prefix shard selection and poison-recovering
-//!   lock helpers shared by the tiers below,
+//! - [`lock`] — the poison-recovering lock helper shared by the tiers
+//!   below,
 //! - [`singleflight`] — N concurrent requests for one uncached cell
 //!   perform exactly one guest execution,
 //! - [`hot`] — a small exact-counter LRU of decoded artifacts in front
@@ -34,16 +34,16 @@
 pub mod client;
 pub mod hot;
 pub mod json;
+pub mod lock;
 pub mod proto;
 pub mod server;
 pub mod service;
-pub mod shard;
 pub mod singleflight;
 pub mod snapshot;
 
 pub use client::Client;
 pub use hot::{HotStats, HotTier};
-pub use proto::{Batch, Envelope, ErrorCode, Incoming, Request, Source, MAX_BATCH, MAX_FRAME};
+pub use proto::{Envelope, ErrorCode, Request, Source, MAX_FRAME};
 pub use server::{start, Bind, ConnQueue, ServerConfig, ServerHandle};
 pub use service::{ProfileService, Resolved, ServeFailure, ServiceConfig};
 pub use singleflight::{FlightOutcome, SingleFlight};

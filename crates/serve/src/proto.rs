@@ -23,11 +23,6 @@ use crate::json::{self, Json};
 /// Hard cap on a frame body, requests and responses alike.
 pub const MAX_FRAME: u32 = 1 << 20;
 
-/// Hard cap on the number of queries inside one `batch` frame. Sized so
-/// that a full batch of the largest payloads still renders one response
-/// frame under [`MAX_FRAME`].
-pub const MAX_BATCH: usize = 256;
-
 /// Default per-request deadline when the client does not send one.
 pub const DEFAULT_DEADLINE: Duration = Duration::from_secs(30);
 
@@ -184,107 +179,17 @@ pub fn input_name(input: InputKind) -> &'static str {
     }
 }
 
-/// One decoded request frame: a single v1 query, or a v2 `batch`
-/// envelope carrying many queries answered in one response frame.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Incoming {
-    /// A v1 single-query frame.
-    One(Envelope),
-    /// A v2 `batch` frame. Sub-requests that failed to parse keep their
-    /// slot (and their `id`, when it was readable) so the response can
-    /// answer every position.
-    Batch(Batch),
-}
-
-/// A parsed `batch` frame.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Batch {
-    /// Client-chosen correlation id of the batch frame itself.
-    pub id: u64,
-    /// The sub-requests, in wire order. `Err` slots carry the
-    /// sub-request's id (0 when unreadable) plus the error to answer
-    /// that slot with.
-    pub items: Vec<Result<Envelope, (u64, ErrorCode, String)>>,
-}
-
-impl Incoming {
-    /// Parses one request frame body, accepting both the v1
-    /// single-query shape and the v2 `batch` envelope.
-    ///
-    /// # Errors
-    ///
-    /// As [`Envelope::parse`]; a malformed batch envelope (non-array
-    /// `requests`, empty, or above [`MAX_BATCH`]) fails the whole frame
-    /// while malformed *sub-requests* only fail their slot.
-    pub fn parse(body: &str) -> Result<Incoming, (ErrorCode, String)> {
-        let v = json::parse(body).map_err(|e| (ErrorCode::MalformedFrame, e.to_string()))?;
-        if v.get("op").and_then(Json::as_str) != Some("batch") {
-            return Envelope::from_json(&v).map(Incoming::One);
-        }
-        let id = v.get("id").and_then(Json::as_u64).unwrap_or(0);
-        let Some(Json::Arr(requests)) = v.get("requests") else {
-            return Err((
-                ErrorCode::BadRequest,
-                "batch requires a `requests` array".to_string(),
-            ));
-        };
-        if requests.is_empty() {
-            return Err((ErrorCode::BadRequest, "empty batch".to_string()));
-        }
-        if requests.len() > MAX_BATCH {
-            return Err((
-                ErrorCode::BadRequest,
-                format!(
-                    "batch of {} exceeds MAX_BATCH ({MAX_BATCH})",
-                    requests.len()
-                ),
-            ));
-        }
-        let items = requests
-            .iter()
-            .map(|r| {
-                let sub_id = r.get("id").and_then(Json::as_u64).unwrap_or(0);
-                if r.get("op").and_then(Json::as_str) == Some("batch") {
-                    return Err((
-                        sub_id,
-                        ErrorCode::BadRequest,
-                        "batches do not nest".to_string(),
-                    ));
-                }
-                match Envelope::from_json(r) {
-                    Ok(env) if env.request == Request::Shutdown => Err((
-                        sub_id,
-                        ErrorCode::BadRequest,
-                        "shutdown must be a standalone frame".to_string(),
-                    )),
-                    Ok(env) => Ok(env),
-                    Err((code, message)) => Err((sub_id, code, message)),
-                }
-            })
-            .collect();
-        Ok(Incoming::Batch(Batch { id, items }))
-    }
-}
-
 impl Envelope {
-    /// Parses one single-query request frame body.
+    /// Parses one request frame body.
     ///
     /// # Errors
     ///
-    /// A human-readable description of the first problem; the server
-    /// maps it to [`ErrorCode::MalformedFrame`] / [`ErrorCode::BadRequest`].
+    /// The error code plus a human-readable description of the first
+    /// problem: [`ErrorCode::MalformedFrame`] for a body that is not a
+    /// JSON object with an `op`, [`ErrorCode::BadRequest`] for an
+    /// unknown op or a bad argument.
     pub fn parse(body: &str) -> Result<Envelope, (ErrorCode, String)> {
         let v = json::parse(body).map_err(|e| (ErrorCode::MalformedFrame, e.to_string()))?;
-        Envelope::from_json(&v)
-    }
-
-    /// Parses one request object (the body of a v1 frame, or one slot
-    /// of a v2 batch).
-    ///
-    /// # Errors
-    ///
-    /// As [`Envelope::parse`].
-    pub fn from_json(v: &Json) -> Result<Envelope, (ErrorCode, String)> {
         let op = v
             .get("op")
             .and_then(Json::as_str)
@@ -381,40 +286,6 @@ impl Envelope {
         }
         Json::obj(fields).render()
     }
-
-    /// Renders many envelopes as one v2 `batch` frame body (the client
-    /// side of [`Incoming::parse`]). `id` correlates the batch frame
-    /// itself; each envelope keeps its own sub-request id.
-    #[must_use]
-    pub fn render_batch(id: u64, envelopes: &[Envelope]) -> String {
-        // Splices each envelope's rendering directly instead of
-        // re-parsing it into a `Json` tree: the client-side cost of a
-        // batch frame stays the cost of rendering its slots.
-        let mut out = format!(r#"{{"op":"batch","id":{id},"requests":["#);
-        for (i, e) in envelopes.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&e.render());
-        }
-        out.push_str("]}");
-        out
-    }
-}
-
-/// Builds the response body of a v2 `batch` frame: the batch id, the
-/// per-slot responses in wire order (each tagged with its sub-request
-/// id), and `ok: true` — per-query failures live in their slots, so the
-/// envelope itself only fails when the whole frame was unusable.
-#[must_use]
-pub fn batch_response(id: u64, responses: Vec<Json>) -> Json {
-    Json::obj([
-        ("id", Json::num(id)),
-        ("ok", Json::Bool(true)),
-        ("batch", Json::Bool(true)),
-        ("count", Json::num(responses.len() as u64)),
-        ("responses", Json::Arr(responses)),
-    ])
 }
 
 /// Builds an error response body.
@@ -631,76 +502,6 @@ mod tests {
         truncated.extend_from_slice(&8u32.to_le_bytes());
         truncated.extend_from_slice(b"abc");
         assert!(read_frame(&mut std::io::Cursor::new(truncated)).is_err());
-    }
-
-    #[test]
-    fn batch_render_parse_round_trips() {
-        let envs = [
-            Envelope {
-                id: 1,
-                deadline_ms: Some(250),
-                request: Request::Ping,
-            },
-            Envelope {
-                id: 2,
-                deadline_ms: None,
-                request: Request::Cell {
-                    workload: "gzip".into(),
-                    scale: Scale::Tiny,
-                    threshold: 100,
-                },
-            },
-        ];
-        let body = Envelope::render_batch(9, &envs);
-        let Incoming::Batch(batch) = Incoming::parse(&body).unwrap() else {
-            panic!("batch frame parsed as single")
-        };
-        assert_eq!(batch.id, 9);
-        assert_eq!(batch.items.len(), 2);
-        assert_eq!(batch.items[0], Ok(envs[0].clone()));
-        assert_eq!(batch.items[1], Ok(envs[1].clone()));
-
-        // A v1 frame parses as Incoming::One unchanged.
-        let one = Incoming::parse(&envs[0].render()).unwrap();
-        assert_eq!(one, Incoming::One(envs[0].clone()));
-    }
-
-    #[test]
-    fn batch_slot_errors_keep_position_and_id() {
-        let body = r#"{"op":"batch","id":3,"requests":[
-            {"op":"ping","id":10},
-            {"op":"evil","id":11},
-            {"op":"batch","id":12,"requests":[]},
-            {"op":"shutdown","id":13},
-            {"op":"ping","id":14}
-        ]}"#;
-        let Incoming::Batch(batch) = Incoming::parse(body).unwrap() else {
-            panic!("expected batch")
-        };
-        assert_eq!(batch.items.len(), 5);
-        assert!(batch.items[0].is_ok());
-        let (id, code, _) = batch.items[1].as_ref().unwrap_err();
-        assert_eq!((*id, *code), (11, ErrorCode::BadRequest));
-        let (id, code, _) = batch.items[2].as_ref().unwrap_err();
-        assert_eq!((*id, *code), (12, ErrorCode::BadRequest), "no nesting");
-        let (id, code, _) = batch.items[3].as_ref().unwrap_err();
-        assert_eq!((*id, *code), (13, ErrorCode::BadRequest), "no shutdown");
-        assert!(batch.items[4].is_ok());
-    }
-
-    #[test]
-    fn batch_envelope_limits_are_whole_frame_errors() {
-        let empty = Incoming::parse(r#"{"op":"batch","requests":[]}"#).unwrap_err();
-        assert_eq!(empty.0, ErrorCode::BadRequest);
-        let not_array = Incoming::parse(r#"{"op":"batch","requests":7}"#).unwrap_err();
-        assert_eq!(not_array.0, ErrorCode::BadRequest);
-        let many: Vec<String> = (0..=MAX_BATCH)
-            .map(|i| format!(r#"{{"op":"ping","id":{i}}}"#))
-            .collect();
-        let over = format!(r#"{{"op":"batch","requests":[{}]}}"#, many.join(","));
-        let err = Incoming::parse(&over).unwrap_err();
-        assert_eq!(err.0, ErrorCode::BadRequest);
-        assert!(err.1.contains("MAX_BATCH"), "{}", err.1);
     }
 
     #[test]

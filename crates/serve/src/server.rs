@@ -11,10 +11,10 @@
 //! `shutting_down`, and unblocks every accept thread with
 //! self-connections.
 //!
-//! Workers serve connections frame by frame; a frame is either one
-//! request or a `batch` envelope answered with one tagged response
-//! frame (DESIGN.md §13). Clients may pipeline: frames are buffered
-//! and served back-to-back without waiting for the client to read.
+//! Workers serve connections frame by frame, one request and one
+//! response per frame (DESIGN.md §13). Clients may pipeline: frames are
+//! buffered and answered back-to-back, in order, without waiting for
+//! the client to read.
 
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
@@ -30,9 +30,9 @@ use std::time::{Duration, Instant};
 use tpdbt_faults::FaultSite;
 use tpdbt_trace::EventKind;
 
-use crate::proto::{self, ErrorCode, Incoming, Request, MAX_FRAME};
+use crate::lock::lock_recover;
+use crate::proto::{self, Envelope, ErrorCode, Request, MAX_FRAME};
 use crate::service::ProfileService;
-use crate::shard::lock_recover;
 
 /// Where the server listens.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -713,15 +713,15 @@ fn handle_conn(shared: &Shared, conn: u64, stream: Stream) {
             ))
         } else {
             match std::str::from_utf8(&frame) {
-                Ok(text) => Incoming::parse(text),
+                Ok(text) => Envelope::parse(text),
                 Err(_) => Err((
                     ErrorCode::MalformedFrame,
                     "frame body is not UTF-8".to_string(),
                 )),
             }
         };
-        let incoming = match parsed {
-            Ok(incoming) => incoming,
+        let env = match parsed {
+            Ok(env) => env,
             Err((code, message)) => {
                 shared.emit(|| EventKind::ServeRejected {
                     conn,
@@ -734,79 +734,31 @@ fn handle_conn(shared: &Shared, conn: u64, stream: Stream) {
                 continue; // framing is intact: the connection survives
             }
         };
-        match incoming {
-            Incoming::One(env) => {
-                if shared.shutting_down() && env.request != Request::Shutdown {
-                    let body = proto::error_response(
-                        env.id,
-                        ErrorCode::ShuttingDown,
-                        "server is draining",
-                    )
-                    .render();
-                    let _ = proto::write_frame(&mut reader.stream, body.as_bytes());
-                    return;
-                }
-                let op = env.request.op();
-                shared.emit(|| EventKind::ServeRequest { conn, op });
-                let started = Instant::now();
-                let (reply, source) = shared.service.respond(&env);
-                let micros = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
-                let ok = proto::write_frame(&mut reader.stream, reply.render().as_bytes()).is_ok();
-                shared.emit(|| EventKind::ServeDone {
-                    conn,
-                    op,
-                    source: source.map_or("none", crate::proto::Source::name),
-                    micros,
-                });
-                if env.request == Request::Shutdown {
-                    // The ack is already on the wire; now stop the world.
-                    trigger_shutdown(shared);
-                    return;
-                }
-                if !ok {
-                    return;
-                }
-            }
-            Incoming::Batch(batch) => {
-                if shared.shutting_down() {
-                    let body = proto::error_response(
-                        batch.id,
-                        ErrorCode::ShuttingDown,
-                        "server is draining",
-                    )
-                    .render();
-                    let _ = proto::write_frame(&mut reader.stream, body.as_bytes());
-                    return;
-                }
-                // Every slot's deadline is anchored at frame receipt,
-                // so `deadline_ms` means the same thing in slot 0 and
-                // slot N−1 even though slots are served serially.
-                let anchor = Instant::now();
-                let queries = batch.items.len() as u64;
-                shared.emit(|| EventKind::ServeBatch { conn, queries });
-                shared.service.note_batch(batch.items.len());
-                let started = Instant::now();
-                let responses: Vec<_> = batch
-                    .items
-                    .iter()
-                    .map(|item| match item {
-                        Ok(env) => shared.service.respond_at(env, anchor).0,
-                        Err((id, code, message)) => proto::error_response(*id, *code, message),
-                    })
-                    .collect();
-                let reply = proto::batch_response(batch.id, responses);
-                let micros = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
-                let ok = proto::write_frame(&mut reader.stream, reply.render().as_bytes()).is_ok();
-                shared.emit(|| EventKind::ServeDone {
-                    conn,
-                    op: "batch",
-                    source: "none",
-                    micros,
-                });
-                if !ok {
-                    return;
-                }
-            }
+        if shared.shutting_down() && env.request != Request::Shutdown {
+            let body = proto::error_response(env.id, ErrorCode::ShuttingDown, "server is draining")
+                .render();
+            let _ = proto::write_frame(&mut reader.stream, body.as_bytes());
+            return;
+        }
+        let op = env.request.op();
+        shared.emit(|| EventKind::ServeRequest { conn, op });
+        let started = Instant::now();
+        let (reply, source) = shared.service.respond(&env);
+        let micros = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
+        let ok = proto::write_frame(&mut reader.stream, reply.render().as_bytes()).is_ok();
+        shared.emit(|| EventKind::ServeDone {
+            conn,
+            op,
+            source: source.map_or("none", crate::proto::Source::name),
+            micros,
+        });
+        if env.request == Request::Shutdown {
+            // The ack is already on the wire; now stop the world.
+            trigger_shutdown(shared);
+            return;
+        }
+        if !ok {
+            return;
         }
     }
 }

@@ -32,11 +32,11 @@ use tpdbt_trace::Tracer;
 
 use crate::hot::{HotStats, HotTier};
 use crate::json::Json;
+use crate::lock::lock_recover;
 use crate::proto::{
     self, base_payload, cell_payload, input_name, plain_payload, scale_name, Envelope, ErrorCode,
     Request, Source,
 };
-use crate::shard::{lock_recover, DEFAULT_SHARDS};
 use crate::singleflight::{FlightOutcome, SingleFlight};
 use crate::snapshot;
 
@@ -51,11 +51,6 @@ pub struct ServiceConfig {
     pub cache_dir: Option<PathBuf>,
     /// Hot-tier capacity in artifacts (0 disables the tier).
     pub hot_capacity: usize,
-    /// Digest-prefix shard count for the hot tier and single-flight
-    /// table (clamped to at least 1). Each hot shard gets its own lock
-    /// and an equal slice of `hot_capacity`; 1 restores the exact
-    /// global-LRU behaviour of earlier releases.
-    pub hot_shards: usize,
     /// Deadline applied when a request carries none.
     pub default_deadline: Duration,
     /// Execution backend for computed (tier-3) queries. Backends are
@@ -68,7 +63,6 @@ impl Default for ServiceConfig {
         ServiceConfig {
             cache_dir: None,
             hot_capacity: 256,
-            hot_shards: DEFAULT_SHARDS,
             default_deadline: proto::DEFAULT_DEADLINE,
             backend: Backend::default(),
         }
@@ -129,10 +123,6 @@ pub struct ProfileService {
     latency: Mutex<BTreeMap<&'static str, Histogram>>,
     default_deadline: Duration,
     backend: Backend,
-    /// Batch frames served and the queries they carried (the ratio is
-    /// the realized batching factor).
-    batches: AtomicU64,
-    batched_queries: AtomicU64,
     /// Warm-restart bookkeeping, set by [`ProfileService::startup_recovery`]:
     /// hot-tier entries reinstalled from the drain snapshot, orphaned
     /// temp files swept at startup, and the startup fsck's wall time.
@@ -148,8 +138,8 @@ impl ProfileService {
     pub fn new(config: ServiceConfig) -> ProfileService {
         ProfileService {
             store: config.cache_dir.map(ProfileStore::new),
-            hot: HotTier::with_shards(config.hot_capacity, config.hot_shards),
-            flights: SingleFlight::with_shards(config.hot_shards),
+            hot: HotTier::new(config.hot_capacity),
+            flights: SingleFlight::new(),
             guests: Mutex::new(HashMap::new()),
             guest_runs: AtomicU64::new(0),
             tracer: None,
@@ -157,8 +147,6 @@ impl ProfileService {
             latency: Mutex::new(BTreeMap::new()),
             default_deadline: config.default_deadline,
             backend: config.backend,
-            batches: AtomicU64::new(0),
-            batched_queries: AtomicU64::new(0),
             recovered: AtomicU64::new(0),
             orphans_swept: AtomicU64::new(0),
             fsck_ms: AtomicU64::new(0),
@@ -531,19 +519,12 @@ impl ProfileService {
             .record(micros);
     }
 
-    /// Records one served batch frame carrying `queries` sub-requests.
-    pub fn note_batch(&self, queries: usize) {
-        self.batches.fetch_add(1, Ordering::Relaxed);
-        self.batched_queries
-            .fetch_add(queries as u64, Ordering::Relaxed);
-    }
-
-    /// Test hook: poisons the hot-tier shard owning `key` the way a
-    /// worker panicking under the lock would, so regression tests can
-    /// assert the daemon recovers instead of cascading panics.
+    /// Test hook: poisons the hot-tier lock the way a worker panicking
+    /// under it would, so regression tests can assert the daemon
+    /// recovers instead of cascading panics.
     #[doc(hidden)]
-    pub fn poison_hot_for_tests(&self, key: u64) {
-        self.hot.poison_for_tests(key);
+    pub fn poison_hot_for_tests(&self) {
+        self.hot.poison_for_tests();
     }
 
     /// The `stats` payload: tier counters, single-flight counters,
@@ -567,7 +548,6 @@ impl ProfileService {
                     ("inserts", Json::num(inserts)),
                     ("evictions", Json::num(evictions)),
                     ("poisoned", Json::num(poisoned)),
-                    ("shards", Json::num(self.hot.shard_count() as u64)),
                     ("len", Json::num(self.hot.len() as u64)),
                 ]),
             ),
@@ -578,17 +558,6 @@ impl ProfileService {
                     ("followers", Json::num(self.flights.followers())),
                     ("timeouts", Json::num(self.flights.timeouts())),
                     ("leader_failures", Json::num(self.flights.leader_failures())),
-                    ("shards", Json::num(self.flights.shard_count() as u64)),
-                ]),
-            ),
-            (
-                "batch",
-                Json::obj([
-                    ("frames", Json::num(self.batches.load(Ordering::Relaxed))),
-                    (
-                        "queries",
-                        Json::num(self.batched_queries.load(Ordering::Relaxed)),
-                    ),
                 ]),
             ),
         ];
@@ -645,17 +614,8 @@ impl ProfileService {
     /// ack, letting transport-free tests drive the full matrix.
     #[must_use]
     pub fn respond(&self, env: &Envelope) -> (Json, Option<Source>) {
-        self.respond_at(env, Instant::now())
-    }
-
-    /// [`Self::respond`] with the deadline anchored at `anchor` instead
-    /// of now. Batch frames anchor every sub-request at frame receipt,
-    /// so `deadline_ms` means the same thing for slot 0 and slot 99
-    /// even though the slots are served serially.
-    #[must_use]
-    pub fn respond_at(&self, env: &Envelope, anchor: Instant) -> (Json, Option<Source>) {
         let started = Instant::now();
-        let deadline = anchor
+        let deadline = started
             + env
                 .deadline_ms
                 .map_or(self.default_deadline, Duration::from_millis);
@@ -864,16 +824,15 @@ mod tests {
     }
 
     #[test]
-    fn poisoned_hot_shard_recovers_and_service_keeps_answering() {
+    fn poisoned_hot_tier_recovers_and_service_keeps_answering() {
         let s = svc(None);
         let first = s.resolve_base("gzip", Scale::Tiny, far()).unwrap();
         assert_eq!(first.source, Source::Computed);
         // Simulate a worker panicking while holding the hot-tier lock.
-        let g = s.guest("gzip", Scale::Tiny, InputKind::Ref).unwrap();
-        let key = g.key(&DbtConfig::two_phase(1)).digest();
-        s.poison_hot_for_tests(key);
-        // The shard cleared and the service recomputes without panicking.
+        s.poison_hot_for_tests();
+        // The tier cleared and the service recomputes without panicking.
         let again = s.resolve_base("gzip", Scale::Tiny, far()).unwrap();
+        assert_eq!(again.source, Source::Computed);
         assert_eq!(first.artifact, again.artifact);
         let stats = s.stats_json();
         let poisoned = stats
@@ -948,16 +907,5 @@ mod tests {
         let report = tpdbt_store::fsck(&dir, tpdbt_store::FsckOptions::default()).unwrap();
         assert!(report.clean(), "startup recovery must repair the dir");
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn batch_counters_accumulate() {
-        let s = svc(None);
-        s.note_batch(32);
-        s.note_batch(1);
-        let stats = s.stats_json();
-        let b = stats.get("batch").expect("batch stats object");
-        assert_eq!(b.get("frames").and_then(Json::as_u64), Some(2));
-        assert_eq!(b.get("queries").and_then(Json::as_u64), Some(33));
     }
 }

@@ -11,17 +11,17 @@
 //! same key starts fresh — the cache tiers above this layer decide
 //! whether that recomputes.
 //!
-//! The flight table is sharded by key prefix (see [`shard_of`]) so the
-//! registration lock never serializes unrelated keys, and every lock
-//! acquisition recovers from poisoning: a panicking leader must only
-//! fail its own flight, never the whole group.
+//! The flight table is one map behind one mutex, held only to register
+//! or remove a flight, never while computing. Every lock acquisition
+//! recovers from poisoning: a panicking leader must only fail its own
+//! flight, never the whole group.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Instant;
 
-use crate::shard::{lock_recover, shard_of, DEFAULT_SHARDS};
+use crate::lock::lock_recover;
 
 /// Outcome of [`SingleFlight::run`].
 #[derive(Clone, Debug, PartialEq)]
@@ -84,7 +84,7 @@ impl<V> Drop for LeaderGuard<'_, V> {
 /// A keyed single-flight group. `V` must be cheap to clone — the serve
 /// tiers pass `Arc`-wrapped artifacts.
 pub struct SingleFlight<V> {
-    shards: Vec<Mutex<HashMap<u64, Arc<Flight<V>>>>>,
+    flights: Mutex<HashMap<u64, Arc<Flight<V>>>>,
     leaders: AtomicU64,
     followers: AtomicU64,
     timeouts: AtomicU64,
@@ -93,44 +93,25 @@ pub struct SingleFlight<V> {
 
 impl<V> Default for SingleFlight<V> {
     fn default() -> Self {
-        SingleFlight::with_shards(DEFAULT_SHARDS)
-    }
-}
-
-impl<V> SingleFlight<V> {
-    /// A fresh group with zeroed counters and the default shard count.
-    #[must_use]
-    pub fn new() -> Self {
-        SingleFlight::default()
-    }
-
-    /// A fresh group with `shards` independent flight tables (clamped
-    /// to at least 1).
-    #[must_use]
-    pub fn with_shards(shards: usize) -> Self {
         SingleFlight {
-            shards: (0..shards.max(1))
-                .map(|_| Mutex::new(HashMap::new()))
-                .collect(),
+            flights: Mutex::new(HashMap::new()),
             leaders: AtomicU64::new(0),
             followers: AtomicU64::new(0),
             timeouts: AtomicU64::new(0),
             leader_failures: AtomicU64::new(0),
         }
     }
+}
 
-    /// Number of independent flight-table shards.
+impl<V> SingleFlight<V> {
+    /// A fresh group with zeroed counters.
     #[must_use]
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    fn table(&self, key: u64) -> &Mutex<HashMap<u64, Arc<Flight<V>>>> {
-        &self.shards[shard_of(key, self.shards.len())]
+    pub fn new() -> Self {
+        SingleFlight::default()
     }
 
     fn remove(&self, key: u64) {
-        lock_recover(self.table(key)).remove(&key);
+        lock_recover(&self.flights).remove(&key);
     }
 }
 
@@ -153,7 +134,7 @@ impl<V: Clone> SingleFlight<V> {
         compute: impl FnOnce() -> Result<V, E>,
     ) -> Result<FlightOutcome<V>, E> {
         let (flight, is_leader) = {
-            let mut flights = lock_recover(self.table(key));
+            let mut flights = lock_recover(&self.flights);
             match flights.get(&key) {
                 Some(f) => (Arc::clone(f), false),
                 None => {
@@ -375,14 +356,14 @@ mod tests {
     }
 
     #[test]
-    fn shards_isolate_keys_without_changing_semantics() {
-        let sf: SingleFlight<u32> = SingleFlight::with_shards(4);
-        assert_eq!(sf.shard_count(), 4);
+    fn distinct_keys_each_lead_their_own_flight() {
+        let sf: SingleFlight<u32> = SingleFlight::new();
         let deadline = Instant::now() + Duration::from_secs(1);
         for key in 0..64 {
             let out = sf.run::<()>(key, deadline, || Ok(key as u32)).unwrap();
             assert_eq!(out, FlightOutcome::Led(key as u32));
         }
         assert_eq!(sf.leaders(), 64);
+        assert_eq!(sf.followers(), 0);
     }
 }

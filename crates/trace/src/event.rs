@@ -246,15 +246,6 @@ pub enum EventKind {
         /// Wall-clock request latency, in microseconds.
         micros: u64,
     },
-    /// A pipelined batch frame was decoded: many queries in one frame,
-    /// answered by one tagged response frame.
-    ServeBatch {
-        /// Connection id the frame arrived on.
-        conn: u64,
-        /// Sub-requests carried by the frame (including slots that
-        /// fail per-slot validation).
-        queries: u64,
-    },
     /// A request was refused with a structured error instead of a
     /// result (malformed frame, overload shed, missed deadline, failed
     /// computation, post-shutdown arrival).
@@ -318,7 +309,6 @@ impl EventKind {
             EventKind::ServeConnAccepted { .. } => "serve_conn_accepted",
             EventKind::ServeRequest { .. } => "serve_request",
             EventKind::ServeDone { .. } => "serve_done",
-            EventKind::ServeBatch { .. } => "serve_batch",
             EventKind::ServeRejected { .. } => "serve_rejected",
             EventKind::HotSnapshotSaved { .. } => "hot_snapshot_saved",
             EventKind::HotSnapshotLoaded { .. } => "hot_snapshot_loaded",
@@ -453,10 +443,6 @@ mod tests {
                 op: "cell",
                 source: "memory",
                 micros: 0,
-            },
-            EventKind::ServeBatch {
-                conn: 0,
-                queries: 1,
             },
             EventKind::ServeRejected {
                 conn: 0,

@@ -181,9 +181,6 @@ fn fields(kind: &EventKind) -> Vec<Field<'_>> {
             Field::Str("source", source),
             Field::U64("micros", *micros),
         ],
-        E::ServeBatch { conn, queries } => {
-            vec![Field::U64("conn", *conn), Field::U64("queries", *queries)]
-        }
         E::ServeRejected { conn, code } => {
             vec![Field::U64("conn", *conn), Field::Str("code", code)]
         }
