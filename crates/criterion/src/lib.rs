@@ -43,42 +43,8 @@ pub struct BenchRecord {
     pub p99_ns: u128,
     /// 99.9th-percentile sample, in nanoseconds.
     pub p999_ns: u128,
-    /// Sustained operations per second, when the benchmark measures
-    /// throughput (load harnesses); `None` for plain timing loops.
-    pub throughput_qps: Option<f64>,
     /// Number of timed samples.
     pub samples: usize,
-}
-
-impl BenchRecord {
-    /// Builds a latency record from raw nanosecond samples (sorted
-    /// internally), with optional throughput.
-    ///
-    /// # Panics
-    ///
-    /// If `samples_ns` is empty.
-    #[must_use]
-    pub fn from_samples(
-        name: impl Into<String>,
-        mut samples_ns: Vec<u128>,
-        throughput_qps: Option<f64>,
-    ) -> BenchRecord {
-        let name = name.into();
-        assert!(!samples_ns.is_empty(), "no samples for {name}");
-        samples_ns.sort_unstable();
-        let n = samples_ns.len();
-        BenchRecord {
-            median_ns: samples_ns[n / 2],
-            min_ns: samples_ns[0],
-            max_ns: samples_ns[n - 1],
-            p50_ns: percentile_ns(&samples_ns, 50.0),
-            p99_ns: percentile_ns(&samples_ns, 99.0),
-            p999_ns: percentile_ns(&samples_ns, 99.9),
-            throughput_qps,
-            samples: n,
-            name,
-        }
-    }
 }
 
 static RESULTS: Mutex<Vec<BenchRecord>> = Mutex::new(Vec::new());
@@ -202,24 +168,6 @@ pub fn percentile_ns(sorted_ns: &[u128], q: f64) -> u128 {
     sorted_ns[rank.clamp(1, n) - 1]
 }
 
-/// Appends an externally measured record (a load harness computing its
-/// own percentiles) to the registry, so it rides the same
-/// `TPDBT_BENCH_JSON` export as `bench_function` timings.
-pub fn record(rec: BenchRecord) {
-    println!(
-        "{:<44} p50 {:>10}ns  p99 {:>10}ns  p999 {:>10}ns{}  (n={})",
-        rec.name,
-        rec.p50_ns,
-        rec.p99_ns,
-        rec.p999_ns,
-        rec.throughput_qps
-            .map(|q| format!("  {q:.0} qps"))
-            .unwrap_or_default(),
-        rec.samples
-    );
-    RESULTS.lock().unwrap().push(rec);
-}
-
 fn report(name: &str, samples: &mut [Duration]) {
     if samples.is_empty() {
         println!("{name:<44} no samples");
@@ -245,7 +193,6 @@ fn report(name: &str, samples: &mut [Duration]) {
         p50_ns: percentile_ns(&sorted_ns, 50.0),
         p99_ns: percentile_ns(&sorted_ns, 99.0),
         p999_ns: percentile_ns(&sorted_ns, 99.9),
-        throughput_qps: None,
         samples: samples.len(),
     });
 }
@@ -276,36 +223,19 @@ fn json_escape(s: &str) -> String {
 pub fn results_json() -> String {
     let rows: Vec<String> = results()
         .iter()
-        .map(|r| {
-            let throughput = r
-                .throughput_qps
-                .map(|q| format!(", \"throughput_qps\": {q:.3}"))
-                .unwrap_or_default();
-            format!(
-                "  {{\"name\": \"{}\", \"median_ns\": {}, \"min_ns\": {}, \"max_ns\": {}, \"p50_ns\": {}, \"p99_ns\": {}, \"p999_ns\": {}{}, \"samples\": {}}}",
-                json_escape(&r.name),
-                r.median_ns,
-                r.min_ns,
-                r.max_ns,
-                r.p50_ns,
-                r.p99_ns,
-                r.p999_ns,
-                throughput,
-                r.samples
-            )
-        })
+        .map(|r| format!(
+            "  {{\"name\": \"{}\", \"median_ns\": {}, \"min_ns\": {}, \"max_ns\": {}, \"p50_ns\": {}, \"p99_ns\": {}, \"p999_ns\": {}, \"samples\": {}}}",
+            json_escape(&r.name),
+            r.median_ns,
+            r.min_ns,
+            r.max_ns,
+            r.p50_ns,
+            r.p99_ns,
+            r.p999_ns,
+            r.samples
+        ))
         .collect();
     format!("{{\"benchmarks\": [\n{}\n]}}\n", rows.join(",\n"))
-}
-
-/// Writes [`results_json`] to `path` unconditionally (load harnesses
-/// that own their output location).
-///
-/// # Errors
-///
-/// Filesystem errors from the underlying write.
-pub fn write_json_to(path: &str) -> std::io::Result<()> {
-    std::fs::write(path, results_json())
 }
 
 /// Writes [`results_json`] to the path named by `TPDBT_BENCH_JSON`, if
@@ -425,20 +355,5 @@ mod tests {
         // Small sets saturate to the max: the honest tail estimate.
         assert_eq!(percentile_ns(&[7], 99.9), 7);
         assert_eq!(percentile_ns(&[1, 2, 3], 99.0), 3);
-    }
-
-    #[test]
-    fn external_records_carry_throughput_into_the_json() {
-        let rec = BenchRecord::from_samples(
-            "shim/load_test",
-            vec![300, 100, 200, 400, 500],
-            Some(1234.5),
-        );
-        assert_eq!(rec.p50_ns, 300);
-        assert_eq!(rec.p999_ns, 500);
-        record(rec);
-        let json = results_json();
-        assert!(json.contains("\"name\": \"shim/load_test\""));
-        assert!(json.contains("\"throughput_qps\": 1234.500"));
     }
 }

@@ -199,8 +199,7 @@ impl Dbt {
 
     /// Attaches a structured-event tracer: every run reports lifecycle
     /// events (translation, counter bumps and freezes, region
-    /// formation / re-formation / retirement) into it. Without the
-    /// crate's `trace` feature this is a no-op.
+    /// formation / re-formation / retirement) into it.
     #[must_use]
     pub fn with_tracer(mut self, tracer: Arc<Tracer>) -> Self {
         self.tracer = Some(tracer);
@@ -347,20 +346,13 @@ impl<'p> Engine<'p> {
     }
 
     /// Reports a structured event when a tracer is attached; the
-    /// closure defers payload construction to the traced case. With the
-    /// `trace` feature off this compiles to nothing.
-    #[cfg(feature = "trace")]
+    /// closure defers payload construction to the traced case, so an
+    /// untraced run pays one branch per site.
     #[inline]
     fn trace_emit(&self, event: impl FnOnce() -> EventKind) {
         if let Some(tracer) = self.tracer {
             tracer.emit(event());
         }
-    }
-
-    #[cfg(not(feature = "trace"))]
-    #[inline]
-    fn trace_emit(&self, event: impl FnOnce() -> EventKind) {
-        let _ = (self.tracer, event);
     }
 
     fn execute(&mut self, machine: &mut Machine) -> Result<Vec<i64>, DbtError> {
@@ -1447,7 +1439,6 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "trace")]
     mod trace_events {
         use super::*;
         use std::sync::Arc;
@@ -1501,15 +1492,23 @@ mod tests {
         #[test]
         fn untraced_runs_emit_nothing_and_match_traced_output() {
             let p = hot_loop(10_000);
-            let tracer = Arc::new(Tracer::new());
-            let traced = Dbt::new(DbtConfig::two_phase(100))
-                .with_tracer(Arc::clone(&tracer))
-                .run(&p, &[])
-                .unwrap();
-            let untraced = Dbt::new(DbtConfig::two_phase(100)).run(&p, &[]).unwrap();
-            assert_eq!(traced.output, untraced.output);
-            assert_eq!(traced.stats, untraced.stats);
-            assert!(!tracer.is_empty());
+            for backend in Backend::ALL {
+                let config = DbtConfig::two_phase(100)
+                    .with_backend(backend)
+                    .with_interval(5_000);
+                let tracer = Arc::new(Tracer::new());
+                let traced = Dbt::new(config)
+                    .with_tracer(Arc::clone(&tracer))
+                    .run(&p, &[])
+                    .unwrap();
+                let untraced = Dbt::new(config).run(&p, &[]).unwrap();
+                assert_eq!(traced.output, untraced.output, "{backend}");
+                assert_eq!(traced.stats, untraced.stats, "{backend}");
+                assert_eq!(traced.inip, untraced.inip, "{backend}");
+                assert_eq!(traced.intervals, untraced.intervals, "{backend}");
+                assert!(!traced.intervals.is_empty(), "{backend}");
+                assert!(!tracer.is_empty(), "{backend}");
+            }
         }
 
         #[test]

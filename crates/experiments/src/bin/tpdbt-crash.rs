@@ -23,14 +23,13 @@
 //! leave the (healthy) entry untouched.
 //!
 //! Exit status: 0 when every leg holds, 1 on an invariant violation,
-//! 2 when the harness cannot run (missing sibling binaries, injection
-//! compiled out is reported but exits 0 so feature-less CI legs pass).
+//! 2 when the harness cannot run (missing sibling binaries).
 
 use std::io::BufRead as _;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, ExitCode, Output, Stdio};
 
-use tpdbt_faults::{FaultPlan, FaultSite};
+use tpdbt_faults::FaultSite;
 use tpdbt_store::{fsck, FsckOptions};
 
 /// The reproduce invocation used for the baseline and every warm
@@ -45,13 +44,6 @@ struct Harness {
 }
 
 fn main() -> ExitCode {
-    if !FaultPlan::ENABLED {
-        eprintln!(
-            "tpdbt-crash: fault injection is compiled out \
-             (build with the default `fault-injection` feature); nothing to test"
-        );
-        return ExitCode::SUCCESS;
-    }
     let exe = std::env::current_exe().expect("own path");
     let bin_dir = exe.parent().expect("bin dir").to_path_buf();
     for bin in ["reproduce", "tpdbt-serve", "tpdbt-query", "tpdbt-fsck"] {

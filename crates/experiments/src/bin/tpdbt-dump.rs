@@ -22,8 +22,7 @@
 //! execute; with `--intervals` the baselines also always execute).
 //! The cached baseline runs honor the fault-tolerance policy
 //! (DESIGN.md §9): `--max-retries`/`--watchdog-fuel` tune it and
-//! `--inject SPEC` arms deterministic fault injection
-//! (`fault-injection` builds only).
+//! `--inject SPEC` arms deterministic fault injection.
 
 use std::path::Path;
 use std::sync::Arc;

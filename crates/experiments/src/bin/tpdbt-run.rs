@@ -37,7 +37,7 @@
 //! served from the persistent profile store on reruns. Sweep cells are
 //! fault isolated (DESIGN.md §9): `--max-retries`/`--fail-fast`/
 //! `--watchdog-fuel` tune the policy and `--inject SPEC` arms
-//! deterministic fault injection (`fault-injection` builds only).
+//! deterministic fault injection.
 
 use std::sync::Arc;
 

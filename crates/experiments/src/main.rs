@@ -31,12 +31,12 @@
 //! otherwise dropped, with the damage reported at the end of the run —
 //! `--fail-fast` aborts on the first failure instead. `--watchdog-fuel`
 //! caps each guest's fuel budget so a runaway cell traps instead of
-//! stalling the pool. `--inject` arms deterministic fault injection
-//! (builds with the `fault-injection` feature only), e.g.
-//! `--inject worker_panic:0,store_corrupt:1` or
-//! `--inject seed=7,rate=5`. Exit status: 0 for a clean (possibly
-//! retried) run, 1 when an extension study or the sweep fails, 2 for a
-//! usage error, 3 when cells failed and were dropped.
+//! stalling the pool. `--inject` arms deterministic fault injection,
+//! e.g. `--inject worker_panic:0,store_corrupt:1` or
+//! `--inject seed=7,rate=5` (rate per mille, at most 1000). Exit
+//! status: 0 for a clean (possibly retried) run, 1 when an extension
+//! study or the sweep fails, 2 for a usage error, 3 when cells failed
+//! and were dropped.
 
 use std::io::Write as _;
 use std::sync::Arc;

@@ -38,8 +38,7 @@ pub struct FaultPolicy {
     /// so watchdogged runs address their own cache slots.
     pub watchdog_fuel: Option<u64>,
     /// Deterministic fault-injection plan shared with the store and the
-    /// workers; `None` (or a build without the `fault-injection`
-    /// feature) injects nothing.
+    /// workers; `None` injects nothing.
     pub plan: Option<Arc<FaultPlan>>,
 }
 

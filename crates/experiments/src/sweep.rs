@@ -31,8 +31,8 @@
 //! results, and reports the damage in [`SweepReport::degraded`]. With
 //! [`FaultPolicy::fail_fast`] the first failed cell aborts the sweep
 //! instead. A [`FaultPolicy::plan`] arms deterministic fault injection
-//! in the workers and the store (a no-op unless the `fault-injection`
-//! feature is compiled in).
+//! in the workers and the store; with no plan attached every site is
+//! one branch.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -297,7 +297,7 @@ impl Ctx<'_> {
 
     /// Consults the injection plan at a crash site: a planned
     /// occurrence aborts the whole process (the crash-restart harness
-    /// supervises this). Compiled out without `fault-injection`.
+    /// supervises this).
     fn fire_crash(&self, site: FaultSite) {
         if let Some(plan) = &self.policy.plan {
             plan.fire_crash(site);
@@ -319,8 +319,7 @@ impl Ctx<'_> {
     }
 
     /// Consults the injection plan once per cell attempt, in a fixed
-    /// site order. Compiles to nothing without the `fault-injection`
-    /// feature (`fire_indexed` is a constant `None`).
+    /// site order. With no plan attached this is one branch.
     fn inject_cell_faults(&self, bench: &str, label: &str) -> Result<()> {
         let Some(plan) = self.policy.plan.as_deref() else {
             return Ok(());

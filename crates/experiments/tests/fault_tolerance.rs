@@ -2,15 +2,16 @@
 //! per-cell isolation, bounded retry, keep-going vs `--fail-fast`
 //! semantics, and recovery from injected store corruption — with
 //! bitwise-identical metrics for every unaffected cell.
-//!
-//! The injection-driven tests require the `fault-injection` feature
-//! (on by default); the structural tests run in every configuration.
 
+use std::sync::Arc;
+
+use tpdbt_experiments::resilience::FaultPolicy;
 use tpdbt_experiments::runner::BenchResult;
 use tpdbt_experiments::sweep::{run_sweep, SweepOptions};
+use tpdbt_faults::{FaultPlan, FaultSite};
 use tpdbt_suite::Scale;
+use tpdbt_trace::Tracer;
 
-#[cfg(feature = "fault-injection")]
 fn scratch_dir() -> std::path::PathBuf {
     use std::sync::atomic::{AtomicU32, Ordering};
     static SEQ: AtomicU32 = AtomicU32::new(0);
@@ -22,7 +23,6 @@ fn scratch_dir() -> std::path::PathBuf {
 }
 
 /// Bitwise metric equality: every float compared as raw bits.
-#[cfg_attr(not(feature = "fault-injection"), allow(dead_code))]
 fn assert_results_identical(a: &[BenchResult], b: &[BenchResult]) {
     let bits = |v: Option<f64>| v.map(f64::to_bits);
     assert_eq!(a.len(), b.len());
@@ -66,15 +66,43 @@ fn clean_sweep_reports_no_degradation() {
     assert!(!report.render_stats().contains("DEGRADED"));
 }
 
-#[cfg(feature = "fault-injection")]
+/// Every injection site is compiled into every build, so results must
+/// not depend on a plan being attached: an empty plan plus a store is
+/// consulted at the store and worker sites, fires nothing, and leaves
+/// the results bitwise identical to a plan-free, store-free run.
+#[test]
+fn empty_plan_is_consulted_but_changes_nothing() {
+    let bare = run_sweep(&["gzip"], Scale::Tiny, &SweepOptions::default(), |_| {}).unwrap();
+
+    let dir = scratch_dir();
+    let plan = Arc::new(FaultPlan::new());
+    let tracer = Arc::new(Tracer::new());
+    let opts = SweepOptions {
+        jobs: 2,
+        cache_dir: Some(dir.clone()),
+        tracer: Some(Arc::clone(&tracer)),
+        policy: FaultPolicy {
+            plan: Some(Arc::clone(&plan)),
+            ..FaultPolicy::default()
+        },
+        ..Default::default()
+    };
+    let planned = run_sweep(&["gzip"], Scale::Tiny, &opts, |_| {}).unwrap();
+
+    assert_results_identical(&bare.results, &planned.results);
+    assert_eq!(plan.fired(), 0);
+    assert_eq!(tracer.count("store_io_retry"), 0, "no I/O retries");
+    assert_eq!(tracer.count("fault_injected"), 0);
+    assert!(!planned.degraded.is_degraded());
+    assert!(!planned.degraded.has_failures());
+    assert_eq!(planned.degraded.completed, planned.cells.len());
+    assert!(plan.occurrences(FaultSite::StoreRead) > 0);
+    assert!(plan.occurrences(FaultSite::WorkerPanic) > 0);
+
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 mod injected {
-    use std::sync::Arc;
-
-    use tpdbt_experiments::resilience::FaultPolicy;
-    use tpdbt_experiments::sweep::run_sweep;
-    use tpdbt_faults::FaultPlan;
-    use tpdbt_trace::Tracer;
-
     use super::*;
 
     fn opts_with_plan(plan: FaultPlan) -> SweepOptions {

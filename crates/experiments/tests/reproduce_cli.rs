@@ -1,6 +1,7 @@
-//! `reproduce` rejects an unknown target, benchmark or flag during
-//! argument parsing: it exits 2 with usage before running any sweep,
-//! instead of silently skipping the input and reporting success.
+//! `reproduce` rejects an unknown target, benchmark, flag or bad
+//! `--inject` spec during argument parsing: it exits 2 before running
+//! any sweep, instead of silently skipping or reinterpreting the input
+//! and reporting success.
 
 use std::process::Command;
 
@@ -55,4 +56,22 @@ fn an_unknown_target_fails_even_beside_known_ones() {
         assert!(stderr.contains("usage: reproduce"), "{stderr}");
         assert!(out.stdout.is_empty(), "{args:?} printed a table");
     }
+}
+
+#[test]
+fn an_out_of_range_inject_rate_is_rejected() {
+    let out = reproduce(&[
+        "--scale",
+        "tiny",
+        "--bench",
+        "gzip",
+        "--inject",
+        "seed=1,rate=1001",
+        "fig8",
+    ]);
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("`rate=1001`"), "{stderr}");
+    assert!(stderr.contains("per-mille, 0..=1000"), "{stderr}");
+    assert!(out.stdout.is_empty(), "a sweep ran: {stderr}");
 }

@@ -20,13 +20,10 @@
 //!   site occurrence with a fixed per-mille probability derived from a
 //!   seed via SplitMix64, so "5‰ of store reads fail" replays
 //!   identically for the same seed.
-//! * **Compiled out without the `fault-injection` feature** — the API
-//!   is identical in both configurations, but without the feature
-//!   [`FaultPlan::fire`] is a constant `false` the optimizer folds
-//!   away, so every downstream injection site vanishes (the
-//!   `tpdbt-dbt` `trace` pattern). [`FaultPlan::parse`] refuses plans
-//!   in that configuration so `--inject` fails loudly instead of
-//!   silently doing nothing.
+//! * **Inert until armed** — there is one build. Every site is a
+//!   single `Option<Arc<FaultPlan>>` check, so with no plan attached a
+//!   site costs one branch, and an empty plan only counts occurrences.
+//!   `--inject` specs that do not parse are rejected, never ignored.
 //!
 //! # Example
 //!
@@ -34,14 +31,9 @@
 //! use tpdbt_faults::{FaultPlan, FaultSite};
 //!
 //! let plan = FaultPlan::new().inject(FaultSite::StoreRead, 1);
-//! if FaultPlan::ENABLED {
-//!     assert!(!plan.fire(FaultSite::StoreRead)); // occurrence 0
-//!     assert!(plan.fire(FaultSite::StoreRead)); // occurrence 1
-//!     assert_eq!(plan.fired(), 1);
-//! } else {
-//!     assert!(!plan.fire(FaultSite::StoreRead));
-//!     assert_eq!(plan.fired(), 0);
-//! }
+//! assert!(!plan.fire(FaultSite::StoreRead)); // occurrence 0
+//! assert!(plan.fire(FaultSite::StoreRead)); // occurrence 1
+//! assert_eq!(plan.fired(), 1);
 //! ```
 
 #![forbid(unsafe_code)]

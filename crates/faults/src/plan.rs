@@ -1,10 +1,12 @@
 //! The fault plan: which occurrence of which site fails.
 
+use std::collections::BTreeSet;
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::site::FaultSite;
 
-/// A malformed or unsupported `--inject` specification.
+/// A malformed `--inject` specification.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum PlanError {
     /// A spec token did not parse.
@@ -14,9 +16,6 @@ pub enum PlanError {
         /// What was wrong with it.
         why: String,
     },
-    /// The binary was built without the `fault-injection` feature, so
-    /// a non-empty plan can never fire.
-    Unsupported,
 }
 
 impl fmt::Display for PlanError {
@@ -25,11 +24,6 @@ impl fmt::Display for PlanError {
             PlanError::BadToken { token, why } => {
                 write!(f, "bad fault spec token `{token}`: {why}")
             }
-            PlanError::Unsupported => write!(
-                f,
-                "fault injection was compiled out (rebuild with the \
-                 `fault-injection` feature to use --inject)"
-            ),
         }
     }
 }
@@ -37,105 +31,11 @@ impl fmt::Display for PlanError {
 impl std::error::Error for PlanError {}
 
 /// SplitMix64: the seeded plan's per-occurrence decision function.
-#[cfg(feature = "fault-injection")]
 fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     x ^ (x >> 31)
-}
-
-#[cfg(feature = "fault-injection")]
-mod imp {
-    use std::collections::BTreeSet;
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    use super::splitmix64;
-    use crate::site::FaultSite;
-
-    /// Enabled implementation: per-site occurrence counters plus the
-    /// planned (site, occurrence) set and an optional seeded rate.
-    #[derive(Debug, Default)]
-    pub(super) struct Imp {
-        counters: [AtomicU64; FaultSite::ALL.len()],
-        points: BTreeSet<(usize, u64)>,
-        /// `(seed, per-mille rate)`: each occurrence additionally fires
-        /// with probability `rate / 1000`, decided by hashing
-        /// `(seed, site, occurrence)`.
-        seeded: Option<(u64, u32)>,
-        fired: AtomicU64,
-    }
-
-    impl Imp {
-        pub(super) fn add_point(&mut self, site: FaultSite, occurrence: u64) {
-            self.points.insert((site.index(), occurrence));
-        }
-
-        pub(super) fn set_seeded(&mut self, seed: u64, per_mille: u32) {
-            self.seeded = Some((seed, per_mille.min(1000)));
-        }
-
-        pub(super) fn fire(&self, site: FaultSite) -> Option<u64> {
-            let occ = self.counters[site.index()].fetch_add(1, Ordering::Relaxed);
-            let planned = self.points.contains(&(site.index(), occ))
-                || self.seeded.is_some_and(|(seed, rate)| {
-                    let h = splitmix64(seed ^ ((site.index() as u64) << 32) ^ occ);
-                    h % 1000 < u64::from(rate)
-                });
-            if planned {
-                self.fired.fetch_add(1, Ordering::Relaxed);
-                Some(occ)
-            } else {
-                None
-            }
-        }
-
-        pub(super) fn occurrences(&self, site: FaultSite) -> u64 {
-            self.counters[site.index()].load(Ordering::Relaxed)
-        }
-
-        pub(super) fn fired(&self) -> u64 {
-            self.fired.load(Ordering::Relaxed)
-        }
-
-        pub(super) fn armed(&self) -> bool {
-            !self.points.is_empty() || self.seeded.is_some()
-        }
-    }
-}
-
-#[cfg(not(feature = "fault-injection"))]
-mod imp {
-    use crate::site::FaultSite;
-
-    /// Disabled implementation: a zero-sized inert plan. Every method
-    /// is a constant the optimizer folds away, so injection sites
-    /// downstream compile out entirely.
-    #[derive(Debug, Default)]
-    pub(super) struct Imp;
-
-    impl Imp {
-        pub(super) fn add_point(&mut self, _site: FaultSite, _occurrence: u64) {}
-
-        pub(super) fn set_seeded(&mut self, _seed: u64, _per_mille: u32) {}
-
-        #[inline(always)]
-        pub(super) fn fire(&self, _site: FaultSite) -> Option<u64> {
-            None
-        }
-
-        pub(super) fn occurrences(&self, _site: FaultSite) -> u64 {
-            0
-        }
-
-        pub(super) fn fired(&self) -> u64 {
-            0
-        }
-
-        pub(super) fn armed(&self) -> bool {
-            false
-        }
-    }
 }
 
 /// A deterministic injection plan shared (behind an `Arc`) by the
@@ -148,14 +48,17 @@ mod imp {
 /// thread-safe.
 #[derive(Debug, Default)]
 pub struct FaultPlan {
-    imp: imp::Imp,
+    counters: [AtomicU64; FaultSite::ALL.len()],
+    /// Planned `(site index, occurrence)` pairs.
+    points: BTreeSet<(usize, u64)>,
+    /// `(seed, per-mille rate)`: each occurrence additionally fires
+    /// with probability `rate / 1000`, decided by hashing
+    /// `(seed, site, occurrence)`.
+    seeded: Option<(u64, u32)>,
+    fired: AtomicU64,
 }
 
 impl FaultPlan {
-    /// Whether this build compiled the injection machinery in. Without
-    /// it every plan is inert: [`FaultPlan::fire`] is constant `false`.
-    pub const ENABLED: bool = cfg!(feature = "fault-injection");
-
     /// An empty plan: counts occurrences, never fires.
     #[must_use]
     pub fn new() -> Self {
@@ -163,36 +66,31 @@ impl FaultPlan {
     }
 
     /// Plans the `occurrence`-th consult (0-based) of `site` to fail.
-    /// No-op when injection is compiled out.
     #[must_use]
     pub fn inject(mut self, site: FaultSite, occurrence: u64) -> Self {
-        self.imp.add_point(site, occurrence);
+        self.points.insert((site.index(), occurrence));
         self
     }
 
     /// Additionally fires *every* site occurrence with probability
-    /// `per_mille / 1000`, decided deterministically from `seed` and
-    /// the (site, occurrence) pair — the same seed replays the same
-    /// faults. No-op when injection is compiled out.
+    /// `per_mille / 1000` (a rate above 1000 is read as 1000), decided
+    /// deterministically from `seed` and the (site, occurrence) pair —
+    /// the same seed replays the same faults.
     #[must_use]
     pub fn seeded(mut self, seed: u64, per_mille: u32) -> Self {
-        self.imp.set_seeded(seed, per_mille);
+        self.seeded = Some((seed, per_mille.min(1000)));
         self
     }
 
     /// Parses an `--inject` spec: comma-separated `site:occurrence`
     /// tokens (e.g. `worker_panic:0,store_corrupt:2`) plus optional
-    /// `seed=N` / `rate=N` (per-mille) for a seeded plan.
+    /// `seed=N` / `rate=N` (per-mille, `0..=1000`) for a seeded plan.
     ///
     /// # Errors
     ///
-    /// [`PlanError::BadToken`] on a malformed token, and
-    /// [`PlanError::Unsupported`] when the `fault-injection` feature is
-    /// compiled out (a plan that can never fire is a silent lie).
+    /// [`PlanError::BadToken`] on a malformed token or a rate above
+    /// 1000.
     pub fn parse(spec: &str) -> Result<Self, PlanError> {
-        if !Self::ENABLED {
-            return Err(PlanError::Unsupported);
-        }
         let mut plan = FaultPlan::new();
         let mut seed: Option<u64> = None;
         let mut rate: Option<u32> = None;
@@ -205,7 +103,11 @@ impl FaultPlan {
             if let Some(v) = token.strip_prefix("seed=") {
                 seed = Some(v.parse().map_err(|e| bad(format!("bad seed: {e}")))?);
             } else if let Some(v) = token.strip_prefix("rate=") {
-                rate = Some(v.parse().map_err(|e| bad(format!("bad rate: {e}")))?);
+                let r: u32 = v.parse().map_err(|e| bad(format!("bad rate: {e}")))?;
+                if r > 1000 {
+                    return Err(bad("rate is per-mille, 0..=1000".into()));
+                }
+                rate = Some(r);
             } else if let Some((site, occ)) = token.split_once(':') {
                 let site: FaultSite = site.parse().map_err(bad)?;
                 let occ: u64 = occ
@@ -228,7 +130,7 @@ impl FaultPlan {
     #[inline]
     #[must_use]
     pub fn fire(&self, site: FaultSite) -> bool {
-        self.imp.fire(site).is_some()
+        self.fire_indexed(site).is_some()
     }
 
     /// Like [`FaultPlan::fire`], but also reports which occurrence
@@ -236,7 +138,18 @@ impl FaultPlan {
     #[inline]
     #[must_use]
     pub fn fire_indexed(&self, site: FaultSite) -> Option<u64> {
-        self.imp.fire(site)
+        let occ = self.counters[site.index()].fetch_add(1, Ordering::Relaxed);
+        let planned = self.points.contains(&(site.index(), occ))
+            || self.seeded.is_some_and(|(seed, rate)| {
+                let h = splitmix64(seed ^ ((site.index() as u64) << 32) ^ occ);
+                h % 1000 < u64::from(rate)
+            });
+        if planned {
+            self.fired.fetch_add(1, Ordering::Relaxed);
+            Some(occ)
+        } else {
+            None
+        }
     }
 
     /// Consults the plan at `site` and, if this occurrence was planned,
@@ -245,12 +158,10 @@ impl FaultPlan {
     ///
     /// Crash sites simulate the process dying at a precise point in a
     /// multi-step operation; the crash-restart harness then restarts
-    /// the binary and checks the on-disk state. Compiled out (constant
-    /// no-op) without the `fault-injection` feature, like every other
-    /// site.
+    /// the binary and checks the on-disk state.
     #[inline]
     pub fn fire_crash(&self, site: FaultSite) {
-        if let Some(occ) = self.imp.fire(site) {
+        if let Some(occ) = self.fire_indexed(site) {
             eprintln!("tpdbt-faults: injected crash at {site}:{occ} — aborting process");
             std::process::abort();
         }
@@ -259,20 +170,20 @@ impl FaultPlan {
     /// How many times `site` has been consulted so far.
     #[must_use]
     pub fn occurrences(&self, site: FaultSite) -> u64 {
-        self.imp.occurrences(site)
+        self.counters[site.index()].load(Ordering::Relaxed)
     }
 
     /// Total faults fired so far, across all sites.
     #[must_use]
     pub fn fired(&self) -> u64 {
-        self.imp.fired()
+        self.fired.load(Ordering::Relaxed)
     }
 
-    /// Whether any injection is configured (an inert or empty plan
-    /// reports `false`).
+    /// Whether any injection is configured (an empty plan reports
+    /// `false`).
     #[must_use]
     pub fn armed(&self) -> bool {
-        self.imp.armed()
+        !self.points.is_empty() || self.seeded.is_some()
     }
 }
 
@@ -288,12 +199,9 @@ mod tests {
             assert!(!plan.fire(FaultSite::StoreRead));
         }
         assert_eq!(plan.fired(), 0);
-        if FaultPlan::ENABLED {
-            assert_eq!(plan.occurrences(FaultSite::StoreRead), 5);
-        }
+        assert_eq!(plan.occurrences(FaultSite::StoreRead), 5);
     }
 
-    #[cfg(feature = "fault-injection")]
     mod enabled {
         use super::*;
 
@@ -369,28 +277,13 @@ mod tests {
                 FaultPlan::parse("worker_panic:x"),
                 Err(PlanError::BadToken { .. })
             ));
-        }
-    }
-
-    #[cfg(not(feature = "fault-injection"))]
-    mod disabled {
-        use super::*;
-
-        #[test]
-        fn parse_refuses_inert_plans() {
-            assert!(matches!(
-                FaultPlan::parse("worker_panic:0"),
-                Err(PlanError::Unsupported)
-            ));
-        }
-
-        #[test]
-        fn builders_are_inert() {
-            let plan = FaultPlan::new()
-                .inject(FaultSite::WorkerPanic, 0)
-                .seeded(1, 1000);
-            assert!(!plan.armed());
-            assert!(!plan.fire(FaultSite::WorkerPanic));
+            assert_eq!(
+                FaultPlan::parse("seed=1,rate=1001").unwrap_err(),
+                PlanError::BadToken {
+                    token: "rate=1001".into(),
+                    why: "rate is per-mille, 0..=1000".into(),
+                }
+            );
         }
     }
 }

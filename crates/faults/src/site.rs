@@ -121,9 +121,7 @@ impl FaultSite {
         }
     }
 
-    /// The site's dense index into per-site counter arrays (only the
-    /// enabled plan implementation allocates those).
-    #[cfg_attr(not(feature = "fault-injection"), allow(dead_code))]
+    /// The site's dense index into the plan's per-site counter array.
     #[must_use]
     pub(crate) fn index(self) -> usize {
         Self::ALL.iter().position(|&s| s == self).expect("in ALL")

@@ -234,7 +234,7 @@ impl ProfileService {
 
     /// Consults the injection plan at a crash site: a planned
     /// occurrence aborts the whole process (the crash-restart harness
-    /// supervises this). Compiled out without `fault-injection`.
+    /// supervises this).
     fn fire_crash(&self, site: FaultSite) {
         if let Some(plan) = &self.faults {
             plan.fire_crash(site);

@@ -5,8 +5,6 @@
 //! service must degrade to a structured error — never a hang or a
 //! poisoned server.
 
-#![cfg(feature = "fault-injection")]
-
 use std::sync::Arc;
 use std::time::Duration;
 

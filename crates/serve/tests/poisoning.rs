@@ -5,9 +5,7 @@
 //! stranding them.
 
 use std::sync::Arc;
-use std::time::Duration;
-#[cfg(feature = "fault-injection")]
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use tpdbt_serve::json::Json;
 use tpdbt_serve::proto::Request;
@@ -38,7 +36,6 @@ fn base_request(workload: &str) -> Request {
     }
 }
 
-#[cfg(feature = "fault-injection")]
 fn error_code(reply: &Json) -> Option<&str> {
     reply
         .get("error")
@@ -102,7 +99,6 @@ fn injected_panic_under_the_hot_tier_lock_does_not_kill_the_daemon() {
     server.shutdown();
 }
 
-#[cfg(feature = "fault-injection")]
 #[test]
 fn failed_leader_frees_wire_followers_long_before_their_deadline() {
     use tpdbt_faults::FaultPlan;

@@ -25,10 +25,10 @@
 //!   blocked from being cached again this run — a bad disk sector
 //!   therefore costs one recompute per sweep, not a
 //!   recompute-corrupt-recompute loop;
-//! * with the `fault-injection` feature, an attached
-//!   [`FaultPlan`](tpdbt_faults::FaultPlan) can deterministically
-//!   inject read/write errors and read corruption to prove all of the
-//!   above (without the feature the sites compile out).
+//! * an attached [`FaultPlan`](tpdbt_faults::FaultPlan) can
+//!   deterministically inject read/write errors and read corruption to
+//!   prove all of the above (with no plan attached the sites are
+//!   inert).
 
 use std::collections::HashMap;
 use std::fs;
@@ -141,8 +141,7 @@ impl ProfileStore {
 
     /// Attaches a deterministic fault-injection plan: reads, writes,
     /// and decoded bytes consult it (`store_read` / `store_write` /
-    /// `store_corrupt` sites). A no-op without the `fault-injection`
-    /// feature.
+    /// `store_corrupt` sites).
     #[must_use]
     pub fn with_faults(mut self, plan: Arc<FaultPlan>) -> Self {
         self.faults = Some(plan);
@@ -233,8 +232,7 @@ impl ProfileStore {
 
     /// Consults the injection plan at a crash site: a planned
     /// occurrence aborts the whole process mid-operation (see
-    /// [`FaultPlan::fire_crash`]). Compiled out without the
-    /// `fault-injection` feature.
+    /// [`FaultPlan::fire_crash`]).
     fn fire_crash(&self, site: FaultSite) {
         if let Some(plan) = &self.faults {
             plan.fire_crash(site);
@@ -768,7 +766,6 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
-    #[cfg(feature = "fault-injection")]
     mod injected {
         use super::*;
         use tpdbt_faults::{FaultPlan, FaultSite};

@@ -22,9 +22,9 @@
 //! [`StoreError`] and the cache heals by recomputation. The cache layer
 //! additionally retries transient I/O errors, fsyncs before publishing
 //! an entry, and quarantines entries that decode corrupt twice in a
-//! row (see DESIGN.md §9, "Fault tolerance and injection"); with the
-//! `fault-injection` feature, a `tpdbt_faults::FaultPlan` can be
-//! attached to prove those paths deterministically.
+//! row (see DESIGN.md §9, "Fault tolerance and injection"); a
+//! `tpdbt_faults::FaultPlan` can be attached to prove those paths
+//! deterministically.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -18,9 +18,8 @@
 //!   events while per-kind totals stay exact ([`Tracer::counts`]),
 //!   so tracing a billion-instruction run cannot exhaust memory.
 //! * **Pay only when attached** — subsystems hold `Option<&Tracer>` /
-//!   `Option<Arc<Tracer>>`; without a tracer, each site is one branch.
-//!   `tpdbt-dbt` additionally compiles its per-execution sites out
-//!   entirely when built without its `trace` feature.
+//!   `Option<Arc<Tracer>>`; without a tracer, each site is one branch
+//!   and builds no event payload.
 //! * **Two export formats** ([`export`]) — JSONL for grepping and
 //!   Chrome `trace_event` for timeline visualization; both hand-rolled
 //!   (the build is offline, no serde).

@@ -8,9 +8,8 @@
 //!
 //! Emission is a single uncontended mutex lock plus a vector write;
 //! engine code guards every call site with `Option<&Tracer>`, so a run
-//! without a tracer attached pays one branch per site — and with the
-//! `tpdbt-dbt` crate's `trace` feature disabled the sites compile out
-//! entirely.
+//! without a tracer attached pays one branch per site and builds no
+//! event payload.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
