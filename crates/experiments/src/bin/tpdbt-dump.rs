@@ -28,10 +28,10 @@ use std::path::Path;
 use std::sync::Arc;
 
 use tpdbt_dbt::{Dbt, DbtConfig};
-use tpdbt_experiments::sweep::{parallel_map, plain_profile_run, SweepOptions};
+use tpdbt_experiments::sweep::{parallel_map, plain_profile_run, SuiteGuest, SweepOptions};
 use tpdbt_faults::FaultPlan;
 use tpdbt_profile::{text, PlainProfile};
-use tpdbt_suite::{workload, InputKind, Scale};
+use tpdbt_suite::{InputKind, Scale};
 use tpdbt_trace::{TraceFormat, Tracer};
 
 fn usage() -> ! {
@@ -42,6 +42,19 @@ fn usage() -> ! {
          \u{20}                 [--max-retries N] [--watchdog-fuel N] [--inject SPEC]"
     );
     std::process::exit(2)
+}
+
+/// Parses the value of `flag`, which must be at least 1: the engine
+/// has no zero threshold or interval.
+fn at_least_one(flag: &str, value: Option<String>) -> u64 {
+    match value.map(|v| v.parse::<u64>()) {
+        Some(Ok(n)) if n >= 1 => n,
+        Some(Ok(_)) => {
+            eprintln!("tpdbt-dump: {flag} must be at least 1");
+            usage()
+        }
+        _ => usage(),
+    }
 }
 
 /// Attaches `tracer` to a fresh engine for `config` when tracing.
@@ -73,12 +86,8 @@ fn main() -> tpdbt_experiments::Result<()> {
                     _ => usage(),
                 }
             }
-            "--threshold" => {
-                thresholds.push(args.next().unwrap_or_else(|| usage()).parse()?);
-            }
-            "--intervals" => {
-                interval = Some(args.next().unwrap_or_else(|| usage()).parse()?);
-            }
+            "--threshold" => thresholds.push(at_least_one("--threshold", args.next())),
+            "--intervals" => interval = Some(at_least_one("--intervals", args.next())),
             "--jobs" => {
                 sweep_opts.jobs = args.next().unwrap_or_else(|| usage()).parse()?;
             }
@@ -108,16 +117,15 @@ fn main() -> tpdbt_experiments::Result<()> {
     }
     std::fs::create_dir_all(&dir)?;
     let dir = Path::new(&dir);
-    let scale_key = scale.code();
 
-    let reference = workload(&bench, scale, InputKind::Ref)?;
-    let training = workload(&bench, scale, InputKind::Train)?;
+    let reference = SuiteGuest::build(&bench, scale, InputKind::Ref)?;
+    let training = SuiteGuest::build(&bench, scale, InputKind::Train)?;
 
     // Interval snapshots aren't retained by the store, so a profile
     // with `--intervals` always runs fresh.
     let avep_profile: PlainProfile = if let Some(n) = interval {
         let avep = dbt_for(DbtConfig::no_opt().with_interval(n), tracer.as_ref())
-            .run_built(&reference.binary, &reference.input)?;
+            .run_built(reference.binary(), reference.input())?;
         std::fs::write(
             dir.join(format!("{bench}.intervals")),
             text::intervals_to_string(&avep.intervals),
@@ -128,14 +136,7 @@ fn main() -> tpdbt_experiments::Result<()> {
         );
         avep.as_plain_profile()
     } else {
-        let (art, hit) = plain_profile_run(
-            reference.name,
-            &reference.binary,
-            &reference.input,
-            0,
-            scale_key,
-            &sweep_opts,
-        )?;
+        let (art, hit) = plain_profile_run(&reference, &sweep_opts)?;
         if hit {
             eprintln!("{bench}.avep served from cache");
         }
@@ -147,14 +148,7 @@ fn main() -> tpdbt_experiments::Result<()> {
     )?;
     println!("wrote {bench}.avep ({} blocks)", avep_profile.blocks.len());
 
-    let (train_art, train_hit) = plain_profile_run(
-        training.name,
-        &training.binary,
-        &training.input,
-        1,
-        scale_key,
-        &sweep_opts,
-    )?;
+    let (train_art, train_hit) = plain_profile_run(&training, &sweep_opts)?;
     if train_hit {
         eprintln!("{bench}.train served from cache");
     }
@@ -169,7 +163,7 @@ fn main() -> tpdbt_experiments::Result<()> {
 
     let dumps = parallel_map(sweep_opts.jobs.max(1), &thresholds, |_, &t| {
         let out = dbt_for(DbtConfig::two_phase(t), tracer.as_ref())
-            .run_built(&reference.binary, &reference.input)?;
+            .run_built(reference.binary(), reference.input())?;
         tpdbt_experiments::Result::Ok((text::inip_to_string(&out.inip), out.inip.regions.len()))
     });
     for (&t, dump) in thresholds.iter().zip(dumps) {

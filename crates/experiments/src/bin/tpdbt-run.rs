@@ -42,7 +42,7 @@
 use std::sync::Arc;
 
 use tpdbt_dbt::{Dbt, DbtConfig};
-use tpdbt_experiments::sweep::{threshold_sweep, SweepOptions};
+use tpdbt_experiments::sweep::{threshold_sweep, SuiteGuest, SweepOptions};
 use tpdbt_faults::FaultPlan;
 use tpdbt_isa::{asm, binfmt, BuiltProgram};
 use tpdbt_profile::text;
@@ -62,6 +62,19 @@ fn usage() -> ! {
          \u{20}                [--max-retries N] [--fail-fast] [--watchdog-fuel N] [--inject SPEC]"
     );
     std::process::exit(2)
+}
+
+/// Parses the value of `flag`, which must be at least 1: the engine
+/// has no zero threshold.
+fn at_least_one(flag: &str, value: Option<String>) -> u64 {
+    match value.map(|v| v.parse::<u64>()) {
+        Some(Ok(n)) if n >= 1 => n,
+        Some(Ok(_)) => {
+            eprintln!("tpdbt-run: {flag} must be at least 1");
+            usage()
+        }
+        _ => usage(),
+    }
 }
 
 /// Writes the collected trace (if one was requested) and reports where
@@ -117,7 +130,7 @@ fn main() -> tpdbt_experiments::Result<()> {
                     usage()
                 });
             }
-            "--threshold" => thresholds.push(args.next().unwrap_or_else(|| usage()).parse()?),
+            "--threshold" => thresholds.push(at_least_one("--threshold", args.next())),
             "--jobs" => {
                 sweep_opts.jobs = args.next().unwrap_or_else(|| usage()).parse()?;
             }
@@ -166,12 +179,12 @@ fn main() -> tpdbt_experiments::Result<()> {
 
     let tracer: Option<Arc<Tracer>> = trace_path.as_ref().map(|_| Arc::new(Tracer::new()));
 
-    let (built, guest_name, scale_key): (BuiltProgram, String, u8) = if let Some(bench) = &suite {
+    let (built, guest_name): (BuiltProgram, String) = if let Some(bench) = &suite {
         let w = workload(bench, scale, InputKind::Ref)?;
         if input.is_empty() {
-            input = w.input.clone();
+            input = w.input;
         }
-        (w.binary, w.name.to_string(), scale.code())
+        (w.binary, w.name.to_string())
     } else {
         let path = file.ok_or("expected a FILE or --suite BENCH")?;
         let name = std::path::Path::new(&path)
@@ -184,9 +197,7 @@ fn main() -> tpdbt_experiments::Result<()> {
         } else {
             binfmt::read_program(&name, &std::fs::read(&path)?)?
         };
-        // Files have no suite scale; the binary+input fingerprint in
-        // the cache key is what actually disambiguates them.
-        (built, name, 255)
+        (built, name)
     };
 
     if let Some(path) = emit {
@@ -219,14 +230,16 @@ fn main() -> tpdbt_experiments::Result<()> {
             return Err("--dump applies to single runs, not sweep mode".into());
         }
         sweep_opts.tracer = tracer.clone();
-        let sweep = threshold_sweep(
+        // Files have no suite scale; the binary+input fingerprint in
+        // the cache key is what actually disambiguates them.
+        let guest = SuiteGuest::new(
             &guest_name,
-            &built,
-            &input,
-            scale_key,
-            &thresholds,
-            &sweep_opts,
-        )?;
+            built,
+            input,
+            InputKind::Ref,
+            suite.is_some().then_some(scale),
+        );
+        let sweep = threshold_sweep(&guest, &thresholds, &sweep_opts)?;
         let f = |v: Option<f64>| v.map_or_else(|| "-".to_string(), |x| format!("{x:.4}"));
         println!(
             "{:>9} {:>8} {:>8} {:>8} {:>8} {:>8} {:>12} {:>12} {:>7}",
@@ -246,26 +259,14 @@ fn main() -> tpdbt_experiments::Result<()> {
                 m.regions
             );
         }
+        let report = &sweep.report;
         if show_stats || sweep_opts.cache_dir.is_some() {
-            for c in &sweep.cells {
-                eprintln!(
-                    "  {:>8} {:>4} {:>8.1}ms",
-                    c.label,
-                    if c.hit { "hit" } else { "miss" },
-                    c.micros as f64 / 1000.0
-                );
-            }
-            eprintln!(
-                "{} cache hits, {} misses; {} guest runs; {:.2}s",
-                sweep.cache_hits,
-                sweep.cache_misses,
-                sweep.guest_runs,
-                sweep.elapsed.as_secs_f64()
-            );
+            eprint!("{}", report.render_stats());
+        } else {
+            eprint!("{}", report.degraded.render());
         }
-        eprint!("{}", sweep.degraded.render());
         write_trace(tracer.as_ref(), trace_path.as_deref(), trace_format)?;
-        if sweep.degraded.has_failures() {
+        if report.degraded.has_failures() {
             std::process::exit(3);
         }
         return Ok(());

@@ -21,6 +21,15 @@
 //! expensive runs), then every `INIP(T)` ladder cell, each phase fanned
 //! out over the pool. Per-cell hit/miss and timing stats are collected
 //! in [`SweepReport::cells`] for end-of-sweep reporting.
+//! [`threshold_sweep`] (one guest, `tpdbt-run`) goes through the same
+//! `avep` baseline cell, ladder-cell loop and report.
+//!
+//! This module is the one cell path of every producer and consumer of
+//! stored artifacts. [`SuiteGuest`] is the only guest identity and
+//! derives every cache key; [`Producer`] is the only code that runs a
+//! guest for an artifact and builds it (`plain`, `base`, `cell`).
+//! `tpdbt-dump` and `tpdbt-serve` use both, so an artifact means the
+//! same thing, and has the same bytes, whoever computed it.
 //!
 //! Every cell is additionally a fault-isolation domain (DESIGN.md §9):
 //! its body runs under `catch_unwind`, failures are classified by
@@ -41,12 +50,13 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use tpdbt_dbt::{Backend, Dbt, DbtConfig, DbtError, ProfilingMode, RunOutcome};
-use tpdbt_faults::FaultSite;
+use tpdbt_faults::{FaultPlan, FaultSite};
 use tpdbt_isa::{binfmt, BuiltProgram, PredecodedProgram};
 use tpdbt_profile::report::{analyze, analyze_train, ThresholdMetrics, TrainMetrics};
-use tpdbt_profile::PlainProfile;
 use tpdbt_store::digest::{fnv64, fnv64_words, Fnv64};
-use tpdbt_store::{Artifact, BaseArtifact, CacheKey, CellArtifact, PlainArtifact, ProfileStore};
+use tpdbt_store::{
+    BaseArtifact, CacheKey, CellArtifact, PlainArtifact, ProfileStore, TypedArtifact,
+};
 use tpdbt_suite::{workload, BenchClass, InputKind, Scale, Workload};
 use tpdbt_trace::stats::Histogram;
 use tpdbt_trace::{EventKind, Tracer};
@@ -262,26 +272,25 @@ fn input_code(kind: InputKind) -> u8 {
 
 /// Shared per-sweep execution state.
 struct Ctx<'a> {
-    store: Option<&'a ProfileStore>,
+    store: Option<ProfileStore>,
     tracer: Option<&'a Arc<Tracer>>,
     guest_runs: AtomicU64,
     policy: &'a FaultPolicy,
-    incidents: &'a Incidents,
+    incidents: Incidents,
     backend: Backend,
+    /// When the sweep began, for [`SweepReport::elapsed`].
+    started: Instant,
 }
 
 impl<'a> Ctx<'a> {
-    fn new(
-        store: Option<&'a ProfileStore>,
-        opts: &'a SweepOptions,
-        incidents: &'a Incidents,
-    ) -> Self {
+    fn new(opts: &'a SweepOptions) -> Self {
         Ctx {
-            store,
+            started: Instant::now(),
+            store: open_store(opts),
             tracer: opts.tracer.as_ref(),
             guest_runs: AtomicU64::new(0),
             policy: &opts.policy,
-            incidents,
+            incidents: Incidents::default(),
             backend: opts.backend,
         }
     }
@@ -295,12 +304,22 @@ impl Ctx<'_> {
         }
     }
 
-    /// Consults the injection plan at a crash site: a planned
-    /// occurrence aborts the whole process (the crash-restart harness
-    /// supervises this).
-    fn fire_crash(&self, site: FaultSite) {
-        if let Some(plan) = &self.policy.plan {
-            plan.fire_crash(site);
+    /// Emits `CellQueued` for one planned cell.
+    fn queued(&self, bench: &str, label: &str) {
+        self.trace_emit(|| EventKind::CellQueued {
+            bench: bench.to_string(),
+            label: label.to_string(),
+        });
+    }
+
+    /// The artifact producer for this sweep's cells.
+    fn producer(&self) -> Producer<'_> {
+        Producer {
+            store: self.store.as_ref(),
+            tracer: self.tracer,
+            backend: self.backend,
+            guest_runs: &self.guest_runs,
+            commit_crash: self.policy.plan.as_deref(),
         }
     }
 
@@ -442,9 +461,21 @@ impl Ctx<'_> {
         }
     }
 
-    /// Emits the cache-resolution pair for one finished cell: a
-    /// hit/miss verdict followed by the committed wall time.
-    fn trace_cell_done(&self, bench: &str, label: &str, hit: bool, micros: u64) {
+    /// Runs one cell start to finish: a `CellStarted` event, the body
+    /// timed inside [`Ctx::guarded`], then the cache verdict and
+    /// `CellCommitted` events. `body` returns its value and whether
+    /// the store served it.
+    fn run_cell<T>(
+        &self,
+        bench: &str,
+        label: &str,
+        body: impl Fn() -> Result<(T, bool)>,
+    ) -> std::result::Result<(T, CellStat), CellFailure> {
+        self.trace_emit(|| EventKind::CellStarted {
+            bench: bench.to_string(),
+            label: label.to_string(),
+        });
+        let ((value, hit), micros) = self.guarded(bench, label, || timed(&body))?;
         self.trace_emit(|| {
             let (bench, label) = (bench.to_string(), label.to_string());
             if hit {
@@ -458,97 +489,101 @@ impl Ctx<'_> {
             label: label.to_string(),
             micros,
         });
+        let stat = CellStat {
+            bench: bench.to_string(),
+            label: label.to_string(),
+            hit,
+            micros,
+        };
+        Ok((value, stat))
     }
 
-    fn run_guest(&self, guest: &GuestId<'_>, config: DbtConfig) -> Result<RunOutcome> {
-        self.guest_runs.fetch_add(1, Ordering::Relaxed);
-        self.trace_emit(|| EventKind::GuestRun {
-            name: guest.name.to_string(),
-        });
-        // The backend is applied here, after every cache key derived
-        // from `config` has been computed: it is not part of the key.
-        let mut dbt = Dbt::new(config.with_backend(self.backend))
-            .with_predecoded(Arc::clone(&guest.predecoded));
-        if let Some(t) = self.tracer {
-            // The engine reports its own lifecycle (translations,
-            // bumps, freezes, regions) into the same stream.
-            dbt = dbt.with_tracer(Arc::clone(t));
+    /// The `avep` baseline cell of `guest`, which every ladder cell of
+    /// the guest is analyzed against.
+    fn avep_cell(
+        &self,
+        guest: &SuiteGuest,
+    ) -> std::result::Result<(PlainArtifact, CellStat), CellFailure> {
+        self.run_cell(&guest.name, "avep", || {
+            plain_run(self, guest, DbtConfig::no_opt())
+        })
+    }
+
+    /// Stage 2: queues every `INIP(T)` cell, then runs them over one
+    /// pool. A failed cell (already recorded by `guarded`) yields
+    /// `None`, so it is simply absent from its guest's ladder.
+    fn run_ladder(
+        &self,
+        jobs: usize,
+        cells: &[LadderCell<'_>],
+    ) -> Vec<Option<(ThresholdMetrics, CellStat)>> {
+        for c in cells {
+            self.queued(&c.guest.name, &c.label);
         }
-        Ok(dbt.run_built(guest.binary, guest.input)?)
+        parallel_map(jobs, cells, |_, c| {
+            self.run_cell(&c.guest.name, &c.label, || {
+                cell_run(self, c.guest, c.threshold, c.avep)
+            })
+            .ok()
+        })
+    }
+
+    /// The report tail of both sweeps: the `--fail-fast` check, store
+    /// counters, guest runs and the degradation report.
+    fn report(self, results: Vec<BenchResult>, cells: Vec<CellStat>) -> Result<SweepReport> {
+        if self.incidents.aborted() {
+            return Err(fail_fast_error(&self.incidents));
+        }
+        let (cache_hits, cache_misses, cache_evictions) = self
+            .store
+            .as_ref()
+            .map_or((0, 0, 0), |s| (s.hits(), s.misses(), s.evictions()));
+        let (baseline_times, ladder_times) = phase_histograms(&cells);
+        let completed = cells.len();
+        Ok(SweepReport {
+            results,
+            cells,
+            guest_runs: self.guest_runs.into_inner(),
+            cache_hits,
+            cache_misses,
+            cache_evictions,
+            elapsed: self.started.elapsed(),
+            event_counts: self.tracer.map_or_else(Vec::new, |t| t.counts()),
+            baseline_times,
+            ladder_times,
+            degraded: self.incidents.into_report(completed),
+        })
     }
 }
 
-/// Identity of one guest program + input, hashed once per workload.
-/// Also owns the guest's shared translation cache: one
-/// [`PredecodedProgram`] that every cell run through this identity
-/// reuses, so a `(guest, input)` pair decodes each block at most once
-/// per sweep instead of once per ladder cell.
-struct GuestId<'a> {
-    name: &'a str,
-    binary: &'a BuiltProgram,
-    input: &'a [i64],
+/// The scale byte in the cache keys of guests loaded from files, which
+/// carry no suite scale.
+const NO_SCALE: u8 = 255;
+
+/// Identity of one guest program + input: the built binary, the input
+/// words, the digests that form its cache keys, and its translation
+/// cache. It is the one guest identity of every producer and consumer
+/// of stored artifacts — the sweep, `tpdbt-run`, `tpdbt-dump` and
+/// `tpdbt-serve` — so a cell keyed by any of them addresses the same
+/// store slot, and a warm sweep cache serves queries with zero guest
+/// runs and vice versa.
+#[derive(Debug)]
+pub struct SuiteGuest {
+    /// Benchmark (or guest file) name.
+    pub name: String,
+    binary: BuiltProgram,
+    input: Vec<i64>,
+    input_code: u8,
+    scale_code: u8,
     /// Digest of the serialized binary (`binfmt::write_program`).
     binary_digest: u64,
     /// Digest of the input words, hashed once: key derivation sits on
     /// the serve hot path, where re-hashing the whole input per query
     /// would dwarf a memory-hot lookup.
     input_digest: u64,
-    input_code: u8,
-    scale_code: u8,
-    /// Decode-once block cache shared by every run of this guest.
-    predecoded: Arc<PredecodedProgram>,
-}
-
-impl<'a> GuestId<'a> {
-    fn new(name: &'a str, binary: &'a BuiltProgram, input: &'a [i64], ic: u8, sc: u8) -> Self {
-        GuestId {
-            name,
-            binary,
-            input,
-            binary_digest: fnv64(&binfmt::write_program(binary)),
-            input_digest: fnv64_words(input),
-            input_code: ic,
-            scale_code: sc,
-            predecoded: Arc::new(PredecodedProgram::new(&binary.program)),
-        }
-    }
-
-    /// The full cache key of running this guest under `cfg`.
-    fn key(&self, cfg: &DbtConfig) -> CacheKey {
-        let mut h = Fnv64::new();
-        h.write_u64(self.binary_digest);
-        h.write_u64(self.input_digest);
-        h.write_u64(cfg.fingerprint());
-        CacheKey {
-            workload: self.name.to_string(),
-            input: self.input_code,
-            scale: self.scale_code,
-            mode: mode_code(cfg.mode),
-            threshold: cfg.threshold,
-            fingerprint: h.finish(),
-        }
-    }
-}
-
-/// Owned identity of one suite guest: the built binary, input words,
-/// and the digests needed to form cache keys. This is the sweep's cell
-/// machinery exposed for reuse — `tpdbt-serve` builds one per requested
-/// `(workload, scale, input)` and resolves every query through the same
-/// keys (and therefore the same on-disk artifacts) as a sweep, so a
-/// warm sweep cache serves queries with zero guest runs and vice versa.
-#[derive(Debug)]
-pub struct SuiteGuest {
-    /// Benchmark name.
-    pub name: String,
-    binary: BuiltProgram,
-    input: Vec<i64>,
-    input_code: u8,
-    scale_code: u8,
-    binary_digest: u64,
-    input_digest: u64,
-    /// Decode-once block cache shared by every query against this
-    /// guest: a long-lived service decodes each block at most once,
-    /// no matter how many cold queries execute it.
+    /// Decode-once block cache shared by every run of this guest: a
+    /// sweep benchmark or a long-lived service decodes each block at
+    /// most once, however many cells execute it.
     predecoded: Arc<PredecodedProgram>,
 }
 
@@ -561,150 +596,246 @@ impl SuiteGuest {
     /// [`tpdbt_suite::workload`]).
     pub fn build(name: &str, scale: Scale, input: InputKind) -> Result<SuiteGuest> {
         let w = workload(name, scale, input)?;
-        Ok(SuiteGuest {
-            name: w.name.to_string(),
-            binary_digest: fnv64(&binfmt::write_program(&w.binary)),
-            input_digest: fnv64_words(&w.input),
-            predecoded: Arc::new(PredecodedProgram::new(&w.binary.program)),
-            binary: w.binary,
-            input: w.input,
-            input_code: input_code(input),
-            scale_code: scale.code(),
-        })
+        Ok(SuiteGuest::new(
+            w.name,
+            w.binary,
+            w.input,
+            input,
+            Some(scale),
+        ))
     }
 
-    fn id(&self) -> GuestId<'_> {
-        GuestId {
-            name: &self.name,
-            binary: &self.binary,
-            input: &self.input,
-            binary_digest: self.binary_digest,
-            input_digest: self.input_digest,
-            input_code: self.input_code,
-            scale_code: self.scale_code,
-            predecoded: Arc::clone(&self.predecoded),
+    /// A guest from any program and input words: a `.tpdb` or `.s`
+    /// file (`scale` is `None`), or a suite binary run on other input
+    /// words. The key's fingerprint covers the serialized binary and
+    /// the input words; `input` and `scale` only label the key.
+    #[must_use]
+    pub fn new(
+        name: &str,
+        binary: BuiltProgram,
+        input: Vec<i64>,
+        kind: InputKind,
+        scale: Option<Scale>,
+    ) -> SuiteGuest {
+        SuiteGuest {
+            name: name.to_string(),
+            binary_digest: fnv64(&binfmt::write_program(&binary)),
+            input_digest: fnv64_words(&input),
+            predecoded: Arc::new(PredecodedProgram::new(&binary.program)),
+            binary,
+            input,
+            input_code: input_code(kind),
+            scale_code: scale.map_or(NO_SCALE, Scale::code),
         }
     }
 
-    /// The cache key of running this guest under `cfg` — identical to
-    /// the key a sweep computes for the same cell.
+    /// The guest binary.
     #[must_use]
-    pub fn key(&self, cfg: &DbtConfig) -> CacheKey {
-        self.id().key(cfg)
+    pub fn binary(&self) -> &BuiltProgram {
+        &self.binary
     }
 
-    /// Executes the guest under `cfg`, reporting a
-    /// [`EventKind::GuestRun`] (and the engine's own lifecycle events)
-    /// into `tracer` when attached.
+    /// The guest's input words.
+    #[must_use]
+    pub fn input(&self) -> &[i64] {
+        &self.input
+    }
+
+    /// The full cache key of running this guest under `cfg`.
+    #[must_use]
+    pub fn key(&self, cfg: &DbtConfig) -> CacheKey {
+        let mut h = Fnv64::new();
+        h.write_u64(self.binary_digest);
+        h.write_u64(self.input_digest);
+        h.write_u64(cfg.fingerprint());
+        CacheKey {
+            workload: self.name.clone(),
+            input: self.input_code,
+            scale: self.scale_code,
+            mode: mode_code(cfg.mode),
+            threshold: cfg.threshold,
+            fingerprint: h.finish(),
+        }
+    }
+}
+
+/// The one producer of stored artifacts: runs a guest, builds the
+/// artifact, and commits it to the store under the guest's key. The
+/// sweep and `tpdbt-serve` both produce through it, so an artifact
+/// either one computes is byte-identical on disk. Lookups stay with
+/// the callers, which validate (sweep) or tier (serve) them.
+pub struct Producer<'a> {
+    /// Where artifacts are committed (best-effort); `None` keeps them
+    /// in memory only.
+    pub store: Option<&'a ProfileStore>,
+    /// Receives one [`EventKind::GuestRun`] per execution, then the
+    /// engine's own lifecycle events.
+    pub tracer: Option<&'a Arc<Tracer>>,
+    /// Execution backend. It is applied after the key is derived and
+    /// is not part of it: backends are bitwise result-identical.
+    pub backend: Backend,
+    /// Counts guest executions.
+    pub guest_runs: &'a AtomicU64,
+    /// A plan consulted at [`FaultSite::CrashSweepCommit`] after each
+    /// store write (the sweep's commit window).
+    pub commit_crash: Option<&'a FaultPlan>,
+}
+
+impl Producer<'_> {
+    fn run(&self, guest: &SuiteGuest, config: DbtConfig) -> Result<RunOutcome> {
+        self.guest_runs.fetch_add(1, Ordering::Relaxed);
+        if let Some(t) = self.tracer {
+            t.emit(EventKind::GuestRun {
+                name: guest.name.clone(),
+            });
+        }
+        let mut dbt = Dbt::new(config.with_backend(self.backend))
+            .with_predecoded(Arc::clone(&guest.predecoded));
+        if let Some(t) = self.tracer {
+            dbt = dbt.with_tracer(Arc::clone(t));
+        }
+        Ok(dbt.run_built(&guest.binary, &guest.input)?)
+    }
+
+    fn commit<A: TypedArtifact>(&self, key: &CacheKey, artifact: A) -> A {
+        let Some(store) = self.store else {
+            return artifact;
+        };
+        let artifact = artifact.into_artifact();
+        // A write failure degrades the cache, not the result; the
+        // store's own counters and trace events record it.
+        let _ = store.store(key, &artifact);
+        if let Some(plan) = self.commit_crash {
+            plan.fire_crash(FaultSite::CrashSweepCommit);
+        }
+        A::from_artifact(artifact).expect("an artifact keeps its kind")
+    }
+
+    /// Runs `guest` under `cfg` for a plain whole-run profile: `AVEP`
+    /// on the ref input, `INIP(train)` on the train input.
     ///
     /// # Errors
     ///
     /// Guest traps and harness failures from the engine.
-    pub fn run(&self, cfg: DbtConfig, tracer: Option<&Arc<Tracer>>) -> Result<RunOutcome> {
-        if let Some(t) = tracer {
-            t.emit(EventKind::GuestRun {
-                name: self.name.clone(),
-            });
-        }
-        let mut dbt = Dbt::new(cfg).with_predecoded(Arc::clone(&self.predecoded));
-        if let Some(t) = tracer {
-            dbt = dbt.with_tracer(Arc::clone(t));
-        }
-        Ok(dbt.run_built(&self.binary, &self.input)?)
+    pub fn plain(&self, guest: &SuiteGuest, cfg: DbtConfig) -> Result<PlainArtifact> {
+        let key = guest.key(&cfg);
+        let out = self.run(guest, cfg)?;
+        let artifact = PlainArtifact {
+            profile: out.as_plain_profile(),
+            output: out.output,
+        };
+        Ok(self.commit(&key, artifact))
+    }
+
+    /// Runs `guest` under `cfg` (`T = 1`) for the Figure 17
+    /// performance base.
+    ///
+    /// # Errors
+    ///
+    /// Guest traps and harness failures from the engine.
+    pub fn base(&self, guest: &SuiteGuest, cfg: DbtConfig) -> Result<BaseArtifact> {
+        let key = guest.key(&cfg);
+        let out = self.run(guest, cfg)?;
+        let artifact = BaseArtifact {
+            cycles: out.stats.cycles,
+            output_digest: fnv64_words(&out.output),
+        };
+        Ok(self.commit(&key, artifact))
+    }
+
+    /// Runs `guest` under the two-phase `cfg` and analyzes its
+    /// `INIP(T)` against `avep`.
+    ///
+    /// # Errors
+    ///
+    /// Guest traps, harness and analysis failures.
+    pub fn cell(
+        &self,
+        guest: &SuiteGuest,
+        cfg: DbtConfig,
+        avep: &PlainArtifact,
+    ) -> Result<CellArtifact> {
+        let key = guest.key(&cfg);
+        let out = self.run(guest, cfg)?;
+        let output_digest = fnv64_words(&out.output);
+        // The guest must compute the same answer under every threshold.
+        debug_assert_eq!(
+            output_digest,
+            fnv64_words(&avep.output),
+            "{} diverged at T={}",
+            guest.name,
+            cfg.threshold
+        );
+        let artifact = CellArtifact {
+            metrics: analyze(&out.inip, &avep.profile)?,
+            output_digest,
+        };
+        Ok(self.commit(&key, artifact))
     }
 }
 
-/// Runs (or loads) a plain whole-run profile: `AVEP` or `INIP(train)`.
-fn plain_run(ctx: &Ctx<'_>, guest: &GuestId<'_>, cfg: DbtConfig) -> Result<(PlainArtifact, bool)> {
+/// One `INIP(T)` ladder cell: the guest, the `AVEP` its metrics are
+/// analyzed against, and the threshold.
+struct LadderCell<'a> {
+    guest: &'a SuiteGuest,
+    avep: &'a PlainArtifact,
+    threshold: u64,
+    label: String,
+}
+
+/// Loads or produces a plain whole-run profile: `AVEP` or
+/// `INIP(train)`.
+fn plain_run(ctx: &Ctx<'_>, guest: &SuiteGuest, cfg: DbtConfig) -> Result<(PlainArtifact, bool)> {
     let cfg = ctx.apply_watchdog(cfg);
-    let key = guest.key(&cfg);
-    if let Some(store) = ctx.store {
-        if let Some(p) = store.load_plain(&key) {
-            return Ok((p, true));
-        }
+    if let Some(p) = ctx
+        .store
+        .as_ref()
+        .and_then(|s| s.load_plain(&guest.key(&cfg)))
+    {
+        return Ok((p, true));
     }
-    let out = ctx.run_guest(guest, cfg)?;
-    let art = Artifact::Plain(PlainArtifact {
-        profile: out.as_plain_profile(),
-        output: out.output,
-    });
-    if let Some(store) = ctx.store {
-        // Best-effort: a read-only cache dir degrades to a cold sweep.
-        let _ = store.store(&key, &art);
-        ctx.fire_crash(FaultSite::CrashSweepCommit);
-    }
-    let Artifact::Plain(p) = art else {
-        unreachable!()
-    };
-    Ok((p, false))
+    Ok((ctx.producer().plain(guest, cfg)?, false))
 }
 
-/// Runs (or loads) the `T = 1` performance base (Figure 17).
+/// Loads or produces the `T = 1` performance base (Figure 17).
 fn base_run(
     ctx: &Ctx<'_>,
-    guest: &GuestId<'_>,
+    guest: &SuiteGuest,
     expected_output_digest: u64,
 ) -> Result<(BaseArtifact, bool)> {
     let cfg = ctx.apply_watchdog(DbtConfig::two_phase(1));
-    let key = guest.key(&cfg);
-    if let Some(store) = ctx.store {
-        if let Some(b) = store.load_base(&key) {
-            if b.output_digest == expected_output_digest {
-                return Ok((b, true));
-            }
-        }
+    let cached = ctx
+        .store
+        .as_ref()
+        .and_then(|s| s.load_base(&guest.key(&cfg)))
+        .filter(|b| b.output_digest == expected_output_digest);
+    if let Some(b) = cached {
+        return Ok((b, true));
     }
-    let out = ctx.run_guest(guest, cfg)?;
-    let b = BaseArtifact {
-        cycles: out.stats.cycles,
-        output_digest: fnv64_words(&out.output),
-    };
-    if let Some(store) = ctx.store {
-        let _ = store.store(&key, &Artifact::Base(b));
-        ctx.fire_crash(FaultSite::CrashSweepCommit);
-    }
-    Ok((b, false))
+    Ok((ctx.producer().base(guest, cfg)?, false))
 }
 
-/// Runs (or loads) one `INIP(T)` ladder cell, analyzed against `avep`.
+/// Loads or produces one `INIP(T)` ladder cell, analyzed against
+/// `avep`.
 fn cell_run(
     ctx: &Ctx<'_>,
-    guest: &GuestId<'_>,
+    guest: &SuiteGuest,
     threshold: u64,
-    avep: &PlainProfile,
-    avep_output_digest: u64,
+    avep: &PlainArtifact,
 ) -> Result<(ThresholdMetrics, bool)> {
     let cfg = ctx.apply_watchdog(DbtConfig::two_phase(threshold));
-    let key = guest.key(&cfg);
-    if let Some(store) = ctx.store {
-        if let Some(c) = store.load_cell(&key) {
-            // Defense in depth beyond the key: the cached cell must
-            // have been analyzed against the same guest computation.
-            if c.metrics.threshold == threshold && c.output_digest == avep_output_digest {
-                return Ok((c.metrics, true));
-            }
-        }
+    let avep_output_digest = fnv64_words(&avep.output);
+    // Defense in depth beyond the key: the cached cell must have been
+    // analyzed against the same guest computation.
+    let cached = ctx
+        .store
+        .as_ref()
+        .and_then(|s| s.load_cell(&guest.key(&cfg)))
+        .filter(|c| c.metrics.threshold == threshold && c.output_digest == avep_output_digest);
+    if let Some(c) = cached {
+        return Ok((c.metrics, true));
     }
-    let out = ctx.run_guest(guest, cfg)?;
-    let output_digest = fnv64_words(&out.output);
-    // The guest must compute the same answer under every threshold.
-    debug_assert_eq!(
-        output_digest, avep_output_digest,
-        "{} diverged at T={threshold}",
-        guest.name
-    );
-    let metrics = analyze(&out.inip, avep)?;
-    if let Some(store) = ctx.store {
-        let _ = store.store(
-            &key,
-            &Artifact::Cell(CellArtifact {
-                metrics,
-                output_digest,
-            }),
-        );
-        ctx.fire_crash(FaultSite::CrashSweepCommit);
-    }
-    Ok((metrics, false))
+    Ok((ctx.producer().cell(guest, cfg, avep)?.metrics, false))
 }
 
 fn timed<T>(f: impl FnOnce() -> Result<T>) -> Result<(T, u64)> {
@@ -720,40 +851,13 @@ fn timed<T>(f: impl FnOnce() -> Result<T>) -> Result<(T, u64)> {
 struct Baselines {
     name: &'static str,
     class: BenchClass,
-    reference: Workload,
-    /// Binary digest of `reference`, computed once in stage 1 and
-    /// reused by every stage-2 ladder cell (re-serializing the binary
-    /// per cell was measurable at paper scale).
-    ref_digest: u64,
-    /// Digest of `reference`'s input words, likewise hashed once.
-    ref_input_digest: u64,
-    /// The reference guest's decode-once block cache, shared across
-    /// every ladder cell of this benchmark.
-    ref_predecoded: Arc<PredecodedProgram>,
-    avep: PlainProfile,
-    avep_output_digest: u64,
-    avep_ops: u64,
+    /// The reference guest, hashed and decoded once in stage 1; every
+    /// stage-2 ladder cell of this benchmark borrows it.
+    reference: SuiteGuest,
+    avep: PlainArtifact,
     train: TrainMetrics,
     base_cycles: u64,
     stats: Vec<CellStat>,
-}
-
-impl Baselines {
-    /// The reference guest's identity, rebuilt without re-hashing or
-    /// re-decoding: ladder cells sharing this `(guest, input)` pair
-    /// reuse the digest and translation cache from stage 1.
-    fn ref_id(&self, scale: Scale) -> GuestId<'_> {
-        GuestId {
-            name: self.name,
-            binary: &self.reference.binary,
-            input: &self.reference.input,
-            binary_digest: self.ref_digest,
-            input_digest: self.ref_input_digest,
-            input_code: input_code(InputKind::Ref),
-            scale_code: scale.code(),
-            predecoded: Arc::clone(&self.ref_predecoded),
-        }
-    }
 }
 
 /// Stage 1 for one benchmark. Any failed cell (after retries) fails the
@@ -774,81 +878,33 @@ fn baselines_for(
             return Err(failure);
         }
     };
-    let sc = scale.code();
+    let (name, class) = (reference.name, reference.class);
     for label in ["avep", "train", "base"] {
-        ctx.trace_emit(|| EventKind::CellQueued {
-            bench: reference.name.to_string(),
-            label: label.to_string(),
-        });
+        ctx.queued(name, label);
     }
-    let mut stats = Vec::with_capacity(3);
-    let mut stat = |label: &str, hit: bool, micros: u64| {
-        ctx.trace_cell_done(reference.name, label, hit, micros);
-        stats.push(CellStat {
-            bench: reference.name.to_string(),
-            label: label.to_string(),
-            hit,
-            micros,
-        });
-    };
-    let started = |label: &'static str| {
-        ctx.trace_emit(|| EventKind::CellStarted {
-            bench: reference.name.to_string(),
-            label: label.to_string(),
-        });
-    };
+    let guest = |w: Workload, kind| SuiteGuest::new(w.name, w.binary, w.input, kind, Some(scale));
+    let reference = guest(reference, InputKind::Ref);
+    let (avep, avep_stat) = ctx.avep_cell(&reference)?;
 
-    let ref_id = GuestId::new(
-        reference.name,
-        &reference.binary,
-        &reference.input,
-        input_code(InputKind::Ref),
-        sc,
-    );
-    started("avep");
-    let ((avep_art, avep_hit), t) = ctx.guarded(reference.name, "avep", || {
-        timed(|| plain_run(ctx, &ref_id, DbtConfig::no_opt()))
+    let training = guest(training, InputKind::Train);
+    let (train_art, train_stat) = ctx.run_cell(name, "train", || {
+        plain_run(ctx, &training, DbtConfig::no_opt())
     })?;
-    stat("avep", avep_hit, t);
+    let train = analyze_train(&train_art.profile, &avep.profile);
 
-    started("train");
-    let train_id = GuestId::new(
-        training.name,
-        &training.binary,
-        &training.input,
-        input_code(InputKind::Train),
-        sc,
-    );
-    let ((train_art, train_hit), t) = ctx.guarded(training.name, "train", || {
-        timed(|| plain_run(ctx, &train_id, DbtConfig::no_opt()))
+    let avep_output_digest = fnv64_words(&avep.output);
+    let (base, base_stat) = ctx.run_cell(name, "base", || {
+        base_run(ctx, &reference, avep_output_digest)
     })?;
-    stat("train", train_hit, t);
-    let train = analyze_train(&train_art.profile, &avep_art.profile);
 
-    let avep_output_digest = fnv64_words(&avep_art.output);
-    started("base");
-    let ((base, base_hit), t) = ctx.guarded(reference.name, "base", || {
-        timed(|| base_run(ctx, &ref_id, avep_output_digest))
-    })?;
-    stat("base", base_hit, t);
-
-    let avep_ops = avep_art.profile.profiling_ops;
-    let ref_digest = ref_id.binary_digest;
-    let ref_input_digest = ref_id.input_digest;
-    let ref_predecoded = Arc::clone(&ref_id.predecoded);
     Ok(Baselines {
-        name: reference.name,
-        class: reference.class,
+        name,
+        class,
         reference,
-        ref_digest,
-        ref_input_digest,
-        ref_predecoded,
-        avep: avep_art.profile,
-        avep_output_digest,
-        avep_ops,
+        avep,
         train,
         base_cycles: base.cycles,
-        stats,
+        stats: vec![avep_stat, train_stat, base_stat],
     })
 }
 
@@ -871,10 +927,7 @@ pub fn run_sweep(
     opts: &SweepOptions,
     progress: impl Fn(&str) + Sync,
 ) -> Result<SweepReport> {
-    let t0 = Instant::now();
-    let store = open_store(opts);
-    let incidents = Incidents::default();
-    let ctx = Ctx::new(store.as_ref(), opts, &incidents);
+    let ctx = Ctx::new(opts);
     let jobs = opts.jobs.max(1);
 
     // Stage 1: baselines, fanned out per benchmark. The barrier before
@@ -895,7 +948,7 @@ pub fn run_sweep(
             Err(CellFailure::Skipped) => {}
             Err(failure) => {
                 for point in &points {
-                    incidents.record_failed(CellIncident {
+                    ctx.incidents.record_failed(CellIncident {
                         bench: (*name).to_string(),
                         label: point.label.to_string(),
                         attempts: 0,
@@ -908,30 +961,19 @@ pub fn run_sweep(
 
     // Stage 2: every surviving (benchmark, ladder point) cell over one
     // pool.
-    let cell_items: Vec<(usize, LadderPoint)> = (0..baselines.len())
+    let items: Vec<(usize, LadderPoint)> = (0..baselines.len())
         .flat_map(|b| points.iter().map(move |&p| (b, p)))
         .collect();
-    for &(b, point) in &cell_items {
-        ctx.trace_emit(|| EventKind::CellQueued {
-            bench: baselines[b].name.to_string(),
+    let ladder_cells: Vec<LadderCell<'_>> = items
+        .iter()
+        .map(|&(b, point)| LadderCell {
+            guest: &baselines[b].reference,
+            avep: &baselines[b].avep,
+            threshold: point.actual,
             label: point.label.to_string(),
-        });
-    }
-    let cell_results = parallel_map(jobs, &cell_items, |_, &(b, point)| {
-        let bl = &baselines[b];
-        ctx.trace_emit(|| EventKind::CellStarted {
-            bench: bl.name.to_string(),
-            label: point.label.to_string(),
-        });
-        let guest = bl.ref_id(scale);
-        let res = ctx.guarded(bl.name, point.label, || {
-            timed(|| cell_run(&ctx, &guest, point.actual, &bl.avep, bl.avep_output_digest))
-        });
-        if let Ok(((_, hit), micros)) = &res {
-            ctx.trace_cell_done(bl.name, point.label, *hit, *micros);
-        }
-        res
-    });
+        })
+        .collect();
+    let cell_results = ctx.run_ladder(jobs, &ladder_cells);
 
     // Assemble in deterministic order: baseline stats benchmark-major,
     // then ladder cells benchmark-major.
@@ -941,19 +983,11 @@ pub fn run_sweep(
     }
     let mut per_bench: Vec<Vec<(LadderPoint, ThresholdMetrics)>> =
         baselines.iter().map(|_| Vec::new()).collect();
-    for (&(b, point), res) in cell_items.iter().zip(cell_results) {
-        // A failed cell was already recorded by `guarded`; it is simply
-        // absent from its benchmark's per_threshold ladder.
-        let Ok(((metrics, hit), micros)) = res else {
-            continue;
-        };
-        cells.push(CellStat {
-            bench: baselines[b].name.to_string(),
-            label: point.label.to_string(),
-            hit,
-            micros,
-        });
-        per_bench[b].push((point, metrics));
+    for (&(b, point), res) in items.iter().zip(cell_results) {
+        if let Some((metrics, stat)) = res {
+            cells.push(stat);
+            per_bench[b].push((point, metrics));
+        }
     }
 
     let results = baselines
@@ -964,34 +998,12 @@ pub fn run_sweep(
             class: bl.class,
             per_threshold,
             train: bl.train,
-            avep: bl.avep,
+            avep_ops: bl.avep.profile.profiling_ops,
+            avep: bl.avep.profile,
             base_cycles: bl.base_cycles,
-            avep_ops: bl.avep_ops,
         })
         .collect();
-
-    let (hits, misses, evictions) = store
-        .as_ref()
-        .map_or((0, 0, 0), |s| (s.hits(), s.misses(), s.evictions()));
-    let (baseline_times, ladder_times) = phase_histograms(&cells);
-    let guest_runs = ctx.guest_runs.load(Ordering::Relaxed);
-    if incidents.aborted() {
-        return Err(fail_fast_error(&incidents));
-    }
-    let completed = cells.len();
-    Ok(SweepReport {
-        results,
-        cells,
-        guest_runs,
-        cache_hits: hits,
-        cache_misses: misses,
-        cache_evictions: evictions,
-        elapsed: t0.elapsed(),
-        event_counts: opts.tracer.as_ref().map_or_else(Vec::new, |t| t.counts()),
-        baseline_times,
-        ladder_times,
-        degraded: incidents.into_report(completed),
-    })
+    ctx.report(results, cells)
 }
 
 /// The `--fail-fast` abort error, naming the first failed cell.
@@ -1008,156 +1020,72 @@ fn fail_fast_error(incidents: &Incidents) -> Box<dyn std::error::Error + Send + 
     )
 }
 
-/// Runs — or serves from `opts.cache_dir` — a plain no-opt profile of
-/// one guest (the `AVEP` / `INIP(train)` shape, used by `tpdbt-dump`).
-/// Returns the artifact and whether it came from the store.
+/// Loads — or produces into `opts.cache_dir` — the plain no-opt
+/// profile of `guest` (the `AVEP` / `INIP(train)` shape, used by
+/// `tpdbt-dump`). Returns the artifact and whether it came from the
+/// store.
 ///
 /// # Errors
 ///
 /// Propagates guest traps (classified as a [`CellFailure`], after the
 /// policy's retries for retryable causes).
-pub fn plain_profile_run(
-    name: &str,
-    binary: &BuiltProgram,
-    input: &[i64],
-    input_key: u8,
-    scale_key: u8,
-    opts: &SweepOptions,
-) -> Result<(PlainArtifact, bool)> {
-    let store = open_store(opts);
-    let incidents = Incidents::default();
-    let ctx = Ctx::new(store.as_ref(), opts, &incidents);
-    let guest = GuestId::new(name, binary, input, input_key, scale_key);
-    Ok(ctx.guarded(name, "avep", || {
-        plain_run(&ctx, &guest, DbtConfig::no_opt())
+pub fn plain_profile_run(guest: &SuiteGuest, opts: &SweepOptions) -> Result<(PlainArtifact, bool)> {
+    let ctx = Ctx::new(opts);
+    Ok(ctx.guarded(&guest.name, "avep", || {
+        plain_run(&ctx, guest, DbtConfig::no_opt())
     })?)
 }
 
-/// A multi-threshold sweep of one guest (the `tpdbt-run` path): metrics
-/// per requested threshold, in request order.
+/// A multi-threshold sweep of one guest (the `tpdbt-run` path).
 #[derive(Debug)]
 pub struct ThresholdSweep {
     /// One metric set per *completed* threshold, in request order
-    /// (failed cells are dropped and reported in
-    /// [`ThresholdSweep::degraded`]; each metric set carries its
-    /// threshold).
+    /// (failed cells are dropped and reported in the report's
+    /// `degraded`; each metric set carries its threshold).
     pub per_threshold: Vec<ThresholdMetrics>,
-    /// Per-cell stats (the `avep` baseline first).
-    pub cells: Vec<CellStat>,
-    /// Guest executions actually performed.
-    pub guest_runs: u64,
-    /// Store lookups served from disk.
-    pub cache_hits: u64,
-    /// Store lookups that missed.
-    pub cache_misses: u64,
-    /// Total wall-clock time.
-    pub elapsed: Duration,
-    /// Retried and failed cells with causes (empty for a clean sweep).
-    pub degraded: DegradedReport,
+    /// Cells (the `avep` baseline first), store counters, guest runs
+    /// and degradation; `results` is empty.
+    pub report: SweepReport,
 }
 
-/// Sweeps one guest program over `thresholds` with caching and a worker
-/// pool. Works for arbitrary guests (not just suite benchmarks): the
-/// cache key's fingerprint covers the serialized binary and input
-/// words, so `scale_key` only disambiguates the human-readable side of
-/// the key.
+/// Sweeps `guest` over `thresholds` with caching and a worker pool,
+/// through the same baseline and ladder-cell code as [`run_sweep`].
 ///
 /// # Errors
 ///
 /// A failed `avep` baseline (every cell needs it) and `--fail-fast`
 /// aborts return errors; individually failed threshold cells are
-/// dropped and reported in [`ThresholdSweep::degraded`].
+/// dropped and reported in the report's `degraded`.
 pub fn threshold_sweep(
-    name: &str,
-    binary: &BuiltProgram,
-    input: &[i64],
-    scale_key: u8,
+    guest: &SuiteGuest,
     thresholds: &[u64],
     opts: &SweepOptions,
 ) -> Result<ThresholdSweep> {
-    let t0 = Instant::now();
-    let store = open_store(opts);
-    let incidents = Incidents::default();
-    let ctx = Ctx::new(store.as_ref(), opts, &incidents);
-    let guest = GuestId::new(name, binary, input, 0, scale_key);
-    ctx.trace_emit(|| EventKind::CellQueued {
-        bench: name.to_string(),
-        label: "avep".to_string(),
-    });
-    for &threshold in thresholds {
-        ctx.trace_emit(|| EventKind::CellQueued {
-            bench: name.to_string(),
+    let ctx = Ctx::new(opts);
+    ctx.queued(&guest.name, "avep");
+    let (avep, avep_stat) = ctx.avep_cell(guest)?;
+    let ladder_cells: Vec<LadderCell<'_>> = thresholds
+        .iter()
+        .map(|&threshold| LadderCell {
+            guest,
+            avep: &avep,
+            threshold,
             label: format!("T={threshold}"),
-        });
-    }
-
-    let mut cells = Vec::with_capacity(1 + thresholds.len());
-    ctx.trace_emit(|| EventKind::CellStarted {
-        bench: name.to_string(),
-        label: "avep".to_string(),
-    });
-    let ((avep_art, avep_hit), t) = ctx.guarded(name, "avep", || {
-        timed(|| plain_run(&ctx, &guest, DbtConfig::no_opt()))
-    })?;
-    ctx.trace_cell_done(name, "avep", avep_hit, t);
-    cells.push(CellStat {
-        bench: name.to_string(),
-        label: "avep".to_string(),
-        hit: avep_hit,
-        micros: t,
-    });
-    let avep_output_digest = fnv64_words(&avep_art.output);
-
-    let cell_results = parallel_map(opts.jobs.max(1), thresholds, |_, &threshold| {
-        let label = format!("T={threshold}");
-        ctx.trace_emit(|| EventKind::CellStarted {
-            bench: name.to_string(),
-            label: label.clone(),
-        });
-        let res = ctx.guarded(name, &label, || {
-            timed(|| {
-                cell_run(
-                    &ctx,
-                    &guest,
-                    threshold,
-                    &avep_art.profile,
-                    avep_output_digest,
-                )
-            })
-        });
-        if let Ok(((_, hit), micros)) = &res {
-            ctx.trace_cell_done(name, &label, *hit, *micros);
-        }
-        res
-    });
+        })
+        .collect();
+    let mut cells = vec![avep_stat];
     let mut per_threshold = Vec::with_capacity(thresholds.len());
-    for (&threshold, res) in thresholds.iter().zip(cell_results) {
-        let Ok(((metrics, hit), micros)) = res else {
-            continue;
-        };
-        cells.push(CellStat {
-            bench: name.to_string(),
-            label: format!("T={threshold}"),
-            hit,
-            micros,
-        });
+    for (metrics, stat) in ctx
+        .run_ladder(opts.jobs.max(1), &ladder_cells)
+        .into_iter()
+        .flatten()
+    {
+        cells.push(stat);
         per_threshold.push(metrics);
     }
-
-    let (hits, misses) = store.as_ref().map_or((0, 0), |s| (s.hits(), s.misses()));
-    let guest_runs = ctx.guest_runs.load(Ordering::Relaxed);
-    if incidents.aborted() {
-        return Err(fail_fast_error(&incidents));
-    }
-    let completed = cells.len();
     Ok(ThresholdSweep {
         per_threshold,
-        cells,
-        guest_runs,
-        cache_hits: hits,
-        cache_misses: misses,
-        elapsed: t0.elapsed(),
-        degraded: incidents.into_report(completed),
+        report: ctx.report(Vec::new(), cells)?,
     })
 }
 
@@ -1197,26 +1125,6 @@ mod tests {
         assert_eq!(parallel_map(16, &items, |_, &x| x + 1), vec![2]);
         let empty: [u64; 0] = [];
         assert!(parallel_map(4, &empty, |_, &x| x).is_empty());
-    }
-
-    /// Ladder cells rebuild the reference identity from stage-1
-    /// digests; the keys must equal a freshly hashed identity's.
-    #[test]
-    fn ref_id_reuses_stage_one_digests() {
-        let opts = SweepOptions::default();
-        let incidents = Incidents::default();
-        let ctx = Ctx::new(None, &opts, &incidents);
-        let bl = baselines_for("gzip", Scale::Tiny, &ctx).expect("tiny gzip baselines");
-        assert_eq!(bl.ref_input_digest, fnv64_words(&bl.reference.input));
-        let fresh = GuestId::new(
-            bl.name,
-            &bl.reference.binary,
-            &bl.reference.input,
-            input_code(InputKind::Ref),
-            Scale::Tiny.code(),
-        );
-        let cfg = DbtConfig::two_phase(50);
-        assert_eq!(bl.ref_id(Scale::Tiny).key(&cfg), fresh.key(&cfg));
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! `reproduce` rejects an unknown target, benchmark, flag or bad
 //! `--inject` spec during argument parsing: it exits 2 before running
 //! any sweep, instead of silently skipping or reinterpreting the input
-//! and reporting success.
+//! and reporting success. `tpdbt-run` and `tpdbt-dump` likewise reject
+//! a zero threshold or interval.
 
 use std::process::Command;
 
@@ -74,4 +75,53 @@ fn an_out_of_range_inject_rate_is_rejected() {
     assert!(stderr.contains("`rate=1001`"), "{stderr}");
     assert!(stderr.contains("per-mille, 0..=1000"), "{stderr}");
     assert!(out.stdout.is_empty(), "a sweep ran: {stderr}");
+}
+
+/// A zero threshold or interval is a usage error naming the flag, in
+/// single-run and sweep mode alike, never an engine assertion or a
+/// retried "worker panic".
+#[test]
+fn zero_thresholds_and_intervals_exit_with_usage() {
+    let dump_dir = std::env::temp_dir().join(format!("tpdbt-zero-dump-{}", std::process::id()));
+    let dump_dir = dump_dir.to_str().expect("utf-8 temp dir");
+    let run = env!("CARGO_BIN_EXE_tpdbt-run");
+    let dump = env!("CARGO_BIN_EXE_tpdbt-dump");
+    let suite = ["--suite", "gzip", "--scale", "tiny"];
+    let cases: [(&str, Vec<&str>, &str); 4] = [
+        (
+            run,
+            [&suite[..], &["--threshold", "0"]].concat(),
+            "--threshold",
+        ),
+        (
+            run,
+            [&suite[..], &["--threshold", "20", "--threshold", "0"]].concat(),
+            "--threshold",
+        ),
+        (
+            dump,
+            vec!["gzip", dump_dir, "--scale", "tiny", "--threshold", "0"],
+            "--threshold",
+        ),
+        (
+            dump,
+            vec!["gzip", dump_dir, "--scale", "tiny", "--intervals", "0"],
+            "--intervals",
+        ),
+    ];
+    for (bin, args, flag) in cases {
+        let out = Command::new(bin).args(&args).output().expect("binary runs");
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("{flag} must be at least 1")),
+            "{stderr}"
+        );
+        assert!(stderr.contains("usage: tpdbt-"), "{stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} printed output");
+    }
+    assert!(
+        !std::path::Path::new(dump_dir).exists(),
+        "tpdbt-dump wrote files before rejecting its arguments"
+    );
 }

@@ -8,9 +8,9 @@ use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 use tpdbt_experiments::runner::{ladder, BenchResult, PAPER_LADDER};
-use tpdbt_experiments::sweep::{run_sweep, SweepOptions};
+use tpdbt_experiments::sweep::{run_sweep, threshold_sweep, SuiteGuest, SweepOptions};
 use tpdbt_profile::report::ThresholdMetrics;
-use tpdbt_suite::Scale;
+use tpdbt_suite::{InputKind, Scale};
 use tpdbt_trace::Tracer;
 
 fn scratch_dir() -> PathBuf {
@@ -217,4 +217,45 @@ fn parallel_jobs_match_serial_ordering_and_values() {
         parallel.guest_runs,
         2 * (3 + ladder(Scale::Tiny).len() as u64)
     );
+}
+
+/// `threshold_sweep` runs the same cells as `run_sweep`: over tiny
+/// gzip's ref guest at every ladder point's actual threshold it
+/// returns the sweep's `per_threshold` metrics, and over the sweep's
+/// warm store it serves every cell with zero guest runs.
+#[test]
+fn threshold_sweep_matches_run_sweep_and_reuses_its_store() {
+    let dir = scratch_dir();
+    let opts = SweepOptions {
+        jobs: 2,
+        cache_dir: Some(dir.clone()),
+        ..Default::default()
+    };
+    let sweep = run_sweep(&["gzip"], Scale::Tiny, &opts, |_| {}).unwrap();
+    let expected: Vec<ThresholdMetrics> = sweep.results[0]
+        .per_threshold
+        .iter()
+        .map(|&(_, m)| m)
+        .collect();
+    let thresholds: Vec<u64> = ladder(Scale::Tiny).iter().map(|p| p.actual).collect();
+    assert_eq!(expected.len(), thresholds.len());
+
+    let guest = SuiteGuest::build("gzip", Scale::Tiny, InputKind::Ref).unwrap();
+    let warm = threshold_sweep(&guest, &thresholds, &opts).unwrap();
+    assert_eq!(
+        warm.report.guest_runs, 0,
+        "the sweep's store must serve every cell"
+    );
+    assert_eq!(warm.report.cells.len(), 1 + thresholds.len());
+    assert!(warm.report.cells.iter().all(|c| c.hit));
+    assert!(warm.report.results.is_empty());
+    assert_eq!(warm.per_threshold, expected);
+
+    let cold = threshold_sweep(&guest, &thresholds, &SweepOptions::default()).unwrap();
+    assert_eq!(cold.report.guest_runs, 1 + thresholds.len() as u64);
+    for (a, b) in cold.per_threshold.iter().zip(&expected) {
+        assert_eq!(metric_bits(a), metric_bits(b), "T={}", a.threshold);
+    }
+    assert_eq!(cold.per_threshold, expected);
+    std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -10,8 +10,8 @@
 //!
 //! `--listen` takes `unix:PATH` or `HOST:PORT` (port 0 picks an
 //! ephemeral port; the bound address is printed). `--cache-dir` shares
-//! the on-disk store with `tpdbt-sweep`, so a warm sweep serves
-//! queries with zero guest runs. `--backend` picks the execution
+//! the on-disk store with `reproduce` and `tpdbt-run`, so a warm
+//! sweep serves queries with zero guest runs. `--backend` picks the execution
 //! backend for cold (computed) queries — `cached-fused` (default, the
 //! fused translation cache plus trace-compiled regions) or `interp`
 //! (the reference interpreter); results are bitwise identical either

@@ -1,9 +1,9 @@
 //! `tpdbt-serve`: a concurrent profile-query service over the
 //! persistent profile store.
 //!
-//! A sweep (`tpdbt-sweep`) computes the full benchmark × threshold
-//! matrix and leaves its artifacts in the on-disk [`tpdbt_store`]
-//! cache. This crate turns that cache into a long-running service:
+//! A sweep (`reproduce`, or `tpdbt-run` over one guest) computes the
+//! benchmark × threshold matrix and leaves its artifacts in the
+//! on-disk [`tpdbt_store`] cache. This crate turns that cache into a long-running service:
 //! many consumers query per-cell INIP/AVEP artifacts and paper metrics
 //! (`Sd.BP`, `Sd.CP`, `Sd.LP`, mismatch rates) over a length-prefixed
 //! JSON protocol (DESIGN.md §10) without each paying for guest
@@ -19,8 +19,9 @@
 //!   perform exactly one guest execution,
 //! - [`hot`] — a small exact-counter LRU of decoded artifacts in front
 //!   of the disk store,
-//! - [`service`] — tiered resolution (memory → disk → compute) through
-//!   the same cell machinery sweeps use,
+//! - [`service`] — tiered resolution (memory → disk → compute); keys
+//!   and computed artifacts come from the sweep's own `SuiteGuest` and
+//!   `Producer`, so both write the same bytes under the same keys,
 //! - [`server`] — listener, bounded connection queue with explicit
 //!   backpressure, worker pool, graceful drain,
 //! - [`snapshot`] — hot-tier persistence for warm restarts

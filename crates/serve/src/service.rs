@@ -4,10 +4,12 @@
 //! Every query resolves through three tiers:
 //!
 //! 1. the in-memory [`HotTier`] (LRU of decoded artifacts),
-//! 2. the on-disk [`ProfileStore`] (shared with `tpdbt-sweep`, so a
-//!    warm sweep cache serves queries with zero guest runs),
-//! 3. a fresh guest execution through the same cell machinery sweeps
-//!    use ([`SuiteGuest`]).
+//! 2. the on-disk [`ProfileStore`] (shared with `reproduce` and
+//!    `tpdbt-run`, so a warm sweep cache serves queries with zero
+//!    guest runs),
+//! 3. a fresh guest execution by the sweep's own artifact
+//!    [`Producer`], keyed by the same [`SuiteGuest`], so a computed
+//!    artifact is byte-identical to the one a sweep writes.
 //!
 //! Tiers 2–3 run under [`SingleFlight`], so N concurrent requests for
 //! the same uncached cell perform exactly one guest execution and the
@@ -21,11 +23,10 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use tpdbt_dbt::{Backend, DbtConfig};
-use tpdbt_experiments::sweep::SuiteGuest;
+use tpdbt_experiments::sweep::{Producer, SuiteGuest};
 use tpdbt_faults::{FaultPlan, FaultSite};
-use tpdbt_profile::report::analyze;
 use tpdbt_store::digest::fnv64_words;
-use tpdbt_store::{Artifact, BaseArtifact, CellArtifact, PlainArtifact, ProfileStore};
+use tpdbt_store::{Artifact, ProfileStore, TypedArtifact};
 use tpdbt_suite::{InputKind, Scale};
 use tpdbt_trace::stats::Histogram;
 use tpdbt_trace::Tracer;
@@ -377,25 +378,23 @@ impl ProfileService {
         }
     }
 
-    fn run_guest(
+    /// Computes one artifact through the sweep's producer, which runs
+    /// the guest, counts it in `guest_runs` and persists the result.
+    /// A failed guest run or analysis is a compute failure.
+    fn produce<A: TypedArtifact>(
         &self,
-        guest: &SuiteGuest,
-        cfg: DbtConfig,
-    ) -> Result<tpdbt_dbt::RunOutcome, ServeFailure> {
-        self.guest_runs.fetch_add(1, Ordering::Relaxed);
-        // The backend is applied here, after the cache key was derived
-        // from `cfg`: it never affects results, only compute latency.
-        guest
-            .run(cfg.with_backend(self.backend), self.tracer.as_ref())
+        f: impl FnOnce(&Producer<'_>) -> tpdbt_experiments::Result<A>,
+    ) -> Result<Artifact, ServeFailure> {
+        let producer = Producer {
+            store: self.store.as_ref(),
+            tracer: self.tracer.as_ref(),
+            backend: self.backend,
+            guest_runs: &self.guest_runs,
+            commit_crash: None,
+        };
+        f(&producer)
+            .map(A::into_artifact)
             .map_err(|e| ServeFailure::Compute(e.to_string()))
-    }
-
-    fn store_artifact(&self, key: &tpdbt_store::CacheKey, artifact: &Artifact) {
-        if let Some(store) = &self.store {
-            // A write failure degrades the cache, not the response; the
-            // store's own counters and trace events record it.
-            let _ = store.store(key, artifact);
-        }
     }
 
     /// Resolves a plain whole-run profile (`AVEP` on ref input,
@@ -419,15 +418,7 @@ impl ProfileService {
             key.digest(),
             deadline,
             || self.store.as_ref().and_then(|s| s.load(&key)),
-            || {
-                let out = self.run_guest(&guest, cfg)?;
-                let artifact = Artifact::Plain(PlainArtifact {
-                    profile: out.as_plain_profile(),
-                    output: out.output,
-                });
-                self.store_artifact(&key, &artifact);
-                Ok(artifact)
-            },
+            || self.produce(|p| p.plain(&guest, cfg)),
         )
     }
 
@@ -468,15 +459,7 @@ impl ProfileService {
                 // The AVEP leg may itself have consumed the deadline;
                 // re-check before the second guest run.
                 Self::check_deadline(deadline)?;
-                let out = self.run_guest(&guest, cfg)?;
-                let metrics = analyze(&out.inip, &avep.profile)
-                    .map_err(|e| ServeFailure::Compute(e.to_string()))?;
-                let artifact = Artifact::Cell(CellArtifact {
-                    metrics,
-                    output_digest: fnv64_words(&out.output),
-                });
-                self.store_artifact(&key, &artifact);
-                Ok(artifact)
+                self.produce(|p| p.cell(&guest, cfg, avep))
             },
         )
     }
@@ -499,15 +482,7 @@ impl ProfileService {
             key.digest(),
             deadline,
             || self.store.as_ref().and_then(|s| s.load(&key)),
-            || {
-                let out = self.run_guest(&guest, cfg)?;
-                let artifact = Artifact::Base(BaseArtifact {
-                    cycles: out.stats.cycles,
-                    output_digest: fnv64_words(&out.output),
-                });
-                self.store_artifact(&key, &artifact);
-                Ok(artifact)
-            },
+            || self.produce(|p| p.base(&guest, cfg)),
         )
     }
 
@@ -679,7 +654,7 @@ impl ProfileService {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tpdbt_store::TypedArtifact;
+    use tpdbt_store::BaseArtifact;
 
     fn svc(dir: Option<PathBuf>) -> ProfileService {
         ProfileService::new(ServiceConfig {

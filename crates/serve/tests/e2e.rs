@@ -1,8 +1,9 @@
-//! End-to-end acceptance tests over a real listener: the ISSUE's
-//! criterion (two concurrent clients, one uncached cell, exactly one
-//! guest execution, bitwise-identical artifacts, disk-warm restart
-//! with zero guest runs) plus the malformed-frame and shutdown
-//! contracts.
+//! End-to-end acceptance tests over a real listener: two concurrent
+//! clients, one uncached cell, exactly one guest execution,
+//! bitwise-identical artifacts, disk-warm restart with zero guest
+//! runs, plus the malformed-frame and shutdown contracts. A
+//! transport-free test pins that the sweep and the service share one
+//! store: same keys, same artifact bytes.
 //!
 //! The listener is TCP on an ephemeral loopback port so the suite runs
 //! unchanged on any platform; the Unix transport is covered by the CI
@@ -11,12 +12,14 @@
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
+use tpdbt_experiments::runner::ladder;
+use tpdbt_experiments::sweep::{run_sweep, SweepOptions};
 use tpdbt_serve::json::Json;
-use tpdbt_serve::proto::Request;
+use tpdbt_serve::proto::{Request, Source};
 use tpdbt_serve::{start, Bind, Client, ProfileService, ServerConfig, ServiceConfig};
-use tpdbt_suite::Scale;
+use tpdbt_suite::{InputKind, Scale};
 
 fn fresh_dir(tag: &str) -> PathBuf {
     static UNIQ: AtomicU64 = AtomicU64::new(0);
@@ -251,4 +254,87 @@ fn unix_socket_transport_round_trips() {
     server.shutdown();
     assert!(!sock.exists(), "socket file removed on shutdown");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+fn service(cache_dir: PathBuf) -> ProfileService {
+    ProfileService::new(ServiceConfig {
+        cache_dir: Some(cache_dir),
+        hot_capacity: 64,
+        default_deadline: Duration::from_secs(120),
+        ..ServiceConfig::default()
+    })
+}
+
+/// The store `.tpst` files in `dir`, by name.
+fn tpst_files(dir: &std::path::Path) -> Vec<(String, Vec<u8>)> {
+    let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir)
+        .expect("read store dir")
+        .map(|e| e.expect("dir entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "tpst"))
+        .map(|p| {
+            let name = p.file_name().unwrap().to_string_lossy().into_owned();
+            (name, std::fs::read(&p).expect("read artifact"))
+        })
+        .collect();
+    files.sort();
+    files
+}
+
+#[test]
+fn sweep_and_service_share_one_store() {
+    let swept = fresh_dir("swept");
+    let report = run_sweep(
+        &["gzip"],
+        Scale::Tiny,
+        &SweepOptions {
+            cache_dir: Some(swept.clone()),
+            ..SweepOptions::default()
+        },
+        |_| {},
+    )
+    .expect("tiny gzip sweep");
+    assert!(!report.degraded.is_degraded());
+    let far = Instant::now() + Duration::from_secs(120);
+
+    // A service over the sweep's store answers every key from disk.
+    let warm = service(swept.clone());
+    for input in [InputKind::Ref, InputKind::Train] {
+        let r = warm.resolve_plain("gzip", Scale::Tiny, input, far).unwrap();
+        assert_eq!(r.source, Source::Disk, "plain {input:?}");
+    }
+    let base = warm.resolve_base("gzip", Scale::Tiny, far).unwrap();
+    assert_eq!(base.source, Source::Disk, "base");
+    for point in ladder(Scale::Tiny) {
+        let r = warm
+            .resolve_cell("gzip", Scale::Tiny, point.actual, far)
+            .unwrap();
+        assert_eq!(r.source, Source::Disk, "cell {}", point.label);
+    }
+    assert_eq!(warm.guest_runs(), 0);
+
+    // A service over an empty store computes the same bytes.
+    let computed = fresh_dir("computed");
+    let cold = service(computed.clone());
+    let point = ladder(Scale::Tiny)[4];
+    cold.resolve_plain("gzip", Scale::Tiny, InputKind::Ref, far)
+        .unwrap();
+    cold.resolve_base("gzip", Scale::Tiny, far).unwrap();
+    let cell = cold
+        .resolve_cell("gzip", Scale::Tiny, point.actual, far)
+        .unwrap();
+    assert_eq!(cell.source, Source::Computed);
+    assert_eq!(cold.guest_runs(), 3, "AVEP, base and one cell");
+    let written = tpst_files(&computed);
+    assert_eq!(written.len(), 3, "one file per computed artifact");
+    let swept_files = tpst_files(&swept);
+    for (name, bytes) in &written {
+        let same = swept_files.iter().find(|(n, _)| n == name);
+        assert_eq!(
+            same.map(|(_, b)| b),
+            Some(bytes),
+            "{name} differs from the sweep's"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&swept);
+    let _ = std::fs::remove_dir_all(&computed);
 }
