@@ -1,10 +1,11 @@
 //! Execution backends: how a translated guest block actually runs.
 //!
-//! The engine in [`crate::engine`] owns the one translation cache. A
-//! block is fast-translated into it once; a region's compiled trace
-//! ([`crate::trace`]) is installed at formation, replaced at
-//! re-formation and unlinked at retirement. [`Backend`] is only a tag
-//! picking which executable form the engine keeps per block:
+//! The executor in [`crate::exec`] owns the code half of the one
+//! translation cache. A block is fast-translated into it once; in a
+//! single run, a region's compiled trace ([`crate::trace`]) is compiled
+//! from it at the region's first entry, replaced at re-formation and
+//! unlinked at retirement. [`Backend`] is only a tag picking which
+//! executable form the executor keeps per block:
 //!
 //! * `interp` — the block's extent, run by [`step_block`]:
 //!   per-instruction [`tpdbt_vm::step`] dispatch. Regions compile to

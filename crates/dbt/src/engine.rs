@@ -1,60 +1,41 @@
-//! The translator's execution engine: profiling-phase execution,
-//! candidate pool, optimization trigger, and optimized region execution.
+//! The translator's two entry points over one executor/policy split.
+//!
+//! A run is an [`Executor`] (the guest machine's per-block code, the
+//! code half of the translation cache) feeding a [`Policy`] (counters,
+//! candidate pool, region formation and the cost model; see
+//! [`crate::policy`]). The executor produces one block event per
+//! executed block: its pc, length, successor slot and next pc.
+//!
+//! * [`Dbt::run`] / [`Dbt::run_built`]: one policy. Profiling-phase
+//!   blocks step through the executor one event at a time; installed
+//!   regions run as compiled traces ([`crate::trace`]) that report
+//!   region-level events (entry, exit, and each block only where
+//!   continuous profiling counts inside regions).
+//! * [`Lockstep::run`] / [`Lockstep::run_built`]: N policies over one
+//!   guest execution. The executor steps the guest block by block into
+//!   a bounded event chunk, and each policy consumes the chunk, walking
+//!   its regions as automata over the edge table. Every policy's
+//!   outcome is bitwise equal to its config's single run, because guest
+//!   execution does not depend on the policy.
 
 use std::sync::Arc;
 
-use tpdbt_isa::{
-    decode_block, Block, BuiltProgram, DecodedBlock, Pc, PredecodedProgram, Program, Terminator,
-};
-use tpdbt_profile::{
-    BlockRecord, InipDump, IntervalProfile, PlainProfile, RegionDump, RegionKind, SuccSlot,
-    TermKind,
-};
-use tpdbt_trace::{EventKind, TraceRegionKind, Tracer};
-use tpdbt_vm::{Flow, Machine};
+use tpdbt_isa::{BuiltProgram, Pc, PredecodedProgram, Program};
+use tpdbt_profile::{InipDump, IntervalProfile, PlainProfile};
+use tpdbt_trace::Tracer;
+use tpdbt_vm::Machine;
 
-use crate::backend::{run_decoded, step_block, Backend};
-use crate::config::{DbtConfig, ProfilingMode};
+use crate::config::DbtConfig;
 use crate::error::DbtError;
-use crate::region::{form_region, BlockSource, FormedRegion};
-use crate::trace::{
-    compile_trace, step_trace, CompiledTrace, SegmentCode, Segments, TraceSegment, EXIT,
-};
-
-/// Aggregate statistics of a translated run.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ExecStats {
-    /// Dynamic guest instructions executed.
-    pub instructions: u64,
-    /// Simulated cycles under the cost model.
-    pub cycles: u64,
-    /// Profiling operations (use + taken counter increments) — the
-    /// paper's Figure 18 quantity.
-    pub profiling_ops: u64,
-    /// Distinct blocks fast-translated.
-    pub blocks_translated: u64,
-    /// Regions formed by the optimization phase.
-    pub regions_formed: u64,
-    /// Times the optimization phase ran.
-    pub opt_invocations: u64,
-    /// Region executions that left through a side exit.
-    pub side_exits: u64,
-    /// Region executions that completed through the tail block.
-    pub completions: u64,
-    /// Loop-region back-edge traversals.
-    pub loop_backs: u64,
-    /// Optimized-region entries.
-    pub region_entries: u64,
-    /// Regions retired by adaptive side-exit monitoring
-    /// ([`ProfilingMode::Adaptive`]).
-    pub retirements: u64,
-}
+use crate::exec::Executor;
+use crate::policy::{ExecStats, Policy};
+use crate::trace::Segments;
 
 /// The result of running a program under the translator.
 #[derive(Clone, Debug)]
 pub struct RunOutcome {
     /// The profile dump — `INIP(T)` in two-phase mode, a plain whole-run
-    /// profile (with no regions) in [`ProfilingMode::NoOpt`].
+    /// profile (with no regions) in [`crate::ProfilingMode::NoOpt`].
     pub inip: InipDump,
     /// Guest program output.
     pub output: Vec<i64>,
@@ -67,8 +48,8 @@ pub struct RunOutcome {
 
 impl RunOutcome {
     /// Views the dump as a plain profile (`AVEP` / `INIP(train)`
-    /// shape). Meaningful for [`ProfilingMode::NoOpt`] runs, where no
-    /// counters were frozen; callable on any run.
+    /// shape). Meaningful for [`crate::ProfilingMode::NoOpt`] runs,
+    /// where no counters were frozen; callable on any run.
     #[must_use]
     pub fn as_plain_profile(&self) -> PlainProfile {
         PlainProfile {
@@ -80,99 +61,11 @@ impl RunOutcome {
     }
 }
 
-/// One translated block: its executable form plus its live profile
-/// state.
-#[derive(Debug)]
-struct BlockEntry {
-    block: Block,
-    /// The block's fused form under `cached-fused`, shared through the
-    /// run's [`PredecodedProgram`]; `None` under `interp`, which steps
-    /// the extent in `block`.
-    code: Option<Arc<DecodedBlock>>,
-    record: BlockRecord,
-    frozen: bool,
-    /// 0 = unregistered, 1 = registered at `use == T`,
-    /// 2 = registered twice (`use == 2T`).
-    registered: u8,
-    /// Region dispatched from this pc, if it is a region entry.
-    entry_of: Option<usize>,
-    /// First-occurrence order of dynamic return targets (stable slot
-    /// numbering for `ret` edges).
-    ret_targets: Vec<Pc>,
-    /// For switch terminators: the deduplicated, sorted target table,
-    /// computed once at translation time (stable static slot numbering
-    /// without a per-execution sort).
-    switch_uniq: Box<[Pc]>,
-}
-
-/// A formed region prepared for execution.
-#[derive(Debug)]
-struct RuntimeRegion {
-    dump: RegionDump,
-    /// The region's optimized code, compiled from the translation cache
-    /// at install and recompiled at re-formation. Each region entry
-    /// runs its own [`Arc`] snapshot.
-    trace: Arc<CompiledTrace>,
-    /// Per-copy successor table: `(slot, next copy)`.
-    succ: Vec<Vec<(SuccSlot, usize)>>,
-    /// Entry-block use count at formation time (continuous-mode
-    /// staleness check).
-    formed_use: u64,
-    /// Region entries since formation (adaptive monitoring).
-    entries: u64,
-    /// Side exits since formation (adaptive monitoring).
-    side_exits: u64,
-    /// Retired by adaptive monitoring: never dispatched again and
-    /// excluded from the final dump.
-    retired: bool,
-}
-
-impl RuntimeRegion {
-    fn new(dump: RegionDump, trace: Arc<CompiledTrace>, formed_use: u64) -> Self {
-        let mut succ = vec![Vec::new(); dump.copies.len()];
-        for e in &dump.edges {
-            succ[e.from].push((e.slot, e.to));
-        }
-        RuntimeRegion {
-            dump,
-            trace,
-            succ,
-            formed_use,
-            entries: 0,
-            side_exits: 0,
-            retired: false,
-        }
-    }
-}
-
-fn trace_region_kind(kind: RegionKind) -> TraceRegionKind {
-    match kind {
-        RegionKind::Trace => TraceRegionKind::Trace,
-        RegionKind::Loop => TraceRegionKind::Loop,
-    }
-}
-
-/// Continuous-mode staleness test: has `current_use` at least doubled
-/// relative to `formed_use`?
-///
-/// `current_use / 2 >= formed_use` is exactly `current_use >= 2 *
-/// formed_use` for every `u64` pair, without the overflow that made the
-/// multiplying form (`formed_use.saturating_mul(2)`) treat a region
-/// formed past `u64::MAX / 2` uses as due the moment the counter
-/// saturated the comparison.
-fn reform_due(current_use: u64, formed_use: u64) -> bool {
-    current_use / 2 >= formed_use
-}
-
-fn term_kind(t: &Terminator) -> TermKind {
-    match t {
-        Terminator::Jump { .. } => TermKind::Jump,
-        Terminator::Branch { .. } => TermKind::Cond,
-        Terminator::Switch { .. } => TermKind::Switch,
-        Terminator::Call { .. } => TermKind::Call,
-        Terminator::Return => TermKind::Return,
-        Terminator::Halt => TermKind::Halt,
-    }
+/// A machine loaded with `built`'s data sections and `input`.
+fn built_machine(built: &BuiltProgram, input: &[i64]) -> Machine {
+    let mut machine = Machine::new(&built.program, input);
+    machine.preload(&built.mem_image, &built.fmem_image);
+    machine
 }
 
 /// The two-phase dynamic binary translator.
@@ -239,8 +132,7 @@ impl Dbt {
     /// Returns [`DbtError::Guest`] when the guest program traps
     /// (including fuel exhaustion).
     pub fn run(&self, program: &Program, input: &[i64]) -> Result<RunOutcome, DbtError> {
-        let mut machine = Machine::new(program, input);
-        self.run_machine(program, &mut machine)
+        self.run_machine(program, &mut Machine::new(program, input))
     }
 
     /// Runs a built program (with preloaded data sections) on `input`.
@@ -249,9 +141,7 @@ impl Dbt {
     ///
     /// Returns [`DbtError::Guest`] when the guest program traps.
     pub fn run_built(&self, built: &BuiltProgram, input: &[i64]) -> Result<RunOutcome, DbtError> {
-        let mut machine = Machine::new(&built.program, input);
-        machine.preload(&built.mem_image, &built.fmem_image);
-        self.run_machine(&built.program, &mut machine)
+        self.run_machine(&built.program, &mut built_machine(built, input))
     }
 
     fn run_machine(
@@ -266,672 +156,193 @@ impl Dbt {
             self.predecoded.as_ref(),
         );
         let output = engine.execute(machine)?;
-        Ok(engine.into_outcome(output))
+        Ok(engine.policy.into_outcome(program.entry(), output))
     }
 }
 
+/// A single run: one executor, one policy, compiled region traces.
 struct Engine<'p> {
-    config: &'p DbtConfig,
-    tracer: Option<&'p Tracer>,
     program: &'p Program,
-    /// The decode-once source of fused blocks under `cached-fused`;
-    /// `None` under `interp`.
-    predecoded: Option<Arc<PredecodedProgram>>,
-    /// Whether region traces use fast guards. Continuous profiling
-    /// keeps counting inside regions, so it compiles the observed form
-    /// instead: every flow reaches the engine's generic path.
-    guarded: bool,
-    /// The translation cache, by block start address.
-    cache: Vec<Option<Box<BlockEntry>>>,
-    regions: Vec<RuntimeRegion>,
-    pool: Vec<Pc>,
-    stats: ExecStats,
-    intervals: Vec<IntervalProfile>,
-    last_snapshot: std::collections::BTreeMap<Pc, (u64, u64)>,
-    next_interval_at: u64,
-    retire_counts: std::collections::BTreeMap<Pc, u32>,
-}
-
-/// Block-execution outcome handed back to the main loop.
-enum Next {
-    Goto(Pc),
-    Halted,
-}
-
-impl<'p> BlockSource for Engine<'p> {
-    fn terminator(&self, pc: Pc) -> Option<&Terminator> {
-        self.cache.get(pc)?.as_ref().map(|e| &e.block.terminator)
-    }
-    fn record(&self, pc: Pc) -> Option<&BlockRecord> {
-        self.cache.get(pc)?.as_ref().map(|e| &e.record)
-    }
-    fn block_len(&self, pc: Pc) -> Option<u32> {
-        self.cache.get(pc)?.as_ref().map(|e| e.record.len)
-    }
+    exec: Executor<'p>,
+    policy: Policy<'p>,
 }
 
 impl<'p> Engine<'p> {
     /// An engine with an empty translation cache. `shared` is the
-    /// caller's decode-once cache; `cached-fused` uses it when it was
-    /// sized for this program and a private one otherwise.
+    /// caller's decode-once cache (see [`Executor::new`]).
     fn new(
-        config: &'p DbtConfig,
+        config: &DbtConfig,
         tracer: Option<&'p Tracer>,
         program: &'p Program,
         shared: Option<&Arc<PredecodedProgram>>,
     ) -> Self {
-        let predecoded = match config.backend {
-            Backend::Interp => None,
-            Backend::CachedFused => Some(
-                shared
-                    .filter(|p| p.len() == program.len())
-                    .map_or_else(|| Arc::new(PredecodedProgram::new(program)), Arc::clone),
-            ),
-        };
         Engine {
-            config,
-            tracer,
             program,
-            predecoded,
-            guarded: config.mode != ProfilingMode::Continuous,
-            cache: (0..program.len()).map(|_| None).collect(),
-            regions: Vec::new(),
-            pool: Vec::new(),
-            stats: ExecStats::default(),
-            intervals: Vec::new(),
-            last_snapshot: std::collections::BTreeMap::new(),
-            next_interval_at: config.interval.unwrap_or(u64::MAX),
-            retire_counts: std::collections::BTreeMap::new(),
-        }
-    }
-
-    /// Reports a structured event when a tracer is attached; the
-    /// closure defers payload construction to the traced case, so an
-    /// untraced run pays one branch per site.
-    #[inline]
-    fn trace_emit(&self, event: impl FnOnce() -> EventKind) {
-        if let Some(tracer) = self.tracer {
-            tracer.emit(event());
+            exec: Executor::new(program, config.backend, config.fuel, shared),
+            policy: Policy::new(*config, tracer, program.len()),
         }
     }
 
     fn execute(&mut self, machine: &mut Machine) -> Result<Vec<i64>, DbtError> {
         let mut pc = self.program.entry();
         loop {
-            if self.stats.instructions >= self.config.fuel {
-                return Err(DbtError::Guest(tpdbt_vm::VmError::OutOfFuel {
-                    pc,
-                    fuel: self.config.fuel,
-                }));
-            }
             // Optimized dispatch: region entry wins.
-            let region_idx = self
-                .cache
-                .get(pc)
-                .and_then(|e| e.as_ref())
-                .and_then(|e| e.entry_of);
-            let next = match region_idx {
-                Some(ri) => {
-                    self.maybe_reform(ri, pc);
-                    self.execute_region(ri, machine)?
-                }
-                None => self.execute_unopt(pc, machine)?,
-            };
-            if self.stats.instructions >= self.next_interval_at {
-                self.snapshot_interval();
-            }
-            match next {
-                Next::Goto(target) => pc = target,
-                Next::Halted => {
-                    if self.config.interval.is_some() {
-                        self.snapshot_interval();
-                    }
-                    return Ok(machine.output().to_vec());
-                }
-            }
-        }
-    }
-
-    /// Records the per-branch deltas since the previous snapshot (phase
-    /// detection input).
-    fn snapshot_interval(&mut self) {
-        let mut branches = std::collections::BTreeMap::new();
-        for entry in self.cache.iter().flatten() {
-            if entry.record.kind != Some(TermKind::Cond) {
-                continue;
-            }
-            let pc = entry.block.start;
-            let now = (entry.record.use_count, entry.record.taken_count());
-            let prev = self.last_snapshot.insert(pc, now).unwrap_or((0, 0));
-            let delta = (now.0 - prev.0, now.1 - prev.1);
-            if delta.0 > 0 {
-                branches.insert(pc, delta);
-            }
-        }
-        if !branches.is_empty() {
-            self.intervals.push(IntervalProfile {
-                end_instructions: self.stats.instructions,
-                branches,
-            });
-        }
-        self.next_interval_at = self.stats.instructions + self.config.interval.unwrap_or(u64::MAX);
-    }
-
-    /// Ensures the block at `pc` is translated, charging the one-time
-    /// fast-translation cost. This is the translation-cache insert: the
-    /// entry keeps the block's fused form (or, for `interp`, just its
-    /// extent), and every later execution and trace compile reuses it.
-    fn translate(&mut self, pc: Pc) -> &mut BlockEntry {
-        if self.cache[pc].is_none() {
-            let block = decode_block(self.program, pc)
-                .expect("pc validated by jump targets and program validation");
-            let len = (block.end - block.start) as u32;
-            self.stats.blocks_translated += 1;
-            self.stats.cycles += self.config.cost.cold_translate_per_instr * u64::from(len);
-            let code = self
-                .predecoded
-                .as_ref()
-                .map(|p| p.translate(self.program, &block));
-            let switch_uniq: Box<[Pc]> = match &block.terminator {
-                Terminator::Switch { targets } => {
-                    let mut uniq = targets.clone();
-                    uniq.sort_unstable();
-                    uniq.dedup();
-                    uniq.into_boxed_slice()
-                }
-                _ => Box::default(),
-            };
-            let record = BlockRecord {
-                len,
-                kind: Some(term_kind(&block.terminator)),
-                use_count: 0,
-                edges: Vec::new(),
-            };
-            self.cache[pc] = Some(Box::new(BlockEntry {
-                block,
-                code,
-                record,
-                frozen: false,
-                registered: 0,
-                entry_of: None,
-                ret_targets: Vec::new(),
-                switch_uniq,
-            }));
-            self.trace_emit(|| EventKind::BlockTranslated { pc: pc as u64, len });
-        }
-        self.cache[pc].as_mut().expect("just inserted").as_mut()
-    }
-
-    /// Executes the straight-line body and terminator of the
-    /// profiling-phase block at `pc` in its cached form, returning the
-    /// control-flow outcome and the block length.
-    fn run_block(&mut self, pc: Pc, machine: &mut Machine) -> Result<(Flow, u32), DbtError> {
-        let e = self.cache[pc]
-            .as_deref()
-            .expect("block translated before execution");
-        let flow = match &e.code {
-            Some(decoded) => run_decoded(decoded, machine),
-            None => step_block(self.program, e.block.start, e.block.end, machine),
-        }?;
-        let len = e.record.len;
-        self.stats.instructions += u64::from(len);
-        Ok((flow, len))
-    }
-
-    /// Compiles `dump` into the trace this run executes, from the
-    /// members' translation-cache entries: a replayed trace over their
-    /// fused blocks under `cached-fused`, or a stepped trace over their
-    /// extents under `interp`.
-    fn compile_region(&self, dump: &RegionDump) -> Arc<CompiledTrace> {
-        let member = |pc: Pc| self.cache[pc].as_deref();
-        let trace = if self.predecoded.is_some() {
-            dump.copies
-                .iter()
-                .map(|&pc| member(pc)?.code.clone())
-                .collect::<Option<Vec<_>>>()
-                .and_then(|chain| compile_trace(&dump.copies, &dump.edges, &chain, self.guarded))
-        } else {
-            step_trace(&dump.copies, |pc| member(pc).map(|e| e.block.end))
-        };
-        Arc::new(trace.expect("region members are translated before formation"))
-    }
-
-    /// Maps an executed terminator outcome to a successor slot and
-    /// target.
-    fn outcome(&mut self, pc: Pc, flow: &Flow) -> Option<(SuccSlot, Pc)> {
-        let entry = self.cache[pc].as_mut().expect("block translated");
-        match (&entry.block.terminator, flow) {
-            (_, Flow::Halted) => None,
-            (Terminator::Branch { .. }, Flow::Jump { target, .. }) => {
-                Some((SuccSlot::Taken, *target))
-            }
-            (Terminator::Branch { fallthrough, .. }, Flow::Next) => {
-                Some((SuccSlot::Fallthrough, *fallthrough))
-            }
-            (Terminator::Jump { .. } | Terminator::Call { .. }, Flow::Jump { target, .. }) => {
-                Some((SuccSlot::Other(0), *target))
-            }
-            (Terminator::Switch { .. }, Flow::Jump { target, .. }) => {
-                // Stable static slot: position among deduplicated,
-                // sorted targets, pre-computed at translation time.
-                let idx = entry
-                    .switch_uniq
-                    .binary_search(target)
-                    .expect("switch target in table");
-                Some((SuccSlot::Other(idx as u32), *target))
-            }
-            (Terminator::Return, Flow::Jump { target, .. }) => {
-                let idx = match entry.ret_targets.iter().position(|t| t == target) {
-                    Some(i) => i,
-                    None => {
-                        entry.ret_targets.push(*target);
-                        entry.ret_targets.len() - 1
-                    }
-                };
-                Some((SuccSlot::Other(idx as u32), *target))
-            }
-            (t, f) => unreachable!("terminator {t:?} produced flow {f:?}"),
-        }
-    }
-
-    fn execute_unopt(&mut self, pc: Pc, machine: &mut Machine) -> Result<Next, DbtError> {
-        self.translate(pc);
-        let (flow, len) = self.run_block(pc, machine)?;
-        let cost = &self.config.cost;
-        self.stats.cycles += cost.unopt_exec_per_instr * u64::from(len) + cost.dispatch_cost;
-
-        let outcome = self.outcome(pc, &flow);
-        let entry = self.cache[pc].as_mut().expect("translated");
-        let profiled = !entry.frozen;
-        if profiled {
-            entry.record.use_count += 1;
-            self.stats.profiling_ops += 1;
-            self.stats.cycles += cost.profile_op_cost;
-            if let Some((slot, target)) = outcome {
-                entry.record.bump_edge(slot, target, 1);
-                // The paper's `taken` counter: conditional taken only.
-                if slot == SuccSlot::Taken {
-                    self.stats.profiling_ops += 1;
-                    self.stats.cycles += cost.profile_op_cost;
-                }
-            }
-            let use_count = entry.record.use_count;
-            self.trace_emit(|| EventKind::CounterBump {
-                pc: pc as u64,
-                use_count,
-            });
-        }
-
-        if profiled && self.config.mode != ProfilingMode::NoOpt {
-            let t = self.config.threshold;
-            let entry = self.cache[pc].as_ref().expect("translated");
-            let use_count = entry.record.use_count;
-            let registered = entry.registered;
-            if use_count == t && registered == 0 {
-                self.cache[pc].as_mut().expect("translated").registered = 1;
-                self.pool.push(pc);
-                self.trace_emit(|| EventKind::Registered {
-                    pc: pc as u64,
-                    use_count,
-                });
-                if self.pool.len() >= self.config.policy.pool_trigger {
-                    self.run_optimizer();
-                }
-            } else if registered == 1 && use_count == 2 * t {
-                // Registered twice: optimize immediately (paper §1).
-                self.cache[pc].as_mut().expect("translated").registered = 2;
-                self.trace_emit(|| EventKind::RegisteredTwice {
-                    pc: pc as u64,
-                    use_count,
-                });
-                self.run_optimizer();
-            }
-        }
-
-        Ok(match flow {
-            Flow::Halted => Next::Halted,
-            Flow::Jump { target, .. } => Next::Goto(target),
-            Flow::Next => Next::Goto(self.cache[pc].as_ref().expect("translated").block.end),
-        })
-    }
-
-    /// Runs region `ri` through its installed trace. The segment form
-    /// was picked once, at install time; the match here selects the
-    /// loop instance for it, once per region entry.
-    fn execute_region(&mut self, ri: usize, machine: &mut Machine) -> Result<Next, DbtError> {
-        // Snapshot the trace *after* any reform so it matches the
-        // region's current shape; the snapshot keeps the code alive
-        // while the loop updates the engine.
-        let trace = Arc::clone(&self.regions[ri].trace);
-        match &trace.segs {
-            Segments::Replay(segs) => self.run_trace(ri, segs, machine),
-            Segments::Step(segs) => self.run_trace(ri, segs, machine),
-        }
-    }
-
-    /// The region-execution loop. Segments run straight-line with their
-    /// pre-resolved guards; [`crate::trace::Guard::Other`] terminators
-    /// (call / return / switch / halt, and every terminator of the
-    /// observed and stepped forms) take the generic terminator-and-
-    /// outcome path, which keeps engine bookkeeping (shadow call stack,
-    /// `ret_targets` numbering) exact and is where continuous mode
-    /// counts.
-    ///
-    /// Fuel is checked before each segment, traps propagate before the
-    /// trapping segment is counted, and every copy gets the same
-    /// completion / side-exit / loop-back accounting in every form.
-    fn run_trace<C: SegmentCode>(
-        &mut self,
-        ri: usize,
-        segs: &[TraceSegment<C>],
-        machine: &mut Machine,
-    ) -> Result<Next, DbtError> {
-        self.stats.region_entries += 1;
-        self.regions[ri].entries += 1;
-        self.stats.cycles += self.config.cost.region_entry_cost;
-        let opt_exec = self.config.cost.opt_exec_per_instr;
-        let fuel = self.config.fuel;
-        let counting = self.config.mode == ProfilingMode::Continuous;
-        // Hot-loop stats accumulate in locals and flush at every exit;
-        // the observable totals match per-segment bumps exactly (traps
-        // still propagate before the trapping segment is counted).
-        let base = self.stats.instructions;
-        let mut instr = 0u64;
-        let mut loops = 0u64;
-        macro_rules! flush {
-            () => {
-                self.stats.instructions += instr;
-                self.stats.cycles += opt_exec * instr;
-                self.stats.loop_backs += loops;
-            };
-        }
-        let mut cur = 0usize;
-        loop {
-            let seg = &segs[cur];
-            if base + instr >= fuel {
-                flush!();
-                return Err(DbtError::Guest(tpdbt_vm::VmError::OutOfFuel {
-                    pc: seg.start,
-                    fuel,
-                }));
-            }
-            if let Err(e) = C::run_body(seg, self.program, machine) {
-                flush!();
-                return Err(DbtError::Guest(e));
-            }
-            machine.set_pc(seg.term_pc);
-            let (next, target) = match seg.guard.quick_eval(machine) {
-                Some(hit) => {
-                    instr += u64::from(seg.len);
-                    hit
-                }
+            let next = match self.policy.dispatch(&self.exec.cache, pc) {
+                Some(ri) => self.run_region(ri, machine)?,
                 None => {
-                    // Generic path: traps must propagate before the
-                    // instruction count bumps (matches step_block).
-                    let flow = match C::run_term(seg, self.program, machine) {
-                        Ok(flow) => flow,
-                        Err(e) => {
-                            flush!();
-                            return Err(DbtError::Guest(e));
-                        }
-                    };
-                    instr += u64::from(seg.len);
-                    let outcome = self.outcome(seg.start, &flow);
-                    if counting {
-                        self.count_in_region(seg.start, outcome);
-                    }
-                    let Some((slot, target)) = outcome else {
-                        flush!();
-                        return Ok(Next::Halted);
-                    };
-                    let next = self.regions[ri].succ[cur]
-                        .iter()
-                        .find(|(s, _)| *s == slot)
-                        .map_or(EXIT, |&(_, n)| n as u32);
-                    (next, target)
+                    let ev = self.exec.step(pc, machine)?;
+                    self.policy.unopt(&self.exec.cache, &ev);
+                    ev.exit.map(|(_, target)| target)
                 }
             };
-            if next == EXIT {
-                flush!();
-                if cur == self.regions[ri].dump.tail {
-                    self.stats.completions += 1;
-                } else {
-                    self.stats.side_exits += 1;
-                    self.regions[ri].side_exits += 1;
-                    self.stats.cycles += self.config.cost.side_exit_penalty;
-                    self.maybe_retire(ri);
-                }
-                return Ok(Next::Goto(target));
-            }
-            if next == 0 {
-                loops += 1;
-            }
-            cur = next as usize;
-        }
-    }
-
-    /// Continuous mode's in-region counting: the block at `pc` ran
-    /// inside a region and left through `outcome`. Counters bump as in
-    /// the profiling phase, without the per-counter cycle charge.
-    fn count_in_region(&mut self, pc: Pc, outcome: Option<(SuccSlot, Pc)>) {
-        let entry = self.cache[pc].as_mut().expect("translated");
-        entry.record.use_count += 1;
-        self.stats.profiling_ops += 1;
-        if let Some((slot, target)) = outcome {
-            entry.record.bump_edge(slot, target, 1);
-            if slot == SuccSlot::Taken {
-                self.stats.profiling_ops += 1;
+            self.policy.settle(next.is_none());
+            match next {
+                Some(target) => pc = target,
+                None => return Ok(machine.output().to_vec()),
             }
         }
-        let use_count = entry.record.use_count;
-        self.trace_emit(|| EventKind::CounterBump {
-            pc: pc as u64,
-            use_count,
-        });
     }
 
-    /// Continuous mode: re-form a region whose entry has doubled its
-    /// use count since formation (see [`reform_due`]).
-    fn maybe_reform(&mut self, ri: usize, entry_pc: Pc) {
-        if self.config.mode != ProfilingMode::Continuous {
-            return;
+    /// Runs region `ri` through its trace, compiling it first if the
+    /// region was installed or re-formed since its last entry. The
+    /// segment form was picked at compile time; the match here selects
+    /// the loop instance for it, once per region entry.
+    fn run_region(&mut self, ri: usize, machine: &mut Machine) -> Result<Option<Pc>, DbtError> {
+        let guarded = !self.policy.counts_in_regions();
+        let region = &mut self.policy.regions[ri];
+        // The snapshot keeps the code alive while the trace loop
+        // updates the policy.
+        let trace = Arc::clone(
+            region
+                .trace
+                .get_or_insert_with(|| self.exec.compile(&region.dump, guarded)),
+        );
+        match &trace.segs {
+            Segments::Replay(segs) => self.exec.run_trace(&mut self.policy, ri, segs, machine),
+            Segments::Step(segs) => self.exec.run_trace(&mut self.policy, ri, segs, machine),
         }
-        let current_use = self.cache[entry_pc]
-            .as_ref()
-            .map_or(0, |e| e.record.use_count);
-        if !reform_due(current_use, self.regions[ri].formed_use) {
-            return;
+    }
+}
+
+/// Block events the lockstep executor runs ahead of its policies.
+const CHUNK: usize = 1024;
+
+/// One guest execution under several configurations at once: the
+/// paper's AVEP, `T = 1` base and threshold ladder on one input, say.
+///
+/// The executor steps the guest once, block by block, and feeds every
+/// config's translation policy; [`Lockstep::run`] returns one [`RunOutcome`]
+/// per config, in order, each bitwise equal to that config's
+/// [`Dbt::run`]. No event stream is recorded beyond one bounded chunk.
+#[derive(Clone, Debug)]
+pub struct Lockstep {
+    configs: Vec<DbtConfig>,
+    tracer: Option<Arc<Tracer>>,
+    predecoded: Option<Arc<PredecodedProgram>>,
+}
+
+impl Lockstep {
+    /// Lockstep runs of `configs`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the configs disagree on backend or fuel: they share
+    /// one execution, so they must share how it runs and when it stops.
+    #[must_use]
+    pub fn new(configs: Vec<DbtConfig>) -> Self {
+        if let Some(first) = configs.first() {
+            assert!(
+                configs
+                    .iter()
+                    .all(|c| c.backend == first.backend && c.fuel == first.fuel),
+                "lockstep configs must share backend and fuel"
+            );
         }
-        if let Some(formed) = form_region(self, &self.config.policy, entry_pc) {
-            self.stats.cycles += self.config.cost.opt_translate_per_instr * formed.total_instrs;
-            self.stats.opt_invocations += 1;
-            let id = self.regions[ri].dump.id;
-            let dump = formed.into_dump(id);
-            // Re-formation replaces the region's optimized code: a
-            // trace of the new copy list replaces the region, shape and
-            // code together, in one assignment.
-            let trace = self.compile_region(&dump);
-            self.regions[ri] = RuntimeRegion::new(dump, trace, current_use);
-            self.trace_emit(|| EventKind::RegionReformed {
-                region: id as u64,
-                entry_pc: entry_pc as u64,
-                use_count: current_use,
-            });
+        Lockstep {
+            configs,
+            tracer: None,
+            predecoded: None,
         }
     }
 
-    /// Whether this mode freezes counters at optimization (two-phase
-    /// semantics; adaptive freezes too, until a retirement resets).
-    fn freezes(&self) -> bool {
-        matches!(
-            self.config.mode,
-            ProfilingMode::TwoPhase | ProfilingMode::Adaptive
-        )
+    /// Attaches a structured-event tracer: every policy reports the
+    /// lifecycle events its config's [`Dbt::with_tracer`] run would,
+    /// interleaved chunk by chunk.
+    #[must_use]
+    pub fn with_tracer(mut self, tracer: Arc<Tracer>) -> Self {
+        self.tracer = Some(tracer);
+        self
     }
 
-    /// Adaptive side-exit monitoring (paper §5): retire a region whose
-    /// side-exit rate exceeds the policy bound; its blocks re-profile
-    /// from scratch so a fresh region can form for the current phase.
-    fn maybe_retire(&mut self, ri: usize) {
-        if self.config.mode != ProfilingMode::Adaptive {
-            return;
-        }
-        let region = &self.regions[ri];
-        if region.retired
-            || region.entries < self.config.adapt.min_entries
-            || (region.side_exits as f64)
-                < self.config.adapt.max_side_exit_rate * region.entries as f64
-        {
-            return;
-        }
-        let entry_pc = self.regions[ri].dump.entry_pc();
-        let count = self.retire_counts.entry(entry_pc).or_insert(0);
-        if *count >= self.config.adapt.max_retirements_per_entry {
-            return;
-        }
-        *count += 1;
-        self.stats.retirements += 1;
-        let copies = self.regions[ri].dump.copies.clone();
-        // Retirement invalidates the region's optimized code: it is
-        // never dispatched again once its entry is unlinked below.
-        self.regions[ri].retired = true;
-        let (region_id, entries, side_exits) = {
-            let r = &self.regions[ri];
-            (r.dump.id, r.entries, r.side_exits)
+    /// Shares a decode-once cache of fused blocks, as
+    /// [`Dbt::with_predecoded`].
+    #[must_use]
+    pub fn with_predecoded(mut self, predecoded: Arc<PredecodedProgram>) -> Self {
+        self.predecoded = Some(predecoded);
+        self
+    }
+
+    /// Runs `program` on `input` once under every config.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DbtError::Guest`] when the guest program traps
+    /// (including fuel exhaustion): the same error every config's
+    /// single run returns.
+    pub fn run(&self, program: &Program, input: &[i64]) -> Result<Vec<RunOutcome>, DbtError> {
+        self.run_machine(program, &mut Machine::new(program, input))
+    }
+
+    /// Runs a built program (with preloaded data sections) on `input`
+    /// once under every config.
+    ///
+    /// # Errors
+    ///
+    /// As [`Lockstep::run`].
+    pub fn run_built(
+        &self,
+        built: &BuiltProgram,
+        input: &[i64],
+    ) -> Result<Vec<RunOutcome>, DbtError> {
+        self.run_machine(&built.program, &mut built_machine(built, input))
+    }
+
+    fn run_machine(
+        &self,
+        program: &Program,
+        machine: &mut Machine,
+    ) -> Result<Vec<RunOutcome>, DbtError> {
+        let Some(first) = self.configs.first() else {
+            return Ok(Vec::new());
         };
-        self.trace_emit(|| EventKind::RegionRetired {
-            region: region_id as u64,
-            entry_pc: entry_pc as u64,
-            entries,
-            side_exits,
-        });
-        if let Some(e) = self.cache[entry_pc].as_mut() {
-            e.entry_of = None;
-        }
-        // Reset and unfreeze members that no live region still uses.
-        let still_used: std::collections::BTreeSet<Pc> = self
-            .regions
+        let mut exec = Executor::new(program, first.backend, first.fuel, self.predecoded.as_ref());
+        let mut policies: Vec<Policy<'_>> = self
+            .configs
             .iter()
-            .filter(|r| !r.retired)
-            .flat_map(|r| r.dump.copies.iter().copied())
+            .map(|&c| Policy::new(c, self.tracer.as_deref(), program.len()))
             .collect();
-        for pc in copies {
-            if still_used.contains(&pc) {
-                continue;
-            }
-            if let Some(e) = self.cache[pc].as_mut() {
-                e.frozen = false;
-                e.registered = 0;
-                e.record.use_count = 0;
-                e.record.edges.clear();
-            }
-        }
-    }
-
-    /// The optimization phase: retranslate the candidate pool into
-    /// regions, hottest seed first. A seed that became a region's entry,
-    /// or was swallowed by another region (its counters froze), seeds
-    /// nothing; continuous mode may re-seed.
-    fn run_optimizer(&mut self) {
-        self.stats.opt_invocations += 1;
-        let mut candidates: Vec<Pc> = std::mem::take(&mut self.pool);
-        candidates.sort_by_key(|&pc| {
-            std::cmp::Reverse(self.cache[pc].as_ref().map_or(0, |e| e.record.use_count))
-        });
-        for seed in candidates {
-            let entry = self.cache[seed]
-                .as_ref()
-                .expect("pooled blocks are translated");
-            if entry.entry_of.is_some() || (entry.frozen && self.freezes()) {
-                continue;
-            }
-            let Some(formed) = form_region(self, &self.config.policy, seed) else {
-                continue;
-            };
-            self.stats.cycles += self.config.cost.opt_translate_per_instr * formed.total_instrs;
-            self.install(seed, formed);
-        }
-    }
-
-    /// Installs `formed` as a new region dispatched from `seed`.
-    fn install(&mut self, seed: Pc, formed: FormedRegion) {
-        self.stats.regions_formed += 1;
-        let id = self.regions.len();
-        let formed_use = self.cache[seed]
-            .as_ref()
-            .expect("translated")
-            .record
-            .use_count;
-        let dump = formed.into_dump(id);
-        // Formation installs the region's optimized code, compiled in
-        // the form this run executes (guarded, observed, or stepped).
-        let trace = self.compile_region(&dump);
-        let region = RuntimeRegion::new(dump, trace, formed_use);
-        self.trace_emit(|| EventKind::RegionFormed {
-            region: id as u64,
-            entry_pc: seed as u64,
-            blocks: region.dump.copies.len() as u32,
-            kind: trace_region_kind(region.dump.kind),
-        });
-        // Freeze every member: optimized code is not instrumented
-        // (two-phase semantics; continuous mode keeps counting).
-        if self.freezes() {
-            for &pc in &region.dump.copies {
-                let Some(e) = self.cache[pc].as_mut() else {
-                    continue;
-                };
-                if e.frozen {
-                    continue;
+        let mut events = Vec::with_capacity(CHUNK);
+        let mut pc = Some(program.entry());
+        while let Some(mut at) = pc {
+            events.clear();
+            loop {
+                let ev = exec.step(at, machine)?;
+                events.push(ev);
+                pc = ev.exit.map(|(_, target)| target);
+                match pc {
+                    Some(next) if events.len() < CHUNK => at = next,
+                    _ => break,
                 }
-                e.frozen = true;
-                let (use_count, registered) = (e.record.use_count, e.registered);
-                self.trace_emit(|| EventKind::CounterFrozen {
-                    pc: pc as u64,
-                    use_count,
-                    registered,
-                });
+            }
+            for policy in &mut policies {
+                policy.consume(&exec.cache, &events);
             }
         }
-        self.cache[seed].as_mut().expect("translated").entry_of = Some(id);
-        self.regions.push(region);
-    }
-
-    fn into_outcome(self, output: Vec<i64>) -> RunOutcome {
-        let mut blocks = std::collections::BTreeMap::new();
-        for entry in self.cache.into_iter().flatten() {
-            if entry.record.use_count > 0 {
-                blocks.insert(entry.block.start, entry.record);
-            }
-        }
-        let threshold = if self.config.mode == ProfilingMode::NoOpt {
-            0
-        } else {
-            self.config.threshold
-        };
-        let mut regions: Vec<RegionDump> = self
-            .regions
+        let output = machine.output();
+        Ok(policies
             .into_iter()
-            .filter(|r| !r.retired)
-            .map(|r| r.dump)
-            .collect();
-        for (i, r) in regions.iter_mut().enumerate() {
-            r.id = i;
-        }
-        let inip = InipDump {
-            threshold,
-            regions,
-            blocks,
-            entry: self.program.entry(),
-            profiling_ops: self.stats.profiling_ops,
-            cycles: self.stats.cycles,
-            instructions: self.stats.instructions,
-        };
-        RunOutcome {
-            inip,
-            output,
-            stats: self.stats,
-            intervals: self.intervals,
-        }
+            .map(|p| p.into_outcome(program.entry(), output.to_vec()))
+            .collect())
     }
 }
 
@@ -939,7 +350,12 @@ impl<'p> Engine<'p> {
 mod tests {
     use super::*;
     use crate::config::RegionPolicy;
+    use crate::policy::reform_due;
+    use crate::trace::CompiledTrace;
+    use crate::Backend;
     use tpdbt_isa::{structured, Cond, ProgramBuilder, Reg};
+    use tpdbt_profile::{RegionKind, TermKind};
+    use tpdbt_trace::EventKind;
 
     fn hot_loop(iters: i64) -> Program {
         let mut b = ProgramBuilder::new();
@@ -1258,15 +674,15 @@ mod tests {
 
     /// The translation cache and region traces, inspected on the
     /// engine a whole run leaves behind: each region owns its trace,
-    /// formation and re-formation compile it from the cache, and
-    /// retirement makes it unreachable.
+    /// compiled from the cache at its first entry after formation or
+    /// re-formation, and retirement makes it unreachable.
     mod trace_slots {
         use super::*;
 
         /// Runs `p` to completion and returns the engine as the run
         /// left it.
         fn run_engine<'p>(
-            config: &'p DbtConfig,
+            config: &DbtConfig,
             p: &'p Program,
             shared: Option<&Arc<PredecodedProgram>>,
         ) -> Engine<'p> {
@@ -1275,20 +691,19 @@ mod tests {
             engine
         }
 
-        /// Every live region runs a trace of exactly its copy list, and
-        /// every dispatch link points at a live region.
+        /// Every live region that ran has a trace of exactly its copy
+        /// list, and every dispatch link points at a live region.
         fn assert_traces_match_shapes(engine: &Engine<'_>) {
-            for r in engine.regions.iter().filter(|r| !r.retired) {
-                assert_eq!(r.trace.starts(), r.dump.copies, "region {}", r.dump.id);
+            let regions = &engine.policy.regions;
+            for r in regions.iter().filter(|r| !r.retired) {
+                if let Some(trace) = &r.trace {
+                    assert_eq!(trace.starts(), r.dump.copies, "region {}", r.dump.id);
+                }
             }
-            for e in engine.cache.iter().flatten() {
-                if let Some(ri) = e.entry_of {
-                    assert!(
-                        !engine.regions[ri].retired,
-                        "pc {} dispatches a retired region",
-                        e.block.start
-                    );
-                    assert_eq!(engine.regions[ri].dump.entry_pc(), e.block.start);
+            for (pc, e) in engine.policy.blocks.iter().enumerate() {
+                if let Some(ri) = e.as_ref().and_then(|e| e.entry_of) {
+                    assert!(!regions[ri].retired, "pc {pc} dispatches a retired region");
+                    assert_eq!(regions[ri].dump.entry_pc(), pc);
                 }
             }
         }
@@ -1307,10 +722,11 @@ mod tests {
             for (backend, config, guarded) in cases {
                 let config = config.with_backend(backend);
                 let engine = run_engine(&config, &p, None);
-                assert!(!engine.regions.is_empty(), "{backend} {:?}", config.mode);
+                let regions = &engine.policy.regions;
+                assert!(!regions.is_empty(), "{backend} {:?}", config.mode);
                 assert_traces_match_shapes(&engine);
-                for r in &engine.regions {
-                    let fast = r.trace.fast_guards();
+                for r in regions {
+                    let fast = r.trace.as_ref().expect("the loop region ran").fast_guards();
                     assert_eq!(
                         fast > 0,
                         guarded,
@@ -1320,6 +736,7 @@ mod tests {
                 }
                 // Only the fused form keeps decoded code per block.
                 let forms: Vec<bool> = engine
+                    .exec
                     .cache
                     .iter()
                     .flatten()
@@ -1342,16 +759,21 @@ mod tests {
             for backend in Backend::ALL {
                 let config = DbtConfig::continuous(1000).with_backend(backend);
                 let mut engine = run_engine(&config, &p, None);
-                let before: Vec<(Arc<CompiledTrace>, Vec<Pc>, u64)> = engine
+                type Snapshot = (Option<Arc<CompiledTrace>>, Vec<Pc>, u64);
+                let before: Vec<Snapshot> = engine
+                    .policy
                     .regions
                     .iter()
-                    .map(|r| (Arc::clone(&r.trace), r.dump.copies.clone(), r.formed_use))
+                    .map(|r| (r.trace.clone(), r.dump.copies.clone(), r.formed_use))
                     .collect();
                 engine.execute(&mut Machine::new(&p, &[])).unwrap();
                 let mut reformed = 0;
-                for (r, (old, copies, formed_use)) in engine.regions.iter().zip(&before) {
+                for (r, (old, copies, formed_use)) in engine.policy.regions.iter().zip(&before) {
+                    let (Some(old), Some(new)) = (old, &r.trace) else {
+                        continue;
+                    };
                     assert_eq!(old.starts(), *copies, "{backend}: snapshot changed");
-                    let fresh = !Arc::ptr_eq(old, &r.trace);
+                    let fresh = !Arc::ptr_eq(old, new);
                     assert_eq!(fresh, r.formed_use != *formed_use, "{backend}");
                     reformed += usize::from(fresh);
                 }
@@ -1369,25 +791,29 @@ mod tests {
             for backend in Backend::ALL {
                 let config = DbtConfig::adaptive(500).with_backend(backend);
                 let engine = run_engine(&config, &p, None);
+                let policy = &engine.policy;
                 assert!(
-                    engine.stats.retirements > 0,
+                    policy.stats.retirements > 0,
                     "{backend}: {:?}",
-                    engine.stats
+                    policy.stats
                 );
                 assert_traces_match_shapes(&engine);
-                let retired = engine
+                let retired = policy
                     .regions
                     .iter()
                     .find(|r| r.retired)
                     .expect("retired region");
                 let entry = retired.dump.entry_pc();
-                let fresh = engine.cache[entry]
+                let fresh = policy.blocks[entry]
                     .as_ref()
                     .and_then(|e| e.entry_of)
-                    .map(|ri| &engine.regions[ri])
+                    .map(|ri| &policy.regions[ri])
                     .expect("a fresh region forms at the retired entry");
-                assert!(!Arc::ptr_eq(&fresh.trace, &retired.trace), "{backend}");
-                assert_eq!(fresh.trace.starts(), fresh.dump.copies, "{backend}");
+                let (Some(old), Some(new)) = (&retired.trace, &fresh.trace) else {
+                    panic!("{backend}: both regions ran");
+                };
+                assert!(!Arc::ptr_eq(new, old), "{backend}");
+                assert_eq!(new.starts(), fresh.dump.copies, "{backend}");
             }
         }
 
@@ -1400,14 +826,15 @@ mod tests {
             let config = DbtConfig::two_phase(10);
             let first = run_engine(&config, &p, Some(&shared));
             let decoded = shared.decoded_count();
-            assert_eq!(decoded as u64, first.stats.blocks_translated);
+            assert_eq!(decoded as u64, first.policy.stats.blocks_translated);
             let second = run_engine(&config, &p, Some(&shared));
             assert_eq!(shared.decoded_count(), decoded, "no block decodes twice");
             for (a, b) in first
+                .exec
                 .cache
                 .iter()
                 .flatten()
-                .zip(second.cache.iter().flatten())
+                .zip(second.exec.cache.iter().flatten())
             {
                 assert!(Arc::ptr_eq(
                     a.code.as_ref().unwrap(),
@@ -1418,7 +845,7 @@ mod tests {
             let interp = DbtConfig::two_phase(10).with_backend(Backend::Interp);
             let fresh = Arc::new(PredecodedProgram::new(&p));
             let engine = run_engine(&interp, &p, Some(&fresh));
-            assert!(engine.predecoded.is_none());
+            assert!(engine.exec.predecoded.is_none());
             assert_eq!(fresh.decoded_count(), 0);
         }
 
@@ -1432,7 +859,7 @@ mod tests {
             let foreign = Arc::new(PredecodedProgram::new(&other.build().unwrap()));
             let config = DbtConfig::two_phase(10);
             let engine = run_engine(&config, &p, Some(&foreign));
-            let private = engine.predecoded.as_ref().expect("cached-fused");
+            let private = engine.exec.predecoded.as_ref().expect("cached-fused");
             assert!(!Arc::ptr_eq(private, &foreign));
             assert_eq!(private.len(), p.len());
             assert_eq!(foreign.decoded_count(), 0);

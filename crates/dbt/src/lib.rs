@@ -36,6 +36,14 @@
 //! future-work continuous profiling (counters never freeze, regions are
 //! re-formed when stale) and is used for ablation studies.
 //!
+//! A run is an executor (the guest machine's per-block code) feeding a
+//! translation policy (counters, pool, regions, costs). [`Dbt::run`]
+//! feeds one policy and runs installed regions as compiled traces;
+//! [`Lockstep::run`] steps the guest once and feeds one policy per
+//! configuration, so the paper's AVEP, `T = 1` base and threshold
+//! ladder on one input cost one guest execution. Each lockstep outcome
+//! is bitwise equal to its configuration's single run.
+//!
 //! How translated code executes on the *host* is a separate axis,
 //! selected by [`Backend`]: reference interpretation (`interp`, the
 //! differential oracle) or a translation cache of fused
@@ -73,12 +81,15 @@ mod backend;
 mod config;
 mod engine;
 mod error;
+mod exec;
 pub mod offline;
+mod policy;
 mod region;
 mod trace;
 
 pub use backend::Backend;
 pub use config::{AdaptPolicy, CostModel, DbtConfig, OptMode, ProfilingMode, RegionPolicy};
-pub use engine::{Dbt, ExecStats, RunOutcome};
+pub use engine::{Dbt, Lockstep, RunOutcome};
 pub use error::DbtError;
+pub use policy::ExecStats;
 pub use trace::CompiledTrace;

@@ -18,7 +18,8 @@ use tpdbt_profile::{BlockRecord, RegionDump, RegionEdge, RegionKind, SuccSlot};
 use crate::config::RegionPolicy;
 
 /// Read access to decoded blocks and their live counters, as needed by
-/// region formation (implemented by the engine's translation cache).
+/// region formation (implemented by a policy's counters over the
+/// executor's translation cache).
 pub(crate) trait BlockSource {
     /// The terminator of the block at `pc`, if translated.
     fn terminator(&self, pc: Pc) -> Option<&Terminator>;
@@ -28,7 +29,7 @@ pub(crate) trait BlockSource {
     fn block_len(&self, pc: Pc) -> Option<u32>;
 }
 
-/// A freshly formed region, before registration with the engine.
+/// A freshly formed region, before its policy installs it.
 #[derive(Clone, Debug, PartialEq)]
 pub(crate) struct FormedRegion {
     pub kind: RegionKind,
@@ -40,8 +41,11 @@ pub(crate) struct FormedRegion {
 }
 
 impl FormedRegion {
-    /// Converts to the dump representation with the given id.
-    pub fn into_dump(self, id: usize) -> RegionDump {
+    /// Converts to the dump representation with the given id, trimmed
+    /// to size: a region lives for the rest of the run.
+    pub fn into_dump(mut self, id: usize) -> RegionDump {
+        self.copies.shrink_to_fit();
+        self.edges.shrink_to_fit();
         RegionDump {
             id,
             kind: self.kind,

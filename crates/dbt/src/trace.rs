@@ -1,17 +1,19 @@
-//! Trace compilation: every installed region runs as a straight-line
-//! trace of [`TraceSegment`]s, one per region copy.
+//! Trace compilation: in a single run, every installed region runs as
+//! a straight-line trace of [`TraceSegment`]s, one per region copy.
+//! (A lockstep run walks the same edge table block by block instead;
+//! see [`crate::policy`].)
 //!
 //! A segment's terminator is pre-resolved to a [`Guard`] — the compiled
 //! form of the region's internal edge table. Conditional branches
 //! evaluate inline and map straight to the next segment, and direct
 //! jumps follow their one compiled edge; leaving through a direction the
 //! edge table does not cover is a *side exit* ([`EXIT`]). The segment
-//! form is picked once per region, at install:
+//! form is picked once per region, when it is compiled:
 //!
 //! * **Guarded** (`cached-fused`, all modes but continuous): fused
 //!   superinstruction bodies, fast guards for branches and jumps.
 //! * **Observed** (`cached-fused`, continuous): the same bodies, but
-//!   every guard is [`Guard::Other`], so the engine sees each block's
+//!   every guard is [`Guard::Other`], so the policy sees each block's
 //!   flow and keeps counting inside the region.
 //! * **Stepped** (`interp`): every guard is [`Guard::Other`] and every
 //!   instruction runs through [`tpdbt_vm::step`], so the interpreter
@@ -21,9 +23,9 @@
 //! stepping copy `i` would (fused bodies are sequential compositions;
 //! guards evaluate precisely [`tpdbt_vm::exec_term`]'s expression), so
 //! per-copy bookkeeping is identical in every form. Terminators with
-//! engine-visible bookkeeping (returns number `ret_targets`, calls
+//! executor-visible bookkeeping (returns number `ret_targets`, calls
 //! push the shadow stack) compile to [`Guard::Other`], which defers to
-//! the engine's generic path instead of guessing.
+//! the executor's generic path instead of guessing.
 
 use std::sync::Arc;
 
@@ -34,12 +36,12 @@ use tpdbt_vm::{exec_body, exec_term, step, Flow, Machine, VmError};
 use crate::backend::step_block;
 
 /// Successor sentinel: control leaves the region (side exit or tail
-/// completion — the engine distinguishes by comparing against the
+/// completion — the policy distinguishes by comparing against the
 /// region's tail copy).
 pub(crate) const EXIT: u32 = u32::MAX;
 
 /// A segment's pre-resolved terminator decision. The fast variants are
-/// trap-free and read-only; everything with traps or engine-visible
+/// trap-free and read-only; everything with traps or executor-visible
 /// side effects is [`Guard::Other`].
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum Guard {
@@ -67,8 +69,9 @@ pub(crate) enum Guard {
         /// Guest target.
         target: Pc,
     },
-    /// Anything with traps or engine bookkeeping (call, return, switch,
-    /// halt): the engine runs its generic terminator + outcome path.
+    /// Anything with traps or executor bookkeeping (call, return,
+    /// switch, halt): the executor runs its generic terminator +
+    /// outcome path.
     Other,
 }
 
@@ -106,7 +109,7 @@ impl Guard {
 }
 
 /// How a segment's code executes: the per-form half of a
-/// [`TraceSegment`]. The engine's region loop is generic over it, so
+/// [`TraceSegment`]. The executor's region loop is generic over it, so
 /// each form runs its own monomorphized loop, with no per-segment
 /// branch on the form.
 pub(crate) trait SegmentCode: Sized {
@@ -161,7 +164,7 @@ impl SegmentCode for Step {
 pub(crate) struct TraceSegment<C> {
     /// Guest address of the copy's first instruction.
     pub start: Pc,
-    /// Instruction count including the terminator (the engine's
+    /// Instruction count including the terminator (the policy's
     /// per-block `instructions` / cycle accounting quantum).
     pub len: u32,
     /// Guest address of the terminator.
@@ -184,9 +187,9 @@ pub(crate) enum Segments {
 /// An optimized region compiled into a straight-line trace (one
 /// `TraceSegment` per region copy, entry first).
 ///
-/// Compiled by the engine from its translation cache at region install
-/// and re-formation (sync and deferred installs alike); executed by
-/// the engine's one region loop.
+/// Compiled by a single run from the executor's translation cache at
+/// the region's first entry after formation or re-formation; executed
+/// by the executor's one region loop.
 /// Opaque outside the crate — tests can observe shape through
 /// [`CompiledTrace::starts`].
 #[derive(Clone, Debug)]
@@ -400,7 +403,7 @@ mod tests {
     }
 
     /// The observed form keeps the fused bodies whole and defers every
-    /// terminator to the engine's generic path.
+    /// terminator to the executor's generic path.
     #[test]
     fn observed_form_has_no_fast_guards() {
         let p = loop_program();

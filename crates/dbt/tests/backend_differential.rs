@@ -13,11 +13,11 @@
 use proptest::prelude::*;
 
 use tpdbt_dbt::{Backend, Dbt, DbtConfig, RegionPolicy, RunOutcome};
-use tpdbt_isa::{structured, Cond, Program, ProgramBuilder, Reg};
+use tpdbt_isa::Program;
 
 #[path = "support/programs.rs"]
 mod programs;
-use programs::{arb_stmt, build};
+use programs::{arb_stmt, build, hot_loop, phase_flip_program};
 
 fn run_with(config: DbtConfig, backend: Backend, p: &Program, input: &[i64]) -> RunOutcome {
     Dbt::new(config.with_backend(backend))
@@ -159,34 +159,4 @@ fn chained_regions_survive_reform_and_retirement_identically() {
     assert_eq!(ad_i.stats, ad_c.stats, "{backend}");
     assert_eq!(ad_i.inip.blocks, ad_c.inip.blocks, "{backend}");
     assert_eq!(ad_i.inip.regions, ad_c.inip.regions, "{backend}");
-}
-
-fn hot_loop(iters: i64) -> Program {
-    let mut b = ProgramBuilder::new();
-    let r = Reg::new(0);
-    structured::counted_loop(&mut b, r, 0, 1, Cond::Lt, iters, |_| {}).unwrap();
-    b.halt();
-    b.build().unwrap()
-}
-
-/// A loop whose likely branch direction flips halfway through the run.
-fn phase_flip_program() -> Program {
-    let mut b = ProgramBuilder::new();
-    let (i, x, half) = (Reg::new(0), Reg::new(1), Reg::new(2));
-    b.movi(half, 60_000);
-    let head = b.fresh_label("head");
-    let then = b.fresh_label("then");
-    let join = b.fresh_label("join");
-    b.movi(i, 0);
-    b.bind(head).unwrap();
-    b.br_reg(Cond::Lt, i, half, then);
-    b.addi(x, x, 2);
-    b.jmp(join);
-    b.bind(then).unwrap();
-    b.addi(x, x, 1);
-    b.bind(join).unwrap();
-    b.addi(i, i, 1);
-    b.br_imm(Cond::Lt, i, 120_000, head);
-    b.halt();
-    b.build().unwrap()
 }

@@ -1,8 +1,10 @@
-//! Random structured guest programs for the backend parity tests.
+//! Guest programs for the parity tests: random structured programs,
+//! plus a hot loop and a phase-flipping loop for the boundary cases.
 //!
-//! Shared by `tests/backend_differential.rs` (whole runs) and the
-//! per-block lockstep test in `src/backend.rs`, which includes this
-//! file by path.
+//! Shared by `tests/backend_differential.rs` and `tests/lockstep.rs`
+//! (whole runs) and the per-block lockstep test in `src/backend.rs`,
+//! which includes this file by path; each uses a subset.
+#![allow(dead_code)]
 
 use proptest::prelude::*;
 use tpdbt_isa::{structured, Cond, FReg, Program, ProgramBuilder, Reg};
@@ -115,4 +117,35 @@ pub fn build(stmts: &[Stmt]) -> Program {
     b.out(acc);
     b.halt();
     b.build().expect("structured composition always validates")
+}
+
+/// A counted loop of `iters` trips around one block.
+pub fn hot_loop(iters: i64) -> Program {
+    let mut b = ProgramBuilder::new();
+    let r = Reg::new(0);
+    structured::counted_loop(&mut b, r, 0, 1, Cond::Lt, iters, |_| {}).unwrap();
+    b.halt();
+    b.build().unwrap()
+}
+
+/// A loop whose likely branch direction flips halfway through the run.
+pub fn phase_flip_program() -> Program {
+    let mut b = ProgramBuilder::new();
+    let (i, x, half) = (Reg::new(0), Reg::new(1), Reg::new(2));
+    b.movi(half, 60_000);
+    let head = b.fresh_label("head");
+    let then = b.fresh_label("then");
+    let join = b.fresh_label("join");
+    b.movi(i, 0);
+    b.bind(head).unwrap();
+    b.br_reg(Cond::Lt, i, half, then);
+    b.addi(x, x, 2);
+    b.jmp(join);
+    b.bind(then).unwrap();
+    b.addi(x, x, 1);
+    b.bind(join).unwrap();
+    b.addi(i, i, 1);
+    b.br_imm(Cond::Lt, i, 120_000, head);
+    b.halt();
+    b.build().unwrap()
 }

@@ -7,15 +7,17 @@
 //!                [--backend interp|cached-fused]
 //!                [--threshold T]... [--input N,N,...] [--input-file PATH]
 //!                [--dump PATH] [--stats] [--suite BENCH --scale S]
-//!                [--jobs N] [--cache-dir DIR]
+//!                [--cache-dir DIR]
 //!                [--trace PATH [--trace-format jsonl|chrome]]
 //!                [--max-retries N] [--fail-fast] [--watchdog-fuel N]
 //!                [--inject SPEC]
 //! ```
 //!
 //! `--trace PATH` attaches a structured-event tracer: the engine
-//! reports translations, counter bumps/freezes, and region lifecycle;
-//! in sweep mode the orchestrator adds per-cell and store events. The
+//! reports translations, counter bumps/freezes, and region lifecycle
+//! (in sweep mode, for every threshold's policy of the one guest
+//! execution); in sweep mode the orchestrator adds per-cell and store
+//! events. The
 //! collected events are written to `PATH` on exit (`--trace-format`
 //! picks JSONL or a Chrome `trace_event` timeline).
 //!
@@ -31,8 +33,9 @@
 //! translator entirely.)
 //!
 //! Repeating `--threshold` switches to sweep mode (two-phase only): the
-//! guest is swept over every requested threshold on a `--jobs N` worker
-//! pool, each `INIP(T)` is analyzed against the guest's own `AVEP`, and
+//! guest runs once, its `AVEP` and every requested threshold as
+//! lockstep policies over that one execution, each `INIP(T)` is
+//! analyzed against the guest's own `AVEP`, and
 //! with `--cache-dir DIR` both the `AVEP` baseline and every cell are
 //! served from the persistent profile store on reruns. Sweep cells are
 //! fault isolated (DESIGN.md §9): `--max-retries`/`--fail-fast`/
@@ -58,7 +61,7 @@ fn usage() -> ! {
          \u{20}                [--threshold T]... [--input N,N,...] [--input-file PATH]\n\
          \u{20}                [--dump PATH] [--emit PATH] [--stats] [--list]\n\
          \u{20}                [--trace PATH [--trace-format jsonl|chrome]]\n\
-         \u{20}                [--jobs N] [--cache-dir DIR]   (multi-threshold sweep mode)\n\
+         \u{20}                [--cache-dir DIR]   (multi-threshold sweep mode)\n\
          \u{20}                [--max-retries N] [--fail-fast] [--watchdog-fuel N] [--inject SPEC]"
     );
     std::process::exit(2)
@@ -131,9 +134,6 @@ fn main() -> tpdbt_experiments::Result<()> {
                 });
             }
             "--threshold" => thresholds.push(at_least_one("--threshold", args.next())),
-            "--jobs" => {
-                sweep_opts.jobs = args.next().unwrap_or_else(|| usage()).parse()?;
-            }
             "--cache-dir" => {
                 sweep_opts.cache_dir = Some(args.next().unwrap_or_else(|| usage()).into());
             }

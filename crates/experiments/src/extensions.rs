@@ -22,14 +22,21 @@
 use std::time::Instant;
 
 use tpdbt_dbt::offline::{as_inip_with_regions, form_offline_regions};
-use tpdbt_dbt::{Backend, Dbt, DbtConfig, RegionPolicy};
+use tpdbt_dbt::{Backend, Dbt, DbtConfig, Lockstep, RegionPolicy, RunOutcome};
 use tpdbt_profile::report::analyze;
 use tpdbt_profile::{diagnose, navep};
-use tpdbt_suite::{workload, InputKind, Scale};
+use tpdbt_suite::{workload, InputKind, Scale, Workload};
 
 use crate::runner::ladder;
 use crate::table::Table;
 use crate::Result;
+
+/// Runs `w` once under both `configs` in lockstep: the outcomes equal
+/// two single runs.
+fn lockstep(configs: [DbtConfig; 2], w: &Workload) -> Result<[RunOutcome; 2]> {
+    let outs = Lockstep::new(configs.to_vec()).run_built(&w.binary, &w.input)?;
+    Ok(outs.try_into().expect("one outcome per config"))
+}
 
 /// Future-work bullet 3: `Sd.CP(train)` and `Sd.LP(train)` per
 /// benchmark, with regions formed offline from the training profile at
@@ -95,8 +102,13 @@ pub fn continuous_study(names: &[&str], scale: Scale, nominal_threshold: u64) ->
     );
     for name in names {
         let w = workload(name, scale, InputKind::Ref)?;
-        let two = Dbt::new(DbtConfig::two_phase(threshold)).run_built(&w.binary, &w.input)?;
-        let cont = Dbt::new(DbtConfig::continuous(threshold)).run_built(&w.binary, &w.input)?;
+        let [two, cont] = lockstep(
+            [
+                DbtConfig::two_phase(threshold),
+                DbtConfig::continuous(threshold),
+            ],
+            &w,
+        )?;
         t.row(vec![
             (*name).to_string(),
             two.stats.cycles.to_string(),
@@ -132,8 +144,13 @@ pub fn adaptive_study(names: &[&str], scale: Scale, nominal_threshold: u64) -> R
     );
     for name in names {
         let w = workload(name, scale, InputKind::Ref)?;
-        let two = Dbt::new(DbtConfig::two_phase(threshold)).run_built(&w.binary, &w.input)?;
-        let ad = Dbt::new(DbtConfig::adaptive(threshold)).run_built(&w.binary, &w.input)?;
+        let [two, ad] = lockstep(
+            [
+                DbtConfig::two_phase(threshold),
+                DbtConfig::adaptive(threshold),
+            ],
+            &w,
+        )?;
         t.row(vec![
             (*name).to_string(),
             two.stats.side_exits.to_string(),
@@ -330,11 +347,16 @@ pub fn threshold_selection(names: &[&str], scale: Scale) -> Result<Table> {
     );
     for name in names {
         let w = workload(name, scale, InputKind::Ref)?;
-        let base = Dbt::new(DbtConfig::two_phase(1)).run_built(&w.binary, &w.input)?;
+        // The base and the whole ladder share one guest execution.
+        let configs = std::iter::once(1)
+            .chain(points.iter().map(|p| p.actual))
+            .map(DbtConfig::two_phase)
+            .collect();
+        let outs = Lockstep::new(configs).run_built(&w.binary, &w.input)?;
+        let (base, ladder_outs) = outs.split_first().expect("the base config runs");
         let mut best: Option<(&str, f64)> = None;
         let mut at_2k = None;
-        for p in &points {
-            let out = Dbt::new(DbtConfig::two_phase(p.actual)).run_built(&w.binary, &w.input)?;
+        for (p, out) in points.iter().zip(ladder_outs) {
             let rel = base.stats.cycles as f64 / out.stats.cycles as f64;
             if best.is_none_or(|(_, b)| rel > b) {
                 best = Some((p.label, rel));

@@ -1,47 +1,57 @@
 //! Cached, parallel sweep orchestration: the one executor of the
-//! paper's methodology ([`crate::runner`]). Every `(benchmark,
-//! ladder-point)` cell runs through two layers:
+//! paper's methodology ([`crate::runner`]). The work unit is one
+//! benchmark input, and it runs through two layers:
 //!
 //! * **Persistent profile store** — with a cache directory
-//!   ([`SweepOptions::cache_dir`]), every guest execution's result is
-//!   written to a [`ProfileStore`] keyed by the full identity of the
-//!   run (workload, input kind, scale, profiling mode, threshold, and a
+//!   ([`SweepOptions::cache_dir`]), every cell's artifact is written to
+//!   a [`ProfileStore`] keyed by the full identity of the run
+//!   (workload, input kind, scale, profiling mode, threshold, and a
 //!   content fingerprint of the guest binary + input words +
 //!   [`DbtConfig::fingerprint`]). A warm rerun of an identical sweep
 //!   performs **zero** guest re-executions and reproduces
 //!   bitwise-identical metrics; any change to a benchmark generator or
 //!   config knob changes the fingerprint and re-addresses fresh slots.
-//! * **Scoped-thread worker pool** — independent cells execute
+//! * **Scoped-thread worker pool** — independent units execute
 //!   concurrently ([`SweepOptions::jobs`]) over a shared work queue,
-//!   with results committed by cell index so ordering and values are
+//!   with results committed by unit index so ordering and values are
 //!   identical to serial execution.
 //!
-//! The sweep runs in two phases: first the per-benchmark baselines
-//! (`AVEP`, `INIP(train)`, and the `T = 1` performance base — the most
-//! expensive runs), then every `INIP(T)` ladder cell, each phase fanned
-//! out over the pool. Per-cell hit/miss and timing stats are collected
-//! in [`SweepReport::cells`] for end-of-sweep reporting.
-//! [`threshold_sweep`] (one guest, `tpdbt-run`) goes through the same
-//! `avep` baseline cell, ladder-cell loop and report.
+//! A benchmark is two units. The ref unit holds `AVEP`, the `T = 1`
+//! performance base and every `INIP(T)` ladder cell; the train unit
+//! holds `INIP(train)`. Each cell looks itself up in the store, and the
+//! cells that missed share one guest execution: a [`Lockstep`] run
+//! that steps the guest once and feeds one translation policy per
+//! distinct key, each outcome bitwise equal to that config's single
+//! run. So a cold ref unit is one guest run, not one per cell. Per-cell
+//! hit/miss and timing stats are collected in [`SweepReport::cells`]
+//! for end-of-sweep reporting. [`threshold_sweep`] (one guest,
+//! `tpdbt-run`) runs one such unit.
 //!
 //! This module is the one cell path of every producer and consumer of
 //! stored artifacts. [`SuiteGuest`] is the only guest identity and
 //! derives every cache key; [`Producer`] is the only code that runs a
-//! guest for an artifact and builds it (`plain`, `base`, `cell`).
-//! `tpdbt-dump` and `tpdbt-serve` use both, so an artifact means the
-//! same thing, and has the same bytes, whoever computed it.
+//! guest for an artifact and builds it, with one builder per kind
+//! (`plain`, `base`, `cell`). `tpdbt-dump` and `tpdbt-serve` use both,
+//! so an artifact means the same thing, and has the same bytes,
+//! whoever computed it.
 //!
 //! Every cell is additionally a fault-isolation domain (DESIGN.md §9):
-//! its body runs under `catch_unwind`, failures are classified by
+//! its store lookup, and the guest execution it shares with the other
+//! cells of its unit, run under `catch_unwind` (the lookup with the
+//! cell's fault injection), failures are classified by
 //! [`crate::resilience::CellFailure`], retryable ones (worker panics)
 //! get up to [`FaultPolicy::max_retries`] exponential-backoff retries,
 //! and fatal ones (deterministic guest traps, harness errors) fail the
 //! cell alone — the sweep keeps going, drops the failed cell from the
-//! results, and reports the damage in [`SweepReport::degraded`]. With
-//! [`FaultPolicy::fail_fast`] the first failed cell aborts the sweep
-//! instead. A [`FaultPolicy::plan`] arms deterministic fault injection
-//! in the workers and the store; with no plan attached every site is
-//! one branch.
+//! results, and reports the damage in [`SweepReport::degraded`]. A
+//! shared execution that keeps panicking reruns each policy alone, so
+//! only the cells whose own policy panics are lost; a guest trap fails
+//! every cell that needed the execution, since they all trap alike. A
+//! failed baseline (`avep`, `base`, `train`) drops its benchmark.
+//! With [`FaultPolicy::fail_fast`] the first failed cell aborts the
+//! sweep instead. A [`FaultPolicy::plan`] arms deterministic fault
+//! injection in the workers and the store; with no plan attached every
+//! site is one branch.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -49,15 +59,15 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use tpdbt_dbt::{Backend, Dbt, DbtConfig, DbtError, ProfilingMode, RunOutcome};
+use tpdbt_dbt::{Backend, Dbt, DbtConfig, DbtError, Lockstep, ProfilingMode, RunOutcome};
 use tpdbt_faults::{FaultPlan, FaultSite};
 use tpdbt_isa::{binfmt, BuiltProgram, PredecodedProgram};
-use tpdbt_profile::report::{analyze, analyze_train, ThresholdMetrics, TrainMetrics};
+use tpdbt_profile::report::{analyze, analyze_train, ThresholdMetrics};
 use tpdbt_store::digest::{fnv64, fnv64_words, Fnv64};
 use tpdbt_store::{
     BaseArtifact, CacheKey, CellArtifact, PlainArtifact, ProfileStore, TypedArtifact,
 };
-use tpdbt_suite::{workload, BenchClass, InputKind, Scale, Workload};
+use tpdbt_suite::{workload, BenchClass, InputKind, Scale};
 use tpdbt_trace::stats::Histogram;
 use tpdbt_trace::{EventKind, Tracer};
 use tpdbt_vm::VmError;
@@ -117,7 +127,11 @@ pub struct CellStat {
     pub label: String,
     /// Whether the store served it without a guest run.
     pub hit: bool,
-    /// Wall-clock time spent on this cell, in microseconds.
+    /// Wall-clock time attributed to this cell, in microseconds. A
+    /// store hit is its own lookup. The cells a unit computed share one
+    /// guest execution, so they split the unit's wall time, less its
+    /// hits' lookups, evenly. The cells of a sweep therefore add up to
+    /// at most [`SweepReport::elapsed`] under `jobs = 1`.
     pub micros: u64,
 }
 
@@ -130,7 +144,10 @@ pub struct SweepReport {
     /// Per-cell hit/miss + timing, baselines first, then ladder cells,
     /// both in deterministic (benchmark-major) order.
     pub cells: Vec<CellStat>,
-    /// Guest executions actually performed.
+    /// Guest executions actually performed: one per unit that had a
+    /// cell to compute (two when a stored artifact failed the check
+    /// against a freshly computed `AVEP`, and more when a panic made
+    /// the unit retry or rerun its policies alone).
     pub guest_runs: u64,
     /// Store lookups served from disk.
     pub cache_hits: u64,
@@ -156,8 +173,8 @@ pub struct SweepReport {
     pub degraded: DegradedReport,
 }
 
-/// Splits per-cell wall times into the sweep's two phases: baselines
-/// (`avep`/`train`/`base`) and ladder cells (everything else).
+/// Splits per-cell wall times into baselines (`avep`/`train`/`base`)
+/// and ladder cells (everything else).
 fn phase_histograms(cells: &[CellStat]) -> (Histogram, Histogram) {
     let mut baseline = Histogram::new();
     let mut ladder = Histogram::new();
@@ -402,82 +419,308 @@ impl Ctx<'_> {
         }
     }
 
-    /// Runs one cell body inside the fault-isolation boundary: panics
-    /// are caught, failures classified, retryable ones retried with
-    /// exponential backoff up to [`FaultPolicy::max_retries`], terminal
-    /// failures recorded. Cells queued after a `--fail-fast` abort
-    /// return [`CellFailure::Skipped`] without running.
+    /// Runs `body` inside the fault-isolation boundary of the cells
+    /// `labels`: panics are caught, failures classified, and retryable
+    /// ones retried with exponential backoff up to
+    /// [`FaultPolicy::max_retries`]. A success after retries is a
+    /// retried incident of every cell; a terminal failure comes back
+    /// with its attempt count, for the caller to record. Cells queued
+    /// after a `--fail-fast` abort return [`CellFailure::Skipped`]
+    /// without running.
+    fn retrying<T>(
+        &self,
+        bench: &str,
+        labels: &[&str],
+        body: impl Fn() -> Result<T>,
+    ) -> std::result::Result<T, (CellFailure, u32)> {
+        let mut attempt: u32 = 0;
+        let mut last_cause = String::new();
+        loop {
+            if self.incidents.aborted() {
+                return Err((CellFailure::Skipped, attempt + 1));
+            }
+            let failure = match isolated(bench, &body) {
+                Ok(v) => {
+                    if attempt > 0 {
+                        for label in labels {
+                            self.retried(bench, label, attempt + 1, &last_cause);
+                        }
+                    }
+                    return Ok(v);
+                }
+                Err(failure) => failure,
+            };
+            let cause = failure.to_string();
+            if !failure.retryable() || attempt >= self.policy.max_retries {
+                return Err((failure, attempt + 1));
+            }
+            attempt += 1;
+            for label in labels {
+                self.trace_emit(|| EventKind::CellRetried {
+                    bench: bench.to_string(),
+                    label: (*label).to_string(),
+                    attempt,
+                    cause: cause.clone(),
+                });
+            }
+            let backoff = self
+                .policy
+                .backoff
+                .saturating_mul(1_u32 << (attempt - 1).min(16))
+                .min(MAX_BACKOFF);
+            std::thread::sleep(backoff);
+            last_cause = cause;
+        }
+    }
+
+    /// Records a cell that failed `attempts - 1` times before it
+    /// succeeded.
+    fn retried(&self, bench: &str, label: &str, attempts: u32, cause: &str) {
+        self.incidents.record_retried(CellIncident {
+            bench: bench.to_string(),
+            label: label.to_string(),
+            attempts,
+            cause: cause.to_string(),
+        });
+    }
+
+    /// Runs one cell's body with the cell's fault injection under
+    /// [`Ctx::retrying`], recording a terminal failure.
     fn guarded<T>(
         &self,
         bench: &str,
         label: &str,
         body: impl Fn() -> Result<T>,
     ) -> std::result::Result<T, CellFailure> {
-        let mut attempt: u32 = 0;
-        let mut last_cause = String::new();
-        loop {
-            if self.incidents.aborted() {
-                return Err(CellFailure::Skipped);
-            }
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                self.inject_cell_faults(bench, label)?;
-                body()
-            }));
-            let failure = match outcome {
-                Ok(Ok(v)) => {
-                    if attempt > 0 {
-                        self.incidents.record_retried(CellIncident {
-                            bench: bench.to_string(),
-                            label: label.to_string(),
-                            attempts: attempt + 1,
-                            cause: last_cause,
-                        });
-                    }
-                    return Ok(v);
-                }
-                Ok(Err(e)) => CellFailure::classify(bench, e.as_ref()),
-                Err(payload) => CellFailure::Panic(panic_message(payload.as_ref())),
-            };
-            let cause = failure.to_string();
-            if failure.retryable() && attempt < self.policy.max_retries {
-                attempt += 1;
-                self.trace_emit(|| EventKind::CellRetried {
-                    bench: bench.to_string(),
-                    label: label.to_string(),
-                    attempt,
-                    cause: cause.clone(),
-                });
-                let backoff = self
-                    .policy
-                    .backoff
-                    .saturating_mul(1_u32 << (attempt - 1).min(16))
-                    .min(MAX_BACKOFF);
-                std::thread::sleep(backoff);
-                last_cause = cause;
-                continue;
-            }
-            self.record_failure(bench, label, attempt + 1, &failure);
-            return Err(failure);
+        self.retrying(bench, &[label], || {
+            self.inject_cell_faults(bench, label)?;
+            body()
+        })
+        .map_err(|(failure, attempts)| {
+            self.record_failure(bench, label, attempts, &failure);
+            failure
+        })
+    }
+
+    /// Looks up one cell's artifact in the store. A ladder cell's
+    /// artifact must also carry the cell's own threshold.
+    fn load(&self, guest: &SuiteGuest, cell: &UnitCell) -> Option<Yield> {
+        let store = self.store.as_ref()?;
+        let key = guest.key(&cell.cfg);
+        match cell.kind {
+            CellKind::Plain => store.load_plain(&key).map(Yield::Plain),
+            CellKind::Base => store.load_base(&key).map(Yield::Base),
+            CellKind::Ladder => store
+                .load_cell(&key)
+                .filter(|c| c.metrics.threshold == cell.cfg.threshold)
+                .map(Yield::Ladder),
         }
     }
 
-    /// Runs one cell start to finish: a `CellStarted` event, the body
-    /// timed inside [`Ctx::guarded`], then the cache verdict and
-    /// `CellCommitted` events. `body` returns its value and whether
-    /// the store served it.
-    fn run_cell<T>(
+    /// Runs one unit: every cell of `cells` on `guest`, the plain
+    /// profile first and baselines before ladder cells.
+    ///
+    /// Each cell is a fault-isolation domain for its store lookup,
+    /// which runs inside [`Ctx::guarded`] with the cell's fault
+    /// injection. A failed baseline stops the unit: later cells never
+    /// run (`None`). The cells that missed the store then share one
+    /// guest execution ([`Producer`]'s lockstep run), cells with
+    /// identical keys sharing one policy, and each builds and commits
+    /// its artifact from its outcome. That execution is retried and
+    /// isolated per policy as [`Ctx::execute`] describes.
+    ///
+    /// Stored artifacts must match the plain profile's output. When the
+    /// plain profile itself missed, that check waits for the execution,
+    /// and a stored artifact that fails it is recomputed by a second
+    /// one.
+    fn run_unit(&self, guest: &SuiteGuest, cells: &[UnitCell]) -> Vec<CellOutcome> {
+        let started = Instant::now();
+        let bench = guest.name.as_str();
+        let mut slots: Vec<Slot> = Vec::with_capacity(cells.len());
+        let mut baseline_failed = false;
+        for c in cells {
+            if baseline_failed {
+                slots.push(Slot::NotRun);
+                continue;
+            }
+            self.trace_emit(|| EventKind::CellStarted {
+                bench: bench.to_string(),
+                label: c.label.clone(),
+            });
+            let looked = self.guarded(bench, &c.label, || timed(|| Ok(self.load(guest, c))));
+            slots.push(match looked {
+                Ok((Some(found), micros)) => Slot::Stored(found, micros),
+                Ok((None, _)) => Slot::Missing,
+                Err(failure) => {
+                    baseline_failed = c.kind != CellKind::Ladder;
+                    Slot::Failed(failure)
+                }
+            });
+        }
+        loop {
+            let (plain, rest) = slots.split_at_mut(1);
+            if let Slot::Stored(Yield::Plain(p), _) | Slot::Computed(Yield::Plain(p)) = &plain[0] {
+                let expected = fnv64_words(&p.output);
+                for slot in rest {
+                    if matches!(slot, Slot::Stored(found, _) if found.output_digest() != expected) {
+                        *slot = Slot::Missing;
+                    }
+                }
+            }
+            let pending: Vec<usize> = (0..slots.len())
+                .filter(|&i| matches!(slots[i], Slot::Missing))
+                .collect();
+            if pending.is_empty() {
+                break;
+            }
+            self.compute(guest, cells, &pending, &mut slots);
+        }
+
+        // Stored cells keep their lookup time; the cells the unit
+        // computed split the rest of its wall time evenly.
+        let stored: u64 = slots
+            .iter()
+            .map(|s| match s {
+                Slot::Stored(_, micros) => *micros,
+                _ => 0,
+            })
+            .sum();
+        let computed = slots
+            .iter()
+            .filter(|s| matches!(s, Slot::Computed(_)))
+            .count() as u64;
+        let share = micros_since(started).saturating_sub(stored) / computed.max(1);
+        slots
+            .into_iter()
+            .zip(cells)
+            .map(|(slot, c)| match slot {
+                Slot::NotRun => None,
+                Slot::Failed(failure) => Some(Err(failure)),
+                Slot::Stored(found, micros) => {
+                    Some(Ok((found, self.committed(bench, c, true, micros))))
+                }
+                Slot::Computed(found) => Some(Ok((found, self.committed(bench, c, false, share)))),
+                Slot::Missing => unreachable!("every missing cell was computed or failed"),
+            })
+            .collect()
+    }
+
+    /// Computes the `pending` cells of a unit from one guest execution
+    /// ([`Ctx::execute`]) and fills their slots, in cell order: each
+    /// cell builds its artifact from its policy's outcome, or fails
+    /// with it. A cell whose artifact cannot be built fails alone.
+    fn compute(
         &self,
-        bench: &str,
-        label: &str,
-        body: impl Fn() -> Result<(T, bool)>,
-    ) -> std::result::Result<(T, CellStat), CellFailure> {
-        self.trace_emit(|| EventKind::CellStarted {
-            bench: bench.to_string(),
-            label: label.to_string(),
-        });
-        let ((value, hit), micros) = self.guarded(bench, label, || timed(&body))?;
+        guest: &SuiteGuest,
+        cells: &[UnitCell],
+        pending: &[usize],
+        slots: &mut [Slot],
+    ) {
+        let bench = guest.name.as_str();
+        // Identical keys share one policy.
+        let keys: Vec<CacheKey> = pending.iter().map(|&i| guest.key(&cells[i].cfg)).collect();
+        let mut configs = Vec::new();
+        let mut policy_of = Vec::with_capacity(pending.len());
+        for (j, key) in keys.iter().enumerate() {
+            let policy = match keys[..j].iter().position(|k| k == key) {
+                Some(first) => policy_of[first],
+                None => {
+                    configs.push(cells[pending[j]].cfg);
+                    configs.len() - 1
+                }
+            };
+            policy_of.push(policy);
+        }
+        let labels: Vec<&str> = pending.iter().map(|&i| cells[i].label.as_str()).collect();
+        let producer = self.producer();
+        let (mut outcomes, rerun) = self.execute(guest, &producer, &configs, &labels);
+        for (j, &i) in pending.iter().enumerate() {
+            let policy = policy_of[j];
+            // The last cell reading a policy's outcome takes it.
+            let out = if policy_of[j + 1..].contains(&policy) {
+                outcomes[policy].clone()
+            } else {
+                std::mem::replace(&mut outcomes[policy], Err((CellFailure::Skipped, 0)))
+            };
+            let (plain, rest) = slots.split_at_mut(1);
+            let avep = match &plain[0] {
+                Slot::Stored(Yield::Plain(p), _) | Slot::Computed(Yield::Plain(p)) => Some(p),
+                _ => None,
+            };
+            let c = &cells[i];
+            let built = out.and_then(|out| {
+                isolated(bench, || {
+                    Ok(match c.kind {
+                        CellKind::Plain => Yield::Plain(producer.build_plain(guest, c.cfg, out)),
+                        CellKind::Base => Yield::Base(producer.build_base(guest, c.cfg, out)),
+                        CellKind::Ladder => {
+                            let avep =
+                                avep.ok_or("a ladder cell needs its unit's plain profile")?;
+                            Yield::Ladder(producer.build_cell(guest, c.cfg, out, avep)?)
+                        }
+                    })
+                })
+                .map_err(|failure| (failure, 1))
+            });
+            let slot = match built {
+                Ok(found) => {
+                    if let Some((cause, attempts)) = &rerun {
+                        self.retried(bench, &c.label, *attempts, cause);
+                    }
+                    Slot::Computed(found)
+                }
+                Err((failure, attempts)) => {
+                    self.record_failure(bench, &c.label, attempts, &failure);
+                    Slot::Failed(failure)
+                }
+            };
+            if i == 0 {
+                plain[0] = slot;
+            } else {
+                rest[i - 1] = slot;
+            }
+        }
+    }
+
+    /// Runs `guest` once under every policy of `configs` inside the
+    /// fault-isolation boundary of the cells `labels`, and returns each
+    /// policy's outcome or failure with its attempt count. A retryable
+    /// failure is retried ([`Ctx::retrying`]); when it persists, each
+    /// policy runs alone once more, so only the cells of a policy that
+    /// fails on its own are lost. The cause and attempt count of such a
+    /// rerun come back too: a cell that completes from it was retried.
+    /// Any other failure (a guest trap, an abort) is every policy's:
+    /// all of them share the guest execution.
+    fn execute(
+        &self,
+        guest: &SuiteGuest,
+        producer: &Producer<'_>,
+        configs: &[DbtConfig],
+        labels: &[&str],
+    ) -> (PolicyOutcomes, Option<(String, u32)>) {
+        let bench = guest.name.as_str();
+        match self.retrying(bench, labels, || producer.run_lockstep(guest, configs)) {
+            Ok(outcomes) => (outcomes.into_iter().map(Ok).collect(), None),
+            Err((failure, attempts)) if failure.retryable() && configs.len() > 1 => {
+                let alone = configs
+                    .iter()
+                    .map(|&cfg| {
+                        isolated(bench, || producer.run_lockstep(guest, &[cfg]))
+                            .map(|mut outcome| outcome.pop().expect("one config, one outcome"))
+                            .map_err(|failure| (failure, attempts + 1))
+                    })
+                    .collect();
+                (alone, Some((failure.to_string(), attempts + 1)))
+            }
+            Err(shared) => (vec![Err(shared); configs.len()], None),
+        }
+    }
+
+    /// Emits a finished cell's cache verdict and `CellCommitted`, and
+    /// returns its stat.
+    fn committed(&self, bench: &str, cell: &UnitCell, hit: bool, micros: u64) -> CellStat {
         self.trace_emit(|| {
-            let (bench, label) = (bench.to_string(), label.to_string());
+            let (bench, label) = (bench.to_string(), cell.label.clone());
             if hit {
                 EventKind::CellCacheHit { bench, label }
             } else {
@@ -486,45 +729,40 @@ impl Ctx<'_> {
         });
         self.trace_emit(|| EventKind::CellCommitted {
             bench: bench.to_string(),
-            label: label.to_string(),
+            label: cell.label.clone(),
             micros,
         });
-        let stat = CellStat {
+        CellStat {
             bench: bench.to_string(),
-            label: label.to_string(),
+            label: cell.label.clone(),
             hit,
             micros,
-        };
-        Ok((value, stat))
-    }
-
-    /// The `avep` baseline cell of `guest`, which every ladder cell of
-    /// the guest is analyzed against.
-    fn avep_cell(
-        &self,
-        guest: &SuiteGuest,
-    ) -> std::result::Result<(PlainArtifact, CellStat), CellFailure> {
-        self.run_cell(&guest.name, "avep", || {
-            plain_run(self, guest, DbtConfig::no_opt())
-        })
-    }
-
-    /// Stage 2: queues every `INIP(T)` cell, then runs them over one
-    /// pool. A failed cell (already recorded by `guarded`) yields
-    /// `None`, so it is simply absent from its guest's ladder.
-    fn run_ladder(
-        &self,
-        jobs: usize,
-        cells: &[LadderCell<'_>],
-    ) -> Vec<Option<(ThresholdMetrics, CellStat)>> {
-        for c in cells {
-            self.queued(&c.guest.name, &c.label);
         }
-        parallel_map(jobs, cells, |_, c| {
-            self.run_cell(&c.guest.name, &c.label, || {
-                cell_run(self, c.guest, c.threshold, c.avep)
-            })
-            .ok()
+    }
+
+    /// Builds the suite workload `name` on `kind` input and runs its
+    /// unit. A workload that cannot be built fails the unit.
+    fn sweep_unit(
+        &self,
+        name: &str,
+        scale: Scale,
+        kind: InputKind,
+        cells: &[UnitCell],
+    ) -> std::result::Result<UnitResult, CellFailure> {
+        let w = match workload(name, scale, kind) {
+            Ok(w) => w,
+            Err(e) => {
+                let failure = CellFailure::Harness(e.to_string());
+                self.record_failure(name, "workload", 1, &failure);
+                return Err(failure);
+            }
+        };
+        let (name, class) = (w.name, w.class);
+        let guest = SuiteGuest::new(name, w.binary, w.input, kind, Some(scale));
+        Ok(UnitResult {
+            name,
+            class,
+            cells: self.run_unit(&guest, cells),
         })
     }
 
@@ -662,19 +900,22 @@ impl SuiteGuest {
 /// The one producer of stored artifacts: runs a guest, builds the
 /// artifact, and commits it to the store under the guest's key. The
 /// sweep and `tpdbt-serve` both produce through it, so an artifact
-/// either one computes is byte-identical on disk. Lookups stay with
-/// the callers, which validate (sweep) or tier (serve) them.
+/// either one computes is byte-identical on disk. Each kind has one
+/// builder, fed by a single run (`plain`, `base`, `cell`: serve's
+/// one-cell queries) or by one outcome of the sweep's lockstep run
+/// over a unit. Lookups stay with the callers, which validate (sweep)
+/// or tier (serve) them.
 pub struct Producer<'a> {
     /// Where artifacts are committed (best-effort); `None` keeps them
     /// in memory only.
     pub store: Option<&'a ProfileStore>,
-    /// Receives one [`EventKind::GuestRun`] per execution, then the
-    /// engine's own lifecycle events.
+    /// Receives one [`EventKind::GuestRun`] per execution and the
+    /// engine's lifecycle events of every run, lockstep or single.
     pub tracer: Option<&'a Arc<Tracer>>,
     /// Execution backend. It is applied after the key is derived and
     /// is not part of it: backends are bitwise result-identical.
     pub backend: Backend,
-    /// Counts guest executions.
+    /// Counts guest executions: one per run, lockstep or single.
     pub guest_runs: &'a AtomicU64,
     /// A plan consulted at [`FaultSite::CrashSweepCommit`] after each
     /// store write (the sweep's commit window).
@@ -682,19 +923,38 @@ pub struct Producer<'a> {
 }
 
 impl Producer<'_> {
-    fn run(&self, guest: &SuiteGuest, config: DbtConfig) -> Result<RunOutcome> {
+    fn count_run(&self, guest: &SuiteGuest) {
         self.guest_runs.fetch_add(1, Ordering::Relaxed);
         if let Some(t) = self.tracer {
             t.emit(EventKind::GuestRun {
                 name: guest.name.clone(),
             });
         }
+    }
+
+    fn run(&self, guest: &SuiteGuest, config: DbtConfig) -> Result<RunOutcome> {
+        self.count_run(guest);
         let mut dbt = Dbt::new(config.with_backend(self.backend))
             .with_predecoded(Arc::clone(&guest.predecoded));
         if let Some(t) = self.tracer {
             dbt = dbt.with_tracer(Arc::clone(t));
         }
         Ok(dbt.run_built(&guest.binary, &guest.input)?)
+    }
+
+    /// Runs `guest` once under every config of `configs` in lockstep:
+    /// one guest execution, one outcome per config.
+    fn run_lockstep(&self, guest: &SuiteGuest, configs: &[DbtConfig]) -> Result<Vec<RunOutcome>> {
+        let configs = configs
+            .iter()
+            .map(|c| c.with_backend(self.backend))
+            .collect();
+        let mut lockstep = Lockstep::new(configs).with_predecoded(Arc::clone(&guest.predecoded));
+        if let Some(t) = self.tracer {
+            lockstep = lockstep.with_tracer(Arc::clone(t));
+        }
+        self.count_run(guest);
+        Ok(lockstep.run_built(&guest.binary, &guest.input)?)
     }
 
     fn commit<A: TypedArtifact>(&self, key: &CacheKey, artifact: A) -> A {
@@ -718,13 +978,16 @@ impl Producer<'_> {
     ///
     /// Guest traps and harness failures from the engine.
     pub fn plain(&self, guest: &SuiteGuest, cfg: DbtConfig) -> Result<PlainArtifact> {
-        let key = guest.key(&cfg);
         let out = self.run(guest, cfg)?;
+        Ok(self.build_plain(guest, cfg, out))
+    }
+
+    fn build_plain(&self, guest: &SuiteGuest, cfg: DbtConfig, out: RunOutcome) -> PlainArtifact {
         let artifact = PlainArtifact {
             profile: out.as_plain_profile(),
             output: out.output,
         };
-        Ok(self.commit(&key, artifact))
+        self.commit(&guest.key(&cfg), artifact)
     }
 
     /// Runs `guest` under `cfg` (`T = 1`) for the Figure 17
@@ -734,13 +997,16 @@ impl Producer<'_> {
     ///
     /// Guest traps and harness failures from the engine.
     pub fn base(&self, guest: &SuiteGuest, cfg: DbtConfig) -> Result<BaseArtifact> {
-        let key = guest.key(&cfg);
         let out = self.run(guest, cfg)?;
+        Ok(self.build_base(guest, cfg, out))
+    }
+
+    fn build_base(&self, guest: &SuiteGuest, cfg: DbtConfig, out: RunOutcome) -> BaseArtifact {
         let artifact = BaseArtifact {
             cycles: out.stats.cycles,
             output_digest: fnv64_words(&out.output),
         };
-        Ok(self.commit(&key, artifact))
+        self.commit(&guest.key(&cfg), artifact)
     }
 
     /// Runs `guest` under the two-phase `cfg` and analyzes its
@@ -748,172 +1014,259 @@ impl Producer<'_> {
     ///
     /// # Errors
     ///
-    /// Guest traps, harness and analysis failures.
+    /// Guest traps, harness and analysis failures, and a run whose
+    /// output differs from `avep`'s (nothing is committed then).
     pub fn cell(
         &self,
         guest: &SuiteGuest,
         cfg: DbtConfig,
         avep: &PlainArtifact,
     ) -> Result<CellArtifact> {
-        let key = guest.key(&cfg);
         let out = self.run(guest, cfg)?;
+        self.build_cell(guest, cfg, out, avep)
+    }
+
+    fn build_cell(
+        &self,
+        guest: &SuiteGuest,
+        cfg: DbtConfig,
+        out: RunOutcome,
+        avep: &PlainArtifact,
+    ) -> Result<CellArtifact> {
+        // The guest must compute the same answer under every threshold;
+        // a run that does not is no profile of the keyed computation.
         let output_digest = fnv64_words(&out.output);
-        // The guest must compute the same answer under every threshold.
-        debug_assert_eq!(
-            output_digest,
-            fnv64_words(&avep.output),
-            "{} diverged at T={}",
-            guest.name,
-            cfg.threshold
-        );
+        let expected = fnv64_words(&avep.output);
+        if output_digest != expected {
+            return Err(format!(
+                "{} diverged at T={}: output digest {output_digest:016x}, AVEP's {expected:016x}",
+                guest.name, cfg.threshold
+            )
+            .into());
+        }
         let artifact = CellArtifact {
             metrics: analyze(&out.inip, &avep.profile)?,
             output_digest,
         };
-        Ok(self.commit(&key, artifact))
+        Ok(self.commit(&guest.key(&cfg), artifact))
     }
 }
 
-/// One `INIP(T)` ladder cell: the guest, the `AVEP` its metrics are
-/// analyzed against, and the threshold.
-struct LadderCell<'a> {
-    guest: &'a SuiteGuest,
-    avep: &'a PlainArtifact,
-    threshold: u64,
+/// What a unit cell produces.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum CellKind {
+    /// A plain whole-run profile: `AVEP` (ref) or `INIP(train)`.
+    Plain,
+    /// The `T = 1` performance base.
+    Base,
+    /// An `INIP(T)` cell, analyzed against the unit's `AVEP`.
+    Ladder,
+}
+
+/// One cell of a unit.
+struct UnitCell {
     label: String,
+    kind: CellKind,
+    /// The cell's config, watchdog applied: its key derives from it.
+    cfg: DbtConfig,
 }
 
-/// Loads or produces a plain whole-run profile: `AVEP` or
-/// `INIP(train)`.
-fn plain_run(ctx: &Ctx<'_>, guest: &SuiteGuest, cfg: DbtConfig) -> Result<(PlainArtifact, bool)> {
-    let cfg = ctx.apply_watchdog(cfg);
-    if let Some(p) = ctx
-        .store
-        .as_ref()
-        .and_then(|s| s.load_plain(&guest.key(&cfg)))
-    {
-        return Ok((p, true));
-    }
-    Ok((ctx.producer().plain(guest, cfg)?, false))
+/// A finished cell's artifact.
+enum Yield {
+    Plain(PlainArtifact),
+    Base(BaseArtifact),
+    Ladder(CellArtifact),
 }
 
-/// Loads or produces the `T = 1` performance base (Figure 17).
-fn base_run(
-    ctx: &Ctx<'_>,
-    guest: &SuiteGuest,
-    expected_output_digest: u64,
-) -> Result<(BaseArtifact, bool)> {
-    let cfg = ctx.apply_watchdog(DbtConfig::two_phase(1));
-    let cached = ctx
-        .store
-        .as_ref()
-        .and_then(|s| s.load_base(&guest.key(&cfg)))
-        .filter(|b| b.output_digest == expected_output_digest);
-    if let Some(b) = cached {
-        return Ok((b, true));
+impl Yield {
+    /// The digest of the guest output the artifact was computed from.
+    fn output_digest(&self) -> u64 {
+        match self {
+            Yield::Plain(p) => fnv64_words(&p.output),
+            Yield::Base(b) => b.output_digest,
+            Yield::Ladder(c) => c.output_digest,
+        }
     }
-    Ok((ctx.producer().base(guest, cfg)?, false))
+
+    fn into_plain(self) -> PlainArtifact {
+        match self {
+            Yield::Plain(p) => p,
+            _ => unreachable!("a plain cell yields a plain profile"),
+        }
+    }
+
+    fn into_base(self) -> BaseArtifact {
+        match self {
+            Yield::Base(b) => b,
+            _ => unreachable!("a base cell yields a base"),
+        }
+    }
+
+    fn into_metrics(self) -> ThresholdMetrics {
+        match self {
+            Yield::Ladder(c) => c.metrics,
+            _ => unreachable!("a ladder cell yields metrics"),
+        }
+    }
 }
 
-/// Loads or produces one `INIP(T)` ladder cell, analyzed against
-/// `avep`.
-fn cell_run(
-    ctx: &Ctx<'_>,
-    guest: &SuiteGuest,
-    threshold: u64,
-    avep: &PlainArtifact,
-) -> Result<(ThresholdMetrics, bool)> {
-    let cfg = ctx.apply_watchdog(DbtConfig::two_phase(threshold));
-    let avep_output_digest = fnv64_words(&avep.output);
-    // Defense in depth beyond the key: the cached cell must have been
-    // analyzed against the same guest computation.
-    let cached = ctx
-        .store
-        .as_ref()
-        .and_then(|s| s.load_cell(&guest.key(&cfg)))
-        .filter(|c| c.metrics.threshold == threshold && c.output_digest == avep_output_digest);
-    if let Some(c) = cached {
-        return Ok((c.metrics, true));
+/// A cell's state while its unit runs.
+enum Slot {
+    /// Never attempted: a baseline before it failed.
+    NotRun,
+    Failed(CellFailure),
+    /// Served by the store, with its lookup time.
+    Stored(Yield, u64),
+    /// Needs the guest.
+    Missing,
+    /// Produced by the unit's guest execution.
+    Computed(Yield),
+}
+
+/// Each policy's outcome of a unit's execution, or its failure with the
+/// attempts made.
+type PolicyOutcomes = Vec<std::result::Result<RunOutcome, (CellFailure, u32)>>;
+
+/// One cell's fate: `None` when a failed baseline before it kept it
+/// from running.
+type CellOutcome = Option<std::result::Result<(Yield, CellStat), CellFailure>>;
+
+/// A suite unit's cells, with the workload's identity.
+struct UnitResult {
+    name: &'static str,
+    class: BenchClass,
+    cells: Vec<CellOutcome>,
+}
+
+/// Runs `body` under `catch_unwind`, classifying an error or a panic
+/// of the cells of `bench` as a [`CellFailure`].
+fn isolated<T>(
+    bench: &str,
+    body: impl FnOnce() -> Result<T>,
+) -> std::result::Result<T, CellFailure> {
+    match catch_unwind(AssertUnwindSafe(body)) {
+        Ok(Ok(v)) => Ok(v),
+        Ok(Err(e)) => Err(CellFailure::classify(bench, e.as_ref())),
+        Err(payload) => Err(CellFailure::Panic(panic_message(payload.as_ref()))),
     }
-    Ok((ctx.producer().cell(guest, cfg, avep)?.metrics, false))
 }
 
 fn timed<T>(f: impl FnOnce() -> Result<T>) -> Result<(T, u64)> {
     let t = Instant::now();
     let v = f()?;
-    Ok((
-        v,
-        u64::try_from(t.elapsed().as_micros()).unwrap_or(u64::MAX),
-    ))
+    Ok((v, micros_since(t)))
 }
 
-/// Everything stage 1 produces for one benchmark.
-struct Baselines {
-    name: &'static str,
-    class: BenchClass,
-    /// The reference guest, hashed and decoded once in stage 1; every
-    /// stage-2 ladder cell of this benchmark borrows it.
-    reference: SuiteGuest,
-    avep: PlainArtifact,
-    train: TrainMetrics,
-    base_cycles: u64,
-    stats: Vec<CellStat>,
+fn micros_since(t: Instant) -> u64 {
+    u64::try_from(t.elapsed().as_micros()).unwrap_or(u64::MAX)
 }
 
-/// Stage 1 for one benchmark. Any failed cell (after retries) fails the
-/// whole benchmark — every ladder cell needs the AVEP baseline — and
-/// returns the failure so [`run_sweep`] can drop it and keep going.
-fn baselines_for(
-    name: &str,
-    scale: Scale,
-    ctx: &Ctx<'_>,
-) -> std::result::Result<Baselines, CellFailure> {
-    let built = workload(name, scale, InputKind::Ref)
-        .and_then(|r| workload(name, scale, InputKind::Train).map(|t| (r, t)));
-    let (reference, training) = match built {
-        Ok(v) => v,
-        Err(e) => {
-            let failure = CellFailure::Harness(e.to_string());
-            ctx.record_failure(name, "workload", 1, &failure);
-            return Err(failure);
-        }
+/// The cells of a suite benchmark's unit on `kind` input: `avep`, the
+/// `T = 1` base and one cell per ladder point on ref; `train` on
+/// train.
+fn suite_cells(ctx: &Ctx<'_>, kind: InputKind, points: &[LadderPoint]) -> Vec<UnitCell> {
+    let cell = |label: &str, kind, cfg| UnitCell {
+        label: label.to_string(),
+        kind,
+        cfg: ctx.apply_watchdog(cfg),
     };
-    let (name, class) = (reference.name, reference.class);
-    for label in ["avep", "train", "base"] {
-        ctx.queued(name, label);
+    match kind {
+        InputKind::Train => vec![cell("train", CellKind::Plain, DbtConfig::no_opt())],
+        InputKind::Ref => {
+            let mut cells = vec![
+                cell("avep", CellKind::Plain, DbtConfig::no_opt()),
+                cell("base", CellKind::Base, DbtConfig::two_phase(1)),
+            ];
+            cells.extend(
+                points
+                    .iter()
+                    .map(|p| cell(p.label, CellKind::Ladder, DbtConfig::two_phase(p.actual))),
+            );
+            cells
+        }
     }
-    let guest = |w: Workload, kind| SuiteGuest::new(w.name, w.binary, w.input, kind, Some(scale));
-    let reference = guest(reference, InputKind::Ref);
-    let (avep, avep_stat) = ctx.avep_cell(&reference)?;
+}
 
-    let training = guest(training, InputKind::Train);
-    let (train_art, train_stat) = ctx.run_cell(name, "train", || {
-        plain_run(ctx, &training, DbtConfig::no_opt())
-    })?;
-    let train = analyze_train(&train_art.profile, &avep.profile);
-
-    let avep_output_digest = fnv64_words(&avep.output);
-    let (base, base_stat) = ctx.run_cell(name, "base", || {
-        base_run(ctx, &reference, avep_output_digest)
-    })?;
-
-    Ok(Baselines {
-        name,
-        class,
-        reference,
-        avep,
-        train,
-        base_cycles: base.cycles,
-        stats: vec![avep_stat, train_stat, base_stat],
-    })
+/// One benchmark's result from its two units, or `None` when a
+/// baseline failed. A dropped benchmark's ladder cells that did not
+/// fail on their own are recorded as skipped, so the degradation
+/// report accounts for every planned cell.
+fn bench_result(
+    ctx: &Ctx<'_>,
+    name: &str,
+    points: &[LadderPoint],
+    reference: std::result::Result<UnitResult, CellFailure>,
+    training: std::result::Result<UnitResult, CellFailure>,
+    cells: (&mut Vec<CellStat>, &mut Vec<CellStat>),
+) -> Option<BenchResult> {
+    let (baseline_stats, ladder_stats) = cells;
+    let (mut ladder, baselines) = match (reference, training) {
+        (Ok(r), Ok(t)) => {
+            let mut cells = r.cells.into_iter();
+            let (avep, base) = (cells.next().flatten(), cells.next().flatten());
+            let train = t.cells.into_iter().next().flatten();
+            let ladder: Vec<CellOutcome> = cells.collect();
+            let baselines = match (avep, train, base) {
+                (Some(Ok(avep)), Some(Ok(train)), Some(Ok(base))) => {
+                    Ok((r.name, r.class, avep, train, base))
+                }
+                (avep, train, base) => Err([avep, train, base]
+                    .into_iter()
+                    .find_map(|c| c.and_then(std::result::Result::err))
+                    .unwrap_or(CellFailure::Skipped)),
+            };
+            (ladder, baselines)
+        }
+        (Err(failure), _) | (_, Err(failure)) => (Vec::new(), Err(failure)),
+    };
+    ladder.resize_with(points.len(), || None);
+    match baselines {
+        Ok((name, class, (avep, avep_stat), (train, train_stat), (base, base_stat))) => {
+            let avep = avep.into_plain();
+            baseline_stats.extend([avep_stat, train_stat, base_stat]);
+            let mut per_threshold = Vec::with_capacity(points.len());
+            for (&point, cell) in points.iter().zip(ladder) {
+                if let Some(Ok((found, stat))) = cell {
+                    ladder_stats.push(stat);
+                    per_threshold.push((point, found.into_metrics()));
+                }
+            }
+            Some(BenchResult {
+                name,
+                class,
+                per_threshold,
+                train: analyze_train(&train.into_plain().profile, &avep.profile),
+                avep_ops: avep.profile.profiling_ops,
+                avep: avep.profile,
+                base_cycles: base.into_base().cycles,
+            })
+        }
+        Err(CellFailure::Skipped) => None,
+        Err(failure) => {
+            for (point, cell) in points.iter().zip(ladder) {
+                if !matches!(cell, Some(Err(_))) {
+                    ctx.incidents.record_failed(CellIncident {
+                        bench: name.to_string(),
+                        label: point.label.to_string(),
+                        attempts: 0,
+                        cause: format!("skipped: baselines failed ({failure})"),
+                    });
+                }
+            }
+            None
+        }
+    }
 }
 
 /// Sweeps `names` at `scale` with caching and a worker pool.
 ///
-/// Results are ordered by `names` and are value-identical for any
-/// `jobs` (`jobs: 1` runs every cell serially). `progress` is
-/// called once per benchmark as its baseline phase starts (possibly
-/// from a worker thread).
+/// The work unit is one benchmark input: the ref unit computes `AVEP`,
+/// the `T = 1` base and every ladder cell that missed the store from
+/// one guest execution, and the train unit computes `INIP(train)`. The
+/// pool runs two units per benchmark. Results are ordered by `names`
+/// and are value-identical for any `jobs` (`jobs: 1` runs every unit
+/// serially). `progress` is called once per benchmark as its ref unit
+/// starts (possibly from a worker thread).
 ///
 /// # Errors
 ///
@@ -928,82 +1281,45 @@ pub fn run_sweep(
     progress: impl Fn(&str) + Sync,
 ) -> Result<SweepReport> {
     let ctx = Ctx::new(opts);
-    let jobs = opts.jobs.max(1);
-
-    // Stage 1: baselines, fanned out per benchmark. The barrier before
-    // stage 2 is real: every ladder cell needs its benchmark's AVEP.
-    let baseline_results = parallel_map(jobs, names, |_, name| {
-        progress(name);
-        baselines_for(name, scale, &ctx)
-    });
-
     let points = ladder(scale);
-    // Keep-going: a benchmark whose baselines failed is dropped, and
-    // its never-attempted ladder cells are recorded as failed so the
-    // degradation report accounts for every planned cell.
-    let mut baselines: Vec<Baselines> = Vec::with_capacity(names.len());
-    for (name, res) in names.iter().zip(baseline_results) {
-        match res {
-            Ok(b) => baselines.push(b),
-            Err(CellFailure::Skipped) => {}
-            Err(failure) => {
-                for point in &points {
-                    ctx.incidents.record_failed(CellIncident {
-                        bench: (*name).to_string(),
-                        label: point.label.to_string(),
-                        attempts: 0,
-                        cause: format!("skipped: baselines failed ({failure})"),
-                    });
-                }
-            }
+    let units: Vec<(&str, InputKind)> = names
+        .iter()
+        .flat_map(|&name| [(name, InputKind::Ref), (name, InputKind::Train)])
+        .collect();
+    let cells = |kind| suite_cells(&ctx, kind, &points);
+    let (ref_cells, train_cells) = (cells(InputKind::Ref), cells(InputKind::Train));
+    let cells_of = |kind| match kind {
+        InputKind::Ref => &ref_cells,
+        InputKind::Train => &train_cells,
+    };
+    for &(name, kind) in &units {
+        for c in cells_of(kind) {
+            ctx.queued(name, &c.label);
         }
     }
-
-    // Stage 2: every surviving (benchmark, ladder point) cell over one
-    // pool.
-    let items: Vec<(usize, LadderPoint)> = (0..baselines.len())
-        .flat_map(|b| points.iter().map(move |&p| (b, p)))
-        .collect();
-    let ladder_cells: Vec<LadderCell<'_>> = items
-        .iter()
-        .map(|&(b, point)| LadderCell {
-            guest: &baselines[b].reference,
-            avep: &baselines[b].avep,
-            threshold: point.actual,
-            label: point.label.to_string(),
-        })
-        .collect();
-    let cell_results = ctx.run_ladder(jobs, &ladder_cells);
+    let mut outcomes = parallel_map(opts.jobs.max(1), &units, |_, &(name, kind)| {
+        if kind == InputKind::Ref {
+            progress(name);
+        }
+        ctx.sweep_unit(name, scale, kind, cells_of(kind))
+    })
+    .into_iter();
 
     // Assemble in deterministic order: baseline stats benchmark-major,
     // then ladder cells benchmark-major.
-    let mut cells: Vec<CellStat> = Vec::new();
-    for b in &mut baselines {
-        cells.append(&mut b.stats);
+    let (mut baseline_stats, mut ladder_stats) = (Vec::new(), Vec::new());
+    let mut results = Vec::with_capacity(names.len());
+    for name in names {
+        let (Some(reference), Some(training)) = (outcomes.next(), outcomes.next()) else {
+            unreachable!("two units per benchmark");
+        };
+        let stats = (&mut baseline_stats, &mut ladder_stats);
+        results.extend(bench_result(
+            &ctx, name, &points, reference, training, stats,
+        ));
     }
-    let mut per_bench: Vec<Vec<(LadderPoint, ThresholdMetrics)>> =
-        baselines.iter().map(|_| Vec::new()).collect();
-    for (&(b, point), res) in items.iter().zip(cell_results) {
-        if let Some((metrics, stat)) = res {
-            cells.push(stat);
-            per_bench[b].push((point, metrics));
-        }
-    }
-
-    let results = baselines
-        .into_iter()
-        .zip(per_bench)
-        .map(|(bl, per_threshold)| BenchResult {
-            name: bl.name,
-            class: bl.class,
-            per_threshold,
-            train: bl.train,
-            avep_ops: bl.avep.profile.profiling_ops,
-            avep: bl.avep.profile,
-            base_cycles: bl.base_cycles,
-        })
-        .collect();
-    ctx.report(results, cells)
+    baseline_stats.append(&mut ladder_stats);
+    ctx.report(results, baseline_stats)
 }
 
 /// The `--fail-fast` abort error, naming the first failed cell.
@@ -1031,9 +1347,16 @@ fn fail_fast_error(incidents: &Incidents) -> Box<dyn std::error::Error + Send + 
 /// policy's retries for retryable causes).
 pub fn plain_profile_run(guest: &SuiteGuest, opts: &SweepOptions) -> Result<(PlainArtifact, bool)> {
     let ctx = Ctx::new(opts);
-    Ok(ctx.guarded(&guest.name, "avep", || {
-        plain_run(&ctx, guest, DbtConfig::no_opt())
-    })?)
+    let cell = UnitCell {
+        label: "avep".to_string(),
+        kind: CellKind::Plain,
+        cfg: ctx.apply_watchdog(DbtConfig::no_opt()),
+    };
+    match ctx.run_unit(guest, &[cell]).pop().flatten() {
+        Some(Ok((found, stat))) => Ok((found.into_plain(), stat.hit)),
+        Some(Err(failure)) => Err(Box::new(failure)),
+        None => unreachable!("a one-cell unit runs its cell"),
+    }
 }
 
 /// A multi-threshold sweep of one guest (the `tpdbt-run` path).
@@ -1048,8 +1371,10 @@ pub struct ThresholdSweep {
     pub report: SweepReport,
 }
 
-/// Sweeps `guest` over `thresholds` with caching and a worker pool,
-/// through the same baseline and ladder-cell code as [`run_sweep`].
+/// Sweeps `guest` over `thresholds` with caching, as one unit of
+/// [`run_sweep`]: the `avep` cell and every threshold cell that missed
+/// the store come from one guest execution, so `opts.jobs` does not
+/// matter here.
 ///
 /// # Errors
 ///
@@ -1062,30 +1387,34 @@ pub fn threshold_sweep(
     opts: &SweepOptions,
 ) -> Result<ThresholdSweep> {
     let ctx = Ctx::new(opts);
-    ctx.queued(&guest.name, "avep");
-    let (avep, avep_stat) = ctx.avep_cell(guest)?;
-    let ladder_cells: Vec<LadderCell<'_>> = thresholds
-        .iter()
-        .map(|&threshold| LadderCell {
-            guest,
-            avep: &avep,
-            threshold,
-            label: format!("T={threshold}"),
-        })
-        .collect();
-    let mut cells = vec![avep_stat];
+    let mut cells = vec![UnitCell {
+        label: "avep".to_string(),
+        kind: CellKind::Plain,
+        cfg: ctx.apply_watchdog(DbtConfig::no_opt()),
+    }];
+    cells.extend(thresholds.iter().map(|&threshold| UnitCell {
+        label: format!("T={threshold}"),
+        kind: CellKind::Ladder,
+        cfg: ctx.apply_watchdog(DbtConfig::two_phase(threshold)),
+    }));
+    for c in &cells {
+        ctx.queued(&guest.name, &c.label);
+    }
+    let mut outcomes = ctx.run_unit(guest, &cells).into_iter();
+    let avep_stat = match outcomes.next().flatten() {
+        Some(Ok((_, stat))) => stat,
+        Some(Err(failure)) => return Err(Box::new(failure)),
+        None => unreachable!("the avep cell always runs"),
+    };
+    let mut stats = vec![avep_stat];
     let mut per_threshold = Vec::with_capacity(thresholds.len());
-    for (metrics, stat) in ctx
-        .run_ladder(opts.jobs.max(1), &ladder_cells)
-        .into_iter()
-        .flatten()
-    {
-        cells.push(stat);
-        per_threshold.push(metrics);
+    for (found, stat) in outcomes.flatten().flatten() {
+        stats.push(stat);
+        per_threshold.push(found.into_metrics());
     }
     Ok(ThresholdSweep {
         per_threshold,
-        report: ctx.report(Vec::new(), cells)?,
+        report: ctx.report(Vec::new(), stats)?,
     })
 }
 
@@ -1136,5 +1465,137 @@ mod tests {
         assert_eq!(mode_code(ProfilingMode::Adaptive), 3);
         assert_eq!(input_code(InputKind::Ref), 0);
         assert_eq!(input_code(InputKind::Train), 1);
+    }
+
+    /// A tiny gzip ref unit (`avep`, `base`, `T=10`, `T=20`) whose
+    /// `T=10` cell runs under `t10`, with `max_retries = 1`: its
+    /// stats, `(retried, failed)` incidents, guest runs and outcomes.
+    fn unit_with(t10: DbtConfig) -> (Vec<CellOutcome>, DegradedReport, u64) {
+        let opts = SweepOptions {
+            jobs: 1,
+            policy: FaultPolicy {
+                max_retries: 1,
+                backoff: Duration::ZERO,
+                ..FaultPolicy::default()
+            },
+            ..SweepOptions::default()
+        };
+        let ctx = Ctx::new(&opts);
+        let guest = SuiteGuest::build("gzip", Scale::Tiny, InputKind::Ref).unwrap();
+        let cell = |label: &str, kind, cfg| UnitCell {
+            label: label.to_string(),
+            kind,
+            cfg,
+        };
+        let cells = [
+            cell("avep", CellKind::Plain, DbtConfig::no_opt()),
+            cell("base", CellKind::Base, DbtConfig::two_phase(1)),
+            cell("T=10", CellKind::Ladder, t10),
+            cell("T=20", CellKind::Ladder, DbtConfig::two_phase(20)),
+        ];
+        let outcomes = ctx.run_unit(&guest, &cells);
+        let guest_runs = ctx.guest_runs.load(Ordering::Relaxed);
+        (outcomes, ctx.incidents.into_report(0), guest_runs)
+    }
+
+    /// The `T=10` metrics of a unit, which must have completed.
+    fn t10_metrics(outcomes: Vec<CellOutcome>) -> ThresholdMetrics {
+        match outcomes.into_iter().nth(2) {
+            Some(Some(Ok((found, _)))) => found.into_metrics(),
+            _ => panic!("T=10 completed"),
+        }
+    }
+
+    /// A real (not injected) panic in a unit's shared execution: one
+    /// config's fuel differs, so building the lockstep run panics every
+    /// time. The shared run is retried, then each policy runs alone and
+    /// every cell completes with the clean unit's results, reported as
+    /// retried.
+    #[test]
+    fn a_panicking_shared_execution_is_retried_then_run_per_policy() {
+        let (clean, report, runs) = unit_with(DbtConfig::two_phase(10));
+        assert!(!report.is_degraded());
+        assert_eq!(runs, 1);
+        let odd_fuel = DbtConfig::two_phase(10).with_fuel(DbtConfig::two_phase(10).fuel - 1);
+        let (outcomes, report, runs) = unit_with(odd_fuel);
+        assert!(outcomes.iter().all(|c| matches!(c, Some(Ok(_)))));
+        assert_eq!(runs, 4, "no shared execution started; four lone runs");
+        assert!(report.failed.is_empty());
+        let labels: Vec<(&str, u32)> = report
+            .retried
+            .iter()
+            .map(|i| (i.label.as_str(), i.attempts))
+            .collect();
+        assert_eq!(labels, [("T=10", 3), ("T=20", 3), ("avep", 3), ("base", 3)]);
+        assert!(report.retried[0].cause.contains("share backend and fuel"));
+        assert_eq!(t10_metrics(outcomes), t10_metrics(clean));
+    }
+
+    /// A policy that panics on its own (a cost model whose cycle count
+    /// overflows, caught by the test profile's overflow checks) loses
+    /// its cell alone: the baselines and the other ladder cell
+    /// complete from the lone reruns.
+    #[cfg(debug_assertions)]
+    #[test]
+    fn a_policy_that_keeps_panicking_fails_only_its_cell() {
+        let cost = tpdbt_dbt::CostModel {
+            profile_op_cost: u64::MAX,
+            ..tpdbt_dbt::CostModel::default()
+        };
+        let (outcomes, report, runs) = unit_with(DbtConfig::two_phase(10).with_cost(cost));
+        assert_eq!(runs, 2 + 4, "two shared attempts, then four lone runs");
+        let done: Vec<bool> = outcomes.iter().map(|c| matches!(c, Some(Ok(_)))).collect();
+        assert_eq!(done, [true, true, false, true]);
+        assert_eq!(report.failed.len(), 1);
+        assert_eq!(
+            (report.failed[0].label.as_str(), report.failed[0].attempts),
+            ("T=10", 3)
+        );
+        assert!(
+            report.failed[0].cause.contains("overflow"),
+            "{}",
+            report.failed[0].cause
+        );
+        let retried: Vec<&str> = report.retried.iter().map(|i| i.label.as_str()).collect();
+        assert_eq!(retried, ["T=20", "avep", "base"]);
+    }
+
+    /// A run whose output differs from the AVEP it is analyzed against
+    /// is refused in every build, and nothing reaches the store.
+    #[test]
+    fn divergent_cell_output_is_an_error_and_commits_nothing() {
+        let dir = std::env::temp_dir().join(format!("tpdbt-divergent-{}", std::process::id()));
+        let store = ProfileStore::new(&dir);
+        let guest = SuiteGuest::build("gzip", Scale::Tiny, InputKind::Ref).unwrap();
+        let guest_runs = AtomicU64::new(0);
+        let producer = Producer {
+            store: Some(&store),
+            tracer: None,
+            backend: Backend::default(),
+            guest_runs: &guest_runs,
+            commit_crash: None,
+        };
+        let out = Dbt::new(DbtConfig::no_opt())
+            .run_built(guest.binary(), guest.input())
+            .unwrap();
+        let mut output = out.output.clone();
+        output[0] = output[0].wrapping_add(1);
+        let avep = PlainArtifact {
+            profile: out.as_plain_profile(),
+            output,
+        };
+        let err = producer
+            .cell(&guest, DbtConfig::two_phase(10), &avep)
+            .expect_err("a divergent run must not become a cell");
+        assert!(err.to_string().contains("diverged"), "{err}");
+        assert_eq!(guest_runs.load(Ordering::Relaxed), 1);
+        let written = std::fs::read_dir(&dir).map_or(0, |entries| {
+            entries
+                .flatten()
+                .filter(|e| e.path().extension().is_some_and(|x| x == "tpst"))
+                .count()
+        });
+        assert_eq!(written, 0, "nothing is committed");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -125,3 +125,28 @@ fn zero_thresholds_and_intervals_exit_with_usage() {
         "tpdbt-dump wrote files before rejecting its arguments"
     );
 }
+
+/// `tpdbt-run` has no `--jobs`: a sweep of one guest is one guest
+/// execution, so the option is a usage error, not an ignored knob.
+#[test]
+fn tpdbt_run_rejects_jobs() {
+    let run = env!("CARGO_BIN_EXE_tpdbt-run");
+    let args = [
+        "--suite",
+        "gzip",
+        "--scale",
+        "tiny",
+        "--threshold",
+        "10",
+        "--threshold",
+        "20",
+        "--jobs",
+        "2",
+    ];
+    let out = Command::new(run).args(args).output().expect("binary runs");
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("usage: tpdbt-run"), "{stderr}");
+    assert!(!stderr.contains("--jobs"), "{stderr}");
+    assert!(out.stdout.is_empty(), "a sweep ran");
+}

@@ -74,7 +74,10 @@ fn warm_cache_serves_second_sweep_without_guest_runs() {
 
     let cold = run_sweep(&names, Scale::Tiny, &opts, |_| {}).unwrap();
     assert_eq!(cold.cache_hits, 0, "fresh dir cannot hit");
-    assert_eq!(cold.guest_runs, cell_count);
+    assert_eq!(cold.cache_misses, cell_count);
+    // A cold unit is one guest run: the ref unit (AVEP, base, ladder)
+    // and the train unit.
+    assert_eq!(cold.guest_runs, 2);
     assert_eq!(cold.cells.len(), cell_count as usize);
     assert!(cold.cells.iter().all(|c| !c.hit));
 
@@ -130,7 +133,7 @@ fn cache_accounting_sums_to_deduped_cell_count_with_trace_agreeing() {
     assert_eq!(cold_tracer.count("cell_committed"), cells);
     assert_eq!(cold_tracer.count("cell_cache_miss"), cells);
     assert_eq!(cold_tracer.count("cell_cache_hit"), 0);
-    assert_eq!(cold_tracer.count("guest_run"), cells);
+    assert_eq!(cold_tracer.count("guest_run"), 2, "one per unit");
     assert_eq!(cold_tracer.count("store_miss"), cells);
 
     let warm_tracer = Arc::new(Tracer::new());
@@ -213,10 +216,9 @@ fn parallel_jobs_match_serial_ordering_and_values() {
     // Without a cache dir every cell is a miss-less plain run.
     assert_eq!(parallel.cache_hits, 0);
     assert_eq!(parallel.cache_misses, 0);
-    assert_eq!(
-        parallel.guest_runs,
-        2 * (3 + ladder(Scale::Tiny).len() as u64)
-    );
+    // One guest run per unit: two benchmarks, a ref and a train unit
+    // each.
+    assert_eq!(parallel.guest_runs, 2 * 2);
 }
 
 /// `threshold_sweep` runs the same cells as `run_sweep`: over tiny
@@ -252,10 +254,52 @@ fn threshold_sweep_matches_run_sweep_and_reuses_its_store() {
     assert_eq!(warm.per_threshold, expected);
 
     let cold = threshold_sweep(&guest, &thresholds, &SweepOptions::default()).unwrap();
-    assert_eq!(cold.report.guest_runs, 1 + thresholds.len() as u64);
+    assert_eq!(cold.report.cache_misses, 0, "no store to miss");
+    assert_eq!(
+        cold.report.guest_runs, 1,
+        "the avep and every cell share one run"
+    );
     for (a, b) in cold.per_threshold.iter().zip(&expected) {
         assert_eq!(metric_bits(a), metric_bits(b), "T={}", a.threshold);
     }
     assert_eq!(cold.per_threshold, expected);
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Cell timing is additive: a unit's computed cells split its wall
+/// time, so under `jobs = 1` the cells never add up to more than the
+/// sweep's elapsed time, cold or warm.
+#[test]
+fn cell_times_add_up_to_at_most_the_sweep_time() {
+    let dir = scratch_dir();
+    let opts = SweepOptions {
+        jobs: 1,
+        cache_dir: Some(dir.clone()),
+        ..Default::default()
+    };
+    for round in ["cold", "warm"] {
+        let report = run_sweep(&["gzip", "swim"], Scale::Tiny, &opts, |_| {}).unwrap();
+        assert_eq!(report.cells.len(), 2 * (3 + ladder(Scale::Tiny).len()));
+        let cells: u128 = report.cells.iter().map(|c| u128::from(c.micros)).sum();
+        assert!(
+            cells <= report.elapsed.as_micros(),
+            "{round}: cells {cells} us > sweep {} us",
+            report.elapsed.as_micros()
+        );
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Cells with identical keys inside one unit share one policy of the
+/// unit's one guest execution, and each still gets its own result.
+#[test]
+fn duplicate_thresholds_share_one_policy() {
+    let guest = SuiteGuest::build("gzip", Scale::Tiny, InputKind::Ref).unwrap();
+    let single = threshold_sweep(&guest, &[20, 50], &SweepOptions::default()).unwrap();
+    let dup = threshold_sweep(&guest, &[20, 20, 50], &SweepOptions::default()).unwrap();
+    assert_eq!(dup.report.guest_runs, 1);
+    assert_eq!(dup.report.cells.len(), 4, "avep + three threshold cells");
+    assert_eq!(dup.per_threshold[0], single.per_threshold[0]);
+    assert_eq!(dup.per_threshold[1], single.per_threshold[0]);
+    assert_eq!(dup.per_threshold[2], single.per_threshold[1]);
 }

@@ -168,6 +168,9 @@ impl BlockRecord {
     }
 
     /// Adds `count` to the edge `(slot, target)`, creating it if new.
+    /// A block has few distinct edges and many records live at once (a
+    /// lockstep run keeps one set per policy), so the list grows one
+    /// slot at a time.
     pub fn bump_edge(&mut self, slot: SuccSlot, target: BlockPc, count: u64) {
         for e in &mut self.edges {
             if e.0 == slot && e.1 == target {
@@ -175,6 +178,7 @@ impl BlockRecord {
                 return;
             }
         }
+        self.edges.reserve_exact(1);
         self.edges.push((slot, target, count));
     }
 }
