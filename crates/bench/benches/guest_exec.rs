@@ -1,9 +1,10 @@
 //! Guest-execution backend benchmarks: the same suite workloads run
 //! end to end under the two-phase translator on the reference
 //! interpreter backend (`interp`, re-decoding every instruction on
-//! every execution) and the fused translation cache (`cached-fused`,
-//! blocks decoded and re-encoded as superinstructions once, each
-//! region compiled to a straight-line guarded trace).
+//! every execution and walking each region block by block through the
+//! policy's automaton) and the fused translation cache
+//! (`cached-fused`, blocks decoded and re-encoded as superinstructions
+//! once, each region compiled to a straight-line guarded trace).
 //!
 //! Both backends produce bitwise-identical outputs, stats, and
 //! profiles (pinned by `crates/dbt/tests/backend_differential.rs`), so

@@ -1,21 +1,20 @@
 //! Execution backends: how a translated guest block actually runs.
 //!
 //! The executor in [`crate::exec`] owns the code half of the one
-//! translation cache. A block is fast-translated into it once; in a
-//! single run, a region's compiled trace ([`crate::trace`]) is compiled
-//! from it at the region's first entry, replaced at re-formation and
-//! unlinked at retirement. [`Backend`] is only a tag picking which
-//! executable form the executor keeps per block:
+//! translation cache. A block is fast-translated into it once.
+//! [`Backend`] is only a tag picking which executable form the executor
+//! keeps per block:
 //!
 //! * `interp` — the block's extent, run by [`step_block`]:
-//!   per-instruction [`tpdbt_vm::step`] dispatch. Regions compile to
-//!   stepped traces. This is the reference form and differential
-//!   oracle.
+//!   per-instruction [`tpdbt_vm::step`] dispatch. Regions are walked
+//!   block by block through the policy's automaton; nothing is
+//!   compiled. This is the reference form and differential oracle.
 //! * `cached-fused` (the default) — the block decoded and re-encoded
 //!   as [`tpdbt_isa::FusedOp`] superinstructions once per guest
-//!   ([`tpdbt_isa::PredecodedProgram`]), run by [`run_decoded`].
-//!   Regions compile to guarded (or, under continuous profiling,
-//!   observed) replayed traces.
+//!   ([`tpdbt_isa::PredecodedProgram`]), run by [`run_decoded`]. In a
+//!   single two-phase or adaptive run, a region's guarded trace
+//!   ([`crate::trace`]) is compiled from these blocks at the region's
+//!   first entry; continuous-mode regions, which re-form, are walked.
 //!
 //! Both forms drive the same execute-half semantics in `tpdbt-vm`, so
 //! architectural state, outputs, and every profile counter are bitwise
@@ -80,11 +79,10 @@ impl std::str::FromStr for Backend {
     }
 }
 
-/// Steps the instructions `[start, end)` one at a time through
+/// Steps the block `[start, end)` one instruction at a time through
 /// [`tpdbt_vm::step`] — the `interp` form, and the reference every other
-/// form must match. Returns the last instruction's flow (for a whole
-/// block, its terminator's); after success the machine PC rests on that
-/// instruction.
+/// form must match. Returns the terminator's flow; after success the
+/// machine PC rests on the terminator.
 ///
 /// # Errors
 ///
@@ -95,16 +93,17 @@ pub(crate) fn step_block(
     end: Pc,
     machine: &mut Machine,
 ) -> Result<Flow, VmError> {
-    let mut flow = Flow::Halted;
-    for at in start..end {
+    debug_assert!(start < end, "blocks end in a terminator");
+    // Only the terminator's flow is kept. Carrying the flow across
+    // iterations made the compiled loop copy it through the stack on
+    // every instruction, which made `interp` blocks about 1.5x slower.
+    for at in start..end - 1 {
         machine.set_pc(at);
-        flow = step(program, machine)?;
-        debug_assert!(
-            !matches!(flow, Flow::Halted) || at + 1 == end,
-            "halt only terminates blocks"
-        );
+        let flow = step(program, machine)?;
+        debug_assert_eq!(flow, Flow::Next, "only terminators transfer control");
     }
-    Ok(flow)
+    machine.set_pc(end - 1);
+    step(program, machine)
 }
 
 /// Replays a decoded block's body (flat or fused) and terminator — the
@@ -122,13 +121,9 @@ pub(crate) fn run_decoded(block: &DecodedBlock, machine: &mut Machine) -> Result
 }
 
 #[cfg(test)]
-#[path = "../tests/support/programs.rs"]
-mod programs;
-
-#[cfg(test)]
 mod tests {
-    use super::programs::{arb_stmt, build};
     use super::*;
+    use crate::programs::{arb_stmt, build};
     use proptest::prelude::*;
     use tpdbt_isa::{decode_block, BlockBody, Cond, PredecodedProgram, ProgramBuilder, Reg};
 

@@ -7,10 +7,14 @@
 //! executed block: its pc, length, successor slot and next pc.
 //!
 //! * [`Dbt::run`] / [`Dbt::run_built`]: one policy. Profiling-phase
-//!   blocks step through the executor one event at a time; installed
-//!   regions run as compiled traces ([`crate::trace`]) that report
-//!   region-level events (entry, exit, and each block only where
-//!   continuous profiling counts inside regions).
+//!   blocks step through the executor one event at a time. An
+//!   installed region runs in one of two ways, picked per run: on
+//!   `cached-fused` in a mode whose regions never re-form (two-phase,
+//!   adaptive), as a guarded compiled trace ([`crate::trace`]) that
+//!   reports its exit; otherwise (every `interp` run, continuous mode
+//!   on both backends) block by block through the policy's automaton
+//!   ([`Policy::walk`]), in the same dispatch → enter → walk order as a
+//!   lockstep policy.
 //! * [`Lockstep::run`] / [`Lockstep::run_built`]: N policies over one
 //!   guest execution. The executor steps the guest block by block into
 //!   a bounded event chunk, and each policy consumes the chunk, walking
@@ -25,11 +29,12 @@ use tpdbt_profile::{InipDump, IntervalProfile, PlainProfile};
 use tpdbt_trace::Tracer;
 use tpdbt_vm::Machine;
 
-use crate::config::DbtConfig;
+use crate::backend::Backend;
+use crate::config::{DbtConfig, ProfilingMode};
 use crate::error::DbtError;
 use crate::exec::Executor;
 use crate::policy::{ExecStats, Policy};
-use crate::trace::Segments;
+use crate::trace::CompiledTrace;
 
 /// The result of running a program under the translator.
 #[derive(Clone, Debug)]
@@ -160,11 +165,17 @@ impl Dbt {
     }
 }
 
-/// A single run: one executor, one policy, compiled region traces.
+/// A single run: one executor, one policy, and the region traces the
+/// run compiles.
 struct Engine<'p> {
     program: &'p Program,
     exec: Executor<'p>,
     policy: Policy<'p>,
+    /// Compiled traces by region id, each compiled at its region's
+    /// first entry; `None` when this run walks every region. Traced
+    /// regions never re-form, so a trace lives exactly as long as its
+    /// region.
+    traces: Option<Vec<Option<CompiledTrace>>>,
 }
 
 impl<'p> Engine<'p> {
@@ -176,10 +187,15 @@ impl<'p> Engine<'p> {
         program: &'p Program,
         shared: Option<&Arc<PredecodedProgram>>,
     ) -> Self {
+        // Traces pay only where there is fused code to compile and the
+        // region, once compiled, stays as it was formed.
+        let compiles =
+            config.backend == Backend::CachedFused && config.mode != ProfilingMode::Continuous;
         Engine {
             program,
             exec: Executor::new(program, config.backend, config.fuel, shared),
             policy: Policy::new(*config, tracer, program.len()),
+            traces: compiles.then(Vec::new),
         }
     }
 
@@ -188,7 +204,7 @@ impl<'p> Engine<'p> {
         loop {
             // Optimized dispatch: region entry wins.
             let next = match self.policy.dispatch(&self.exec.cache, pc) {
-                Some(ri) => self.run_region(ri, machine)?,
+                Some(ri) => self.run_region(ri, pc, machine)?,
                 None => {
                     let ev = self.exec.step(pc, machine)?;
                     self.policy.unopt(&self.exec.cache, &ev);
@@ -203,23 +219,32 @@ impl<'p> Engine<'p> {
         }
     }
 
-    /// Runs region `ri` through its trace, compiling it first if the
-    /// region was installed or re-formed since its last entry. The
-    /// segment form was picked at compile time; the match here selects
-    /// the loop instance for it, once per region entry.
-    fn run_region(&mut self, ri: usize, machine: &mut Machine) -> Result<Option<Pc>, DbtError> {
-        let guarded = !self.policy.counts_in_regions();
-        let region = &mut self.policy.regions[ri];
-        // The snapshot keeps the code alive while the trace loop
-        // updates the policy.
-        let trace = Arc::clone(
-            region
-                .trace
-                .get_or_insert_with(|| self.exec.compile(&region.dump, guarded)),
-        );
-        match &trace.segs {
-            Segments::Replay(segs) => self.exec.run_trace(&mut self.policy, ri, segs, machine),
-            Segments::Step(segs) => self.exec.run_trace(&mut self.policy, ri, segs, machine),
+    /// Enters region `ri` at `pc` and runs it to its exit: through its
+    /// trace, compiled at the first entry, when this run compiles
+    /// traces, and otherwise block by block through the policy's
+    /// automaton.
+    fn run_region(
+        &mut self,
+        ri: usize,
+        mut pc: Pc,
+        machine: &mut Machine,
+    ) -> Result<Option<Pc>, DbtError> {
+        let mut at = self.policy.enter(ri);
+        if let Some(traces) = &mut self.traces {
+            if traces.len() <= ri {
+                traces.resize_with(ri + 1, || None);
+            }
+            let trace =
+                traces[ri].get_or_insert_with(|| self.exec.compile(&self.policy.regions[ri].dump));
+            return self.exec.run_trace(&mut self.policy, ri, trace, machine);
+        }
+        loop {
+            let ev = self.exec.step(pc, machine)?;
+            let next = ev.exit.map(|(_, target)| target);
+            match (self.policy.walk(at, &ev), next) {
+                (Some(inside), Some(target)) => (at, pc) = (inside, target),
+                _ => return Ok(next),
+            }
         }
     }
 }
@@ -351,19 +376,10 @@ mod tests {
     use super::*;
     use crate::config::RegionPolicy;
     use crate::policy::reform_due;
-    use crate::trace::CompiledTrace;
-    use crate::Backend;
-    use tpdbt_isa::{structured, Cond, ProgramBuilder, Reg};
+    use crate::programs::{hot_loop, phase_flip_program};
+    use tpdbt_isa::{Cond, ProgramBuilder, Reg};
     use tpdbt_profile::{RegionKind, TermKind};
     use tpdbt_trace::EventKind;
-
-    fn hot_loop(iters: i64) -> Program {
-        let mut b = ProgramBuilder::new();
-        let r = Reg::new(0);
-        structured::counted_loop(&mut b, r, 0, 1, Cond::Lt, iters, |_| {}).unwrap();
-        b.halt();
-        b.build().unwrap()
-    }
 
     #[test]
     fn no_opt_mode_profiles_whole_run() {
@@ -506,29 +522,8 @@ mod tests {
         assert_eq!(two.output, out.output);
     }
 
-    /// A loop whose likely exit direction flips halfway: two-phase
-    /// regions keep side-exiting, adaptive mode retires and re-forms.
-    fn phase_flip_program() -> Program {
-        let mut b = ProgramBuilder::new();
-        let (i, x, half) = (Reg::new(0), Reg::new(1), Reg::new(2));
-        b.movi(half, 60_000);
-        let head = b.fresh_label("head");
-        let then = b.fresh_label("then");
-        let join = b.fresh_label("join");
-        b.movi(i, 0);
-        b.bind(head).unwrap();
-        b.br_reg(Cond::Lt, i, half, then);
-        b.addi(x, x, 2);
-        b.jmp(join);
-        b.bind(then).unwrap();
-        b.addi(x, x, 1);
-        b.bind(join).unwrap();
-        b.addi(i, i, 1);
-        b.br_imm(Cond::Lt, i, 120_000, head);
-        b.halt();
-        b.build().unwrap()
-    }
-
+    /// On the phase-flipping loop, two-phase regions keep side-exiting
+    /// while adaptive mode retires and re-forms.
     #[test]
     fn adaptive_mode_retires_stale_regions() {
         let p = phase_flip_program();
@@ -673,9 +668,9 @@ mod tests {
     }
 
     /// The translation cache and region traces, inspected on the
-    /// engine a whole run leaves behind: each region owns its trace,
-    /// compiled from the cache at its first entry after formation or
-    /// re-formation, and retirement makes it unreachable.
+    /// engine a whole run leaves behind: only `cached-fused` two-phase
+    /// and adaptive runs compile traces, each region's at its first
+    /// entry, and retirement makes a region unreachable.
     mod trace_slots {
         use super::*;
 
@@ -691,12 +686,17 @@ mod tests {
             engine
         }
 
-        /// Every live region that ran has a trace of exactly its copy
-        /// list, and every dispatch link points at a live region.
+        /// The trace compiled for region `ri`, if any.
+        fn trace<'e>(engine: &'e Engine<'_>, ri: usize) -> Option<&'e CompiledTrace> {
+            engine.traces.as_ref()?.get(ri)?.as_ref()
+        }
+
+        /// Every compiled trace covers exactly its region's copy list,
+        /// and every dispatch link points at a live region.
         fn assert_traces_match_shapes(engine: &Engine<'_>) {
             let regions = &engine.policy.regions;
-            for r in regions.iter().filter(|r| !r.retired) {
-                if let Some(trace) = &r.trace {
+            for (ri, r) in regions.iter().enumerate() {
+                if let Some(trace) = trace(engine, ri) {
                     assert_eq!(trace.starts(), r.dump.copies, "region {}", r.dump.id);
                 }
             }
@@ -708,83 +708,79 @@ mod tests {
             }
         }
 
-        /// The three trace forms cover each region's copies; only the
-        /// guarded form has fast guards.
+        /// Only `cached-fused` two-phase and adaptive regions compile,
+        /// to guarded traces with fast guards; `interp` runs and
+        /// continuous runs walk every region and compile none.
         #[test]
         fn each_backend_and_mode_compiles_its_trace_form() {
             let p = hot_loop(10_000);
-            let cases = [
-                (Backend::Interp, DbtConfig::two_phase(100), false),
-                (Backend::Interp, DbtConfig::continuous(100), false),
-                (Backend::CachedFused, DbtConfig::two_phase(100), true),
-                (Backend::CachedFused, DbtConfig::continuous(100), false),
-            ];
-            for (backend, config, guarded) in cases {
-                let config = config.with_backend(backend);
-                let engine = run_engine(&config, &p, None);
-                let regions = &engine.policy.regions;
-                assert!(!regions.is_empty(), "{backend} {:?}", config.mode);
-                assert_traces_match_shapes(&engine);
-                for r in regions {
-                    let fast = r.trace.as_ref().expect("the loop region ran").fast_guards();
-                    assert_eq!(
-                        fast > 0,
-                        guarded,
-                        "{backend} {:?}: {fast} fast guards",
-                        config.mode
-                    );
+            for backend in Backend::ALL {
+                for config in [
+                    DbtConfig::two_phase(100),
+                    DbtConfig::continuous(100),
+                    DbtConfig::adaptive(100),
+                ] {
+                    let config = config.with_backend(backend);
+                    let ctx = format!("{backend} {:?}", config.mode);
+                    let engine = run_engine(&config, &p, None);
+                    let regions = &engine.policy.regions;
+                    assert!(!regions.is_empty(), "{ctx}");
+                    assert_traces_match_shapes(&engine);
+                    let compiles =
+                        backend == Backend::CachedFused && config.mode != ProfilingMode::Continuous;
+                    for ri in 0..regions.len() {
+                        match trace(&engine, ri) {
+                            Some(t) => {
+                                assert!(compiles, "{ctx}: region {ri} compiled");
+                                assert!(t.fast_guards() > 0, "{ctx}: no fast guards");
+                            }
+                            None => assert!(!compiles, "{ctx}: the loop region ran"),
+                        }
+                    }
+                    // Only the fused form keeps decoded code per block.
+                    assert!(engine
+                        .exec
+                        .cache
+                        .iter()
+                        .flatten()
+                        .all(|e| e.code.is_some() == (backend == Backend::CachedFused)));
                 }
-                // Only the fused form keeps decoded code per block.
-                let forms: Vec<bool> = engine
-                    .exec
-                    .cache
-                    .iter()
-                    .flatten()
-                    .map(|e| e.code.is_some())
-                    .collect();
-                assert!(forms
-                    .iter()
-                    .all(|&f| f == (backend == Backend::CachedFused)));
             }
         }
 
-        /// Re-formation replaces a region's shape and trace together,
-        /// while a snapshot taken before it stays intact. The guest runs
-        /// twice on one engine: the second run finds the translation
-        /// cache warm and the entry counters doubling, so regions
-        /// re-form mid-run.
+        /// Re-formation replaces a region's shape in place: its entry
+        /// still dispatches to it, and no trace is compiled for it. The
+        /// guest runs twice on one engine: the second run finds the
+        /// translation cache warm and the entry counters doubling, so
+        /// regions re-form mid-run.
         #[test]
-        fn reform_swaps_the_trace_and_old_snapshots_survive() {
+        fn reform_replaces_the_region_and_keeps_its_dispatch_link() {
             let p = phase_flip_program();
             for backend in Backend::ALL {
                 let config = DbtConfig::continuous(1000).with_backend(backend);
                 let mut engine = run_engine(&config, &p, None);
-                type Snapshot = (Option<Arc<CompiledTrace>>, Vec<Pc>, u64);
-                let before: Vec<Snapshot> = engine
+                let before: Vec<u64> = engine.policy.regions.iter().map(|r| r.formed_use).collect();
+                engine.execute(&mut Machine::new(&p, &[])).unwrap();
+                let reformed = engine
                     .policy
                     .regions
                     .iter()
-                    .map(|r| (r.trace.clone(), r.dump.copies.clone(), r.formed_use))
-                    .collect();
-                engine.execute(&mut Machine::new(&p, &[])).unwrap();
-                let mut reformed = 0;
-                for (r, (old, copies, formed_use)) in engine.policy.regions.iter().zip(&before) {
-                    let (Some(old), Some(new)) = (old, &r.trace) else {
-                        continue;
-                    };
-                    assert_eq!(old.starts(), *copies, "{backend}: snapshot changed");
-                    let fresh = !Arc::ptr_eq(old, new);
-                    assert_eq!(fresh, r.formed_use != *formed_use, "{backend}");
-                    reformed += usize::from(fresh);
-                }
+                    .zip(&before)
+                    .filter(|(r, &formed_use)| r.formed_use != formed_use)
+                    .count();
                 assert!(reformed > 0, "{backend}: a reform must fire");
                 assert_traces_match_shapes(&engine);
+                for (ri, r) in engine.policy.regions.iter().enumerate() {
+                    let entry = engine.policy.blocks[r.dump.entry_pc()].as_ref();
+                    assert_eq!(entry.and_then(|e| e.entry_of), Some(ri), "{backend}");
+                }
+                assert!(engine.traces.is_none(), "{backend}: continuous runs walk");
             }
         }
 
         /// Retirement makes a region unreachable: no cache entry
-        /// dispatches to it. A region re-formed at the same entry runs
-        /// a fresh trace of its own shape.
+        /// dispatches to it. On `cached-fused`, a region re-formed at
+        /// the same entry runs a fresh trace of its own shape.
         #[test]
         fn retirement_unlinks_the_trace_and_reinstall_compiles_a_fresh_one() {
             let p = phase_flip_program();
@@ -801,19 +797,18 @@ mod tests {
                 let retired = policy
                     .regions
                     .iter()
-                    .find(|r| r.retired)
+                    .position(|r| r.retired)
                     .expect("retired region");
-                let entry = retired.dump.entry_pc();
+                let entry = policy.regions[retired].dump.entry_pc();
                 let fresh = policy.blocks[entry]
                     .as_ref()
                     .and_then(|e| e.entry_of)
-                    .map(|ri| &policy.regions[ri])
                     .expect("a fresh region forms at the retired entry");
-                let (Some(old), Some(new)) = (&retired.trace, &fresh.trace) else {
-                    panic!("{backend}: both regions ran");
-                };
-                assert!(!Arc::ptr_eq(new, old), "{backend}");
-                assert_eq!(new.starts(), fresh.dump.copies, "{backend}");
+                assert_ne!(fresh, retired, "{backend}");
+                // Each region's trace sits in its own slot, and the
+                // shape check above covered both.
+                let compiled = [retired, fresh].map(|ri| trace(&engine, ri).is_some());
+                assert_eq!(compiled, [backend == Backend::CachedFused; 2], "{backend}");
             }
         }
 

@@ -7,19 +7,21 @@
 //! policy's run takes the same block sequence, and a block's event
 //! (its successor slot included) is a function of that sequence alone.
 //! So one executor pass can feed any number of policies
-//! ([`crate::Lockstep`]), and a single run's compiled traces
-//! ([`Executor::run_trace`]) report the same events at region grain.
+//! ([`crate::Lockstep`]). A single run feeds its one policy the same
+//! events, block by block ([`Executor::step`]), except inside a
+//! guarded compiled trace ([`Executor::run_trace`]), which reports at
+//! region grain.
 
 use std::sync::Arc;
 
 use tpdbt_isa::{decode_block, Block, DecodedBlock, Pc, PredecodedProgram, Program, Terminator};
 use tpdbt_profile::{RegionDump, SuccSlot};
-use tpdbt_vm::{Flow, Machine, VmError};
+use tpdbt_vm::{exec_body, exec_term, Flow, Machine, VmError};
 
 use crate::backend::{run_decoded, step_block, Backend};
 use crate::error::DbtError;
 use crate::policy::Policy;
-use crate::trace::{compile_trace, step_trace, CompiledTrace, SegmentCode, TraceSegment, EXIT};
+use crate::trace::{compile_trace, CompiledTrace, EXIT};
 
 /// One executed block: where it started, how many instructions it ran
 /// and how it left. `exit` is `None` when the block halted the guest.
@@ -179,7 +181,7 @@ impl<'p> Executor<'p> {
     /// # Errors
     ///
     /// Fuel exhaustion before the block, and guest traps inside it.
-    // Inlined into both run loops: as a call, the event round trip
+    // Inlined into every run loop: as a call, the event round trip
     // through memory costs the profiling phase a sixth of its speed.
     #[inline(always)]
     pub fn step(&mut self, pc: Pc, machine: &mut Machine) -> Result<BlockEvent, DbtError> {
@@ -198,51 +200,43 @@ impl<'p> Executor<'p> {
         Ok(BlockEvent { pc, len, exit })
     }
 
-    /// Compiles `dump` into the trace a single run executes, from the
-    /// members' translation-cache entries: a replayed trace over their
-    /// fused blocks under `cached-fused` (guarded, or observed when
-    /// `guarded` is unset), or a stepped trace over their extents under
-    /// `interp`.
-    pub fn compile(&self, dump: &RegionDump, guarded: bool) -> Arc<CompiledTrace> {
-        let member = |pc: Pc| self.cache[pc].as_deref();
-        let trace = if self.predecoded.is_some() {
-            dump.copies
-                .iter()
-                .map(|&pc| member(pc)?.code.clone())
-                .collect::<Option<Vec<_>>>()
-                .and_then(|chain| compile_trace(&dump.copies, &dump.edges, &chain, guarded))
-        } else {
-            step_trace(&dump.copies, |pc| member(pc).map(|e| e.block.end))
-        };
-        Arc::new(trace.expect("region members are translated before formation"))
+    /// Compiles `dump` into the guarded trace a single run executes,
+    /// from its members' fused translation-cache entries.
+    ///
+    /// # Panics
+    ///
+    /// Under `interp`, which keeps no fused code to compile.
+    pub fn compile(&self, dump: &RegionDump) -> CompiledTrace {
+        dump.copies
+            .iter()
+            .map(|&pc| self.cache[pc].as_deref()?.code.clone())
+            .collect::<Option<Vec<_>>>()
+            .and_then(|chain| compile_trace(&dump.copies, &dump.edges, &chain))
+            .expect("region members are translated to fused code before formation")
     }
 
-    /// Runs region `ri` through its compiled trace `segs`, reporting
-    /// region-level events to `policy`: the entry, each block only when
-    /// the policy counts inside regions, and the exit with the
-    /// instruction and loop-back totals. Returns the next guest pc, or
-    /// `None` when the guest halted inside the region.
+    /// Runs region `ri`, already entered, through its compiled trace,
+    /// reporting the exit to `policy` with the instruction and
+    /// loop-back totals. Returns the next guest pc, or `None` when the
+    /// guest halted inside the region.
     ///
     /// Segments run straight-line with their pre-resolved guards;
     /// [`crate::trace::Guard::Other`] terminators (call / return /
-    /// switch / halt, and every terminator of the observed and stepped
-    /// forms) take the generic terminator-and-outcome path, which keeps
-    /// the slot numbering exact and is where continuous mode counts.
-    /// Fuel is checked before each segment, and traps propagate before
-    /// the trapping segment is counted.
+    /// switch / halt) take the generic terminator-and-outcome path,
+    /// which keeps the slot numbering exact. Fuel is checked before
+    /// each segment, and traps propagate before the trapping segment is
+    /// counted.
     ///
     /// # Errors
     ///
     /// Fuel exhaustion and guest traps, as [`Executor::step`].
-    pub fn run_trace<C: SegmentCode>(
+    pub fn run_trace(
         &mut self,
         policy: &mut Policy,
         ri: usize,
-        segs: &[TraceSegment<C>],
+        trace: &CompiledTrace,
         machine: &mut Machine,
     ) -> Result<Option<Pc>, DbtError> {
-        policy.enter(ri);
-        let counting = policy.counts_in_regions();
         // Hot-loop totals accumulate in locals and reach the policy at
         // the exit; a trap discards the whole run, so no error path
         // needs them.
@@ -251,11 +245,11 @@ impl<'p> Executor<'p> {
         let mut loops = 0u64;
         let mut cur = 0usize;
         loop {
-            let seg = &segs[cur];
+            let seg = &trace.segs[cur];
             if base + instr >= self.fuel {
                 return Err(self.out_of_fuel(seg.start));
             }
-            C::run_body(seg, self.program, machine)?;
+            exec_body(&seg.body, seg.start, machine)?;
             machine.set_pc(seg.term_pc);
             let (next, target) = match seg.guard.quick_eval(machine) {
                 Some(hit) => {
@@ -265,15 +259,12 @@ impl<'p> Executor<'p> {
                 None => {
                     // Generic path: traps propagate before the
                     // instruction count bumps (matches step_block).
-                    let flow = C::run_term(seg, self.program, machine)?;
+                    let flow = exec_term(seg.term.view(), seg.term_pc, machine)?;
                     instr += u64::from(seg.len);
                     let exit = self.cache[seg.start]
                         .as_mut()
                         .expect("region members are translated")
                         .outcome(&flow);
-                    if counting {
-                        policy.count_in_region(seg.start, exit);
-                    }
                     let Some((slot, target)) = exit else {
                         self.instructions += instr;
                         policy.leave(ri, None, instr, loops);

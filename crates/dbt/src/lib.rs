@@ -38,20 +38,21 @@
 //!
 //! A run is an executor (the guest machine's per-block code) feeding a
 //! translation policy (counters, pool, regions, costs). [`Dbt::run`]
-//! feeds one policy and runs installed regions as compiled traces;
-//! [`Lockstep::run`] steps the guest once and feeds one policy per
-//! configuration, so the paper's AVEP, `T = 1` base and threshold
-//! ladder on one input cost one guest execution. Each lockstep outcome
-//! is bitwise equal to its configuration's single run.
+//! feeds one policy; [`Lockstep::run`] steps the guest once and feeds
+//! one policy per configuration, so the paper's AVEP, `T = 1` base and
+//! threshold ladder on one input cost one guest execution. Each
+//! lockstep outcome is bitwise equal to its configuration's single run.
 //!
 //! How translated code executes on the *host* is a separate axis,
 //! selected by [`Backend`]: reference interpretation (`interp`, the
 //! differential oracle) or a translation cache of fused
-//! superinstruction blocks with trace-compiled regions
-//! (`cached-fused`, the default; DESIGN.md §16). Every installed region
-//! runs through one trace loop in either backend. Backends never
-//! change observable results — output, stats, profiles, and intervals
-//! are bitwise identical across both.
+//! superinstruction blocks (`cached-fused`, the default; DESIGN.md
+//! §16). An installed region runs in one of two ways: the policy's
+//! automaton walks it block by block, or a single run on
+//! `cached-fused` in two-phase or adaptive mode, whose regions never
+//! re-form, runs it as a guarded compiled trace. Backends never change
+//! observable results — output, stats, profiles, and intervals are
+//! bitwise identical across both.
 //!
 //! # Example
 //!
@@ -87,9 +88,12 @@ mod policy;
 mod region;
 mod trace;
 
+#[cfg(test)]
+#[path = "../tests/support/programs.rs"]
+mod programs;
+
 pub use backend::Backend;
 pub use config::{AdaptPolicy, CostModel, DbtConfig, OptMode, ProfilingMode, RegionPolicy};
 pub use engine::{Dbt, Lockstep, RunOutcome};
 pub use error::DbtError;
 pub use policy::ExecStats;
-pub use trace::CompiledTrace;

@@ -5,16 +5,21 @@
 //! re-formation, adaptive retirement, interval snapshots, the cost
 //! model and [`ExecStats`].
 //!
-//! A policy never runs guest code. A single run feeds it one block
-//! event per profiling-phase block and region-level events from its
-//! compiled traces ([`crate::exec::Executor::run_trace`]); a lockstep
-//! run feeds it every block event ([`Policy::consume`]) and it walks its
-//! regions copy by copy. Both reach the same state: a region's trace
-//! and its automaton follow the same edge table and account each copy
-//! identically.
+//! A policy never runs guest code and holds no executor code. It sees
+//! a region run in one of two ways:
+//!
+//! * **Walked**: the region's automaton ([`Policy::walk`]) takes one
+//!   block event per copy. A lockstep run walks every region through
+//!   [`Policy::consume`]; a single run walks every region it does not
+//!   compile.
+//! * **Traced**: a single run's guarded compiled trace
+//!   ([`crate::exec::Executor::run_trace`]) runs the whole region and
+//!   reports its exit ([`Policy::leave`]).
+//!
+//! Both reach the same state: a trace and the automaton follow the
+//! same edge table and account each copy identically.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
 
 use tpdbt_isa::{Pc, Terminator};
 use tpdbt_profile::{
@@ -26,7 +31,7 @@ use crate::config::{DbtConfig, ProfilingMode};
 use crate::engine::RunOutcome;
 use crate::exec::{BlockEvent, Code};
 use crate::region::{form_region, BlockSource, FormedRegion};
-use crate::trace::{CompiledTrace, EXIT};
+use crate::trace::EXIT;
 
 /// Aggregate statistics of a translated run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -91,10 +96,6 @@ impl Counters {
 #[derive(Debug)]
 pub(crate) struct RuntimeRegion {
     pub dump: RegionDump,
-    /// The region's optimized code in a single run, compiled at its
-    /// first entry after install or re-formation. Lockstep runs walk
-    /// the edge table instead and leave it empty.
-    pub trace: Option<Arc<CompiledTrace>>,
     /// Successor table, one row of `width` [`slot_column`]s per copy:
     /// the next copy, or [`EXIT`]. A column past the row exits too.
     succ: Box<[u32]>,
@@ -121,7 +122,6 @@ impl RuntimeRegion {
         }
         RuntimeRegion {
             dump,
-            trace: None,
             succ,
             width,
             formed_use,
@@ -154,9 +154,9 @@ fn slot_column(slot: SuccSlot) -> u32 {
     }
 }
 
-/// Where a lockstep policy stands inside the region it is executing.
+/// Where a policy stands inside the region it is walking.
 #[derive(Clone, Copy, Debug)]
-struct Inside {
+pub(crate) struct Inside {
     region: usize,
     copy: usize,
     instructions: u64,
@@ -297,10 +297,9 @@ impl<'t> Policy<'t> {
         emit(self.tracer, event);
     }
 
-    /// Whether region traces may use fast guards. Continuous profiling
-    /// keeps counting inside regions, so it needs the observed form
-    /// instead: every block's flow reaches the policy.
-    pub fn counts_in_regions(&self) -> bool {
+    /// Whether counters keep counting inside regions (continuous
+    /// profiling): every walked block's flow reaches the counters.
+    fn counts_in_regions(&self) -> bool {
         self.config.mode == ProfilingMode::Continuous
     }
 
@@ -326,15 +325,7 @@ impl<'t> Policy<'t> {
             let at = match inside {
                 Some(at) => at,
                 None => match self.dispatch(code, ev.pc) {
-                    Some(region) => {
-                        self.enter(region);
-                        Inside {
-                            region,
-                            copy: 0,
-                            instructions: 0,
-                            loops: 0,
-                        }
-                    }
+                    Some(region) => self.enter(region),
                     None => {
                         self.unopt(code, ev);
                         self.settle(ev.exit.is_none());
@@ -343,15 +334,18 @@ impl<'t> Policy<'t> {
                 },
             };
             inside = self.walk(at, ev);
+            if inside.is_none() {
+                self.settle(ev.exit.is_none());
+            }
         }
         self.inside = inside;
     }
 
     /// One step of the region automaton: copy `at.copy` of the region
     /// ran as `ev`. Returns where the walk stands next, or `None` once
-    /// it left the region.
+    /// it left the region (the caller then settles).
     #[inline]
-    fn walk(&mut self, mut at: Inside, ev: &BlockEvent) -> Option<Inside> {
+    pub fn walk(&mut self, mut at: Inside, ev: &BlockEvent) -> Option<Inside> {
         debug_assert_eq!(self.regions[at.region].dump.copies[at.copy], ev.pc);
         at.instructions += u64::from(ev.len);
         if self.counts_in_regions() {
@@ -364,7 +358,6 @@ impl<'t> Policy<'t> {
             // copy.
             let from = ev.exit.map(|_| at.copy);
             self.leave(at.region, from, at.instructions, at.loops);
-            self.settle(from.is_none());
             return None;
         }
         at.loops += u64::from(next == 0);
@@ -475,18 +468,24 @@ impl<'t> Policy<'t> {
     /// Continuous mode's in-region counting: the block at `pc` ran
     /// inside a region and left through `exit`. Counters bump as in
     /// the profiling phase, without the per-counter cycle charge.
-    pub fn count_in_region(&mut self, pc: Pc, exit: Option<(SuccSlot, Pc)>) {
+    fn count_in_region(&mut self, pc: Pc, exit: Option<(SuccSlot, Pc)>) {
         let entry = self.blocks[pc]
             .as_mut()
             .expect("region members are translated");
         count(entry, &mut self.stats, self.tracer, pc, exit, 0);
     }
 
-    /// Region `ri` is entered.
-    pub fn enter(&mut self, ri: usize) {
+    /// Region `ri` is entered; a walk starts at its entry copy.
+    pub fn enter(&mut self, ri: usize) -> Inside {
         self.stats.region_entries += 1;
         self.regions[ri].entries += 1;
         self.stats.cycles += self.config.cost.region_entry_cost;
+        Inside {
+            region: ri,
+            copy: 0,
+            instructions: 0,
+            loops: 0,
+        }
     }
 
     /// The copy that follows copy `cur` of region `ri` through `slot`,
@@ -533,8 +532,9 @@ impl<'t> Policy<'t> {
             self.stats.cycles += self.config.cost.opt_translate_per_instr * formed.total_instrs;
             self.stats.opt_invocations += 1;
             let id = self.regions[ri].dump.id;
-            // Re-formation replaces the region, shape and code
-            // together, in one assignment.
+            // Re-formation replaces the region's shape and successor
+            // table together, in one assignment; continuous regions are
+            // walked, so no compiled code can go stale.
             self.regions[ri] = RuntimeRegion::new(formed.into_dump(id), current_use);
             self.trace_emit(|| EventKind::RegionReformed {
                 region: id as u64,

@@ -1,39 +1,29 @@
-//! Trace compilation: in a single run, every installed region runs as
-//! a straight-line trace of [`TraceSegment`]s, one per region copy.
-//! (A lockstep run walks the same edge table block by block instead;
-//! see [`crate::policy`].)
+//! Trace compilation: a single run on `cached-fused` in a mode whose
+//! regions never re-form (two-phase, adaptive) runs each installed
+//! region as a straight-line trace of [`TraceSegment`]s, one per region
+//! copy. Every other region is walked block by block by the policy's
+//! automaton ([`crate::policy`]).
 //!
-//! A segment's terminator is pre-resolved to a [`Guard`] — the compiled
-//! form of the region's internal edge table. Conditional branches
-//! evaluate inline and map straight to the next segment, and direct
-//! jumps follow their one compiled edge; leaving through a direction the
-//! edge table does not cover is a *side exit* ([`EXIT`]). The segment
-//! form is picked once per region, when it is compiled:
-//!
-//! * **Guarded** (`cached-fused`, all modes but continuous): fused
-//!   superinstruction bodies, fast guards for branches and jumps.
-//! * **Observed** (`cached-fused`, continuous): the same bodies, but
-//!   every guard is [`Guard::Other`], so the policy sees each block's
-//!   flow and keeps counting inside the region.
-//! * **Stepped** (`interp`): every guard is [`Guard::Other`] and every
-//!   instruction runs through [`tpdbt_vm::step`], so the interpreter
-//!   stays an independent oracle for the other forms.
+//! A segment holds its copy's fused body and pre-decoded terminator;
+//! the terminator is pre-resolved to a [`Guard`] — the compiled form of
+//! the region's internal edge table. Conditional branches evaluate
+//! inline and map straight to the next segment, and direct jumps
+//! follow their one compiled edge; leaving through a direction the
+//! edge table does not cover is a *side exit* ([`EXIT`]).
 //!
 //! Invariants: executing segment `i` leaves the machine exactly as
 //! stepping copy `i` would (fused bodies are sequential compositions;
 //! guards evaluate precisely [`tpdbt_vm::exec_term`]'s expression), so
-//! per-copy bookkeeping is identical in every form. Terminators with
-//! executor-visible bookkeeping (returns number `ret_targets`, calls
-//! push the shadow stack) compile to [`Guard::Other`], which defers to
-//! the executor's generic path instead of guessing.
+//! per-copy bookkeeping is identical to the walked region. Terminators
+//! with executor-visible bookkeeping (returns number `ret_targets`,
+//! calls push the shadow stack) compile to [`Guard::Other`], which
+//! defers to the executor's generic path instead of guessing.
 
 use std::sync::Arc;
 
-use tpdbt_isa::{BlockBody, Cond, DecodedBlock, MicroOperand, MicroTerm, Pc, Program};
+use tpdbt_isa::{BlockBody, Cond, DecodedBlock, MicroOperand, MicroTerm, Pc};
 use tpdbt_profile::{RegionEdge, SuccSlot};
-use tpdbt_vm::{exec_body, exec_term, step, Flow, Machine, VmError};
-
-use crate::backend::step_block;
+use tpdbt_vm::Machine;
 
 /// Successor sentinel: control leaves the region (side exit or tail
 /// completion — the policy distinguishes by comparing against the
@@ -108,60 +98,9 @@ impl Guard {
     }
 }
 
-/// How a segment's code executes: the per-form half of a
-/// [`TraceSegment`]. The executor's region loop is generic over it, so
-/// each form runs its own monomorphized loop, with no per-segment
-/// branch on the form.
-pub(crate) trait SegmentCode: Sized {
-    /// Runs the straight-line body `[seg.start, seg.term_pc)`.
-    fn run_body(seg: &TraceSegment<Self>, program: &Program, m: &mut Machine) -> VmResult<()>;
-
-    /// Runs the terminator; the machine pc already rests on it.
-    fn run_term(seg: &TraceSegment<Self>, program: &Program, m: &mut Machine) -> VmResult<Flow>;
-}
-
-type VmResult<T> = Result<T, VmError>;
-
-/// Replayed code: the copy's decoded body (fused where fusion pays)
-/// and its pre-decoded terminator.
-#[derive(Clone, Debug)]
-pub(crate) struct Replay {
-    /// The straight-line body (terminator excluded).
-    pub body: BlockBody,
-    /// The pre-decoded terminator, for [`Guard::Other`] segments.
-    pub term: MicroTerm,
-}
-
-impl SegmentCode for Replay {
-    #[inline]
-    fn run_body(seg: &TraceSegment<Self>, _: &Program, m: &mut Machine) -> VmResult<()> {
-        exec_body(&seg.code.body, seg.start, m)
-    }
-
-    #[inline]
-    fn run_term(seg: &TraceSegment<Self>, _: &Program, m: &mut Machine) -> VmResult<Flow> {
-        exec_term(seg.code.term.view(), seg.term_pc, m)
-    }
-}
-
-/// Stepped code: every instruction, terminator included, goes through
-/// per-instruction [`tpdbt_vm::step`] on the guest program.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct Step;
-
-impl SegmentCode for Step {
-    fn run_body(seg: &TraceSegment<Self>, program: &Program, m: &mut Machine) -> VmResult<()> {
-        step_block(program, seg.start, seg.term_pc, m).map(drop)
-    }
-
-    fn run_term(_: &TraceSegment<Self>, program: &Program, m: &mut Machine) -> VmResult<Flow> {
-        step(program, m)
-    }
-}
-
 /// One region copy lowered for trace execution.
 #[derive(Clone, Debug)]
-pub(crate) struct TraceSegment<C> {
+pub(crate) struct TraceSegment {
     /// Guest address of the copy's first instruction.
     pub start: Pc,
     /// Instruction count including the terminator (the policy's
@@ -171,83 +110,49 @@ pub(crate) struct TraceSegment<C> {
     pub term_pc: Pc,
     /// The compiled successor decision.
     pub guard: Guard,
-    /// How the body and a [`Guard::Other`] terminator execute.
-    pub code: C,
-}
-
-/// A compiled trace's segments, in one of the two code forms.
-#[derive(Clone, Debug)]
-pub(crate) enum Segments {
-    /// Guarded or observed: decoded bodies replayed.
-    Replay(Box<[TraceSegment<Replay>]>),
-    /// The interpreter's form: every instruction stepped.
-    Step(Box<[TraceSegment<Step>]>),
+    /// The straight-line body (terminator excluded), fused where
+    /// fusion pays.
+    pub body: BlockBody,
+    /// The pre-decoded terminator, for [`Guard::Other`] segments.
+    pub term: MicroTerm,
 }
 
 /// An optimized region compiled into a straight-line trace (one
-/// `TraceSegment` per region copy, entry first).
+/// [`TraceSegment`] per region copy, entry first).
 ///
 /// Compiled by a single run from the executor's translation cache at
-/// the region's first entry after formation or re-formation; executed
-/// by the executor's one region loop.
-/// Opaque outside the crate — tests can observe shape through
-/// [`CompiledTrace::starts`].
+/// the region's first entry and executed by
+/// [`crate::exec::Executor::run_trace`].
 #[derive(Clone, Debug)]
-pub struct CompiledTrace {
-    pub(crate) segs: Segments,
+pub(crate) struct CompiledTrace {
+    pub segs: Box<[TraceSegment]>,
 }
 
+#[cfg(test)]
 impl CompiledTrace {
-    /// Number of segments (== region copies).
-    #[must_use]
-    pub fn len(&self) -> usize {
-        match &self.segs {
-            Segments::Replay(s) => s.len(),
-            Segments::Step(s) => s.len(),
-        }
-    }
-
-    /// Whether the trace has no segments (never true for a compiled
-    /// region, which has at least its entry copy).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The guest start address of each segment, in copy order — the
-    /// trace's identity for staleness checks.
-    #[must_use]
-    pub fn starts(&self) -> Vec<Pc> {
-        match &self.segs {
-            Segments::Replay(s) => s.iter().map(|s| s.start).collect(),
-            Segments::Step(s) => s.iter().map(|s| s.start).collect(),
-        }
+    /// The guest start address of each segment, in copy order.
+    pub(crate) fn starts(&self) -> Vec<Pc> {
+        self.segs.iter().map(|s| s.start).collect()
     }
 
     /// How many segments carry a fast guard (anything but
-    /// [`Guard::Other`]). Zero for the observed and stepped forms.
-    #[cfg(test)]
+    /// [`Guard::Other`]).
     pub(crate) fn fast_guards(&self) -> usize {
-        match &self.segs {
-            Segments::Replay(s) => s
-                .iter()
-                .filter(|s| !matches!(s.guard, Guard::Other))
-                .count(),
-            Segments::Step(_) => 0,
-        }
+        self.segs
+            .iter()
+            .filter(|s| !matches!(s.guard, Guard::Other))
+            .count()
     }
 }
 
-/// Compiles a region into a replayed trace. `chain` is the copy list
+/// Compiles a region into a guarded trace. `chain` is the copy list
 /// resolved to fused decoded blocks (parallel to `copies`); `edges` is
-/// the region's internal edge table. With `guarded` unset every
-/// segment is [`Guard::Other`] (the observed form). Returns `None` when
-/// the chain does not cover the copy list.
+/// the region's internal edge table. Returns `None` when the chain
+/// does not cover the copy list.
 pub(crate) fn compile_trace(
     copies: &[Pc],
     edges: &[RegionEdge],
     chain: &[Arc<DecodedBlock>],
-    guarded: bool,
 ) -> Option<CompiledTrace> {
     if chain.len() != copies.len() || copies.is_empty() {
         return None;
@@ -257,24 +162,17 @@ pub(crate) fn compile_trace(
         if block.start != copies[i] {
             return None;
         }
-        let guard = if guarded {
-            lower_guard(i, block, edges)
-        } else {
-            Guard::Other
-        };
         segs.push(TraceSegment {
             start: block.start,
             len: (block.end - block.start) as u32,
             term_pc: block.term_pc(),
-            guard,
-            code: Replay {
-                body: block.body.clone(),
-                term: block.term.clone(),
-            },
+            guard: lower_guard(i, block, edges),
+            body: block.body.clone(),
+            term: block.term.clone(),
         });
     }
     Some(CompiledTrace {
-        segs: Segments::Replay(segs.into_boxed_slice()),
+        segs: segs.into_boxed_slice(),
     })
 }
 
@@ -311,47 +209,15 @@ fn lower_guard(i: usize, block: &DecodedBlock, edges: &[RegionEdge]) -> Guard {
     }
 }
 
-/// Compiles a region into the interpreter's stepped trace: one
-/// [`Guard::Other`] segment per copy, `ends` giving each copy's block
-/// end. Returns `None` when a copy's extent is unknown.
-pub(crate) fn step_trace(copies: &[Pc], ends: impl Fn(Pc) -> Option<Pc>) -> Option<CompiledTrace> {
-    if copies.is_empty() {
-        return None;
-    }
-    let segs = copies
-        .iter()
-        .map(|&start| {
-            let end = ends(start)?;
-            Some(TraceSegment {
-                start,
-                len: (end - start) as u32,
-                term_pc: end - 1,
-                guard: Guard::Other,
-                code: Step,
-            })
-        })
-        .collect::<Option<Box<[_]>>>()?;
-    Some(CompiledTrace {
-        segs: Segments::Step(segs),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tpdbt_isa::{Cond, ProgramBuilder, Reg};
+    use tpdbt_isa::{Cond, Program, ProgramBuilder, Reg};
     use tpdbt_profile::RegionEdge;
 
     /// The translation cache's unit: a decoded block in fused form.
     fn fused(p: &Program, pc: Pc) -> Arc<DecodedBlock> {
         Arc::new(DecodedBlock::decode(p, pc).unwrap().fused())
-    }
-
-    fn replay(trace: &CompiledTrace) -> &[TraceSegment<Replay>] {
-        match &trace.segs {
-            Segments::Replay(segs) => segs,
-            Segments::Step(_) => panic!("expected a replayed trace"),
-        }
     }
 
     fn loop_program() -> Program {
@@ -378,15 +244,15 @@ mod tests {
     fn compiles_branch_guards_with_edge_table() {
         let p = loop_program();
         let block = fused(&p, 0);
-        let trace = compile_trace(&[0], &latch_edges(), &[Arc::clone(&block)], true).unwrap();
-        assert_eq!(trace.len(), 1);
+        let trace = compile_trace(&[0], &latch_edges(), &[Arc::clone(&block)]).unwrap();
+        assert_eq!(trace.segs.len(), 1);
         assert_eq!(trace.starts(), vec![0]);
         assert_eq!(trace.fast_guards(), 1);
-        let seg = &replay(&trace)[0];
+        let seg = &trace.segs[0];
         assert_eq!((seg.start, seg.len, seg.term_pc), (0, 3, 2));
         // The two add-immediates fused into one superinstruction.
-        assert_eq!(seg.code.body.instr_count(), 2);
-        if let BlockBody::Fused(ops) = &seg.code.body {
+        assert_eq!(seg.body.instr_count(), 2);
+        if let BlockBody::Fused(ops) = &seg.body {
             assert_eq!(ops.len(), 1);
         } else {
             panic!("trace bodies are fused");
@@ -402,45 +268,16 @@ mod tests {
         }
     }
 
-    /// The observed form keeps the fused bodies whole and defers every
-    /// terminator to the executor's generic path.
-    #[test]
-    fn observed_form_has_no_fast_guards() {
-        let p = loop_program();
-        let block = fused(&p, 0);
-        let trace = compile_trace(&[0], &latch_edges(), &[Arc::clone(&block)], false).unwrap();
-        assert_eq!(trace.fast_guards(), 0);
-        let seg = &replay(&trace)[0];
-        assert!(matches!(seg.guard, Guard::Other));
-        assert_eq!(seg.code.body, block.body);
-        assert_eq!(seg.code.term, block.term);
-    }
-
-    #[test]
-    fn stepped_form_covers_each_copy_extent() {
-        let trace = step_trace(&[0, 0], |pc| (pc == 0).then_some(3)).unwrap();
-        assert_eq!(trace.starts(), vec![0, 0]);
-        assert_eq!(trace.fast_guards(), 0);
-        let Segments::Step(segs) = &trace.segs else {
-            panic!("expected a stepped trace");
-        };
-        assert_eq!((segs[1].start, segs[1].len, segs[1].term_pc), (0, 3, 2));
-        assert!(matches!(segs[1].guard, Guard::Other));
-        // Unknown extents and empty regions refuse to compile.
-        assert!(step_trace(&[0, 1], |pc| (pc == 0).then_some(3)).is_none());
-        assert!(step_trace(&[], |_| Some(1)).is_none());
-    }
-
     #[test]
     fn mismatched_chain_refuses_to_compile() {
         let mut b = ProgramBuilder::new();
         b.halt();
         let p = b.build().unwrap();
         let block = fused(&p, 0);
-        assert!(compile_trace(&[0, 1], &[], &[block], true).is_none());
-        assert!(compile_trace(&[], &[], &[], true).is_none());
-        let wrong = fused(&p, 0);
-        assert!(compile_trace(&[3], &[], &[wrong], true).is_none());
+        assert!(compile_trace(&[0, 1], &[], &[Arc::clone(&block)]).is_none());
+        assert!(compile_trace(&[3], &[], &[block]).is_none());
+        // An empty region refuses to compile too.
+        assert!(compile_trace(&[], &[], &[]).is_none());
     }
 
     #[test]
@@ -452,8 +289,8 @@ mod tests {
         b.br_imm(Cond::Lt, Reg::new(0), 2, top);
         b.halt();
         let p = b.build().unwrap();
-        let trace = compile_trace(&[0], &latch_edges(), &[fused(&p, 0)], true).unwrap();
-        let guard = replay(&trace)[0].guard;
+        let trace = compile_trace(&[0], &latch_edges(), &[fused(&p, 0)]).unwrap();
+        let guard = trace.segs[0].guard;
         let mut m = Machine::new(&p, &[]);
         // r0 = 1 < 2: taken.
         m.set_reg(0, 1);

@@ -1,9 +1,10 @@
 //! Guest programs for the parity tests: random structured programs,
 //! plus a hot loop and a phase-flipping loop for the boundary cases.
 //!
-//! Shared by `tests/backend_differential.rs` and `tests/lockstep.rs`
-//! (whole runs) and the per-block lockstep test in `src/backend.rs`,
-//! which includes this file by path; each uses a subset.
+//! Shared by `tests/backend_differential.rs`, `tests/lockstep.rs` and
+//! `tests/trace_regions.rs` (whole runs) and the crate's unit tests,
+//! which include this file by path from `src/lib.rs`; each uses a
+//! subset.
 #![allow(dead_code)]
 
 use proptest::prelude::*;

@@ -26,9 +26,10 @@
 //!
 //! `--backend` picks how translated guest code executes:
 //! `cached-fused` (the default) runs blocks decoded and re-encoded as
-//! superinstructions once per guest, and compiles each region to a
-//! straight-line guarded trace; `interp` re-decodes each instruction
-//! on every execution. Results are bitwise identical — only host-side
+//! superinstructions once per guest, and in two-phase and adaptive mode
+//! compiles each region to a straight-line guarded trace; `interp`
+//! re-decodes each instruction on every execution and walks regions
+//! block by block. Results are bitwise identical — only host-side
 //! speed differs. (Distinct from `--mode interp`, which bypasses the
 //! translator entirely.)
 //!

@@ -390,8 +390,8 @@ pub fn threshold_selection(names: &[&str], scale: Scale) -> Result<Table> {
 /// straight-line code at a guard — so benchmarks whose initial
 /// prediction is accurate (low `Sd.BP`, high completion rate) are the
 /// ones where `fused/interp` speedup concentrates. The baseline is the
-/// reference interpreter, which runs regions as stepped traces through
-/// the same region loop.
+/// reference interpreter, which compiles nothing: it walks each region
+/// block by block through the policy's automaton.
 ///
 /// Both backends are checked bitwise-identical (output *and* stats)
 /// before any timing is reported; each timing is the best of three
