@@ -11,7 +11,13 @@
 //! any gap here is pure host-side dispatch cost. A second group shows
 //! what a long-lived host (the sweep orchestrator, `tpdbt-serve`)
 //! gains by sharing one `PredecodedProgram` across runs: the decode
-//! and fusion cost itself amortizes to zero.
+//! and fusion cost itself amortizes to zero. A third group times one
+//! sweep unit as `reproduce` runs it: AVEP, the `T = 1` base and the
+//! tiny ladder as lockstep policies over one guest execution, where
+//! per-policy profiling and region walking dominate.
+//!
+//! Every row is the median of 30 samples: on a 2-core host one
+//! unchanged binary's 10-sample medians spread by 2x between runs.
 //!
 //! Set `TPDBT_BENCH_JSON=path` to also write the timings as JSON
 //! (`BENCH_GUEST.json` in CI).
@@ -20,7 +26,8 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use std::sync::Arc;
 
-use tpdbt_dbt::{Backend, Dbt, DbtConfig};
+use tpdbt_dbt::{Backend, Dbt, DbtConfig, Lockstep};
+use tpdbt_experiments::runner::ladder;
 use tpdbt_isa::PredecodedProgram;
 use tpdbt_suite::{workload, InputKind, Scale, Workload};
 
@@ -74,5 +81,36 @@ fn bench_shared_predecode(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_backends, bench_shared_predecode);
+/// One sweep unit as a single lockstep call: the reference input under
+/// AVEP, the `T = 1` base and every tiny ladder point, sharing one
+/// decode-once cache as the sweep does.
+fn bench_lockstep(c: &mut Criterion) {
+    let mut configs = vec![DbtConfig::no_opt(), DbtConfig::two_phase(1)];
+    configs.extend(
+        ladder(Scale::Tiny)
+            .iter()
+            .map(|p| DbtConfig::two_phase(p.actual)),
+    );
+    let mut g = c.benchmark_group("guest_exec_lockstep");
+    for name in GUESTS {
+        let w = guest(name);
+        let shared = Arc::new(PredecodedProgram::new(&w.binary.program));
+        g.bench_function(*name, |b| {
+            b.iter(|| {
+                let outs = Lockstep::new(configs.clone())
+                    .with_predecoded(Arc::clone(&shared))
+                    .run_built(&w.binary, &w.input)
+                    .unwrap();
+                black_box(outs.len())
+            })
+        });
+    }
+    g.finish();
+}
+
+criterion_group! {
+    name = benches;
+    config = Criterion::default().sample_size(30);
+    targets = bench_backends, bench_shared_predecode, bench_lockstep
+}
 criterion_main!(benches);

@@ -4,23 +4,22 @@
 //! code half of the translation cache) feeding a [`Policy`] (counters,
 //! candidate pool, region formation and the cost model; see
 //! [`crate::policy`]). The executor produces one block event per
-//! executed block: its pc, length, successor slot and next pc.
+//! executed block: its block id, length, edge id and successor column.
 //!
-//! * [`Dbt::run`] / [`Dbt::run_built`]: one policy. Profiling-phase
-//!   blocks step through the executor one event at a time. An
-//!   installed region runs in one of two ways, picked per run: on
-//!   `cached-fused` in a mode whose regions never re-form (two-phase,
-//!   adaptive), as a guarded compiled trace ([`crate::trace`]) that
-//!   reports its exit; otherwise (every `interp` run, continuous mode
-//!   on both backends) block by block through the policy's automaton
-//!   ([`Policy::walk`]), in the same dispatch → enter → walk order as a
-//!   lockstep policy.
 //! * [`Lockstep::run`] / [`Lockstep::run_built`]: N policies over one
 //!   guest execution. The executor steps the guest block by block into
-//!   a bounded event chunk, and each policy consumes the chunk, walking
-//!   its regions as automata over the edge table. Every policy's
-//!   outcome is bitwise equal to its config's single run, because guest
-//!   execution does not depend on the policy.
+//!   a bounded event chunk, and each policy consumes the chunk in one
+//!   loop, walking its regions as automata over the edge table. Every
+//!   policy's outcome is bitwise equal to its config's single run,
+//!   because guest execution does not depend on the policy.
+//! * [`Dbt::run`] / [`Dbt::run_built`]: one policy. On `cached-fused`
+//!   in a mode whose regions never re-form (two-phase, adaptive),
+//!   profiling-phase blocks step through the executor one event at a
+//!   time and each region runs as a guarded compiled trace
+//!   ([`crate::trace`]) that reports its exit. Every other single run
+//!   (every `interp` run, continuous mode on both backends) is a
+//!   lockstep run of one policy, so it walks its regions in the same
+//!   chunk loop.
 
 use std::sync::Arc;
 
@@ -161,7 +160,9 @@ impl Dbt {
             self.predecoded.as_ref(),
         );
         let output = engine.execute(machine)?;
-        Ok(engine.policy.into_outcome(program.entry(), output))
+        Ok(engine
+            .policy
+            .into_outcome(&engine.exec.code, program.entry(), output))
     }
 }
 
@@ -194,69 +195,105 @@ impl<'p> Engine<'p> {
         Engine {
             program,
             exec: Executor::new(program, config.backend, config.fuel, shared),
-            policy: Policy::new(*config, tracer, program.len()),
+            policy: Policy::new(*config, tracer),
             traces: compiles.then(Vec::new),
         }
     }
 
+    /// Runs the guest to its halt: walked in chunks as a lockstep
+    /// policy of one when this run compiles no traces, and otherwise
+    /// block by block with each region run as its trace.
     fn execute(&mut self, machine: &mut Machine) -> Result<Vec<i64>, DbtError> {
-        let mut pc = self.program.entry();
-        loop {
-            // Optimized dispatch: region entry wins.
-            let next = match self.policy.dispatch(&self.exec.cache, pc) {
-                Some(ri) => self.run_region(ri, pc, machine)?,
-                None => {
-                    let ev = self.exec.step(pc, machine)?;
-                    self.policy.unopt(&self.exec.cache, &ev);
-                    ev.exit.map(|(_, target)| target)
-                }
-            };
-            self.policy.settle(next.is_none());
-            match next {
-                Some(target) => pc = target,
-                None => return Ok(machine.output().to_vec()),
-            }
+        let entry = self.program.entry();
+        let exec = &mut self.exec;
+        let policy = &mut self.policy;
+        match &mut self.traces {
+            None => run_chunks(exec, std::slice::from_mut(policy), entry, machine)?,
+            Some(traces) => run_traced(exec, policy, traces, entry, machine)?,
         }
+        Ok(machine.output().to_vec())
     }
+}
 
-    /// Enters region `ri` at `pc` and runs it to its exit: through its
-    /// trace, compiled at the first entry, when this run compiles
-    /// traces, and otherwise block by block through the policy's
-    /// automaton.
-    fn run_region(
-        &mut self,
-        ri: usize,
-        mut pc: Pc,
-        machine: &mut Machine,
-    ) -> Result<Option<Pc>, DbtError> {
-        let mut at = self.policy.enter(ri);
-        if let Some(traces) = &mut self.traces {
-            if traces.len() <= ri {
-                traces.resize_with(ri + 1, || None);
+/// A single run's loop over guarded compiled traces: profiling-phase
+/// blocks step one at a time; a dispatched region runs through its
+/// trace, compiled at the region's first entry.
+fn run_traced(
+    exec: &mut Executor<'_>,
+    policy: &mut Policy<'_>,
+    traces: &mut Vec<Option<CompiledTrace>>,
+    entry: Pc,
+    machine: &mut Machine,
+) -> Result<(), DbtError> {
+    let mut pc = entry;
+    loop {
+        // Optimized dispatch: region entry wins.
+        let region = exec
+            .code
+            .id_of(pc)
+            .and_then(|id| policy.dispatch(&exec.code, id));
+        let next = match region {
+            Some(ri) => {
+                policy.enter(ri);
+                if traces.len() <= ri {
+                    traces.resize_with(ri + 1, || None);
+                }
+                let trace = match &mut traces[ri] {
+                    Some(trace) => trace,
+                    slot @ None => slot.insert(exec.compile(&policy.regions[ri].dump)?),
+                };
+                exec.run_trace(policy, ri, trace, machine)?
             }
-            let trace =
-                traces[ri].get_or_insert_with(|| self.exec.compile(&self.policy.regions[ri].dump));
-            return self.exec.run_trace(&mut self.policy, ri, trace, machine);
-        }
-        loop {
-            let ev = self.exec.step(pc, machine)?;
-            let next = ev.exit.map(|(_, target)| target);
-            match (self.policy.walk(at, &ev), next) {
-                (Some(inside), Some(target)) => (at, pc) = (inside, target),
-                _ => return Ok(next),
+            None => {
+                let (ev, next) = exec.step(pc, machine)?;
+                policy.unopt(&exec.code, &ev);
+                next
             }
+        };
+        policy.settle(&exec.code, next.is_none());
+        match next {
+            Some(target) => pc = target,
+            None => return Ok(()),
         }
     }
 }
 
-/// Block events the lockstep executor runs ahead of its policies.
+/// Block events the executor runs ahead of its policies.
 const CHUNK: usize = 1024;
+
+/// Runs the guest from `entry` to its halt, block by block, feeding
+/// every policy each chunk of block events.
+fn run_chunks(
+    exec: &mut Executor<'_>,
+    policies: &mut [Policy<'_>],
+    entry: Pc,
+    machine: &mut Machine,
+) -> Result<(), DbtError> {
+    let mut events = Vec::with_capacity(CHUNK);
+    let mut pc = Some(entry);
+    while let Some(mut at) = pc {
+        events.clear();
+        loop {
+            let (ev, next) = exec.step(at, machine)?;
+            events.push(ev);
+            pc = next;
+            match pc {
+                Some(next) if events.len() < CHUNK => at = next,
+                _ => break,
+            }
+        }
+        for policy in policies.iter_mut() {
+            policy.consume(&exec.code, &events);
+        }
+    }
+    Ok(())
+}
 
 /// One guest execution under several configurations at once: the
 /// paper's AVEP, `T = 1` base and threshold ladder on one input, say.
 ///
 /// The executor steps the guest once, block by block, and feeds every
-/// config's translation policy; [`Lockstep::run`] returns one [`RunOutcome`]
+/// config's translation policy chunk by chunk; [`Lockstep::run`] returns one [`RunOutcome`]
 /// per config, in order, each bitwise equal to that config's
 /// [`Dbt::run`]. No event stream is recorded beyond one bounded chunk.
 #[derive(Clone, Debug)]
@@ -344,29 +381,13 @@ impl Lockstep {
         let mut policies: Vec<Policy<'_>> = self
             .configs
             .iter()
-            .map(|&c| Policy::new(c, self.tracer.as_deref(), program.len()))
+            .map(|&c| Policy::new(c, self.tracer.as_deref()))
             .collect();
-        let mut events = Vec::with_capacity(CHUNK);
-        let mut pc = Some(program.entry());
-        while let Some(mut at) = pc {
-            events.clear();
-            loop {
-                let ev = exec.step(at, machine)?;
-                events.push(ev);
-                pc = ev.exit.map(|(_, target)| target);
-                match pc {
-                    Some(next) if events.len() < CHUNK => at = next,
-                    _ => break,
-                }
-            }
-            for policy in &mut policies {
-                policy.consume(&exec.cache, &events);
-            }
-        }
+        run_chunks(&mut exec, &mut policies, program.entry(), machine)?;
         let output = machine.output();
         Ok(policies
             .into_iter()
-            .map(|p| p.into_outcome(program.entry(), output.to_vec()))
+            .map(|p| p.into_outcome(&exec.code, program.entry(), output.to_vec()))
             .collect())
     }
 }
@@ -700,8 +721,9 @@ mod tests {
                     assert_eq!(trace.starts(), r.dump.copies, "region {}", r.dump.id);
                 }
             }
-            for (pc, e) in engine.policy.blocks.iter().enumerate() {
-                if let Some(ri) = e.as_ref().and_then(|e| e.entry_of) {
+            for (id, c) in engine.policy.profile.blocks.iter().enumerate() {
+                if let Some(ri) = c.entry_of {
+                    let (ri, pc) = (ri as usize, engine.exec.code.pc_of(id));
                     assert!(!regions[ri].retired, "pc {pc} dispatches a retired region");
                     assert_eq!(regions[ri].dump.entry_pc(), pc);
                 }
@@ -740,9 +762,9 @@ mod tests {
                     // Only the fused form keeps decoded code per block.
                     assert!(engine
                         .exec
-                        .cache
+                        .code
+                        .blocks
                         .iter()
-                        .flatten()
                         .all(|e| e.code.is_some() == (backend == Backend::CachedFused)));
                 }
             }
@@ -771,8 +793,9 @@ mod tests {
                 assert!(reformed > 0, "{backend}: a reform must fire");
                 assert_traces_match_shapes(&engine);
                 for (ri, r) in engine.policy.regions.iter().enumerate() {
-                    let entry = engine.policy.blocks[r.dump.entry_pc()].as_ref();
-                    assert_eq!(entry.and_then(|e| e.entry_of), Some(ri), "{backend}");
+                    let entry = engine.exec.code.id_of(r.dump.entry_pc()).unwrap();
+                    let entry_of = engine.policy.profile.blocks[entry].entry_of;
+                    assert_eq!(entry_of, Some(ri as u32), "{backend}");
                 }
                 assert!(engine.traces.is_none(), "{backend}: continuous runs walk");
             }
@@ -800,10 +823,11 @@ mod tests {
                     .position(|r| r.retired)
                     .expect("retired region");
                 let entry = policy.regions[retired].dump.entry_pc();
-                let fresh = policy.blocks[entry]
-                    .as_ref()
-                    .and_then(|e| e.entry_of)
-                    .expect("a fresh region forms at the retired entry");
+                let entry = engine.exec.code.id_of(entry).unwrap();
+                let fresh = policy.profile.blocks[entry]
+                    .entry_of
+                    .expect("a fresh region forms at the retired entry")
+                    as usize;
                 assert_ne!(fresh, retired, "{backend}");
                 // Each region's trace sits in its own slot, and the
                 // shape check above covered both.
@@ -824,13 +848,7 @@ mod tests {
             assert_eq!(decoded as u64, first.policy.stats.blocks_translated);
             let second = run_engine(&config, &p, Some(&shared));
             assert_eq!(shared.decoded_count(), decoded, "no block decodes twice");
-            for (a, b) in first
-                .exec
-                .cache
-                .iter()
-                .flatten()
-                .zip(second.exec.cache.iter().flatten())
-            {
+            for (a, b) in first.exec.code.blocks.iter().zip(&second.exec.code.blocks) {
                 assert!(Arc::ptr_eq(
                     a.code.as_ref().unwrap(),
                     b.code.as_ref().unwrap()
@@ -859,6 +877,73 @@ mod tests {
             assert_eq!(private.len(), p.len());
             assert_eq!(foreign.decoded_count(), 0);
         }
+    }
+
+    /// A lockstep executor runs up to a chunk ahead of its policies.
+    /// Here the loop region forms at an event before the block after
+    /// the loop first runs, in the same chunk: the executor has
+    /// numbered that block, but formation must not see it, and the
+    /// region and the whole outcome equal the single run's.
+    #[test]
+    fn formation_ignores_blocks_the_executor_ran_ahead_to() {
+        let mut b = ProgramBuilder::new();
+        let (i, x) = (Reg::new(0), Reg::new(1));
+        let top = b.fresh_label("top");
+        b.movi(i, 0);
+        b.bind(top).unwrap();
+        b.addi(i, i, 1);
+        b.br_imm(Cond::Lt, i, 40, top);
+        b.addi(x, x, 1); // 3: runs once, after the loop
+        b.halt();
+        let p = b.build().unwrap();
+        let after = 3;
+        let config = DbtConfig::two_phase(4);
+        let single = Dbt::new(config).run(&p, &[]).unwrap();
+        assert_eq!(single.inip.regions.len(), 1);
+
+        let mut exec = Executor::new(&p, config.backend, config.fuel, None);
+        let mut machine = Machine::new(&p, &[]);
+        let mut events = Vec::new();
+        let mut pc = Some(p.entry());
+        while let Some(at) = pc {
+            let (ev, next) = exec.step(at, &mut machine).unwrap();
+            events.push(ev);
+            pc = next;
+        }
+        assert!(events.len() < CHUNK, "one chunk");
+        let code = &exec.code;
+        let after_id = code.id_of(after).expect("the executor ran ahead to it");
+        let first_run = events
+            .iter()
+            .position(|ev| ev.block as usize == after_id)
+            .unwrap();
+        // The event that forms the region, found one event at a time.
+        let mut probe = Policy::new(config, None);
+        let formed = events
+            .iter()
+            .position(|ev| {
+                probe.consume(code, std::slice::from_ref(ev));
+                probe.stats.regions_formed == 1
+            })
+            .unwrap();
+        assert!(
+            formed < first_run,
+            "formation {formed}, first run {first_run}"
+        );
+
+        // The chunk up to and including the formation, in one slice.
+        let mut policy = Policy::new(config, None);
+        policy.consume(code, &events[..=formed]);
+        assert_eq!(policy.stats.regions_formed, 1);
+        assert!(policy.profile.id_of(code, after).is_none(), "not seen yet");
+        assert!(policy.profile.blocks.len() <= after_id);
+        assert_eq!(policy.regions[0].dump, single.inip.regions[0]);
+        policy.consume(code, &events[formed + 1..]);
+        let out = policy.into_outcome(code, p.entry(), machine.output().to_vec());
+        assert_eq!(out.inip, single.inip);
+        assert_eq!(out.stats, single.stats);
+        let lockstep = Lockstep::new(vec![config]).run(&p, &[]).unwrap();
+        assert_eq!(lockstep[0].inip, single.inip);
     }
 
     mod trace_events {

@@ -3,6 +3,7 @@
 use std::error::Error;
 use std::fmt;
 
+use tpdbt_isa::Pc;
 use tpdbt_vm::VmError;
 
 /// Errors from a translated run.
@@ -11,6 +12,13 @@ use tpdbt_vm::VmError;
 pub enum DbtError {
     /// The guest program trapped.
     Guest(VmError),
+    /// The block at `pc` left through a successor its decoded
+    /// terminator does not have, or a region's members could not be
+    /// compiled: a translator defect, never a guest trap.
+    Translation {
+        /// Start address of the offending block or region entry.
+        pc: Pc,
+    },
 }
 
 impl DbtError {
@@ -22,6 +30,7 @@ impl DbtError {
     pub fn as_guest_trap(&self) -> Option<&VmError> {
         match self {
             DbtError::Guest(e) => Some(e),
+            DbtError::Translation { .. } => None,
         }
     }
 }
@@ -30,6 +39,12 @@ impl fmt::Display for DbtError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             DbtError::Guest(e) => write!(f, "guest trap: {e}"),
+            DbtError::Translation { pc } => {
+                write!(
+                    f,
+                    "translator defect at block {pc}: flow and terminator disagree"
+                )
+            }
         }
     }
 }
@@ -38,6 +53,7 @@ impl Error for DbtError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
             DbtError::Guest(e) => Some(e),
+            DbtError::Translation { .. } => None,
         }
     }
 }

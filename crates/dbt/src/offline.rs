@@ -9,6 +9,7 @@
 //! counters), producing [`RegionDump`]s that the analyzer can evaluate
 //! against `AVEP` like any `INIP(T)` dump.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 use tpdbt_isa::{decode_block, Pc, Program, Terminator};
@@ -27,8 +28,8 @@ impl<'a> BlockSource for ProfileSource<'a> {
     fn terminator(&self, pc: Pc) -> Option<&Terminator> {
         self.terminators.get(&pc)
     }
-    fn record(&self, pc: Pc) -> Option<&BlockRecord> {
-        self.profile.blocks.get(&pc)
+    fn record(&self, pc: Pc) -> Option<Cow<'_, BlockRecord>> {
+        self.profile.blocks.get(&pc).map(Cow::Borrowed)
     }
     fn block_len(&self, pc: Pc) -> Option<u32> {
         self.lens.get(&pc).copied()

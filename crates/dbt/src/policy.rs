@@ -5,13 +5,20 @@
 //! re-formation, adaptive retirement, interval snapshots, the cost
 //! model and [`ExecStats`].
 //!
-//! A policy never runs guest code and holds no executor code. It sees
-//! a region run in one of two ways:
+//! A policy never runs guest code and holds no executor code. Its
+//! counters are flat ([`Profile`]): one [`Counters`] per block and one
+//! count per edge, indexed by the executor's block and edge ids, plus
+//! each block's edges in order of first count. A [`BlockRecord`] is
+//! built from them only where one is read: by region formation, by an
+//! interval snapshot and by the final dump.
 //!
-//! * **Walked**: the region's automaton ([`Policy::walk`]) takes one
-//!   block event per copy. A lockstep run walks every region through
-//!   [`Policy::consume`]; a single run walks every region it does not
-//!   compile.
+//! A policy sees a region run in one of two ways:
+//!
+//! * **Walked**: [`Policy::consume`] walks the region's automaton over
+//!   a chunk of block events in one loop ([`Policy::walk`]), one step
+//!   per copy, with the instruction and loop-back totals in locals
+//!   until the region is left. Lockstep runs and every single run
+//!   that compiles no trace walk this way.
 //! * **Traced**: a single run's guarded compiled trace
 //!   ([`crate::exec::Executor::run_trace`]) runs the whole region and
 //!   reports its exit ([`Policy::leave`]).
@@ -19,17 +26,19 @@
 //! Both reach the same state: a trace and the automaton follow the
 //! same edge table and account each copy identically.
 
+use std::borrow::Cow;
+use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet};
 
 use tpdbt_isa::{Pc, Terminator};
 use tpdbt_profile::{
-    BlockRecord, InipDump, IntervalProfile, RegionDump, RegionEdge, RegionKind, SuccSlot, TermKind,
+    BlockRecord, InipDump, IntervalProfile, RegionDump, RegionEdge, RegionKind, TermKind,
 };
 use tpdbt_trace::{EventKind, TraceRegionKind, Tracer};
 
 use crate::config::{DbtConfig, ProfilingMode};
 use crate::engine::RunOutcome;
-use crate::exec::{BlockEvent, Code};
+use crate::exec::{slot_column, BlockEvent, Code, EdgeId, TAKEN};
 use crate::region::{form_region, BlockSource, FormedRegion};
 use crate::trace::EXIT;
 
@@ -62,54 +71,149 @@ pub struct ExecStats {
     pub retirements: u64,
 }
 
-/// One translated block's live profile state.
-#[derive(Debug)]
+/// One translated block's live profile state; its edge counts live in
+/// [`Profile`].
+#[derive(Clone, Copy, Debug)]
 pub(crate) struct Counters {
-    pub record: BlockRecord,
+    /// The paper's `use` count.
+    pub use_count: u64,
+    len: u32,
+    /// Region dispatched from this block, if it is a region entry.
+    pub entry_of: Option<u32>,
     frozen: bool,
     /// 0 = unregistered, 1 = registered at `use == T`,
     /// 2 = registered twice (`use == 2T`).
     registered: u8,
-    /// Region dispatched from this pc, if it is a region entry.
-    pub entry_of: Option<usize>,
 }
 
-impl Counters {
-    /// The zeroed counters of a block of `len` instructions ending in
-    /// `terminator`, as translation creates them.
-    fn fresh(len: u32, terminator: &Terminator) -> Box<Self> {
-        Box::new(Counters {
-            record: BlockRecord {
-                len,
-                kind: Some(term_kind(terminator)),
-                use_count: 0,
-                edges: Vec::new(),
-            },
-            frozen: false,
-            registered: 0,
-            entry_of: None,
-        })
+// The walk and the profiling phase touch one of these per event and
+// policy; keep them to three words.
+const _: () = assert!(std::mem::size_of::<Counters>() == 24);
+
+/// A policy's counters, flat, by the executor's block and edge ids.
+///
+/// Every policy profiles a block on its first execution, and blocks
+/// are numbered in first-execution order, so the ids below
+/// `blocks.len()` are exactly the blocks this policy has translated. A
+/// lockstep executor may have run ahead of the policy and numbered
+/// more; those are not this policy's yet.
+#[derive(Debug, Default)]
+pub(crate) struct Profile {
+    pub blocks: Vec<Counters>,
+    /// Counts by edge id; grows as the executor numbers new edges.
+    edges: Vec<u64>,
+    /// Per block, the edges counted since its last reset, in order of
+    /// first count: the order of [`BlockRecord::edges`].
+    seen: Vec<Vec<EdgeId>>,
+}
+
+impl Profile {
+    /// The id of the block at `pc`, if this policy has translated it.
+    pub fn id_of(&self, code: &Code, pc: Pc) -> Option<usize> {
+        code.id_of(pc).filter(|&id| id < self.blocks.len())
     }
+
+    /// Block `id`'s profile record.
+    fn record(&self, code: &Code, id: usize) -> BlockRecord {
+        let c = &self.blocks[id];
+        let edges = self.seen[id]
+            .iter()
+            .map(|&e| {
+                let (slot, target) = code.edges[e as usize];
+                (slot, target, self.edges[e as usize])
+            })
+            .collect();
+        BlockRecord {
+            len: c.len,
+            kind: Some(term_kind(&code.blocks[id].block.terminator)),
+            use_count: c.use_count,
+            edges,
+        }
+    }
+
+    /// Zeroes block `id`'s counters and unfreezes it, as adaptive
+    /// retirement does.
+    fn reset(&mut self, id: usize) {
+        let c = &mut self.blocks[id];
+        c.frozen = false;
+        c.registered = 0;
+        c.use_count = 0;
+        for e in self.seen[id].drain(..) {
+            self.edges[e as usize] = 0;
+        }
+    }
+}
+
+/// Counts one execution of `ev`'s block unless its counters are
+/// frozen: its `use` count and the edge it left through. Returns the
+/// new use count, the registration state and the profiling ops (the
+/// paper's `taken` counter is an op only on a conditional taken edge),
+/// or `None` when frozen; the caller charges the ops, so each event
+/// updates each [`ExecStats`] field once.
+#[inline(always)]
+fn count(
+    profile: &mut Profile,
+    tracer: Option<&Tracer>,
+    code: &Code,
+    ev: &BlockEvent,
+) -> Option<(u64, u8, u64)> {
+    let id = ev.block as usize;
+    let c = &mut profile.blocks[id];
+    if c.frozen {
+        return None;
+    }
+    c.use_count += 1;
+    let (use_count, registered) = (c.use_count, c.registered);
+    let mut ops = 1;
+    if !ev.halted() {
+        let n = match profile.edges.get_mut(ev.edge as usize) {
+            Some(n) => n,
+            None => grow(&mut profile.edges, code, ev.edge),
+        };
+        if *n == 0 {
+            profile.seen[id].push(ev.edge);
+        }
+        *n += 1;
+        ops += u64::from(ev.column == TAKEN);
+    }
+    emit(tracer, || EventKind::CounterBump {
+        pc: code.pc_of(id) as u64,
+        use_count,
+    });
+    Some((use_count, registered, ops))
+}
+
+/// The count of edge `e` in `counts`, which were sized before the
+/// executor numbered `e`.
+#[cold]
+#[inline(never)]
+fn grow<'a>(counts: &'a mut Vec<u64>, code: &Code, e: EdgeId) -> &'a mut u64 {
+    counts.resize(code.edges.len().max(e as usize + 1), 0);
+    &mut counts[e as usize]
 }
 
 /// A formed region.
 #[derive(Debug)]
 pub(crate) struct RuntimeRegion {
-    pub dump: RegionDump,
     /// Successor table, one row of `width` [`slot_column`]s per copy:
     /// the next copy, or [`EXIT`]. A column past the row exits too.
     succ: Box<[u32]>,
     width: usize,
-    /// Entry-block use count at formation time (continuous-mode
-    /// staleness check).
-    pub formed_use: u64,
+    /// The tail copy: leaving from it completes the region.
+    tail: usize,
     /// Region entries since formation (adaptive monitoring).
     entries: u64,
     /// Side exits since formation (adaptive monitoring).
     side_exits: u64,
+    /// Entry-block use count at formation time (continuous-mode
+    /// staleness check).
+    pub formed_use: u64,
     /// Retired by adaptive monitoring: never dispatched again and
     /// excluded from the final dump.
     pub retired: bool,
+    /// The region's shape, as dumped; the walk reads only the fields
+    /// above.
+    pub dump: RegionDump,
 }
 
 impl RuntimeRegion {
@@ -121,19 +225,20 @@ impl RuntimeRegion {
             succ[e.from * width + column(e)] = e.to as u32;
         }
         RuntimeRegion {
-            dump,
             succ,
             width,
-            formed_use,
+            tail: dump.tail,
             entries: 0,
             side_exits: 0,
+            formed_use,
             retired: false,
+            dump,
         }
     }
 
     /// The copy that follows copy `cur` through the slot in `column`,
     /// or [`EXIT`].
-    #[inline]
+    #[inline(always)]
     fn next(&self, cur: usize, column: u32) -> u32 {
         let column = column as usize;
         if column < self.width {
@@ -141,16 +246,6 @@ impl RuntimeRegion {
         } else {
             EXIT
         }
-    }
-}
-
-/// A successor slot's column in a region's successor table.
-#[inline]
-fn slot_column(slot: SuccSlot) -> u32 {
-    match slot {
-        SuccSlot::Taken => 0,
-        SuccSlot::Fallthrough => 1,
-        SuccSlot::Other(n) => n.saturating_add(2),
     }
 }
 
@@ -203,53 +298,26 @@ fn emit(tracer: Option<&Tracer>, event: impl FnOnce() -> EventKind) {
     }
 }
 
-/// Bumps the `use` counter of the block at `pc` and the edge it left
-/// through, charging `op_cost` cycles per profiling op. The paper's
-/// `taken` counter is a profiling op only on a conditional taken edge.
-#[inline]
-fn count(
-    entry: &mut Counters,
-    stats: &mut ExecStats,
-    tracer: Option<&Tracer>,
-    pc: Pc,
-    exit: Option<(SuccSlot, Pc)>,
-    op_cost: u64,
-) {
-    entry.record.use_count += 1;
-    let mut ops = 1;
-    if let Some((slot, target)) = exit {
-        entry.record.bump_edge(slot, target, 1);
-        if slot == SuccSlot::Taken {
-            ops += 1;
-        }
-    }
-    stats.profiling_ops += ops;
-    stats.cycles += op_cost * ops;
-    let use_count = entry.record.use_count;
-    emit(tracer, || EventKind::CounterBump {
-        pc: pc as u64,
-        use_count,
-    });
-}
-
 /// Region formation's view of a policy: its own counters over the
 /// executor's decoded blocks, limited to the blocks this policy has
-/// translated (a lockstep executor may have run ahead of it).
+/// translated.
 struct Source<'a> {
     code: &'a Code,
-    blocks: &'a [Option<Box<Counters>>],
+    profile: &'a Profile,
 }
 
 impl BlockSource for Source<'_> {
     fn terminator(&self, pc: Pc) -> Option<&Terminator> {
-        self.blocks.get(pc)?.as_ref()?;
-        self.code.get(pc)?.as_ref().map(|e| &e.block.terminator)
+        let id = self.profile.id_of(self.code, pc)?;
+        Some(&self.code.blocks[id].block.terminator)
     }
-    fn record(&self, pc: Pc) -> Option<&BlockRecord> {
-        self.blocks.get(pc)?.as_ref().map(|e| &e.record)
+    fn record(&self, pc: Pc) -> Option<Cow<'_, BlockRecord>> {
+        let id = self.profile.id_of(self.code, pc)?;
+        Some(Cow::Owned(self.profile.record(self.code, id)))
     }
     fn block_len(&self, pc: Pc) -> Option<u32> {
-        self.blocks.get(pc)?.as_ref().map(|e| e.record.len)
+        let id = self.profile.id_of(self.code, pc)?;
+        Some(self.profile.blocks[id].len)
     }
 }
 
@@ -257,32 +325,33 @@ impl BlockSource for Source<'_> {
 pub(crate) struct Policy<'t> {
     config: DbtConfig,
     tracer: Option<&'t Tracer>,
-    /// Profile state by block start address; `None` until translated.
-    pub blocks: Vec<Option<Box<Counters>>>,
+    pub profile: Profile,
     pub regions: Vec<RuntimeRegion>,
-    pool: Vec<Pc>,
+    /// Registered candidates, by block id.
+    pool: Vec<usize>,
     pub stats: ExecStats,
     intervals: Vec<IntervalProfile>,
-    last_snapshot: BTreeMap<Pc, (u64, u64)>,
+    /// Each block's `(use, taken)` at the previous snapshot, by id.
+    last_snapshot: Vec<(u64, u64)>,
     next_interval_at: u64,
     retire_counts: BTreeMap<Pc, u32>,
-    /// The region a lockstep policy is walking, if any.
+    /// The region a chunk ended inside, if any: the next chunk's walk
+    /// resumes here.
     inside: Option<Inside>,
 }
 
 impl<'t> Policy<'t> {
-    /// A policy with nothing translated, for a program of
-    /// `program_len` instructions.
-    pub fn new(config: DbtConfig, tracer: Option<&'t Tracer>, program_len: usize) -> Self {
+    /// A policy with nothing translated.
+    pub fn new(config: DbtConfig, tracer: Option<&'t Tracer>) -> Self {
         Policy {
             config,
             tracer,
-            blocks: (0..program_len).map(|_| None).collect(),
+            profile: Profile::default(),
             regions: Vec::new(),
             pool: Vec::new(),
             stats: ExecStats::default(),
             intervals: Vec::new(),
-            last_snapshot: BTreeMap::new(),
+            last_snapshot: Vec::new(),
             next_interval_at: config.interval.unwrap_or(u64::MAX),
             retire_counts: BTreeMap::new(),
             inside: None,
@@ -312,94 +381,124 @@ impl<'t> Policy<'t> {
         )
     }
 
-    fn counters(&mut self, pc: Pc) -> &mut Counters {
-        self.blocks[pc].as_mut().expect("block translated")
-    }
-
-    /// Feeds a chunk of block events to a lockstep policy: each event
-    /// is dispatched, runs in the profiling phase, or steps the region
-    /// automaton of the region being walked.
+    /// Feeds a chunk of block events to the policy: each event is
+    /// dispatched and either runs in the profiling phase or enters a
+    /// region, which [`Policy::walk`] follows over the events after it.
     pub fn consume(&mut self, code: &Code, events: &[BlockEvent]) {
+        let mut rest = events;
         let mut inside = self.inside.take();
-        for ev in events {
-            let at = match inside {
-                Some(at) => at,
-                None => match self.dispatch(code, ev.pc) {
-                    Some(region) => self.enter(region),
-                    None => {
-                        self.unopt(code, ev);
-                        self.settle(ev.exit.is_none());
-                        continue;
-                    }
-                },
+        loop {
+            if let Some(at) = inside.take() {
+                rest = self.walk(code, at, rest);
+            }
+            let Some((ev, tail)) = rest.split_first() else {
+                return;
             };
-            inside = self.walk(at, ev);
-            if inside.is_none() {
-                self.settle(ev.exit.is_none());
+            match self.dispatch(code, ev.block as usize) {
+                Some(ri) => inside = Some(self.enter(ri)),
+                None => {
+                    self.unopt(code, ev);
+                    self.settle(code, ev.halted());
+                    rest = tail;
+                }
             }
         }
-        self.inside = inside;
     }
 
-    /// One step of the region automaton: copy `at.copy` of the region
-    /// ran as `ev`. Returns where the walk stands next, or `None` once
-    /// it left the region (the caller then settles).
-    #[inline]
-    pub fn walk(&mut self, mut at: Inside, ev: &BlockEvent) -> Option<Inside> {
-        debug_assert_eq!(self.regions[at.region].dump.copies[at.copy], ev.pc);
-        at.instructions += u64::from(ev.len);
-        if self.counts_in_regions() {
-            self.count_in_region(ev.pc, ev.exit);
+    /// The region automaton over a run of block events: copy `at.copy`
+    /// of the region ran as `events[0]`, the next copy as `events[1]`,
+    /// and so on until an event leaves the region, which is then left
+    /// and settled. The instruction and loop-back totals stay in locals
+    /// until then. Returns the events after the exit; when the events
+    /// run out inside the region, the walk resumes from there with the
+    /// next chunk.
+    // Out of line: inlined into `consume`, it costs the profiling-phase
+    // path registers and measured slower.
+    #[inline(never)]
+    fn walk<'e>(&mut self, code: &Code, at: Inside, events: &'e [BlockEvent]) -> &'e [BlockEvent] {
+        let counting = self.counts_in_regions();
+        let Inside {
+            region: ri,
+            mut copy,
+            mut instructions,
+            mut loops,
+        } = at;
+        let Policy {
+            regions,
+            profile,
+            stats,
+            tracer,
+            ..
+        } = self;
+        let region = &regions[ri];
+        for (n, ev) in events.iter().enumerate() {
+            debug_assert_eq!(region.dump.copies[copy], code.pc_of(ev.block as usize));
+            instructions += u64::from(ev.len);
+            if counting {
+                if let Some((_, _, ops)) = count(profile, *tracer, code, ev) {
+                    stats.profiling_ops += ops;
+                }
+            }
+            let next = region.next(copy, ev.column);
+            if next == EXIT {
+                // A halt has no column, so it leaves here too, through
+                // no copy.
+                let from = (!ev.halted()).then_some(copy);
+                self.leave(code, ri, from, instructions, loops);
+                self.settle(code, ev.halted());
+                return &events[n + 1..];
+            }
+            loops += u64::from(next == 0);
+            copy = next as usize;
         }
-        let column = ev.exit.map_or(u32::MAX, |(slot, _)| slot_column(slot));
-        let next = self.regions[at.region].next(at.copy, column);
-        if next == EXIT {
-            // A halt has no column, so it leaves here too, through no
-            // copy.
-            let from = ev.exit.map(|_| at.copy);
-            self.leave(at.region, from, at.instructions, at.loops);
-            return None;
-        }
-        at.loops += u64::from(next == 0);
-        at.copy = next as usize;
-        Some(at)
+        self.inside = Some(Inside {
+            region: ri,
+            copy,
+            instructions,
+            loops,
+        });
+        &[]
     }
 
-    /// The region dispatched from `pc`, if any, after continuous mode's
-    /// staleness check has had its chance to re-form it.
-    #[inline]
-    pub fn dispatch(&mut self, code: &Code, pc: Pc) -> Option<usize> {
-        let ri = self.blocks.get(pc)?.as_ref()?.entry_of?;
-        self.maybe_reform(code, ri, pc);
+    /// The region dispatched from block `id`, if any, after continuous
+    /// mode's staleness check has had its chance to re-form it.
+    #[inline(always)]
+    pub fn dispatch(&mut self, code: &Code, id: usize) -> Option<usize> {
+        let ri = self.profile.blocks.get(id)?.entry_of? as usize;
+        if self.config.mode == ProfilingMode::Continuous {
+            self.maybe_reform(code, ri, id);
+        }
         Some(ri)
     }
 
     /// After a dispatched block or region: takes the interval snapshot
     /// when due, and the closing one when the guest `halted`.
-    #[inline]
-    pub fn settle(&mut self, halted: bool) {
+    #[inline(always)]
+    pub fn settle(&mut self, code: &Code, halted: bool) {
         if self.stats.instructions >= self.next_interval_at {
-            self.snapshot_interval();
+            self.snapshot_interval(code);
         }
         if halted && self.config.interval.is_some() {
-            self.snapshot_interval();
+            self.snapshot_interval(code);
         }
     }
 
     /// Records the per-branch deltas since the previous snapshot (phase
     /// detection input).
-    fn snapshot_interval(&mut self) {
+    fn snapshot_interval(&mut self, code: &Code) {
         let mut branches = BTreeMap::new();
-        for (pc, entry) in self.blocks.iter().enumerate() {
-            let Some(entry) = entry else { continue };
-            if entry.record.kind != Some(TermKind::Cond) {
+        let profile = &self.profile;
+        self.last_snapshot.resize(profile.blocks.len(), (0, 0));
+        for (id, c) in profile.blocks.iter().enumerate() {
+            let Some(taken) = code.blocks[id].taken_edge() else {
                 continue;
-            }
-            let now = (entry.record.use_count, entry.record.taken_count());
-            let prev = self.last_snapshot.insert(pc, now).unwrap_or((0, 0));
+            };
+            let taken = profile.edges.get(taken as usize).copied().unwrap_or(0);
+            let now = (c.use_count, taken);
+            let prev = std::mem::replace(&mut self.last_snapshot[id], now);
             let delta = (now.0 - prev.0, now.1 - prev.1);
             if delta.0 > 0 {
-                branches.insert(pc, delta);
+                branches.insert(code.pc_of(id), delta);
             }
         }
         if !branches.is_empty() {
@@ -415,38 +514,31 @@ impl<'t> Policy<'t> {
     /// sight and its execution, bump its counters unless frozen, and
     /// register it as a candidate at `use == T` (optimizing when the
     /// pool fills or it registers twice).
-    #[inline]
+    #[inline(always)]
     pub fn unopt(&mut self, code: &Code, ev: &BlockEvent) {
-        let (pc, len) = (ev.pc, u64::from(ev.len));
+        let len = u64::from(ev.len);
         let cost = &self.config.cost;
-        let stats = &mut self.stats;
-        stats.instructions += len;
-        stats.cycles += cost.unopt_exec_per_instr * len + cost.dispatch_cost;
-        let entry = match &mut self.blocks[pc] {
-            Some(entry) => entry,
-            slot @ None => {
-                let cached = code[pc].as_ref().expect("executed blocks are decoded");
-                stats.blocks_translated += 1;
-                stats.cycles += cost.cold_translate_per_instr * len;
-                emit(self.tracer, || EventKind::BlockTranslated {
-                    pc: pc as u64,
-                    len: ev.len,
-                });
-                slot.insert(Counters::fresh(ev.len, &cached.block.terminator))
-            }
-        };
-        if entry.frozen {
-            return;
+        let cycles = cost.unopt_exec_per_instr * len + cost.dispatch_cost;
+        self.stats.instructions += len;
+        let id = ev.block as usize;
+        if id == self.profile.blocks.len() {
+            self.translate(code, ev);
         }
-        count(entry, stats, self.tracer, pc, ev.exit, cost.profile_op_cost);
+        let Some((use_count, registered, ops)) = count(&mut self.profile, self.tracer, code, ev)
+        else {
+            self.stats.cycles += cycles;
+            return;
+        };
+        self.stats.profiling_ops += ops;
+        self.stats.cycles += cycles + self.config.cost.profile_op_cost * ops;
         if self.config.mode == ProfilingMode::NoOpt {
             return;
         }
         let t = self.config.threshold;
-        let (use_count, registered) = (entry.record.use_count, entry.registered);
         if use_count == t && registered == 0 {
-            entry.registered = 1;
-            self.pool.push(pc);
+            self.profile.blocks[id].registered = 1;
+            self.pool.push(id);
+            let pc = code.pc_of(id);
             self.trace_emit(|| EventKind::Registered {
                 pc: pc as u64,
                 use_count,
@@ -456,7 +548,8 @@ impl<'t> Policy<'t> {
             }
         } else if registered == 1 && use_count == 2 * t {
             // Registered twice: optimize immediately (paper §1).
-            entry.registered = 2;
+            self.profile.blocks[id].registered = 2;
+            let pc = code.pc_of(id);
             self.trace_emit(|| EventKind::RegisteredTwice {
                 pc: pc as u64,
                 use_count,
@@ -465,14 +558,26 @@ impl<'t> Policy<'t> {
         }
     }
 
-    /// Continuous mode's in-region counting: the block at `pc` ran
-    /// inside a region and left through `exit`. Counters bump as in
-    /// the profiling phase, without the per-counter cycle charge.
-    fn count_in_region(&mut self, pc: Pc, exit: Option<(SuccSlot, Pc)>) {
-        let entry = self.blocks[pc]
-            .as_mut()
-            .expect("region members are translated");
-        count(entry, &mut self.stats, self.tracer, pc, exit, 0);
+    /// The first execution of `ev`'s block: charge its fast
+    /// translation and give it zeroed counters.
+    #[cold]
+    #[inline(never)]
+    fn translate(&mut self, code: &Code, ev: &BlockEvent) {
+        self.stats.blocks_translated += 1;
+        self.stats.cycles += self.config.cost.cold_translate_per_instr * u64::from(ev.len);
+        let pc = code.pc_of(ev.block as usize);
+        self.trace_emit(|| EventKind::BlockTranslated {
+            pc: pc as u64,
+            len: ev.len,
+        });
+        self.profile.blocks.push(Counters {
+            use_count: 0,
+            len: ev.len,
+            entry_of: None,
+            frozen: false,
+            registered: 0,
+        });
+        self.profile.seen.push(Vec::new());
     }
 
     /// Region `ri` is entered; a walk starts at its entry copy.
@@ -488,56 +593,63 @@ impl<'t> Policy<'t> {
         }
     }
 
-    /// The copy that follows copy `cur` of region `ri` through `slot`,
-    /// or [`EXIT`] when the edge leaves the region.
-    pub fn succ(&self, ri: usize, cur: usize, slot: SuccSlot) -> u32 {
-        self.regions[ri].next(cur, slot_column(slot))
+    /// The copy that follows copy `cur` of region `ri` through the
+    /// successor slot in `column`, or [`EXIT`] when the edge leaves
+    /// the region.
+    pub fn succ(&self, ri: usize, cur: usize, column: u32) -> u32 {
+        self.regions[ri].next(cur, column)
     }
 
     /// Region `ri` is left after `instructions` optimized instructions
     /// and `loops` back-edge traversals: from copy `exit` (a completion
     /// at the tail, a side exit anywhere else), or by halting (`None`).
-    pub fn leave(&mut self, ri: usize, exit: Option<usize>, instructions: u64, loops: u64) {
+    pub fn leave(
+        &mut self,
+        code: &Code,
+        ri: usize,
+        exit: Option<usize>,
+        instructions: u64,
+        loops: u64,
+    ) {
         self.stats.instructions += instructions;
         self.stats.cycles += self.config.cost.opt_exec_per_instr * instructions;
         self.stats.loop_backs += loops;
         let Some(cur) = exit else { return };
-        if cur == self.regions[ri].dump.tail {
+        let region = &mut self.regions[ri];
+        if cur == region.tail {
             self.stats.completions += 1;
         } else {
             self.stats.side_exits += 1;
-            self.regions[ri].side_exits += 1;
+            region.side_exits += 1;
             self.stats.cycles += self.config.cost.side_exit_penalty;
-            self.maybe_retire(ri);
+            if self.config.mode == ProfilingMode::Adaptive {
+                self.maybe_retire(code, ri);
+            }
         }
     }
 
-    /// Continuous mode: re-form a region whose entry has doubled its
-    /// use count since formation (see [`reform_due`]).
-    fn maybe_reform(&mut self, code: &Code, ri: usize, entry_pc: Pc) {
-        if self.config.mode != ProfilingMode::Continuous {
-            return;
-        }
-        let current_use = self.blocks[entry_pc]
-            .as_ref()
-            .map_or(0, |e| e.record.use_count);
+    /// Continuous mode: re-form a region whose entry block `id` has
+    /// doubled its use count since formation (see [`reform_due`]).
+    fn maybe_reform(&mut self, code: &Code, ri: usize, id: usize) {
+        let current_use = self.profile.blocks[id].use_count;
         if !reform_due(current_use, self.regions[ri].formed_use) {
             return;
         }
+        let entry_pc = code.pc_of(id);
         let src = Source {
             code,
-            blocks: &self.blocks,
+            profile: &self.profile,
         };
         if let Some(formed) = form_region(&src, &self.config.policy, entry_pc) {
             self.stats.cycles += self.config.cost.opt_translate_per_instr * formed.total_instrs;
             self.stats.opt_invocations += 1;
-            let id = self.regions[ri].dump.id;
+            let region_id = self.regions[ri].dump.id;
             // Re-formation replaces the region's shape and successor
             // table together, in one assignment; continuous regions are
             // walked, so no compiled code can go stale.
-            self.regions[ri] = RuntimeRegion::new(formed.into_dump(id), current_use);
+            self.regions[ri] = RuntimeRegion::new(formed.into_dump(region_id), current_use);
             self.trace_emit(|| EventKind::RegionReformed {
-                region: id as u64,
+                region: region_id as u64,
                 entry_pc: entry_pc as u64,
                 use_count: current_use,
             });
@@ -547,10 +659,7 @@ impl<'t> Policy<'t> {
     /// Adaptive side-exit monitoring (paper §5): retire a region whose
     /// side-exit rate exceeds the policy bound; its blocks re-profile
     /// from scratch so a fresh region can form for the current phase.
-    fn maybe_retire(&mut self, ri: usize) {
-        if self.config.mode != ProfilingMode::Adaptive {
-            return;
-        }
+    fn maybe_retire(&mut self, code: &Code, ri: usize) {
         let adapt = self.config.adapt;
         let region = &self.regions[ri];
         if region.retired
@@ -578,8 +687,8 @@ impl<'t> Policy<'t> {
             entries,
             side_exits,
         });
-        if let Some(e) = self.blocks[entry_pc].as_mut() {
-            e.entry_of = None;
+        if let Some(id) = self.profile.id_of(code, entry_pc) {
+            self.profile.blocks[id].entry_of = None;
         }
         // Reset and unfreeze members that no live region still uses.
         let still_used: BTreeSet<Pc> = self
@@ -592,11 +701,8 @@ impl<'t> Policy<'t> {
             if still_used.contains(&pc) {
                 continue;
             }
-            if let Some(e) = self.blocks[pc].as_mut() {
-                e.frozen = false;
-                e.registered = 0;
-                e.record.use_count = 0;
-                e.record.edges.clear();
+            if let Some(id) = self.profile.id_of(code, pc) {
+                self.profile.reset(id);
             }
         }
     }
@@ -607,73 +713,69 @@ impl<'t> Policy<'t> {
     /// nothing; continuous mode may re-seed.
     fn run_optimizer(&mut self, code: &Code) {
         self.stats.opt_invocations += 1;
-        let mut candidates: Vec<Pc> = std::mem::take(&mut self.pool);
-        candidates.sort_by_key(|&pc| {
-            std::cmp::Reverse(self.blocks[pc].as_ref().map_or(0, |e| e.record.use_count))
-        });
+        let mut candidates = std::mem::take(&mut self.pool);
+        candidates.sort_by_key(|&id| Reverse(self.profile.blocks[id].use_count));
         for seed in candidates {
-            let entry = self.blocks[seed]
-                .as_ref()
-                .expect("pooled blocks are translated");
-            if entry.entry_of.is_some() || (entry.frozen && self.freezes()) {
+            let c = &self.profile.blocks[seed];
+            if c.entry_of.is_some() || (c.frozen && self.freezes()) {
                 continue;
             }
             let src = Source {
                 code,
-                blocks: &self.blocks,
+                profile: &self.profile,
             };
-            let Some(formed) = form_region(&src, &self.config.policy, seed) else {
+            let Some(formed) = form_region(&src, &self.config.policy, code.pc_of(seed)) else {
                 continue;
             };
             self.stats.cycles += self.config.cost.opt_translate_per_instr * formed.total_instrs;
-            self.install(seed, formed);
+            self.install(code, seed, formed);
         }
     }
 
-    /// Installs `formed` as a new region dispatched from `seed`.
-    fn install(&mut self, seed: Pc, formed: FormedRegion) {
+    /// Installs `formed` as a new region dispatched from block `seed`.
+    fn install(&mut self, code: &Code, seed: usize, formed: FormedRegion) {
         self.stats.regions_formed += 1;
-        let id = self.regions.len();
-        let formed_use = self.counters(seed).record.use_count;
-        let region = RuntimeRegion::new(formed.into_dump(id), formed_use);
+        let ri = self.regions.len();
+        let formed_use = self.profile.blocks[seed].use_count;
+        let region = RuntimeRegion::new(formed.into_dump(ri), formed_use);
         self.trace_emit(|| EventKind::RegionFormed {
-            region: id as u64,
-            entry_pc: seed as u64,
+            region: ri as u64,
+            entry_pc: code.pc_of(seed) as u64,
             blocks: region.dump.copies.len() as u32,
             kind: trace_region_kind(region.dump.kind),
         });
         // Freeze every member: optimized code is not instrumented
         // (two-phase semantics; continuous mode keeps counting).
         if self.freezes() {
+            let tracer = self.tracer;
             for &pc in &region.dump.copies {
-                let Some(e) = self.blocks[pc].as_mut() else {
+                let Some(id) = self.profile.id_of(code, pc) else {
                     continue;
                 };
-                if e.frozen {
+                let c = &mut self.profile.blocks[id];
+                if c.frozen {
                     continue;
                 }
-                e.frozen = true;
-                let (use_count, registered) = (e.record.use_count, e.registered);
-                self.trace_emit(|| EventKind::CounterFrozen {
+                c.frozen = true;
+                let (use_count, registered) = (c.use_count, c.registered);
+                emit(tracer, || EventKind::CounterFrozen {
                     pc: pc as u64,
                     use_count,
                     registered,
                 });
             }
         }
-        self.counters(seed).entry_of = Some(id);
+        self.profile.blocks[seed].entry_of = u32::try_from(ri).ok();
         self.regions.push(region);
     }
 
     /// The run's outcome: the profile dump of a program entered at
     /// `entry`, the guest's `output`, stats and interval snapshots.
-    pub fn into_outcome(self, entry: Pc, output: Vec<i64>) -> RunOutcome {
-        let blocks = self
-            .blocks
-            .into_iter()
-            .enumerate()
-            .filter_map(|(pc, e)| Some((pc, e?.record)))
-            .filter(|(_, record)| record.use_count > 0)
+    pub fn into_outcome(self, code: &Code, entry: Pc, output: Vec<i64>) -> RunOutcome {
+        let profile = &self.profile;
+        let blocks = (0..profile.blocks.len())
+            .filter(|&id| profile.blocks[id].use_count > 0)
+            .map(|id| (code.pc_of(id), profile.record(code, id)))
             .collect();
         let threshold = if self.config.mode == ProfilingMode::NoOpt {
             0

@@ -12,6 +12,8 @@
 //! forward (`to > from`) except loop back edges (`to == 0`) — the
 //! topological invariant [`tpdbt_profile::RegionEdge`] documents.
 
+use std::borrow::Cow;
+
 use tpdbt_isa::{Pc, Terminator};
 use tpdbt_profile::{BlockRecord, RegionDump, RegionEdge, RegionKind, SuccSlot};
 
@@ -23,8 +25,9 @@ use crate::config::RegionPolicy;
 pub(crate) trait BlockSource {
     /// The terminator of the block at `pc`, if translated.
     fn terminator(&self, pc: Pc) -> Option<&Terminator>;
-    /// The profile record of the block at `pc`, if translated.
-    fn record(&self, pc: Pc) -> Option<&BlockRecord>;
+    /// The profile record of the block at `pc`, if translated (built
+    /// on demand from a policy's flat counters).
+    fn record(&self, pc: Pc) -> Option<Cow<'_, BlockRecord>>;
     /// Number of instructions in the block at `pc`.
     fn block_len(&self, pc: Pc) -> Option<u32>;
 }
@@ -139,7 +142,7 @@ impl<'a, S: BlockSource> Grower<'a, S> {
             return None;
         }
         let record = self.src.record(arm_pc)?;
-        let (slot, target, prob) = best_outcome(record)?;
+        let (slot, target, prob) = best_outcome(&record)?;
         (target == join && prob >= self.policy.main_path_prob).then_some(slot)
     }
 
@@ -156,7 +159,7 @@ impl<'a, S: BlockSource> Grower<'a, S> {
             let Some(record) = self.src.record(pc) else {
                 return cur;
             };
-            let Some((best_slot, best_target, best_prob)) = best_outcome(record) else {
+            let Some((best_slot, best_target, best_prob)) = best_outcome(&record) else {
                 return cur;
             };
 
@@ -170,7 +173,7 @@ impl<'a, S: BlockSource> Grower<'a, S> {
                 } else {
                     SuccSlot::Taken
                 };
-                let other = slot_outcome(record, other_slot);
+                let other = slot_outcome(&record, other_slot);
                 if best_prob >= self.policy.main_path_prob {
                     // if-then shape: unlikely arm rejoins at the likely
                     // target.
@@ -200,8 +203,8 @@ impl<'a, S: BlockSource> Grower<'a, S> {
                         return cur;
                     }
                     let (Some(r1), Some(r2)) = (
-                        self.src.record(best_target).and_then(best_outcome),
-                        self.src.record(other_pc).and_then(best_outcome),
+                        self.src.record(best_target).and_then(|r| best_outcome(&r)),
+                        self.src.record(other_pc).and_then(|r| best_outcome(&r)),
                     ) else {
                         return cur;
                     };
@@ -315,7 +318,7 @@ impl<'a, S: BlockSource> Grower<'a, S> {
                 if self.edges.iter().any(|e| e.from == i && e.slot == slot) {
                     continue;
                 }
-                let Some((target, prob)) = slot_outcome(record, slot) else {
+                let Some((target, prob)) = slot_outcome(&record, slot) else {
                     continue;
                 };
                 if prob < self.policy.include_prob {
@@ -346,7 +349,7 @@ impl<'a, S: BlockSource> Grower<'a, S> {
                         break;
                     }
                     let Some((next_slot, next, next_prob)) =
-                        self.src.record(cur).and_then(best_outcome)
+                        self.src.record(cur).and_then(|r| best_outcome(&r))
                     else {
                         break;
                     };
@@ -481,8 +484,8 @@ mod tests {
         fn terminator(&self, pc: Pc) -> Option<&Terminator> {
             self.blocks.get(&pc).map(|(t, _)| t)
         }
-        fn record(&self, pc: Pc) -> Option<&BlockRecord> {
-            self.blocks.get(&pc).map(|(_, r)| r)
+        fn record(&self, pc: Pc) -> Option<Cow<'_, BlockRecord>> {
+            self.blocks.get(&pc).map(|(_, r)| Cow::Borrowed(r))
         }
         fn block_len(&self, pc: Pc) -> Option<u32> {
             self.blocks.get(&pc).map(|(_, r)| r.len)

@@ -15,9 +15,9 @@
 //! stepping copy `i` would (fused bodies are sequential compositions;
 //! guards evaluate precisely [`tpdbt_vm::exec_term`]'s expression), so
 //! per-copy bookkeeping is identical to the walked region. Terminators
-//! with executor-visible bookkeeping (returns number `ret_targets`,
-//! calls push the shadow stack) compile to [`Guard::Other`], which
-//! defers to the executor's generic path instead of guessing.
+//! with executor-visible bookkeeping (a return numbers each new target's
+//! edge, a call pushes the shadow stack) compile to [`Guard::Other`],
+//! which defers to the executor's generic path instead of guessing.
 
 use std::sync::Arc;
 
@@ -101,6 +101,8 @@ impl Guard {
 /// One region copy lowered for trace execution.
 #[derive(Clone, Debug)]
 pub(crate) struct TraceSegment {
+    /// The copy's block id in the executor's translation cache.
+    pub block: usize,
     /// Guest address of the copy's first instruction.
     pub start: Pc,
     /// Instruction count including the terminator (the policy's
@@ -146,23 +148,24 @@ impl CompiledTrace {
 }
 
 /// Compiles a region into a guarded trace. `chain` is the copy list
-/// resolved to fused decoded blocks (parallel to `copies`); `edges` is
-/// the region's internal edge table. Returns `None` when the chain
-/// does not cover the copy list.
+/// resolved to block ids and fused decoded blocks (parallel to
+/// `copies`); `edges` is the region's internal edge table. Returns
+/// `None` when the chain does not cover the copy list.
 pub(crate) fn compile_trace(
     copies: &[Pc],
     edges: &[RegionEdge],
-    chain: &[Arc<DecodedBlock>],
+    chain: &[(usize, Arc<DecodedBlock>)],
 ) -> Option<CompiledTrace> {
     if chain.len() != copies.len() || copies.is_empty() {
         return None;
     }
     let mut segs = Vec::with_capacity(copies.len());
-    for (i, block) in chain.iter().enumerate() {
+    for (i, (id, block)) in chain.iter().enumerate() {
         if block.start != copies[i] {
             return None;
         }
         segs.push(TraceSegment {
+            block: *id,
             start: block.start,
             len: (block.end - block.start) as u32,
             term_pc: block.term_pc(),
@@ -244,7 +247,7 @@ mod tests {
     fn compiles_branch_guards_with_edge_table() {
         let p = loop_program();
         let block = fused(&p, 0);
-        let trace = compile_trace(&[0], &latch_edges(), &[Arc::clone(&block)]).unwrap();
+        let trace = compile_trace(&[0], &latch_edges(), &[(0, Arc::clone(&block))]).unwrap();
         assert_eq!(trace.segs.len(), 1);
         assert_eq!(trace.starts(), vec![0]);
         assert_eq!(trace.fast_guards(), 1);
@@ -274,8 +277,8 @@ mod tests {
         b.halt();
         let p = b.build().unwrap();
         let block = fused(&p, 0);
-        assert!(compile_trace(&[0, 1], &[], &[Arc::clone(&block)]).is_none());
-        assert!(compile_trace(&[3], &[], &[block]).is_none());
+        assert!(compile_trace(&[0, 1], &[], &[(0, Arc::clone(&block))]).is_none());
+        assert!(compile_trace(&[3], &[], &[(0, block)]).is_none());
         // An empty region refuses to compile too.
         assert!(compile_trace(&[], &[], &[]).is_none());
     }
@@ -289,7 +292,7 @@ mod tests {
         b.br_imm(Cond::Lt, Reg::new(0), 2, top);
         b.halt();
         let p = b.build().unwrap();
-        let trace = compile_trace(&[0], &latch_edges(), &[fused(&p, 0)]).unwrap();
+        let trace = compile_trace(&[0], &latch_edges(), &[(0, fused(&p, 0))]).unwrap();
         let guard = trace.segs[0].guard;
         let mut m = Machine::new(&p, &[]);
         // r0 = 1 < 2: taken.
