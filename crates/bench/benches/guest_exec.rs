@@ -14,7 +14,9 @@
 //! and fusion cost itself amortizes to zero. A third group times one
 //! sweep unit as `reproduce` runs it: AVEP, the `T = 1` base and the
 //! tiny ladder as lockstep policies over one guest execution, where
-//! per-policy profiling and region walking dominate.
+//! per-policy profiling and region walking dominate; it adds the
+//! short-region guests, whose walks leave and enter regions every few
+//! blocks.
 //!
 //! Every row is the median of 30 samples: on a 2-core host one
 //! unchanged binary's 10-sample medians spread by 2x between runs.
@@ -35,6 +37,11 @@ use tpdbt_suite::{workload, InputKind, Scale, Workload};
 /// branchy pointer-chaser (mcf), and an FP kernel (equake) — the three
 /// exercise ALU, branch, and float micro-op dispatch respectively.
 const GUESTS: &[&str] = &["gzip", "mcf", "equake"];
+
+/// The interpreter-like INT guests whose regions are left every one to
+/// two blocks and entered again straight away: where the region walk's
+/// per-entry and per-exit cost shows.
+const SHORT_REGION_GUESTS: &[&str] = &["crafty", "eon", "vortex"];
 
 fn guest(name: &str) -> Workload {
     workload(name, Scale::Tiny, InputKind::Ref).expect("suite workload")
@@ -92,7 +99,7 @@ fn bench_lockstep(c: &mut Criterion) {
             .map(|p| DbtConfig::two_phase(p.actual)),
     );
     let mut g = c.benchmark_group("guest_exec_lockstep");
-    for name in GUESTS {
+    for name in GUESTS.iter().chain(SHORT_REGION_GUESTS) {
         let w = guest(name);
         let shared = Arc::new(PredecodedProgram::new(&w.binary.program));
         g.bench_function(*name, |b| {

@@ -228,13 +228,13 @@ fn run_traced(
     let mut pc = entry;
     loop {
         // Optimized dispatch: region entry wins.
-        let region = exec
+        let entry = exec
             .code
             .id_of(pc)
             .and_then(|id| policy.dispatch(&exec.code, id));
-        let next = match region {
-            Some(ri) => {
-                policy.enter(ri);
+        let next = match entry {
+            Some(row) => {
+                let ri = policy.enter(row);
                 if traces.len() <= ri {
                     traces.resize_with(ri + 1, || None);
                 }
@@ -721,9 +721,9 @@ mod tests {
                     assert_eq!(trace.starts(), r.dump.copies, "region {}", r.dump.id);
                 }
             }
-            for (id, c) in engine.policy.profile.blocks.iter().enumerate() {
-                if let Some(ri) = c.entry_of {
-                    let (ri, pc) = (ri as usize, engine.exec.code.pc_of(id));
+            for id in 0..engine.policy.profile.blocks.len() {
+                if let Some(ri) = engine.policy.entry_region(id) {
+                    let pc = engine.exec.code.pc_of(id);
                     assert!(!regions[ri].retired, "pc {pc} dispatches a retired region");
                     assert_eq!(regions[ri].dump.entry_pc(), pc);
                 }
@@ -794,8 +794,8 @@ mod tests {
                 assert_traces_match_shapes(&engine);
                 for (ri, r) in engine.policy.regions.iter().enumerate() {
                     let entry = engine.exec.code.id_of(r.dump.entry_pc()).unwrap();
-                    let entry_of = engine.policy.profile.blocks[entry].entry_of;
-                    assert_eq!(entry_of, Some(ri as u32), "{backend}");
+                    let entry_of = engine.policy.entry_region(entry);
+                    assert_eq!(entry_of, Some(ri), "{backend}");
                 }
                 assert!(engine.traces.is_none(), "{backend}: continuous runs walk");
             }
@@ -824,10 +824,9 @@ mod tests {
                     .expect("retired region");
                 let entry = policy.regions[retired].dump.entry_pc();
                 let entry = engine.exec.code.id_of(entry).unwrap();
-                let fresh = policy.profile.blocks[entry]
-                    .entry_of
-                    .expect("a fresh region forms at the retired entry")
-                    as usize;
+                let fresh = policy
+                    .entry_region(entry)
+                    .expect("a fresh region forms at the retired entry");
                 assert_ne!(fresh, retired, "{backend}");
                 // Each region's trace sits in its own slot, and the
                 // shape check above covered both.

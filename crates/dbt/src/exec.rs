@@ -29,7 +29,7 @@ use tpdbt_vm::{exec_body, exec_term, Flow, Machine, VmError};
 
 use crate::backend::{run_decoded, step_block, Backend};
 use crate::error::DbtError;
-use crate::policy::Policy;
+use crate::policy::{Exit, Policy, Totals};
 use crate::trace::{compile_trace, CompiledTrace, EXIT};
 
 /// A translated block's number: dense, in first-execution order.
@@ -437,7 +437,7 @@ impl<'p> Executor<'p> {
                     let (_, column, next) = blocks[seg.block].outcome(&flow, edges)?;
                     let Some(target) = next else {
                         self.instructions += instr;
-                        policy.leave(&self.code, ri, None, instr, loops);
+                        policy.leave(&self.code, ri, Exit::Halt, Totals::new(instr, loops));
                         return Ok(None);
                     };
                     (policy.succ(ri, cur, column), target)
@@ -445,7 +445,8 @@ impl<'p> Executor<'p> {
             };
             if next == EXIT {
                 self.instructions += instr;
-                policy.leave(&self.code, ri, Some(cur), instr, loops);
+                let exit = policy.exit_at(ri, cur);
+                policy.leave(&self.code, ri, exit, Totals::new(instr, loops));
                 return Ok(Some(target));
             }
             if next == 0 {

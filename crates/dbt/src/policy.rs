@@ -12,28 +12,38 @@
 //! built from them only where one is read: by region formation, by an
 //! interval snapshot and by the final dump.
 //!
+//! Its live regions share one flat successor table ([`Table`]): a row
+//! per region copy, a cell per successor column, each cell naming the
+//! next copy's row or how the region is left, and an entry row by
+//! block id. The table is rebuilt only when the region set changes:
+//! at an install that does not fit its stride, a continuous-mode
+//! re-formation and an adaptive retirement.
+//!
 //! A policy sees a region run in one of two ways:
 //!
-//! * **Walked**: [`Policy::consume`] walks the region's automaton over
-//!   a chunk of block events in one loop ([`Policy::walk`]), one step
-//!   per copy, with the instruction and loop-back totals in locals
-//!   until the region is left. Lockstep runs and every single run
-//!   that compiles no trace walk this way.
+//! * **Walked**: [`Policy::consume`] steps through the table over a
+//!   chunk of block events in one loop, with instructions, loop-backs,
+//!   entries, completions and side exits in locals until the walk
+//!   stops. In two-phase mode a region exit whose next event enters a
+//!   region chains straight into it; an exit that needs policy logic
+//!   (adaptive monitoring, continuous re-formation, an interval
+//!   boundary, a halt) or leads to the profiling phase stops the walk.
+//!   Lockstep runs and every single run that compiles no trace walk
+//!   this way.
 //! * **Traced**: a single run's guarded compiled trace
-//!   ([`crate::exec::Executor::run_trace`]) runs the whole region and
-//!   reports its exit ([`Policy::leave`]).
+//!   ([`crate::exec::Executor::run_trace`]) runs the whole region,
+//!   reads the table through [`Policy::succ`] where a guard cannot
+//!   decide, and reports its exit ([`Policy::leave`]).
 //!
-//! Both reach the same state: a trace and the automaton follow the
-//! same edge table and account each copy identically.
+//! Both reach the same state: a trace and the walk follow the same
+//! table and account each copy identically.
 
 use std::borrow::Cow;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet};
 
 use tpdbt_isa::{Pc, Terminator};
-use tpdbt_profile::{
-    BlockRecord, InipDump, IntervalProfile, RegionDump, RegionEdge, RegionKind, TermKind,
-};
+use tpdbt_profile::{BlockRecord, InipDump, IntervalProfile, RegionDump, RegionKind, TermKind};
 use tpdbt_trace::{EventKind, TraceRegionKind, Tracer};
 
 use crate::config::{DbtConfig, ProfilingMode};
@@ -77,18 +87,19 @@ pub struct ExecStats {
 pub(crate) struct Counters {
     /// The paper's `use` count.
     pub use_count: u64,
-    len: u32,
-    /// Region dispatched from this block, if it is a region entry.
-    pub entry_of: Option<u32>,
+    /// The entry row of the region dispatched from this block, or
+    /// [`NO_ENTRY`]: the policy's entry index, kept beside the counters
+    /// the profiling phase touches anyway.
+    entry: u32,
     frozen: bool,
     /// 0 = unregistered, 1 = registered at `use == T`,
     /// 2 = registered twice (`use == 2T`).
     registered: u8,
 }
 
-// The walk and the profiling phase touch one of these per event and
-// policy; keep them to three words.
-const _: () = assert!(std::mem::size_of::<Counters>() == 24);
+// The profiling phase touches one of these per event and policy; keep
+// them to two words.
+const _: () = assert!(std::mem::size_of::<Counters>() == 16);
 
 /// A policy's counters, flat, by the executor's block and edge ids.
 ///
@@ -124,11 +135,26 @@ impl Profile {
             })
             .collect();
         BlockRecord {
-            len: c.len,
+            len: code.blocks[id].len,
             kind: Some(term_kind(&code.blocks[id].block.terminator)),
             use_count: c.use_count,
             edges,
         }
+    }
+
+    /// The entry row of the region dispatched from block `id`, if any.
+    #[inline(always)]
+    fn entry(&self, id: usize) -> Option<u32> {
+        let row = self.blocks.get(id)?.entry;
+        (row != NO_ENTRY).then_some(row)
+    }
+
+    /// Block `id`'s `(use, taken)` counts, when it ends in a
+    /// conditional branch: what an interval snapshot records.
+    fn branch_counts(&self, code: &Code, id: usize) -> Option<(u64, u64)> {
+        let taken = code.blocks[id].taken_edge()?;
+        let taken = self.edges.get(taken as usize).copied().unwrap_or(0);
+        Some((self.blocks[id].use_count, taken))
     }
 
     /// Zeroes block `id`'s counters and unfreezes it, as adaptive
@@ -195,15 +221,15 @@ fn grow<'a>(counts: &'a mut Vec<u64>, code: &Code, e: EdgeId) -> &'a mut u64 {
 /// A formed region.
 #[derive(Debug)]
 pub(crate) struct RuntimeRegion {
-    /// Successor table, one row of `width` [`slot_column`]s per copy:
-    /// the next copy, or [`EXIT`]. A column past the row exits too.
-    succ: Box<[u32]>,
-    width: usize,
-    /// The tail copy: leaving from it completes the region.
-    tail: usize,
-    /// Region entries since formation (adaptive monitoring).
+    /// The offset of the entry copy's row in the policy's [`Table`]
+    /// while the region is live.
+    row: u32,
+    /// The block the region is dispatched from.
+    entry: usize,
+    /// Region entries since formation, counted in adaptive mode only,
+    /// where monitoring reads them (and where the walk never chains).
     entries: u64,
-    /// Side exits since formation (adaptive monitoring).
+    /// Side exits since formation, counted as `entries` is.
     side_exits: u64,
     /// Entry-block use count at formation time (continuous-mode
     /// staleness check).
@@ -211,23 +237,17 @@ pub(crate) struct RuntimeRegion {
     /// Retired by adaptive monitoring: never dispatched again and
     /// excluded from the final dump.
     pub retired: bool,
-    /// The region's shape, as dumped; the walk reads only the fields
-    /// above.
+    /// The region's shape, as dumped; the table is built from it.
     pub dump: RegionDump,
 }
 
 impl RuntimeRegion {
-    fn new(dump: RegionDump, formed_use: u64) -> Self {
-        let column = |e: &RegionEdge| slot_column(e.slot) as usize;
-        let width = dump.edges.iter().map(|e| column(e) + 1).max().unwrap_or(0);
-        let mut succ = vec![EXIT; dump.copies.len() * width].into_boxed_slice();
-        for e in &dump.edges {
-            succ[e.from * width + column(e)] = e.to as u32;
-        }
+    /// Region `dump`, dispatched from block `entry`; it gets its rows
+    /// when it is linked into the table.
+    fn new(dump: RegionDump, entry: usize, formed_use: u64) -> Self {
         RuntimeRegion {
-            succ,
-            width,
-            tail: dump.tail,
+            row: 0,
+            entry,
             entries: 0,
             side_exits: 0,
             formed_use,
@@ -235,27 +255,153 @@ impl RuntimeRegion {
             dump,
         }
     }
+}
 
-    /// The copy that follows copy `cur` through the slot in `column`,
-    /// or [`EXIT`].
+/// Set in a successor-table cell that leaves the region. A cell
+/// without it is the next copy's row offset: internal, or a loop-back
+/// when it is the region's entry row.
+const LEAVES: u32 = 1 << 31;
+/// Set beside [`LEAVES`] in a side-exit cell, clear in a completion.
+const SIDE: u32 = 1 << 30;
+/// The region index in the low bits of an exit cell.
+const REGION: u32 = SIDE - 1;
+
+/// The entry row of a block no region is dispatched from.
+const NO_ENTRY: u32 = u32::MAX;
+
+/// The successor table of every live region, flat.
+///
+/// Each copy of each live region is a row of `1 << shift` cells, a
+/// region's copies in order; a row is named by its offset, the index
+/// of its first cell. An internal or loop-back cell holds the next
+/// copy's row offset as is, so the walk's next index is one load away;
+/// an exit cell holds [`LEAVES`], [`SIDE`] unless it completes, and
+/// the region's index. Row column [`slot_column`] holds the cell of
+/// that successor slot, and every column without a region edge holds
+/// the row's exit cell: a completion at the region's tail copy, a side
+/// exit anywhere else. The last column never holds an edge, so a
+/// column past the row reads the exit cell there, a halt's
+/// ([`crate::exec::HALT`]) too. Each region's entry row is kept by
+/// block id in [`Counters::entry`].
+#[derive(Debug, Default)]
+struct Table {
+    cells: Vec<u32>,
+    shift: u32,
+}
+
+impl Table {
+    /// The cell of row `row` in column `column`.
     #[inline(always)]
-    fn next(&self, cur: usize, column: u32) -> u32 {
-        let column = column as usize;
-        if column < self.width {
-            self.succ[cur * self.width + column]
-        } else {
-            EXIT
+    fn cell(&self, row: u32, column: u32) -> u32 {
+        let last = (1 << self.shift) - 1;
+        self.cells[(row + column.min(last)) as usize]
+    }
+
+    /// The index of the region row `row` belongs to, read from the
+    /// row's exit cell.
+    fn region(&self, row: u32) -> usize {
+        (self.cell(row, u32::MAX) & REGION) as usize
+    }
+
+    /// Appends the rows of region `ri`, shaped `dump`; returns its
+    /// entry row. The region must fit the stride: `shift_for(dump) <=
+    /// self.shift`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a row offset would reach [`LEAVES`] (8 GiB of table)
+    /// or the region index [`SIDE`].
+    fn push(&mut self, ri: usize, dump: &RegionDump) -> u32 {
+        debug_assert!(shift_for(dump) <= self.shift);
+        let base = self.cells.len();
+        let end = base + (dump.copies.len() << self.shift);
+        assert!(
+            end <= LEAVES as usize && ri <= REGION as usize,
+            "successor table past {LEAVES} cells or {REGION} regions"
+        );
+        let row = |copy: usize| (base + (copy << self.shift)) as u32;
+        let exit = |copy: usize| {
+            let side = if copy == dump.tail { 0 } else { SIDE };
+            LEAVES | side | ri as u32
+        };
+        self.cells.extend(
+            (0..dump.copies.len())
+                .flat_map(|copy| std::iter::repeat_n(exit(copy), 1 << self.shift)),
+        );
+        for e in &dump.edges {
+            self.cells[(row(e.from) + slot_column(e.slot)) as usize] = row(e.to);
         }
+        row(0)
     }
 }
 
-/// Where a policy stands inside the region it is walking.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct Inside {
-    region: usize,
-    copy: usize,
+/// The smallest stride shift that fits `dump`'s successor columns with
+/// one column to spare for the exit cell.
+fn shift_for(dump: &RegionDump) -> u32 {
+    let columns = dump
+        .edges
+        .iter()
+        .map(|e| u64::from(slot_column(e.slot)) + 2)
+        .max()
+        .unwrap_or(1);
+    columns.next_power_of_two().trailing_zeros()
+}
+
+/// How control left a region.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Exit {
+    /// From the tail copy.
+    Completion,
+    /// From any other copy.
+    Side,
+    /// The guest halted inside the region.
+    Halt,
+}
+
+/// Region totals that a walk or a trace keeps in locals and that reach
+/// [`ExecStats`] at once.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct Totals {
     instructions: u64,
     loops: u64,
+    entries: u64,
+    completions: u64,
+    side_exits: u64,
+}
+
+impl Totals {
+    /// One region run's optimized instructions and back-edge
+    /// traversals, its entry already counted.
+    pub fn new(instructions: u64, loops: u64) -> Self {
+        Totals {
+            instructions,
+            loops,
+            ..Totals::default()
+        }
+    }
+
+    /// A walk's totals: `chained` entries, each after an exit from the
+    /// region before, `chained_side` of those exits side exits.
+    #[inline(always)]
+    fn walked(instructions: u64, loops: u64, chained: u64, chained_side: u64) -> Self {
+        Totals {
+            instructions,
+            loops,
+            entries: chained,
+            completions: chained - chained_side,
+            side_exits: chained_side,
+        }
+    }
+
+    /// Counts a region left through `exit`.
+    #[inline(always)]
+    fn left(&mut self, exit: Exit) {
+        match exit {
+            Exit::Completion => self.completions += 1,
+            Exit::Side => self.side_exits += 1,
+            Exit::Halt => {}
+        }
+    }
 }
 
 fn trace_region_kind(kind: RegionKind) -> TraceRegionKind {
@@ -317,7 +463,7 @@ impl BlockSource for Source<'_> {
     }
     fn block_len(&self, pc: Pc) -> Option<u32> {
         let id = self.profile.id_of(self.code, pc)?;
-        Some(self.profile.blocks[id].len)
+        Some(self.code.blocks[id].len)
     }
 }
 
@@ -327,17 +473,30 @@ pub(crate) struct Policy<'t> {
     tracer: Option<&'t Tracer>,
     pub profile: Profile,
     pub regions: Vec<RuntimeRegion>,
+    /// The live regions' successor table.
+    table: Table,
     /// Registered candidates, by block id.
     pool: Vec<usize>,
     pub stats: ExecStats,
     intervals: Vec<IntervalProfile>,
-    /// Each block's `(use, taken)` at the previous snapshot, by id.
-    last_snapshot: Vec<(u64, u64)>,
+    /// Each block's interval baseline, by id.
+    baselines: Vec<Baseline>,
     next_interval_at: u64,
     retire_counts: BTreeMap<Pc, u32>,
-    /// The region a chunk ended inside, if any: the next chunk's walk
-    /// resumes here.
-    inside: Option<Inside>,
+    /// The row a chunk ended inside, if any, and its region's entry
+    /// row: the next chunk's walk resumes there.
+    inside: Option<(u32, u32)>,
+}
+
+/// A block's interval baseline: its `(use, taken)` counts at the
+/// previous snapshot, and what it counted after that snapshot but
+/// before an adaptive reset zeroed its counters. A snapshot's delta is
+/// `now - at + carried`: the executions the block profiled in the
+/// interval, whether or not its counters were reset in between.
+#[derive(Clone, Copy, Debug, Default)]
+struct Baseline {
+    at: (u64, u64),
+    carried: (u64, u64),
 }
 
 impl<'t> Policy<'t> {
@@ -348,10 +507,11 @@ impl<'t> Policy<'t> {
             tracer,
             profile: Profile::default(),
             regions: Vec::new(),
+            table: Table::default(),
             pool: Vec::new(),
             stats: ExecStats::default(),
             intervals: Vec::new(),
-            last_snapshot: Vec::new(),
+            baselines: Vec::new(),
             next_interval_at: config.interval.unwrap_or(u64::MAX),
             retire_counts: BTreeMap::new(),
             inside: None,
@@ -383,19 +543,18 @@ impl<'t> Policy<'t> {
 
     /// Feeds a chunk of block events to the policy: each event is
     /// dispatched and either runs in the profiling phase or enters a
-    /// region, which [`Policy::walk`] follows over the events after it.
+    /// region, which [`Policy::follow`] walks over the events after it.
     pub fn consume(&mut self, code: &Code, events: &[BlockEvent]) {
         let mut rest = events;
-        let mut inside = self.inside.take();
-        loop {
-            if let Some(at) = inside.take() {
-                rest = self.walk(code, at, rest);
-            }
-            let Some((ev, tail)) = rest.split_first() else {
-                return;
-            };
+        if let Some((row, entry)) = self.inside.take() {
+            rest = self.follow(code, row, entry, rest);
+        }
+        while let Some((ev, tail)) = rest.split_first() {
             match self.dispatch(code, ev.block as usize) {
-                Some(ri) => inside = Some(self.enter(ri)),
+                Some(row) => {
+                    self.enter(row);
+                    rest = self.follow(code, row, row, rest);
+                }
                 None => {
                     self.unopt(code, ev);
                     self.settle(code, ev.halted());
@@ -405,70 +564,118 @@ impl<'t> Policy<'t> {
         }
     }
 
-    /// The region automaton over a run of block events: copy `at.copy`
-    /// of the region ran as `events[0]`, the next copy as `events[1]`,
-    /// and so on until an event leaves the region, which is then left
-    /// and settled. The instruction and loop-back totals stay in locals
-    /// until then. Returns the events after the exit; when the events
-    /// run out inside the region, the walk resumes from there with the
+    /// The region walk over a run of block events: the copy at row
+    /// `row` of the region entered at row `entry` ran as `events[0]`,
+    /// the copy its cell leads to as `events[1]`, and so on. At a
+    /// region exit in two-phase mode, when the next event enters a
+    /// region and no interval snapshot falls due, the walk chains
+    /// straight into that region; any other exit is left and settled,
+    /// and the walk returns the events after it. The totals stay in
+    /// locals until the walk stops; when the events run out, they are
+    /// flushed and the walk resumes from the row it reached with the
     /// next chunk.
+    fn follow<'e>(
+        &mut self,
+        code: &Code,
+        row: u32,
+        entry: u32,
+        events: &'e [BlockEvent],
+    ) -> &'e [BlockEvent] {
+        if self.counts_in_regions() {
+            self.follow_as::<true>(code, row, entry, events)
+        } else {
+            self.follow_as::<false>(code, row, entry, events)
+        }
+    }
+
+    /// [`Policy::follow`], with continuous mode's in-region counting
+    /// (`COUNTING`) compiled in or out: the counting code costs the
+    /// other modes' loop its registers.
     // Out of line: inlined into `consume`, it costs the profiling-phase
     // path registers and measured slower.
     #[inline(never)]
-    fn walk<'e>(&mut self, code: &Code, at: Inside, events: &'e [BlockEvent]) -> &'e [BlockEvent] {
-        let counting = self.counts_in_regions();
-        let Inside {
-            region: ri,
-            mut copy,
-            mut instructions,
-            mut loops,
-        } = at;
+    fn follow_as<'e, const COUNTING: bool>(
+        &mut self,
+        code: &Code,
+        mut row: u32,
+        mut entry: u32,
+        events: &'e [BlockEvent],
+    ) -> &'e [BlockEvent] {
+        // Continuous re-formation and adaptive monitoring act at every
+        // entry or exit, so only two-phase regions chain.
+        let chains = self.config.mode == ProfilingMode::TwoPhase;
+        // Instructions this walk may run before a settle would take an
+        // interval snapshot.
+        let budget = self
+            .next_interval_at
+            .saturating_sub(self.stats.instructions);
+        // The walk's totals; every chained entry follows one exit, a
+        // side exit or else a completion.
+        let (mut instructions, mut loops, mut chained, mut chained_side) = (0, 0, 0, 0);
         let Policy {
-            regions,
+            table,
             profile,
             stats,
             tracer,
             ..
         } = self;
-        let region = &regions[ri];
-        for (n, ev) in events.iter().enumerate() {
-            debug_assert_eq!(region.dump.copies[copy], code.pc_of(ev.block as usize));
+        let cells = &table.cells[..];
+        let last = (1 << table.shift) - 1;
+        let mut n = 0;
+        let (cell, halted) = loop {
+            let Some(ev) = events.get(n) else {
+                let totals = Totals::walked(instructions, loops, chained, chained_side);
+                self.flush(totals);
+                self.inside = Some((row, entry));
+                return &[];
+            };
+            n += 1;
             instructions += u64::from(ev.len);
-            if counting {
+            if COUNTING {
                 if let Some((_, _, ops)) = count(profile, *tracer, code, ev) {
                     stats.profiling_ops += ops;
                 }
             }
-            let next = region.next(copy, ev.column);
-            if next == EXIT {
-                // A halt has no column, so it leaves here too, through
-                // no copy.
-                let from = (!ev.halted()).then_some(copy);
-                self.leave(code, ri, from, instructions, loops);
-                self.settle(code, ev.halted());
-                return &events[n + 1..];
+            // The row's cells from the event's column on, sliced off
+            // the row-to-row dependency: the next row is one load away.
+            let cell = cells[ev.column.min(last) as usize..][row as usize];
+            if cell & LEAVES == 0 {
+                loops += u64::from(cell == entry);
+                row = cell;
+                continue;
             }
-            loops += u64::from(next == 0);
-            copy = next as usize;
-        }
-        self.inside = Some(Inside {
-            region: ri,
-            copy,
-            instructions,
-            loops,
-        });
-        &[]
+            if chains && !ev.halted() && instructions < budget {
+                if let Some(next) = events.get(n).and_then(|e| profile.entry(e.block as usize)) {
+                    chained += 1;
+                    chained_side += u64::from(cell & SIDE != 0);
+                    (row, entry) = (next, next);
+                    continue;
+                }
+            }
+            break (cell, ev.halted());
+        };
+        let totals = Totals::walked(instructions, loops, chained, chained_side);
+        let exit = match cell & SIDE {
+            _ if halted => Exit::Halt,
+            0 => Exit::Completion,
+            _ => Exit::Side,
+        };
+        self.leave(code, (cell & REGION) as usize, exit, totals);
+        self.settle(code, halted);
+        &events[n..]
     }
 
-    /// The region dispatched from block `id`, if any, after continuous
-    /// mode's staleness check has had its chance to re-form it.
+    /// The entry row of the region dispatched from block `id`, if any,
+    /// after continuous mode's staleness check has had its chance to
+    /// re-form it.
     #[inline(always)]
-    pub fn dispatch(&mut self, code: &Code, id: usize) -> Option<usize> {
-        let ri = self.profile.blocks.get(id)?.entry_of? as usize;
+    pub fn dispatch(&mut self, code: &Code, id: usize) -> Option<u32> {
+        let row = self.profile.entry(id)?;
         if self.config.mode == ProfilingMode::Continuous {
-            self.maybe_reform(code, ri, id);
+            self.maybe_reform(code, self.table.region(row), id);
+            return self.profile.entry(id);
         }
-        Some(ri)
+        Some(row)
     }
 
     /// After a dispatched block or region: takes the interval snapshot
@@ -488,15 +695,20 @@ impl<'t> Policy<'t> {
     fn snapshot_interval(&mut self, code: &Code) {
         let mut branches = BTreeMap::new();
         let profile = &self.profile;
-        self.last_snapshot.resize(profile.blocks.len(), (0, 0));
-        for (id, c) in profile.blocks.iter().enumerate() {
-            let Some(taken) = code.blocks[id].taken_edge() else {
+        self.baselines
+            .resize(profile.blocks.len(), Baseline::default());
+        for (id, base) in self.baselines.iter_mut().enumerate() {
+            let Some(now) = profile.branch_counts(code, id) else {
                 continue;
             };
-            let taken = profile.edges.get(taken as usize).copied().unwrap_or(0);
-            let now = (c.use_count, taken);
-            let prev = std::mem::replace(&mut self.last_snapshot[id], now);
-            let delta = (now.0 - prev.0, now.1 - prev.1);
+            let Baseline { at, carried } = std::mem::replace(
+                base,
+                Baseline {
+                    at: now,
+                    carried: (0, 0),
+                },
+            );
+            let delta = (now.0 - at.0 + carried.0, now.1 - at.1 + carried.1);
             if delta.0 > 0 {
                 branches.insert(code.pc_of(id), delta);
             }
@@ -508,6 +720,25 @@ impl<'t> Policy<'t> {
             });
         }
         self.next_interval_at = self.stats.instructions + self.config.interval.unwrap_or(u64::MAX);
+    }
+
+    /// Before an adaptive reset zeroes block `id`'s counters: carries
+    /// what the block counted since the previous snapshot into the
+    /// next one, and restarts its baseline at zero.
+    fn carry_interval(&mut self, code: &Code, id: usize) {
+        if self.config.interval.is_none() {
+            return;
+        }
+        let Some(now) = self.profile.branch_counts(code, id) else {
+            return;
+        };
+        if self.baselines.len() <= id {
+            self.baselines.resize(id + 1, Baseline::default());
+        }
+        let base = &mut self.baselines[id];
+        base.carried.0 += now.0 - base.at.0;
+        base.carried.1 += now.1 - base.at.1;
+        base.at = (0, 0);
     }
 
     /// A profiling-phase block ran: charge its translation on first
@@ -572,58 +803,101 @@ impl<'t> Policy<'t> {
         });
         self.profile.blocks.push(Counters {
             use_count: 0,
-            len: ev.len,
-            entry_of: None,
+            entry: NO_ENTRY,
             frozen: false,
             registered: 0,
         });
         self.profile.seen.push(Vec::new());
     }
 
-    /// Region `ri` is entered; a walk starts at its entry copy.
-    pub fn enter(&mut self, ri: usize) -> Inside {
+    /// The region whose entry row is `row` is entered; returns its
+    /// index.
+    pub fn enter(&mut self, row: u32) -> usize {
+        let ri = self.table.region(row);
         self.stats.region_entries += 1;
-        self.regions[ri].entries += 1;
         self.stats.cycles += self.config.cost.region_entry_cost;
-        Inside {
-            region: ri,
-            copy: 0,
-            instructions: 0,
-            loops: 0,
+        if self.config.mode == ProfilingMode::Adaptive {
+            self.regions[ri].entries += 1;
         }
+        ri
     }
 
-    /// The copy that follows copy `cur` of region `ri` through the
+    /// The region dispatched from block `id`, if any.
+    #[cfg(test)]
+    pub fn entry_region(&self, id: usize) -> Option<usize> {
+        self.profile.entry(id).map(|row| self.table.region(row))
+    }
+
+    /// The copy that follows copy `cur` of live region `ri` through the
     /// successor slot in `column`, or [`EXIT`] when the edge leaves
     /// the region.
     pub fn succ(&self, ri: usize, cur: usize, column: u32) -> u32 {
-        self.regions[ri].next(cur, column)
+        let base = self.regions[ri].row;
+        let shift = self.table.shift;
+        let cell = self.table.cell(base + ((cur as u32) << shift), column);
+        if cell & LEAVES != 0 {
+            return EXIT;
+        }
+        (cell - base) >> shift
     }
 
-    /// Region `ri` is left after `instructions` optimized instructions
-    /// and `loops` back-edge traversals: from copy `exit` (a completion
-    /// at the tail, a side exit anywhere else), or by halting (`None`).
-    pub fn leave(
-        &mut self,
-        code: &Code,
-        ri: usize,
-        exit: Option<usize>,
-        instructions: u64,
-        loops: u64,
-    ) {
-        self.stats.instructions += instructions;
-        self.stats.cycles += self.config.cost.opt_exec_per_instr * instructions;
-        self.stats.loop_backs += loops;
-        let Some(cur) = exit else { return };
-        let region = &mut self.regions[ri];
-        if cur == region.tail {
-            self.stats.completions += 1;
+    /// How leaving live region `ri` from copy `cur` through an edge
+    /// outside the region counts: a completion at the tail, a side
+    /// exit anywhere else.
+    #[inline]
+    pub fn exit_at(&self, ri: usize, cur: usize) -> Exit {
+        if cur == self.regions[ri].dump.tail {
+            Exit::Completion
         } else {
-            self.stats.side_exits += 1;
-            region.side_exits += 1;
-            self.stats.cycles += self.config.cost.side_exit_penalty;
-            if self.config.mode == ProfilingMode::Adaptive {
-                self.maybe_retire(code, ri);
+            Exit::Side
+        }
+    }
+
+    /// Adds region totals to the stats and charges their cycles.
+    #[inline(always)]
+    fn flush(&mut self, totals: Totals) {
+        let cost = &self.config.cost;
+        let stats = &mut self.stats;
+        stats.instructions += totals.instructions;
+        stats.loop_backs += totals.loops;
+        stats.region_entries += totals.entries;
+        stats.completions += totals.completions;
+        stats.side_exits += totals.side_exits;
+        stats.cycles += cost.opt_exec_per_instr * totals.instructions
+            + cost.region_entry_cost * totals.entries
+            + cost.side_exit_penalty * totals.side_exits;
+    }
+
+    /// Region `ri` is left through `exit` after `totals`; adaptive
+    /// monitoring judges a side exit.
+    #[inline]
+    pub fn leave(&mut self, code: &Code, ri: usize, exit: Exit, mut totals: Totals) {
+        totals.left(exit);
+        self.flush(totals);
+        if exit == Exit::Side && self.config.mode == ProfilingMode::Adaptive {
+            self.regions[ri].side_exits += 1;
+            self.maybe_retire(code, ri);
+        }
+    }
+
+    /// Rebuilds the successor table from the live regions: after a
+    /// retirement or a re-formation, or for an install wider than the
+    /// table's stride.
+    fn rebuild(&mut self) {
+        let live = || self.regions.iter().filter(|r| !r.retired);
+        let shift = live().map(|r| shift_for(&r.dump)).max().unwrap_or(0);
+        let table = &mut self.table;
+        table.cells.clear();
+        table.shift = shift;
+        // Unlink every entry first: a retired region and a live one may
+        // share their entry block.
+        for r in &self.regions {
+            self.profile.blocks[r.entry].entry = NO_ENTRY;
+        }
+        for (ri, r) in self.regions.iter_mut().enumerate() {
+            if !r.retired {
+                r.row = table.push(ri, &r.dump);
+                self.profile.blocks[r.entry].entry = r.row;
             }
         }
     }
@@ -644,10 +918,11 @@ impl<'t> Policy<'t> {
             self.stats.cycles += self.config.cost.opt_translate_per_instr * formed.total_instrs;
             self.stats.opt_invocations += 1;
             let region_id = self.regions[ri].dump.id;
-            // Re-formation replaces the region's shape and successor
-            // table together, in one assignment; continuous regions are
-            // walked, so no compiled code can go stale.
-            self.regions[ri] = RuntimeRegion::new(formed.into_dump(region_id), current_use);
+            // Re-formation replaces the region's shape, and the table
+            // its rows; continuous regions are walked, so no compiled
+            // code can go stale.
+            self.regions[ri] = RuntimeRegion::new(formed.into_dump(region_id), id, current_use);
+            self.rebuild();
             self.trace_emit(|| EventKind::RegionReformed {
                 region: region_id as u64,
                 entry_pc: entry_pc as u64,
@@ -676,7 +951,7 @@ impl<'t> Policy<'t> {
         *count += 1;
         self.stats.retirements += 1;
         // Retirement invalidates the region's optimized code: it is
-        // never dispatched again once its entry is unlinked below.
+        // never dispatched again once the rebuilt table drops it.
         let region = &mut self.regions[ri];
         region.retired = true;
         let (region_id, entries, side_exits) = (region.dump.id, region.entries, region.side_exits);
@@ -687,9 +962,7 @@ impl<'t> Policy<'t> {
             entries,
             side_exits,
         });
-        if let Some(id) = self.profile.id_of(code, entry_pc) {
-            self.profile.blocks[id].entry_of = None;
-        }
+        self.rebuild();
         // Reset and unfreeze members that no live region still uses.
         let still_used: BTreeSet<Pc> = self
             .regions
@@ -702,6 +975,7 @@ impl<'t> Policy<'t> {
                 continue;
             }
             if let Some(id) = self.profile.id_of(code, pc) {
+                self.carry_interval(code, id);
                 self.profile.reset(id);
             }
         }
@@ -717,7 +991,7 @@ impl<'t> Policy<'t> {
         candidates.sort_by_key(|&id| Reverse(self.profile.blocks[id].use_count));
         for seed in candidates {
             let c = &self.profile.blocks[seed];
-            if c.entry_of.is_some() || (c.frozen && self.freezes()) {
+            if c.entry != NO_ENTRY || (c.frozen && self.freezes()) {
                 continue;
             }
             let src = Source {
@@ -737,7 +1011,7 @@ impl<'t> Policy<'t> {
         self.stats.regions_formed += 1;
         let ri = self.regions.len();
         let formed_use = self.profile.blocks[seed].use_count;
-        let region = RuntimeRegion::new(formed.into_dump(ri), formed_use);
+        let region = RuntimeRegion::new(formed.into_dump(ri), seed, formed_use);
         self.trace_emit(|| EventKind::RegionFormed {
             region: ri as u64,
             entry_pc: code.pc_of(seed) as u64,
@@ -765,8 +1039,15 @@ impl<'t> Policy<'t> {
                 });
             }
         }
-        self.profile.blocks[seed].entry_of = u32::try_from(ri).ok();
+        let shift = shift_for(&region.dump);
         self.regions.push(region);
+        if shift > self.table.shift {
+            self.rebuild();
+        } else {
+            let region = &mut self.regions[ri];
+            region.row = self.table.push(ri, &region.dump);
+            self.profile.blocks[seed].entry = region.row;
+        }
     }
 
     /// The run's outcome: the profile dump of a program entered at

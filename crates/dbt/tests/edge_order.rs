@@ -7,9 +7,12 @@
 
 use tpdbt_dbt::{Backend, Dbt, DbtConfig, Lockstep};
 use tpdbt_isa::{Cond, Program, ProgramBuilder, Reg};
-use tpdbt_profile::{BlockRecord, SuccSlot};
+use tpdbt_profile::{BlockRecord, IntervalProfile, SuccSlot};
 
 type Edges = Vec<(SuccSlot, usize, u64)>;
+
+/// Interval snapshots as `(end_instructions, [(pc, (use, taken))])`.
+type Snapshots = Vec<(u64, Vec<(usize, (u64, u64))>)>;
 
 /// The record of the block at `pc` under `config`, checked equal on
 /// both backends and in a lockstep call beside AVEP.
@@ -205,4 +208,71 @@ fn adaptive_retirement_reprofiles_in_the_opposite_order() {
         ]
     );
     assert_eq!(reprofiled.use_count, 137 + 299);
+}
+
+/// The interval snapshots of `p` under `config`, checked equal on both
+/// backends and in a lockstep call beside AVEP.
+fn intervals(p: &Program, config: DbtConfig) -> Vec<IntervalProfile> {
+    let mut runs = Vec::new();
+    for backend in Backend::ALL {
+        let config = config.with_backend(backend);
+        runs.push(Dbt::new(config).run(p, &[]).unwrap().intervals);
+        let both = Lockstep::new(vec![DbtConfig::no_opt().with_backend(backend), config])
+            .run(p, &[])
+            .unwrap();
+        runs.push(both[1].intervals.clone());
+    }
+    assert!(runs.windows(2).all(|w| w[0] == w[1]), "{runs:?}");
+    runs.swap_remove(0)
+}
+
+/// An interval's delta is what a block profiled in it, across an
+/// adaptive reset. On `phased_branch` with 6 000-instruction
+/// intervals (the run is 12 207 instructions: 3 before the loop, 4
+/// per first- and third-phase iteration, 5 per second-phase one and 7
+/// at `i == H2`, then the halt):
+///
+/// * The first snapshot falls at X of `i = 1 499` (instruction 6 000):
+///   X has run 1 500 times, taken, and `a` 1 499 times.
+/// * The loop `[X, a]` forms at X's 2 000th use and freezes `a` at
+///   1 999. Its run ends at instruction 10 004, before the next
+///   snapshot is due (12 000), so none falls while it is frozen.
+/// * The region retires at `i = 2 563`. The reset carries X's and
+///   `a`'s 500 counts since the first snapshot and restarts their
+///   baselines at zero.
+/// * The second snapshot falls at `a` of `i = 2 948` (instruction
+///   12 002). X has re-profiled 137 falls and 248 takens, so its delta
+///   is 500 + 385 uses and 500 + 248 takens; `a` ran 248 times, all
+///   taken. The second-phase blocks at 4 and 9 appear for their 201
+///   runs (4 is taken except at `H2`, 9 always).
+/// * The closing snapshot at the halt holds the last 51 iterations:
+///   `a` falls through once, on the last.
+#[test]
+fn adaptive_reset_carries_interval_deltas() {
+    let p = phased_branch();
+    let snaps = intervals(&p, DbtConfig::adaptive(1_000).with_interval(6_000));
+    let expect: Snapshots = vec![
+        (6_000, vec![(X, (1_500, 1_500)), (8, (1_499, 1_499))]),
+        (
+            12_002,
+            vec![
+                (X, (885, 748)),
+                (4, (201, 200)),
+                (8, (748, 748)),
+                (9, (201, 201)),
+            ],
+        ),
+        (12_207, vec![(X, (51, 51)), (8, (51, 50))]),
+    ];
+    let got: Snapshots = snaps
+        .iter()
+        .map(|iv| {
+            let branches = iv.branches.iter().map(|(&pc, &d)| (pc, d)).collect();
+            (iv.end_instructions, branches)
+        })
+        .collect();
+    assert_eq!(got, expect);
+    let out = Dbt::new(DbtConfig::adaptive(1_000)).run(&p, &[]).unwrap();
+    assert_eq!(out.stats.retirements, 1);
+    assert_eq!(out.stats.instructions, 12_207);
 }

@@ -8,7 +8,7 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use tpdbt_dbt::{Backend, Dbt, DbtConfig, Lockstep, RunOutcome};
+use tpdbt_dbt::{AdaptPolicy, Backend, Dbt, DbtConfig, Lockstep, RegionPolicy, RunOutcome};
 use tpdbt_experiments::runner::ladder;
 use tpdbt_isa::Program;
 use tpdbt_suite::{all_names, workload, InputKind, Scale};
@@ -63,6 +63,73 @@ proptest! {
             ]
             .map(|c| c.with_backend(backend));
             assert_lockstep_matches(&configs, &p, &input);
+        }
+    }
+}
+
+/// A product over the profiling fields of [`DbtConfig`]: every mode
+/// with and without an interval recorder, thresholds of 1, `t` and
+/// one past any run here, the pool trigger at 1 and at its default, and
+/// an adapt bound that retires at every side exit beside one that
+/// never retires.
+fn config_product(t: u64, k: u64) -> Vec<DbtConfig> {
+    let churn = AdaptPolicy {
+        min_entries: 1,
+        max_side_exit_rate: 0.0,
+        max_retirements_per_entry: u32::MAX,
+    };
+    let never = AdaptPolicy {
+        min_entries: u64::MAX,
+        ..AdaptPolicy::default()
+    };
+    let mut configs = Vec::new();
+    for interval in [None, Some(k)] {
+        let mut push = |c: DbtConfig| {
+            configs.push(match interval {
+                Some(k) => c.with_interval(k),
+                None => c,
+            });
+        };
+        push(DbtConfig::no_opt());
+        for threshold in [1, t, 1 << 40] {
+            for pool_trigger in [1, RegionPolicy::default().pool_trigger] {
+                let policy = RegionPolicy {
+                    pool_trigger,
+                    ..RegionPolicy::default()
+                };
+                push(DbtConfig::two_phase(threshold).with_policy(policy));
+                push(DbtConfig::continuous(threshold).with_policy(policy));
+                for adapt in [churn, never] {
+                    push(DbtConfig {
+                        adapt,
+                        ..DbtConfig::adaptive(threshold).with_policy(policy)
+                    });
+                }
+            }
+        }
+    }
+    configs
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
+
+    /// The whole config product shares one execution and matches its
+    /// single runs on both backends; it reaches every way a region
+    /// walk stops (an adaptive side exit that retires, a continuous
+    /// re-formation, an interval boundary, the profiling phase) and
+    /// every way a chained walk continues.
+    #[test]
+    fn config_product_matches_single_runs(
+        stmts in prop::collection::vec(arb_stmt(), 1..8),
+        input in prop::collection::vec(-50i64..50, 0..8),
+        t in 2u64..40,
+        k in 50u64..2_000,
+    ) {
+        let p = build(&stmts);
+        for backend in Backend::ALL {
+            let configs = config_product(t, k).into_iter().map(|c| c.with_backend(backend));
+            assert_lockstep_matches(&configs.collect::<Vec<_>>(), &p, &input);
         }
     }
 }
