@@ -502,18 +502,15 @@ impl Ctx<'_> {
         })
     }
 
-    /// Looks up one cell's artifact in the store. A ladder cell's
-    /// artifact must also carry the cell's own threshold.
+    /// Looks up one cell's artifact in the store, whose typed loads
+    /// check the kind (and a ladder cell's threshold) against the key.
     fn load(&self, guest: &SuiteGuest, cell: &UnitCell) -> Option<Yield> {
         let store = self.store.as_ref()?;
         let key = guest.key(&cell.cfg);
         match cell.kind {
             CellKind::Plain => store.load_plain(&key).map(Yield::Plain),
             CellKind::Base => store.load_base(&key).map(Yield::Base),
-            CellKind::Ladder => store
-                .load_cell(&key)
-                .filter(|c| c.metrics.threshold == cell.cfg.threshold)
-                .map(Yield::Ladder),
+            CellKind::Ladder => store.load_cell(&key).map(Yield::Ladder),
         }
     }
 
@@ -903,8 +900,9 @@ impl SuiteGuest {
 /// either one computes is byte-identical on disk. Each kind has one
 /// builder, fed by a single run (`plain`, `base`, `cell`: serve's
 /// one-cell queries) or by one outcome of the sweep's lockstep run
-/// over a unit. Lookups stay with the callers, which validate (sweep)
-/// or tier (serve) them.
+/// over a unit. Lookups stay with the callers, through the store's
+/// typed loads, which check an entry against its key; serve also tiers
+/// them.
 pub struct Producer<'a> {
     /// Where artifacts are committed (best-effort); `None` keeps them
     /// in memory only.

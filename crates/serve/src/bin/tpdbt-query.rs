@@ -13,7 +13,7 @@
 //! `--retries N` retries *idempotent* single requests (ping, plain,
 //! cell, base) up to N times after transport failures, reconnecting
 //! with capped exponential backoff — a daemon restarting under the
-//! client (crash recovery, warm restart) costs latency, not an error.
+//! client (crash recovery, graceful restart) costs latency, not an error.
 //! Non-idempotent operations never retry.
 //!
 //! Prints the response body as one line of JSON on stdout. Exit

@@ -21,11 +21,10 @@
 //!
 //! Startup is crash-safe (DESIGN.md §14): before the listener binds,
 //! the cache directory is fsck'd (damaged entries removed, orphaned
-//! temp files swept) and the previous run's hot-tier snapshot is
-//! reloaded, so the first query for a previously-hot key is
-//! memory-hot. A graceful drain snapshots the hot tier back out; the
-//! `stats` endpoint reports `recovered`, `orphans_swept`, and
-//! `fsck_ms` under `recovery`.
+//! temp files swept). The hot tier starts empty, so a restarted
+//! daemon answers previously computed keys from the store. The
+//! `stats` endpoint reports `orphans_swept` and `fsck_ms` under
+//! `recovery`.
 //!
 //! Exit status: 0 after a clean drain, 1 on bind/setup failure, 2 on
 //! usage errors (an unknown option is named on stderr before the usage
@@ -110,9 +109,9 @@ fn main() {
     }
 
     let service = Arc::new(service);
-    // Store self-check (fsck with repair) and hot-tier snapshot reload
-    // happen before the listener exists: no connection is ever served
-    // from an unverified store (DESIGN.md §14).
+    // The store self-check (fsck with repair) happens before the
+    // listener exists: no connection is ever served from an unverified
+    // store (DESIGN.md §14).
     service.startup_recovery();
 
     let handle = start(

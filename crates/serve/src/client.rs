@@ -7,7 +7,7 @@
 //! With [`Client::with_retries`], a transport failure on an
 //! *idempotent* request (`ping` / `plain` / `cell` / `base`) triggers
 //! reconnect with capped exponential backoff — a restarting daemon
-//! (crash, deploy, warm restart) costs the caller latency, not an
+//! (crash, deploy, graceful restart) costs the caller latency, not an
 //! error. Non-idempotent operations (`shutdown`) and explicit
 //! pipelining never retry: the caller cannot know whether the lost
 //! request was applied.

@@ -139,22 +139,6 @@ impl HotTier {
         self.len() == 0
     }
 
-    /// A snapshot of every resident entry, oldest first. Reinserting
-    /// the pairs in this order (e.g. when reloading a warm-restart
-    /// snapshot) into a tier of the same capacity reproduces the
-    /// recency order, so the reloaded tier evicts the same victims.
-    #[must_use]
-    pub fn entries(&self) -> Vec<(u64, Arc<Artifact>)> {
-        let lru = self.lock();
-        let mut items: Vec<(u64, u64, Arc<Artifact>)> = lru
-            .map
-            .iter()
-            .map(|(k, e)| (e.tick, *k, Arc::clone(&e.artifact)))
-            .collect();
-        items.sort_by_key(|&(tick, _, _)| tick);
-        items.into_iter().map(|(_, k, a)| (k, a)).collect()
-    }
-
     /// A snapshot of the traffic counters.
     #[must_use]
     pub fn stats(&self) -> HotStats {
@@ -242,29 +226,6 @@ mod tests {
         let s = tier.stats();
         assert_eq!(s.inserts, 256);
         assert_eq!(s.evictions, 240);
-    }
-
-    #[test]
-    fn entries_snapshot_preserves_global_recency() {
-        let tier = HotTier::new(4);
-        for key in 0..4u64 {
-            tier.insert(key, art(key));
-        }
-        assert!(tier.get(1).is_some()); // refresh 1: now the newest
-        let keys = |t: &HotTier| t.entries().into_iter().map(|(k, _)| k).collect::<Vec<_>>();
-        assert_eq!(keys(&tier), vec![0, 2, 3, 1], "oldest first");
-        // Reinserting in snapshot order into a fresh tier of the same
-        // capacity reproduces the recency order: both evict the same
-        // victim next.
-        let reload = HotTier::new(4);
-        for (k, a) in tier.entries() {
-            reload.insert(k, a);
-        }
-        assert_eq!(keys(&reload), keys(&tier));
-        tier.insert(99, art(99));
-        reload.insert(99, art(99));
-        assert_eq!(keys(&tier), vec![2, 3, 1, 99]);
-        assert_eq!(keys(&reload), keys(&tier));
     }
 
     #[test]

@@ -24,7 +24,8 @@
 //!   `Producer`, so both write the same bytes under the same keys,
 //! - [`server`] — listener, bounded connection queue with explicit
 //!   backpressure, worker pool, graceful drain,
-//! - [`snapshot`] — hot-tier persistence for warm restarts
+//! - [`snapshot`] — only the name of the hot-tier snapshot file older
+//!   daemons wrote; the store is the daemon's one on-disk format
 //!   (DESIGN.md §14),
 //! - [`client`] — the blocking client behind `tpdbt-query`, with
 //!   optional reconnect-and-retry for idempotent requests.

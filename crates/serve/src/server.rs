@@ -550,11 +550,6 @@ impl ServerHandle {
         for w in self.workers.drain(..) {
             let _ = w.join();
         }
-        // Workers are drained: the hot tier is quiescent, so persist it
-        // for the next startup's warm restart (DESIGN.md §14). Idempotent
-        // across wait()/shutdown(); a second join sees drained vectors
-        // and rewrites an identical snapshot.
-        self.shared.service.snapshot_hot();
         if let Bind::Unix(path) = &self.bind {
             let _ = std::fs::remove_file(path);
         }

@@ -39,7 +39,6 @@ use crate::proto::{
     Request, Source,
 };
 use crate::singleflight::{FlightOutcome, SingleFlight};
-use crate::snapshot;
 
 /// Payload fields plus the source tier for artifact queries, or a
 /// structured failure — the intermediate shape `respond` renders.
@@ -124,10 +123,8 @@ pub struct ProfileService {
     latency: Mutex<BTreeMap<&'static str, Histogram>>,
     default_deadline: Duration,
     backend: Backend,
-    /// Warm-restart bookkeeping, set by [`ProfileService::startup_recovery`]:
-    /// hot-tier entries reinstalled from the drain snapshot, orphaned
-    /// temp files swept at startup, and the startup fsck's wall time.
-    recovered: AtomicU64,
+    /// Startup bookkeeping, set by [`ProfileService::startup_recovery`]:
+    /// orphaned temp files swept and the startup fsck's wall time.
     orphans_swept: AtomicU64,
     fsck_ms: AtomicU64,
 }
@@ -148,7 +145,6 @@ impl ProfileService {
             latency: Mutex::new(BTreeMap::new()),
             default_deadline: config.default_deadline,
             backend: config.backend,
-            recovered: AtomicU64::new(0),
             orphans_swept: AtomicU64::new(0),
             fsck_ms: AtomicU64::new(0),
         }
@@ -242,17 +238,16 @@ impl ProfileService {
         }
     }
 
-    /// Store self-check plus warm-restart reload, run once before the
-    /// server accepts connections (the `tpdbt-serve` binary calls
-    /// this; transport-free embedders may skip it).
+    /// Store self-check, run once before the server accepts
+    /// connections (the `tpdbt-serve` binary calls this;
+    /// transport-free embedders may skip it).
     ///
-    /// With a cache dir configured this (1) runs a repairing
-    /// [`tpdbt_store::fsck`] scan — damaged entries are removed and
-    /// re-derived on demand, orphaned temp files are swept — and
-    /// (2) consumes the previous graceful drain's hot-tier snapshot,
-    /// reinstalling its entries so previously-hot keys answer
-    /// memory-hot immediately. The `recovered` / `orphans_swept` /
-    /// `fsck_ms` counters in `stats` report what happened.
+    /// With a cache dir configured this runs a repairing
+    /// [`tpdbt_store::fsck`] scan: damaged entries are removed and
+    /// re-derived on demand, orphaned temp files are swept. The
+    /// `orphans_swept` / `fsck_ms` counters in `stats` report what
+    /// happened. The hot tier starts empty; previously computed keys
+    /// answer from disk.
     pub fn startup_recovery(&self) {
         let Some(dir) = self.store.as_ref().map(|s| s.dir().to_path_buf()) else {
             return;
@@ -281,38 +276,6 @@ impl ProfileService {
                 }
             }
             Err(e) => eprintln!("startup fsck of {} failed: {e}", dir.display()),
-        }
-        let entries = snapshot::load(&dir);
-        for (key, artifact) in &entries {
-            self.hot.insert(*key, Arc::clone(artifact));
-        }
-        self.recovered
-            .store(entries.len() as u64, Ordering::Relaxed);
-        self.trace_emit(|| tpdbt_trace::EventKind::HotSnapshotLoaded {
-            entries: entries.len() as u64,
-        });
-    }
-
-    /// Persists the hot tier to the cache directory's snapshot file so
-    /// the next startup can warm-restart. Called by the server on
-    /// graceful drain; a no-op without a cache dir. Returns the number
-    /// of entries written.
-    pub fn snapshot_hot(&self) -> u64 {
-        let Some(dir) = self.store.as_ref().map(|s| s.dir().to_path_buf()) else {
-            return 0;
-        };
-        let entries = self.hot.entries();
-        match snapshot::save(&dir, &entries) {
-            Ok(written) => {
-                self.trace_emit(|| tpdbt_trace::EventKind::HotSnapshotSaved { entries: written });
-                written
-            }
-            Err(e) => {
-                // Losing the snapshot degrades the next restart to
-                // disk-warm, never to incorrect.
-                eprintln!("hot-tier snapshot to {} failed: {e}", dir.display());
-                0
-            }
         }
     }
 
@@ -378,6 +341,16 @@ impl ProfileService {
         }
     }
 
+    /// A disk-tier lookup through one of the store's typed loads, so a
+    /// key is only ever answered with the kind of artifact it names (a
+    /// cell also with its own threshold); anything else is a miss.
+    fn load_disk<A: TypedArtifact>(
+        &self,
+        load: impl FnOnce(&ProfileStore) -> Option<A>,
+    ) -> Option<Artifact> {
+        self.store.as_ref().and_then(load).map(A::into_artifact)
+    }
+
     /// Computes one artifact through the sweep's producer, which runs
     /// the guest, counts it in `guest_runs` and persists the result.
     /// A failed guest run or analysis is a compute failure.
@@ -417,7 +390,7 @@ impl ProfileService {
         self.resolve(
             key.digest(),
             deadline,
-            || self.store.as_ref().and_then(|s| s.load(&key)),
+            || self.load_disk(|s| s.load_plain(&key)),
             || self.produce(|p| p.plain(&guest, cfg)),
         )
     }
@@ -448,7 +421,7 @@ impl ProfileService {
         self.resolve(
             key.digest(),
             deadline,
-            || self.store.as_ref().and_then(|s| s.load(&key)),
+            || self.load_disk(|s| s.load_cell(&key)),
             || {
                 let avep = self.resolve_plain(workload, scale, InputKind::Ref, deadline)?;
                 let Artifact::Plain(avep) = &*avep.artifact else {
@@ -481,7 +454,7 @@ impl ProfileService {
         self.resolve(
             key.digest(),
             deadline,
-            || self.store.as_ref().and_then(|s| s.load(&key)),
+            || self.load_disk(|s| s.load_base(&key)),
             || self.produce(|p| p.base(&guest, cfg)),
         )
     }
@@ -539,10 +512,6 @@ impl ProfileService {
         fields.push((
             "recovery",
             Json::obj([
-                (
-                    "recovered",
-                    Json::num(self.recovered.load(Ordering::Relaxed)),
-                ),
                 (
                     "orphans_swept",
                     Json::num(self.orphans_swept.load(Ordering::Relaxed)),
@@ -818,42 +787,36 @@ mod tests {
     }
 
     #[test]
-    fn warm_restart_reloads_the_hot_tier_and_reports_counters() {
+    fn restart_answers_from_disk_and_reports_counters() {
         static UNIQ: AtomicU64 = AtomicU64::new(0);
         let dir = std::env::temp_dir().join(format!(
-            "tpdbt-serve-warm-{}-{}",
+            "tpdbt-serve-restart-{}-{}",
             std::process::id(),
             UNIQ.fetch_add(1, Ordering::Relaxed)
         ));
         let a = svc(Some(dir.clone()));
+        a.startup_recovery();
         let first = a.resolve_base("gzip", Scale::Tiny, far()).unwrap();
         assert_eq!(first.source, Source::Computed);
-        assert_eq!(a.snapshot_hot(), 1, "one hot entry drained to disk");
         drop(a);
 
         let b = svc(Some(dir.clone()));
         b.startup_recovery();
-        let warm = b.resolve_base("gzip", Scale::Tiny, far()).unwrap();
+        let restarted = b.resolve_base("gzip", Scale::Tiny, far()).unwrap();
         assert_eq!(
-            warm.source,
-            Source::Memory,
-            "snapshotted key must be memory-hot on the first query"
+            restarted.source,
+            Source::Disk,
+            "a restarted daemon answers a computed key from the store"
         );
         assert_eq!(b.guest_runs(), 0);
-        assert_eq!(first.artifact, warm.artifact);
+        assert_eq!(first.artifact, restarted.artifact);
         let recovery = b.stats_json().get("recovery").cloned().expect("recovery");
-        assert_eq!(recovery.get("recovered").and_then(Json::as_u64), Some(1));
         assert_eq!(
             recovery.get("orphans_swept").and_then(Json::as_u64),
             Some(0)
         );
         assert!(recovery.get("fsck_ms").and_then(Json::as_u64).is_some());
-
-        // The snapshot was consumed: a third instance starts disk-warm.
-        let c = svc(Some(dir.clone()));
-        c.startup_recovery();
-        let disk = c.resolve_base("gzip", Scale::Tiny, far()).unwrap();
-        assert_eq!(disk.source, Source::Disk);
+        assert!(recovery.get("recovered").is_none(), "no reload to count");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -494,10 +494,13 @@ impl ProfileStore {
         self.load_as(key)
     }
 
-    /// Typed lookup of a sweep-cell artifact.
+    /// Typed lookup of a sweep-cell artifact. A cell must also carry
+    /// the threshold its key names; one that does not is `None`, like
+    /// an entry of another kind.
     #[must_use]
     pub fn load_cell(&self, key: &CacheKey) -> Option<CellArtifact> {
         self.load_as(key)
+            .filter(|c: &CellArtifact| c.metrics.threshold == key.threshold)
     }
 
     /// Typed lookup of a baseline artifact.
@@ -763,6 +766,34 @@ mod tests {
         assert!(store.load_cell(&key(3)).is_none());
         assert!(store.load_plain(&key(3)).is_none());
         assert!(store.load_base(&key(3)).is_some());
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn typed_cell_load_rejects_another_threshold() {
+        let dir = scratch_dir();
+        let store = ProfileStore::new(&dir);
+        let cell = |threshold| {
+            Artifact::Cell(CellArtifact {
+                metrics: tpdbt_profile::ThresholdMetrics {
+                    threshold,
+                    sd_bp: None,
+                    bp_mismatch: None,
+                    sd_cp: None,
+                    sd_lp: None,
+                    lp_mismatch: None,
+                    profiling_ops: 1,
+                    cycles: 2,
+                    regions: 3,
+                },
+                output_digest: 4,
+            })
+        };
+        store.store(&key(500), &cell(50)).unwrap();
+        assert!(store.load(&key(500)).is_some(), "the entry itself is valid");
+        assert!(store.load_cell(&key(500)).is_none());
+        store.store(&key(500), &cell(500)).unwrap();
+        assert_eq!(store.load_cell(&key(500)).unwrap().metrics.threshold, 500);
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -255,17 +255,6 @@ pub enum EventKind {
         /// Machine-readable error code of the rejection.
         code: &'static str,
     },
-    /// The serve hot tier was snapshotted to disk during graceful
-    /// drain.
-    HotSnapshotSaved {
-        /// Entries written to the snapshot file.
-        entries: u64,
-    },
-    /// A hot-tier snapshot was reloaded on startup (warm restart).
-    HotSnapshotLoaded {
-        /// Entries reinstalled into the hot tier.
-        entries: u64,
-    },
 
     // ---- fault injection (tpdbt-faults consumers) ----
     /// A planned fault fired at an injection site.
@@ -310,8 +299,6 @@ impl EventKind {
             EventKind::ServeRequest { .. } => "serve_request",
             EventKind::ServeDone { .. } => "serve_done",
             EventKind::ServeRejected { .. } => "serve_rejected",
-            EventKind::HotSnapshotSaved { .. } => "hot_snapshot_saved",
-            EventKind::HotSnapshotLoaded { .. } => "hot_snapshot_loaded",
             EventKind::FaultInjected { .. } => "fault_injected",
         }
     }
@@ -420,8 +407,6 @@ mod tests {
                 orphans: 0,
                 micros: 0,
             },
-            EventKind::HotSnapshotSaved { entries: 0 },
-            EventKind::HotSnapshotLoaded { entries: 0 },
             EventKind::CellRetried {
                 bench: String::new(),
                 label: String::new(),

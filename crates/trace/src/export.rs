@@ -184,9 +184,6 @@ fn fields(kind: &EventKind) -> Vec<Field<'_>> {
         E::ServeRejected { conn, code } => {
             vec![Field::U64("conn", *conn), Field::Str("code", code)]
         }
-        E::HotSnapshotSaved { entries } | E::HotSnapshotLoaded { entries } => {
-            vec![Field::U64("entries", *entries)]
-        }
         E::FaultInjected { site, occurrence } => vec![
             Field::Str("site", site),
             Field::U64("occurrence", *occurrence),
