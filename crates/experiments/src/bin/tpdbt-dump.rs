@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! tpdbt-dump BENCH DIR [--scale tiny|small|paper] [--threshold T]...
-//!            [--intervals N] [--jobs N] [--cache-dir DIR]
+//!            [--intervals N] [--cache-dir DIR]
 //!            [--trace PATH [--trace-format jsonl|chrome]]
 //!            [--max-retries N] [--watchdog-fuel N] [--inject SPEC]
 //! ```
@@ -15,11 +15,13 @@
 //! instructions, for phase detection). Analyze them with
 //! `tpdbt-analyze`.
 //!
-//! `--jobs N` runs the per-threshold `INIP(T)` dumps on a worker pool;
-//! `--cache-dir DIR` serves the `AVEP` and `INIP(train)` baselines from
-//! the persistent profile store on reruns (`INIP(T)` dumps carry full
-//! region structure, which the store does not retain, so they always
-//! execute; with `--intervals` the baselines also always execute).
+//! The `INIP(T)` ladder is one guest execution feeding every
+//! threshold's translation policy ([`Lockstep`]), so there is no
+//! `--jobs`. `--cache-dir DIR` serves the `AVEP` and `INIP(train)`
+//! baselines from the persistent profile store on reruns (`INIP(T)`
+//! dumps carry full region structure, which the store does not retain,
+//! so they always execute; with `--intervals` the baselines also always
+//! execute).
 //! The cached baseline runs honor the fault-tolerance policy
 //! (DESIGN.md §9): `--max-retries`/`--watchdog-fuel` tune it and
 //! `--inject SPEC` arms deterministic fault injection.
@@ -27,8 +29,8 @@
 use std::path::Path;
 use std::sync::Arc;
 
-use tpdbt_dbt::{Dbt, DbtConfig};
-use tpdbt_experiments::sweep::{parallel_map, plain_profile_run, SuiteGuest, SweepOptions};
+use tpdbt_dbt::{Dbt, DbtConfig, Lockstep};
+use tpdbt_experiments::sweep::{plain_profile_run, SuiteGuest, SweepOptions};
 use tpdbt_faults::FaultPlan;
 use tpdbt_profile::{text, PlainProfile};
 use tpdbt_suite::{InputKind, Scale};
@@ -37,7 +39,7 @@ use tpdbt_trace::{TraceFormat, Tracer};
 fn usage() -> ! {
     eprintln!(
         "usage: tpdbt-dump BENCH DIR [--scale tiny|small|paper] [--threshold T]...\n\
-         \u{20}                 [--intervals N] [--jobs N] [--cache-dir DIR]\n\
+         \u{20}                 [--intervals N] [--cache-dir DIR]\n\
          \u{20}                 [--trace PATH [--trace-format jsonl|chrome]]\n\
          \u{20}                 [--max-retries N] [--watchdog-fuel N] [--inject SPEC]"
     );
@@ -57,15 +59,6 @@ fn at_least_one(flag: &str, value: Option<String>) -> u64 {
     }
 }
 
-/// Attaches `tracer` to a fresh engine for `config` when tracing.
-fn dbt_for(config: DbtConfig, tracer: Option<&Arc<Tracer>>) -> Dbt {
-    let dbt = Dbt::new(config);
-    match tracer {
-        Some(t) => dbt.with_tracer(Arc::clone(t)),
-        None => dbt,
-    }
-}
-
 fn main() -> tpdbt_experiments::Result<()> {
     let mut args = std::env::args().skip(1);
     let bench = args.next().unwrap_or_else(|| usage());
@@ -79,18 +72,11 @@ fn main() -> tpdbt_experiments::Result<()> {
     while let Some(a) = args.next() {
         match a.as_str() {
             "--scale" => {
-                scale = match args.next().as_deref() {
-                    Some("tiny") => Scale::Tiny,
-                    Some("small") => Scale::Small,
-                    Some("paper") => Scale::Paper,
-                    _ => usage(),
-                }
+                let value = args.next().unwrap_or_else(|| usage());
+                scale = value.parse().unwrap_or_else(|_| usage());
             }
             "--threshold" => thresholds.push(at_least_one("--threshold", args.next())),
             "--intervals" => interval = Some(at_least_one("--intervals", args.next())),
-            "--jobs" => {
-                sweep_opts.jobs = args.next().unwrap_or_else(|| usage()).parse()?;
-            }
             "--cache-dir" => {
                 sweep_opts.cache_dir = Some(args.next().unwrap_or_else(|| usage()).into());
             }
@@ -124,8 +110,11 @@ fn main() -> tpdbt_experiments::Result<()> {
     // Interval snapshots aren't retained by the store, so a profile
     // with `--intervals` always runs fresh.
     let avep_profile: PlainProfile = if let Some(n) = interval {
-        let avep = dbt_for(DbtConfig::no_opt().with_interval(n), tracer.as_ref())
-            .run_built(reference.binary(), reference.input())?;
+        let mut dbt = Dbt::new(DbtConfig::no_opt().with_interval(n));
+        if let Some(t) = &tracer {
+            dbt = dbt.with_tracer(Arc::clone(t));
+        }
+        let avep = dbt.run_built(reference.binary(), reference.input())?;
         std::fs::write(
             dir.join(format!("{bench}.intervals")),
             text::intervals_to_string(&avep.intervals),
@@ -161,15 +150,21 @@ fn main() -> tpdbt_experiments::Result<()> {
         train_art.profile.blocks.len()
     );
 
-    let dumps = parallel_map(sweep_opts.jobs.max(1), &thresholds, |_, &t| {
-        let out = dbt_for(DbtConfig::two_phase(t), tracer.as_ref())
-            .run_built(reference.binary(), reference.input())?;
-        tpdbt_experiments::Result::Ok((text::inip_to_string(&out.inip), out.inip.regions.len()))
-    });
-    for (&t, dump) in thresholds.iter().zip(dumps) {
-        let (text, regions) = dump?;
-        std::fs::write(dir.join(format!("{bench}.inip.{t}")), text)?;
-        println!("wrote {bench}.inip.{t} ({regions} regions)");
+    let configs = thresholds.iter().map(|&t| DbtConfig::two_phase(t));
+    let mut ladder = Lockstep::new(configs.collect());
+    if let Some(t) = &tracer {
+        ladder = ladder.with_tracer(Arc::clone(t));
+    }
+    let dumps = ladder.run_built(reference.binary(), reference.input())?;
+    for (&t, out) in thresholds.iter().zip(&dumps) {
+        std::fs::write(
+            dir.join(format!("{bench}.inip.{t}")),
+            text::inip_to_string(&out.inip),
+        )?;
+        println!(
+            "wrote {bench}.inip.{t} ({} regions)",
+            out.inip.regions.len()
+        );
     }
     if let (Some(t), Some(p)) = (&tracer, &trace_path) {
         tpdbt_trace::export::write_file(t, trace_format, p)?;

@@ -119,12 +119,8 @@ fn main() -> tpdbt_experiments::Result<()> {
         match a.as_str() {
             "--suite" => suite = Some(args.next().unwrap_or_else(|| usage())),
             "--scale" => {
-                scale = match args.next().as_deref() {
-                    Some("tiny") => Scale::Tiny,
-                    Some("small") => Scale::Small,
-                    Some("paper") => Scale::Paper,
-                    _ => usage(),
-                }
+                let value = args.next().unwrap_or_else(|| usage());
+                scale = value.parse().unwrap_or_else(|_| usage());
             }
             "--mode" => mode = args.next().unwrap_or_else(|| usage()),
             "--backend" => {

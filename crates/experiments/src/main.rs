@@ -148,12 +148,8 @@ fn main() {
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--scale" => {
-                scale = match args.next().as_deref() {
-                    Some("tiny") => Scale::Tiny,
-                    Some("small") => Scale::Small,
-                    Some("paper") => Scale::Paper,
-                    _ => usage(),
-                }
+                let value = args.next().unwrap_or_else(|| usage());
+                scale = value.parse().unwrap_or_else(|_| usage());
             }
             "--out" => out_dir = Some(args.next().unwrap_or_else(|| usage())),
             "--bench" => {

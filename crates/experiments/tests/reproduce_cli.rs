@@ -2,7 +2,7 @@
 //! `--inject` spec during argument parsing: it exits 2 before running
 //! any sweep, instead of silently skipping or reinterpreting the input
 //! and reporting success. `tpdbt-run` and `tpdbt-dump` likewise reject
-//! a zero threshold or interval.
+//! a zero threshold or interval, and neither takes `--jobs`.
 
 use std::process::Command;
 
@@ -149,4 +149,35 @@ fn tpdbt_run_rejects_jobs() {
     assert!(stderr.contains("usage: tpdbt-run"), "{stderr}");
     assert!(!stderr.contains("--jobs"), "{stderr}");
     assert!(out.stdout.is_empty(), "a sweep ran");
+}
+
+/// Nor has `tpdbt-dump`: its threshold ladder is one lockstep guest
+/// execution, so `--jobs` would steer nothing.
+#[test]
+fn tpdbt_dump_rejects_jobs() {
+    let dump_dir = std::env::temp_dir().join(format!("tpdbt-jobs-dump-{}", std::process::id()));
+    let dump_dir = dump_dir.to_str().expect("utf-8 temp dir");
+    let dump = env!("CARGO_BIN_EXE_tpdbt-dump");
+    let args = [
+        "gzip",
+        dump_dir,
+        "--scale",
+        "tiny",
+        "--threshold",
+        "10",
+        "--threshold",
+        "20",
+        "--jobs",
+        "2",
+    ];
+    let out = Command::new(dump).args(args).output().expect("binary runs");
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("usage: tpdbt-dump"), "{stderr}");
+    assert!(!stderr.contains("--jobs"), "{stderr}");
+    assert!(out.stdout.is_empty(), "a dump ran");
+    assert!(
+        !std::path::Path::new(dump_dir).exists(),
+        "tpdbt-dump wrote files before rejecting its arguments"
+    );
 }

@@ -5,8 +5,8 @@
 //! block frequencies for the duplicated blocks in NAVEP". MKL is
 //! proprietary, so this crate provides the substitute: a dense LU solver
 //! with partial pivoting for small systems and exact tests, and a sparse
-//! Gauss–Seidel/Jacobi solver for the large, diagonally-dominant Markov
-//! flow systems produced by whole-program normalization.
+//! Gauss–Seidel solver for the large, diagonally-dominant Markov flow
+//! systems produced by whole-program normalization.
 //!
 //! [`markov`] builds the `(I - Pᵀ) x = b` frequency-propagation system
 //! from a probabilistic flow graph, which is the only shape the profile

@@ -132,68 +132,6 @@ impl CsrMatrix {
         Ok(diag)
     }
 
-    /// Solves `A·x = b` by Jacobi iteration.
-    ///
-    /// Converges on strictly diagonally dominant systems, more slowly
-    /// than [`CsrMatrix::solve_gauss_seidel`] but with
-    /// iteration-order-independent updates (useful as a cross-check and
-    /// trivially parallelizable). Same tolerance contract as
-    /// Gauss–Seidel.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::DimensionMismatch`] for a wrong-sized `b`,
-    /// [`LinalgError::Singular`] if a diagonal entry is (numerically)
-    /// zero, and [`LinalgError::NoConvergence`] if the tolerance is not
-    /// reached within `max_iter` sweeps.
-    pub fn solve_jacobi(
-        &self,
-        b: &[f64],
-        tol: f64,
-        max_iter: usize,
-    ) -> Result<Vec<f64>, LinalgError> {
-        if b.len() != self.n {
-            return Err(LinalgError::DimensionMismatch {
-                expected: self.n,
-                got: b.len(),
-            });
-        }
-        let diag = self.diagonal()?;
-        let scale = b.iter().fold(1.0f64, |m, v| m.max(v.abs()));
-        let mut x = vec![0.0; self.n];
-        let mut next = vec![0.0; self.n];
-        for sweep in 1..=max_iter {
-            for i in 0..self.n {
-                let mut acc = b[i];
-                for (j, v) in self.row(i) {
-                    if j != i {
-                        acc -= v * x[j];
-                    }
-                }
-                next[i] = acc / diag[i];
-            }
-            std::mem::swap(&mut x, &mut next);
-            if sweep % 4 == 0 || sweep == max_iter {
-                let ax = self.mul_vec(&x)?;
-                let residual = ax
-                    .iter()
-                    .zip(b)
-                    .map(|(l, r)| (l - r).abs())
-                    .fold(0.0f64, f64::max);
-                if residual <= tol * scale {
-                    return Ok(x);
-                }
-                if sweep == max_iter {
-                    return Err(LinalgError::NoConvergence {
-                        iterations: sweep,
-                        residual,
-                    });
-                }
-            }
-        }
-        unreachable!("loop returns at sweep == max_iter")
-    }
-
     /// Solves `A·x = b` by Gauss–Seidel iteration.
     ///
     /// Suited to the diagonally-dominant `(I − Pᵀ)` systems produced by
@@ -313,32 +251,6 @@ mod tests {
     }
 
     #[test]
-    fn jacobi_matches_gauss_seidel() {
-        let m = tridiag(40);
-        let x_true: Vec<f64> = (0..40).map(|i| (i as f64 * 0.3).cos()).collect();
-        let b = m.mul_vec(&x_true).unwrap();
-        let gs = m.solve_gauss_seidel(&b, 1e-11, 10_000).unwrap();
-        let j = m.solve_jacobi(&b, 1e-11, 50_000).unwrap();
-        for (a, c) in gs.iter().zip(&j) {
-            assert!((a - c).abs() < 1e-8);
-        }
-    }
-
-    #[test]
-    fn jacobi_detects_singular_and_mismatch() {
-        let mut b = SparseBuilder::new(2);
-        b.add(0, 1, 1.0);
-        b.add(1, 0, 1.0);
-        let m = b.build();
-        assert!(matches!(
-            m.solve_jacobi(&[1.0, 1.0], 1e-10, 100),
-            Err(LinalgError::Singular { .. })
-        ));
-        let m = tridiag(3);
-        assert!(m.solve_jacobi(&[1.0], 1e-10, 10).is_err());
-    }
-
-    #[test]
     fn zero_diagonal_is_singular() {
         let mut b = SparseBuilder::new(2);
         b.add(0, 1, 1.0);
@@ -375,6 +287,12 @@ mod tests {
                 got: 1
             })
         ));
-        assert!(m.solve_gauss_seidel(&[1.0], 1e-9, 10).is_err());
+        assert!(matches!(
+            m.solve_gauss_seidel(&[1.0], 1e-9, 10),
+            Err(LinalgError::DimensionMismatch {
+                expected: 3,
+                got: 1
+            })
+        ));
     }
 }

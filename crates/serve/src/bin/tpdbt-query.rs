@@ -38,15 +38,6 @@ fn fatal(message: impl std::fmt::Display) -> ! {
     std::process::exit(1)
 }
 
-fn parse_scale(s: &str) -> Scale {
-    match s {
-        "tiny" => Scale::Tiny,
-        "small" => Scale::Small,
-        "paper" => Scale::Paper,
-        _ => usage(),
-    }
-}
-
 fn main() {
     let mut connect: Option<String> = None;
     let mut deadline_ms: Option<u64> = None;
@@ -61,7 +52,7 @@ fn main() {
             "--connect" => connect = Some(value()),
             "--deadline-ms" => deadline_ms = Some(value().parse().unwrap_or_else(|_| usage())),
             "--retries" => retries = value().parse().unwrap_or_else(|_| usage()),
-            "--scale" => scale = parse_scale(&value()),
+            "--scale" => scale = value().parse().unwrap_or_else(|_| usage()),
             "--input" => {
                 input = match value().as_str() {
                     "ref" => InputKind::Ref,

@@ -2,16 +2,18 @@
 //!
 //! ```text
 //! tpdbt-serve --listen SPEC [--cache-dir DIR] [--jobs N] [--queue N]
-//!             [--accept-shards N] [--hot N]
-//!             [--deadline-ms MS] [--backend interp|cached-fused]
+//!             [--hot N] [--deadline-ms MS] [--backend interp|cached-fused]
 //!             [--trace PATH [--trace-format jsonl|chrome]]
 //!             [--inject SPEC]
 //! ```
 //!
 //! `--listen` takes `unix:PATH` or `HOST:PORT` (port 0 picks an
-//! ephemeral port; the bound address is printed). `--cache-dir` shares
-//! the on-disk store with `reproduce` and `tpdbt-run`, so a warm
-//! sweep serves queries with zero guest runs. `--backend` picks the execution
+//! ephemeral port; the bound address is printed). One accept thread
+//! feeds one queue of at most `--queue` waiting connections, served by
+//! `--jobs` workers; a connection that finds the queue full is answered
+//! `overloaded`. `--cache-dir` shares the on-disk store with
+//! `reproduce` and `tpdbt-run`, so a warm sweep serves queries with
+//! zero guest runs. `--backend` picks the execution
 //! backend for cold (computed) queries — `cached-fused` (default, the
 //! fused translation cache plus trace-compiled regions) or `interp`
 //! (the reference interpreter); results are bitwise identical either
@@ -39,7 +41,7 @@ use tpdbt_trace::{TraceFormat, Tracer};
 
 fn usage() -> ! {
     eprintln!(
-        "usage: tpdbt-serve --listen SPEC [--cache-dir DIR] [--jobs N] [--queue N] \\\n       [--accept-shards N] [--hot N] [--deadline-ms MS] \\\n       [--backend interp|cached-fused] \\\n       [--trace PATH [--trace-format jsonl|chrome]] [--inject SPEC]\n\nSPEC is unix:PATH or HOST:PORT (port 0 = ephemeral)."
+        "usage: tpdbt-serve --listen SPEC [--cache-dir DIR] [--jobs N] [--queue N] \\\n       [--hot N] [--deadline-ms MS] \\\n       [--backend interp|cached-fused] \\\n       [--trace PATH [--trace-format jsonl|chrome]] [--inject SPEC]\n\nSPEC is unix:PATH or HOST:PORT (port 0 = ephemeral)."
     );
     std::process::exit(2)
 }
@@ -55,7 +57,6 @@ fn main() {
     let mut cache_dir: Option<String> = None;
     let mut jobs: usize = 4;
     let mut queue: usize = 16;
-    let mut accept_shards: usize = 2;
     let mut hot: usize = 256;
     let mut deadline_ms: u64 = 30_000;
     let mut trace_path: Option<String> = None;
@@ -69,7 +70,6 @@ fn main() {
             "--cache-dir" => cache_dir = Some(value()),
             "--jobs" => jobs = value().parse().unwrap_or_else(|_| usage()),
             "--queue" => queue = value().parse().unwrap_or_else(|_| usage()),
-            "--accept-shards" => accept_shards = value().parse().unwrap_or_else(|_| usage()),
             "--hot" => hot = value().parse().unwrap_or_else(|_| usage()),
             "--deadline-ms" => deadline_ms = value().parse().unwrap_or_else(|_| usage()),
             "--backend" => {
@@ -120,7 +120,7 @@ fn main() {
             bind,
             workers: jobs.max(1),
             queue_depth: queue.max(1),
-            accept_shards: accept_shards.max(1),
+            accept_shards: 1,
         },
     )
     .unwrap_or_else(|e| fatal(format_args!("bind {listen}: {e}")));

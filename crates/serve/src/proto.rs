@@ -151,25 +151,6 @@ pub struct Envelope {
     pub request: Request,
 }
 
-fn scale_from_str(s: &str) -> Option<Scale> {
-    match s {
-        "tiny" => Some(Scale::Tiny),
-        "small" => Some(Scale::Small),
-        "paper" => Some(Scale::Paper),
-        _ => None,
-    }
-}
-
-/// The wire name of a scale (client flags use the same spelling).
-#[must_use]
-pub fn scale_name(scale: Scale) -> &'static str {
-    match scale {
-        Scale::Tiny => "tiny",
-        Scale::Small => "small",
-        Scale::Paper => "paper",
-    }
-}
-
 /// The wire name of an input kind.
 #[must_use]
 pub fn input_name(input: InputKind) -> &'static str {
@@ -208,8 +189,7 @@ impl Envelope {
                 .get("scale")
                 .and_then(Json::as_str)
                 .ok_or_else(|| bad("missing `scale`".to_string()))?;
-            scale_from_str(name)
-                .ok_or_else(|| bad(format!("unknown scale `{name}` (tiny|small|paper)")))
+            name.parse::<Scale>().map_err(bad)
         };
         let request = match op {
             "ping" => Request::Ping,
@@ -267,7 +247,7 @@ impl Envelope {
                 input,
             } => {
                 fields.push(("workload", Json::str(workload.clone())));
-                fields.push(("scale", Json::str(scale_name(*scale))));
+                fields.push(("scale", Json::str(scale.name())));
                 fields.push(("input", Json::str(input_name(*input))));
             }
             Request::Cell {
@@ -276,12 +256,12 @@ impl Envelope {
                 threshold,
             } => {
                 fields.push(("workload", Json::str(workload.clone())));
-                fields.push(("scale", Json::str(scale_name(*scale))));
+                fields.push(("scale", Json::str(scale.name())));
                 fields.push(("threshold", Json::num(*threshold)));
             }
             Request::Base { workload, scale } => {
                 fields.push(("workload", Json::str(workload.clone())));
-                fields.push(("scale", Json::str(scale_name(*scale))));
+                fields.push(("scale", Json::str(scale.name())));
             }
         }
         Json::obj(fields).render()

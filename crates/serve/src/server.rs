@@ -1,26 +1,25 @@
-//! The connection server: sharded listeners, bounded connection
-//! queues, pinned worker pools, and graceful shutdown.
+//! The connection server: one accept thread, one bounded connection
+//! queue, a worker pool, and graceful shutdown.
 //!
-//! The listener socket is cloned into `accept_shards` accept threads
-//! (the kernel load-balances `accept(2)` across them), each feeding
-//! its own bounded queue drained by its own slice of the worker pool —
-//! no single accept thread or queue mutex serializes admission. A full
-//! queue answers `overloaded` and closes — backpressure is explicit,
-//! never an unbounded buffer. Shutdown (the `shutdown` op) drains
-//! requests that are mid-service, rejects queued connections with
-//! `shutting_down`, and unblocks every accept thread with
-//! self-connections.
+//! The accept thread pushes each connection onto the queue and every
+//! worker blocks on it (DESIGN.md §13). A full queue answers
+//! `overloaded` and closes — backpressure is explicit, never an
+//! unbounded buffer. Shutdown (the `shutdown` op) drains requests that
+//! are mid-service, rejects queued connections with `shutting_down`,
+//! and unblocks the accept thread with a self-connection.
 //!
 //! Workers serve connections frame by frame, one request and one
-//! response per frame (DESIGN.md §13). Clients may pipeline: frames are
-//! buffered and answered back-to-back, in order, without waiting for
-//! the client to read.
+//! response per frame. Clients may pipeline: frames are buffered and
+//! answered back-to-back, in order, without waiting for the client to
+//! read. A panic while answering a frame is contained: that frame is
+//! answered `compute_failed` and the worker goes on serving.
 
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
@@ -72,15 +71,14 @@ impl Bind {
 pub struct ServerConfig {
     /// Listen address.
     pub bind: Bind,
-    /// Worker threads serving connections, distributed across the
-    /// accept shards (each shard gets at least one).
+    /// Worker threads serving connections (clamped to at least 1).
     pub workers: usize,
-    /// Bounded connection-queue depth *per accept shard*; a full shard
-    /// queue is `overloaded`.
+    /// Bounded connection-queue depth; a connection accepted while the
+    /// queue is full is answered `overloaded`.
     pub queue_depth: usize,
-    /// Accept threads, each with a cloned listener and its own queue
-    /// (clamped to at least 1). The kernel load-balances `accept(2)`
-    /// across the clones.
+    /// Ignored: the server runs one accept thread. Exists only for the
+    /// `perfbench` harness (its own workspace), whose struct literal
+    /// sets it; delete it with that line.
     pub accept_shards: usize,
 }
 
@@ -146,44 +144,6 @@ impl<T> ConnQueue<T> {
         }
     }
 
-    /// Non-blocking pop: an item if one is waiting, `None` otherwise
-    /// (whether the queue is open or closed).
-    pub fn try_pop(&self) -> Option<T> {
-        lock_recover(&self.inner).items.pop_front()
-    }
-
-    /// Blocks up to `timeout` for the next item, distinguishing an
-    /// empty open queue (the caller may go steal elsewhere) from a
-    /// closed, drained one (the caller exits).
-    pub fn pop_wait(&self, timeout: Duration) -> PopWait<T> {
-        let deadline = Instant::now() + timeout;
-        let mut inner = lock_recover(&self.inner);
-        loop {
-            if let Some(item) = inner.items.pop_front() {
-                return PopWait::Item(item);
-            }
-            if inner.closed {
-                return PopWait::Closed;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return PopWait::Empty;
-            }
-            inner = self
-                .cv
-                .wait_timeout(inner, deadline - now)
-                .unwrap_or_else(PoisonError::into_inner)
-                .0;
-        }
-    }
-
-    /// Whether the queue is closed *and* fully drained.
-    #[must_use]
-    pub fn is_closed_and_empty(&self) -> bool {
-        let inner = lock_recover(&self.inner);
-        inner.closed && inner.items.is_empty()
-    }
-
     /// Closes the queue: pushes fail, pops drain then return `None`.
     pub fn close(&self) {
         lock_recover(&self.inner).closed = true;
@@ -212,16 +172,6 @@ impl<T> ConnQueue<T> {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-}
-
-/// Outcome of a bounded [`ConnQueue::pop_wait`].
-pub enum PopWait<T> {
-    /// An item arrived within the timeout.
-    Item(T),
-    /// The wait timed out with the queue still open.
-    Empty,
-    /// The queue is closed and drained.
-    Closed,
 }
 
 /// One accepted connection, either transport. Shared with the client,
@@ -314,16 +264,6 @@ impl Listener {
             }
         }
     }
-
-    /// Duplicates the listening socket (a dup'd fd over the same
-    /// kernel accept queue) so each accept shard blocks independently.
-    fn try_clone(&self) -> io::Result<Listener> {
-        match self {
-            #[cfg(unix)]
-            Listener::Unix(l) => l.try_clone().map(Listener::Unix),
-            Listener::Tcp(l) => l.try_clone().map(Listener::Tcp),
-        }
-    }
 }
 
 /// Incrementally reassembles frames from a stream with a read timeout,
@@ -406,14 +346,13 @@ impl FrameReader {
 
 struct Shared {
     service: Arc<ProfileService>,
-    /// One bounded queue per accept shard; workers are pinned to a
-    /// shard and only pop their own queue.
-    queues: Vec<ConnQueue<(u64, Stream)>>,
+    /// Connections the accept thread admitted, waiting for a worker.
+    queue: ConnQueue<(u64, Stream)>,
     shutdown: AtomicBool,
     conn_ids: AtomicU64,
     /// The concrete bound address, kept so any shutdown path (protocol
     /// request or [`ServerHandle::shutdown`]) can unblock the accept
-    /// threads with self-connections.
+    /// thread with a self-connection.
     bind: Bind,
 }
 
@@ -434,8 +373,8 @@ pub struct ServerHandle {
     shared: Arc<Shared>,
     addr: String,
     bind: Bind,
-    accept_threads: Vec<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
+    /// The accept thread, then the workers: joined in that order.
+    threads: Vec<JoinHandle<()>>,
 }
 
 /// Binds the listener and starts the accept thread plus worker pool.
@@ -472,44 +411,24 @@ pub fn start(service: Arc<ProfileService>, config: ServerConfig) -> io::Result<S
         }
     };
 
-    let shards = config.accept_shards.max(1);
     let shared = Arc::new(Shared {
         service,
-        queues: (0..shards)
-            .map(|_| ConnQueue::new(config.queue_depth))
-            .collect(),
+        queue: ConnQueue::new(config.queue_depth),
         shutdown: AtomicBool::new(false),
         conn_ids: AtomicU64::new(0),
         bind: bind.clone(),
     });
 
-    // Earlier shards get dup'd fds over the same kernel accept queue;
-    // the last consumes the original.
-    let mut listeners = Vec::with_capacity(shards);
-    for _ in 1..shards {
-        listeners.push(listener.try_clone()?);
-    }
-    listeners.push(listener);
-
-    let mut accept_threads = Vec::new();
-    for (shard, shard_listener) in listeners.into_iter().enumerate() {
-        let accept_shared = Arc::clone(&shared);
-        accept_threads.push(
-            std::thread::Builder::new()
-                .name(format!("serve-accept-{shard}"))
-                .spawn(move || accept_loop(&accept_shared, &shard_listener, shard))?,
-        );
-    }
-
-    let mut workers = Vec::new();
-    let worker_total = config.workers.max(1);
-    for i in 0..worker_total {
-        let shard = i % shards;
+    let accept_shared = Arc::clone(&shared);
+    let mut threads = vec![std::thread::Builder::new()
+        .name("serve-accept".to_string())
+        .spawn(move || accept_loop(&accept_shared, &listener))?];
+    for i in 0..config.workers.max(1) {
         let worker_shared = Arc::clone(&shared);
-        workers.push(
+        threads.push(
             std::thread::Builder::new()
-                .name(format!("serve-worker-{shard}-{i}"))
-                .spawn(move || worker_loop(&worker_shared, shard))?,
+                .name(format!("serve-worker-{i}"))
+                .spawn(move || worker_loop(&worker_shared))?,
         );
     }
 
@@ -517,8 +436,7 @@ pub fn start(service: Arc<ProfileService>, config: ServerConfig) -> io::Result<S
         shared,
         addr,
         bind,
-        accept_threads,
-        workers,
+        threads,
     })
 }
 
@@ -544,11 +462,8 @@ impl ServerHandle {
     }
 
     fn join(&mut self) {
-        for t in self.accept_threads.drain(..) {
+        for t in self.threads.drain(..) {
             let _ = t.join();
-        }
-        for w in self.workers.drain(..) {
-            let _ = w.join();
         }
         if let Bind::Unix(path) = &self.bind {
             let _ = std::fs::remove_file(path);
@@ -560,28 +475,23 @@ fn trigger_shutdown(shared: &Shared) {
     if shared.shutdown.swap(true, Ordering::SeqCst) {
         return;
     }
-    for queue in &shared.queues {
-        queue.close();
-    }
-    // Throwaway self-connections unblock the accept threads, which
-    // check the flag after every accept. One per shard: each blocked
-    // thread consumes exactly one accept before exiting.
-    for _ in 0..shared.queues.len() {
-        match &shared.bind {
-            #[cfg(unix)]
-            Bind::Unix(path) => {
-                let _ = UnixStream::connect(path);
-            }
-            #[cfg(not(unix))]
-            Bind::Unix(_) => {}
-            Bind::Tcp(addr) => {
-                let _ = TcpStream::connect(addr.as_str());
-            }
+    shared.queue.close();
+    // A throwaway self-connection unblocks the accept thread, which
+    // checks the flag after every accept.
+    match &shared.bind {
+        #[cfg(unix)]
+        Bind::Unix(path) => {
+            let _ = UnixStream::connect(path);
+        }
+        #[cfg(not(unix))]
+        Bind::Unix(_) => {}
+        Bind::Tcp(addr) => {
+            let _ = TcpStream::connect(addr.as_str());
         }
     }
 }
 
-fn accept_loop(shared: &Shared, listener: &Listener, shard: usize) {
+fn accept_loop(shared: &Shared, listener: &Listener) {
     loop {
         let stream = match listener.accept() {
             Ok(s) => s,
@@ -607,7 +517,7 @@ fn accept_loop(shared: &Shared, listener: &Listener, shard: usize) {
             }
         }
         shared.emit(|| EventKind::ServeConnAccepted { conn });
-        if let Err((conn, mut stream)) = shared.queues[shard].push((conn, stream)) {
+        if let Err((conn, mut stream)) = shared.queue.push((conn, stream)) {
             shared.emit(|| EventKind::ServeRejected {
                 conn,
                 code: ErrorCode::Overloaded.name(),
@@ -623,43 +533,13 @@ fn accept_loop(shared: &Shared, listener: &Listener, shard: usize) {
     }
 }
 
-/// How long an idle worker parks on its home queue between steal
-/// sweeps. Bounds the pickup latency of a connection whose own shard's
-/// workers are all busy.
-const STEAL_POLL: Duration = Duration::from_millis(5);
-
-fn worker_loop(shared: &Shared, shard: usize) {
-    let shards = shared.queues.len();
-    'serve: loop {
-        // Home queue first, then steal from the other shards: pinning
-        // keeps the balanced case local, stealing keeps an arbitrary
-        // kernel accept(2) distribution across the cloned listeners
-        // from starving connections while other shards' workers idle.
-        for i in 0..shards {
-            if let Some((conn, stream)) = shared.queues[(shard + i) % shards].try_pop() {
-                serve_popped(shared, conn, stream);
-                continue 'serve;
-            }
+fn worker_loop(shared: &Shared) {
+    while let Some((conn, stream)) = shared.queue.pop() {
+        if shared.shutting_down() {
+            reject(shared, conn, stream, ErrorCode::ShuttingDown);
+        } else {
+            handle_conn(shared, conn, stream);
         }
-        match shared.queues[shard].pop_wait(STEAL_POLL) {
-            PopWait::Item((conn, stream)) => serve_popped(shared, conn, stream),
-            PopWait::Empty => {}
-            PopWait::Closed => {
-                // The home queue is done; stragglers on other shards
-                // are swept at the top of the loop before exiting.
-                if shared.queues.iter().all(ConnQueue::is_closed_and_empty) {
-                    return;
-                }
-            }
-        }
-    }
-}
-
-fn serve_popped(shared: &Shared, conn: u64, stream: Stream) {
-    if shared.shutting_down() {
-        reject(shared, conn, stream, ErrorCode::ShuttingDown);
-    } else {
-        handle_conn(shared, conn, stream);
     }
 }
 
@@ -738,7 +618,18 @@ fn handle_conn(shared: &Shared, conn: u64, stream: Stream) {
         let op = env.request.op();
         shared.emit(|| EventKind::ServeRequest { conn, op });
         let started = Instant::now();
-        let (reply, source) = shared.service.respond(&env);
+        // A panic answers this frame and spares the worker: nothing
+        // respawns a worker, so an escaped panic would shrink the pool
+        // for the daemon's lifetime.
+        let (reply, source) = catch_unwind(AssertUnwindSafe(|| shared.service.respond(&env)))
+            .unwrap_or_else(|_| {
+                let reply = proto::error_response(
+                    env.id,
+                    ErrorCode::ComputeFailed,
+                    "request handler panicked",
+                );
+                (reply, None)
+            });
         let micros = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
         let ok = proto::write_frame(&mut reader.stream, reply.render().as_bytes()).is_ok();
         shared.emit(|| EventKind::ServeDone {

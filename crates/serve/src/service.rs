@@ -18,7 +18,7 @@
 
 use std::collections::{BTreeMap, HashMap};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -35,8 +35,8 @@ use crate::hot::{HotStats, HotTier};
 use crate::json::Json;
 use crate::lock::lock_recover;
 use crate::proto::{
-    self, base_payload, cell_payload, input_name, plain_payload, scale_name, Envelope, ErrorCode,
-    Request, Source,
+    self, base_payload, cell_payload, input_name, plain_payload, Envelope, ErrorCode, Request,
+    Source,
 };
 use crate::singleflight::{FlightOutcome, SingleFlight};
 
@@ -127,6 +127,8 @@ pub struct ProfileService {
     /// orphaned temp files swept and the startup fsck's wall time.
     orphans_swept: AtomicU64,
     fsck_ms: AtomicU64,
+    /// Set by [`ProfileService::panic_next_respond_for_tests`].
+    panic_next_respond: AtomicBool,
 }
 
 impl ProfileService {
@@ -147,6 +149,7 @@ impl ProfileService {
             backend: config.backend,
             orphans_swept: AtomicU64::new(0),
             fsck_ms: AtomicU64::new(0),
+            panic_next_respond: AtomicBool::new(false),
         }
     }
 
@@ -201,7 +204,7 @@ impl ProfileService {
         scale: Scale,
         input: InputKind,
     ) -> Result<Arc<SuiteGuest>, ServeFailure> {
-        let memo_key = format!("{name}/{}/{}", scale_name(scale), input_name(input));
+        let memo_key = format!("{name}/{}/{}", scale.name(), input_name(input));
         if let Some(g) = lock_recover(&self.guests).get(&memo_key) {
             return Ok(Arc::clone(g));
         }
@@ -475,6 +478,14 @@ impl ProfileService {
         self.hot.poison_for_tests();
     }
 
+    /// Test hook: makes the next [`ProfileService::respond`] panic the
+    /// way a handler bug would, so regression tests can assert that
+    /// the server answers the frame and keeps the worker.
+    #[doc(hidden)]
+    pub fn panic_next_respond_for_tests(&self) {
+        self.panic_next_respond.store(true, Ordering::SeqCst);
+    }
+
     /// The `stats` payload: tier counters, single-flight counters,
     /// guest runs, and per-endpoint latency summaries.
     #[must_use]
@@ -558,6 +569,11 @@ impl ProfileService {
     /// ack, letting transport-free tests drive the full matrix.
     #[must_use]
     pub fn respond(&self, env: &Envelope) -> (Json, Option<Source>) {
+        if self.panic_next_respond.load(Ordering::Relaxed)
+            && self.panic_next_respond.swap(false, Ordering::SeqCst)
+        {
+            panic!("injected respond panic");
+        }
         let started = Instant::now();
         let deadline = started
             + env

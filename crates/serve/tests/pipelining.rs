@@ -27,7 +27,7 @@ fn start_server() -> tpdbt_serve::ServerHandle {
             bind: Bind::Tcp("127.0.0.1:0".to_string()),
             workers: 4,
             queue_depth: 8,
-            accept_shards: 2,
+            accept_shards: 1,
         },
     )
     .expect("bind ephemeral port")

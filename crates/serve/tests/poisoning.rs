@@ -1,8 +1,9 @@
 //! Panic-resilience regressions over a live server: an injected worker
 //! panic under the hot-tier lock must not take the daemon down, a
-//! recovery is visible in `stats`, and a failed single-flight leader
-//! frees its wire followers long before their deadlines instead of
-//! stranding them.
+//! recovery is visible in `stats`, a panic while answering a request
+//! costs that request and not the worker, and a failed single-flight
+//! leader frees its wire followers long before their deadlines instead
+//! of stranding them.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -14,15 +15,18 @@ use tpdbt_suite::Scale;
 
 /// Starts a server and keeps a handle on the service so tests can
 /// inject panics the way a crashing worker would.
-fn start_with_service(config: ServiceConfig) -> (Arc<ProfileService>, tpdbt_serve::ServerHandle) {
+fn start_with_service(
+    config: ServiceConfig,
+    workers: usize,
+) -> (Arc<ProfileService>, tpdbt_serve::ServerHandle) {
     let service = Arc::new(ProfileService::new(config));
     let server = start(
         Arc::clone(&service),
         ServerConfig {
             bind: Bind::Tcp("127.0.0.1:0".to_string()),
-            workers: 4,
+            workers,
             queue_depth: 8,
-            accept_shards: 2,
+            accept_shards: 1,
         },
     )
     .expect("bind ephemeral port");
@@ -54,12 +58,15 @@ fn hot_poisoned(reply: &Json) -> u64 {
 
 #[test]
 fn injected_panic_under_the_hot_tier_lock_does_not_kill_the_daemon() {
-    let (service, server) = start_with_service(ServiceConfig {
-        cache_dir: None,
-        hot_capacity: 32,
-        default_deadline: Duration::from_secs(120),
-        ..ServiceConfig::default()
-    });
+    let (service, server) = start_with_service(
+        ServiceConfig {
+            cache_dir: None,
+            hot_capacity: 32,
+            default_deadline: Duration::from_secs(120),
+            ..ServiceConfig::default()
+        },
+        4,
+    );
     let addr = server.addr().to_string();
 
     // Warm the tier so the poisoned tier has contents to discard.
@@ -100,6 +107,35 @@ fn injected_panic_under_the_hot_tier_lock_does_not_kill_the_daemon() {
 }
 
 #[test]
+fn a_panic_while_answering_is_compute_failed_and_the_worker_survives() {
+    // One worker: if the panic killed it, nothing would answer again.
+    let (service, server) = start_with_service(ServiceConfig::default(), 1);
+    let addr = server.addr().to_string();
+
+    service.panic_next_respond_for_tests();
+    let mut c = Client::connect(&addr).expect("connect");
+    let failed = c
+        .request(Request::Ping, None)
+        .expect("the panicking request is answered");
+    assert_eq!(
+        error_code(&failed),
+        Some("compute_failed"),
+        "a handler panic is the structured compute error: {}",
+        failed.render()
+    );
+    // The same connection keeps being served by the same worker...
+    let pong = c.request(Request::Ping, None).expect("same connection");
+    assert_eq!(pong.get("pong").and_then(Json::as_bool), Some(true));
+    drop(c);
+    // ...and so is a new one, once the worker is free.
+    let mut fresh = Client::connect(&addr).expect("fresh connect");
+    let pong = fresh.request(Request::Ping, None).expect("new connection");
+    assert_eq!(pong.get("pong").and_then(Json::as_bool), Some(true));
+
+    server.shutdown();
+}
+
+#[test]
 fn failed_leader_frees_wire_followers_long_before_their_deadline() {
     use tpdbt_faults::FaultPlan;
 
@@ -122,7 +158,7 @@ fn failed_leader_frees_wire_followers_long_before_their_deadline() {
             bind: Bind::Tcp("127.0.0.1:0".to_string()),
             workers: RACERS + 1,
             queue_depth: RACERS * 2,
-            accept_shards: 2,
+            accept_shards: 1,
         },
     )
     .expect("bind");

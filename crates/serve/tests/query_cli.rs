@@ -16,10 +16,11 @@ fn unknown_ops_are_usage_errors_before_connecting() {
     let spec = format!("unix:{}", socket.display());
     let query = env!("CARGO_BIN_EXE_tpdbt-query");
     let serve = env!("CARGO_BIN_EXE_tpdbt-serve");
-    // The removed hot-tier option is spelled in two parts so that a
-    // grep for its removal stays clean.
+    // The removed hot-tier and accept-thread options are spelled in two
+    // parts so that a grep for their removal stays clean.
     let hot_tier_option = concat!("--hot", "-shards");
-    let cases: [(&str, Vec<&str>, String); 6] = [
+    let accept_option = concat!("--accept", "-shards");
+    let cases: [(&str, Vec<&str>, String); 7] = [
         (
             query,
             vec!["--connect", &spec, "bogus-op"],
@@ -44,6 +45,11 @@ fn unknown_ops_are_usage_errors_before_connecting() {
             serve,
             vec!["--listen", &spec, hot_tier_option, "4"],
             format!("unknown option `{hot_tier_option}`"),
+        ),
+        (
+            serve,
+            vec!["--listen", &spec, accept_option, "2"],
+            format!("unknown option `{accept_option}`"),
         ),
         (
             serve,

@@ -20,6 +20,16 @@ pub enum Scale {
 }
 
 impl Scale {
+    /// The flag and wire name (`"tiny"` / `"small"` / `"paper"`).
+    #[must_use]
+    pub fn name(self) -> &'static str {
+        match self {
+            Scale::Tiny => "tiny",
+            Scale::Small => "small",
+            Scale::Paper => "paper",
+        }
+    }
+
     /// Divisor applied to a benchmark's base (paper-scale) record count.
     #[must_use]
     pub fn divisor(self) -> usize {
@@ -47,6 +57,17 @@ impl Scale {
             Scale::Small => 1,
             Scale::Paper => 2,
         }
+    }
+}
+
+impl std::str::FromStr for Scale {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        [Scale::Tiny, Scale::Small, Scale::Paper]
+            .into_iter()
+            .find(|scale| scale.name() == s)
+            .ok_or_else(|| format!("unknown scale `{s}` (tiny|small|paper)"))
     }
 }
 
@@ -85,6 +106,17 @@ mod tests {
         assert_eq!(Scale::Tiny.code(), 0);
         assert_eq!(Scale::Small.code(), 1);
         assert_eq!(Scale::Paper.code(), 2);
+    }
+
+    #[test]
+    fn scale_names_parse_back() {
+        for scale in [Scale::Tiny, Scale::Small, Scale::Paper] {
+            assert_eq!(scale.name().parse::<Scale>(), Ok(scale));
+        }
+        assert_eq!(
+            "huge".parse::<Scale>(),
+            Err("unknown scale `huge` (tiny|small|paper)".to_string())
+        );
     }
 
     #[test]
