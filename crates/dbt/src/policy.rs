@@ -171,15 +171,16 @@ impl Profile {
 }
 
 /// Counts one execution of `ev`'s block unless its counters are
-/// frozen: its `use` count and the edge it left through. Returns the
-/// new use count, the registration state and the profiling ops (the
-/// paper's `taken` counter is an op only on a conditional taken edge),
-/// or `None` when frozen; the caller charges the ops, so each event
-/// updates each [`ExecStats`] field once.
+/// frozen: its `use` count and the edge it left through, and the bump
+/// in `bumps` when the run is traced. Returns the new use count, the
+/// registration state and the profiling ops (the paper's `taken`
+/// counter is an op only on a conditional taken edge), or `None` when
+/// frozen; the caller charges the ops, so each event updates each
+/// [`ExecStats`] field once.
 #[inline(always)]
 fn count(
     profile: &mut Profile,
-    tracer: Option<&Tracer>,
+    bumps: &mut Option<u64>,
     code: &Code,
     ev: &BlockEvent,
 ) -> Option<(u64, u8, u64)> {
@@ -202,10 +203,9 @@ fn count(
         *n += 1;
         ops += u64::from(ev.column == TAKEN);
     }
-    emit(tracer, || EventKind::CounterBump {
-        pc: code.pc_of(id) as u64,
-        use_count,
-    });
+    if let Some(n) = bumps {
+        *n += 1;
+    }
     Some((use_count, registered, ops))
 }
 
@@ -471,6 +471,10 @@ impl BlockSource for Source<'_> {
 pub(crate) struct Policy<'t> {
     config: DbtConfig,
     tracer: Option<&'t Tracer>,
+    /// Counter bumps so far, tallied only when a tracer is attached;
+    /// the tracer's `counter_bump` total gets them when the policy is
+    /// dropped, whether its run halted or trapped.
+    bumps: Option<u64>,
     pub profile: Profile,
     pub regions: Vec<RuntimeRegion>,
     /// The live regions' successor table.
@@ -505,6 +509,7 @@ impl<'t> Policy<'t> {
         Policy {
             config,
             tracer,
+            bumps: tracer.map(|_| 0),
             profile: Profile::default(),
             regions: Vec::new(),
             table: Table::default(),
@@ -616,7 +621,7 @@ impl<'t> Policy<'t> {
             table,
             profile,
             stats,
-            tracer,
+            bumps,
             ..
         } = self;
         let cells = &table.cells[..];
@@ -632,7 +637,7 @@ impl<'t> Policy<'t> {
             n += 1;
             instructions += u64::from(ev.len);
             if COUNTING {
-                if let Some((_, _, ops)) = count(profile, *tracer, code, ev) {
+                if let Some((_, _, ops)) = count(profile, bumps, code, ev) {
                     stats.profiling_ops += ops;
                 }
             }
@@ -755,7 +760,8 @@ impl<'t> Policy<'t> {
         if id == self.profile.blocks.len() {
             self.translate(code, ev);
         }
-        let Some((use_count, registered, ops)) = count(&mut self.profile, self.tracer, code, ev)
+        let Some((use_count, registered, ops)) =
+            count(&mut self.profile, &mut self.bumps, code, ev)
         else {
             self.stats.cycles += cycles;
             return;
@@ -1052,7 +1058,7 @@ impl<'t> Policy<'t> {
 
     /// The run's outcome: the profile dump of a program entered at
     /// `entry`, the guest's `output`, stats and interval snapshots.
-    pub fn into_outcome(self, code: &Code, entry: Pc, output: Vec<i64>) -> RunOutcome {
+    pub fn into_outcome(mut self, code: &Code, entry: Pc, output: Vec<i64>) -> RunOutcome {
         let profile = &self.profile;
         let blocks = (0..profile.blocks.len())
             .filter(|&id| profile.blocks[id].use_count > 0)
@@ -1063,8 +1069,7 @@ impl<'t> Policy<'t> {
         } else {
             self.config.threshold
         };
-        let mut regions: Vec<RegionDump> = self
-            .regions
+        let mut regions: Vec<RegionDump> = std::mem::take(&mut self.regions)
             .into_iter()
             .filter(|r| !r.retired)
             .map(|r| r.dump)
@@ -1085,7 +1090,17 @@ impl<'t> Policy<'t> {
             inip,
             output,
             stats: self.stats,
-            intervals: self.intervals,
+            intervals: std::mem::take(&mut self.intervals),
+        }
+    }
+}
+
+impl Drop for Policy<'_> {
+    /// Reports the run's counter bumps as one `counter_bump` total:
+    /// one event per bump would flood the trace.
+    fn drop(&mut self) {
+        if let (Some(tracer), Some(n)) = (self.tracer, self.bumps) {
+            tracer.tally("counter_bump", n);
         }
     }
 }

@@ -6,20 +6,15 @@
 //! tpdbt-analyze INIP_FILE... AVEP_FILE [--train TRAIN_FILE] [--diagnose N]
 //!               [--phases INTERVALS_FILE] [--eps E] [--jobs N]
 //!               [--trace PATH [--trace-format jsonl|chrome]]
-//! tpdbt-analyze --cache-dir DIR
 //! ```
 //!
 //! With several `INIP_FILE`s (the last positional is always the `AVEP`
 //! reference), each is analyzed on a `--jobs N` worker pool and the
 //! reports print in argument order; `--diagnose`/`--phases` apply to
-//! single-file analysis only. With `--cache-dir DIR` and no files, the
-//! persistent profile store is inspected instead: one line per
-//! artifact with its kind, key digest, size, and integrity status,
-//! plus the contents of the store's `quarantine/` directory (entries
-//! that decoded corrupt twice in a row; see DESIGN.md §9).
-//! `--trace PATH` records one timed `cell_committed` event per
-//! analyzed dump (plus start/queue markers), exported like the engine
-//! and sweep traces.
+//! single-file analysis only. A profile store is checked by
+//! `tpdbt-fsck DIR`, not here. `--trace PATH` records one timed
+//! `cell_committed` event per analyzed dump (plus start/queue markers),
+//! exported like the engine and sweep traces.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -27,13 +22,11 @@ use std::time::Instant;
 use tpdbt_experiments::sweep::parallel_map;
 use tpdbt_profile::report::{analyze, analyze_train, ThresholdMetrics};
 use tpdbt_profile::{diagnose, navep, phases, text};
-use tpdbt_store::profilefmt::decode;
-use tpdbt_store::Artifact;
 use tpdbt_trace::{EventKind, TraceFormat, Tracer};
 
 fn usage() -> ! {
     eprintln!(
-        "usage: tpdbt-analyze INIP_FILE... AVEP_FILE [--train TRAIN_FILE] [--diagnose N] \\\n       [--phases INTERVALS_FILE] [--eps E] [--jobs N] \\\n       [--trace PATH [--trace-format jsonl|chrome]]\n       tpdbt-analyze --cache-dir DIR    (inspect the profile store)"
+        "usage: tpdbt-analyze INIP_FILE... AVEP_FILE [--train TRAIN_FILE] [--diagnose N] \\\n       [--phases INTERVALS_FILE] [--eps E] [--jobs N] \\\n       [--trace PATH [--trace-format jsonl|chrome]]\n(to check a profile store, run tpdbt-fsck DIR)"
     );
     std::process::exit(2)
 }
@@ -53,55 +46,6 @@ fn print_metrics(m: &ThresholdMetrics) {
     println!("  cycles        = {}", m.cycles);
 }
 
-fn inspect_store(dir: &str) -> tpdbt_experiments::Result<()> {
-    let mut entries: Vec<_> = std::fs::read_dir(dir)?
-        .filter_map(Result::ok)
-        .map(|e| e.path())
-        .filter(|p| p.extension().is_some_and(|x| x == "tpst"))
-        .collect();
-    entries.sort();
-    println!("{:<44} {:>6} {:>8}  status", "artifact", "kind", "bytes");
-    let mut ok = 0usize;
-    for path in &entries {
-        let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("?");
-        let bytes = std::fs::read(path)?;
-        match decode(&bytes) {
-            Ok((digest, artifact)) => {
-                ok += 1;
-                let kind = match artifact {
-                    Artifact::Plain(_) => "plain",
-                    Artifact::Cell(_) => "cell",
-                    Artifact::Base(_) => "base",
-                };
-                println!(
-                    "{name:<44} {kind:>6} {:>8}  ok (key {digest:016x})",
-                    bytes.len()
-                );
-            }
-            Err(e) => println!("{name:<44} {:>6} {:>8}  CORRUPT: {e}", "?", bytes.len()),
-        }
-    }
-    println!("{} artifact(s), {} valid", entries.len(), ok);
-
-    // Entries the store moved aside after decoding corrupt twice in a
-    // row (DESIGN.md §9). They are out of the lookup path; delete the
-    // directory to let the keys be recomputed and re-stored.
-    let quarantine = std::path::Path::new(dir).join("quarantine");
-    if let Ok(rd) = std::fs::read_dir(&quarantine) {
-        let mut quarantined: Vec<_> = rd.filter_map(Result::ok).map(|e| e.path()).collect();
-        quarantined.sort();
-        if !quarantined.is_empty() {
-            println!("quarantined (decoded corrupt twice):");
-            for path in &quarantined {
-                let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("?");
-                let bytes = std::fs::metadata(path).map(|m| m.len()).unwrap_or(0);
-                println!("  {name:<42} {bytes:>8}");
-            }
-        }
-    }
-    Ok(())
-}
-
 fn main() -> tpdbt_experiments::Result<()> {
     let mut positional: Vec<String> = Vec::new();
     let mut train_path: Option<String> = None;
@@ -109,7 +53,6 @@ fn main() -> tpdbt_experiments::Result<()> {
     let mut phases_path: Option<String> = None;
     let mut eps = 0.1f64;
     let mut jobs = 1usize;
-    let mut cache_dir: Option<String> = None;
     let mut trace_path: Option<String> = None;
     let mut trace_format = TraceFormat::default();
     let mut args = std::env::args().skip(1);
@@ -122,18 +65,11 @@ fn main() -> tpdbt_experiments::Result<()> {
             "--phases" => phases_path = Some(args.next().unwrap_or_else(|| usage())),
             "--eps" => eps = args.next().unwrap_or_else(|| usage()).parse()?,
             "--jobs" => jobs = args.next().unwrap_or_else(|| usage()).parse()?,
-            "--cache-dir" => cache_dir = Some(args.next().unwrap_or_else(|| usage())),
             "--trace" => trace_path = Some(args.next().unwrap_or_else(|| usage())),
             "--trace-format" => trace_format = args.next().unwrap_or_else(|| usage()).parse()?,
             "--help" | "-h" => usage(),
             other if !other.starts_with('-') => positional.push(other.to_string()),
             _ => usage(),
-        }
-    }
-    if positional.is_empty() {
-        match cache_dir {
-            Some(dir) => return inspect_store(&dir),
-            None => usage(),
         }
     }
     if positional.len() < 2 {

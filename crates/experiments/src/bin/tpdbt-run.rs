@@ -14,10 +14,10 @@
 //! ```
 //!
 //! `--trace PATH` attaches a structured-event tracer: the engine
-//! reports translations, counter bumps/freezes, and region lifecycle
-//! (in sweep mode, for every threshold's policy of the one guest
-//! execution); in sweep mode the orchestrator adds per-cell and store
-//! events. The
+//! reports translations, registrations, counter freezes, and region
+//! lifecycle, and counts counter bumps without storing them (in sweep
+//! mode, for every threshold's policy of the one guest execution); in
+//! sweep mode the orchestrator adds per-cell and store events. The
 //! collected events are written to `PATH` on exit (`--trace-format`
 //! picks JSONL or a Chrome `trace_event` timeline).
 //!

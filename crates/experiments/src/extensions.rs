@@ -186,12 +186,8 @@ pub fn diagnose_suite(names: &[&str], scale: Scale, nominal_threshold: u64) -> R
     );
     for name in names {
         let w = workload(name, scale, InputKind::Ref)?;
-        let avep = Dbt::new(DbtConfig::no_opt())
-            .run_built(&w.binary, &w.input)?
-            .as_plain_profile();
-        let inip = Dbt::new(DbtConfig::two_phase(threshold))
-            .run_built(&w.binary, &w.input)?
-            .inip;
+        let [avep, inip] = lockstep([DbtConfig::no_opt(), DbtConfig::two_phase(threshold)], &w)?;
+        let (avep, inip) = (avep.as_plain_profile(), inip.inip);
         let nav = navep::normalize(&inip, &avep)?;
         let diags = diagnose::diagnose_branches(&inip, &avep, &nav);
         let watch = diagnose::select_for_continuous_profiling(&diags, 0.9);
@@ -237,15 +233,14 @@ pub fn static_baseline(names: &[&str], scale: Scale, nominal_threshold: u64) -> 
     for name in names {
         let reference = workload(name, scale, InputKind::Ref)?;
         let training = workload(name, scale, InputKind::Train)?;
-        let avep = Dbt::new(DbtConfig::no_opt())
-            .run_built(&reference.binary, &reference.input)?
-            .as_plain_profile();
+        let [avep, inip] = lockstep(
+            [DbtConfig::no_opt(), DbtConfig::two_phase(threshold)],
+            &reference,
+        )?;
+        let (avep, inip) = (avep.as_plain_profile(), inip.inip);
         let train = Dbt::new(DbtConfig::no_opt())
             .run_built(&training.binary, &training.input)?
             .as_plain_profile();
-        let inip = Dbt::new(DbtConfig::two_phase(threshold))
-            .run_built(&reference.binary, &reference.input)?
-            .inip;
         let nav = navep::normalize(&inip, &avep)?;
         let static_prof = tpdbt_staticpred::static_profile(&reference.binary.program)?;
 

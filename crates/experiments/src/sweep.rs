@@ -769,19 +769,16 @@ impl Ctx<'_> {
         if self.incidents.aborted() {
             return Err(fail_fast_error(&self.incidents));
         }
-        let (cache_hits, cache_misses, cache_evictions) = self
-            .store
-            .as_ref()
-            .map_or((0, 0, 0), |s| (s.hits(), s.misses(), s.evictions()));
+        let store = self.store.as_ref().map(|s| s.stats()).unwrap_or_default();
         let (baseline_times, ladder_times) = phase_histograms(&cells);
         let completed = cells.len();
         Ok(SweepReport {
             results,
             cells,
             guest_runs: self.guest_runs.into_inner(),
-            cache_hits,
-            cache_misses,
-            cache_evictions,
+            cache_hits: store.hits,
+            cache_misses: store.misses,
+            cache_evictions: store.evictions,
             elapsed: self.started.elapsed(),
             event_counts: self.tracer.map_or_else(Vec::new, |t| t.counts()),
             baseline_times,

@@ -181,3 +181,21 @@ fn tpdbt_dump_rejects_jobs() {
         "tpdbt-dump wrote files before rejecting its arguments"
     );
 }
+
+/// `tpdbt-analyze` does not inspect stores: `tpdbt-fsck DIR` is the one
+/// store scanner, and its usage says so.
+#[test]
+fn tpdbt_analyze_rejects_cache_dir() {
+    let analyze = env!("CARGO_BIN_EXE_tpdbt-analyze");
+    let dir = std::env::temp_dir().join(format!("tpdbt-analyze-store-{}", std::process::id()));
+    let out = Command::new(analyze)
+        .arg("--cache-dir")
+        .arg(&dir)
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("usage: tpdbt-analyze"), "{stderr}");
+    assert!(stderr.contains("tpdbt-fsck DIR"), "{stderr}");
+    assert!(out.stdout.is_empty(), "a store was inspected");
+}

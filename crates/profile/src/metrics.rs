@@ -88,23 +88,6 @@ pub fn sd_bp_plain(predicted: &PlainProfile, avep: &PlainProfile) -> Result<f64,
     })
 }
 
-fn prob_source<'a>(
-    profile: &'a PlainProfileView<'a>,
-) -> impl Fn(BlockPc, SuccSlot) -> Option<f64> + 'a {
-    move |pc, slot| profile.record(pc).and_then(|r| r.slot_probability(slot))
-}
-
-/// Internal adapter so INIP and AVEP block maps expose one lookup shape.
-struct PlainProfileView<'a> {
-    blocks: &'a std::collections::BTreeMap<BlockPc, crate::model::BlockRecord>,
-}
-
-impl<'a> PlainProfileView<'a> {
-    fn record(&self, pc: BlockPc) -> Option<&'a crate::model::BlockRecord> {
-        self.blocks.get(&pc)
-    }
-}
-
 /// The `(CT, CM, W)` completion-probability points of all non-loop
 /// regions: `CT` from frozen INIP counters, `CM` from AVEP counters,
 /// `W` the NAVEP frequency of the region entry copy.
@@ -150,14 +133,8 @@ fn region_points(
     navep: &Navep,
     kind: RegionKind,
 ) -> Vec<(usize, f64, f64, f64)> {
-    let inip_view = PlainProfileView {
-        blocks: &inip.blocks,
-    };
-    let avep_view = PlainProfileView {
-        blocks: &avep.blocks,
-    };
-    let inip_probs = prob_source(&inip_view);
-    let avep_probs = prob_source(&avep_view);
+    let inip_probs = |pc: BlockPc, slot: SuccSlot| inip.blocks.get(&pc)?.slot_probability(slot);
+    let avep_probs = |pc: BlockPc, slot: SuccSlot| avep.blocks.get(&pc)?.slot_probability(slot);
     inip.regions
         .iter()
         .enumerate()

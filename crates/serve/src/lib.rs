@@ -11,7 +11,8 @@
 //!
 //! The moving parts, bottom up:
 //!
-//! - [`json`] — hand-rolled JSON (the build is offline; no serde),
+//! - [`json`] — the workspace's hand-rolled JSON, re-exported from
+//!   `tpdbt-trace` (the build is offline; no serde),
 //! - [`proto`] — frames, the request/response model, error codes,
 //! - [`lock`] — the poison-recovering lock helper shared by the tiers
 //!   below,
@@ -35,7 +36,6 @@
 
 pub mod client;
 pub mod hot;
-pub mod json;
 pub mod lock;
 pub mod proto;
 pub mod server;
@@ -49,3 +49,4 @@ pub use proto::{Envelope, ErrorCode, Request, Source, MAX_FRAME};
 pub use server::{start, Bind, ConnQueue, ServerConfig, ServerHandle};
 pub use service::{ProfileService, Resolved, ServeFailure, ServiceConfig};
 pub use singleflight::{FlightOutcome, SingleFlight};
+pub use tpdbt_trace::json;

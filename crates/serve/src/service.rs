@@ -26,7 +26,7 @@ use tpdbt_dbt::{Backend, DbtConfig};
 use tpdbt_experiments::sweep::{Producer, SuiteGuest};
 use tpdbt_faults::{FaultPlan, FaultSite};
 use tpdbt_store::digest::fnv64_words;
-use tpdbt_store::{Artifact, ProfileStore, TypedArtifact};
+use tpdbt_store::{Artifact, ProfileStore, StoreStats, TypedArtifact};
 use tpdbt_suite::{InputKind, Scale};
 use tpdbt_trace::stats::Histogram;
 use tpdbt_trace::Tracer;
@@ -531,15 +531,23 @@ impl ProfileService {
             ]),
         ));
         if let Some(store) = &self.store {
+            let StoreStats {
+                hits,
+                misses,
+                evictions,
+                io_retries,
+                quarantined,
+                orphans_swept,
+            } = store.stats();
             fields.push((
                 "store",
                 Json::obj([
-                    ("hits", Json::num(store.hits())),
-                    ("misses", Json::num(store.misses())),
-                    ("evictions", Json::num(store.evictions())),
-                    ("io_retries", Json::num(store.io_retries())),
-                    ("quarantined", Json::num(store.quarantined())),
-                    ("orphans_swept", Json::num(store.orphans_swept())),
+                    ("hits", Json::num(hits)),
+                    ("misses", Json::num(misses)),
+                    ("evictions", Json::num(evictions)),
+                    ("io_retries", Json::num(io_retries)),
+                    ("quarantined", Json::num(quarantined)),
+                    ("orphans_swept", Json::num(orphans_swept)),
                 ]),
             ));
         }

@@ -102,9 +102,28 @@ impl CacheKey {
     }
 }
 
-/// Shared counters for sweep-end reporting.
+/// A snapshot of a store's traffic counters ([`ProfileStore::stats`]).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct StoreStats {
+    /// Artifacts served from disk.
+    pub hits: u64,
+    /// Lookups that found no (valid) artifact.
+    pub misses: u64,
+    /// Corrupt or mismatched entries deleted during lookups.
+    pub evictions: u64,
+    /// Transient I/O failures that were retried (reads and writes).
+    pub io_retries: u64,
+    /// Entries moved to the quarantine directory after decoding corrupt
+    /// [`QUARANTINE_AFTER`] times in a row.
+    pub quarantined: u64,
+    /// Orphaned temp files removed by [`ProfileStore::sweep_orphans`].
+    pub orphans_swept: u64,
+}
+
+/// The live counters behind [`StoreStats`], shared by every thread
+/// using the store.
 #[derive(Debug, Default)]
-struct Stats {
+struct Counters {
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
@@ -117,7 +136,7 @@ struct Stats {
 #[derive(Debug)]
 pub struct ProfileStore {
     dir: PathBuf,
-    stats: Stats,
+    stats: Counters,
     tracer: Option<Arc<Tracer>>,
     faults: Option<Arc<FaultPlan>>,
     /// Consecutive corrupt decodes per key digest; reaching
@@ -132,7 +151,7 @@ impl ProfileStore {
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         ProfileStore {
             dir: dir.into(),
-            stats: Stats::default(),
+            stats: Counters::default(),
             tracer: None,
             faults: None,
             corruption: Mutex::new(HashMap::new()),
@@ -169,41 +188,18 @@ impl ProfileStore {
         &self.dir
     }
 
-    /// Artifacts served from disk so far.
+    /// A snapshot of the traffic counters so far.
     #[must_use]
-    pub fn hits(&self) -> u64 {
-        self.stats.hits.load(Ordering::Relaxed)
-    }
-
-    /// Lookups that found no (valid) artifact.
-    #[must_use]
-    pub fn misses(&self) -> u64 {
-        self.stats.misses.load(Ordering::Relaxed)
-    }
-
-    /// Corrupt or mismatched entries deleted during lookups.
-    #[must_use]
-    pub fn evictions(&self) -> u64 {
-        self.stats.evictions.load(Ordering::Relaxed)
-    }
-
-    /// Transient I/O failures that were retried (reads and writes).
-    #[must_use]
-    pub fn io_retries(&self) -> u64 {
-        self.stats.io_retries.load(Ordering::Relaxed)
-    }
-
-    /// Entries moved to the quarantine directory after decoding corrupt
-    /// [`QUARANTINE_AFTER`] times in a row.
-    #[must_use]
-    pub fn quarantined(&self) -> u64 {
-        self.stats.quarantined.load(Ordering::Relaxed)
-    }
-
-    /// Orphaned temp files removed by [`ProfileStore::sweep_orphans`].
-    #[must_use]
-    pub fn orphans_swept(&self) -> u64 {
-        self.stats.orphans_swept.load(Ordering::Relaxed)
+    pub fn stats(&self) -> StoreStats {
+        let c = &self.stats;
+        StoreStats {
+            hits: c.hits.load(Ordering::Relaxed),
+            misses: c.misses.load(Ordering::Relaxed),
+            evictions: c.evictions.load(Ordering::Relaxed),
+            io_retries: c.io_retries.load(Ordering::Relaxed),
+            quarantined: c.quarantined.load(Ordering::Relaxed),
+            orphans_swept: c.orphans_swept.load(Ordering::Relaxed),
+        }
     }
 
     fn path_of(&self, key: &CacheKey) -> PathBuf {
@@ -559,12 +555,12 @@ mod tests {
         let dir = scratch_dir();
         let store = ProfileStore::new(&dir);
         assert!(store.load(&key(1)).is_none());
-        assert_eq!(store.misses(), 1);
+        assert_eq!(store.stats().misses, 1);
 
         store.store(&key(1), &base(77)).unwrap();
         let got = store.load_base(&key(1)).unwrap();
         assert_eq!(got.cycles, 77);
-        assert_eq!(store.hits(), 1);
+        assert_eq!(store.stats().hits, 1);
 
         // A different threshold is a different key.
         assert!(store.load(&key(2)).is_none());
@@ -583,7 +579,7 @@ mod tests {
         fs::write(&path, &bytes).unwrap();
 
         assert!(store.load(&key(5)).is_none());
-        assert_eq!(store.evictions(), 1);
+        assert_eq!(store.stats().evictions, 1);
         assert!(!path.exists(), "corrupt entry must be deleted");
 
         // The slot heals on the next store.
@@ -689,13 +685,13 @@ mod tests {
         // Strike one: evicted (deleted) and recomputed as before.
         corrupt_on_disk(&store, &key(5));
         assert!(store.load(&key(5)).is_none());
-        assert_eq!((store.evictions(), store.quarantined()), (1, 0));
+        assert_eq!((store.stats().evictions, store.stats().quarantined), (1, 0));
         store.store(&key(5), &base(2)).unwrap();
 
         // Strike two: quarantined, not deleted.
         corrupt_on_disk(&store, &key(5));
         assert!(store.load(&key(5)).is_none());
-        assert_eq!((store.evictions(), store.quarantined()), (1, 1));
+        assert_eq!((store.stats().evictions, store.stats().quarantined), (1, 1));
         assert!(!store.path_of(&key(5)).exists(), "removed from the cache");
         assert!(
             store.quarantine_dir().join(key(5).file_name()).exists(),
@@ -725,7 +721,7 @@ mod tests {
         assert!(store.load(&key(9)).is_some()); // clean decode: reset
         corrupt_on_disk(&store, &key(9));
         assert!(store.load(&key(9)).is_none()); // strike 1 again: evict
-        assert_eq!((store.evictions(), store.quarantined()), (2, 0));
+        assert_eq!((store.stats().evictions, store.stats().quarantined), (2, 0));
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -747,7 +743,7 @@ mod tests {
         fs::write(&live, b"in flight").unwrap();
 
         assert_eq!(store.sweep_orphans(), 1);
-        assert_eq!(store.orphans_swept(), 1);
+        assert_eq!(store.stats().orphans_swept, 1);
         assert!(!dead.exists(), "dead writer's temp file is swept");
         assert!(live.exists(), "live writer's temp file survives");
         assert_eq!(tracer.count("store_orphan_swept"), 1);
@@ -809,8 +805,8 @@ mod tests {
             store.store(&key(1), &base(7)).unwrap();
             let got = store.load_base(&key(1)).expect("retry should recover");
             assert_eq!(got.cycles, 7);
-            assert_eq!(store.io_retries(), 1);
-            assert_eq!((store.hits(), store.misses()), (1, 0));
+            assert_eq!(store.stats().io_retries, 1);
+            assert_eq!((store.stats().hits, store.stats().misses), (1, 0));
             fs::remove_dir_all(&dir).unwrap();
         }
 
@@ -825,7 +821,7 @@ mod tests {
             let store = ProfileStore::new(&dir).with_faults(plan);
             store.store(&key(2), &base(8)).unwrap();
             assert!(store.load(&key(2)).is_none(), "exhausted retries => miss");
-            assert_eq!(store.io_retries(), u64::from(IO_ATTEMPTS) - 1);
+            assert_eq!(store.stats().io_retries, u64::from(IO_ATTEMPTS) - 1);
             assert!(
                 store.path_of(&key(2)).exists(),
                 "an I/O miss must not evict the (healthy) entry"
@@ -848,10 +844,10 @@ mod tests {
                 .with_tracer(Arc::clone(&tracer));
             store.store(&key(4), &base(1)).unwrap();
             assert!(store.load(&key(4)).is_none(), "first corrupt read");
-            assert_eq!((store.evictions(), store.quarantined()), (1, 0));
+            assert_eq!((store.stats().evictions, store.stats().quarantined), (1, 0));
             store.store(&key(4), &base(1)).unwrap(); // the recompute
             assert!(store.load(&key(4)).is_none(), "second corrupt read");
-            assert_eq!((store.evictions(), store.quarantined()), (1, 1));
+            assert_eq!((store.stats().evictions, store.stats().quarantined), (1, 1));
             assert_eq!(tracer.count("fault_injected"), 2);
             assert_eq!(tracer.count("store_quarantined"), 1);
             fs::remove_dir_all(&dir).unwrap();
@@ -863,7 +859,7 @@ mod tests {
             let plan = Arc::new(FaultPlan::new().inject(FaultSite::StoreWrite, 0));
             let store = ProfileStore::new(&dir).with_faults(plan);
             store.store(&key(3), &base(5)).unwrap();
-            assert_eq!(store.io_retries(), 1);
+            assert_eq!(store.stats().io_retries, 1);
             assert_eq!(store.load_base(&key(3)).unwrap().cycles, 5);
             fs::remove_dir_all(&dir).unwrap();
         }

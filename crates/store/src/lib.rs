@@ -36,7 +36,7 @@ mod error;
 pub mod fsck;
 pub mod profilefmt;
 
-pub use cache::{CacheKey, ProfileStore};
+pub use cache::{CacheKey, ProfileStore, StoreStats};
 pub use error::StoreError;
 pub use fsck::{fsck, FsckOptions, FsckReport};
 pub use profilefmt::{Artifact, BaseArtifact, CellArtifact, PlainArtifact, TypedArtifact};

@@ -36,13 +36,6 @@ pub enum EventKind {
         /// Block length in instructions.
         len: u32,
     },
-    /// A profiled block's `use` counter was incremented.
-    CounterBump {
-        /// Block start address.
-        pc: u64,
-        /// The counter value after the bump.
-        use_count: u64,
-    },
     /// A block reached the retranslation threshold `T` and was
     /// registered in the candidate pool.
     Registered {
@@ -273,7 +266,6 @@ impl EventKind {
     pub fn name(&self) -> &'static str {
         match self {
             EventKind::BlockTranslated { .. } => "block_translated",
-            EventKind::CounterBump { .. } => "counter_bump",
             EventKind::Registered { .. } => "registered",
             EventKind::RegisteredTwice { .. } => "registered_twice",
             EventKind::CounterFrozen { .. } => "counter_frozen",
@@ -324,10 +316,6 @@ mod tests {
     fn names_are_stable_and_distinct() {
         let kinds = [
             EventKind::BlockTranslated { pc: 0, len: 1 },
-            EventKind::CounterBump {
-                pc: 0,
-                use_count: 1,
-            },
             EventKind::Registered {
                 pc: 0,
                 use_count: 1,

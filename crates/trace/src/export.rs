@@ -2,13 +2,12 @@
 //! `trace_event` format (load the latter in `chrome://tracing` or
 //! [Perfetto](https://ui.perfetto.dev)).
 //!
-//! Both are hand-rolled — the build environment is offline, so no serde
-//! (see DESIGN.md, "Dependency policy"). Event payloads are flat maps
-//! of integers and short strings, which keeps the writers trivial.
-
-use std::fmt::Write as _;
+//! Both build each event as a [`Json`] object and render it with
+//! [`Json::render`], so keys come out sorted. Event payloads are flat
+//! maps of integers and short strings.
 
 use crate::event::{Event, EventKind};
+use crate::json::Json;
 use crate::ring::Tracer;
 
 /// On-disk trace formats understood by the `--trace-format` flags.
@@ -33,49 +32,23 @@ impl std::str::FromStr for TraceFormat {
     }
 }
 
-/// Minimal JSON string escaping (control characters, quote, backslash).
-fn escape_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-}
-
-/// The event payload as `(field, value)` pairs; strings are marked so
-/// the writers can quote them.
-enum Field<'a> {
-    U64(&'a str, u64),
-    Str(&'a str, &'a str),
-}
-
-fn fields(kind: &EventKind) -> Vec<Field<'_>> {
+/// The event payload as `(field, value)` pairs.
+fn payload(kind: &EventKind) -> Vec<(&'static str, Json)> {
     use EventKind as E;
+    let num = Json::num;
     match kind {
-        E::BlockTranslated { pc, len } => {
-            vec![Field::U64("pc", *pc), Field::U64("len", u64::from(*len))]
-        }
-        E::CounterBump { pc, use_count }
-        | E::Registered { pc, use_count }
-        | E::RegisteredTwice { pc, use_count } => {
-            vec![Field::U64("pc", *pc), Field::U64("use", *use_count)]
+        E::BlockTranslated { pc, len } => vec![("pc", num(*pc)), ("len", num(u64::from(*len)))],
+        E::Registered { pc, use_count } | E::RegisteredTwice { pc, use_count } => {
+            vec![("pc", num(*pc)), ("use", num(*use_count))]
         }
         E::CounterFrozen {
             pc,
             use_count,
             registered,
         } => vec![
-            Field::U64("pc", *pc),
-            Field::U64("use", *use_count),
-            Field::U64("registered", u64::from(*registered)),
+            ("pc", num(*pc)),
+            ("use", num(*use_count)),
+            ("registered", num(u64::from(*registered))),
         ],
         E::RegionFormed {
             region,
@@ -83,19 +56,19 @@ fn fields(kind: &EventKind) -> Vec<Field<'_>> {
             blocks,
             kind,
         } => vec![
-            Field::U64("region", *region),
-            Field::U64("entry_pc", *entry_pc),
-            Field::U64("blocks", u64::from(*blocks)),
-            Field::Str("region_kind", kind.name()),
+            ("region", num(*region)),
+            ("entry_pc", num(*entry_pc)),
+            ("blocks", num(u64::from(*blocks))),
+            ("region_kind", Json::str(kind.name())),
         ],
         E::RegionReformed {
             region,
             entry_pc,
             use_count,
         } => vec![
-            Field::U64("region", *region),
-            Field::U64("entry_pc", *entry_pc),
-            Field::U64("use", *use_count),
+            ("region", num(*region)),
+            ("entry_pc", num(*entry_pc)),
+            ("use", num(*use_count)),
         ],
         E::RegionRetired {
             region,
@@ -103,48 +76,46 @@ fn fields(kind: &EventKind) -> Vec<Field<'_>> {
             entries,
             side_exits,
         } => vec![
-            Field::U64("region", *region),
-            Field::U64("entry_pc", *entry_pc),
-            Field::U64("entries", *entries),
-            Field::U64("side_exits", *side_exits),
+            ("region", num(*region)),
+            ("entry_pc", num(*entry_pc)),
+            ("entries", num(*entries)),
+            ("side_exits", num(*side_exits)),
         ],
         E::StoreHit { file }
         | E::StoreMiss { file }
         | E::StoreEvicted { file }
         | E::StoreQuarantined { file }
-        | E::StoreOrphanSwept { file } => {
-            vec![Field::Str("file", file)]
-        }
+        | E::StoreOrphanSwept { file } => vec![("file", Json::str(file))],
         E::FsckRun {
             valid,
             corrupt,
             orphans,
             micros,
         } => vec![
-            Field::U64("valid", *valid),
-            Field::U64("corrupt", *corrupt),
-            Field::U64("orphans", *orphans),
-            Field::U64("micros", *micros),
+            ("valid", num(*valid)),
+            ("corrupt", num(*corrupt)),
+            ("orphans", num(*orphans)),
+            ("micros", num(*micros)),
         ],
         E::StoreIoRetry { file, attempt } => vec![
-            Field::Str("file", file),
-            Field::U64("attempt", u64::from(*attempt)),
+            ("file", Json::str(file)),
+            ("attempt", num(u64::from(*attempt))),
         ],
-        E::GuestRun { name } => vec![Field::Str("name", name)],
+        E::GuestRun { name } => vec![("name", Json::str(name))],
         E::CellQueued { bench, label }
         | E::CellStarted { bench, label }
         | E::CellCacheHit { bench, label }
         | E::CellCacheMiss { bench, label } => {
-            vec![Field::Str("bench", bench), Field::Str("label", label)]
+            vec![("bench", Json::str(bench)), ("label", Json::str(label))]
         }
         E::CellCommitted {
             bench,
             label,
             micros,
         } => vec![
-            Field::Str("bench", bench),
-            Field::Str("label", label),
-            Field::U64("micros", *micros),
+            ("bench", Json::str(bench)),
+            ("label", Json::str(label)),
+            ("micros", num(*micros)),
         ],
         E::CellRetried {
             bench,
@@ -152,126 +123,98 @@ fn fields(kind: &EventKind) -> Vec<Field<'_>> {
             attempt,
             cause,
         } => vec![
-            Field::Str("bench", bench),
-            Field::Str("label", label),
-            Field::U64("attempt", u64::from(*attempt)),
-            Field::Str("cause", cause),
+            ("bench", Json::str(bench)),
+            ("label", Json::str(label)),
+            ("attempt", num(u64::from(*attempt))),
+            ("cause", Json::str(cause)),
         ],
         E::CellFailed {
             bench,
             label,
             cause,
         } => vec![
-            Field::Str("bench", bench),
-            Field::Str("label", label),
-            Field::Str("cause", cause),
+            ("bench", Json::str(bench)),
+            ("label", Json::str(label)),
+            ("cause", Json::str(cause)),
         ],
-        E::ServeConnAccepted { conn } => vec![Field::U64("conn", *conn)],
-        E::ServeRequest { conn, op } => {
-            vec![Field::U64("conn", *conn), Field::Str("op", op)]
-        }
+        E::ServeConnAccepted { conn } => vec![("conn", num(*conn))],
+        E::ServeRequest { conn, op } => vec![("conn", num(*conn)), ("op", Json::str(*op))],
         E::ServeDone {
             conn,
             op,
             source,
             micros,
         } => vec![
-            Field::U64("conn", *conn),
-            Field::Str("op", op),
-            Field::Str("source", source),
-            Field::U64("micros", *micros),
+            ("conn", num(*conn)),
+            ("op", Json::str(*op)),
+            ("source", Json::str(*source)),
+            ("micros", num(*micros)),
         ],
         E::ServeRejected { conn, code } => {
-            vec![Field::U64("conn", *conn), Field::Str("code", code)]
+            vec![("conn", num(*conn)), ("code", Json::str(*code))]
         }
-        E::FaultInjected { site, occurrence } => vec![
-            Field::Str("site", site),
-            Field::U64("occurrence", *occurrence),
-        ],
+        E::FaultInjected { site, occurrence } => {
+            vec![("site", Json::str(*site)), ("occurrence", num(*occurrence))]
+        }
     }
 }
 
-fn write_fields(out: &mut String, fs: &[Field<'_>]) {
-    for f in fs {
-        match f {
-            Field::U64(k, v) => {
-                let _ = write!(out, ",\"{k}\":{v}");
-            }
-            Field::Str(k, v) => {
-                let _ = write!(out, ",\"{k}\":\"");
-                escape_into(out, v);
-                out.push('"');
-            }
-        }
-    }
+/// The event's `kind` name followed by its payload.
+fn kind_and_payload(kind: &EventKind) -> impl Iterator<Item = (&'static str, Json)> {
+    std::iter::once(("kind", Json::str(kind.name()))).chain(payload(kind))
 }
 
 /// Renders events as newline-delimited JSON, one object per event:
-/// `{"t_us":…,"tid":…,"kind":"…",…payload…}`.
+/// `t_us`, `tid`, `kind` and the payload fields, keys sorted.
 #[must_use]
 pub fn to_jsonl(events: &[Event]) -> String {
     let mut out = String::new();
     for e in events {
-        let _ = write!(
-            out,
-            "{{\"t_us\":{},\"tid\":{},\"kind\":\"{}\"",
-            e.t_us,
-            e.tid,
-            e.kind.name()
-        );
-        write_fields(&mut out, &fields(&e.kind));
-        out.push_str("}\n");
+        let stamp = [("t_us", Json::num(e.t_us)), ("tid", Json::num(e.tid))];
+        out.push_str(&Json::obj(stamp.into_iter().chain(kind_and_payload(&e.kind))).render());
+        out.push('\n');
     }
     out
 }
 
-/// Renders events in Chrome `trace_event` format. [`EventKind::CellCommitted`]
-/// becomes a complete (`"X"`) event spanning the cell's measured
-/// duration; everything else becomes an instant (`"i"`) event.
+/// One event in Chrome `trace_event` form.
+fn chrome_event(e: &Event) -> Json {
+    let common = [
+        ("pid", Json::num(1)),
+        ("tid", Json::num(e.tid)),
+        ("args", Json::obj(kind_and_payload(&e.kind))),
+    ];
+    let timing = match &e.kind {
+        EventKind::CellCommitted {
+            bench,
+            label,
+            micros,
+        } => vec![
+            ("name", Json::str(format!("{bench}/{label}"))),
+            ("cat", Json::str("cell")),
+            ("ph", Json::str("X")),
+            ("ts", Json::num(e.t_us.saturating_sub(*micros))),
+            ("dur", Json::num(*micros)),
+        ],
+        kind => vec![
+            ("name", Json::str(kind.name())),
+            ("cat", Json::str("tpdbt")),
+            ("ph", Json::str("i")),
+            ("s", Json::str("t")),
+            ("ts", Json::num(e.t_us)),
+        ],
+    };
+    Json::obj(common.into_iter().chain(timing))
+}
+
+/// Renders events in Chrome `trace_event` format, one event per line.
+/// [`EventKind::CellCommitted`] becomes a complete (`"X"`) event
+/// spanning the cell's measured duration; everything else becomes an
+/// instant (`"i"`) event.
 #[must_use]
 pub fn to_chrome_trace(events: &[Event]) -> String {
-    let mut out = String::from("[");
-    let mut first = true;
-    for e in events {
-        if !first {
-            out.push_str(",\n");
-        }
-        first = false;
-        let name = e.kind.name();
-        match &e.kind {
-            EventKind::CellCommitted {
-                bench,
-                label,
-                micros,
-            } => {
-                let start = e.t_us.saturating_sub(*micros);
-                let _ = write!(out, "{{\"name\":\"",);
-                escape_into(&mut out, bench);
-                out.push('/');
-                escape_into(&mut out, label);
-                let _ = write!(
-                    out,
-                    "\",\"cat\":\"cell\",\"ph\":\"X\",\"ts\":{start},\"dur\":{micros},\
-                     \"pid\":1,\"tid\":{},\"args\":{{\"kind\":\"{name}\"",
-                    e.tid
-                );
-                write_fields(&mut out, &fields(&e.kind));
-                out.push_str("}}");
-            }
-            kind => {
-                let _ = write!(
-                    out,
-                    "{{\"name\":\"{name}\",\"cat\":\"tpdbt\",\"ph\":\"i\",\"s\":\"t\",\
-                     \"ts\":{},\"pid\":1,\"tid\":{},\"args\":{{\"kind\":\"{name}\"",
-                    e.t_us, e.tid
-                );
-                write_fields(&mut out, &fields(kind));
-                out.push_str("}}");
-            }
-        }
-    }
-    out.push_str("]\n");
-    out
+    let lines: Vec<String> = events.iter().map(|e| chrome_event(e).render()).collect();
+    format!("[{}]\n", lines.join(",\n"))
 }
 
 /// Renders the tracer's retained events in `format`.
@@ -301,55 +244,321 @@ pub fn write_file(
 mod tests {
     use super::*;
     use crate::event::TraceRegionKind;
+    use crate::json::parse;
 
-    fn sample() -> Vec<Event> {
-        vec![
-            Event {
-                t_us: 10,
-                tid: 0,
-                kind: EventKind::RegionFormed {
+    /// A string that needs escaping: quote, backslash, newline, tab and
+    /// a control character.
+    const WEIRD: &str = "we\"ird\\name\n\t\u{1}";
+
+    /// The number of [`EventKind`] variants; [`sample`] holds one of
+    /// each.
+    const KINDS: usize = 27;
+
+    /// One event of every kind, each beside the payload fields it must
+    /// export.
+    fn sample() -> Vec<(Event, Vec<(&'static str, Json)>)> {
+        use EventKind as E;
+        let n = Json::num;
+        let s = Json::str;
+        let kinds = vec![
+            (
+                E::BlockTranslated { pc: 1, len: 2 },
+                vec![("pc", n(1)), ("len", n(2))],
+            ),
+            (
+                E::Registered {
+                    pc: 3,
+                    use_count: 100,
+                },
+                vec![("pc", n(3)), ("use", n(100))],
+            ),
+            (
+                E::RegisteredTwice {
+                    pc: 3,
+                    use_count: 200,
+                },
+                vec![("pc", n(3)), ("use", n(200))],
+            ),
+            (
+                E::CounterFrozen {
+                    pc: 4,
+                    use_count: 150,
+                    registered: 1,
+                },
+                vec![("pc", n(4)), ("use", n(150)), ("registered", n(1))],
+            ),
+            (
+                E::RegionFormed {
                     region: 0,
                     entry_pc: 42,
                     blocks: 3,
                     kind: TraceRegionKind::Loop,
                 },
-            },
-            Event {
-                t_us: 900,
-                tid: 1,
-                kind: EventKind::CellCommitted {
+                vec![
+                    ("region", n(0)),
+                    ("entry_pc", n(42)),
+                    ("blocks", n(3)),
+                    ("region_kind", s("loop")),
+                ],
+            ),
+            (
+                E::RegionReformed {
+                    region: 5,
+                    entry_pc: 6,
+                    use_count: 7,
+                },
+                vec![("region", n(5)), ("entry_pc", n(6)), ("use", n(7))],
+            ),
+            (
+                E::RegionRetired {
+                    region: 8,
+                    entry_pc: 9,
+                    entries: 10,
+                    side_exits: 11,
+                },
+                vec![
+                    ("region", n(8)),
+                    ("entry_pc", n(9)),
+                    ("entries", n(10)),
+                    ("side_exits", n(11)),
+                ],
+            ),
+            (
+                E::StoreHit {
+                    file: "h.tpst".into(),
+                },
+                vec![("file", s("h.tpst"))],
+            ),
+            (
+                E::StoreMiss {
+                    file: "a-0001.tpst".into(),
+                },
+                vec![("file", s("a-0001.tpst"))],
+            ),
+            (
+                E::StoreEvicted { file: WEIRD.into() },
+                vec![("file", s(WEIRD))],
+            ),
+            (
+                E::StoreIoRetry {
+                    file: "r.tpst".into(),
+                    attempt: 2,
+                },
+                vec![("file", s("r.tpst")), ("attempt", n(2))],
+            ),
+            (
+                E::StoreQuarantined {
+                    file: "q.tpst".into(),
+                },
+                vec![("file", s("q.tpst"))],
+            ),
+            (
+                E::StoreOrphanSwept {
+                    file: ".tmp-1".into(),
+                },
+                vec![("file", s(".tmp-1"))],
+            ),
+            (
+                E::FsckRun {
+                    valid: 12,
+                    corrupt: 13,
+                    orphans: 14,
+                    micros: 15,
+                },
+                vec![
+                    ("valid", n(12)),
+                    ("corrupt", n(13)),
+                    ("orphans", n(14)),
+                    ("micros", n(15)),
+                ],
+            ),
+            (E::GuestRun { name: WEIRD.into() }, vec![("name", s(WEIRD))]),
+            (
+                E::CellQueued {
+                    bench: "gzip".into(),
+                    label: "avep".into(),
+                },
+                vec![("bench", s("gzip")), ("label", s("avep"))],
+            ),
+            (
+                E::CellStarted {
+                    bench: "gzip".into(),
+                    label: "train".into(),
+                },
+                vec![("bench", s("gzip")), ("label", s("train"))],
+            ),
+            (
+                E::CellCacheHit {
+                    bench: "gzip".into(),
+                    label: "base".into(),
+                },
+                vec![("bench", s("gzip")), ("label", s("base"))],
+            ),
+            (
+                E::CellCacheMiss {
+                    bench: "gzip".into(),
+                    label: "1k".into(),
+                },
+                vec![("bench", s("gzip")), ("label", s("1k"))],
+            ),
+            (
+                E::CellCommitted {
                     bench: "mcf".into(),
                     label: "2k".into(),
                     micros: 250,
                 },
-            },
-        ]
+                vec![("bench", s("mcf")), ("label", s("2k")), ("micros", n(250))],
+            ),
+            (
+                E::CellRetried {
+                    bench: "mcf".into(),
+                    label: "5k".into(),
+                    attempt: 1,
+                    cause: WEIRD.into(),
+                },
+                vec![
+                    ("bench", s("mcf")),
+                    ("label", s("5k")),
+                    ("attempt", n(1)),
+                    ("cause", s(WEIRD)),
+                ],
+            ),
+            (
+                E::CellFailed {
+                    bench: "mcf".into(),
+                    label: "10k".into(),
+                    cause: "guest trap".into(),
+                },
+                vec![
+                    ("bench", s("mcf")),
+                    ("label", s("10k")),
+                    ("cause", s("guest trap")),
+                ],
+            ),
+            (E::ServeConnAccepted { conn: 16 }, vec![("conn", n(16))]),
+            (
+                E::ServeRequest {
+                    conn: 16,
+                    op: "cell",
+                },
+                vec![("conn", n(16)), ("op", s("cell"))],
+            ),
+            (
+                E::ServeDone {
+                    conn: 16,
+                    op: "cell",
+                    source: "memory",
+                    micros: 17,
+                },
+                vec![
+                    ("conn", n(16)),
+                    ("op", s("cell")),
+                    ("source", s("memory")),
+                    ("micros", n(17)),
+                ],
+            ),
+            (
+                E::ServeRejected {
+                    conn: 0,
+                    code: "overloaded",
+                },
+                vec![("conn", n(0)), ("code", s("overloaded"))],
+            ),
+            (
+                E::FaultInjected {
+                    site: "worker_panic",
+                    occurrence: 18,
+                },
+                vec![("site", s("worker_panic")), ("occurrence", n(18))],
+            ),
+        ];
+        kinds
+            .into_iter()
+            .zip(0u64..)
+            .map(|((kind, fields), i)| {
+                let event = Event {
+                    t_us: 1000 + 10 * i,
+                    tid: i % 3,
+                    kind,
+                };
+                (event, fields)
+            })
+            .collect()
+    }
+
+    /// The `kind` name and the payload `fields`, as one object.
+    fn args(kind: &EventKind, fields: &[(&'static str, Json)]) -> Vec<(&'static str, Json)> {
+        let mut out = vec![("kind", Json::str(kind.name()))];
+        out.extend(fields.iter().cloned());
+        out
     }
 
     #[test]
     fn jsonl_is_one_object_per_line() {
-        let s = to_jsonl(&sample());
+        let sample = sample();
+        let names: std::collections::BTreeSet<&str> =
+            sample.iter().map(|(e, _)| e.kind.name()).collect();
+        assert_eq!(names.len(), KINDS, "one event of every kind");
+        let events: Vec<Event> = sample.iter().map(|(e, _)| e.clone()).collect();
+        let s = to_jsonl(&events);
         let lines: Vec<&str> = s.lines().collect();
-        assert_eq!(lines.len(), 2);
+        assert_eq!(lines.len(), events.len());
+        for (line, (e, fields)) in lines.iter().zip(&sample) {
+            let mut expected = vec![("t_us", Json::num(e.t_us)), ("tid", Json::num(e.tid))];
+            expected.extend(args(&e.kind, fields));
+            assert_eq!(parse(line).unwrap(), Json::obj(expected), "{line}");
+        }
         assert_eq!(
-            lines[0],
-            "{\"t_us\":10,\"tid\":0,\"kind\":\"region_formed\",\"region\":0,\
-             \"entry_pc\":42,\"blocks\":3,\"region_kind\":\"loop\"}"
+            lines[4],
+            "{\"blocks\":3,\"entry_pc\":42,\"kind\":\"region_formed\",\"region\":0,\
+             \"region_kind\":\"loop\",\"t_us\":1040,\"tid\":1}",
+            "keys sorted"
         );
-        assert!(lines[1].contains("\"kind\":\"cell_committed\""));
-        assert!(lines[1].contains("\"bench\":\"mcf\""));
-        assert!(lines[1].contains("\"micros\":250"));
     }
 
     #[test]
     fn chrome_trace_makes_cells_spans() {
-        let s = to_chrome_trace(&sample());
-        assert!(s.starts_with('[') && s.trim_end().ends_with(']'));
-        assert!(s.contains("\"ph\":\"i\""), "instant event present");
+        let sample = sample();
+        let events: Vec<Event> = sample.iter().map(|(e, _)| e.clone()).collect();
+        let s = to_chrome_trace(&events);
+        assert_eq!(s.lines().count(), events.len(), "one event per line");
+        let Json::Arr(items) = parse(&s).unwrap() else {
+            panic!("not an array: {s}");
+        };
+        assert_eq!(items.len(), events.len());
+        for (item, (e, fields)) in items.iter().zip(&sample) {
+            let mut expected = vec![
+                ("pid", Json::num(1)),
+                ("tid", Json::num(e.tid)),
+                ("args", Json::obj(args(&e.kind, fields))),
+            ];
+            match &e.kind {
+                EventKind::CellCommitted {
+                    bench,
+                    label,
+                    micros,
+                } => expected.extend([
+                    ("name", Json::str(format!("{bench}/{label}"))),
+                    ("cat", Json::str("cell")),
+                    ("ph", Json::str("X")),
+                    ("ts", Json::num(e.t_us - micros)),
+                    ("dur", Json::num(*micros)),
+                ]),
+                kind => expected.extend([
+                    ("name", Json::str(kind.name())),
+                    ("cat", Json::str("tpdbt")),
+                    ("ph", Json::str("i")),
+                    ("s", Json::str("t")),
+                    ("ts", Json::num(e.t_us)),
+                ]),
+            }
+            assert_eq!(*item, Json::obj(expected));
+        }
         assert!(
-            s.contains("\"name\":\"mcf/2k\",\"cat\":\"cell\",\"ph\":\"X\",\"ts\":650,\"dur\":250"),
-            "cell span with back-dated start: {s}"
+            s.contains("\"cat\":\"cell\",\"dur\":250,\"name\":\"mcf/2k\""),
+            "cell span: {s}"
         );
+        assert_eq!(to_chrome_trace(&[]), "[]\n");
     }
 
     #[test]

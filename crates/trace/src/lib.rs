@@ -2,9 +2,12 @@
 //!
 //! The engine (`tpdbt-dbt`), the profile store (`tpdbt-store`), and the
 //! sweep orchestrator (`tpdbt-experiments`) all report lifecycle events
-//! into a shared [`Tracer`] — block translation, counter bumps and
-//! freezes, region formation / re-formation / retirement, store
-//! hits/misses, and per-cell sweep progress. The collected trace is the
+//! into a shared [`Tracer`] — block translation, registration and
+//! counter freezes, region formation / re-formation / retirement,
+//! store hits/misses, and per-cell sweep progress. Counter bumps are
+//! too many to keep one by one: each run adds its bump total to the
+//! tracer's `counter_bump` count ([`Tracer::tally`]) and stores no
+//! event. The collected trace is the
 //! observability layer the ROADMAP's production north star calls for,
 //! and the instrument that *proves* runtime invariants (e.g. the frozen
 //! initial profile's `T ≤ use ≤ 2T` bound) instead of asserting them in
@@ -21,8 +24,9 @@
 //!   `Option<Arc<Tracer>>`; without a tracer, each site is one branch
 //!   and builds no event payload.
 //! * **Two export formats** ([`export`]) — JSONL for grepping and
-//!   Chrome `trace_event` for timeline visualization; both hand-rolled
-//!   (the build is offline, no serde).
+//!   Chrome `trace_event` for timeline visualization; both render
+//!   through [`json`], the workspace's one hand-rolled JSON writer and
+//!   parser (the build is offline, no serde).
 //! * **Histograms** ([`stats::Histogram`]) — log2-bucketed timing
 //!   summaries for end-of-sweep reports.
 //!
@@ -44,6 +48,7 @@
 
 pub mod event;
 pub mod export;
+pub mod json;
 pub mod ring;
 pub mod stats;
 

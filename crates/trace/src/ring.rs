@@ -1,10 +1,11 @@
 //! The bounded ring-buffer collector behind [`Tracer`].
 //!
 //! The collector retains the most recent `capacity` events and *exact*
-//! per-kind totals for every event ever emitted — a hot loop can emit
-//! millions of [`EventKind::CounterBump`]s without unbounded memory:
-//! old events fall off the ring (counted in [`Tracer::dropped`]) while
-//! the totals stay precise.
+//! per-kind totals for every event ever emitted: old events fall off
+//! the ring (counted in [`Tracer::dropped`]) while the totals stay
+//! precise. A kind too frequent to keep one by one — the engine's
+//! `counter_bump`, one per profiling-phase block execution — is
+//! counted only: its emitter adds a run's total with [`Tracer::tally`].
 //!
 //! Emission is a single uncontended mutex lock plus a vector write;
 //! engine code guards every call site with `Option<&Tracer>`, so a run
@@ -96,6 +97,16 @@ impl Tracer {
         }
     }
 
+    /// Adds `n` to the exact total of `name` without retaining an
+    /// event or reading the clock: for counted-only kinds, which are
+    /// tallied by their emitter and reported here once.
+    pub fn tally(&self, name: &'static str, n: u64) {
+        if n > 0 {
+            let mut ring = self.ring.lock().expect("tracer ring poisoned");
+            *ring.counts.entry(name).or_insert(0) += n;
+        }
+    }
+
     /// Snapshot of the retained events, oldest first.
     #[must_use]
     pub fn events(&self) -> Vec<Event> {
@@ -144,21 +155,21 @@ impl Tracer {
 mod tests {
     use super::*;
 
-    fn bump(pc: u64, use_count: u64) -> EventKind {
-        EventKind::CounterBump { pc, use_count }
+    fn registered(pc: u64) -> EventKind {
+        EventKind::Registered { pc, use_count: 1 }
     }
 
     #[test]
     fn retains_in_emission_order() {
         let t = Tracer::new();
         for i in 0..5 {
-            t.emit(bump(i, i));
+            t.emit(registered(i));
         }
         let events: Vec<u64> = t
             .events()
             .iter()
             .map(|e| match e.kind {
-                EventKind::CounterBump { pc, .. } => pc,
+                EventKind::Registered { pc, .. } => pc,
                 _ => unreachable!(),
             })
             .collect();
@@ -171,16 +182,16 @@ mod tests {
     fn ring_overwrites_oldest_but_counts_stay_exact() {
         let t = Tracer::with_capacity(4);
         for i in 0..10 {
-            t.emit(bump(i, i));
+            t.emit(registered(i));
         }
         assert_eq!(t.len(), 4);
         assert_eq!(t.dropped(), 6);
-        assert_eq!(t.count("counter_bump"), 10);
+        assert_eq!(t.count("registered"), 10);
         let pcs: Vec<u64> = t
             .events()
             .iter()
             .map(|e| match e.kind {
-                EventKind::CounterBump { pc, .. } => pc,
+                EventKind::Registered { pc, .. } => pc,
                 _ => unreachable!(),
             })
             .collect();
@@ -190,20 +201,33 @@ mod tests {
     #[test]
     fn counts_are_per_kind() {
         let t = Tracer::new();
-        t.emit(bump(1, 1));
-        t.emit(EventKind::Registered {
+        t.emit(registered(1));
+        t.emit(EventKind::RegisteredTwice {
             pc: 1,
-            use_count: 10,
+            use_count: 2,
         });
-        t.emit(bump(1, 2));
-        assert_eq!(t.count("counter_bump"), 2);
-        assert_eq!(t.count("registered"), 1);
+        t.emit(registered(2));
+        assert_eq!(t.count("registered"), 2);
+        assert_eq!(t.count("registered_twice"), 1);
         assert_eq!(t.count("region_formed"), 0);
         assert_eq!(
             t.counts(),
-            vec![("counter_bump", 2), ("registered", 1)],
+            vec![("registered", 2), ("registered_twice", 1)],
             "name order"
         );
+    }
+
+    #[test]
+    fn tallies_count_without_retaining() {
+        let t = Tracer::with_capacity(1);
+        t.tally("counter_bump", 0);
+        assert_eq!(t.counts(), vec![], "a zero tally lists no kind");
+        t.tally("counter_bump", 3_000_000);
+        t.emit(registered(1));
+        t.tally("counter_bump", 5);
+        assert_eq!(t.count("counter_bump"), 3_000_005);
+        assert_eq!(t.len(), 1);
+        assert_eq!(t.dropped(), 0);
     }
 
     #[test]
@@ -213,12 +237,12 @@ mod tests {
             for _ in 0..4 {
                 s.spawn(|| {
                     for i in 0..100 {
-                        t.emit(bump(i, i));
+                        t.emit(registered(i));
                     }
                 });
             }
         });
-        assert_eq!(t.count("counter_bump"), 400);
+        assert_eq!(t.count("registered"), 400);
         let events = t.events();
         assert!(events.windows(2).all(|w| w[0].t_us <= w[1].t_us));
         let tids: std::collections::BTreeSet<u64> = events.iter().map(|e| e.tid).collect();
