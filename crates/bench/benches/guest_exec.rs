@@ -2,16 +2,17 @@
 //! end to end under the two-phase translator on the reference
 //! interpreter backend (`interp`, re-decoding every instruction on
 //! every execution and walking each region block by block through the
-//! policy's automaton) and the fused translation cache
-//! (`cached-fused`, blocks decoded and re-encoded as superinstructions
-//! once, each region compiled to a straight-line guarded trace).
+//! policy's automaton) and the translation cache (`cached-fused`,
+//! blocks decoded once into one specialized micro-op per instruction,
+//! each region compiled to a straight-line guarded trace). Both run
+//! every instruction through the same one-dispatch handler.
 //!
 //! Both backends produce bitwise-identical outputs, stats, and
 //! profiles (pinned by `crates/dbt/tests/backend_differential.rs`), so
 //! any gap here is pure host-side dispatch cost. A second group shows
 //! what a long-lived host (the sweep orchestrator, `tpdbt-serve`)
 //! gains by sharing one `PredecodedProgram` across runs: the decode
-//! and fusion cost itself amortizes to zero. A third group times one
+//! cost itself amortizes to zero. A third group times one
 //! sweep unit as `reproduce` runs it: AVEP, the `T = 1` base and the
 //! tiny ladder as lockstep policies over one guest execution, where
 //! per-policy profiling and region walking dominate; it adds the

@@ -9,12 +9,13 @@
 //!   per-instruction [`tpdbt_vm::step`] dispatch. Regions are walked
 //!   block by block through the policy's automaton; nothing is
 //!   compiled. This is the reference form and differential oracle.
-//! * `cached-fused` (the default) — the block decoded and re-encoded
-//!   as [`tpdbt_isa::FusedOp`] superinstructions once per guest
+//! * `cached-fused` (the default) — the block decoded once per guest
+//!   into one specialized [`tpdbt_isa::MicroOp`] per instruction
 //!   ([`tpdbt_isa::PredecodedProgram`]), run by [`run_decoded`]. In a
 //!   single two-phase or adaptive run, a region's guarded trace
 //!   ([`crate::trace`]) is compiled from these blocks at the region's
 //!   first entry; continuous-mode regions, which re-form, are walked.
+//!   The name is historical: there is no separate fused form.
 //!
 //! Both forms drive the same execute-half semantics in `tpdbt-vm`, so
 //! architectural state, outputs, and every profile counter are bitwise
@@ -36,7 +37,7 @@ use tpdbt_vm::{exec_body, exec_term, step, Flow, Machine, VmError};
 pub enum Backend {
     /// Reference per-instruction interpreter dispatch.
     Interp,
-    /// Translation cache of fused blocks plus trace-compiled regions
+    /// Translation cache of decoded blocks plus trace-compiled regions
     /// (the default).
     #[default]
     CachedFused,
@@ -106,7 +107,7 @@ pub(crate) fn step_block(
     step(program, machine)
 }
 
-/// Replays a decoded block's body (flat or fused) and terminator — the
+/// Replays a decoded block's body and terminator — the
 /// `cached-fused` form. Leaves the machine exactly as [`step_block`]
 /// over the same extent would, trap payloads included.
 ///
@@ -114,7 +115,7 @@ pub(crate) fn step_block(
 ///
 /// Propagates guest traps exactly as interpretation does.
 pub(crate) fn run_decoded(block: &DecodedBlock, machine: &mut Machine) -> Result<Flow, VmError> {
-    exec_body(&block.body, block.start, machine)?;
+    exec_body(block.body.ops(), block.start, machine)?;
     let pc = block.term_pc();
     machine.set_pc(pc);
     exec_term(block.term.view(), pc, machine)
@@ -125,7 +126,7 @@ mod tests {
     use super::*;
     use crate::programs::{arb_stmt, build};
     use proptest::prelude::*;
-    use tpdbt_isa::{decode_block, BlockBody, Cond, PredecodedProgram, ProgramBuilder, Reg};
+    use tpdbt_isa::{decode_block, Cond, PredecodedProgram, ProgramBuilder, Reg};
 
     fn sample() -> Program {
         let mut b = ProgramBuilder::new();
@@ -134,7 +135,7 @@ mod tests {
         b.movi(Reg::new(1), 3); // 0
         b.bind(top).unwrap();
         b.addi(Reg::new(0), Reg::new(0), 5); // 1
-        b.xor(Reg::new(2), Reg::new(0), Reg::new(1)); // 2 (fuses with 1)
+        b.xor(Reg::new(2), Reg::new(0), Reg::new(1)); // 2
         b.store(Reg::new(2), Reg::new(1), 0); // 3
         b.out(Reg::new(0)); // 4
         b.br_imm(Cond::Lt, Reg::new(0), 20, top); // 5
@@ -161,10 +162,6 @@ mod tests {
         let p = sample();
         let block = decode_block(&p, 1).unwrap();
         let decoded = PredecodedProgram::new(&p).translate(&p, &block);
-        assert!(
-            matches!(decoded.body, BlockBody::Fused(_)),
-            "the cached form is fused"
-        );
         let mut ms = Machine::new(&p, &[]);
         let mut md = ms.clone();
         let fs = step_block(&p, block.start, block.end, &mut ms).unwrap();

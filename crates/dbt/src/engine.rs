@@ -109,14 +109,14 @@ impl Dbt {
         self.tracer.as_ref()
     }
 
-    /// Shares a decode-once cache of fused blocks across runs of the
+    /// Shares a decode-once cache of decoded blocks across runs of the
     /// same program. Consulted by the [`crate::Backend::CachedFused`]
     /// backend; it must have been
     /// created (via [`PredecodedProgram::new`]) for the exact program
     /// later passed to [`Dbt::run`], otherwise it is silently ignored
     /// and the run uses a private cache. Sweeps hand one cache to every
-    /// cell of a guest so each block is decoded and fused once per
-    /// guest instead of once per run.
+    /// cell of a guest so each block is decoded once per guest instead
+    /// of once per run.
     #[must_use]
     pub fn with_predecoded(mut self, predecoded: Arc<PredecodedProgram>) -> Self {
         self.predecoded = Some(predecoded);
@@ -188,7 +188,7 @@ impl<'p> Engine<'p> {
         program: &'p Program,
         shared: Option<&Arc<PredecodedProgram>>,
     ) -> Self {
-        // Traces pay only where there is fused code to compile and the
+        // Traces pay only where there is decoded code to compile and the
         // region, once compiled, stays as it was formed.
         let compiles =
             config.backend == Backend::CachedFused && config.mode != ProfilingMode::Continuous;
@@ -336,7 +336,7 @@ impl Lockstep {
         self
     }
 
-    /// Shares a decode-once cache of fused blocks, as
+    /// Shares a decode-once cache of decoded blocks, as
     /// [`Dbt::with_predecoded`].
     #[must_use]
     pub fn with_predecoded(mut self, predecoded: Arc<PredecodedProgram>) -> Self {
@@ -759,7 +759,7 @@ mod tests {
                             None => assert!(!compiles, "{ctx}: the loop region ran"),
                         }
                     }
-                    // Only the fused form keeps decoded code per block.
+                    // Only `cached-fused` keeps decoded code per block.
                     assert!(engine
                         .exec
                         .code
@@ -835,7 +835,7 @@ mod tests {
             }
         }
 
-        /// Runs sharing one decode-once cache reuse its fused blocks:
+        /// Runs sharing one decode-once cache reuse its decoded blocks:
         /// the second run decodes nothing and holds the same code.
         #[test]
         fn shared_predecode_is_reused_across_runs() {

@@ -104,7 +104,7 @@ enum Exits {
 #[derive(Debug)]
 pub(crate) struct CachedBlock {
     pub block: Block,
-    /// The block's fused form under `cached-fused`, shared through the
+    /// The block's decoded form under `cached-fused`, shared through the
     /// run's [`PredecodedProgram`]; `None` under `interp`, which steps
     /// the extent in `block`.
     pub code: Option<Arc<DecodedBlock>>,
@@ -216,7 +216,7 @@ impl Code {
 /// Runs the guest block by block over one translation cache.
 pub(crate) struct Executor<'p> {
     program: &'p Program,
-    /// The decode-once source of fused blocks under `cached-fused`;
+    /// The decode-once source of decoded blocks under `cached-fused`;
     /// `None` under `interp`.
     pub predecoded: Option<Arc<PredecodedProgram>>,
     pub code: Code,
@@ -264,7 +264,7 @@ impl<'p> Executor<'p> {
     }
 
     /// Translates the block at `pc` on first sight: numbers it and its
-    /// static edges and keeps its fused form (or, for `interp`, just
+    /// static edges and keeps its decoded form (or, for `interp`, just
     /// its extent) for every later execution and trace compile.
     ///
     /// # Errors
@@ -365,11 +365,11 @@ impl<'p> Executor<'p> {
     }
 
     /// Compiles `dump` into the guarded trace a single run executes,
-    /// from its members' fused translation-cache entries.
+    /// from its members' decoded translation-cache entries.
     ///
     /// # Errors
     ///
-    /// [`DbtError::Translation`] when a member has no fused code: it
+    /// [`DbtError::Translation`] when a member has no decoded code: it
     /// was never translated, or the run is on `interp`.
     pub fn compile(&self, dump: &RegionDump) -> Result<CompiledTrace, DbtError> {
         let entry = DbtError::Translation {
@@ -542,7 +542,7 @@ mod tests {
     }
 
     /// Control leaving the program is the guest trap the interpreter
-    /// reports, and a region with no fused code does not compile.
+    /// reports, and a region with no decoded code does not compile.
     #[test]
     fn bad_pcs_and_uncompilable_regions_are_errors() {
         let p = program();
@@ -571,13 +571,13 @@ mod tests {
         assert_eq!(
             exec.compile(&dump).unwrap_err(),
             DbtError::Translation { pc: 0 },
-            "interp keeps no fused code"
+            "interp keeps no decoded code"
         );
-        let mut fused = Executor::new(&p, Backend::CachedFused, u64::MAX, None);
-        fused.step(0, &mut Machine::new(&p, &[])).unwrap();
-        assert!(fused.compile(&dump).is_ok());
+        let mut cached = Executor::new(&p, Backend::CachedFused, u64::MAX, None);
+        cached.step(0, &mut Machine::new(&p, &[])).unwrap();
+        assert!(cached.compile(&dump).is_ok());
         assert_eq!(
-            fused.compile(&untranslated).unwrap_err(),
+            cached.compile(&untranslated).unwrap_err(),
             DbtError::Translation { pc: 2 }
         );
     }

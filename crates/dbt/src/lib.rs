@@ -45,9 +45,9 @@
 //!
 //! How translated code executes on the *host* is a separate axis,
 //! selected by [`Backend`]: reference interpretation (`interp`, the
-//! differential oracle) or a translation cache of fused
-//! superinstruction blocks (`cached-fused`, the default; DESIGN.md
-//! §16). An installed region runs in one of two ways: the policy's
+//! differential oracle) or a translation cache of blocks decoded to one
+//! specialized micro-op per instruction (`cached-fused`, the default;
+//! DESIGN.md §16). An installed region runs in one of two ways: the policy's
 //! automaton walks it block by block, or a single run on
 //! `cached-fused` in two-phase or adaptive mode, whose regions never
 //! re-form, runs it as a guarded compiled trace. Backends never change

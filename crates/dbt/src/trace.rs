@@ -4,7 +4,7 @@
 //! copy. Every other region is walked block by block by the policy's
 //! automaton ([`crate::policy`]).
 //!
-//! A segment holds its copy's fused body and pre-decoded terminator;
+//! A segment holds its copy's decoded body and pre-decoded terminator;
 //! the terminator is pre-resolved to a [`Guard`] — the compiled form of
 //! the region's internal edge table. Conditional branches evaluate
 //! inline and map straight to the next segment, and direct jumps
@@ -12,8 +12,9 @@
 //! edge table does not cover is a *side exit* ([`EXIT`]).
 //!
 //! Invariants: executing segment `i` leaves the machine exactly as
-//! stepping copy `i` would (fused bodies are sequential compositions;
-//! guards evaluate precisely [`tpdbt_vm::exec_term`]'s expression), so
+//! stepping copy `i` would (bodies run through the one
+//! [`tpdbt_vm::exec_body`]; guards evaluate precisely
+//! [`tpdbt_vm::exec_term`]'s expression), so
 //! per-copy bookkeeping is identical to the walked region. Terminators
 //! with executor-visible bookkeeping (a return numbers each new target's
 //! edge, a call pushes the shadow stack) compile to [`Guard::Other`],
@@ -21,7 +22,7 @@
 
 use std::sync::Arc;
 
-use tpdbt_isa::{BlockBody, Cond, DecodedBlock, MicroOperand, MicroTerm, Pc};
+use tpdbt_isa::{Cond, DecodedBlock, MicroOp, MicroOperand, MicroTerm, Pc};
 use tpdbt_profile::{RegionEdge, SuccSlot};
 use tpdbt_vm::Machine;
 
@@ -112,9 +113,9 @@ pub(crate) struct TraceSegment {
     pub term_pc: Pc,
     /// The compiled successor decision.
     pub guard: Guard,
-    /// The straight-line body (terminator excluded), fused where
-    /// fusion pays.
-    pub body: BlockBody,
+    /// The straight-line body (terminator excluded), one op per
+    /// instruction.
+    pub body: Box<[MicroOp]>,
     /// The pre-decoded terminator, for [`Guard::Other`] segments.
     pub term: MicroTerm,
 }
@@ -148,7 +149,7 @@ impl CompiledTrace {
 }
 
 /// Compiles a region into a guarded trace. `chain` is the copy list
-/// resolved to block ids and fused decoded blocks (parallel to
+/// resolved to block ids and decoded blocks (parallel to
 /// `copies`); `edges` is the region's internal edge table. Returns
 /// `None` when the chain does not cover the copy list.
 pub(crate) fn compile_trace(
@@ -170,7 +171,7 @@ pub(crate) fn compile_trace(
             len: (block.end - block.start) as u32,
             term_pc: block.term_pc(),
             guard: lower_guard(i, block, edges),
-            body: block.body.clone(),
+            body: block.body.ops().into(),
             term: block.term.clone(),
         });
     }
@@ -218,9 +219,9 @@ mod tests {
     use tpdbt_isa::{Cond, Program, ProgramBuilder, Reg};
     use tpdbt_profile::RegionEdge;
 
-    /// The translation cache's unit: a decoded block in fused form.
-    fn fused(p: &Program, pc: Pc) -> Arc<DecodedBlock> {
-        Arc::new(DecodedBlock::decode(p, pc).unwrap().fused())
+    /// The translation cache's unit: a decoded block.
+    fn decoded(p: &Program, pc: Pc) -> Arc<DecodedBlock> {
+        Arc::new(DecodedBlock::decode(p, pc).unwrap())
     }
 
     fn loop_program() -> Program {
@@ -228,7 +229,7 @@ mod tests {
         let top = b.fresh_label("top");
         b.bind(top).unwrap();
         b.addi(Reg::new(0), Reg::new(0), 1); // 0
-        b.addi(Reg::new(1), Reg::new(1), 2); // 1 (fuses with 0)
+        b.addi(Reg::new(1), Reg::new(1), 2); // 1
         b.br_imm(Cond::Lt, Reg::new(0), 10, top); // 2
         b.halt(); // 3
         b.build().unwrap()
@@ -246,20 +247,18 @@ mod tests {
     #[test]
     fn compiles_branch_guards_with_edge_table() {
         let p = loop_program();
-        let block = fused(&p, 0);
+        let block = decoded(&p, 0);
         let trace = compile_trace(&[0], &latch_edges(), &[(0, Arc::clone(&block))]).unwrap();
         assert_eq!(trace.segs.len(), 1);
         assert_eq!(trace.starts(), vec![0]);
         assert_eq!(trace.fast_guards(), 1);
         let seg = &trace.segs[0];
         assert_eq!((seg.start, seg.len, seg.term_pc), (0, 3, 2));
-        // The two add-immediates fused into one superinstruction.
-        assert_eq!(seg.body.instr_count(), 2);
-        if let BlockBody::Fused(ops) = &seg.body {
-            assert_eq!(ops.len(), 1);
-        } else {
-            panic!("trace bodies are fused");
-        }
+        // One specialized op per add-immediate.
+        assert!(matches!(
+            seg.body[..],
+            [MicroOp::AddRI { .. }, MicroOp::AddRI { .. }]
+        ));
         match seg.guard {
             Guard::Branch {
                 on_taken, on_fall, ..
@@ -276,7 +275,7 @@ mod tests {
         let mut b = ProgramBuilder::new();
         b.halt();
         let p = b.build().unwrap();
-        let block = fused(&p, 0);
+        let block = decoded(&p, 0);
         assert!(compile_trace(&[0, 1], &[], &[(0, Arc::clone(&block))]).is_none());
         assert!(compile_trace(&[3], &[], &[(0, block)]).is_none());
         // An empty region refuses to compile too.
@@ -292,7 +291,7 @@ mod tests {
         b.br_imm(Cond::Lt, Reg::new(0), 2, top);
         b.halt();
         let p = b.build().unwrap();
-        let trace = compile_trace(&[0], &latch_edges(), &[(0, fused(&p, 0))]).unwrap();
+        let trace = compile_trace(&[0], &latch_edges(), &[(0, decoded(&p, 0))]).unwrap();
         let guard = trace.segs[0].guard;
         let mut m = Machine::new(&p, &[]);
         // r0 = 1 < 2: taken.

@@ -1,19 +1,21 @@
 //! Differential harness for the execution backends.
 //!
-//! The correctness contract of the translation cache — and of
-//! superinstruction fusion and trace compilation on top of it — is
+//! The correctness contract of the translation cache — and of trace
+//! compilation on top of it — is
 //! *bitwise transparency*: for any guest program, mode, and threshold,
 //! the `cached-fused` backend must produce exactly the architectural
 //! state, outputs, run statistics, and profile counters of the
 //! reference interpreter backend. These tests pin that contract
 //! with generated programs (proptest) and with exact-boundary
 //! regressions at the freeze/reform events that drive
-//! translation-cache inserts, installs, and invalidations.
+//! translation-cache inserts, installs, and invalidations. Guest traps
+//! inside an installed region must surface as the interpreter's own
+//! error, on every region path.
 
 use proptest::prelude::*;
 
-use tpdbt_dbt::{Backend, Dbt, DbtConfig, RegionPolicy, RunOutcome};
-use tpdbt_isa::Program;
+use tpdbt_dbt::{Backend, Dbt, DbtConfig, DbtError, Lockstep, RegionPolicy, RunOutcome};
+use tpdbt_isa::{Cond, FReg, Program, ProgramBuilder, Reg};
 
 #[path = "support/programs.rs"]
 mod programs;
@@ -159,4 +161,110 @@ fn chained_regions_survive_reform_and_retirement_identically() {
     assert_eq!(ad_i.stats, ad_c.stats, "{backend}");
     assert_eq!(ad_i.inip.blocks, ad_c.inip.blocks, "{backend}");
     assert_eq!(ad_i.inip.regions, ad_c.inip.regions, "{backend}");
+}
+
+/// The instruction that traps inside [`trap_guest`]'s loop.
+#[derive(Clone, Copy, Debug)]
+enum Trap {
+    /// `div` by `k - i`.
+    Divide,
+    /// `load` from `k - i - 1`.
+    Load,
+    /// `fload` from `k - i - 1`.
+    FLoad,
+}
+
+/// Loop trips of [`trap_guest`].
+const TRIPS: i64 = 2000;
+
+/// A single-block loop over `i = 0..TRIPS` that reads `k` from its
+/// input and computes `k - i` each trip. The trapping op divides by it
+/// or addresses memory at `k - i - 1`, so it traps at trip `i == k`
+/// (the divisor is 0, the address -1), mid-body and after the ops
+/// before it have committed. With `k` beyond `TRIPS` it never traps.
+fn trap_guest(trap: Trap) -> Program {
+    let mut b = ProgramBuilder::named("trap");
+    b.reserve_mem(8192);
+    b.reserve_fmem(8192);
+    let (i, k, acc, x, diff) = (
+        Reg::new(1),
+        Reg::new(5),
+        Reg::new(4),
+        Reg::new(2),
+        Reg::new(6),
+    );
+    b.input(k);
+    b.movi(Reg::new(3), 1000);
+    let top = b.fresh_label("top");
+    b.bind(top).unwrap();
+    b.addi(Reg::new(0), Reg::new(0), 1);
+    b.sub(diff, k, i);
+    match trap {
+        Trap::Divide => b.div(x, Reg::new(3), diff),
+        Trap::Load => b.load(x, diff, -1),
+        Trap::FLoad => {
+            b.fload(FReg::new(0), diff, -1);
+            b.ftoi(x, FReg::new(0));
+        }
+    }
+    b.add(acc, acc, x);
+    b.addi(i, i, 1);
+    b.br_imm(Cond::Lt, i, TRIPS, top);
+    b.out(acc);
+    b.halt();
+    b.build().unwrap()
+}
+
+/// Runs `trap`'s guest trapping at trip 1500, long after its loop
+/// region formed, and checks that a two-phase run (traced on
+/// `cached-fused`), a continuous run (region walked) and a lockstep
+/// execution of both all return the interpreter's own trap on both
+/// backends.
+fn assert_trap_parity(trap: Trap) {
+    let p = trap_guest(trap);
+    let t = 50;
+    let k = 1500;
+    // With the trap out of reach, the loop forms its region while its
+    // entry count is still far below `k`: the trap lands inside it.
+    let clean = Dbt::new(DbtConfig::two_phase(t))
+        .run(&p, &[TRIPS + 1])
+        .unwrap();
+    assert_eq!(clean.inip.regions.len(), 1, "{trap:?}");
+    let entry = clean.inip.block(clean.inip.regions[0].entry_pc()).unwrap();
+    assert!(
+        entry.use_count < k as u64,
+        "{trap:?}: region forms before the trap"
+    );
+
+    let trapped = tpdbt_vm::run_collect(&p, &[k]).unwrap_err();
+    // The trapping op sits mid-body, two ops past the loop head (pc 2).
+    assert_eq!(trapped.pc(), 4, "{trap:?}: {trapped}");
+    let reference = DbtError::Guest(trapped);
+    for backend in Backend::ALL {
+        let configs = vec![
+            DbtConfig::two_phase(t).with_backend(backend),
+            DbtConfig::continuous(t).with_backend(backend),
+        ];
+        for &config in &configs {
+            let err = Dbt::new(config).run(&p, &[k]).unwrap_err();
+            assert_eq!(err, reference, "{trap:?} {backend} {:?}", config.mode);
+        }
+        let err = Lockstep::new(configs).run(&p, &[k]).unwrap_err();
+        assert_eq!(err, reference, "{trap:?} {backend} lockstep");
+    }
+}
+
+#[test]
+fn divide_by_zero_inside_a_region_matches_the_interpreter() {
+    assert_trap_parity(Trap::Divide);
+}
+
+#[test]
+fn out_of_bounds_load_inside_a_region_matches_the_interpreter() {
+    assert_trap_parity(Trap::Load);
+}
+
+#[test]
+fn out_of_bounds_fload_inside_a_region_matches_the_interpreter() {
+    assert_trap_parity(Trap::FLoad);
 }

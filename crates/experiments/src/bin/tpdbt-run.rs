@@ -25,8 +25,8 @@
 //! file (use `--emit PATH` to write it out as a `.tpdb` binary first).
 //!
 //! `--backend` picks how translated guest code executes:
-//! `cached-fused` (the default) runs blocks decoded and re-encoded as
-//! superinstructions once per guest, and in two-phase and adaptive mode
+//! `cached-fused` (the default) runs blocks decoded once per guest into
+//! one specialized micro-op per instruction, and in two-phase and adaptive mode
 //! compiles each region to a straight-line guarded trace; `interp`
 //! re-decodes each instruction on every execution and walks regions
 //! block by block. Results are bitwise identical — only host-side

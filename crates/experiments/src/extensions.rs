@@ -16,8 +16,8 @@
 //!   report the spread versus any fixed global threshold.
 //! * [`backend_study`] — the execution-backend axis (DESIGN.md §16):
 //!   relate initial-prediction accuracy (`Sd.BP`, region completion
-//!   rate) to the measured wall-clock speedup of superinstruction
-//!   fusion and trace-compiled regions (`--backend cached-fused`).
+//!   rate) to the measured wall-clock speedup of the translation cache
+//!   and trace-compiled regions (`--backend cached-fused`).
 
 use std::time::Instant;
 

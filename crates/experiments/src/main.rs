@@ -17,7 +17,7 @@
 //! table is also written as CSV.
 //! `--jobs N` fans the sweep out over a worker pool; `--backend`
 //! selects the guest execution backend (default `cached-fused`, the
-//! fused translation cache with trace-compiled regions; `interp` is
+//! translation cache with trace-compiled regions; `interp` is
 //! the reference interpreter — both produce bitwise-identical
 //! figures);
 //! `--cache-dir DIR` persists profiles so identical reruns skip guest

@@ -57,8 +57,7 @@ pub use builder::{BuiltProgram, Label, ProgramBuilder};
 pub use error::IsaError;
 pub use instr::{AluOp, Cond, FpuOp, Instr, Operand};
 pub use predecode::{
-    fuse_ops, unfuse_ops, AluSpec, BlockBody, DecodedBlock, FusedOp, MicroOp, MicroOperand,
-    MicroTerm, PredecodedProgram, TermView,
+    BlockBody, DecodedBlock, MicroOp, MicroOperand, MicroTerm, PredecodedProgram, TermView,
 };
 pub use program::{Pc, Program};
 pub use reg::{FReg, Reg, NUM_FREGS, NUM_REGS};

@@ -15,7 +15,7 @@
 //! `reproduce` and `tpdbt-run`, so a warm sweep serves queries with
 //! zero guest runs. `--backend` picks the execution
 //! backend for cold (computed) queries — `cached-fused` (default, the
-//! fused translation cache plus trace-compiled regions) or `interp`
+//! translation cache plus trace-compiled regions) or `interp`
 //! (the reference interpreter); results are bitwise identical either
 //! way. The daemon prints exactly one `listening on ADDR` line to
 //! stdout once ready, then blocks until a `shutdown` request drains

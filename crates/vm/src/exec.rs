@@ -5,27 +5,21 @@
 //! guest instruction into a [`MicroOp`] / [`TermView`] and immediately
 //! executes it here; the translation cache in `tpdbt-dbt` decodes once
 //! at translation time and replays the stored micro-ops through the
-//! same two functions. Because both paths share this single
-//! implementation, translated code computes exactly what the
-//! interpreter computes — including trap payloads, which carry the
-//! guest `pc` passed in explicitly.
+//! same two functions, in cached blocks and compiled traces alike.
+//! Because every path shares this single implementation, translated
+//! code computes exactly what the interpreter computes — including trap
+//! payloads, which carry the guest `pc` passed in explicitly.
 //!
 //! # Handler layout
 //!
-//! Dispatch is split by operation class. The integer ALU / move /
-//! memory / I/O arms — the hot classes on the integer-dominated guest
-//! workloads — are matched first and stay inline in [`exec_op`]; the
-//! floating-point class lives in a separate out-of-line handler so the
-//! hot dispatch loop stays small. Fused superinstructions
-//! ([`FusedOp`]) get dedicated handlers in [`exec_fused`] that perform
-//! the same architectural writes in the same order as their
-//! constituents and trap with the constituent's guest pc, so fusion is
-//! observationally invisible. [`exec_body`] runs either block
-//! representation through the matching handler set; every execution
-//! backend funnels through it, which is what makes bitwise backend
-//! parity hold by construction.
+//! A [`MicroOp`] is already specialized by operation and operand form,
+//! so [`exec_op`] is one `match` with one arm per op and nothing left to
+//! decode inside an arm. [`exec_body`] runs a block body through it, one
+//! dispatch per guest instruction; every execution backend funnels
+//! through it, which is what makes bitwise backend parity hold by
+//! construction.
 
-use tpdbt_isa::{AluOp, BlockBody, FpuOp, FusedOp, MicroOp, MicroOperand, Pc, TermView};
+use tpdbt_isa::{MicroOp, MicroOperand, Pc, TermView};
 
 use crate::error::VmError;
 use crate::machine::Machine;
@@ -39,67 +33,45 @@ fn operand(m: &Machine, op: MicroOperand) -> i64 {
     }
 }
 
-/// The 1:1 ALU evaluator, including the `Div`/`Rem` traps. Fused
-/// handlers use [`alu_nt`], which agrees with it on every op the fuser
-/// admits.
+/// `r[dst] = f(r[a], y)`.
 #[inline(always)]
-fn alu_eval(op: AluOp, x: i64, y: i64, pc: Pc) -> Result<i64, VmError> {
-    Ok(match op {
-        AluOp::Add => x.wrapping_add(y),
-        AluOp::Sub => x.wrapping_sub(y),
-        AluOp::Mul => x.wrapping_mul(y),
-        AluOp::Div => {
-            if y == 0 {
-                return Err(VmError::DivideByZero { pc });
-            }
-            x.wrapping_div(y)
-        }
-        AluOp::Rem => {
-            if y == 0 {
-                return Err(VmError::DivideByZero { pc });
-            }
-            x.wrapping_rem(y)
-        }
-        AluOp::And => x & y,
-        AluOp::Or => x | y,
-        AluOp::Xor => x ^ y,
-        AluOp::Shl => x.wrapping_shl((y & 63) as u32),
-        AluOp::Shr => x.wrapping_shr((y & 63) as u32),
-    })
+fn alu(m: &mut Machine, dst: u8, a: u8, y: i64, f: impl FnOnce(i64, i64) -> i64) {
+    let v = f(m.reg(a as usize), y);
+    m.set_reg(dst as usize, v);
 }
 
-/// The trap-free ALU evaluator for [`tpdbt_isa::AluSpec`] constituents
-/// — the fuser guarantees `Div`/`Rem` never reach here, which lets the
-/// hot fused handlers skip `Result` plumbing entirely.
+/// `fregs[dst] = f(fregs[a], fregs[b])`.
 #[inline(always)]
-fn alu_nt(op: AluOp, x: i64, y: i64) -> i64 {
-    match op {
-        AluOp::Add => x.wrapping_add(y),
-        AluOp::Sub => x.wrapping_sub(y),
-        AluOp::Mul => x.wrapping_mul(y),
-        AluOp::Div | AluOp::Rem => {
-            unreachable!("trapping ALU op in a trap-free fused constituent")
-        }
-        AluOp::And => x & y,
-        AluOp::Or => x | y,
-        AluOp::Xor => x ^ y,
-        AluOp::Shl => x.wrapping_shl((y & 63) as u32),
-        AluOp::Shr => x.wrapping_shr((y & 63) as u32),
-    }
+fn fpu(m: &mut Machine, dst: u8, a: u8, b: u8, f: impl FnOnce(f64, f64) -> f64) {
+    let v = f(m.freg(a as usize), m.freg(b as usize));
+    m.set_freg(dst as usize, v);
 }
 
-/// One shared FPU evaluator used by the 1:1 handler and the fused FPU
-/// handlers. FPU ops never trap.
+/// `r[dst] = r[a] / y` or `r[a] % y`, trapping at `pc` when `y == 0`.
 #[inline(always)]
-fn fpu_eval(op: FpuOp, x: f64, y: f64) -> f64 {
-    match op {
-        FpuOp::Add => x + y,
-        FpuOp::Sub => x - y,
-        FpuOp::Mul => x * y,
-        FpuOp::Div => x / y,
-        FpuOp::Max => x.max(y),
-        FpuOp::Min => x.min(y),
+fn divide(
+    m: &mut Machine,
+    dst: u8,
+    a: u8,
+    y: i64,
+    pc: Pc,
+    f: impl FnOnce(i64, i64) -> i64,
+) -> Result<(), VmError> {
+    if y == 0 {
+        return Err(VmError::DivideByZero { pc });
     }
+    alu(m, dst, a, y, f);
+    Ok(())
+}
+
+#[inline(always)]
+fn shl(x: i64, y: i64) -> i64 {
+    x.wrapping_shl((y & 63) as u32)
+}
+
+#[inline(always)]
+fn shr(x: i64, y: i64) -> i64 {
+    x.wrapping_shr((y & 63) as u32)
 }
 
 /// Executes one straight-line micro-op located at guest address `pc`
@@ -110,167 +82,93 @@ fn fpu_eval(op: FpuOp, x: f64, y: f64) -> f64 {
 /// Returns a [`VmError`] trap for division by zero or out-of-bounds
 /// memory, exactly as the instruction at `pc` would under
 /// [`crate::step`].
-#[inline]
+// Always inlined: the one dispatch per instruction sits directly in
+// every body loop (cached blocks, trace segments, `step`).
+#[inline(always)]
 pub fn exec_op(op: &MicroOp, pc: Pc, m: &mut Machine) -> Result<(), VmError> {
+    let r = |m: &Machine, i: u8| m.reg(i as usize);
     match *op {
-        MicroOp::Alu { op, dst, a, b } => {
-            let v = alu_eval(op, m.reg(a as usize), operand(m, b), pc)?;
-            m.set_reg(dst as usize, v);
-        }
-        MicroOp::MovI { dst, imm } => {
-            m.set_reg(dst as usize, imm);
-        }
-        MicroOp::Mov { dst, src } => {
-            m.set_reg(dst as usize, m.reg(src as usize));
-        }
-        MicroOp::Load { dst, base, offset } => {
-            let idx = m.mem_index(m.reg(base as usize), offset, pc)?;
-            m.set_reg(dst as usize, m.mem(idx));
-        }
-        MicroOp::Store { src, base, offset } => {
-            let idx = m.mem_index(m.reg(base as usize), offset, pc)?;
-            m.set_mem(idx, m.reg(src as usize));
-        }
-        MicroOp::In { dst } => {
-            let v = m.next_input();
-            m.set_reg(dst as usize, v);
-        }
-        MicroOp::Out { src } => {
-            m.push_output(m.reg(src as usize));
-        }
-        ref float => return exec_float_op(float, pc, m),
-    }
-    Ok(())
-}
-
-/// The floating-point handler class, kept out of line so the integer
-/// dispatch above stays compact. Only float-class ops are routed here.
-#[inline(never)]
-fn exec_float_op(op: &MicroOp, pc: Pc, m: &mut Machine) -> Result<(), VmError> {
-    match *op {
-        MicroOp::Fpu { op, dst, a, b } => {
-            let v = fpu_eval(op, m.freg(a as usize), m.freg(b as usize));
-            m.set_freg(dst as usize, v);
-        }
-        MicroOp::FMov { dst, src } => {
-            m.set_freg(dst as usize, m.freg(src as usize));
-        }
-        MicroOp::FMovI { dst, imm } => {
-            m.set_freg(dst as usize, imm);
-        }
-        MicroOp::IToF { dst, src } => {
-            m.set_freg(dst as usize, m.reg(src as usize) as f64);
-        }
+        MicroOp::AddRR { dst, a, b } => alu(m, dst, a, r(m, b), i64::wrapping_add),
+        MicroOp::AddRI { dst, a, imm } => alu(m, dst, a, imm, i64::wrapping_add),
+        MicroOp::SubRR { dst, a, b } => alu(m, dst, a, r(m, b), i64::wrapping_sub),
+        MicroOp::SubRI { dst, a, imm } => alu(m, dst, a, imm, i64::wrapping_sub),
+        MicroOp::MulRR { dst, a, b } => alu(m, dst, a, r(m, b), i64::wrapping_mul),
+        MicroOp::MulRI { dst, a, imm } => alu(m, dst, a, imm, i64::wrapping_mul),
+        MicroOp::DivRR { dst, a, b } => divide(m, dst, a, r(m, b), pc, i64::wrapping_div)?,
+        MicroOp::DivRI { dst, a, imm } => divide(m, dst, a, imm, pc, i64::wrapping_div)?,
+        MicroOp::RemRR { dst, a, b } => divide(m, dst, a, r(m, b), pc, i64::wrapping_rem)?,
+        MicroOp::RemRI { dst, a, imm } => divide(m, dst, a, imm, pc, i64::wrapping_rem)?,
+        MicroOp::AndRR { dst, a, b } => alu(m, dst, a, r(m, b), |x, y| x & y),
+        MicroOp::AndRI { dst, a, imm } => alu(m, dst, a, imm, |x, y| x & y),
+        MicroOp::OrRR { dst, a, b } => alu(m, dst, a, r(m, b), |x, y| x | y),
+        MicroOp::OrRI { dst, a, imm } => alu(m, dst, a, imm, |x, y| x | y),
+        MicroOp::XorRR { dst, a, b } => alu(m, dst, a, r(m, b), |x, y| x ^ y),
+        MicroOp::XorRI { dst, a, imm } => alu(m, dst, a, imm, |x, y| x ^ y),
+        MicroOp::ShlRR { dst, a, b } => alu(m, dst, a, r(m, b), shl),
+        MicroOp::ShlRI { dst, a, imm } => alu(m, dst, a, imm, shl),
+        MicroOp::ShrRR { dst, a, b } => alu(m, dst, a, r(m, b), shr),
+        MicroOp::ShrRI { dst, a, imm } => alu(m, dst, a, imm, shr),
+        MicroOp::Mov { dst, src } => m.set_reg(dst as usize, r(m, src)),
+        MicroOp::MovI { dst, imm } => m.set_reg(dst as usize, imm),
+        MicroOp::FAdd { dst, a, b } => fpu(m, dst, a, b, |x, y| x + y),
+        MicroOp::FSub { dst, a, b } => fpu(m, dst, a, b, |x, y| x - y),
+        MicroOp::FMul { dst, a, b } => fpu(m, dst, a, b, |x, y| x * y),
+        MicroOp::FDiv { dst, a, b } => fpu(m, dst, a, b, |x, y| x / y),
+        MicroOp::FMax { dst, a, b } => fpu(m, dst, a, b, f64::max),
+        MicroOp::FMin { dst, a, b } => fpu(m, dst, a, b, f64::min),
+        MicroOp::FMov { dst, src } => m.set_freg(dst as usize, m.freg(src as usize)),
+        MicroOp::FMovI { dst, imm } => m.set_freg(dst as usize, imm),
+        MicroOp::IToF { dst, src } => m.set_freg(dst as usize, r(m, src) as f64),
         MicroOp::FToI { dst, src } => {
             let v = m.freg(src as usize);
-            let out = if v.is_nan() { 0 } else { v as i64 };
-            m.set_reg(dst as usize, out);
+            m.set_reg(dst as usize, if v.is_nan() { 0 } else { v as i64 });
         }
         MicroOp::FCmpLt { dst, a, b } => {
             let v = i64::from(m.freg(a as usize) < m.freg(b as usize));
             m.set_reg(dst as usize, v);
         }
+        MicroOp::Load { dst, base, offset } => {
+            let idx = m.mem_index(r(m, base), offset, pc)?;
+            m.set_reg(dst as usize, m.mem(idx));
+        }
+        MicroOp::Store { src, base, offset } => {
+            let idx = m.mem_index(r(m, base), offset, pc)?;
+            m.set_mem(idx, r(m, src));
+        }
         MicroOp::FLoad { dst, base, offset } => {
-            let idx = m.fmem_index(m.reg(base as usize), offset, pc)?;
+            let idx = m.fmem_index(r(m, base), offset, pc)?;
             m.set_freg(dst as usize, m.fmem(idx));
         }
         MicroOp::FStore { src, base, offset } => {
-            let idx = m.fmem_index(m.reg(base as usize), offset, pc)?;
+            let idx = m.fmem_index(r(m, base), offset, pc)?;
             m.set_fmem(idx, m.freg(src as usize));
         }
-        ref int => unreachable!("integer-class op routed to the float handler: {int:?}"),
+        MicroOp::In { dst } => {
+            let v = m.next_input();
+            m.set_reg(dst as usize, v);
+        }
+        MicroOp::Out { src } => m.push_output(r(m, src)),
     }
     Ok(())
 }
 
-/// Executes one fused superinstruction whose first constituent sits at
-/// guest address `pc`.
+/// Runs a block body whose first instruction sits at guest address
+/// `start`, one [`exec_op`] dispatch per instruction, leaving the
+/// machine exactly as stepping the instructions would. The op at index
+/// `i` is the instruction at `start + i`.
 ///
-/// Each variant performs the same architectural writes in the same
-/// order as its constituent micro-ops; a constituent at offset `k`
-/// within the window traps with guest pc `pc + k`. The ALU and FPU
-/// idioms cannot trap; [`FusedOp::AluFLoad`]'s load traps at `pc + 1`,
-/// and [`FusedOp::One`] replays its op through [`exec_op`].
+/// Every execution backend (cached blocks, compiled traces) funnels
+/// straight-line execution through this one function, which is what
+/// makes bitwise backend parity hold by construction.
 ///
 /// # Errors
 ///
-/// Exactly the traps the constituent micro-ops would raise, with the
-/// constituent's own guest pc in the payload.
+/// Propagates the first trap, with the trapping instruction's guest pc
+/// in the payload; the ops before it have committed.
 #[inline(always)]
-pub fn exec_fused(f: &FusedOp, pc: Pc, m: &mut Machine) -> Result<(), VmError> {
-    match *f {
-        FusedOp::AluAlu { s1, s2 } => {
-            let v = alu_nt(s1.op, m.reg(s1.a as usize), operand(m, s1.b));
-            m.set_reg(s1.dst as usize, v);
-            let v = alu_nt(s2.op, m.reg(s2.a as usize), operand(m, s2.b));
-            m.set_reg(s2.dst as usize, v);
-        }
-        FusedOp::AluAlu3 { s1, s2, s3 } => {
-            let v = alu_nt(s1.op, m.reg(s1.a as usize), operand(m, s1.b));
-            m.set_reg(s1.dst as usize, v);
-            let v = alu_nt(s2.op, m.reg(s2.a as usize), operand(m, s2.b));
-            m.set_reg(s2.dst as usize, v);
-            let v = alu_nt(s3.op, m.reg(s3.a as usize), operand(m, s3.b));
-            m.set_reg(s3.dst as usize, v);
-        }
-        FusedOp::FpuFpu {
-            op1,
-            d1,
-            a1,
-            b1,
-            op2,
-            d2,
-            a2,
-            b2,
-        } => {
-            let v = fpu_eval(op1, m.freg(a1 as usize), m.freg(b1 as usize));
-            m.set_freg(d1 as usize, v);
-            let v = fpu_eval(op2, m.freg(a2 as usize), m.freg(b2 as usize));
-            m.set_freg(d2 as usize, v);
-        }
-        FusedOp::AluFLoad {
-            s,
-            ld_dst,
-            base,
-            offset,
-        } => {
-            let v = alu_nt(s.op, m.reg(s.a as usize), operand(m, s.b));
-            m.set_reg(s.dst as usize, v);
-            let idx = m.fmem_index(m.reg(base as usize), offset, pc + 1)?;
-            m.set_freg(ld_dst as usize, m.fmem(idx));
-        }
-        FusedOp::One(ref x) => exec_op(x, pc, m)?,
-    }
-    Ok(())
-}
-
-/// Runs a whole block body — flat or fused — whose first instruction
-/// sits at guest address `start`, leaving the machine exactly as
-/// stepping the constituent instructions would.
-///
-/// Every execution backend (interpreter replay, cached chains, fused
-/// traces) funnels straight-line execution through this one function,
-/// which is what makes bitwise backend parity hold by construction.
-///
-/// # Errors
-///
-/// Propagates the first constituent trap, with that constituent's
-/// guest pc in the payload.
-#[inline]
-pub fn exec_body(body: &BlockBody, start: Pc, m: &mut Machine) -> Result<(), VmError> {
-    match body {
-        BlockBody::Flat(ops) => {
-            for (pc, op) in (start..).zip(ops.iter()) {
-                exec_op(op, pc, m)?;
-            }
-        }
-        BlockBody::Fused(ops) => {
-            let mut pc = start;
-            for f in ops.iter() {
-                exec_fused(f, pc, m)?;
-                pc += f.width();
-            }
-        }
+pub fn exec_body(ops: &[MicroOp], start: Pc, m: &mut Machine) -> Result<(), VmError> {
+    for (pc, op) in (start..).zip(ops) {
+        exec_op(op, pc, m)?;
     }
     Ok(())
 }
@@ -351,18 +249,11 @@ mod tests {
 
         let mut by_step = Machine::new(&p, &[]);
         let mut by_replay = by_step.clone();
-        let mut by_fused = by_step.clone();
 
         let block = DecodedBlock::decode(&p, 0).unwrap();
-        exec_body(&block.body, block.start, &mut by_replay).unwrap();
+        exec_body(block.body.ops(), block.start, &mut by_replay).unwrap();
         by_replay.set_pc(block.term_pc());
         let replay_flow = exec_term(block.term.view(), block.term_pc(), &mut by_replay).unwrap();
-
-        // The fused representation of the same block is indistinguishable.
-        let fused = block.fused();
-        exec_body(&fused.body, fused.start, &mut by_fused).unwrap();
-        by_fused.set_pc(fused.term_pc());
-        let fused_flow = exec_term(fused.term.view(), fused.term_pc(), &mut by_fused).unwrap();
 
         let mut step_flow = Flow::Halted;
         for pc in block.start..block.end {
@@ -371,8 +262,6 @@ mod tests {
         }
         assert_eq!(replay_flow, step_flow);
         assert_eq!(by_replay, by_step);
-        assert_eq!(fused_flow, step_flow);
-        assert_eq!(by_fused, by_step);
     }
 
     #[test]
@@ -388,11 +277,10 @@ mod tests {
             exec_op(&op, 0, &mut m),
             Err(VmError::MemOutOfBounds { pc: 0, addr: 7, .. })
         ));
-        let div = MicroOp::Alu {
-            op: tpdbt_isa::AluOp::Div,
+        let div = MicroOp::DivRI {
             dst: 0,
             a: 0,
-            b: MicroOperand::Imm(0),
+            imm: 0,
         };
         assert_eq!(
             exec_op(&div, 9, &mut m),
@@ -404,39 +292,36 @@ mod tests {
         );
     }
 
-    /// A constituent trapping at offset `k` of a fused window reports
-    /// guest pc `base + k`, exactly as the unfused replay would.
+    /// An op trapping at index `k` of a body reports guest pc
+    /// `start + k`, and the ops before it have committed.
     #[test]
-    fn fused_traps_carry_the_constituent_pc() {
+    fn body_traps_carry_the_instruction_pc() {
         let mut b = ProgramBuilder::new();
         b.reserve_fmem(4);
         b.halt();
         let p = b.build().unwrap();
         let mut m = Machine::new(&p, &[]);
 
-        // AluFLoad whose float load reads past the 4-word fmem through
-        // the base the ALU half just wrote: trap pc is the load's
-        // address (base + 1), and the ALU write committed.
-        let window = [
-            MicroOp::Alu {
-                op: AluOp::Add,
+        // The float load reads past the 4-word fmem through the base
+        // the add just wrote.
+        let body = [
+            MicroOp::AddRI {
                 dst: 1,
                 a: 1,
-                b: MicroOperand::Imm(41),
+                imm: 41,
             },
             MicroOp::FLoad {
                 dst: 0,
                 base: 1,
                 offset: 0,
             },
+            MicroOp::MovI { dst: 2, imm: 7 },
         ];
-        let fused = tpdbt_isa::fuse_ops(&window);
-        assert!(matches!(fused[..], [FusedOp::AluFLoad { .. }]));
         assert!(matches!(
-            exec_fused(&fused[0], 20, &mut m),
+            exec_body(&body, 20, &mut m),
             Err(VmError::MemOutOfBounds { pc: 21, .. })
         ));
-        assert_eq!(m.reg(1), 41);
+        assert_eq!((m.reg(1), m.reg(2)), (41, 0));
     }
 
     #[test]
@@ -465,6 +350,79 @@ mod tests {
                 taken: true
             }
         );
+    }
+
+    /// Every ALU operation in both operand forms, and every FPU
+    /// operation, computes what its guest instruction specifies. The
+    /// interpreter shares these handlers, so this is checked against
+    /// plain Rust arithmetic rather than against `step`.
+    #[test]
+    fn every_alu_and_fpu_op_computes_its_operation() {
+        use tpdbt_isa::{AluOp, FReg, FpuOp, Operand};
+        let alu = |op: AluOp, x: i64, y: i64| match op {
+            AluOp::Add => x.wrapping_add(y),
+            AluOp::Sub => x.wrapping_sub(y),
+            AluOp::Mul => x.wrapping_mul(y),
+            AluOp::Div => x.wrapping_div(y),
+            AluOp::Rem => x.wrapping_rem(y),
+            AluOp::And => x & y,
+            AluOp::Or => x | y,
+            AluOp::Xor => x ^ y,
+            AluOp::Shl => x.wrapping_shl((y & 63) as u32),
+            AluOp::Shr => x.wrapping_shr((y & 63) as u32),
+        };
+        let ops = [
+            AluOp::Add,
+            AluOp::Sub,
+            AluOp::Mul,
+            AluOp::Div,
+            AluOp::Rem,
+            AluOp::And,
+            AluOp::Or,
+            AluOp::Xor,
+            AluOp::Shl,
+            AluOp::Shr,
+        ];
+        let mut b = ProgramBuilder::new();
+        b.halt();
+        let p = b.build().unwrap();
+        let mut m = Machine::new(&p, &[]);
+        for op in ops {
+            for (x, y) in [(-7, 3), (i64::MIN, -1), (12345, 70), (-1, 65)] {
+                for b in [Operand::Reg(Reg::new(3)), Operand::Imm(y)] {
+                    let instr = Instr::Alu {
+                        op,
+                        dst: Reg::new(1),
+                        a: Reg::new(2),
+                        b,
+                    };
+                    m.set_reg(2, x);
+                    m.set_reg(3, y);
+                    exec_op(&MicroOp::from_instr(&instr).unwrap(), 0, &mut m).unwrap();
+                    assert_eq!(m.reg(1), alu(op, x, y), "{op:?} {x} {b:?}");
+                }
+            }
+        }
+        let fpu = [
+            (FpuOp::Add, 2.5 + -4.0),
+            (FpuOp::Sub, 2.5 - -4.0),
+            (FpuOp::Mul, 2.5 * -4.0),
+            (FpuOp::Div, 2.5 / -4.0),
+            (FpuOp::Max, 2.5),
+            (FpuOp::Min, -4.0),
+        ];
+        for (op, want) in fpu {
+            let instr = Instr::Fpu {
+                op,
+                dst: FReg::new(0),
+                a: FReg::new(1),
+                b: FReg::new(2),
+            };
+            m.set_freg(1, 2.5);
+            m.set_freg(2, -4.0);
+            exec_op(&MicroOp::from_instr(&instr).unwrap(), 0, &mut m).unwrap();
+            assert_eq!(m.freg(0), want, "{op:?}");
+        }
     }
 
     /// `step`'s decode half produces micro-ops that round-trip every

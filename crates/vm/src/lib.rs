@@ -43,7 +43,7 @@ mod run;
 mod step;
 
 pub use error::VmError;
-pub use exec::{exec_body, exec_fused, exec_op, exec_term};
+pub use exec::{exec_body, exec_op, exec_term};
 pub use machine::{Machine, MAX_CALL_DEPTH};
 pub use run::{run_collect, Interpreter, RunStats, DEFAULT_FUEL};
 pub use step::{step, Flow};

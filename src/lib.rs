@@ -50,7 +50,7 @@
 pub use tpdbt_dbt as dbt;
 /// Execution-backend selection, re-exported at the root: pick
 /// [`Backend::Interp`] (reference interpreter) or
-/// [`Backend::CachedFused`] (fused translation cache plus
+/// [`Backend::CachedFused`] (translation cache plus
 /// trace-compiled regions, the default) via
 /// [`dbt::DbtConfig::with_backend`]. Backends are bitwise
 /// result-identical; only host-side speed differs.
