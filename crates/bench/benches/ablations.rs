@@ -1,13 +1,14 @@
 //! Ablation benchmarks for the design choices DESIGN.md calls out:
-//! candidate-pool trigger, trace-growth probability, counter freeze vs
-//! continuous profiling, and cost-model robustness. Each reports the
-//! wall time of a full DBT run under the varied knob; the printed
-//! simulated-cycle ratios live in EXPERIMENTS.md.
+//! candidate-pool trigger, trace-growth probability, and counter freeze
+//! vs continuous profiling. Each reports the wall time of a full DBT
+//! run under the varied knob. Prices are applied after a run, so the
+//! cost model's robustness is a repricing check in
+//! `tests/figure_shapes.rs`, not a timing.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use tpdbt_dbt::{CostModel, Dbt, DbtConfig, RegionPolicy};
+use tpdbt_dbt::{Dbt, DbtConfig, RegionPolicy};
 use tpdbt_suite::{workload, InputKind, Scale};
 
 fn bench_pool_trigger(c: &mut Criterion) {
@@ -56,27 +57,9 @@ fn bench_freeze_vs_continuous(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_cost_model_robustness(c: &mut Criterion) {
-    let w = workload("swim", Scale::Tiny, InputKind::Ref).unwrap();
-    let mut g = c.benchmark_group("ablation_cost_model");
-    for (name, scale) in [("half", 0.5f64), ("default", 1.0), ("double", 2.0)] {
-        g.bench_function(name, |b| {
-            let base = CostModel::default();
-            let cost = CostModel {
-                opt_translate_per_instr: ((base.opt_translate_per_instr as f64) * scale) as u64,
-                side_exit_penalty: ((base.side_exit_penalty as f64) * scale) as u64,
-                ..base
-            };
-            let cfg = DbtConfig::two_phase(20).with_cost(cost);
-            b.iter(|| black_box(Dbt::new(cfg).run_built(&w.binary, &w.input).unwrap().stats))
-        });
-    }
-    g.finish();
-}
-
 criterion_group! {
     name = ablations;
     config = Criterion::default().sample_size(10);
-    targets = bench_pool_trigger, bench_main_path_prob, bench_freeze_vs_continuous, bench_cost_model_robustness
+    targets = bench_pool_trigger, bench_main_path_prob, bench_freeze_vs_continuous
 }
 criterion_main!(ablations);

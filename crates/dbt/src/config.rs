@@ -2,6 +2,7 @@
 //! execution backend, and the simulated cost model.
 
 use crate::backend::Backend;
+use crate::policy::ExecStats;
 
 /// How the translator profiles and optimizes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -86,10 +87,10 @@ impl Default for RegionPolicy {
     }
 }
 
-/// Simulated cycle costs. Values are abstract machine cycles; only
-/// their *ratios* matter for the Figure 17 shape (the paper's absolute
-/// Itanium 2 timings are unavailable). Defaults are documented in
-/// DESIGN.md and stress-tested for robustness to ±2× changes.
+/// Simulated cycle prices of counted events. Values are abstract
+/// machine cycles; only their *ratios* matter for the Figure 17 shape
+/// (the paper's absolute Itanium 2 timings are unavailable). DESIGN.md
+/// §5 documents the defaults and how far Figure 17 moves under ±2×.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CostModel {
     /// One-time fast-translation cost per instruction when a block is
@@ -98,7 +99,8 @@ pub struct CostModel {
     /// Execution cost per instruction in unoptimized (profiling-phase)
     /// code.
     pub unopt_exec_per_instr: u64,
-    /// Cost of one profiling-counter increment (`use` or `taken`).
+    /// Cost of one profiling-counter increment (`use` or `taken`) in
+    /// profiling-phase code.
     pub profile_op_cost: u64,
     /// Block-dispatch cost per unoptimized block entry (translation
     /// cache lookup / chaining overhead).
@@ -114,18 +116,31 @@ pub struct CostModel {
     pub region_entry_cost: u64,
 }
 
-impl Default for CostModel {
-    fn default() -> Self {
-        CostModel {
-            cold_translate_per_instr: 60,
-            unopt_exec_per_instr: 4,
-            profile_op_cost: 1,
-            dispatch_cost: 2,
-            opt_translate_per_instr: 500,
-            opt_exec_per_instr: 2,
-            side_exit_penalty: 16,
-            region_entry_cost: 1,
-        }
+impl CostModel {
+    /// The prices every run reports, and [`DbtConfig::fingerprint`] hashes.
+    pub const DEFAULT: CostModel = CostModel {
+        cold_translate_per_instr: 60,
+        unopt_exec_per_instr: 4,
+        profile_op_cost: 1,
+        dispatch_cost: 2,
+        opt_translate_per_instr: 500,
+        opt_exec_per_instr: 2,
+        side_exit_penalty: 16,
+        region_entry_cost: 1,
+    };
+
+    /// The simulated cycles of a run that counted `s`: each price times
+    /// its event's count. Profiling ops inside regions are free.
+    #[must_use]
+    pub fn price(&self, s: &ExecStats) -> u64 {
+        self.cold_translate_per_instr * s.cold_instructions
+            + self.unopt_exec_per_instr * (s.instructions - s.region_instructions)
+            + self.profile_op_cost * (s.profiling_ops - s.region_profiling_ops)
+            + self.dispatch_cost * s.unopt_dispatches
+            + self.opt_translate_per_instr * s.retranslated_instructions
+            + self.opt_exec_per_instr * s.region_instructions
+            + self.side_exit_penalty * s.side_exits
+            + self.region_entry_cost * s.region_entries
     }
 }
 
@@ -151,8 +166,6 @@ pub struct DbtConfig {
     pub mode: ProfilingMode,
     /// Region-formation policy.
     pub policy: RegionPolicy,
-    /// Simulated cost model.
-    pub cost: CostModel,
     /// Side-exit monitoring policy (only consulted in
     /// [`ProfilingMode::Adaptive`]).
     pub adapt: AdaptPolicy,
@@ -171,7 +184,7 @@ pub struct DbtConfig {
 
 impl DbtConfig {
     /// Two-phase configuration with retranslation threshold `threshold`
-    /// and default policy/costs.
+    /// and the default policies.
     ///
     /// # Panics
     ///
@@ -184,7 +197,6 @@ impl DbtConfig {
             threshold,
             mode: ProfilingMode::TwoPhase,
             policy: RegionPolicy::default(),
-            cost: CostModel::default(),
             adapt: AdaptPolicy::default(),
             interval: None,
             fuel: tpdbt_vm::DEFAULT_FUEL,
@@ -238,13 +250,6 @@ impl DbtConfig {
         self
     }
 
-    /// Replaces the cost model.
-    #[must_use]
-    pub fn with_cost(mut self, cost: CostModel) -> Self {
-        self.cost = cost;
-        self
-    }
-
     /// Replaces the fuel budget.
     #[must_use]
     pub fn with_fuel(mut self, fuel: u64) -> Self {
@@ -280,10 +285,12 @@ impl DbtConfig {
     }
 
     /// A stable 64-bit digest over every field that can change a run's
-    /// observable result. The profile store (`tpdbt-store`) keys cached
-    /// artifacts on it, so stale cache entries are detected whenever a
-    /// policy knob, cost, or mode changes — two configs compare equal
-    /// iff their fingerprints do (modulo hash collisions).
+    /// observable result, and over the constant [`CostModel::DEFAULT`]
+    /// that prices the cycles a stored artifact carries. The profile
+    /// store (`tpdbt-store`) keys cached artifacts on it, so stale cache
+    /// entries are detected whenever a policy knob, a default price, or
+    /// the mode changes — two configs compare equal iff their
+    /// fingerprints do (modulo hash collisions).
     #[must_use]
     pub fn fingerprint(&self) -> u64 {
         // FNV-1a 64, inlined so `tpdbt-dbt` stays free of a dependency
@@ -308,14 +315,14 @@ impl DbtConfig {
         eat(&self.policy.include_prob.to_bits().to_le_bytes());
         eat(&(self.policy.max_region_blocks as u64).to_le_bytes());
         eat(&(self.policy.pool_trigger as u64).to_le_bytes());
-        eat(&self.cost.cold_translate_per_instr.to_le_bytes());
-        eat(&self.cost.unopt_exec_per_instr.to_le_bytes());
-        eat(&self.cost.profile_op_cost.to_le_bytes());
-        eat(&self.cost.dispatch_cost.to_le_bytes());
-        eat(&self.cost.opt_translate_per_instr.to_le_bytes());
-        eat(&self.cost.opt_exec_per_instr.to_le_bytes());
-        eat(&self.cost.side_exit_penalty.to_le_bytes());
-        eat(&self.cost.region_entry_cost.to_le_bytes());
+        eat(&CostModel::DEFAULT.cold_translate_per_instr.to_le_bytes());
+        eat(&CostModel::DEFAULT.unopt_exec_per_instr.to_le_bytes());
+        eat(&CostModel::DEFAULT.profile_op_cost.to_le_bytes());
+        eat(&CostModel::DEFAULT.dispatch_cost.to_le_bytes());
+        eat(&CostModel::DEFAULT.opt_translate_per_instr.to_le_bytes());
+        eat(&CostModel::DEFAULT.opt_exec_per_instr.to_le_bytes());
+        eat(&CostModel::DEFAULT.side_exit_penalty.to_le_bytes());
+        eat(&CostModel::DEFAULT.region_entry_cost.to_le_bytes());
         eat(&self.adapt.min_entries.to_le_bytes());
         eat(&self.adapt.max_side_exit_rate.to_bits().to_le_bytes());
         eat(&u64::from(self.adapt.max_retirements_per_entry).to_le_bytes());
@@ -353,16 +360,8 @@ mod tests {
             max_region_blocks: 4,
             ..RegionPolicy::default()
         };
-        let cost = CostModel {
-            opt_exec_per_instr: 1,
-            ..CostModel::default()
-        };
-        let c = DbtConfig::two_phase(10)
-            .with_policy(policy)
-            .with_cost(cost)
-            .with_fuel(99);
+        let c = DbtConfig::two_phase(10).with_policy(policy).with_fuel(99);
         assert_eq!(c.policy.max_region_blocks, 4);
-        assert_eq!(c.cost.opt_exec_per_instr, 1);
         assert_eq!(c.fuel, 99);
     }
 
@@ -378,11 +377,6 @@ mod tests {
             ..RegionPolicy::default()
         };
         assert_ne!(base.fingerprint(), base.with_policy(policy).fingerprint());
-        let cost = CostModel {
-            opt_exec_per_instr: 3,
-            ..CostModel::default()
-        };
-        assert_ne!(base.fingerprint(), base.with_cost(cost).fingerprint());
         assert_ne!(base.fingerprint(), base.with_interval(1).fingerprint());
     }
 
@@ -401,14 +395,16 @@ mod tests {
     }
 
     /// Every profile store is keyed on these digests: a change to the
-    /// hashed byte stream orphans every stored artifact, so it must be
-    /// deliberate and update these literals.
+    /// hashed byte stream, or to a default price, orphans every stored
+    /// artifact, so it must be deliberate and update these literals.
     #[test]
     fn fingerprints_are_pinned() {
         let cases = [
             (DbtConfig::no_opt(), 0xe890_6720_d89c_8006),
+            (DbtConfig::two_phase(1), 0x33bf_918c_93fd_4634),
             (DbtConfig::two_phase(2_000), 0xe4bb_b2a9_cb11_a374),
             (DbtConfig::continuous(100), 0xc39c_92db_c802_9997),
+            (DbtConfig::continuous(500), 0xd2c8_773f_6e36_d9bc),
             (DbtConfig::adaptive(500), 0x39c6_ac57_224e_e1d7),
         ];
         for (config, fingerprint) in cases {

@@ -2,7 +2,7 @@
 //!
 //! A run is an [`Executor`] (the guest machine's per-block code, the
 //! code half of the translation cache) feeding a [`Policy`] (counters,
-//! candidate pool, region formation and the cost model; see
+//! candidate pool, region formation and the event counts; see
 //! [`crate::policy`]). The executor produces one block event per
 //! executed block: its block id, length, edge id and successor column.
 //!
@@ -395,7 +395,7 @@ impl Lockstep {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::RegionPolicy;
+    use crate::config::{CostModel, RegionPolicy};
     use crate::policy::reform_due;
     use crate::programs::{hot_loop, phase_flip_program};
     use tpdbt_isa::{Cond, ProgramBuilder, Reg};
@@ -487,11 +487,13 @@ mod tests {
         let slow = Dbt::new(DbtConfig::two_phase(100_000))
             .run(&p, &[])
             .unwrap();
+        let (fast, slow) = (
+            CostModel::DEFAULT.price(&fast.stats),
+            CostModel::DEFAULT.price(&slow.stats),
+        );
         assert!(
-            fast.stats.cycles < slow.stats.cycles,
-            "early optimization should win on a stable hot loop: {} vs {}",
-            fast.stats.cycles,
-            slow.stats.cycles
+            fast < slow,
+            "early optimization should win on a stable hot loop: {fast} vs {slow}"
         );
     }
 
@@ -682,7 +684,7 @@ mod tests {
     fn stats_are_reflected_in_dump() {
         let p = hot_loop(50_000);
         let out = Dbt::new(DbtConfig::two_phase(500)).run(&p, &[]).unwrap();
-        assert_eq!(out.inip.cycles, out.stats.cycles);
+        assert_eq!(out.inip.cycles, CostModel::DEFAULT.price(&out.stats));
         assert_eq!(out.inip.profiling_ops, out.stats.profiling_ops);
         assert_eq!(out.inip.instructions, out.stats.instructions);
         assert_eq!(out.inip.threshold, 500);

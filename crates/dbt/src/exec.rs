@@ -1,7 +1,7 @@
 //! The executor: the guest [`Machine`]'s per-block code. It owns the
 //! code half of the translation cache ([`Code`]), runs the guest one
 //! block at a time and reports each executed block as a
-//! [`BlockEvent`]. Profiles, regions and costs are the
+//! [`BlockEvent`]. Profiles, regions and event counts are the
 //! [`crate::policy::Policy`]'s business.
 //!
 //! The executor numbers what it translates, once, for every policy:

@@ -7,8 +7,8 @@
 //! * **Profiling phase** — each guest basic block is translated quickly
 //!   on first execution and instrumented to collect a `use` count (times
 //!   visited) and a `taken` count (times its conditional branch was
-//!   taken). Execution of unoptimized blocks pays per-instruction and
-//!   per-counter costs in the [`CostModel`].
+//!   taken). The run counts the instructions, dispatches and counter
+//!   increments of unoptimized blocks.
 //! * **Retranslation threshold** — when a block's `use` count reaches the
 //!   threshold `T`, the block is registered in a pool of candidate
 //!   blocks. When the pool is full, or a block is registered twice
@@ -25,10 +25,11 @@
 //!   the paper's *initial profile*. Non-candidate blocks pulled into a
 //!   region as hammock arms may freeze below `T`.
 //! * **Optimized execution** — region code runs at a faster
-//!   per-instruction cost; leaving a region anywhere but its designated
+//!   per-instruction price; leaving a region anywhere but its designated
 //!   tail is a *side exit* and pays a penalty. Region formation itself
-//!   costs optimization cycles. These costs drive the paper's Figure 17
-//!   performance curve.
+//!   costs optimization cycles. A run only counts these events
+//!   ([`ExecStats`]); [`CostModel::price`], the only code that computes
+//!   cycles, prices them into the paper's Figure 17 performance curve.
 //!
 //! Running with [`ProfilingMode::NoOpt`] never optimizes and yields the
 //! whole-run average profile (`AVEP`, or `INIP(train)` on a training
@@ -37,11 +38,12 @@
 //! re-formed when stale) and is used for ablation studies.
 //!
 //! A run is an executor (the guest machine's per-block code) feeding a
-//! translation policy (counters, pool, regions, costs). [`Dbt::run`]
-//! feeds one policy; [`Lockstep::run`] steps the guest once and feeds
-//! one policy per configuration, so the paper's AVEP, `T = 1` base and
-//! threshold ladder on one input cost one guest execution. Each
-//! lockstep outcome is bitwise equal to its configuration's single run.
+//! translation policy (counters, pool, regions, event counts).
+//! [`Dbt::run`] feeds one policy; [`Lockstep::run`] steps the guest
+//! once and feeds one policy per configuration, so the paper's AVEP,
+//! `T = 1` base and threshold ladder on one input cost one guest
+//! execution. Each lockstep outcome is bitwise equal to its
+//! configuration's single run.
 //!
 //! How translated code executes on the *host* is a separate axis,
 //! selected by [`Backend`]: reference interpretation (`interp`, the

@@ -2,8 +2,8 @@
 //! over the executor's [`BlockEvent`]s. That is the profile counters,
 //! the candidate pool and registration, region formation and
 //! freezing, regions as automata over block events, continuous-mode
-//! re-formation, adaptive retirement, interval snapshots, the cost
-//! model and [`ExecStats`].
+//! re-formation, adaptive retirement, interval snapshots and the
+//! [`ExecStats`] counts that [`CostModel::price`] prices.
 //!
 //! A policy never runs guest code and holds no executor code. Its
 //! counters are flat ([`Profile`]): one [`Counters`] per block and one
@@ -46,26 +46,35 @@ use tpdbt_isa::{Pc, Terminator};
 use tpdbt_profile::{BlockRecord, InipDump, IntervalProfile, RegionDump, RegionKind, TermKind};
 use tpdbt_trace::{EventKind, TraceRegionKind, Tracer};
 
-use crate::config::{DbtConfig, ProfilingMode};
+use crate::config::{CostModel, DbtConfig, ProfilingMode};
 use crate::engine::RunOutcome;
 use crate::exec::{slot_column, BlockEvent, Code, EdgeId, TAKEN};
 use crate::region::{form_region, BlockSource, FormedRegion};
 use crate::trace::EXIT;
 
-/// Aggregate statistics of a translated run.
+/// Aggregate statistics of a translated run: the events it counted,
+/// which [`CostModel::price`] turns into simulated cycles.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ExecStats {
     /// Dynamic guest instructions executed.
     pub instructions: u64,
-    /// Simulated cycles under the cost model.
-    pub cycles: u64,
+    /// Of `instructions`, those run inside optimized regions.
+    pub region_instructions: u64,
+    /// Profiling-phase block dispatches (blocks run outside a region).
+    pub unopt_dispatches: u64,
     /// Profiling operations (use + taken counter increments) — the
     /// paper's Figure 18 quantity.
     pub profiling_ops: u64,
+    /// Of `profiling_ops`, those counted inside regions (continuous mode).
+    pub region_profiling_ops: u64,
     /// Distinct blocks fast-translated.
     pub blocks_translated: u64,
+    /// Instructions of the fast-translated blocks, each counted once.
+    pub cold_instructions: u64,
     /// Regions formed by the optimization phase.
     pub regions_formed: u64,
+    /// Instructions of region code formed, re-formations included.
+    pub retranslated_instructions: u64,
     /// Times the optimization phase ran.
     pub opt_invocations: u64,
     /// Region executions that left through a side exit.
@@ -175,7 +184,7 @@ impl Profile {
 /// in `bumps` when the run is traced. Returns the new use count, the
 /// registration state and the profiling ops (the paper's `taken`
 /// counter is an op only on a conditional taken edge), or `None` when
-/// frozen; the caller charges the ops, so each event updates each
+/// frozen; the caller adds the ops, so each event updates each
 /// [`ExecStats`] field once.
 #[inline(always)]
 fn count(
@@ -639,6 +648,7 @@ impl<'t> Policy<'t> {
             if COUNTING {
                 if let Some((_, _, ops)) = count(profile, bumps, code, ev) {
                     stats.profiling_ops += ops;
+                    stats.region_profiling_ops += ops;
                 }
             }
             // The row's cells from the event's column on, sliced off
@@ -746,16 +756,14 @@ impl<'t> Policy<'t> {
         base.at = (0, 0);
     }
 
-    /// A profiling-phase block ran: charge its translation on first
-    /// sight and its execution, bump its counters unless frozen, and
+    /// A profiling-phase block ran: count its translation on first
+    /// sight and its dispatch, bump its counters unless frozen, and
     /// register it as a candidate at `use == T` (optimizing when the
     /// pool fills or it registers twice).
     #[inline(always)]
     pub fn unopt(&mut self, code: &Code, ev: &BlockEvent) {
-        let len = u64::from(ev.len);
-        let cost = &self.config.cost;
-        let cycles = cost.unopt_exec_per_instr * len + cost.dispatch_cost;
-        self.stats.instructions += len;
+        self.stats.instructions += u64::from(ev.len);
+        self.stats.unopt_dispatches += 1;
         let id = ev.block as usize;
         if id == self.profile.blocks.len() {
             self.translate(code, ev);
@@ -763,11 +771,9 @@ impl<'t> Policy<'t> {
         let Some((use_count, registered, ops)) =
             count(&mut self.profile, &mut self.bumps, code, ev)
         else {
-            self.stats.cycles += cycles;
             return;
         };
         self.stats.profiling_ops += ops;
-        self.stats.cycles += cycles + self.config.cost.profile_op_cost * ops;
         if self.config.mode == ProfilingMode::NoOpt {
             return;
         }
@@ -795,13 +801,13 @@ impl<'t> Policy<'t> {
         }
     }
 
-    /// The first execution of `ev`'s block: charge its fast
+    /// The first execution of `ev`'s block: count its fast
     /// translation and give it zeroed counters.
     #[cold]
     #[inline(never)]
     fn translate(&mut self, code: &Code, ev: &BlockEvent) {
         self.stats.blocks_translated += 1;
-        self.stats.cycles += self.config.cost.cold_translate_per_instr * u64::from(ev.len);
+        self.stats.cold_instructions += u64::from(ev.len);
         let pc = code.pc_of(ev.block as usize);
         self.trace_emit(|| EventKind::BlockTranslated {
             pc: pc as u64,
@@ -821,7 +827,6 @@ impl<'t> Policy<'t> {
     pub fn enter(&mut self, row: u32) -> usize {
         let ri = self.table.region(row);
         self.stats.region_entries += 1;
-        self.stats.cycles += self.config.cost.region_entry_cost;
         if self.config.mode == ProfilingMode::Adaptive {
             self.regions[ri].entries += 1;
         }
@@ -859,19 +864,16 @@ impl<'t> Policy<'t> {
         }
     }
 
-    /// Adds region totals to the stats and charges their cycles.
+    /// Adds region totals to the stats.
     #[inline(always)]
     fn flush(&mut self, totals: Totals) {
-        let cost = &self.config.cost;
         let stats = &mut self.stats;
         stats.instructions += totals.instructions;
+        stats.region_instructions += totals.instructions;
         stats.loop_backs += totals.loops;
         stats.region_entries += totals.entries;
         stats.completions += totals.completions;
         stats.side_exits += totals.side_exits;
-        stats.cycles += cost.opt_exec_per_instr * totals.instructions
-            + cost.region_entry_cost * totals.entries
-            + cost.side_exit_penalty * totals.side_exits;
     }
 
     /// Region `ri` is left through `exit` after `totals`; adaptive
@@ -921,7 +923,7 @@ impl<'t> Policy<'t> {
             profile: &self.profile,
         };
         if let Some(formed) = form_region(&src, &self.config.policy, entry_pc) {
-            self.stats.cycles += self.config.cost.opt_translate_per_instr * formed.total_instrs;
+            self.stats.retranslated_instructions += formed.total_instrs;
             self.stats.opt_invocations += 1;
             let region_id = self.regions[ri].dump.id;
             // Re-formation replaces the region's shape, and the table
@@ -1007,7 +1009,7 @@ impl<'t> Policy<'t> {
             let Some(formed) = form_region(&src, &self.config.policy, code.pc_of(seed)) else {
                 continue;
             };
-            self.stats.cycles += self.config.cost.opt_translate_per_instr * formed.total_instrs;
+            self.stats.retranslated_instructions += formed.total_instrs;
             self.install(code, seed, formed);
         }
     }
@@ -1083,7 +1085,7 @@ impl<'t> Policy<'t> {
             blocks,
             entry,
             profiling_ops: self.stats.profiling_ops,
-            cycles: self.stats.cycles,
+            cycles: CostModel::DEFAULT.price(&self.stats),
             instructions: self.stats.instructions,
         };
         RunOutcome {

@@ -107,7 +107,7 @@ pub(crate) struct TraceSegment {
     /// Guest address of the copy's first instruction.
     pub start: Pc,
     /// Instruction count including the terminator (the policy's
-    /// per-block `instructions` / cycle accounting quantum).
+    /// per-block `instructions` accounting quantum).
     pub len: u32,
     /// Guest address of the terminator.
     pub term_pc: Pc,

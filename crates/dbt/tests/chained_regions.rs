@@ -6,7 +6,7 @@
 //! exit or a loop-back twice or not at all; lockstep parity alone
 //! cannot, because the walk is shared.
 
-use tpdbt_dbt::{Backend, Dbt, DbtConfig, ExecStats, Lockstep, RunOutcome};
+use tpdbt_dbt::{Backend, CostModel, Dbt, DbtConfig, ExecStats, Lockstep, RunOutcome};
 use tpdbt_isa::{Cond, Program, ProgramBuilder, Reg};
 
 /// B-runs of the program below.
@@ -95,6 +95,16 @@ fn outcome(config: DbtConfig) -> RunOutcome {
 /// block that halts runs once, so it is never a region copy: the guest
 /// halts here on the very next event, in the chunk the chained run
 /// ends in.
+///
+/// So 39 events ran as profiling-phase blocks: the first 38 and the
+/// exit block. They are the entry block (4 instructions), A-run 0's
+/// seven A's (21), two whole B/A-run pairs (27 each), B-run 3 (15), A
+/// at r0 = 29 (3) and the exit block (2): 99 instructions, and the
+/// other 27M - 91 ran inside regions. The five translated blocks hold
+/// 4 + 3 + 3 + 1 + 2 = 13 instructions, and the optimizer retranslated
+/// 3 (`[A]`) + 4 (`[B, J]`) = 7. Every profiling op was counted
+/// outside a region. At the default prices that is 60·13 + 4·99 +
+/// 1·65 + 2·39 + 500·7 + 2·5 309 + 16·196 + 1·394 = 18 967 cycles.
 #[test]
 fn chained_entries_count_every_entry_exit_and_loop_back() {
     let out = outcome(DbtConfig::two_phase(8));
@@ -111,9 +121,15 @@ fn chained_entries_count_every_entry_exit_and_loop_back() {
         opt_invocations: 1,
         blocks_translated: 5,
         retirements: 0,
+        unopt_dispatches: 39,
+        region_instructions: 5_309,
+        cold_instructions: 13,
+        retranslated_instructions: 7,
+        region_profiling_ops: 0,
         ..out.stats
     };
     assert_eq!(out.stats, expect);
+    assert_eq!(CostModel::DEFAULT.price(&out.stats), 18_967);
 }
 
 /// An interval boundary stops a chained walk so the snapshot is taken

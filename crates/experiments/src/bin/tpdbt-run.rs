@@ -45,7 +45,7 @@
 
 use std::sync::Arc;
 
-use tpdbt_dbt::{Dbt, DbtConfig};
+use tpdbt_dbt::{CostModel, Dbt, DbtConfig};
 use tpdbt_experiments::sweep::{threshold_sweep, SuiteGuest, SweepOptions};
 use tpdbt_faults::FaultPlan;
 use tpdbt_isa::{asm, binfmt, BuiltProgram};
@@ -288,7 +288,7 @@ fn main() -> tpdbt_experiments::Result<()> {
             "mode {mode} T={threshold}: {} instructions, {} cycles, {} regions, \
              {} side exits, {} completions, {} retirements",
             out.stats.instructions,
-            out.stats.cycles,
+            CostModel::DEFAULT.price(&out.stats),
             out.stats.regions_formed,
             out.stats.side_exits,
             out.stats.completions,

@@ -22,7 +22,7 @@
 use std::time::Instant;
 
 use tpdbt_dbt::offline::{as_inip_with_regions, form_offline_regions};
-use tpdbt_dbt::{Backend, Dbt, DbtConfig, Lockstep, RegionPolicy, RunOutcome};
+use tpdbt_dbt::{Backend, CostModel, Dbt, DbtConfig, Lockstep, RegionPolicy, RunOutcome};
 use tpdbt_profile::report::analyze;
 use tpdbt_profile::{diagnose, navep};
 use tpdbt_suite::{workload, InputKind, Scale, Workload};
@@ -109,11 +109,12 @@ pub fn continuous_study(names: &[&str], scale: Scale, nominal_threshold: u64) ->
             ],
             &w,
         )?;
+        let [two_cycles, cont_cycles] = [&two, &cont].map(|o| CostModel::DEFAULT.price(&o.stats));
         t.row(vec![
             (*name).to_string(),
-            two.stats.cycles.to_string(),
-            cont.stats.cycles.to_string(),
-            format!("{:.3}", cont.stats.cycles as f64 / two.stats.cycles as f64),
+            two_cycles.to_string(),
+            cont_cycles.to_string(),
+            format!("{:.3}", cont_cycles as f64 / two_cycles as f64),
             two.stats.opt_invocations.to_string(),
             cont.stats.opt_invocations.to_string(),
         ]);
@@ -151,14 +152,15 @@ pub fn adaptive_study(names: &[&str], scale: Scale, nominal_threshold: u64) -> R
             ],
             &w,
         )?;
+        let [two_cycles, ad_cycles] = [&two, &ad].map(|o| CostModel::DEFAULT.price(&o.stats));
         t.row(vec![
             (*name).to_string(),
             two.stats.side_exits.to_string(),
             ad.stats.side_exits.to_string(),
             ad.stats.retirements.to_string(),
-            two.stats.cycles.to_string(),
-            ad.stats.cycles.to_string(),
-            format!("{:.3}", ad.stats.cycles as f64 / two.stats.cycles as f64),
+            two_cycles.to_string(),
+            ad_cycles.to_string(),
+            format!("{:.3}", ad_cycles as f64 / two_cycles as f64),
         ]);
     }
     Ok(t)
@@ -349,10 +351,11 @@ pub fn threshold_selection(names: &[&str], scale: Scale) -> Result<Table> {
             .collect();
         let outs = Lockstep::new(configs).run_built(&w.binary, &w.input)?;
         let (base, ladder_outs) = outs.split_first().expect("the base config runs");
+        let cycles = |o: &RunOutcome| CostModel::DEFAULT.price(&o.stats) as f64;
         let mut best: Option<(&str, f64)> = None;
         let mut at_2k = None;
         for (p, out) in points.iter().zip(ladder_outs) {
-            let rel = base.stats.cycles as f64 / out.stats.cycles as f64;
+            let rel = cycles(base) / cycles(out);
             if best.is_none_or(|(_, b)| rel > b) {
                 best = Some((p.label, rel));
             }

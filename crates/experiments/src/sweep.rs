@@ -998,7 +998,7 @@ impl Producer<'_> {
 
     fn build_base(&self, guest: &SuiteGuest, cfg: DbtConfig, out: RunOutcome) -> BaseArtifact {
         let artifact = BaseArtifact {
-            cycles: out.stats.cycles,
+            cycles: tpdbt_dbt::CostModel::DEFAULT.price(&out.stats),
             output_digest: fnv64_words(&out.output),
         };
         self.commit(&guest.key(&cfg), artifact)
@@ -1526,18 +1526,17 @@ mod tests {
         assert_eq!(t10_metrics(outcomes), t10_metrics(clean));
     }
 
-    /// A policy that panics on its own (a cost model whose cycle count
-    /// overflows, caught by the test profile's overflow checks) loses
-    /// its cell alone: the baselines and the other ladder cell
-    /// complete from the lone reruns.
+    /// A policy that panics on its own loses its cell alone: the
+    /// baselines and the other ladder cell complete from the lone
+    /// reruns. The panic is an interval so long that, when the guest
+    /// halts, scheduling the snapshot after the closing one overflows
+    /// `u64`, which the test profile's overflow checks catch; only that
+    /// policy records intervals.
     #[cfg(debug_assertions)]
     #[test]
     fn a_policy_that_keeps_panicking_fails_only_its_cell() {
-        let cost = tpdbt_dbt::CostModel {
-            profile_op_cost: u64::MAX,
-            ..tpdbt_dbt::CostModel::default()
-        };
-        let (outcomes, report, runs) = unit_with(DbtConfig::two_phase(10).with_cost(cost));
+        let endless = DbtConfig::two_phase(10).with_interval(u64::MAX - 1);
+        let (outcomes, report, runs) = unit_with(endless);
         assert_eq!(runs, 2 + 4, "two shared attempts, then four lone runs");
         let done: Vec<bool> = outcomes.iter().map(|c| matches!(c, Some(Ok(_)))).collect();
         assert_eq!(done, [true, true, false, true]);

@@ -12,7 +12,7 @@
 //! cargo run --release --example adaptive_rescue
 //! ```
 
-use tpdbt::dbt::{Dbt, DbtConfig};
+use tpdbt::dbt::{CostModel, Dbt, DbtConfig};
 use tpdbt::profile::phases;
 use tpdbt::suite::{workload, InputKind, Scale};
 
@@ -32,14 +32,15 @@ fn study(name: &str) -> Result<(), Box<dyn std::error::Error>> {
         "adaptation must stay transparent"
     );
 
+    let [frozen_cycles, adaptive_cycles] =
+        [&frozen, &adaptive].map(|o| CostModel::DEFAULT.price(&o.stats));
     println!("{name}: {n_phases} phase(s) detected");
     println!(
-        "  two-phase: {:>9} cycles, {:>7} side exits, {:>6} completions",
-        frozen.stats.cycles, frozen.stats.side_exits, frozen.stats.completions
+        "  two-phase: {frozen_cycles:>9} cycles, {:>7} side exits, {:>6} completions",
+        frozen.stats.side_exits, frozen.stats.completions
     );
     println!(
-        "  adaptive : {:>9} cycles, {:>7} side exits, {:>6} completions, {} retirements",
-        adaptive.stats.cycles,
+        "  adaptive : {adaptive_cycles:>9} cycles, {:>7} side exits, {:>6} completions, {} retirements",
         adaptive.stats.side_exits,
         adaptive.stats.completions,
         adaptive.stats.retirements
@@ -47,7 +48,7 @@ fn study(name: &str) -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "  side-exit reduction: {:.1}x, cycle ratio: {:.3}",
         frozen.stats.side_exits.max(1) as f64 / adaptive.stats.side_exits.max(1) as f64,
-        adaptive.stats.cycles as f64 / frozen.stats.cycles as f64
+        adaptive_cycles as f64 / frozen_cycles as f64
     );
     Ok(())
 }

@@ -11,13 +11,14 @@
 //! cargo run --release --example threshold_tuning
 //! ```
 
-use tpdbt::dbt::{Dbt, DbtConfig};
+use tpdbt::dbt::{CostModel, Dbt, DbtConfig};
 use tpdbt::suite::{workload, InputKind, Scale};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let w = workload("perlbmk", Scale::Small, InputKind::Ref)?;
     let base = Dbt::new(DbtConfig::two_phase(1)).run_built(&w.binary, &w.input)?;
-    println!("perlbmk analog — base (T=1): {} cycles", base.stats.cycles);
+    let base = CostModel::DEFAULT.price(&base.stats);
+    println!("perlbmk analog — base (T=1): {base} cycles");
     println!("      T     cycles  rel.perf  regions  side-exits  completions");
 
     let mut best = (1u64, 1.0f64);
@@ -25,10 +26,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         1u64, 5, 20, 50, 200, 500, 2_000, 8_000, 30_000, 120_000, 500_000,
     ] {
         let out = Dbt::new(DbtConfig::two_phase(t)).run_built(&w.binary, &w.input)?;
-        let rel = base.stats.cycles as f64 / out.stats.cycles as f64;
+        let cycles = CostModel::DEFAULT.price(&out.stats);
+        let rel = base as f64 / cycles as f64;
         println!(
-            "{t:>7}  {:>9}     {rel:.3}   {:>6}  {:>10}  {:>11}",
-            out.stats.cycles, out.stats.regions_formed, out.stats.side_exits, out.stats.completions
+            "{t:>7}  {cycles:>9}     {rel:.3}   {:>6}  {:>10}  {:>11}",
+            out.stats.regions_formed, out.stats.side_exits, out.stats.completions
         );
         if rel > best.1 {
             best = (t, rel);

@@ -7,10 +7,11 @@
 //! at reduced scales the ladder deduplicates points that collapse to
 //! the same actual threshold, so indices shift with scale.
 
-use tpdbt_experiments::runner::BenchResult;
+use tpdbt_dbt::{CostModel, DbtConfig, ExecStats, Lockstep};
+use tpdbt_experiments::runner::{ladder, BenchResult};
 use tpdbt_experiments::sweep::{run_sweep, SweepOptions};
 use tpdbt_profile::report::ThresholdMetrics;
-use tpdbt_suite::Scale;
+use tpdbt_suite::{int_names, workload, InputKind, Scale};
 
 /// One benchmark at tiny scale through the sweep `reproduce` runs:
 /// serial, uncached, and with no degraded cells.
@@ -173,4 +174,71 @@ fn fp_is_easier_than_int_on_representatives() {
             p.label
         );
     }
+}
+
+/// Cost-model robustness (DESIGN.md §5): the INT Figure 17 peak under
+/// halved and doubled optimization and side-exit prices. Each of the 12
+/// INT analogs runs once at tiny scale, its `T = 1` base and whole
+/// ladder in one lockstep execution; every price table reprices those
+/// same counts, with no further guest run. The grid is ×0.5, ×1 and ×2
+/// of `opt_translate_per_instr` crossed with the same factors of
+/// `side_exit_penalty`.
+///
+/// The peak is not robust to within one ladder step: at the default
+/// prices it sits at 20k, and halving the optimization price moves it
+/// two steps earlier, to 5k, unless the side-exit penalty doubles too.
+/// Doubling either price leaves it at 20k.
+#[test]
+fn int_performance_peak_under_halved_and_doubled_prices() {
+    let points = ladder(Scale::Tiny);
+    let configs: Vec<DbtConfig> = std::iter::once(1)
+        .chain(points.iter().map(|p| p.actual))
+        .map(DbtConfig::two_phase)
+        .collect();
+    let runs: Vec<Vec<ExecStats>> = int_names()
+        .into_iter()
+        .map(|name| {
+            let w = workload(name, Scale::Tiny, InputKind::Ref).unwrap();
+            let outs = Lockstep::new(configs.clone())
+                .run_built(&w.binary, &w.input)
+                .unwrap();
+            outs.into_iter().map(|o| o.stats).collect()
+        })
+        .collect();
+    assert_eq!(runs.len(), 12);
+    // The label of the ladder point with the highest INT geomean of
+    // base / cycles(T).
+    let peak = |prices: &CostModel| {
+        let geomean = |i: usize| {
+            let logs: f64 = runs
+                .iter()
+                .map(|s| (prices.price(&s[0]) as f64 / prices.price(&s[i + 1]) as f64).ln())
+                .sum();
+            (logs / runs.len() as f64).exp()
+        };
+        let i = (0..points.len())
+            .max_by(|&a, &b| geomean(a).total_cmp(&geomean(b)))
+            .unwrap();
+        points[i].label
+    };
+    let d = CostModel::DEFAULT;
+    let peaks = [1, 2, 4].map(|opt| {
+        [1, 2, 4].map(|side| {
+            peak(&CostModel {
+                opt_translate_per_instr: d.opt_translate_per_instr * opt / 2,
+                side_exit_penalty: d.side_exit_penalty * side / 2,
+                ..d
+            })
+        })
+    });
+    // Rows: optimization price ×0.5, ×1, ×2; columns: side-exit penalty
+    // ×0.5, ×1, ×2.
+    assert_eq!(
+        peaks,
+        [
+            ["5k", "5k", "20k"],
+            ["20k", "20k", "20k"],
+            ["20k", "20k", "20k"],
+        ]
+    );
 }
