@@ -327,6 +327,11 @@ impl DbtConfig {
         eat(&self.adapt.max_side_exit_rate.to_bits().to_le_bytes());
         eat(&u64::from(self.adapt.max_retirements_per_entry).to_le_bytes());
         eat(&self.interval.map_or(0, |i| i.wrapping_add(1)).to_le_bytes());
+        // `u64::MAX + 1` wraps to no interval's 0: one marker byte keeps
+        // that key apart and every other key as it was.
+        if self.interval == Some(u64::MAX) {
+            eat(&[1]);
+        }
         eat(&self.fuel.to_le_bytes());
         // `backend` is deliberately NOT hashed: both backends
         // (interp, cached-fused) are bitwise result-identical
@@ -378,6 +383,11 @@ mod tests {
         };
         assert_ne!(base.fingerprint(), base.with_policy(policy).fingerprint());
         assert_ne!(base.fingerprint(), base.with_interval(1).fingerprint());
+        assert_ne!(
+            base.fingerprint(),
+            base.with_interval(u64::MAX).fingerprint(),
+            "the largest interval is not the absent one"
+        );
     }
 
     #[test]

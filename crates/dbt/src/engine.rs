@@ -1069,4 +1069,307 @@ mod tests {
             assert_eq!(tracer.count("region_retired"), out.stats.retirements);
         }
     }
+
+    /// Compiled traces against the region walk, one region run at a
+    /// time: both directions of a branch guard, on every condition and
+    /// both operand kinds, into every kind of successor.
+    mod trace_exactness {
+        use super::*;
+        use std::collections::BTreeSet;
+
+        use tpdbt_isa::MicroOperand;
+
+        use crate::exec::TAKEN;
+        use crate::trace::{Guard, EXIT};
+
+        /// Where a branch guard's direction led.
+        #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+        enum Lead {
+            /// A later copy of the region.
+            Internal,
+            /// Copy 0: a loop-back.
+            LoopBack,
+            /// Out of the region.
+            Exit,
+        }
+
+        /// A direction a fast branch guard took: the branch's pc,
+        /// whether it was taken, where it led, and whether its right
+        /// operand is a register.
+        type Took = (Pc, bool, Lead, bool);
+
+        /// Runs `p` on `input` twice, side by side, as a `cached-fused`
+        /// two-phase run at threshold `t`: once as [`run_traced`] runs
+        /// it, each region through [`Executor::run_trace`], and once
+        /// walked, its policy consuming one block event at a time as
+        /// [`run_chunks`] feeds it a chunk. After every profiling-phase
+        /// block and every region run, the next pc, the machine and
+        /// every stat (instructions, loop-backs, entries, completions,
+        /// side exits) agree. Returns the directions fast branch guards
+        /// took.
+        fn run_against_walk(p: &Program, input: &[i64], t: u64) -> BTreeSet<Took> {
+            let config = DbtConfig::two_phase(t);
+            let mut traced = Engine::new(&config, None, p, None);
+            let mut walked = Engine::new(&config, None, p, None);
+            let Engine {
+                exec,
+                policy,
+                traces,
+                ..
+            } = &mut traced;
+            let traces = traces
+                .as_mut()
+                .expect("cached-fused two-phase runs compile");
+            let (mut tm, mut wm) = (Machine::new(p, input), Machine::new(p, input));
+            let exits = |s: &ExecStats| s.completions + s.side_exits;
+            let mut took = BTreeSet::new();
+            let mut pc = p.entry();
+            loop {
+                let entry = exec
+                    .code
+                    .id_of(pc)
+                    .and_then(|id| policy.dispatch(&exec.code, id));
+                let next = match entry {
+                    Some(row) => {
+                        let ri = policy.enter(row);
+                        if traces.len() <= ri {
+                            traces.resize_with(ri + 1, || None);
+                        }
+                        let trace = match &mut traces[ri] {
+                            Some(trace) => trace,
+                            slot @ None => {
+                                slot.insert(exec.compile(&policy.regions[ri].dump).unwrap())
+                            }
+                        };
+                        let next = exec.run_trace(policy, ri, trace, &mut tm).unwrap();
+                        // The same region run walked: the entry event
+                        // enters the region, and each event after it
+                        // follows the region's table until one leaves.
+                        let before = exits(&walked.policy.stats);
+                        let (mut at, mut cur) = (pc, 0);
+                        let walked_next = loop {
+                            let (ev, next) = walked.exec.step(at, &mut wm).unwrap();
+                            walked.policy.consume(&walked.exec.code, &[ev]);
+                            if ev.halted() {
+                                break next;
+                            }
+                            let succ = policy.succ(ri, cur, ev.column);
+                            let left = exits(&walked.policy.stats) != before;
+                            assert_eq!(left, succ == EXIT, "region {ri} copy {cur}");
+                            let seg = &trace.segs[cur];
+                            if let Guard::Branch { b, .. } = seg.guard {
+                                let lead = match succ {
+                                    EXIT => Lead::Exit,
+                                    0 => Lead::LoopBack,
+                                    _ => Lead::Internal,
+                                };
+                                let reg = matches!(b, MicroOperand::Reg(_));
+                                took.insert((seg.term_pc, ev.column == TAKEN, lead, reg));
+                            }
+                            if left {
+                                break next;
+                            }
+                            (at, cur) = (next.unwrap(), succ as usize);
+                        };
+                        assert_eq!(next, walked_next, "region {ri} entered at pc {pc}");
+                        next
+                    }
+                    None => {
+                        let (ev, next) = exec.step(pc, &mut tm).unwrap();
+                        policy.unopt(&exec.code, &ev);
+                        let walked_step = walked.exec.step(pc, &mut wm).unwrap();
+                        walked.policy.consume(&walked.exec.code, &[walked_step.0]);
+                        assert_eq!((ev, next), walked_step, "pc {pc}");
+                        next
+                    }
+                };
+                policy.settle(&exec.code, next.is_none());
+                assert_eq!(policy.stats, walked.policy.stats, "after pc {pc}");
+                assert_eq!(tm, wm, "after pc {pc}");
+                match next {
+                    Some(target) => pc = target,
+                    None => break,
+                }
+            }
+            let dumps =
+                |p: &Policy<'_>| p.regions.iter().map(|r| r.dump.clone()).collect::<Vec<_>>();
+            assert_eq!(dumps(policy), dumps(&walked.policy));
+            took
+        }
+
+        /// The right operand of every guard under test.
+        const B: i64 = 5;
+
+        /// A left operand for which `a cond B` is `holds`: on the
+        /// condition's boundary where it has one.
+        fn operand(cond: Cond, holds: bool) -> i64 {
+            let (yes, no) = match cond {
+                Cond::Eq => (5, 6),
+                Cond::Ne => (6, 5),
+                Cond::Lt => (4, 5),
+                Cond::Le => (5, 6),
+                Cond::Gt => (6, 5),
+                Cond::Ge => (5, 4),
+            };
+            if holds {
+                yes
+            } else {
+                no
+            }
+        }
+
+        /// Three loops around the guard under test, `br cond a, B` on
+        /// the next input `a`; formation at `T = 8` gives the guard's
+        /// directions these successors.
+        #[derive(Clone, Copy, Debug)]
+        enum Shape {
+            /// Taken 7 of 8 back to copy 0; not taken, out.
+            Latch,
+            /// Taken 1 of 8 out; not taken, into copy 1.
+            Escape,
+            /// Taken 3 of 4 into a later copy; not taken, onto copy 0,
+            /// laid out right after the branch.
+            Rejoin,
+        }
+
+        /// `shape` around the guard on `cond` (`B` in a register when
+        /// `reg`), the input running its pattern `rounds` times, and
+        /// the guard's pc.
+        fn program(shape: Shape, cond: Cond, reg: bool, rounds: usize) -> (Program, Vec<i64>, Pc) {
+            let pattern: &[bool] = match shape {
+                Shape::Latch => &[true, true, true, true, true, true, true, false],
+                Shape::Escape => &[true, false, false, false, false, false, false, false],
+                Shape::Rejoin => &[true, true, true, false],
+            };
+            let input: Vec<i64> = pattern
+                .iter()
+                .cycle()
+                .take(pattern.len() * rounds)
+                .map(|&holds| operand(cond, holds))
+                .collect();
+            let falls = input.iter().filter(|&&a| !cond.eval(a, B)).count() as i64;
+            let (a, n, b) = (Reg::new(0), Reg::new(1), Reg::new(5));
+            let mut pb = ProgramBuilder::new();
+            let guard = |pb: &mut ProgramBuilder, taken| {
+                let at = pb.here();
+                if reg {
+                    pb.br_reg(cond, a, b, taken);
+                } else {
+                    pb.br_imm(cond, a, B, taken);
+                }
+                at
+            };
+            pb.movi(b, B);
+            let top = pb.fresh_label("top");
+            let g = match shape {
+                // top: a = input; br cond a, B -> top
+                //      n -= 1; br n > 0 -> top; halt
+                Shape::Latch => {
+                    pb.movi(n, falls);
+                    pb.bind(top).unwrap();
+                    pb.input(a);
+                    let g = guard(&mut pb, top);
+                    pb.subi(n, n, 1);
+                    pb.br_imm(Cond::Gt, n, 0, top);
+                    pb.halt();
+                    g
+                }
+                // top:  a = input; br cond a, B -> cold
+                //       n -= 1; br n > 0 -> top; halt
+                // cold: jmp top
+                Shape::Escape => {
+                    let cold = pb.fresh_label("cold");
+                    pb.movi(n, falls);
+                    pb.bind(top).unwrap();
+                    pb.input(a);
+                    let g = guard(&mut pb, cold);
+                    pb.subi(n, n, 1);
+                    pb.br_imm(Cond::Gt, n, 0, top);
+                    pb.halt();
+                    pb.bind(cold).unwrap();
+                    pb.jmp(top);
+                    g
+                }
+                //       jmp top
+                // body: a = input; br cond a, B -> join
+                // top:  n -= 1; br n <= 0 -> done
+                //       jmp body
+                // join: jmp top
+                // done: halt
+                Shape::Rejoin => {
+                    let (body, join, done) = (
+                        pb.fresh_label("body"),
+                        pb.fresh_label("join"),
+                        pb.fresh_label("done"),
+                    );
+                    pb.movi(n, input.len() as i64 + 1);
+                    pb.jmp(top);
+                    pb.bind(body).unwrap();
+                    pb.input(a);
+                    let g = guard(&mut pb, join);
+                    pb.bind(top).unwrap();
+                    pb.subi(n, n, 1);
+                    pb.br_imm(Cond::Le, n, 0, done);
+                    pb.jmp(body);
+                    pb.bind(join).unwrap();
+                    pb.jmp(top);
+                    pb.bind(done).unwrap();
+                    pb.halt();
+                    g
+                }
+            };
+            (pb.build().unwrap(), input, g)
+        }
+
+        /// Every condition, comparing with a register and with an
+        /// immediate, takes and falls through a branch guard into a
+        /// later copy, onto copy 0 and out of the region, each exactly
+        /// as the walk does.
+        #[test]
+        fn branch_guards_match_the_walk_in_every_direction() {
+            let every: BTreeSet<(bool, Lead)> = [true, false]
+                .into_iter()
+                .flat_map(|taken| [Lead::Internal, Lead::LoopBack, Lead::Exit].map(|l| (taken, l)))
+                .collect();
+            for cond in [Cond::Eq, Cond::Ne, Cond::Lt, Cond::Le, Cond::Gt, Cond::Ge] {
+                for holds in [true, false] {
+                    assert_eq!(cond.eval(operand(cond, holds), B), holds, "{cond:?}");
+                }
+                for reg in [true, false] {
+                    let mut covered = BTreeSet::new();
+                    for shape in [Shape::Latch, Shape::Escape, Shape::Rejoin] {
+                        let (p, input, g) = program(shape, cond, reg, 40);
+                        for (pc, taken, lead, by_reg) in run_against_walk(&p, &input, 8) {
+                            if pc == g {
+                                assert_eq!(by_reg, reg, "{cond:?} {shape:?}");
+                                covered.insert((taken, lead));
+                            }
+                        }
+                    }
+                    assert_eq!(covered, every, "{cond:?}, register operand: {reg}");
+                }
+            }
+        }
+
+        /// A loop latch's guard: taken, it loops back to the entry
+        /// copy; not taken, it leaves to the fall-through pc, where the
+        /// walk's executed terminator goes.
+        #[test]
+        fn run_trace_matches_exec_term_on_both_directions() {
+            let mut b = ProgramBuilder::new();
+            let top = b.fresh_label("top");
+            b.bind(top).unwrap();
+            b.addi(Reg::new(0), Reg::new(0), 1);
+            b.br_imm(Cond::Lt, Reg::new(0), 100, top);
+            b.halt();
+            let p = b.build().unwrap();
+            assert_eq!(
+                run_against_walk(&p, &[], 8),
+                BTreeSet::from([
+                    (1, true, Lead::LoopBack, false),
+                    (1, false, Lead::Exit, false)
+                ])
+            );
+        }
+    }
 }

@@ -23,14 +23,16 @@
 
 use std::sync::Arc;
 
-use tpdbt_isa::{decode_block, Block, DecodedBlock, Pc, PredecodedProgram, Program, Terminator};
+use tpdbt_isa::{
+    decode_block, Block, DecodedBlock, MicroOperand, Pc, PredecodedProgram, Program, Terminator,
+};
 use tpdbt_profile::{RegionDump, SuccSlot};
 use tpdbt_vm::{exec_body, exec_term, Flow, Machine, VmError};
 
 use crate::backend::{run_decoded, step_block, Backend};
 use crate::error::DbtError;
 use crate::policy::{Exit, Policy, Totals};
-use crate::trace::{compile_trace, CompiledTrace, EXIT};
+use crate::trace::{compile_trace, order, CompiledTrace, Guard, EXIT};
 
 /// A translated block's number: dense, in first-execution order.
 pub(crate) type BlockId = u32;
@@ -392,12 +394,15 @@ impl<'p> Executor<'p> {
     /// loop-back totals. Returns the next guest pc, or `None` when the
     /// guest halted inside the region.
     ///
-    /// Segments run straight-line with their pre-resolved guards;
-    /// [`crate::trace::Guard::Other`] terminators (call / return /
-    /// switch / halt) take the generic terminator-and-outcome path,
-    /// which keeps the edge numbering exact. Fuel is checked before
-    /// each segment, and traps propagate before the trapping segment is
-    /// counted.
+    /// Segments run straight-line with their pre-resolved guards. A
+    /// branch guard decides by a host branch on the guest's compare,
+    /// never by a select: each direction is its own control path to
+    /// its own next segment (or its own exit) with its own loop-back
+    /// count, so the host predicts the guest branch and fetches the
+    /// next segment before the compare resolves. [`Guard::Other`] terminators (call / return / switch / halt)
+    /// take the generic terminator-and-outcome path, which keeps the
+    /// edge numbering exact. Fuel is checked before each segment; a
+    /// trap propagates and discards the run with its totals.
     ///
     /// # Errors
     ///
@@ -411,49 +416,71 @@ impl<'p> Executor<'p> {
     ) -> Result<Option<Pc>, DbtError> {
         // Hot-loop totals accumulate in locals and reach the policy at
         // the exit; a trap discards the whole run, so no error path
-        // needs them.
+        // needs them, and a segment counts before its terminator runs.
         let base = self.instructions;
         let mut instr = 0u64;
         let mut loops = 0u64;
         let mut cur = 0usize;
-        loop {
+        let (exit, target) = loop {
             let seg = &trace.segs[cur];
             if base + instr >= self.fuel {
                 return Err(self.out_of_fuel(seg.start));
             }
             exec_body(&seg.body, seg.start, machine)?;
             machine.set_pc(seg.term_pc);
-            let (next, target) = match seg.guard.quick_eval(machine) {
-                Some(hit) => {
-                    instr += u64::from(seg.len);
-                    hit
+            instr += u64::from(seg.len);
+            let (next, target) = match seg.guard {
+                Guard::Branch {
+                    holds,
+                    a,
+                    b,
+                    taken,
+                    fall,
+                    on_taken,
+                    on_fall,
+                } => {
+                    let y = match b {
+                        MicroOperand::Reg(r) => machine.reg(r as usize),
+                        MicroOperand::Imm(v) => v,
+                    };
+                    // Two arms, each ending in its own next segment or
+                    // exit: a shared `(next, target)` compiles to a
+                    // select on the compare.
+                    if (holds >> order(machine.reg(a as usize), y)) & 1 != 0 {
+                        if on_taken == EXIT {
+                            break (policy.exit_at(ri, cur), Some(taken));
+                        }
+                        loops += u64::from(on_taken == 0);
+                        cur = on_taken as usize;
+                    } else {
+                        if on_fall == EXIT {
+                            break (policy.exit_at(ri, cur), Some(fall));
+                        }
+                        loops += u64::from(on_fall == 0);
+                        cur = on_fall as usize;
+                    }
+                    continue;
                 }
-                None => {
-                    // Generic path: traps propagate before the
-                    // instruction count bumps (matches step_block).
+                Guard::Direct { next, target } => (next, target),
+                Guard::Other => {
                     let flow = exec_term(seg.term.view(), seg.term_pc, machine)?;
-                    instr += u64::from(seg.len);
                     let Code { blocks, edges, .. } = &mut self.code;
                     let (_, column, next) = blocks[seg.block].outcome(&flow, edges)?;
                     let Some(target) = next else {
-                        self.instructions += instr;
-                        policy.leave(&self.code, ri, Exit::Halt, Totals::new(instr, loops));
-                        return Ok(None);
+                        break (Exit::Halt, None);
                     };
                     (policy.succ(ri, cur, column), target)
                 }
             };
             if next == EXIT {
-                self.instructions += instr;
-                let exit = policy.exit_at(ri, cur);
-                policy.leave(&self.code, ri, exit, Totals::new(instr, loops));
-                return Ok(Some(target));
+                break (policy.exit_at(ri, cur), Some(target));
             }
-            if next == 0 {
-                loops += 1;
-            }
+            loops += u64::from(next == 0);
             cur = next as usize;
-        }
+        };
+        self.instructions += instr;
+        policy.leave(&self.code, ri, exit, Totals::new(instr, loops));
+        Ok(target)
     }
 }
 

@@ -6,25 +6,30 @@
 //!
 //! A segment holds its copy's decoded body and pre-decoded terminator;
 //! the terminator is pre-resolved to a [`Guard`] — the compiled form of
-//! the region's internal edge table. Conditional branches evaluate
-//! inline and map straight to the next segment, and direct jumps
-//! follow their one compiled edge; leaving through a direction the
-//! edge table does not cover is a *side exit* ([`EXIT`]).
+//! the region's internal edge table. A conditional branch becomes a
+//! [`Guard::Branch`] carrying both directions' next segments, and a
+//! direct jump a [`Guard::Direct`] with its one compiled edge; leaving
+//! through a direction the edge table does not cover is a *side exit*
+//! ([`EXIT`]). [`crate::exec::Executor::run_trace`] decides a branch
+//! guard with a host branch on the guest's compare, never a select:
+//! each direction is its own path to its own next segment or exit, so
+//! the host predicts the guest branch (DESIGN.md §16).
 //!
 //! Invariants: executing segment `i` leaves the machine exactly as
 //! stepping copy `i` would (bodies run through the one
-//! [`tpdbt_vm::exec_body`]; guards evaluate precisely
-//! [`tpdbt_vm::exec_term`]'s expression), so
-//! per-copy bookkeeping is identical to the walked region. Terminators
-//! with executor-visible bookkeeping (a return numbers each new target's
-//! edge, a call pushes the shadow stack) compile to [`Guard::Other`],
-//! which defers to the executor's generic path instead of guessing.
+//! [`tpdbt_vm::exec_body`]; a branch guard compares the operands
+//! [`tpdbt_vm::exec_term`] compares, and its condition is
+//! [`tpdbt_isa::Cond::eval`] tabulated over the three orders of two
+//! values), so per-copy bookkeeping is identical to the walked region.
+//! Terminators with executor-visible bookkeeping (a return numbers each
+//! new target's edge, a call pushes the shadow stack) compile to
+//! [`Guard::Other`], which defers to the executor's generic path
+//! instead of guessing.
 
 use std::sync::Arc;
 
-use tpdbt_isa::{Cond, DecodedBlock, MicroOp, MicroOperand, MicroTerm, Pc};
+use tpdbt_isa::{DecodedBlock, MicroOp, MicroOperand, MicroTerm, Pc};
 use tpdbt_profile::{RegionEdge, SuccSlot};
-use tpdbt_vm::Machine;
 
 /// Successor sentinel: control leaves the region (side exit or tail
 /// completion — the policy distinguishes by comparing against the
@@ -36,10 +41,13 @@ pub(crate) const EXIT: u32 = u32::MAX;
 /// side effects is [`Guard::Other`].
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum Guard {
-    /// Conditional branch: evaluate inline, follow the compiled edge.
+    /// Conditional branch: compare inline, then follow the taken or
+    /// the fall-through direction's compiled edge.
     Branch {
-        /// Comparison condition.
-        cond: Cond,
+        /// The orders of `a` against `b` that take the branch: bit
+        /// [`order`] is set when the guest's condition holds in that
+        /// order.
+        holds: u8,
         /// Left operand register index.
         a: u8,
         /// Right operand.
@@ -66,37 +74,13 @@ pub(crate) enum Guard {
     Other,
 }
 
-impl Guard {
-    /// Evaluates a fast guard against the machine, returning the next
-    /// segment index and guest target. `None` means [`Guard::Other`]:
-    /// the caller must run the generic terminator path. Trap-free and
-    /// read-only: exactly [`tpdbt_vm::exec_term`]'s branch expression.
-    #[inline]
-    pub(crate) fn quick_eval(self, m: &Machine) -> Option<(u32, Pc)> {
-        match self {
-            Guard::Branch {
-                cond,
-                a,
-                b,
-                taken,
-                fall,
-                on_taken,
-                on_fall,
-            } => {
-                let y = match b {
-                    MicroOperand::Reg(r) => m.reg(r as usize),
-                    MicroOperand::Imm(v) => v,
-                };
-                Some(if cond.eval(m.reg(a as usize), y) {
-                    (on_taken, taken)
-                } else {
-                    (on_fall, fall)
-                })
-            }
-            Guard::Direct { next, target } => Some((next, target)),
-            Guard::Other => None,
-        }
-    }
+/// The order of `a` against `b` as a bit index of
+/// [`Guard::Branch`]'s `holds`: 0 greater, 1 equal, 2 less. One compare
+/// pair and a bit test decide every condition, so a branch guard is one
+/// host branch whatever its condition.
+#[inline(always)]
+pub(crate) fn order(a: i64, b: i64) -> u32 {
+    (u32::from(a < b) << 1) | u32::from(a == b)
 }
 
 /// One region copy lowered for trace execution.
@@ -197,7 +181,9 @@ fn lower_guard(i: usize, block: &DecodedBlock, edges: &[RegionEdge]) -> Guard {
             taken,
             fallthrough,
         } => Guard::Branch {
-            cond,
+            holds: [(1, 0), (0, 0), (0, 1)]
+                .into_iter()
+                .fold(0, |m, (x, y)| m | u8::from(cond.eval(x, y)) << order(x, y)),
             a,
             b,
             taken,
@@ -261,8 +247,12 @@ mod tests {
         ));
         match seg.guard {
             Guard::Branch {
-                on_taken, on_fall, ..
+                holds,
+                on_taken,
+                on_fall,
+                ..
             } => {
+                assert_eq!(holds, 1 << order(0, 10), "`<` holds only when less");
                 assert_eq!(on_taken, 0, "loop back to entry");
                 assert_eq!(on_fall, EXIT, "fall-through leaves the region");
             }
@@ -280,25 +270,5 @@ mod tests {
         assert!(compile_trace(&[3], &[], &[(0, block)]).is_none());
         // An empty region refuses to compile too.
         assert!(compile_trace(&[], &[], &[]).is_none());
-    }
-
-    #[test]
-    fn quick_eval_matches_exec_term_on_both_directions() {
-        let mut b = ProgramBuilder::new();
-        let top = b.fresh_label("top");
-        b.bind(top).unwrap();
-        b.addi(Reg::new(0), Reg::new(0), 1);
-        b.br_imm(Cond::Lt, Reg::new(0), 2, top);
-        b.halt();
-        let p = b.build().unwrap();
-        let trace = compile_trace(&[0], &latch_edges(), &[(0, decoded(&p, 0))]).unwrap();
-        let guard = trace.segs[0].guard;
-        let mut m = Machine::new(&p, &[]);
-        // r0 = 1 < 2: taken.
-        m.set_reg(0, 1);
-        assert_eq!(guard.quick_eval(&m), Some((0, 0)));
-        // r0 = 5: not taken, exits to the fall-through pc.
-        m.set_reg(0, 5);
-        assert_eq!(guard.quick_eval(&m), Some((EXIT, 2)));
     }
 }
