@@ -17,7 +17,8 @@
 //! tiny ladder as lockstep policies over one guest execution, where
 //! per-policy profiling and region walking dominate; it adds the
 //! short-region guests, whose walks leave and enter regions every few
-//! blocks.
+//! blocks. A fourth times a no-opt single run, a sweep's train unit:
+//! the executor and one policy's profiling phase, with no region.
 //!
 //! Every row is the median of 30 samples: on a 2-core host one
 //! unchanged binary's 10-sample medians spread by 2x between runs.
@@ -116,9 +117,31 @@ fn bench_lockstep(c: &mut Criterion) {
     g.finish();
 }
 
+/// One no-opt single run on `cached-fused`: the executor stepping
+/// every block and one policy counting it, the shape of a sweep's
+/// train unit, with the guest's decode-once cache shared as there.
+fn bench_noopt(c: &mut Criterion) {
+    let cfg = DbtConfig::no_opt().with_backend(Backend::CachedFused);
+    let mut g = c.benchmark_group("guest_exec_noopt");
+    for name in GUESTS {
+        let w = guest(name);
+        let shared = Arc::new(PredecodedProgram::new(&w.binary.program));
+        g.bench_function(*name, |b| {
+            b.iter(|| {
+                let out = Dbt::new(cfg)
+                    .with_predecoded(Arc::clone(&shared))
+                    .run_built(&w.binary, &w.input)
+                    .unwrap();
+                black_box(out.stats.instructions)
+            })
+        });
+    }
+    g.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(30);
-    targets = bench_backends, bench_shared_predecode, bench_lockstep
+    targets = bench_backends, bench_shared_predecode, bench_lockstep, bench_noopt
 }
 criterion_main!(benches);

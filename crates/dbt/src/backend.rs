@@ -1,29 +1,34 @@
 //! Execution backends: how a translated guest block actually runs.
 //!
 //! The executor in [`crate::exec`] owns the code half of the one
-//! translation cache. A block is fast-translated into it once.
-//! [`Backend`] is only a tag picking which executable form the executor
-//! keeps per block:
+//! translation cache. A block is fast-translated into it once, and its
+//! exit resolved then ([`crate::exec::BlockExit`]: a branch's compare
+//! table, edges and targets). [`Backend`] is only a tag picking which
+//! executable form the executor keeps per block:
 //!
 //! * `interp` — the block's extent, run by [`step_block`]:
-//!   per-instruction [`tpdbt_vm::step`] dispatch. Regions are walked
-//!   block by block through the policy's automaton; nothing is
-//!   compiled. This is the reference form and differential oracle.
+//!   per-instruction [`tpdbt_vm::step`] dispatch, the terminator's flow
+//!   mapped to its edge. Regions are walked block by block through the
+//!   policy's automaton; nothing is compiled. This is the reference
+//!   form and differential oracle.
 //! * `cached-fused` (the default) — the block decoded once per guest
 //!   into one specialized [`tpdbt_isa::MicroOp`] per instruction
-//!   ([`tpdbt_isa::PredecodedProgram`]), run by [`run_decoded`]. In a
-//!   single two-phase or adaptive run, a region's guarded trace
-//!   ([`crate::trace`]) is compiled from these blocks at the region's
-//!   first entry; continuous-mode regions, which re-form, are walked.
-//!   The name is historical: there is no separate fused form.
+//!   ([`tpdbt_isa::PredecodedProgram`]). [`crate::exec::Executor::step`]
+//!   runs the body through [`tpdbt_vm::exec_body`] and decides a branch
+//!   or jump from the resolved exit; calls, returns, switches and halts
+//!   run their terminator. In a single two-phase or adaptive run, a
+//!   region's guarded trace ([`crate::trace`]) copies these records at
+//!   the region's first entry; continuous-mode regions, which re-form,
+//!   are walked. The name is historical: there is no separate fused
+//!   form.
 //!
 //! Both forms drive the same execute-half semantics in `tpdbt-vm`, so
 //! architectural state, outputs, and every profile counter are bitwise
 //! identical by construction. The lockstep test below pins this per
 //! block; `tests/backend_differential.rs` pins it per run.
 
-use tpdbt_isa::{DecodedBlock, Pc, Program};
-use tpdbt_vm::{exec_body, exec_term, step, Flow, Machine, VmError};
+use tpdbt_isa::{Pc, Program};
+use tpdbt_vm::{step, Flow, Machine, VmError};
 
 /// Which execution backend runs translated code — the user-facing
 /// selection knob (`--backend {interp,cached-fused}` on every binary).
@@ -107,26 +112,13 @@ pub(crate) fn step_block(
     step(program, machine)
 }
 
-/// Replays a decoded block's body and terminator — the
-/// `cached-fused` form. Leaves the machine exactly as [`step_block`]
-/// over the same extent would, trap payloads included.
-///
-/// # Errors
-///
-/// Propagates guest traps exactly as interpretation does.
-pub(crate) fn run_decoded(block: &DecodedBlock, machine: &mut Machine) -> Result<Flow, VmError> {
-    exec_body(block.body.ops(), block.start, machine)?;
-    let pc = block.term_pc();
-    machine.set_pc(pc);
-    exec_term(block.term.view(), pc, machine)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::{Executor, TAKEN};
     use crate::programs::{arb_stmt, build};
     use proptest::prelude::*;
-    use tpdbt_isa::{decode_block, Cond, PredecodedProgram, ProgramBuilder, Reg};
+    use tpdbt_isa::{decode_block, Cond, ProgramBuilder, Reg};
 
     fn sample() -> Program {
         let mut b = ProgramBuilder::new();
@@ -157,52 +149,56 @@ mod tests {
         assert!(err.contains("cached-fused"), "{err}");
     }
 
+    /// One executor per backend, each with a fresh machine on `p`.
+    fn pair<'p>(p: &'p Program, input: &[i64]) -> [(Executor<'p>, Machine); 2] {
+        Backend::ALL.map(|b| (Executor::new(p, b, u64::MAX, None), Machine::new(p, input)))
+    }
+
     #[test]
     fn both_forms_run_a_block_identically() {
         let p = sample();
         let block = decode_block(&p, 1).unwrap();
-        let decoded = PredecodedProgram::new(&p).translate(&p, &block);
-        let mut ms = Machine::new(&p, &[]);
-        let mut md = ms.clone();
-        let fs = step_block(&p, block.start, block.end, &mut ms).unwrap();
-        let fd = run_decoded(&decoded, &mut md).unwrap();
+        let [(mut is, mut ms), (mut id, mut md)] = pair(&p, &[]);
+        let fs = is.step(1, &mut ms).unwrap();
+        let fd = id.step(1, &mut md).unwrap();
         assert_eq!(fs, fd);
-        assert!(matches!(fs, Flow::Jump { target: 1, .. }));
+        assert_eq!(fs.1, Some(1), "r0 = 5 < 20: the latch is taken");
+        assert_eq!(fs.0.column, TAKEN);
         assert_eq!(ms, md, "architectural state must be bitwise identical");
         assert_eq!(ms.pc(), block.end - 1, "the pc rests on the terminator");
+        // `interp` keeps the extent only; `cached-fused` the decoded body.
+        assert!(is.code.blocks[0].code.is_none());
+        let decoded = id.code.blocks[0].code.as_ref().unwrap();
+        assert_eq!(decoded.body.ops().len(), block.len() - 1);
     }
 
     proptest! {
         #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
         /// Architectural state, block by block: walking a whole program
-        /// through the two forms in lockstep keeps the machines
-        /// bitwise-equal after every single block execution.
+        /// through the two forms in lockstep keeps the events, next pcs
+        /// and machines bitwise-equal after every single block
+        /// execution.
         #[test]
         fn lockstep_walk_keeps_machines_bitwise_equal(
             stmts in prop::collection::vec(arb_stmt(), 1..6),
             input in prop::collection::vec(-50i64..50, 0..6),
         ) {
             let p = build(&stmts);
-            let predecoded = PredecodedProgram::new(&p);
-            let mut ms = Machine::new(&p, &input);
-            let mut md = ms.clone();
+            let [(mut is, mut ms), (mut id, mut md)] = pair(&p, &input);
             let mut pc = p.entry();
             let mut halted = false;
             for n in 0..200_000u32 {
-                let block = decode_block(&p, pc).expect("pc in range");
-                let fs = step_block(&p, block.start, block.end, &mut ms).expect("trap-free");
-                let fd = run_decoded(&predecoded.translate(&p, &block), &mut md)
-                    .expect("trap-free");
-                prop_assert_eq!(fs, fd, "flow diverged at pc {} (block #{})", pc, n);
+                let fs = is.step(pc, &mut ms).expect("trap-free");
+                let fd = id.step(pc, &mut md).expect("trap-free");
+                prop_assert_eq!(fs, fd, "event diverged at pc {} (block #{})", pc, n);
                 prop_assert_eq!(&ms, &md, "machine diverged at pc {} (block #{})", pc, n);
-                match fs {
-                    Flow::Halted => {
+                match fs.1 {
+                    None => {
                         halted = true;
                         break;
                     }
-                    Flow::Jump { target, .. } => pc = target,
-                    Flow::Next => pc = block.end,
+                    Some(next) => pc = next,
                 }
             }
             prop_assert!(halted, "generated program did not halt within the walk budget");

@@ -13,10 +13,11 @@
 //!   policy's outcome is bitwise equal to its config's single run,
 //!   because guest execution does not depend on the policy.
 //! * [`Dbt::run`] / [`Dbt::run_built`]: one policy. On `cached-fused`
-//!   in a mode whose regions never re-form (two-phase, adaptive),
-//!   profiling-phase blocks step through the executor one event at a
-//!   time and each region runs as a guarded compiled trace
-//!   ([`crate::trace`]) that reports its exit. Every other single run
+//!   in a mode whose regions never re-form (no-opt, two-phase,
+//!   adaptive), the policy's profiling loop steps the executor one
+//!   block at a time ([`Policy::profile`] over [`Steps`]) and each
+//!   region runs as a guarded compiled trace ([`crate::trace`]) that
+//!   reports its exit. Every other single run
 //!   (every `interp` run, continuous mode on both backends) is a
 //!   lockstep run of one policy, so it walks its regions in the same
 //!   chunk loop.
@@ -31,7 +32,7 @@ use tpdbt_vm::Machine;
 use crate::backend::Backend;
 use crate::config::{DbtConfig, ProfilingMode};
 use crate::error::DbtError;
-use crate::exec::Executor;
+use crate::exec::{Executor, Steps};
 use crate::policy::{ExecStats, Policy};
 use crate::trace::CompiledTrace;
 
@@ -215,9 +216,10 @@ impl<'p> Engine<'p> {
     }
 }
 
-/// A single run's loop over guarded compiled traces: profiling-phase
-/// blocks step one at a time; a dispatched region runs through its
-/// trace, compiled at the region's first entry.
+/// A single run's loop over guarded compiled traces: the profiling
+/// phase steps the executor block by block ([`Policy::profile`] over
+/// [`Steps`]); a dispatched region runs through its trace, compiled at
+/// the region's first entry.
 fn run_traced(
     exec: &mut Executor<'_>,
     policy: &mut Policy<'_>,
@@ -242,15 +244,16 @@ fn run_traced(
                     Some(trace) => trace,
                     slot @ None => slot.insert(exec.compile(&policy.regions[ri].dump)?),
                 };
-                exec.run_trace(policy, ri, trace, machine)?
-            }
-            None => {
-                let (ev, next) = exec.step(pc, machine)?;
-                policy.unopt(&exec.code, &ev);
+                let next = exec.run_trace(policy, ri, trace, machine)?;
+                policy.settle(&exec.code, next.is_none());
                 next
             }
+            None => {
+                let mut steps = Steps::new(exec, machine, pc);
+                policy.profile(&mut steps)?;
+                steps.next()
+            }
         };
-        policy.settle(&exec.code, next.is_none());
         match next {
             Some(target) => pc = target,
             None => return Ok(()),
@@ -398,7 +401,7 @@ mod tests {
     use crate::config::{CostModel, RegionPolicy};
     use crate::policy::reform_due;
     use crate::programs::{hot_loop, phase_flip_program};
-    use tpdbt_isa::{Cond, ProgramBuilder, Reg};
+    use tpdbt_isa::{Cond, Operand, ProgramBuilder, Reg};
     use tpdbt_profile::{RegionKind, TermKind};
     use tpdbt_trace::EventKind;
 
@@ -947,6 +950,126 @@ mod tests {
         assert_eq!(lockstep[0].inip, single.inip);
     }
 
+    /// The profiling phase gives the same run however the events are
+    /// sliced: fed in chunks of 1, 2, 3, 7 and 1024 events, one policy
+    /// per config reaches the outcome, intervals and `counter_bump`
+    /// total of the whole run fed to the event-at-a-time reference
+    /// ([`Policy::consume_unbatched`]). In the 1024 slicing, the first
+    /// interval boundary and the first `use == T` registration fall
+    /// inside the run of profiling events before the first region
+    /// forms.
+    #[test]
+    fn profiling_is_exact_in_any_slicing() {
+        // for i in 0..3000: if i & 3 == 0 { x += 1 } else { x += 2 }
+        let mut b = ProgramBuilder::new();
+        let (i, x, t) = (Reg::new(0), Reg::new(1), Reg::new(2));
+        let (top, odd, join) = (
+            b.fresh_label("top"),
+            b.fresh_label("odd"),
+            b.fresh_label("join"),
+        );
+        b.bind(top).unwrap();
+        b.and(t, i, Operand::Imm(3));
+        b.br_imm(Cond::Ne, t, 0, odd);
+        b.addi(x, x, 1);
+        b.jmp(join);
+        b.bind(odd).unwrap();
+        b.addi(x, x, 2);
+        b.bind(join).unwrap();
+        b.addi(i, i, 1);
+        b.br_imm(Cond::Lt, i, 3000, top);
+        b.out(x);
+        b.halt();
+        let p = b.build().unwrap();
+        let (t, interval) = (50, 333);
+
+        let mut exec = Executor::new(&p, Backend::CachedFused, u64::MAX, None);
+        let mut machine = Machine::new(&p, &[]);
+        let mut events = Vec::new();
+        let mut pc = Some(p.entry());
+        while let Some(at) = pc {
+            let (ev, next) = exec.step(at, &mut machine).unwrap();
+            events.push(ev);
+            pc = next;
+        }
+        let code = &exec.code;
+
+        // Where the first region forms, registration happens and an
+        // interval ends, in event order.
+        let config = DbtConfig::two_phase(t).with_interval(interval);
+        let mut probe = Policy::new(config, None);
+        let formed = events
+            .iter()
+            .position(|ev| {
+                probe.consume(code, std::slice::from_ref(ev));
+                probe.stats.regions_formed == 1
+            })
+            .unwrap();
+        let mut uses = vec![0; code.blocks.len()];
+        let registered = events
+            .iter()
+            .position(|ev| {
+                uses[ev.block as usize] += 1;
+                uses[ev.block as usize] == t
+            })
+            .unwrap();
+        let mut total = 0;
+        let boundary = events
+            .iter()
+            .position(|ev| {
+                total += u64::from(ev.len);
+                total >= interval
+            })
+            .unwrap();
+        for at in [registered, boundary] {
+            assert!(0 < at && at < formed.min(1023), "{at} vs formed {formed}");
+        }
+
+        for config in [
+            DbtConfig::no_opt(),
+            DbtConfig::two_phase(t),
+            DbtConfig::adaptive(t),
+            DbtConfig::continuous(t),
+        ] {
+            let config = config.with_interval(interval);
+            let run = |k: usize, batched: bool| {
+                let tracer = Tracer::new();
+                let mut policy = Policy::new(config, Some(&tracer));
+                for chunk in events.chunks(k) {
+                    if batched {
+                        policy.consume(code, chunk);
+                    } else {
+                        policy.consume_unbatched(code, chunk);
+                    }
+                }
+                let out = policy.into_outcome(code, p.entry(), machine.output().to_vec());
+                (k, out, tracer.count("counter_bump"))
+            };
+            let (_, first, bumps) = &run(events.len(), false);
+            assert!(
+                !first.intervals.is_empty() && *bumps > 0,
+                "{:?}",
+                config.mode
+            );
+            let runs: Vec<_> = [1, 2, 3, 7, 1024].map(|k| run(k, true)).into();
+            for (k, out, n) in &runs {
+                let ctx = format!("{:?} in slices of {k}", config.mode);
+                assert_eq!(out.inip, first.inip, "{ctx}");
+                assert_eq!(out.stats, first.stats, "{ctx}");
+                assert_eq!(out.intervals, first.intervals, "{ctx}");
+                assert_eq!(n, bumps, "{ctx}");
+            }
+        }
+        // The same run, single: the profiling phase over the executor.
+        let single = Dbt::new(config).run(&p, &[]).unwrap();
+        let mut policy = Policy::new(config, None);
+        policy.consume(code, &events);
+        let walked = policy.into_outcome(code, p.entry(), machine.output().to_vec());
+        assert_eq!(single.inip, walked.inip);
+        assert_eq!(single.stats, walked.stats);
+        assert_eq!(single.intervals, walked.intervals);
+    }
+
     mod trace_events {
         use super::*;
         use std::sync::Arc;
@@ -1102,11 +1225,11 @@ mod tests {
         /// two-phase run at threshold `t`: once as [`run_traced`] runs
         /// it, each region through [`Executor::run_trace`], and once
         /// walked, its policy consuming one block event at a time as
-        /// [`run_chunks`] feeds it a chunk. After every profiling-phase
-        /// block and every region run, the next pc, the machine and
-        /// every stat (instructions, loop-backs, entries, completions,
-        /// side exits) agree. Returns the directions fast branch guards
-        /// took.
+        /// [`run_chunks`] feeds it a chunk. After every run of
+        /// profiling-phase blocks and every region run, the next pc,
+        /// the machine and every stat (instructions, loop-backs,
+        /// entries, completions, side exits) agree. Returns the
+        /// directions fast branch guards took.
         fn run_against_walk(p: &Program, input: &[i64], t: u64) -> BTreeSet<Took> {
             let config = DbtConfig::two_phase(t);
             let mut traced = Engine::new(&config, None, p, None);
@@ -1157,13 +1280,13 @@ mod tests {
                             let left = exits(&walked.policy.stats) != before;
                             assert_eq!(left, succ == EXIT, "region {ri} copy {cur}");
                             let seg = &trace.segs[cur];
-                            if let Guard::Branch { b, .. } = seg.guard {
+                            if let Guard::Branch { exit, .. } = seg.guard {
                                 let lead = match succ {
                                     EXIT => Lead::Exit,
                                     0 => Lead::LoopBack,
                                     _ => Lead::Internal,
                                 };
-                                let reg = matches!(b, MicroOperand::Reg(_));
+                                let reg = matches!(exit.b, MicroOperand::Reg(_));
                                 took.insert((seg.term_pc, ev.column == TAKEN, lead, reg));
                             }
                             if left {
@@ -1172,18 +1295,26 @@ mod tests {
                             (at, cur) = (next.unwrap(), succ as usize);
                         };
                         assert_eq!(next, walked_next, "region {ri} entered at pc {pc}");
+                        policy.settle(&exec.code, next.is_none());
                         next
                     }
                     None => {
-                        let (ev, next) = exec.step(pc, &mut tm).unwrap();
-                        policy.unopt(&exec.code, &ev);
-                        let walked_step = walked.exec.step(pc, &mut wm).unwrap();
-                        walked.policy.consume(&walked.exec.code, &[walked_step.0]);
-                        assert_eq!((ev, next), walked_step, "pc {pc}");
+                        // A run of profiling-phase blocks up to the next
+                        // region entry, and the same blocks walked one
+                        // event at a time.
+                        let mut steps = Steps::new(exec, &mut tm, pc);
+                        policy.profile(&mut steps).unwrap();
+                        let next = steps.next();
+                        let mut at = Some(pc);
+                        while walked.policy.stats.instructions < policy.stats.instructions {
+                            let (ev, n) = walked.exec.step(at.unwrap(), &mut wm).unwrap();
+                            walked.policy.consume(&walked.exec.code, &[ev]);
+                            at = n;
+                        }
+                        assert_eq!(next, at, "profiling run from pc {pc}");
                         next
                     }
                 };
-                policy.settle(&exec.code, next.is_none());
                 assert_eq!(policy.stats, walked.policy.stats, "after pc {pc}");
                 assert_eq!(tm, wm, "after pc {pc}");
                 match next {

@@ -12,6 +12,14 @@
 //! built from them only where one is read: by region formation, by an
 //! interval snapshot and by the final dump.
 //!
+//! The profiling phase is one loop, [`Policy::profile`], over an event
+//! source ([`Events`]): a lockstep chunk the executor already ran, or
+//! a single run's executor stepped block by block. Between region
+//! entries it counts events with the stats it bumps held in locals; an
+//! event that is its block's first sight or registers it takes the
+//! cold path ([`Policy::unopt`]), and a halt or an interval boundary
+//! settles.
+//!
 //! Its live regions share one flat successor table ([`Table`]): a row
 //! per region copy, a cell per successor column, each cell naming the
 //! next copy's row or how the region is left, and an entry row by
@@ -182,10 +190,9 @@ impl Profile {
 /// Counts one execution of `ev`'s block unless its counters are
 /// frozen: its `use` count and the edge it left through, and the bump
 /// in `bumps` when the run is traced. Returns the new use count, the
-/// registration state and the profiling ops (the paper's `taken`
-/// counter is an op only on a conditional taken edge), or `None` when
-/// frozen; the caller adds the ops, so each event updates each
-/// [`ExecStats`] field once.
+/// registration state and the profiling ops, or `None` when frozen;
+/// the caller adds the ops, so each event updates each [`ExecStats`]
+/// field once.
 #[inline(always)]
 fn count(
     profile: &mut Profile,
@@ -200,22 +207,31 @@ fn count(
     }
     c.use_count += 1;
     let (use_count, registered) = (c.use_count, c.registered);
-    let mut ops = 1;
-    if !ev.halted() {
-        let n = match profile.edges.get_mut(ev.edge as usize) {
-            Some(n) => n,
-            None => grow(&mut profile.edges, code, ev.edge),
-        };
-        if *n == 0 {
-            profile.seen[id].push(ev.edge);
-        }
-        *n += 1;
-        ops += u64::from(ev.column == TAKEN);
-    }
+    let ops = 1 + count_edge(&mut profile.edges, &mut profile.seen, code, ev);
     if let Some(n) = bumps {
         *n += 1;
     }
     Some((use_count, registered, ops))
+}
+
+/// Counts the edge `ev`'s block left through, in `edges` by edge id
+/// and, on its first count, in the block's `seen` order. Returns the
+/// profiling ops beyond `use`: the paper's `taken` counter is an op
+/// only on a conditional taken edge.
+#[inline(always)]
+fn count_edge(edges: &mut Vec<u64>, seen: &mut [Vec<EdgeId>], code: &Code, ev: &BlockEvent) -> u64 {
+    if ev.halted() {
+        return 0;
+    }
+    let n = match edges.get_mut(ev.edge as usize) {
+        Some(n) => n,
+        None => grow(edges, code, ev.edge),
+    };
+    if *n == 0 {
+        seen[ev.block as usize].push(ev.edge);
+    }
+    *n += 1;
+    u64::from(ev.column == TAKEN)
 }
 
 /// The count of edge `e` in `counts`, which were sized before the
@@ -225,6 +241,63 @@ fn count(
 fn grow<'a>(counts: &'a mut Vec<u64>, code: &Code, e: EdgeId) -> &'a mut u64 {
     counts.resize(code.edges.len().max(e as usize + 1), 0);
     &mut counts[e as usize]
+}
+
+/// Where the profiling phase's block events come from: a chunk the
+/// executor already ran ([`Chunk`]), or the executor itself, stepped
+/// one block at a time ([`crate::exec::Steps`]).
+pub(crate) trait Events {
+    /// Why taking an event can fail.
+    type Error;
+    /// The code the events' ids number.
+    fn code(&self) -> &Code;
+    /// The block id of the next event, or `None` when there is none. A
+    /// block the executor has not translated yet reads as an id past
+    /// every policy's blocks.
+    fn peek(&mut self) -> Option<usize>;
+    /// Takes the event [`Events::peek`] announced.
+    fn take(&mut self) -> Result<BlockEvent, Self::Error>;
+}
+
+/// A chunk's events from the first not yet taken.
+struct Chunk<'a> {
+    code: &'a Code,
+    events: &'a [BlockEvent],
+    taken: usize,
+}
+
+impl Events for Chunk<'_> {
+    type Error = std::convert::Infallible;
+
+    #[inline(always)]
+    fn code(&self) -> &Code {
+        self.code
+    }
+
+    #[inline(always)]
+    fn peek(&mut self) -> Option<usize> {
+        self.events.get(self.taken).map(|ev| ev.block as usize)
+    }
+
+    #[inline(always)]
+    fn take(&mut self) -> Result<BlockEvent, Self::Error> {
+        let ev = self.events[self.taken];
+        self.taken += 1;
+        Ok(ev)
+    }
+}
+
+/// Why [`Policy::profile`]'s loop stopped.
+enum Stop<E> {
+    /// The next event enters a region, or there is none.
+    Out,
+    /// The next event needs [`Policy::unopt`].
+    Slow,
+    /// An event halted the guest (`true`) or reached an interval
+    /// boundary.
+    Settle(bool),
+    /// Taking the next event failed.
+    Trap(E),
 }
 
 /// A formed region.
@@ -556,9 +629,38 @@ impl<'t> Policy<'t> {
     }
 
     /// Feeds a chunk of block events to the policy: each event is
-    /// dispatched and either runs in the profiling phase or enters a
-    /// region, which [`Policy::follow`] walks over the events after it.
+    /// dispatched and either enters a region, which [`Policy::follow`]
+    /// walks over the events after it, or starts a run of
+    /// profiling-phase events, which [`Policy::profile`] takes.
     pub fn consume(&mut self, code: &Code, events: &[BlockEvent]) {
+        let mut rest = events;
+        if let Some((row, entry)) = self.inside.take() {
+            rest = self.follow(code, row, entry, rest);
+        }
+        while let Some(ev) = rest.first() {
+            match self.dispatch(code, ev.block as usize) {
+                Some(row) => {
+                    self.enter(row);
+                    rest = self.follow(code, row, row, rest);
+                }
+                None => {
+                    let mut chunk = Chunk {
+                        code,
+                        events: rest,
+                        taken: 0,
+                    };
+                    let Ok(()) = self.profile(&mut chunk);
+                    rest = &rest[chunk.taken..];
+                }
+            }
+        }
+    }
+
+    /// [`Policy::consume`] with every profiling-phase event taken one
+    /// at a time by [`Policy::unopt`] and [`Policy::settle`]: the
+    /// reference the profiling loop is tested against.
+    #[cfg(test)]
+    pub fn consume_unbatched(&mut self, code: &Code, events: &[BlockEvent]) {
         let mut rest = events;
         if let Some((row, entry)) = self.inside.take() {
             rest = self.follow(code, row, entry, rest);
@@ -574,6 +676,87 @@ impl<'t> Policy<'t> {
                     self.settle(code, ev.halted());
                     rest = tail;
                 }
+            }
+        }
+    }
+
+    /// The profiling phase: takes the block events `src` yields until
+    /// the next one enters a region or `src` has no more. An event is
+    /// counted in one loop that keeps instructions, dispatches, ops
+    /// and bumps in locals. The loop stops before an event that is the
+    /// policy's first sight of its block or would register its block,
+    /// which [`Policy::unopt`] takes; and after a halt or at an
+    /// interval boundary, where the run settles. So every event
+    /// updates the profile and stats as `unopt` and `settle` would.
+    ///
+    /// # Errors
+    ///
+    /// What taking an event from `src` returns; the events taken
+    /// before it are counted.
+    #[inline]
+    pub fn profile<S: Events>(&mut self, src: &mut S) -> Result<(), S::Error> {
+        // The use count at which an unfrozen block registers, by its
+        // `registered` state; 0 never comes.
+        let t = self.config.threshold;
+        let due = match self.config.mode {
+            ProfilingMode::NoOpt => [0; 3],
+            _ => [t, t.saturating_mul(2), 0],
+        };
+        loop {
+            let budget = self
+                .next_interval_at
+                .saturating_sub(self.stats.instructions);
+            let (mut instructions, mut dispatches, mut ops, mut bumps) = (0, 0, 0, 0);
+            let profile = &mut self.profile;
+            let stop = loop {
+                let Some(id) = src.peek() else {
+                    break Stop::Out;
+                };
+                let Some(c) = profile.blocks.get_mut(id) else {
+                    break Stop::Slow;
+                };
+                if c.entry != NO_ENTRY {
+                    break Stop::Out;
+                }
+                let counts = !c.frozen;
+                if counts && c.use_count + 1 == due[c.registered as usize] {
+                    break Stop::Slow;
+                }
+                let ev = match src.take() {
+                    Ok(ev) => ev,
+                    Err(e) => break Stop::Trap(e),
+                };
+                instructions += u64::from(ev.len);
+                dispatches += 1;
+                if counts {
+                    c.use_count += 1;
+                    ops += 1 + count_edge(&mut profile.edges, &mut profile.seen, src.code(), &ev);
+                    bumps += 1;
+                }
+                if ev.halted() || instructions >= budget {
+                    break Stop::Settle(ev.halted());
+                }
+            };
+            let stats = &mut self.stats;
+            stats.instructions += instructions;
+            stats.unopt_dispatches += dispatches;
+            stats.profiling_ops += ops;
+            if let Some(n) = &mut self.bumps {
+                *n += bumps;
+            }
+            let halted = match stop {
+                Stop::Out => return Ok(()),
+                Stop::Trap(e) => return Err(e),
+                Stop::Settle(halted) => halted,
+                Stop::Slow => {
+                    let ev = src.take()?;
+                    self.unopt(src.code(), &ev);
+                    ev.halted()
+                }
+            };
+            self.settle(src.code(), halted);
+            if halted {
+                return Ok(());
             }
         }
     }
@@ -761,7 +944,7 @@ impl<'t> Policy<'t> {
     /// register it as a candidate at `use == T` (optimizing when the
     /// pool fills or it registers twice).
     #[inline(always)]
-    pub fn unopt(&mut self, code: &Code, ev: &BlockEvent) {
+    fn unopt(&mut self, code: &Code, ev: &BlockEvent) {
         self.stats.instructions += u64::from(ev.len);
         self.stats.unopt_dispatches += 1;
         let id = ev.block as usize;

@@ -4,10 +4,13 @@
 //! copy. Every other region is walked block by block by the policy's
 //! automaton ([`crate::policy`]).
 //!
-//! A segment holds its copy's decoded body and pre-decoded terminator;
-//! the terminator is pre-resolved to a [`Guard`] — the compiled form of
-//! the region's internal edge table. A conditional branch becomes a
-//! [`Guard::Branch`] carrying both directions' next segments, and a
+//! A segment copies its block's translation-cache record
+//! ([`crate::exec::CachedBlock`]): start, length, terminator pc, body
+//! and decoded terminator, and the exit translation resolved once
+//! ([`crate::exec::BlockExit`]). Compiling adds only each direction's
+//! successor in the region's internal edge table, giving a [`Guard`]:
+//! a conditional branch becomes a [`Guard::Branch`] carrying the
+//! block's [`BranchExit`] and both directions' next segments, and a
 //! direct jump a [`Guard::Direct`] with its one compiled edge; leaving
 //! through a direction the edge table does not cover is a *side exit*
 //! ([`EXIT`]). [`crate::exec::Executor::run_trace`] decides a branch
@@ -17,45 +20,37 @@
 //!
 //! Invariants: executing segment `i` leaves the machine exactly as
 //! stepping copy `i` would (bodies run through the one
-//! [`tpdbt_vm::exec_body`]; a branch guard compares the operands
-//! [`tpdbt_vm::exec_term`] compares, and its condition is
-//! [`tpdbt_isa::Cond::eval`] tabulated over the three orders of two
-//! values), so per-copy bookkeeping is identical to the walked region.
-//! Terminators with executor-visible bookkeeping (a return numbers each
-//! new target's edge, a call pushes the shadow stack) compile to
-//! [`Guard::Other`], which defers to the executor's generic path
-//! instead of guessing.
+//! [`tpdbt_vm::exec_body`]; a branch guard is the same resolved exit
+//! [`crate::exec::Executor::step`] decides with), so per-copy
+//! bookkeeping is identical to the walked region. Terminators with
+//! executor-visible bookkeeping (a return numbers each new target's
+//! edge, a call pushes the shadow stack) compile to [`Guard::Other`],
+//! which defers to the executor's generic path instead of guessing.
 
-use std::sync::Arc;
-
-use tpdbt_isa::{DecodedBlock, MicroOp, MicroOperand, MicroTerm, Pc};
+use tpdbt_isa::{MicroOp, MicroTerm, Pc};
 use tpdbt_profile::{RegionEdge, SuccSlot};
+
+use crate::exec::{BlockExit, BranchExit, CachedBlock};
 
 /// Successor sentinel: control leaves the region (side exit or tail
 /// completion — the policy distinguishes by comparing against the
 /// region's tail copy).
 pub(crate) const EXIT: u32 = u32::MAX;
 
-/// A segment's pre-resolved terminator decision. The fast variants are
-/// trap-free and read-only; everything with traps or executor-visible
-/// side effects is [`Guard::Other`].
+/// A segment's pre-resolved terminator decision: the copy's
+/// [`BlockExit`] with each direction's next segment. The fast variants
+/// are trap-free and read-only; everything with traps or
+/// executor-visible side effects is [`Guard::Other`].
+// An explicit tag: with the niche of the branch operand's tag, telling
+// the variants apart took a select before the guard's own branch.
 #[derive(Clone, Copy, Debug)]
+#[repr(u8)]
 pub(crate) enum Guard {
     /// Conditional branch: compare inline, then follow the taken or
     /// the fall-through direction's compiled edge.
     Branch {
-        /// The orders of `a` against `b` that take the branch: bit
-        /// [`order`] is set when the guest's condition holds in that
-        /// order.
-        holds: u8,
-        /// Left operand register index.
-        a: u8,
-        /// Right operand.
-        b: MicroOperand,
-        /// Guest target when taken.
-        taken: Pc,
-        /// Guest target when not taken.
-        fall: Pc,
+        /// The block's branch, as translation resolved it.
+        exit: BranchExit,
         /// Next segment when taken ([`EXIT`] = leave region).
         on_taken: u32,
         /// Next segment when not taken.
@@ -72,15 +67,6 @@ pub(crate) enum Guard {
     /// switch, halt): the executor runs its generic terminator +
     /// outcome path.
     Other,
-}
-
-/// The order of `a` against `b` as a bit index of
-/// [`Guard::Branch`]'s `holds`: 0 greater, 1 equal, 2 less. One compare
-/// pair and a bit test decide every condition, so a branch guard is one
-/// host branch whatever its condition.
-#[inline(always)]
-pub(crate) fn order(a: i64, b: i64) -> u32 {
-    (u32::from(a < b) << 1) | u32::from(a == b)
 }
 
 /// One region copy lowered for trace execution.
@@ -133,30 +119,32 @@ impl CompiledTrace {
 }
 
 /// Compiles a region into a guarded trace. `chain` is the copy list
-/// resolved to block ids and decoded blocks (parallel to
-/// `copies`); `edges` is the region's internal edge table. Returns
-/// `None` when the chain does not cover the copy list.
+/// resolved to block ids and their translation-cache entries (parallel
+/// to `copies`); `edges` is the region's internal edge table. Returns
+/// `None` when the chain does not cover the copy list or a copy has no
+/// decoded code.
 pub(crate) fn compile_trace(
     copies: &[Pc],
     edges: &[RegionEdge],
-    chain: &[(usize, Arc<DecodedBlock>)],
+    chain: &[(usize, &CachedBlock)],
 ) -> Option<CompiledTrace> {
     if chain.len() != copies.len() || copies.is_empty() {
         return None;
     }
     let mut segs = Vec::with_capacity(copies.len());
-    for (i, (id, block)) in chain.iter().enumerate() {
-        if block.start != copies[i] {
+    for (i, &(id, block)) in chain.iter().enumerate() {
+        let decoded = block.code.as_ref()?;
+        if block.block.start != copies[i] {
             return None;
         }
         segs.push(TraceSegment {
-            block: *id,
-            start: block.start,
-            len: (block.end - block.start) as u32,
+            block: id,
+            start: block.block.start,
+            len: block.len,
             term_pc: block.term_pc(),
-            guard: lower_guard(i, block, edges),
-            body: block.body.ops().into(),
-            term: block.term.clone(),
+            guard: lower_guard(i, &block.exit, edges),
+            body: decoded.body.ops().into(),
+            term: decoded.term.clone(),
         });
     }
     Some(CompiledTrace {
@@ -164,50 +152,43 @@ pub(crate) fn compile_trace(
     })
 }
 
-/// Pre-resolves copy `i`'s terminator into a guard over the region's
+/// Copy `i`'s exit with each direction's successor in the region's
 /// edge table.
-fn lower_guard(i: usize, block: &DecodedBlock, edges: &[RegionEdge]) -> Guard {
+fn lower_guard(i: usize, exit: &BlockExit, edges: &[RegionEdge]) -> Guard {
     let succ = |slot: SuccSlot| -> u32 {
         edges
             .iter()
             .find(|e| e.from == i && e.slot == slot)
             .map_or(EXIT, |e| e.to as u32)
     };
-    match block.term {
-        MicroTerm::Branch {
-            cond,
-            a,
-            b,
-            taken,
-            fallthrough,
-        } => Guard::Branch {
-            holds: [(1, 0), (0, 0), (0, 1)]
-                .into_iter()
-                .fold(0, |m, (x, y)| m | u8::from(cond.eval(x, y)) << order(x, y)),
-            a,
-            b,
-            taken,
-            fall: fallthrough,
+    match *exit {
+        BlockExit::Branch(exit) => Guard::Branch {
+            exit,
             on_taken: succ(SuccSlot::Taken),
             on_fall: succ(SuccSlot::Fallthrough),
         },
-        MicroTerm::Jump { target } => Guard::Direct {
+        BlockExit::Jump { target, .. } => Guard::Direct {
             next: succ(SuccSlot::Other(0)),
             target,
         },
-        _ => Guard::Other,
+        BlockExit::Other(_) => Guard::Other,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::{order, Executor};
+    use crate::Backend;
     use tpdbt_isa::{Cond, Program, ProgramBuilder, Reg};
     use tpdbt_profile::RegionEdge;
+    use tpdbt_vm::Machine;
 
-    /// The translation cache's unit: a decoded block.
-    fn decoded(p: &Program, pc: Pc) -> Arc<DecodedBlock> {
-        Arc::new(DecodedBlock::decode(p, pc).unwrap())
+    /// An executor on `backend` that has translated the block at pc 0.
+    fn translated(p: &Program, backend: Backend) -> Executor<'_> {
+        let mut exec = Executor::new(p, backend, u64::MAX, None);
+        exec.step(0, &mut Machine::new(p, &[])).unwrap();
+        exec
     }
 
     fn loop_program() -> Program {
@@ -229,12 +210,14 @@ mod tests {
         }]
     }
 
-    /// A two-block loop: entry with a conditional latch back to itself.
+    /// A one-block loop: the entry's conditional latch back to itself.
+    /// The guard is the block's translated branch plus its successors.
     #[test]
     fn compiles_branch_guards_with_edge_table() {
         let p = loop_program();
-        let block = decoded(&p, 0);
-        let trace = compile_trace(&[0], &latch_edges(), &[(0, Arc::clone(&block))]).unwrap();
+        let exec = translated(&p, Backend::CachedFused);
+        let block = &exec.code.blocks[0];
+        let trace = compile_trace(&[0], &latch_edges(), &[(0, block)]).unwrap();
         assert_eq!(trace.segs.len(), 1);
         assert_eq!(trace.starts(), vec![0]);
         assert_eq!(trace.fast_guards(), 1);
@@ -245,14 +228,21 @@ mod tests {
             seg.body[..],
             [MicroOp::AddRI { .. }, MicroOp::AddRI { .. }]
         ));
+        let BlockExit::Branch(lowered) = block.exit else {
+            panic!("the block ends in a branch: {:?}", block.exit);
+        };
         match seg.guard {
             Guard::Branch {
-                holds,
+                exit,
                 on_taken,
                 on_fall,
-                ..
             } => {
-                assert_eq!(holds, 1 << order(0, 10), "`<` holds only when less");
+                assert_eq!(exit.holds, 1 << order(0, 10), "`<` holds only when less");
+                assert_eq!(
+                    exit.holds, lowered.holds,
+                    "the guard copies the block's branch"
+                );
+                assert_eq!((exit.first, exit.taken, exit.fall), (0, 0, 3));
                 assert_eq!(on_taken, 0, "loop back to entry");
                 assert_eq!(on_fall, EXIT, "fall-through leaves the region");
             }
@@ -265,10 +255,15 @@ mod tests {
         let mut b = ProgramBuilder::new();
         b.halt();
         let p = b.build().unwrap();
-        let block = decoded(&p, 0);
-        assert!(compile_trace(&[0, 1], &[], &[(0, Arc::clone(&block))]).is_none());
+        let exec = translated(&p, Backend::CachedFused);
+        let block = &exec.code.blocks[0];
+        assert!(compile_trace(&[0], &[], &[(0, block)]).is_some());
+        assert!(compile_trace(&[0, 1], &[], &[(0, block)]).is_none());
         assert!(compile_trace(&[3], &[], &[(0, block)]).is_none());
         // An empty region refuses to compile too.
         assert!(compile_trace(&[], &[], &[]).is_none());
+        // So does a block with no decoded code.
+        let interp = translated(&p, Backend::Interp);
+        assert!(compile_trace(&[0], &[], &[(0, &interp.code.blocks[0])]).is_none());
     }
 }

@@ -284,15 +284,21 @@ fn main() -> tpdbt_experiments::Result<()> {
     let out = dbt.run_built(&built, &input)?;
     println!("{:?}", out.output);
     if show_stats {
+        let s = &out.stats;
         eprintln!(
             "mode {mode} T={threshold}: {} instructions, {} cycles, {} regions, \
-             {} side exits, {} completions, {} retirements",
-            out.stats.instructions,
-            CostModel::DEFAULT.price(&out.stats),
-            out.stats.regions_formed,
-            out.stats.side_exits,
-            out.stats.completions,
-            out.stats.retirements,
+             {} side exits, {} completions, {} retirements, {} unopt dispatches, \
+             {} region entries, {} loop backs, {} region instructions",
+            s.instructions,
+            CostModel::DEFAULT.price(s),
+            s.regions_formed,
+            s.side_exits,
+            s.completions,
+            s.retirements,
+            s.unopt_dispatches,
+            s.region_entries,
+            s.loop_backs,
+            s.region_instructions,
         );
     }
     if let Some(path) = dump {

@@ -199,3 +199,53 @@ fn tpdbt_analyze_rejects_cache_dir() {
     assert!(stderr.contains("tpdbt-fsck DIR"), "{stderr}");
     assert!(out.stdout.is_empty(), "a store was inspected");
 }
+
+/// `tpdbt-run --stats` prints a run's counts as the library counts
+/// them: every field of its stats line equals the `ExecStats` of the
+/// same run through `Dbt::run_built`, on both backends.
+#[test]
+fn tpdbt_run_stats_line_matches_the_library_run() {
+    use tpdbt_dbt::{Backend, CostModel, Dbt, DbtConfig};
+    use tpdbt_suite::{workload, InputKind, Scale};
+
+    let run = env!("CARGO_BIN_EXE_tpdbt-run");
+    let w = workload("gzip", Scale::Tiny, InputKind::Ref).expect("suite workload");
+    for backend in Backend::ALL {
+        let config = DbtConfig::two_phase(100).with_backend(backend);
+        let s = Dbt::new(config)
+            .run_built(&w.binary, &w.input)
+            .expect("guest halts")
+            .stats;
+        assert!(s.region_entries > 0 && s.loop_backs > 0, "{s:?}");
+        let expect = format!(
+            "mode twophase T=100: {} instructions, {} cycles, {} regions, \
+             {} side exits, {} completions, {} retirements, {} unopt dispatches, \
+             {} region entries, {} loop backs, {} region instructions",
+            s.instructions,
+            CostModel::DEFAULT.price(&s),
+            s.regions_formed,
+            s.side_exits,
+            s.completions,
+            s.retirements,
+            s.unopt_dispatches,
+            s.region_entries,
+            s.loop_backs,
+            s.region_instructions,
+        );
+        let args = [
+            "--suite",
+            "gzip",
+            "--scale",
+            "tiny",
+            "--threshold",
+            "100",
+            "--backend",
+            backend.name(),
+            "--stats",
+        ];
+        let out = Command::new(run).args(args).output().expect("binary runs");
+        assert!(out.status.success(), "{backend}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(stderr.lines().next(), Some(expect.as_str()), "{backend}");
+    }
+}
