@@ -5,7 +5,7 @@
 //! dependencies are replaced by minimal in-repo path crates (DESIGN.md,
 //! "Dependency policy"). This shim keeps `benches/` source-compatible:
 //! `criterion_group!`/`criterion_main!`, `Criterion::bench_function`,
-//! `benchmark_group`, `Bencher::iter`/`iter_batched`, and `BatchSize`.
+//! `benchmark_group` and `Bencher::iter`.
 //! It measures wall time with `std::time::Instant` and prints a
 //! median/min/max line per benchmark — no statistics engine, plots, or
 //! baselines.
@@ -49,18 +49,6 @@ pub struct BenchRecord {
 
 static RESULTS: Mutex<Vec<BenchRecord>> = Mutex::new(Vec::new());
 
-/// How `iter_batched` amortizes setup (accepted for compatibility; the
-/// shim always re-runs setup outside the timed section).
-#[derive(Clone, Copy, Debug)]
-pub enum BatchSize {
-    /// Small per-iteration inputs.
-    SmallInput,
-    /// Large per-iteration inputs.
-    LargeInput,
-    /// One input per iteration.
-    PerIteration,
-}
-
 /// Times one benchmark body.
 pub struct Bencher {
     samples: Vec<Duration>,
@@ -73,22 +61,6 @@ impl Bencher {
         for _ in 0..self.target_samples {
             let t0 = Instant::now();
             let out = routine();
-            self.samples.push(t0.elapsed());
-            drop(out);
-        }
-    }
-
-    /// Times `routine` on fresh inputs from `setup`, excluding setup
-    /// time from the measurement.
-    pub fn iter_batched<I, O, S, R>(&mut self, mut setup: S, mut routine: R, _size: BatchSize)
-    where
-        S: FnMut() -> I,
-        R: FnMut(I) -> O,
-    {
-        for _ in 0..self.target_samples {
-            let input = setup();
-            let t0 = Instant::now();
-            let out = routine(input);
             self.samples.push(t0.elapsed());
             drop(out);
         }
@@ -306,25 +278,6 @@ mod tests {
         let mut runs = 0;
         c.bench_function("shim/self_test", |b| b.iter(|| runs += 1));
         assert_eq!(runs, 3);
-    }
-
-    #[test]
-    fn iter_batched_runs_setup_per_sample() {
-        let mut c = Criterion::default().sample_size(4);
-        let mut setups = 0;
-        let mut g = c.benchmark_group("shim");
-        g.bench_function("batched", |b| {
-            b.iter_batched(
-                || {
-                    setups += 1;
-                    setups
-                },
-                |x| x * 2,
-                BatchSize::SmallInput,
-            )
-        });
-        g.finish();
-        assert_eq!(setups, 4);
     }
 
     #[test]

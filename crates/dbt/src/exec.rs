@@ -14,17 +14,20 @@
 //! is built.
 //!
 //! Each block is lowered once, at translation, into a [`CachedBlock`]:
-//! its start, length, terminator pc, decoded body and its exit resolved
-//! with its edges ([`BlockExit`]). A conditional branch becomes a
-//! [`BranchExit`]: the condition tabulated over the three orders of two
-//! values ([`order`]), the operands, the first edge and both targets.
+//! its start, length, decoded body and its exit resolved with its edges
+//! ([`BlockExit`]), the one copy of the exit that every reader uses. A
+//! conditional branch becomes a [`BranchExit`]: the condition tabulated
+//! over the three orders of two values ([`order`]), the operands, the
+//! first edge and both targets.
 //! A direct jump keeps its edge and target. Calls, returns, switches
 //! and halts are [`BlockExit::Other`]: their terminator runs and its
 //! flow maps to an edge, so return targets are numbered on first sight.
 //! [`Executor::step`] reads the record on `cached-fused` (body, then
-//! one compare for a branch), and a region's compiled trace copies it
-//! ([`crate::trace`]); `interp` steps the extent and maps every flow,
-//! the oracle both are tested against.
+//! one compare for a branch), a region's compiled trace copies it
+//! ([`crate::trace`]), and a profile record states its exit's kind
+//! ([`BlockExit::kind`]), which is all region formation knows of it;
+//! `interp` steps the extent and maps every flow, the oracle both are
+//! tested against.
 //!
 //! Guest execution does not depend on the translation policy: every
 //! policy's run takes the same block sequence, and a block's event is a
@@ -38,10 +41,10 @@
 use std::sync::Arc;
 
 use tpdbt_isa::{
-    decode_block, Block, Cond, DecodedBlock, MicroOperand, Pc, PredecodedProgram, Program,
-    TermView, Terminator,
+    decode_block, Cond, DecodedBlock, MicroOperand, Pc, PredecodedProgram, Program, TermView,
+    Terminator,
 };
-use tpdbt_profile::{RegionDump, SuccSlot};
+use tpdbt_profile::{RegionDump, SuccSlot, TermKind};
 use tpdbt_vm::{exec_body, exec_term, Flow, Machine, VmError};
 
 use crate::backend::{step_block, Backend};
@@ -159,6 +162,20 @@ pub(crate) enum BlockExit {
     Other(Exits),
 }
 
+impl BlockExit {
+    /// The terminator's kind, as a profile record states it.
+    pub fn kind(&self) -> TermKind {
+        match self {
+            BlockExit::Branch(_) => TermKind::Cond,
+            BlockExit::Jump { .. } => TermKind::Jump,
+            BlockExit::Other(Exits::Call(_)) => TermKind::Call,
+            BlockExit::Other(Exits::Switch { .. }) => TermKind::Switch,
+            BlockExit::Other(Exits::Return(_)) => TermKind::Return,
+            BlockExit::Other(Exits::Halt) => TermKind::Halt,
+        }
+    }
+}
+
 /// The edges of a terminator that must run to be decided.
 #[derive(Debug)]
 pub(crate) enum Exits {
@@ -176,26 +193,30 @@ pub(crate) enum Exits {
     Halt,
 }
 
-/// One translated block, lowered once: what every later execution and
-/// trace compile reads.
+/// One translated block, lowered once: what every later execution,
+/// trace compile and profile record reads. Its exit lives only here,
+/// resolved; a record states it as [`BlockExit::kind`].
 #[derive(Debug)]
 pub(crate) struct CachedBlock {
-    /// The block's extent `[start, end)` and terminator.
-    pub block: Block,
+    /// Guest address of the block's first instruction.
+    pub start: Pc,
     /// The block's decoded body and terminator under `cached-fused`,
     /// shared through the run's [`PredecodedProgram`]; `None` under
-    /// `interp`, which steps the extent in `block`.
+    /// `interp`, which steps the extent `[start, start + len)`.
     pub code: Option<Arc<DecodedBlock>>,
     /// Instructions, terminator included.
     pub len: u32,
     pub exit: BlockExit,
 }
 
+// Every block event indexes the cache by this entry's size.
+const _: () = assert!(std::mem::size_of::<CachedBlock>() <= 72);
+
 impl CachedBlock {
     /// Guest address of the terminator.
     #[inline(always)]
     pub fn term_pc(&self) -> Pc {
-        self.block.end - 1
+        self.start + self.len as usize - 1
     }
 
     /// The taken edge, when the block ends in a conditional branch.
@@ -222,7 +243,7 @@ impl CachedBlock {
         flow: &Flow,
         edges: &mut Vec<(SuccSlot, Pc)>,
     ) -> Result<(EdgeId, u32, Option<Pc>), DbtError> {
-        let pc = self.block.start;
+        let pc = self.start;
         Ok(match (&mut self.exit, *flow) {
             (BlockExit::Other(Exits::Halt), Flow::Halted) => (HALT, HALT, None),
             (BlockExit::Branch(br), Flow::Jump { target, .. }) => (br.first, TAKEN, Some(target)),
@@ -293,7 +314,7 @@ impl Code {
     /// The start address of block `id`.
     #[inline]
     pub fn pc_of(&self, id: usize) -> Pc {
-        self.blocks[id].block.start
+        self.blocks[id].start
     }
 }
 
@@ -418,9 +439,9 @@ impl<'p> Executor<'p> {
             .map(|p| p.translate(self.program, &block));
         self.code.index[pc] = index;
         self.code.blocks.push(CachedBlock {
-            len: (block.end - block.start) as u32,
-            block,
+            start: pc,
             code,
+            len: (block.end - block.start) as u32,
             exit,
         });
         Ok(id)
@@ -470,7 +491,7 @@ impl<'p> Executor<'p> {
         let b = &mut blocks[id];
         let (edge, column, next) = match &b.code {
             Some(decoded) => {
-                exec_body(decoded.body.ops(), b.block.start, machine)?;
+                exec_body(decoded.body.ops(), b.start, machine)?;
                 machine.set_pc(b.term_pc());
                 match &b.exit {
                     BlockExit::Branch(br) => {
@@ -490,7 +511,8 @@ impl<'p> Executor<'p> {
                 }
             }
             None => {
-                let flow = step_block(program, b.block.start, b.block.end, machine)?;
+                let end = b.start + b.len as usize;
+                let flow = step_block(program, b.start, end, machine)?;
                 b.outcome(&flow, edges)?
             }
         };
@@ -677,6 +699,7 @@ mod tests {
     use super::*;
     use tpdbt_isa::{Cond, ProgramBuilder, Reg};
     use tpdbt_profile::{RegionEdge, RegionKind};
+    use tpdbt_suite::{all_names, workload, InputKind, Scale};
 
     /// ```text
     /// 0: br r0 < 1, 2
@@ -869,6 +892,42 @@ mod tests {
         assert_eq!(exec.code.id_of(3), None);
         assert_eq!(exec.code.blocks[0].taken_edge(), Some(0));
         assert_eq!(exec.code.blocks[1].taken_edge(), None);
+    }
+
+    /// Every block the executor translates states, through
+    /// [`BlockExit::kind`], the kind of its decoded terminator: profile
+    /// records and region formation read only that kind. Every suite
+    /// guest at tiny scale, run to its halt; together they end blocks
+    /// in all six kinds.
+    #[test]
+    fn exit_kinds_match_decoded_terminators() {
+        let mut seen = Vec::new();
+        for name in all_names() {
+            let w = workload(name, Scale::Tiny, InputKind::Ref).unwrap();
+            let p = &w.binary.program;
+            let mut m = Machine::new(p, &w.input);
+            m.preload(&w.binary.mem_image, &w.binary.fmem_image);
+            let mut exec = Executor::new(p, Backend::CachedFused, u64::MAX, None);
+            let mut pc = Some(p.entry());
+            while let Some(at) = pc {
+                pc = exec.step(at, &mut m).unwrap().1;
+            }
+            for b in &exec.code.blocks {
+                let kind = match decode_block(p, b.start).unwrap().terminator {
+                    Terminator::Jump { .. } => TermKind::Jump,
+                    Terminator::Branch { .. } => TermKind::Cond,
+                    Terminator::Switch { .. } => TermKind::Switch,
+                    Terminator::Call { .. } => TermKind::Call,
+                    Terminator::Return => TermKind::Return,
+                    Terminator::Halt => TermKind::Halt,
+                };
+                assert_eq!(b.exit.kind(), kind, "{name}: block at {}", b.start);
+                if !seen.contains(&kind) {
+                    seen.push(kind);
+                }
+            }
+        }
+        assert_eq!(seen.len(), 6, "{seen:?}");
     }
 
     /// A flow the block's terminator cannot produce is a translator

@@ -5,34 +5,27 @@
 //! `INIP(train)` and `AVEP` carry no region information; it suggests
 //! applying a region-formation algorithm to the profiles offline. This
 //! module does exactly that: it runs the translator's region former
-//! over a [`PlainProfile`]'s counters (instead of live frozen
+//! over a [`PlainProfile`]'s records (instead of live frozen
 //! counters), producing [`RegionDump`]s that the analyzer can evaluate
 //! against `AVEP` like any `INIP(T)` dump.
+//!
+//! Formation reads nothing but the profile: every record states its
+//! block's terminator kind and length beside its counts, so the guest
+//! program is not decoded again. A record of no stated kind (a
+//! hand-written dump's `none`) ends growth, as a switch does.
 
 use std::borrow::Cow;
-use std::collections::BTreeMap;
+use std::collections::BTreeSet;
 
-use tpdbt_isa::{decode_block, Pc, Program, Terminator};
+use tpdbt_isa::Pc;
 use tpdbt_profile::{BlockRecord, InipDump, PlainProfile, RegionDump};
 
 use crate::config::RegionPolicy;
 use crate::region::{form_region, BlockSource};
 
-struct ProfileSource<'a> {
-    terminators: BTreeMap<Pc, Terminator>,
-    lens: BTreeMap<Pc, u32>,
-    profile: &'a PlainProfile,
-}
-
-impl<'a> BlockSource for ProfileSource<'a> {
-    fn terminator(&self, pc: Pc) -> Option<&Terminator> {
-        self.terminators.get(&pc)
-    }
+impl BlockSource for PlainProfile {
     fn record(&self, pc: Pc) -> Option<Cow<'_, BlockRecord>> {
-        self.profile.blocks.get(&pc).map(Cow::Borrowed)
-    }
-    fn block_len(&self, pc: Pc) -> Option<u32> {
-        self.lens.get(&pc).copied()
+        self.blocks.get(&pc).map(Cow::Borrowed)
     }
 }
 
@@ -44,25 +37,10 @@ impl<'a> BlockSource for ProfileSource<'a> {
 /// Returns regions in formation order with dense ids.
 #[must_use]
 pub fn form_offline_regions(
-    program: &Program,
     profile: &PlainProfile,
     policy: &RegionPolicy,
     threshold: u64,
 ) -> Vec<RegionDump> {
-    let mut terminators = BTreeMap::new();
-    let mut lens = BTreeMap::new();
-    for &pc in profile.blocks.keys() {
-        if let Some(block) = decode_block(program, pc) {
-            lens.insert(pc, (block.end - block.start) as u32);
-            terminators.insert(pc, block.terminator);
-        }
-    }
-    let src = ProfileSource {
-        terminators,
-        lens,
-        profile: &profile.clone(),
-    };
-
     let mut seeds: Vec<(&Pc, &BlockRecord)> = profile
         .blocks
         .iter()
@@ -70,20 +48,17 @@ pub fn form_offline_regions(
         .collect();
     seeds.sort_by_key(|(_, r)| std::cmp::Reverse(r.use_count));
 
-    let mut taken_entries: std::collections::BTreeSet<Pc> = std::collections::BTreeSet::new();
-    let mut members: std::collections::BTreeSet<Pc> = std::collections::BTreeSet::new();
+    // Every region's copies, its seed (copy 0) among them.
+    let mut members = BTreeSet::new();
     let mut regions = Vec::new();
     for (&pc, _) in seeds {
-        if taken_entries.contains(&pc) || members.contains(&pc) {
+        if members.contains(&pc) {
             continue;
         }
-        let Some(formed) = form_region(&src, policy, pc) else {
+        let Some(formed) = form_region(profile, policy, pc) else {
             continue;
         };
-        taken_entries.insert(pc);
-        for &m in &formed.copies {
-            members.insert(m);
-        }
+        members.extend(formed.copies.iter().copied());
         let id = regions.len();
         regions.push(formed.into_dump(id));
     }
@@ -122,7 +97,7 @@ pub fn as_inip_with_regions(
 mod tests {
     use super::*;
     use crate::{Dbt, DbtConfig};
-    use tpdbt_isa::{structured, Cond, ProgramBuilder, Reg};
+    use tpdbt_isa::{structured, Cond, Program, ProgramBuilder, Reg};
     use tpdbt_profile::RegionKind;
 
     fn looped_program() -> Program {
@@ -140,7 +115,7 @@ mod tests {
             .run(&p, &[])
             .unwrap()
             .as_plain_profile();
-        let regions = form_offline_regions(&p, &profile, &RegionPolicy::default(), 100);
+        let regions = form_offline_regions(&profile, &RegionPolicy::default(), 100);
         assert!(!regions.is_empty());
         assert!(regions.iter().any(|r| r.kind == RegionKind::Loop));
         // Edges respect the analyzer's topological invariant.
@@ -158,7 +133,7 @@ mod tests {
             .run(&p, &[])
             .unwrap()
             .as_plain_profile();
-        assert!(form_offline_regions(&p, &profile, &RegionPolicy::default(), 1 << 40).is_empty());
+        assert!(form_offline_regions(&profile, &RegionPolicy::default(), 1 << 40).is_empty());
     }
 
     #[test]
@@ -168,7 +143,7 @@ mod tests {
             .run(&p, &[])
             .unwrap()
             .as_plain_profile();
-        let regions = form_offline_regions(&p, &profile, &RegionPolicy::default(), 100);
+        let regions = form_offline_regions(&profile, &RegionPolicy::default(), 100);
         let n = regions.len();
         assert!(n > 0);
         // Against itself: everything retained, ids dense.
@@ -188,7 +163,7 @@ mod tests {
             .run(&p, &[])
             .unwrap()
             .as_plain_profile();
-        let regions = form_offline_regions(&p, &profile, &RegionPolicy::default(), 100);
+        let regions = form_offline_regions(&profile, &RegionPolicy::default(), 100);
         let dump = as_inip_with_regions(&profile, regions, &profile, 100);
         let m = tpdbt_profile::report::analyze(&dump, &profile).unwrap();
         // Self-comparison: zero deviation everywhere it is defined.

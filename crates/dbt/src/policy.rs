@@ -50,8 +50,8 @@ use std::borrow::Cow;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet};
 
-use tpdbt_isa::{Pc, Terminator};
-use tpdbt_profile::{BlockRecord, InipDump, IntervalProfile, RegionDump, RegionKind, TermKind};
+use tpdbt_isa::Pc;
+use tpdbt_profile::{BlockRecord, InipDump, IntervalProfile, RegionDump, RegionKind};
 use tpdbt_trace::{EventKind, TraceRegionKind, Tracer};
 
 use crate::config::{CostModel, DbtConfig, ProfilingMode};
@@ -153,7 +153,7 @@ impl Profile {
             .collect();
         BlockRecord {
             len: code.blocks[id].len,
-            kind: Some(term_kind(&code.blocks[id].block.terminator)),
+            kind: Some(code.blocks[id].exit.kind()),
             use_count: c.use_count,
             edges,
         }
@@ -505,17 +505,6 @@ pub(crate) fn reform_due(current_use: u64, formed_use: u64) -> bool {
     current_use / 2 >= formed_use
 }
 
-fn term_kind(t: &Terminator) -> TermKind {
-    match t {
-        Terminator::Jump { .. } => TermKind::Jump,
-        Terminator::Branch { .. } => TermKind::Cond,
-        Terminator::Switch { .. } => TermKind::Switch,
-        Terminator::Call { .. } => TermKind::Call,
-        Terminator::Return => TermKind::Return,
-        Terminator::Halt => TermKind::Halt,
-    }
-}
-
 /// Reports a structured event when a tracer is attached; the closure
 /// defers payload construction to the traced case, so an untraced run
 /// pays one branch per site.
@@ -526,26 +515,18 @@ fn emit(tracer: Option<&Tracer>, event: impl FnOnce() -> EventKind) {
     }
 }
 
-/// Region formation's view of a policy: its own counters over the
-/// executor's decoded blocks, limited to the blocks this policy has
-/// translated.
+/// Region formation's view of a policy: the records of its own
+/// counters over the executor's lowered blocks, limited to the blocks
+/// this policy has translated.
 struct Source<'a> {
     code: &'a Code,
     profile: &'a Profile,
 }
 
 impl BlockSource for Source<'_> {
-    fn terminator(&self, pc: Pc) -> Option<&Terminator> {
-        let id = self.profile.id_of(self.code, pc)?;
-        Some(&self.code.blocks[id].block.terminator)
-    }
     fn record(&self, pc: Pc) -> Option<Cow<'_, BlockRecord>> {
         let id = self.profile.id_of(self.code, pc)?;
         Some(Cow::Owned(self.profile.record(self.code, id)))
-    }
-    fn block_len(&self, pc: Pc) -> Option<u32> {
-        let id = self.profile.id_of(self.code, pc)?;
-        Some(self.code.blocks[id].len)
     }
 }
 

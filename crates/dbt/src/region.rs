@@ -11,25 +11,28 @@
 //! Copies are appended in growth order, so every internal edge goes
 //! forward (`to > from`) except loop back edges (`to == 0`) — the
 //! topological invariant [`tpdbt_profile::RegionEdge`] documents.
+//!
+//! Formation is a function of profile records alone: each
+//! [`BlockRecord`] carries the block's `use` and edge counts, its
+//! terminator's kind and its length, which is all growth reads. At run
+//! time the records are built from a policy's counters over the
+//! translation cache; offline they are a stored profile's
+//! ([`crate::offline`]).
 
 use std::borrow::Cow;
 
-use tpdbt_isa::{Pc, Terminator};
-use tpdbt_profile::{BlockRecord, RegionDump, RegionEdge, RegionKind, SuccSlot};
+use tpdbt_isa::Pc;
+use tpdbt_profile::{BlockRecord, RegionDump, RegionEdge, RegionKind, SuccSlot, TermKind};
 
 use crate::config::RegionPolicy;
 
-/// Read access to decoded blocks and their live counters, as needed by
-/// region formation (implemented by a policy's counters over the
-/// executor's translation cache).
+/// The profile records region formation reads: a policy's live
+/// counters over the executor's translation cache, or a whole-run
+/// profile.
 pub(crate) trait BlockSource {
-    /// The terminator of the block at `pc`, if translated.
-    fn terminator(&self, pc: Pc) -> Option<&Terminator>;
-    /// The profile record of the block at `pc`, if translated (built
-    /// on demand from a policy's flat counters).
+    /// The profile record of the block at `pc`, if it ran (built on
+    /// demand from a policy's flat counters).
     fn record(&self, pc: Pc) -> Option<Cow<'_, BlockRecord>>;
-    /// Number of instructions in the block at `pc`.
-    fn block_len(&self, pc: Pc) -> Option<u32>;
 }
 
 /// A freshly formed region, before its policy installs it.
@@ -90,10 +93,16 @@ fn slot_outcome(record: &BlockRecord, slot: SuccSlot) -> Option<(Pc, f64)> {
         .map(|&(_, target, c)| (target, c as f64 / total as f64))
 }
 
-/// Whether growth may pass through this terminator (only direct
-/// control flow; switches, calls, returns, and halts end regions).
-fn growable(term: &Terminator) -> bool {
-    matches!(term, Terminator::Jump { .. } | Terminator::Branch { .. })
+/// Whether growth may pass through this block's terminator (only
+/// direct control flow; switches, calls, returns, halts and records of
+/// no stated kind end regions).
+fn growable(record: &BlockRecord) -> bool {
+    matches!(record.kind, Some(TermKind::Jump | TermKind::Cond))
+}
+
+/// Whether the block ends in a conditional branch.
+fn is_cond(record: &BlockRecord) -> bool {
+    record.kind == Some(TermKind::Cond)
 }
 
 /// Context for one region-formation run.
@@ -137,11 +146,10 @@ impl<'a, S: BlockSource> Grower<'a, S> {
         if arm_pc == self.seed || self.contains(arm_pc) {
             return None;
         }
-        let term = self.src.terminator(arm_pc)?;
-        if !growable(term) {
+        let record = self.src.record(arm_pc)?;
+        if !growable(&record) {
             return None;
         }
-        let record = self.src.record(arm_pc)?;
         let (slot, target, prob) = best_outcome(&record)?;
         (target == join && prob >= self.policy.main_path_prob).then_some(slot)
     }
@@ -150,15 +158,12 @@ impl<'a, S: BlockSource> Grower<'a, S> {
     fn grow(&mut self, mut cur: usize) -> usize {
         loop {
             let pc = self.copies[cur];
-            let Some(term) = self.src.terminator(pc) else {
-                return cur;
-            };
-            if !growable(term) {
-                return cur;
-            }
             let Some(record) = self.src.record(pc) else {
                 return cur;
             };
+            if !growable(&record) {
+                return cur;
+            }
             let Some((best_slot, best_target, best_prob)) = best_outcome(&record) else {
                 return cur;
             };
@@ -167,7 +172,7 @@ impl<'a, S: BlockSource> Grower<'a, S> {
             let mut pending_arm: Option<(usize, SuccSlot)> = None;
             let mut join = best_target;
             let mut join_slot = best_slot;
-            if let Terminator::Branch { .. } = term {
+            if is_cond(&record) {
                 let other_slot = if best_slot == SuccSlot::Taken {
                     SuccSlot::Fallthrough
                 } else {
@@ -202,19 +207,25 @@ impl<'a, S: BlockSource> Grower<'a, S> {
                     {
                         return cur;
                     }
-                    let (Some(r1), Some(r2)) = (
-                        self.src.record(best_target).and_then(|r| best_outcome(&r)),
-                        self.src.record(other_pc).and_then(|r| best_outcome(&r)),
-                    ) else {
+                    // Each arm's record, with its best outcome when it
+                    // may rejoin: a growable terminator whose best
+                    // outcome dominates.
+                    let rejoin = |pc: Pc| {
+                        let record = self.src.record(pc)?;
+                        let best = best_outcome(&record)?;
+                        Some((
+                            best,
+                            growable(&record) && best.2 >= self.policy.main_path_prob,
+                        ))
+                    };
+                    let (Some((r1, ok1)), Some((r2, ok2))) =
+                        (rejoin(best_target), rejoin(other_pc))
+                    else {
                         return cur;
                     };
-                    let rejoin_ok = |pc: Pc, prob: f64| {
-                        prob >= self.policy.main_path_prob
-                            && self.src.terminator(pc).is_some_and(growable)
-                    };
                     if r1.1 != r2.1
-                        || !rejoin_ok(best_target, r1.2)
-                        || !rejoin_ok(other_pc, r2.2)
+                        || !ok1
+                        || !ok2
                         || best_target == self.seed
                         || other_pc == self.seed
                         || self.contains(best_target)
@@ -248,10 +259,7 @@ impl<'a, S: BlockSource> Grower<'a, S> {
                 return cur;
             }
 
-            if matches!(term, Terminator::Branch { .. })
-                && pending_arm.is_none()
-                && best_prob < self.policy.main_path_prob
-            {
+            if is_cond(&record) && pending_arm.is_none() && best_prob < self.policy.main_path_prob {
                 return cur;
             }
 
@@ -272,11 +280,7 @@ impl<'a, S: BlockSource> Grower<'a, S> {
                 }
                 return cur;
             }
-            if self.contains(join)
-                || !self.room_for(1)
-                || self.src.record(join).is_none()
-                || self.src.terminator(join).is_none()
-            {
+            if self.contains(join) || !self.room_for(1) || self.src.record(join).is_none() {
                 return cur;
             }
             let j = self.push_copy(join);
@@ -308,10 +312,7 @@ impl<'a, S: BlockSource> Grower<'a, S> {
         let snapshot = self.copies.len();
         for i in 0..snapshot {
             let pc = self.copies[i];
-            let Some(Terminator::Branch { .. }) = self.src.terminator(pc) else {
-                continue;
-            };
-            let Some(record) = self.src.record(pc) else {
+            let Some(record) = self.src.record(pc).filter(|r| is_cond(r)) else {
                 continue;
             };
             for slot in [SuccSlot::Taken, SuccSlot::Fallthrough] {
@@ -342,14 +343,11 @@ impl<'a, S: BlockSource> Grower<'a, S> {
                     if self.contains(cur) || chain.iter().any(|(p, _)| *p == cur) {
                         break;
                     }
-                    let Some(term) = self.src.terminator(cur) else {
-                        break;
-                    };
-                    if !growable(term) {
-                        break;
-                    }
-                    let Some((next_slot, next, next_prob)) =
-                        self.src.record(cur).and_then(|r| best_outcome(&r))
+                    let Some((next_slot, next, next_prob)) = self
+                        .src
+                        .record(cur)
+                        .filter(|r| growable(r))
+                        .and_then(|r| best_outcome(&r))
                     else {
                         break;
                     };
@@ -404,7 +402,7 @@ pub(crate) fn form_region<S: BlockSource>(
     let total_instrs = grower
         .copies
         .iter()
-        .map(|&pc| u64::from(src.block_len(pc).unwrap_or(1)))
+        .map(|&pc| u64::from(src.record(pc).map_or(1, |r| r.len)))
         .sum();
     debug_assert!(
         grower.edges.iter().all(|e| e.to > e.from || e.to == 0),
@@ -423,10 +421,9 @@ pub(crate) fn form_region<S: BlockSource>(
 mod tests {
     use super::*;
     use std::collections::HashMap;
-    use tpdbt_profile::TermKind;
 
     struct Mock {
-        blocks: HashMap<Pc, (Terminator, BlockRecord)>,
+        blocks: HashMap<Pc, BlockRecord>,
     }
 
     impl Mock {
@@ -437,10 +434,6 @@ mod tests {
         }
 
         fn cond(&mut self, pc: Pc, taken_to: Pc, fall_to: Pc, use_count: u64, taken: u64) {
-            let term = Terminator::Branch {
-                taken: taken_to,
-                fallthrough: fall_to,
-            };
             let record = BlockRecord {
                 len: 3,
                 kind: Some(TermKind::Cond),
@@ -450,45 +443,33 @@ mod tests {
                     (SuccSlot::Fallthrough, fall_to, use_count - taken),
                 ],
             };
-            self.blocks.insert(pc, (term, record));
+            self.blocks.insert(pc, record);
         }
 
         fn jump(&mut self, pc: Pc, to: Pc, use_count: u64) {
-            let term = Terminator::Jump { target: to };
             let record = BlockRecord {
                 len: 2,
                 kind: Some(TermKind::Jump),
                 use_count,
                 edges: vec![(SuccSlot::Other(0), to, use_count)],
             };
-            self.blocks.insert(pc, (term, record));
+            self.blocks.insert(pc, record);
         }
 
         fn halt(&mut self, pc: Pc, use_count: u64) {
-            self.blocks.insert(
-                pc,
-                (
-                    Terminator::Halt,
-                    BlockRecord {
-                        len: 1,
-                        kind: Some(TermKind::Halt),
-                        use_count,
-                        edges: vec![],
-                    },
-                ),
-            );
+            let record = BlockRecord {
+                len: 1,
+                kind: Some(TermKind::Halt),
+                use_count,
+                edges: vec![],
+            };
+            self.blocks.insert(pc, record);
         }
     }
 
     impl BlockSource for Mock {
-        fn terminator(&self, pc: Pc) -> Option<&Terminator> {
-            self.blocks.get(&pc).map(|(t, _)| t)
-        }
         fn record(&self, pc: Pc) -> Option<Cow<'_, BlockRecord>> {
-            self.blocks.get(&pc).map(|(_, r)| Cow::Borrowed(r))
-        }
-        fn block_len(&self, pc: Pc) -> Option<u32> {
-            self.blocks.get(&pc).map(|(_, r)| r.len)
+            self.blocks.get(&pc).map(Cow::Borrowed)
         }
     }
 
@@ -678,6 +659,22 @@ mod tests {
         for e in &r.edges {
             assert!(e.to > e.from || e.to == 0);
         }
+    }
+
+    #[test]
+    fn records_of_no_stated_kind_end_growth() {
+        let mut m = Mock::new();
+        // 10 jumps to 20, whose record states no terminator kind: 20
+        // joins the region as its tail, and growth stops there.
+        m.jump(10, 20, 100);
+        m.jump(20, 30, 100);
+        m.halt(30, 100);
+        m.blocks.get_mut(&20).unwrap().kind = None;
+        let r = form_region(&m, &policy(), 10).unwrap();
+        assert_eq!(r.copies, vec![10, 20]);
+        assert_eq!(r.tail, 1);
+        assert_eq!(r.total_instrs, 4);
+        assert_eq!(form_region(&m, &policy(), 20).unwrap().copies, vec![20]);
     }
 
     #[test]

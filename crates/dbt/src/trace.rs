@@ -134,12 +134,12 @@ pub(crate) fn compile_trace(
     let mut segs = Vec::with_capacity(copies.len());
     for (i, &(id, block)) in chain.iter().enumerate() {
         let decoded = block.code.as_ref()?;
-        if block.block.start != copies[i] {
+        if block.start != copies[i] {
             return None;
         }
         segs.push(TraceSegment {
             block: id,
-            start: block.block.start,
+            start: block.start,
             len: block.len,
             term_pc: block.term_pc(),
             guard: lower_guard(i, &block.exit, edges),

@@ -62,12 +62,7 @@ pub fn train_regions(names: &[&str], scale: Scale, nominal_threshold: u64) -> Re
         let train = Dbt::new(DbtConfig::no_opt())
             .run_built(&training.binary, &training.input)?
             .as_plain_profile();
-        let regions = form_offline_regions(
-            &training.binary.program,
-            &train,
-            &RegionPolicy::default(),
-            threshold,
-        );
+        let regions = form_offline_regions(&train, &RegionPolicy::default(), threshold);
         let dump = as_inip_with_regions(&train, regions, &avep, threshold);
         let m = analyze(&dump, &avep)?;
         t.row(vec![
@@ -480,12 +475,20 @@ pub fn backend_study(names: &[&str], scale: Scale, nominal_threshold: u64) -> Re
 mod tests {
     use super::*;
 
+    /// Offline formation's output, pinned: regions formed from each
+    /// training profile and their deviations against AVEP, exactly.
     #[test]
     fn train_regions_runs_on_a_mini_suite() {
-        let t = train_regions(&["bzip2", "swim"], Scale::Tiny, 2_000).unwrap();
-        let text = t.to_text();
-        assert!(text.contains("bzip2"));
-        assert!(text.contains("swim"));
+        let t = train_regions(&["bzip2", "swim", "mcf", "gcc"], Scale::Tiny, 2_000).unwrap();
+        assert_eq!(
+            t.to_csv(),
+            "# Extension (paper §5.3): Sd.CP(train)/Sd.LP(train) via offline region formation (T=2000)\n\
+             bench,regions,Sd.BP(train),Sd.CP(train),Sd.LP(train)\n\
+             bzip2,7,0.060,0.128,0.002\n\
+             swim,3,0.005,0.012,0.000\n\
+             mcf,9,0.019,0.053,0.003\n\
+             gcc,32,0.241,0.075,0.253\n"
+        );
     }
 
     #[test]

@@ -246,7 +246,7 @@ impl ProfileService {
     /// transport-free embedders may skip it).
     ///
     /// With a cache dir configured this runs a repairing
-    /// [`tpdbt_store::fsck`] scan: damaged entries are removed and
+    /// [`tpdbt_store::fsck()`] scan: damaged entries are removed and
     /// re-derived on demand, orphaned temp files are swept. The
     /// `orphans_swept` / `fsck_ms` counters in `stats` report what
     /// happened. The hot tier starts empty; previously computed keys

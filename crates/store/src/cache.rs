@@ -25,7 +25,7 @@
 //!   blocked from being cached again this run — a bad disk sector
 //!   therefore costs one recompute per sweep, not a
 //!   recompute-corrupt-recompute loop;
-//! * an attached [`FaultPlan`](tpdbt_faults::FaultPlan) can
+//! * an attached [`FaultPlan`] can
 //!   deterministically inject read/write errors and read corruption to
 //!   prove all of the above (with no plan attached the sites are
 //!   inert).
@@ -441,7 +441,7 @@ impl ProfileStore {
     /// Removes orphaned temp files left behind by writers that died
     /// between temp-file creation and the publishing rename. Returns
     /// how many were removed (also counted in
-    /// [`ProfileStore::orphans_swept`] and traced as
+    /// [`StoreStats::orphans_swept`] and traced as
     /// `store_orphan_swept`).
     ///
     /// Temp names embed the writing pid (`{entry}.tmp.{pid}.{seq}`);

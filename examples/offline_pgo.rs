@@ -39,12 +39,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let train = Dbt::new(DbtConfig::no_opt())
         .run_built(&training.binary, &training.input)?
         .as_plain_profile();
-    let regions = form_offline_regions(
-        &training.binary.program,
-        &train,
-        &RegionPolicy::default(),
-        threshold,
-    );
+    let regions = form_offline_regions(&train, &RegionPolicy::default(), threshold);
     let offline = as_inip_with_regions(&train, regions, &avep, threshold);
     let offline_metrics = analyze(&offline, &avep)?;
 
